@@ -93,7 +93,7 @@ class JmsProvider:
         message = Message(topic=topic_name, body=body, published_at=ctx.env.now)
         publisher_node = ctx.server.node.name
         broker_node = self.host_server.node.name
-        span = ctx.start_span(
+        span = None if ctx.spans is None else ctx.start_span(
             "jms",
             f"publish {topic_name}",
             wide_area=ctx.server.is_wide_area(broker_node),
@@ -140,7 +140,7 @@ class JmsProvider:
         subscriber_node = subscriber_server.node.name
         # Deliveries are asynchronous: the span attaches to the *publish*
         # span explicitly so the causal tree survives the detached process.
-        span = ctx.start_span(
+        span = None if ctx.spans is None else ctx.start_span(
             "jms-delivery",
             f"deliver {topic.name}",
             node=subscriber_node,

@@ -21,6 +21,13 @@ def sizeof(value: Any, _depth: int = 0) -> int:
     component interfaces are overwhelmingly plain strs/ints/floats and
     the dicts/lists the result sets are made of.  Subclasses (IntEnum,
     custom containers, objects) take the isinstance chain below.
+
+    The container loops size exact-type scalars inline — a result set
+    is ~100 scalars, and one recursive call apiece was the largest
+    self-time entry of an open-loop cell — and recurse only for nested
+    containers, subclasses and objects.  Anything deeper than 12 levels
+    counts 16 bytes whatever it is, so the children of a depth-12
+    container are never looked at.
     """
     if _depth > 12:
         return 16
@@ -34,14 +41,47 @@ def sizeof(value: Any, _depth: int = 0) -> int:
     if kind is bool:
         return 2
     if kind is dict:
+        if _depth == 12:
+            return 24 + 32 * len(value)
         total = 24
+        _depth += 1
         for key, item in value.items():
-            total += sizeof(key, _depth + 1) + sizeof(item, _depth + 1)
+            kind = type(key)
+            if kind is str:
+                total += 7 + len(key)
+            elif kind is int or kind is float:
+                total += _PRIMITIVE_SIZE
+            else:
+                total += sizeof(key, _depth)
+            kind = type(item)
+            if kind is str:
+                total += 7 + len(item)
+            elif kind is int or kind is float:
+                total += _PRIMITIVE_SIZE
+            elif item is None:
+                total += 1
+            elif kind is bool:
+                total += 2
+            else:
+                total += sizeof(item, _depth)
         return total
     if kind is list or kind is tuple:
+        if _depth == 12:
+            return 24 + 16 * len(value)
         total = 24
+        _depth += 1
         for item in value:
-            total += sizeof(item, _depth + 1)
+            kind = type(item)
+            if kind is str:
+                total += 7 + len(item)
+            elif kind is int or kind is float:
+                total += _PRIMITIVE_SIZE
+            elif item is None:
+                total += 1
+            elif kind is bool:
+                total += 2
+            else:
+                total += sizeof(item, _depth)
         return total
     return _sizeof_slow(value, _depth)
 

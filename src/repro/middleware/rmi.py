@@ -86,7 +86,7 @@ class LocalRef(ComponentRef):
     def call(
         self, ctx: InvocationContext, method: str, *args: Any, identity: Any = None
     ) -> Generator[Event, Any, Any]:
-        span = ctx.start_span(
+        span = None if ctx.spans is None else ctx.start_span(
             "invoke",
             f"{self.descriptor.name}.{method}",
             target=self.descriptor.name,
@@ -136,7 +136,7 @@ class RemoteRef(ComponentRef):
         src = self.source_server.node.name
         dst = self.target_server.node.name
         start = ctx.env.now
-        span = ctx.start_span(
+        span = None if ctx.spans is None else ctx.start_span(
             "rmi",
             f"{self.descriptor.name}.{method}",
             wide_area=self.source_server.is_wide_area(dst),

@@ -379,8 +379,12 @@ class AppServer:
             if tracking:
                 for table in writes:
                     transaction.record_table_write(table)
-        statement_label = sql.split(None, 3)[0].lower() + ":" + _table_of(sql)
-        span = ctx.start_span(
+        # The label exists for the span and the call record only: an
+        # untraced statement never builds it.
+        statement_label = None
+        if ctx.spans is not None or ctx.trace is not None:
+            statement_label = sql.split(None, 3)[0].lower() + ":" + _table_of(sql)
+        span = None if ctx.spans is None else ctx.start_span(
             "jdbc",
             statement_label,
             wide_area=self.is_wide_area(self.db_server.node.name),

@@ -147,8 +147,6 @@ class ServletContainer:
 # Client side
 # ---------------------------------------------------------------------------
 
-_http_pools: Dict[int, ConnectionPool] = {}
-
 
 def _response_wire_size(response: "Response") -> int:
     return response.wire_size()
@@ -197,7 +195,7 @@ def http_get(
     )
     # Root span of the request's causal tree: everything the page does —
     # servlet work, RMI, JDBC, JMS — nests under it via ctx.span_id.
-    root_span = ctx.start_span(
+    root_span = None if spans is None else ctx.start_span(
         "http",
         "GET " + request.page,
         node=request.client_node or server.node.name,
@@ -214,10 +212,9 @@ def http_get(
 
     try:
         if costs.http_keep_alive:
-            pool = _http_pools.get(id(network))
+            pool = network.http_pool
             if pool is None:
-                pool = ConnectionPool(network, kind="http")
-                _http_pools[id(network)] = pool
+                pool = network.http_pool = ConnectionPool(network, kind="http")
             response = yield from pool.exchange(
                 request.client_node,
                 server.node.name,

@@ -35,10 +35,18 @@ timers the comparisons and cache misses dominate the whole simulation.
 The wheel replaces it with an epoch-based calendar queue:
 
 * ``_cur`` — the *current bucket*: a list of ``(time, seq, item)``
-  entries kept sorted in **descending** time so the global minimum is
-  ``_cur[-1]`` and removal is an O(1) ``list.pop()``.  Out-of-order
-  insertions merely set a dirty flag; re-sorting is C-speed timsort and
-  adaptive on the nearly-sorted common case.
+  entries sorted **once**, when the bucket is promoted, in descending
+  time so its minimum is ``_cur[-1]`` and removal is an O(1)
+  ``list.pop()``.  Nothing is ever inserted into it afterwards.
+* ``_hot`` — a small binary heap (``heapq``) of the same triples for
+  pushes that land *below* ``_cur_top`` after the promotion: LAN hops,
+  CPU charges and sub-second sleeps, ~95% of all pushes in the full
+  stack.  The dequeue takes the smaller of ``_cur[-1]`` and
+  ``_hot[0]``, so an event costs O(log |_hot|) — the handful of
+  near-term timers in flight — however many sleepers are parked in
+  ``_cur``.  (Appending such pushes to ``_cur`` and re-sorting it
+  lazily would cost O(|_cur|) per event instead: one in-span push
+  between two dequeues dirties the whole bucket.)
 * ``_buckets`` — equal-width future buckets whose exclusive upper edges
   are precomputed in ``_bounds`` (ascending); appends are O(1) with a
   single C ``bisect_right`` to route, and a bucket is sorted only once,
@@ -53,13 +61,21 @@ The wheel replaces it with an epoch-based calendar queue:
   uniform and heavy-tailed delay distributions get O(1) amortized
   scheduling.
 
-Invariants (each proves the dequeue order correct): every ``_cur`` entry
-has ``time < _cur_top``; bucket ``i`` holds ``_bounds[i-1] <= time <
-_bounds[i]`` with ``i >= _idx``; overflow entries have ``time >=
-_limit == _bounds[-1]``; hence the global minimum always lives in
-``_cur``, and two entries with equal time can never sit in different
-tiers.  Rebuild slicing and push routing share the *same* boundary
-floats (``_bounds``), so an entry can never straddle the two rules.
+Invariants (each proves the dequeue order correct): every ``_cur`` and
+``_hot`` entry has ``time < _cur_top``; bucket ``i`` holds
+``_bounds[i-1] <= time < _bounds[i]`` with ``i >= _idx``; overflow
+entries have ``time >= _limit == _bounds[-1]``; hence the global minimum
+is always ``_cur[-1]`` or ``_hot[0]``, and a bucket is promoted only
+when both are empty.  Two entries with equal time can sit in different
+tiers only as ``_cur`` and ``_hot``, and there the order is fixed:
+``_cur_top`` never decreases, so a ``_hot`` entry due at ``t`` was
+pushed when ``t`` was already below ``_cur_top`` — after the bucket
+covering ``t`` was promoted, hence after every ``_cur`` entry due at
+``t`` was pushed.  At equal times every ``_cur`` entry therefore has a
+lower sequence than every ``_hot`` entry: drain the ``_cur`` group, then
+the ``_hot`` group (the heap orders that one by sequence itself).
+Rebuild slicing and push routing share the *same* boundary floats
+(``_bounds``), so an entry can never straddle the two rules.
 
 Example
 -------
@@ -81,6 +97,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import partial
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -253,8 +270,7 @@ class Timeout(Event):
             time = env._now + delay
             env._sequence = sequence = env._sequence + 1
             if time < env._cur_top:
-                env._cur.append((time, sequence, self))
-                env._cur_dirty = True
+                heappush(env._hot, (time, sequence, self))
             elif time < env._limit:
                 index = bisect_right(env._bounds, time)
                 if index < env._idx:
@@ -410,8 +426,7 @@ class Process(Event):
                 time = env._now + target
                 env._sequence = sequence = env._sequence + 1
                 if time < env._cur_top:
-                    env._cur.append((time, sequence, self))
-                    env._cur_dirty = True
+                    heappush(env._hot, (time, sequence, self))
                 elif time < env._limit:
                     index = bisect_right(env._bounds, time)
                     if index < env._idx:
@@ -539,7 +554,7 @@ class Environment:
         "_sequence",
         "_active",
         "_cur",
-        "_cur_dirty",
+        "_hot",
         "_cur_top",
         "_buckets",
         "_bounds",
@@ -556,8 +571,8 @@ class Environment:
         self._active = True
         # -- timer-wheel state (see module docstring) ---------------------
         self._cur: List[tuple] = []  # descending (time, seq, item) stack
-        self._cur_dirty = False  # _cur needs a re-sort before use
-        self._cur_top = now  # exclusive upper bound of _cur's span
+        self._hot: List[tuple] = []  # heapq of pushes below _cur_top
+        self._cur_top = now  # exclusive upper bound of _cur's and _hot's span
         self._buckets: List[List[tuple]] = []
         self._bounds: List[float] = []  # bucket i's exclusive upper edge
         self._idx = 0  # next bucket to promote
@@ -613,13 +628,12 @@ class Environment:
         """Insert a future ``(time, sequence, item)`` entry into the wheel.
 
         ``time`` must be strictly greater than ``now``.  Entries below
-        the current bucket's span join it with a lazy re-sort; entries
+        the current bucket's span go to the ``_hot`` heap; entries
         within the epoch go to their O(1) bucket; the rest spill to the
         overflow list until the next re-epoch.
         """
         if time < self._cur_top:
-            self._cur.append((time, sequence, item))
-            self._cur_dirty = True
+            heappush(self._hot, (time, sequence, item))
         elif time < self._limit:
             index = bisect_right(self._bounds, time)
             if index < self._idx:
@@ -649,24 +663,27 @@ class Environment:
     def _wheel_min(self) -> Optional[tuple]:
         """An entry due at the wheel's minimum time, or None if empty.
 
-        Promotes buckets and re-epochs the overflow as needed so a
-        minimum-time entry always ends up at ``_cur[-1]``; never touches
-        the clock.  Every ``_cur`` sort is a *stable* descending sort on
-        the time alone (~3x faster than whole-tuple comparisons), so
-        entries due at the same instant sit in ascending-sequence order
-        left to right — push order, because every append source
-        (bucket carve, in-run pushes, foreign pushes) appends in
-        sequence order.  Dequeuers must therefore take an equal-time
-        group from its *left* edge (see ``_advance`` and ``run``);
-        ``_cur[-1]`` itself is only guaranteed minimal in time, which is
-        all ``peek`` needs.
+        The minimum is ``_cur[-1]`` or ``_hot[0]``; only when both are
+        empty does this promote the next bucket (or re-epoch the
+        overflow).  Never touches the clock.  Promotion sorts the new
+        ``_cur`` — the only sort it ever gets — with a *stable*
+        descending sort on the time alone (~3x faster than whole-tuple
+        comparisons), so entries due at the same instant sit in
+        ascending-sequence order left to right — push order, because
+        buckets are appended to in sequence order.  Dequeuers must
+        therefore take an equal-time ``_cur`` group from its *left*
+        edge, and any ``_hot`` entries due at that instant after it
+        (see ``_advance`` and ``run``); the entry returned here is only
+        guaranteed minimal in time, which is all ``peek`` needs.
         """
         cur = self._cur
+        hot = self._hot
         while True:
+            if hot:
+                if cur and cur[-1][0] <= hot[0][0]:
+                    return cur[-1]
+                return hot[0]
             if cur:
-                if self._cur_dirty:
-                    cur.sort(key=_entry_time, reverse=True)
-                    self._cur_dirty = False
                 return cur[-1]
             buckets = self._buckets
             index = self._idx
@@ -683,10 +700,9 @@ class Environment:
                 self._idx = index + 1
                 self._cur_top = self._bounds[index]
                 cur.sort(key=_entry_time, reverse=True)
-                self._cur_dirty = False
                 continue
             # Every bucket consumed: pushes below _limit now belong in
-            # _cur (keep the routing invariant before re-epoching).
+            # _hot (keep the routing invariant before re-epoching).
             self._idx = count
             self._cur_top = self._limit
             if not self._overflow:
@@ -744,39 +760,35 @@ class Environment:
     def _advance(self, until: Optional[float] = None) -> Any:
         """Advance the clock to the next wheel instant and dequeue it.
 
-        Returns the first item due at the new instant; any further
-        entries due at the very same instant move to the ready deque in
-        one batch (in sequence order — future pushes are strictly later,
-        so no wheel entry can ever rejoin the current instant
-        afterwards).  Returns None when the wheel is empty and the
-        module-level ``_BOUNDARY`` sentinel when the next instant lies
-        beyond ``until`` (clock parked at ``until``).
+        Must be called with the ready deque empty.  Every entry due at
+        the new instant moves to the ready deque in one batch — the
+        ``_cur`` group, then the ``_hot`` group: sequence order (future
+        pushes are strictly later, so no wheel entry can ever rejoin
+        the current instant afterwards) — and the first is returned.
+        Returns None when the wheel is empty and the module-level
+        ``_BOUNDARY`` sentinel when the next instant lies beyond
+        ``until`` (clock parked at ``until``).
         """
-        cur = self._cur
-        if not cur:
-            if self._wheel_min() is None:
-                return None
-            cur = self._cur
-        elif self._cur_dirty:
-            cur.sort(key=_entry_time, reverse=True)
-            self._cur_dirty = False
-        time = cur[-1][0]
+        entry = self._wheel_min()
+        if entry is None:
+            return None
+        time = entry[0]
         if until is not None and time > until:
             self._now = until
             return _BOUNDARY
         self._now = time
-        i = len(cur) - 1
-        if i and cur[i - 1][0] == time:
-            # Equal-time group: ascending sequence left to right (see
-            # _wheel_min), so the group's left edge dispatches first and
-            # the rest move to the ready deque in forward order.
-            while i and cur[i - 1][0] == time:
-                i -= 1
-            first = cur[i][2]
-            self._ready.extend(map(_entry_item, cur[i + 1 :]))
+        ready = self._ready
+        cur = self._cur
+        i = len(cur)
+        while i and cur[i - 1][0] == time:
+            i -= 1
+        if i < len(cur):
+            ready.extend(map(_entry_item, cur[i:]))
             del cur[i:]
-            return first
-        return cur.pop()[2]
+        hot = self._hot
+        while hot and hot[0][0] == time:
+            ready.append(heappop(hot)[2])
+        return ready.popleft()
 
     # -- execution ---------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
@@ -790,7 +802,7 @@ class Environment:
         # The unbounded loop is the workhorse under open-loop load —
         # ~10^7 dispatches per million-session run — so the wheel
         # dequeue is inlined here alongside the dispatch: cur-stack pop,
-        # lazy re-sort, and same-instant batching happen without a
+        # hot-heap merge, and same-instant batching happen without a
         # method call, and bucket promotion / re-epoch (once per ~256
         # events) goes through _wheel_min.  step(), peek(), and
         # _run_bounded share the generic dequeue (_advance); this loop
@@ -800,21 +812,23 @@ class Environment:
         wheel_min = self._wheel_min
         time = self._now
         # Wheel-state locals: these only change inside _wheel_min /
-        # _rebuild (the dequeue side, reached through the `not cur`
+        # _rebuild (the dequeue side, reached through the both-empty
         # branch below), so they are refreshed there and nowhere else.
         # Pushes from foreign code (timeouts created inside a resumed
-        # generator, callbacks) append to these same list objects and
-        # touch only _sequence / _cur_dirty — both re-read every time.
+        # generator, callbacks) push onto the same _hot list object —
+        # which is never replaced — or append to these same bucket /
+        # overflow lists, and touch only _sequence, re-read every time.
         cur = self._cur
+        hot = self._hot
         cur_top = self._cur_top
         limit = self._limit
         bounds = self._bounds
         buckets = self._buckets
         idx = self._idx
         overflow = self._overflow
+        append = ready.append
         extend = ready.extend
         third = _entry_item
-        sort_key = _entry_time
         while True:
             while ready:
                 item = popleft()
@@ -849,8 +863,7 @@ class Environment:
                             wake = time + target
                             self._sequence = sequence = self._sequence + 1
                             if wake < cur_top:
-                                cur.append((wake, sequence, item))
-                                self._cur_dirty = True
+                                heappush(hot, (wake, sequence, item))
                             elif wake < limit:
                                 index = bisect_right(bounds, wake)
                                 if index < idx:
@@ -859,7 +872,7 @@ class Environment:
                             else:
                                 overflow.append((wake, sequence, item))
                         elif target == 0:
-                            ready.append(item)
+                            append(item)
                         else:
                             item._sleeping = False
                             raise SimulationError(
@@ -877,18 +890,29 @@ class Environment:
                     item._callbacks = None
                     for callback in callbacks:
                         callback(item)
-            # Ready drained: advance the wheel.  The whole batch of
-            # entries due at the next timestamp moves to the ready
-            # deque in one splice — C-level slice + map — so the
-            # same-instant case (ms-quantized think times pile dozens
-            # of wakes on one tick) never pays per-entry interpreter
-            # cost.  Equal-time entries sit in ascending-sequence
-            # order left to right (see _wheel_min), so the forward
-            # slice IS fifo order.  Dispatch order is identical to
-            # popping one at a time: anything a batch member schedules
-            # at ``now`` appends *behind* the batch, exactly where its
-            # later sequence number would have put it.
-            if not cur:
+            # Ready drained: advance the wheel to the smaller of
+            # cur[-1] and hot[0].  The whole batch of entries due at
+            # that timestamp moves to the ready deque — cur's group in
+            # one C-level slice + map splice, so the same-instant case
+            # (ms-quantized think times pile dozens of wakes on one
+            # tick) never pays per-entry interpreter cost; equal-time
+            # cur entries sit in ascending-sequence order left to right
+            # (see _wheel_min), so the forward slice IS fifo order —
+            # then hot's group, which at equal time is younger than all
+            # of cur's (module docstring).  Dispatch order is identical
+            # to popping one at a time: anything a batch member
+            # schedules at ``now`` appends *behind* the batch, exactly
+            # where its later sequence number would have put it.
+            if hot:
+                if not cur or hot[0][0] < cur[-1][0]:
+                    entry = heappop(hot)
+                    time = entry[0]
+                    self._now = time
+                    append(entry[2])
+                    while hot and hot[0][0] == time:
+                        append(heappop(hot)[2])
+                    continue
+            elif not cur:
                 if wheel_min() is None:
                     break
                 cur = self._cur
@@ -899,9 +923,6 @@ class Environment:
                 idx = self._idx
                 overflow = self._overflow
                 continue
-            if self._cur_dirty:
-                cur.sort(key=sort_key, reverse=True)
-                self._cur_dirty = False
             time = cur[-1][0]
             self._now = time
             i = len(cur) - 1
@@ -911,7 +932,9 @@ class Environment:
                 extend(map(third, cur[i:]))
                 del cur[i:]
             else:
-                ready.append(cur.pop()[2])
+                append(cur.pop()[2])
+            while hot and hot[0][0] == time:
+                append(heappop(hot)[2])
         return self._now
 
     def _run_bounded(self, until: float) -> float:
@@ -974,7 +997,7 @@ class Environment:
         left alive — a mutating check there could swap ``_overflow`` /
         ``_buckets`` out from under the loop and lose the next push.)
         """
-        if self._ready or self._cur or self._overflow:
+        if self._ready or self._cur or self._hot or self._overflow:
             return True
         for bucket in self._buckets[self._idx :]:
             if bucket:
@@ -988,7 +1011,9 @@ class Environment:
         ``sequence`` counts wheel entries ever scheduled — a proxy for
         event volume that the time-series sampler differentiates into
         events/interval; the remaining numbers describe ready-deque and
-        calendar-queue occupancy at the instant of the call.
+        calendar-queue occupancy at the instant of the call
+        (``current_bucket`` is everything below ``_cur_top``: the sorted
+        ``_cur`` stack plus the ``_hot`` heap).
         """
         future = 0
         occupied = 0
@@ -1000,7 +1025,7 @@ class Environment:
             "now": self._now,
             "sequence": self._sequence,
             "ready": len(self._ready),
-            "current_bucket": len(self._cur),
+            "current_bucket": len(self._cur) + len(self._hot),
             "future_entries": future,
             "buckets_occupied": occupied,
             "buckets_live": max(0, len(self._buckets) - self._idx),

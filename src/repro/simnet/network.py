@@ -184,11 +184,15 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self._adjacency: Dict[str, List[Tuple[str, Link]]] = {}
         self._routes: Dict[Tuple[str, str], List[Link]] = {}
+        self._path_latencies: Dict[Tuple[str, str], float] = {}
         # (src, dst) -> ordered per-hop (link, chain) pairs; saves
         # re-deriving hop direction and chain lookups on every transfer,
         # and keeps the owning link at hand for fault-state checks.
         self._hop_chains: Dict[Tuple[str, str], List[Tuple[Link, ElementChain]]] = {}
         self.total_transfers = 0
+        # The keep-alive HTTP ConnectionPool, created by http_get on
+        # first use: it lives and dies with the network it pools for.
+        self.http_pool = None
 
     # -- construction ------------------------------------------------------
     def add_node(self, name: str, cpus: int = 2, cpu_speed: float = 1.0) -> Node:
@@ -208,6 +212,7 @@ class Network:
         self._adjacency[a].append((b, link))
         self._adjacency[b].append((a, link))
         self._routes.clear()
+        self._path_latencies.clear()
         self._hop_chains.clear()
         return link
 
@@ -258,8 +263,17 @@ class Network:
         return path
 
     def path_latency(self, src: str, dst: str) -> float:
-        """Sum of propagation latencies along the route (no queueing)."""
-        return sum(link.latency for link in self.route(src, dst))
+        """Sum of propagation latencies along the route (no queueing).
+
+        Memoized per node pair — the topology is static once built and
+        ``Testbed.is_wide_area`` asks on every traced call; ``add_link``
+        clears the memo together with the route cache.
+        """
+        latency = self._path_latencies.get((src, dst))
+        if latency is None:
+            latency = sum(link.latency for link in self.route(src, dst))
+            self._path_latencies[(src, dst)] = latency
+        return latency
 
     # -- transfer --------------------------------------------------------------
     def transfer(

@@ -1,5 +1,8 @@
 """Unit tests for RMI references, the web tier, and AppServer semantics."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.patterns import PatternLevel
@@ -192,6 +195,33 @@ def test_http_get_serves_mapped_page():
     assert response.data == {"text": "note text 1"}
 
 
+def test_untraced_request_computes_no_trace_arguments(monkeypatch):
+    """With neither a span recorder nor a call trace attached, a page
+    that crosses HTTP, RMI and JDBC builds no statement label and asks
+    no route for its latency."""
+    from repro.middleware import server as server_module
+
+    env, system = tiny_system(PatternLevel.REMOTE_FACADE)
+    edge = system.servers["edge1"]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("trace argument computed on an untraced request")
+
+    monkeypatch.setattr(server_module, "_table_of", forbidden)
+    monkeypatch.setattr(server_module.AppServer, "is_wide_area", forbidden)
+
+    def proc():
+        request = WebRequest(
+            page="Notes", params={"note_id": 1}, session_id="w1",
+            client_node="client-edge1-0",
+        )
+        response = yield from http_get(env, edge, request)
+        return response
+
+    assert run_process(env, proc()).status == 200
+    assert system.db_server.statements > 0
+
+
 def test_http_unmapped_page_rejected():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
 
@@ -219,6 +249,30 @@ def test_http_without_keep_alive_costs_two_round_trips():
 
     elapsed = run_process(env, proc())
     assert elapsed > 2 * 200.0  # handshake RTT + request RTT across the WAN
+
+
+def test_keep_alive_pool_dies_with_its_network():
+    """The keep-alive pool hangs on its Network, so a finished cell's
+    network (and through it the whole testbed) is collectable."""
+    env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
+    system.warm_replicas()
+    main = system.main
+    main.costs = main.costs.variant(http_keep_alive=True)
+
+    def proc():
+        for _ in range(2):
+            request = WebRequest(
+                page="Notes", params={"note_id": 1}, session_id="w1",
+                client_node="client-main-0",
+            )
+            yield from http_get(env, main, request)
+
+    run_process(env, proc())
+    assert main.network.http_pool.reused == 1
+    network = weakref.ref(main.network)
+    del env, system, main
+    gc.collect()
+    assert network() is None
 
 
 def test_http_session_store_per_server():

@@ -40,6 +40,12 @@ def test_path_latency_sums_links(env, network):
     assert network.path_latency("a", "c") == pytest.approx(105.0)
 
 
+def test_add_link_clears_the_path_latency_memo(env, network):
+    assert network.path_latency("a", "c") == pytest.approx(105.0)
+    network.add_link("a", "c", latency=1.0, bandwidth=10_000.0)
+    assert network.path_latency("a", "c") == pytest.approx(1.0)
+
+
 def test_transfer_takes_latency_plus_transmission(env, network):
     def proc():
         yield from network.transfer("a", "b", 10_000)
