@@ -11,7 +11,7 @@ for clients to issue page requests against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..faults.stats import ResilienceStats
@@ -56,6 +56,7 @@ class DeployedSystem:
     policy: Optional[PlacementPolicy] = None
     # Sharded/replicated data tier; None under a single-instance policy.
     cluster: Optional[DataTierCluster] = None
+    _entry_servers: Dict[str, AppServer] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def main(self) -> AppServer:
@@ -80,11 +81,17 @@ class DeployedSystem:
         cross the WAN to the main server — in the centralized
         configuration "the main server got all 30 HTTP requests per
         second, whereas the edge servers were not used at all" (§4.1).
+        Memoised per client node: every page fetch asks, and the plan
+        and the testbed are fixed once :func:`distribute` returns.
         """
-        server = self.server_for_client(client_node)
-        if server.name in self.plan.entry_servers:
+        try:
+            return self._entry_servers[client_node]
+        except KeyError:
+            server = self.server_for_client(client_node)
+            if server.name not in self.plan.entry_servers:
+                server = self.main
+            self._entry_servers[client_node] = server
             return server
-        return self.main
 
     def warm_replicas(self) -> int:
         """Preload every read-only replica with current database state.

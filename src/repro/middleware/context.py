@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Generator, Iterable, List, Optional, TYPE_CHECKING
 
 from ..simnet.kernel import Environment, Event
 
@@ -291,18 +291,9 @@ class InvocationContext:
         )
 
     # -- effects -----------------------------------------------------------
-    def cpu(self, work_ms: float) -> Generator[Event, None, None]:
-        """Charge CPU time on the current server's node.
-
-        Inlines :meth:`Node.compute` — every RMI/servlet invocation passes
-        through here, and the extra generator frame is measurable.
-        """
-        if work_ms == 0:
-            return
-        if work_ms < 0:
-            raise ValueError("work_ms must be non-negative")
-        node = self.server.node
-        yield from node.cpu.use(work_ms / node.cpu_speed)
+    def cpu(self, work_ms: float) -> Iterable[Event]:
+        """Charge CPU time on the current server's node (``yield from`` it)."""
+        return self.server.node.compute(work_ms)
 
     def lookup(self, component_name: str):
         """Resolve a component reference (see AppServer.lookup).

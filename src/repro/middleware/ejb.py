@@ -16,6 +16,7 @@ containers detect and run both.
 from __future__ import annotations
 
 import inspect
+from functools import lru_cache
 from typing import Any, Dict, Generator, Optional, Set
 
 __all__ = [
@@ -34,25 +35,35 @@ class BeanError(Exception):
     """Raised on bean protocol violations (missing method, bad state)."""
 
 
+@lru_cache(maxsize=None)
+def _generator_business_method(cls: type, method: str) -> bool:
+    """Check ``cls.method`` is a public business method, once per pair.
+
+    True when it is a generator function (the common case), whose result
+    needs no inspection.  Bounded by the deployed (bean class, method)
+    pairs; a :class:`BeanError` is not cached and is raised on every call.
+    """
+    try:
+        function = getattr(cls, method)
+    except AttributeError:
+        raise BeanError(f"{cls.__name__} has no business method {method!r}") from None
+    if method.startswith("_"):
+        raise BeanError(f"{method!r} is not a public business method")
+    return inspect.isgeneratorfunction(function)
+
+
 def run_business_method(instance: Any, method: str, ctx: Any, args: tuple):
     """Invoke ``instance.method(ctx, *args)`` supporting plain or generator form.
 
     Returns a generator in both cases so containers can uniformly
     ``yield from`` it.
     """
-    try:
-        function = getattr(instance, method)
-    except AttributeError:
-        raise BeanError(
-            f"{type(instance).__name__} has no business method {method!r}"
-        ) from None
-    if method.startswith("_"):
-        raise BeanError(f"{method!r} is not a public business method")
-    # Generator business methods (the common case) are returned as-is:
-    # wrapping them in another generator just to ``yield from`` would add
-    # one interpreter frame to every resume of every component call.
-    result = function(ctx, *args)
-    if inspect.isgenerator(result):
+    generator_method = _generator_business_method(type(instance), method)
+    result = getattr(instance, method)(ctx, *args)
+    # Generators are returned as-is: wrapping them in another generator
+    # just to ``yield from`` would add one interpreter frame to every
+    # resume of every component call.
+    if generator_method or inspect.isgenerator(result):
         return result
     return _plain_result(result)
 

@@ -267,7 +267,7 @@ class Timeout(Event):
             env._ready.append(self)
         else:
             # Inlined wheel push (kept in lockstep with Environment._push).
-            time = env._now + delay
+            time = env.now + delay
             env._sequence = sequence = env._sequence + 1
             if time < env._cur_top:
                 heappush(env._hot, (time, sequence, self))
@@ -423,7 +423,7 @@ class Process(Event):
             if target > 0:
                 self._sleeping = True
                 # Inlined wheel push (lockstep with Environment._push).
-                time = env._now + target
+                time = env.now + target
                 env._sequence = sequence = env._sequence + 1
                 if time < env._cur_top:
                     heappush(env._hot, (time, sequence, self))
@@ -546,10 +546,15 @@ class Environment:
     entry due at the new instant moves to the deque in one batch —
     future entries are always strictly later than ``now``, so deque FIFO
     order alone equals global ``(time, sequence)`` order.
+
+    ``now`` — the current simulated time in milliseconds — is a plain
+    slot the dequeue writes, not a property: every layer above reads the
+    clock several times per message, and an attribute load costs no
+    Python call.  Only this module assigns it.
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_ready",
         "_sequence",
         "_active",
@@ -565,7 +570,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         now = float(initial_time)
-        self._now = now
+        self.now = now
         self._ready: deque = deque()
         self._sequence = 0
         self._active = True
@@ -581,11 +586,6 @@ class Environment:
         # With _cur_top == _limit == now, the first pushes spill to the
         # overflow list and the first dequeue re-epochs with a width fit
         # to the actual pending set.
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -650,14 +650,14 @@ class Environment:
             self._ready.append(event)
         else:
             self._sequence = sequence = self._sequence + 1
-            self._push(self._now + delay, sequence, event)
+            self._push(self.now + delay, sequence, event)
 
     def _schedule_call(self, func: Callable[[], None], delay: float = 0.0) -> None:
         if delay == 0.0:
             self._ready.append(func)
         else:
             self._sequence = sequence = self._sequence + 1
-            self._push(self._now + delay, sequence, func)
+            self._push(self.now + delay, sequence, func)
 
     # -- dequeue (the single implementation) -------------------------------
     def _wheel_min(self) -> Optional[tuple]:
@@ -774,9 +774,9 @@ class Environment:
             return None
         time = entry[0]
         if until is not None and time > until:
-            self._now = until
+            self.now = until
             return _BOUNDARY
-        self._now = time
+        self.now = time
         ready = self._ready
         cur = self._cur
         i = len(cur)
@@ -810,7 +810,7 @@ class Environment:
         ready = self._ready
         popleft = ready.popleft
         wheel_min = self._wheel_min
-        time = self._now
+        time = self.now
         # Wheel-state locals: these only change inside _wheel_min /
         # _rebuild (the dequeue side, reached through the both-empty
         # branch below), so they are refreshed there and nowhere else.
@@ -907,7 +907,7 @@ class Environment:
                 if not cur or hot[0][0] < cur[-1][0]:
                     entry = heappop(hot)
                     time = entry[0]
-                    self._now = time
+                    self.now = time
                     append(entry[2])
                     while hot and hot[0][0] == time:
                         append(heappop(hot)[2])
@@ -924,7 +924,7 @@ class Environment:
                 overflow = self._overflow
                 continue
             time = cur[-1][0]
-            self._now = time
+            self.now = time
             i = len(cur) - 1
             if i and cur[i - 1][0] == time:
                 while i and cur[i - 1][0] == time:
@@ -935,7 +935,7 @@ class Environment:
                 append(cur.pop()[2])
             while hot and hot[0][0] == time:
                 append(heappop(hot)[2])
-        return self._now
+        return self.now
 
     def _run_bounded(self, until: float) -> float:
         """The ``run(until=...)`` loop: same discipline, generic dequeue.
@@ -960,9 +960,9 @@ class Environment:
                 self._dispatch(item)
             else:
                 item()
-        if until > self._now:
-            self._now = until
-        return self._now
+        if until > self.now:
+            self.now = until
+        return self.now
 
     def step(self) -> bool:
         """Execute one scheduled item.  Returns False if nothing is pending."""
@@ -982,7 +982,7 @@ class Environment:
     def peek(self) -> Optional[float]:
         """Time of the next scheduled item, or None if nothing is pending."""
         if self._ready:
-            return self._now
+            return self.now
         entry = self._wheel_min()
         return entry[0] if entry is not None else None
 
@@ -1022,7 +1022,7 @@ class Environment:
                 occupied += 1
                 future += len(bucket)
         return {
-            "now": self._now,
+            "now": self.now,
             "sequence": self._sequence,
             "ready": len(self._ready),
             "current_bucket": len(self._cur) + len(self._hot),

@@ -183,8 +183,10 @@ class PageStats:
         self.count += 1
         self.total += value
         self.total_sq += value * value
-        self.min_seen = min(self.min_seen, value)
-        self.maximum = max(self.maximum, value)
+        if value < self.min_seen:
+            self.min_seen = value
+        if value > self.maximum:
+            self.maximum = value
         if keep_sample:
             self.samples.append(value)
 

@@ -10,16 +10,36 @@ The only public transfer primitive is :meth:`Network.transfer`, a
 generator that moves a message of ``size`` bytes from ``src`` to ``dst``
 along the statically routed shortest path and returns when the last byte
 arrives.  Higher layers (HTTP, RMI, JDBC, JMS) are built on it.
+
+The wait path
+-------------
+
+A page fetch crosses ``transfer`` four times (no keep-alive: SYN,
+SYN-ACK, request, response) and charges a CPU about six times, so both
+are kept to one generator frame and no allocation.  Per healthy hop,
+``transfer`` calls :meth:`ElementChain.hop_delay
+<repro.simnet.router.ElementChain.hop_delay>` — plain arithmetic over
+the chain's counter, shaper and delay — and yields the returned float
+bare, which the kernel treats as "resume me that many ms from now".
+Simulated time is bit-identical to walking the elements because the
+float is the same sum in the same order and is added to the clock once,
+at the same point in the event sequence.  A
+:class:`~repro.simnet.router.Packet` is built, once per transfer, only
+when a hop cannot take that path: the link has active fault state
+(:meth:`Network._faulted_hop`) or its chain is no longer the canonical
+triple.  :meth:`Node.compute` is a plain function that hands back
+:meth:`Resource.use <repro.simnet.primitives.Resource.use>`'s generator,
+so a CPU charge is that one frame.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from .kernel import Environment, Event
 from .primitives import Resource
-from .router import BandwidthShaper, Counter, ElementChain, FixedDelay, Packet
+from .router import BandwidthShaper, Counter, ElementChain, FixedDelay, Packet, PacketLoss
 
 __all__ = ["Node", "Link", "Network", "NetworkError", "LinkDown"]
 
@@ -63,13 +83,18 @@ class Node:
         self.cpu = Resource(env, capacity=cpus, name=f"{name}.cpu")
         self.tags: set = set()
 
-    def compute(self, work_ms: float) -> Generator[Event, None, None]:
-        """Occupy one CPU for ``work_ms`` (scaled by the node's speed)."""
+    def compute(self, work_ms: float) -> Iterable[Event]:
+        """Occupy one CPU for ``work_ms`` (scaled by the node's speed).
+
+        A plain function handing back :meth:`Resource.use`'s generator
+        (``()`` for zero work) for the caller to ``yield from``, so a CPU
+        charge runs in one generator frame.
+        """
         if work_ms < 0:
             raise ValueError("work_ms must be non-negative")
         if work_ms == 0:
-            return
-        yield from self.cpu.use(work_ms / self.cpu_speed)
+            return ()
+        return self.cpu.use(work_ms / self.cpu_speed)
 
     def cpu_utilization(self) -> float:
         """Mean CPU utilization since simulation start (0..1)."""
@@ -172,9 +197,6 @@ class Link:
         assert element is not None
         return element
 
-    def traverse(self, src: str, dst: str, packet: Packet):
-        yield from self.chain(src, dst).traverse(packet)
-
 
 class Network:
     """The network graph plus static shortest-path routing."""
@@ -276,6 +298,17 @@ class Network:
         return latency
 
     # -- transfer --------------------------------------------------------------
+    def _hops(self, src: str, dst: str) -> List[Tuple[Link, ElementChain]]:
+        """The route's ordered per-hop (link, chain) pairs, derived once."""
+        hops = []
+        hop_src = src
+        for link in self.route(src, dst):
+            hop_dst = link.b.name if link.a.name == hop_src else link.a.name
+            hops.append((link, link.chain(hop_src, hop_dst)))
+            hop_src = hop_dst
+        self._hop_chains[(src, dst)] = hops
+        return hops
+
     def transfer(
         self,
         src: str,
@@ -283,34 +316,38 @@ class Network:
         size: int,
         kind: str = "data",
         meta: Optional[dict] = None,
-    ) -> Generator[Event, None, Packet]:
-        """Move ``size`` bytes from ``src`` to ``dst``; returns the packet.
+    ) -> Generator[Event, None, None]:
+        """Move ``size`` bytes from ``src`` to ``dst``.
 
         Store-and-forward over each hop: the caller resumes when the
-        message has fully arrived at ``dst``.
+        message has fully arrived at ``dst``.  A healthy canonical hop is
+        :meth:`ElementChain.hop_delay` plus one bare-float yield; a
+        :class:`Packet` (carrying ``meta``) is built only when a hop has
+        to walk its elements or the link has active fault state.
         """
         if size < 0:
             raise ValueError("size must be non-negative")
         if src == dst:
             # Loopback: same-node IPC is effectively free at this scale.
-            return Packet(src, dst, size, kind, self.env.now, meta)
+            return
         self.total_transfers += 1
-        packet = Packet(src, dst, size, kind, self.env.now, meta)
-        hops = self._hop_chains.get((src, dst))
-        if hops is None:
-            hops = []
-            hop_src = src
-            for link in self.route(src, dst):
-                hop_dst = link.b.name if link.a.name == hop_src else link.a.name
-                hops.append((link, link.chain(hop_src, hop_dst)))
-                hop_src = hop_dst
-            self._hop_chains[(src, dst)] = hops
+        try:
+            hops = self._hop_chains[(src, dst)]
+        except KeyError:
+            hops = self._hops(src, dst)
+        created = self.env.now
+        packet = None
         for link, chain in hops:
-            if link.faulted:
-                yield from self._faulted_hop(link, chain, packet)
-            else:
-                yield from chain.traverse(packet)
-        return packet
+            delay = None if link.faulted else chain.hop_delay(size, kind)
+            if delay is None:
+                if packet is None:
+                    packet = Packet(src, dst, size, kind, created, meta)
+                if link.faulted:
+                    yield from self._faulted_hop(link, chain, packet)
+                else:
+                    yield from chain.traverse(packet)
+            elif delay > 0:
+                yield delay
 
     def _faulted_hop(self, link: Link, chain: ElementChain, packet: Packet):
         """One hop over a link with active fault state (cold path).
@@ -321,8 +358,6 @@ class Network:
         are byte-identical for a given master seed regardless of worker
         count; fault-free links never draw at all.
         """
-        from .router import PacketLoss
-
         if not link.up:
             raise LinkDown(link.name, packet.src, packet.dst, packet.kind)
         if link.loss_probability > 0.0:

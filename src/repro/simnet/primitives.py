@@ -5,7 +5,17 @@ application-server workstations, database connection pools, bean instance
 pools, and message queues.
 
 All primitives hand out :class:`~repro.simnet.kernel.Event` objects, so
-they compose with ``yield`` / ``yield from`` in process code.
+they compose with ``yield`` / ``yield from`` in process code.  The one
+exception is the hot one: :meth:`Resource.use`, the only hold primitive
+(every CPU charge goes through it), is a single generator frame.  When a
+unit is free it takes it by arithmetic — no request event — then yields
+the validated duration as a bare float (the kernel's cheapest wait) and
+releases in a ``finally``.  Its grant and release are the statements of
+:meth:`Resource.request` and :meth:`Resource.release` in the same order,
+so the busy-time integral behind :meth:`Resource.utilization` — a float
+sum, hence order-sensitive — and the FIFO hand-off to a queued waiter
+are exactly theirs; ``tests/simnet/test_wait_path.py`` checks both
+against the method-by-method version under CPU contention.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from typing import Any, Deque, Generator, Tuple
 
 from .kernel import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Store", "Semaphore", "Latch", "resource_usage"]
+__all__ = ["Resource", "Store", "Semaphore", "Latch"]
 
 
 class Semaphore:
@@ -161,28 +171,41 @@ class Resource:
         self._semaphore.release()
 
     def use(self, duration: float) -> Generator[Event, Any, None]:
-        """Acquire, hold for ``duration`` ms, release.  ``yield from`` this."""
+        """Acquire, hold for ``duration`` ms, release.  ``yield from`` this.
+
+        Grant, sleep and release are inlined in the order :meth:`request`,
+        ``env.sleep`` and :meth:`release` run them (module docstring).
+        """
         semaphore = self._semaphore
+        env = self.env
         if semaphore._permits > 0 and not semaphore._waiters:
             # Uncontended: grant the unit synchronously instead of round-
             # tripping an already-succeeded request event through the
             # ready queue (an allocation plus a full dispatch step for
             # every CPU charge and quiet shaper port).
             semaphore._permits -= 1
-            self._account()
+            now = env.now
+            self._busy_time += self._busy * (now - self._last_change)
+            self._last_change = now
             self._busy += 1
             self._wait_count += 1
         else:
             yield self.request()
         try:
-            yield self.env.sleep(duration)
+            if duration < 0:
+                raise ValueError(f"negative sleep delay: {duration!r}")
+            yield float(duration)
         finally:
-            self.release()
-
-
-def resource_usage(resource: Resource, duration: float):
-    """Module-level alias of :meth:`Resource.use` for readability."""
-    return resource.use(duration)
+            if self._busy <= 0:
+                raise SimulationError(f"release of un-acquired resource {self.name!r}")
+            now = env.now
+            self._busy_time += self._busy * (now - self._last_change)
+            self._last_change = now
+            self._busy -= 1
+            if semaphore._waiters:
+                semaphore._waiters.popleft().succeed()
+            else:
+                semaphore._permits += 1
 
 
 class Store:

@@ -5,12 +5,41 @@ the Click modular router infrastructure; traffic shaping components were
 used to simulate 100 ms latency each way ... with 100 Mbit/s maximum
 combined network bandwidth".  This module reproduces that structure: a
 link's behaviour is an *element chain* — classifier, counters, bandwidth
-shaper, fixed-delay — through which every packet passes.
+shaper, fixed-delay — through which every message passes.
 
-Elements are generator-based: ``traverse(packet)`` yields simulation
-events and returns when the packet exits the element.  A chain composes
-elements with ``yield from``, so a packet's end-to-end latency is exactly
-the sum of the element behaviours it encounters.
+What is arithmetic
+------------------
+
+Every link :mod:`repro.simnet.network` builds carries the same chain,
+counter -> shaper -> fixed delay, and none of the three needs to suspend
+on its own: a counter adds, a :class:`BandwidthShaper` models its port
+as a free-from timestamp (so a reservation is a comparison and an
+addition, with no grant or release event), and a fixed delay is a
+constant.  :meth:`ElementChain.hop_delay` therefore crosses that chain
+without a generator and without a :class:`Packet`: it counts the
+message, reserves the port, and returns queueing wait + transmission +
+propagation as the one float the sender sleeps — one wheel entry and one
+dispatch per hop.  It is the only place that arithmetic lives;
+:meth:`ElementChain.traverse` and ``Network.transfer`` both call it.
+
+The sum is taken as ``(wait + tx) + delay``, left to right, and added to
+the clock once by the kernel.  Float addition is not associative, so
+that order is part of the model: the golden tables were produced with
+it, and ``tests/simnet/test_wait_path.py`` holds the method bit-equal to
+the element-by-element code it replaced.
+
+When a chain still walks its elements
+-------------------------------------
+
+Any chain that is not exactly that triple — an element spliced in by a
+test or a fault experiment, a :class:`Classifier`, a
+:class:`TokenBucketShaper` — makes ``hop_delay`` return ``None`` before
+it has touched anything, and :meth:`ElementChain.traverse` walks the
+elements: generator-based ones (``traverse(packet)`` yields simulation
+events and returns when the packet exits) compose with ``yield from``,
+instant ones (``apply(packet)``) run inline.  That path, a link with
+active fault state, and direct use of a single element are the only
+places a :class:`Packet` exists.
 """
 
 from __future__ import annotations
@@ -39,8 +68,9 @@ class Packet:
 
     ``kind`` tags the protocol ("http", "rmi", "jdbc", "jms", "dgc") so
     classifiers and monitors can differentiate traffic, mirroring Click's
-    header-based classification.  A ``__slots__`` class rather than a
-    dataclass: one is allocated per hop-level transfer on the hot path.
+    header-based classification.  Built only where elements are walked
+    one by one (see the module docstring); ``meta`` is the caller's
+    dict, or ``None``.
     """
 
     __slots__ = ("src", "dst", "size", "kind", "created", "meta")
@@ -59,7 +89,7 @@ class Packet:
         self.size = size
         self.kind = kind
         self.created = created
-        self.meta = meta if meta is not None else {}
+        self.meta = meta
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -290,28 +320,56 @@ class ElementChain:
     def __init__(self, elements: List[Element]):
         self.elements = list(elements)
 
-    def traverse(self, packet: Packet) -> Generator[Event, Any, None]:
-        # ``elements`` is re-read per traversal (tests splice elements in),
-        # and instant elements run inline instead of through an empty
-        # generator — the common chain only suspends for shaper + delay.
-        elements = self.elements
-        # Canonical WAN hop (counter -> shaper -> delay) fused: the shaper
-        # reserves its port by timestamp, so queueing wait, transmission
-        # and propagation collapse into a single sleep — one heap entry
-        # and one dispatch per hop instead of two or three.
+    def hop_delay(self, size: int, kind: str) -> Optional[float]:
+        """Cross the canonical hop (counter -> shaper -> delay) by arithmetic.
+
+        Counts the message (as ``Counter.apply`` does), reserves the
+        shaper's port by timestamp (as ``BandwidthShaper.occupy`` does)
+        and returns the one delay the sender must sleep: queueing wait
+        plus transmission plus propagation, summed left to right as
+        ``(wait + tx) + delay`` — see the module docstring for why the
+        order matters.  Returns ``None``, having touched nothing, when
+        the chain is not exactly that triple (``elements`` is re-read
+        per call: tests and fault experiments splice elements in
+        mid-run), and the caller walks the elements instead.
+        """
+        try:
+            counter, shaper, delay = self.elements
+        except ValueError:
+            return None
         if (
-            len(elements) == 3
-            and type(elements[1]) is BandwidthShaper
-            and type(elements[0]) is Counter
-            and type(elements[2]) is FixedDelay
+            type(shaper) is not BandwidthShaper
+            or type(counter) is not Counter
+            or type(delay) is not FixedDelay
         ):
-            elements[0].apply(packet)
-            shaper = elements[1]
-            total = shaper.occupy(packet.size) + elements[2].delay
-            if total > 0:
-                yield shaper.env.sleep(total)
+            return None
+        counter.packets += 1
+        counter.bytes += size
+        try:
+            stats = counter.by_kind[kind]
+        except KeyError:
+            stats = counter.by_kind[kind] = [0, 0]
+        stats[0] += 1
+        stats[1] += size
+        now = shaper.env.now
+        tx = size / shaper.bandwidth
+        free_at = shaper._free_at
+        shaper._busy_time += tx
+        if free_at <= now:
+            shaper._free_at = now + tx
+            return tx + delay.delay
+        shaper._free_at = free_at + tx
+        return free_at - now + tx + delay.delay
+
+    def traverse(self, packet: Packet) -> Generator[Event, Any, None]:
+        delay = self.hop_delay(packet.size, packet.kind)
+        if delay is not None:
+            if delay > 0:
+                yield delay
             return
-        for element in elements:
+        # Instant elements run inline instead of through an empty
+        # generator.
+        for element in self.elements:
             if element.instant:
                 element.apply(packet)
             else:

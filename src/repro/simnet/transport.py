@@ -215,6 +215,11 @@ class ConnectionPool:
                 response_size=response_size,
                 response_size_of=response_size_of,
             )
+        except BaseException:
+            # A fault mid-exchange leaves the socket in an unknown state;
+            # close it so the pool never hands out a broken connection.
+            connection.close()
+            raise
         finally:
-            self.checkin(connection)
+            self.checkin(connection)  # no-op when the connection is closed
         return result

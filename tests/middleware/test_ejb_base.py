@@ -21,6 +21,10 @@ class _Sample(StatelessSessionBean):
         yield ctx  # any event-like; tests drive manually
         return value + 1
 
+    def delegating(self, ctx, value):
+        # A plain method handing back another method's generator.
+        return self.generator(ctx, value)
+
     def _private(self, ctx):
         return "secret"
 
@@ -61,14 +65,25 @@ class _WaitingBean(StatelessSessionBean):
         return value + 1
 
 
+def test_plain_methods_may_return_a_generator():
+    runner = run_business_method(_Sample(), "delegating", "event", (1,))
+    assert next(runner) == "event"
+    with pytest.raises(StopIteration) as finished:
+        runner.send(None)
+    assert finished.value.value == 2
+
+
 def test_missing_method_raises():
-    with pytest.raises(BeanError, match="no business method"):
-        run_business_method(_Sample(), "nope", None, ())
+    # Twice: the per-(class, method) memo must not swallow the error.
+    for _ in range(2):
+        with pytest.raises(BeanError, match="_Sample has no business method 'nope'"):
+            run_business_method(_Sample(), "nope", None, ())
 
 
 def test_private_methods_rejected():
-    with pytest.raises(BeanError, match="not a public"):
-        run_business_method(_Sample(), "_private", None, ())
+    for _ in range(2):
+        with pytest.raises(BeanError, match="not a public"):
+            run_business_method(_Sample(), "_private", None, ())
 
 
 # ---------------------------------------------------------------------------

@@ -278,3 +278,33 @@ def test_drop_connections_to_closes_idle(env, network):
     assert b_open is False
     assert c_open is True  # only connections *to* b are dropped
     assert reused_dead is False
+
+
+def test_pool_exchange_closes_the_connection_on_a_mid_exchange_fault(env, network):
+    # A partition that opens while the handler runs fails the response
+    # transfer: the socket is in an unknown state and must not be pooled.
+    from repro.simnet.network import LinkDown
+
+    pool = ConnectionPool(network, kind="http")
+    link = network.link_between("a", "b")
+
+    def partitioning_handler():
+        link.set_down(True)
+        return "result"
+        yield  # pragma: no cover - generator form
+
+    def proc():
+        warm = yield from pool.checkout("a", "b")
+        pool.checkin(warm)
+        with pytest.raises(LinkDown):
+            yield from pool.exchange(
+                "a", "b", 500, partitioning_handler, response_size=500
+            )
+        link.set_down(False)
+        fresh = yield from pool.checkout("a", "b")
+        return warm.is_open, fresh is warm
+
+    broken_open, broken_reused = run_process(env, proc())
+    assert broken_open is False
+    assert broken_reused is False
+    assert pool.opened == 2
