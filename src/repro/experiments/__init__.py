@@ -2,15 +2,16 @@
 
 from . import calibration
 from .figures import FigureData, build_figure, figure_to_csv, render_figure
-from .parallel import (
-    CellResult,
-    CellTask,
-    default_jobs,
-    run_cells,
-    run_series_parallel,
-)
+from .parallel import CellResult, default_jobs, run_cells
 from .progress import ProgressReporter
-from .runner import APPS, AppSpec, ExperimentResult, run_configuration, run_series
+from .runner import (
+    APPS,
+    AppSpec,
+    ExperimentResult,
+    RunSpec,
+    run_configuration,
+    run_series,
+)
 from .tables import ResponseTimeTable, TableCell, build_table, render_table, table_to_csv
 
 __all__ = [
@@ -22,13 +23,12 @@ __all__ = [
     "APPS",
     "AppSpec",
     "ExperimentResult",
+    "RunSpec",
     "run_configuration",
     "run_series",
     "CellResult",
-    "CellTask",
     "default_jobs",
     "run_cells",
-    "run_series_parallel",
     "ProgressReporter",
     "ResponseTimeTable",
     "TableCell",

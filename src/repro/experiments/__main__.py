@@ -59,7 +59,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..core.patterns import PAPER_LEVELS, PatternLevel
+from ..core.patterns import PatternLevel
 from ..core.policy import PolicyError, load_policy
 from ..faults.report import (
     availability_to_json,
@@ -73,7 +73,7 @@ from .calibration import SIM_DURATION_MS, SIM_WARMUP_MS, default_workload
 from .figures import build_figure, figure_to_csv, render_figure
 from .parallel import default_jobs, run_cells
 from .progress import ProgressReporter
-from .runner import run_series
+from .runner import RunSpec, sweep_levels
 from .tables import build_table, render_table, table_to_csv
 
 TARGETS = {
@@ -86,21 +86,15 @@ ABLATION_TARGET = "ablations"
 PLAN_TARGET = "plan"
 
 
-def _export_observability(args, series_cache, apps_needed, levels) -> None:
+def _export_observability(args, labelled) -> None:
     """Write --trace-out / --metrics-out artifacts and stderr digests.
 
-    Works over both serial ``ExperimentResult`` and parallel
-    ``CellResult`` objects (both expose ``spans_state``/``metrics_state``
-    snapshots); cells are labelled ``app/L<level>`` in sorted order so
-    the files are byte-identical for any ``--jobs`` value.
+    ``labelled`` is the sweep's ``(app/L<level>, CellResult)`` pairs in
+    sorted order, so the files are byte-identical for any ``--jobs``
+    value.
     """
     from ..obs.export import export_chrome_trace, export_metrics
 
-    labelled = [
-        (f"{app}/L{int(level)}", series_cache[app][level])
-        for app in apps_needed
-        for level in levels
-    ]
     if args.trace_out is not None:
         cells = [
             (label, result.spans_state)
@@ -109,12 +103,11 @@ def _export_observability(args, series_cache, apps_needed, levels) -> None:
         ]
         export_chrome_trace(cells, args.trace_out)
         for label, result in labelled:
-            summary = getattr(result, "trace_summary", None)
-            if summary is None:
-                trace = getattr(result, "trace", None)
-                summary = trace.summary() if trace is not None else None
-            if summary is not None:
-                print(f"[trace] {label}: {summary.render()}", file=sys.stderr)
+            if result.trace_summary is not None:
+                print(
+                    f"[trace] {label}: {result.trace_summary.render()}",
+                    file=sys.stderr,
+                )
         print(f"[trace] wrote {args.trace_out}", file=sys.stderr)
     if args.metrics_out is not None:
         cells = [
@@ -159,7 +152,7 @@ def _export_observability(args, series_cache, apps_needed, levels) -> None:
             print(f"[flame] wrote {args.flame_html}", file=sys.stderr)
 
 
-def _run_plan(args, policy, topology) -> int:
+def _run_plan(args, policy, topology, levels) -> int:
     """The ``plan`` target: resolve and print, no simulation.
 
     For each requested application, builds the app, applies the policy
@@ -184,12 +177,6 @@ def _run_plan(args, policy, topology) -> int:
         )
         return 2
     apps = [args.app] if args.app else sorted(APPS)
-    if policy is not None:
-        levels = [policy.effective_level()]
-    else:
-        levels = (
-            [PatternLevel(args.level)] if args.level else list(PAPER_LEVELS)
-        )
     exit_code = 0
     for app in apps:
         spec = APPS[app]
@@ -200,7 +187,7 @@ def _run_plan(args, policy, topology) -> int:
             from ..simnet.topology import build_testbed
 
             streams = Streams(args.seed)
-            _database, catalog = spec.populate(streams, None)
+            _database, catalog = spec.populate(streams)
             env = Environment()
             testbed = build_testbed(env, config)
             resolved = policy
@@ -443,8 +430,9 @@ def main(argv=None) -> int:
         type=int,
         choices=tuple(int(level) for level in PatternLevel),
         default=None,
-        help="run a single pattern level instead of the default 1-5 "
-        "sweep (the only way to sweep level 6 without a --policy file)",
+        help="run (or plan) a single pattern level instead of the default "
+        "1-5 sweep, for any --jobs value (the only way to reach level 6 "
+        "without a --policy file; ignored with --policy)",
     )
     args = parser.parse_args(argv)
 
@@ -485,25 +473,18 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
+    levels = sweep_levels(policy, [args.level] if args.level else None)
     if args.target == PLAN_TARGET:
-        return _run_plan(args, policy, topology)
+        return _run_plan(args, policy, topology, levels)
     jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
-    if args.profile and jobs != 1:
-        from .profile import warn_forced_serial
-
-        warn_forced_serial(jobs, sys.stderr)
-        jobs = 1
     with_flame = args.flame_out is not None or args.flame_html is not None
     with_spans = args.trace_out is not None or with_flame
-    # Span recording implies flat-trace recording too, so the stderr
-    # digest can report call counts alongside the exported span trees.
-    with_trace = with_spans
-    with_metrics = args.metrics_out is not None
     with_series = (
         args.series_out is not None
         or args.slo is not None
         or args.slo_out is not None
     )
+    observing = with_spans or with_series or args.metrics_out is not None
 
     if args.availability_out is not None and args.faults is None:
         print("[faults] --availability-out requires --faults", file=sys.stderr)
@@ -517,7 +498,6 @@ def main(argv=None) -> int:
     if not 0.0 < args.obs_sample <= 1.0:
         print("[obs] --obs-sample must be in (0, 1]", file=sys.stderr)
         return 2
-    obs_interval_ms = args.obs_interval * 1000.0 if with_series else None
 
     objectives = None
     if args.slo is not None:
@@ -539,7 +519,7 @@ def main(argv=None) -> int:
         if args.profile:
             print("[profile] --profile is not supported for ablations", file=sys.stderr)
             return 2
-        if with_spans or with_metrics or with_series:
+        if observing:
             print(
                 "[obs] --trace-out/--metrics-out/--series-out/--slo/"
                 "--flame-out are not supported for ablations",
@@ -573,22 +553,24 @@ def main(argv=None) -> int:
         return 0
 
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
-    workload = default_workload(args.duration * 1000.0, args.warmup * 1000.0)
+    duration_ms, warmup_ms = args.duration * 1000.0, args.warmup * 1000.0
     openloop = None
-    if args.workload == "open":
-        try:
+    try:
+        workload = default_workload(duration_ms, warmup_ms)
+        if args.workload == "open":
             openloop = OpenLoopConfig(
                 arrival=args.arrival,
                 scenario=args.scenario,
                 session_rate_per_s=args.session_rate,
-                duration_ms=args.duration * 1000.0,
-                warmup_ms=args.warmup * 1000.0,
+                duration_ms=duration_ms,
+                warmup_ms=warmup_ms,
                 think_time_ms=args.think_time * 1000.0,
                 max_sessions=args.max_sessions,
             )
-        except ValueError as exc:
-            print(f"[workload] {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(f"[workload] {exc}", file=sys.stderr)
+        return 2
+    if openloop is not None:
         print(
             f"[workload] open loop: {args.arrival} arrivals at "
             f"{args.session_rate:g}/s, {args.scenario} scenario",
@@ -604,72 +586,52 @@ def main(argv=None) -> int:
         effective = TestbedConfig()
         if topology is not None:
             effective = topology.apply(effective)
-        fault_edges = default_edges(effective)
         faults = load_schedule(
-            args.faults, args.duration * 1000.0, args.warmup * 1000.0,
-            edges=fault_edges,
+            args.faults, duration_ms, warmup_ms, edges=default_edges(effective)
         )
         print(f"[faults] scenario '{faults.name}' active", file=sys.stderr)
 
-    if policy is not None:
-        levels = [policy.effective_level()]
-    elif args.level:
-        levels = [PatternLevel(args.level)]
-    else:
-        levels = list(PAPER_LEVELS)
+    spec = RunSpec(
+        workload=workload,
+        seed=args.seed,
+        # Span recording implies flat-trace recording too, so the stderr
+        # digest can report call counts alongside the exported span trees.
+        with_trace=with_spans,
+        with_spans=with_spans,
+        with_metrics=args.metrics_out is not None,
+        faults=faults,
+        policy=policy,
+        topology=topology,
+        openloop=openloop,
+        obs_interval_ms=args.obs_interval * 1000.0 if with_series else None,
+        obs_sample=args.obs_sample,
+    )
     cells = [(app, level) for app in apps_needed for level in levels]
     print(
         f"[sweep] {len(cells)} cells x {args.duration:.0f}s simulated, "
         f"{jobs} worker(s) ...",
         file=sys.stderr,
     )
-    progress = ProgressReporter(len(cells), label="cells")
-    if jobs == 1:
-        series_cache = {
-            app: run_series(
-                app,
-                workload=workload,
-                seed=args.seed,
-                with_trace=with_trace,
-                with_spans=with_spans,
-                with_metrics=with_metrics,
-                progress=progress,
-                profile=args.profile,
-                faults=faults,
-                policy=policy,
-                topology=topology,
-                openloop=openloop,
-                obs_interval_ms=obs_interval_ms,
-                obs_sample=args.obs_sample,
-            )
-            for app in apps_needed
-        }
-    else:
-        # One shared pool over every app's cells: a ten-cell `all` sweep
-        # keeps all workers busy instead of draining one app at a time.
-        results = run_cells(
-            cells,
-            workload=workload,
-            seed=args.seed,
-            with_trace=with_trace,
-            with_spans=with_spans,
-            with_metrics=with_metrics,
-            jobs=jobs,
-            progress=progress,
-            faults=faults,
-            policy=policy,
-            topology=topology,
-            openloop=openloop,
-            obs_interval_ms=obs_interval_ms,
-            obs_sample=args.obs_sample,
-        )
-        series_cache = {
-            app: {level: results[(app, level)] for level in levels}
-            for app in apps_needed
-        }
+    # One sweep over every app's cells, whatever the worker count: a
+    # ten-cell `all` keeps all workers busy instead of draining one app
+    # at a time, and only picklable CellResults outlive their cell.
+    results = run_cells(
+        cells,
+        spec,
+        jobs=jobs,
+        progress=ProgressReporter(len(cells), label="cells"),
+        profile=args.profile,
+    )
+    series_cache = {
+        app: {level: results[(app, level)] for level in levels}
+        for app in apps_needed
+    }
+    labelled = [
+        (f"{app}/L{int(level)}", result) for (app, level), result in results.items()
+    ]
 
-    if with_spans or with_metrics or with_series:
-        _export_observability(args, series_cache, apps_needed, levels)
+    if observing:
+        _export_observability(args, labelled)
 
     for target in targets:
         app, kind = TARGETS[target]
@@ -682,11 +644,6 @@ def main(argv=None) -> int:
             figure = build_figure(series)
             print(figure_to_csv(figure) if args.csv else render_figure(figure))
 
-    labelled = [
-        (f"{app}/L{int(level)}", series_cache[app][level])
-        for app in apps_needed
-        for level in levels
-    ]
     if with_flame:
         from ..obs.flame import layer_self_times, render_attribution
 

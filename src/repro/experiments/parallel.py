@@ -25,63 +25,22 @@ sorted order (so reconstruction does not depend on arrival order).
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..core.patterns import PAPER_LEVELS, PatternLevel
-from ..core.policy import PlacementPolicy
-from ..faults.schedule import FaultSchedule
+from ..core.patterns import PatternLevel
 from ..simnet.monitor import ResponseTimeMonitor, TraceSummary
-from ..simnet.topology import TopologyOverrides
-from ..workload.generator import WorkloadConfig
-from ..workload.openloop import OpenLoopConfig
-from . import calibration
 from .progress import ProgressReporter
+from .runner import RunSpec, run_cell
 
-__all__ = [
-    "CellTask",
-    "CellResult",
-    "default_jobs",
-    "run_cells",
-    "run_series_parallel",
-]
+__all__ = ["CellResult", "default_jobs", "run_cells"]
 
 
 def default_jobs() -> int:
     """Worker-count default: one per CPU."""
     return max(1, os.cpu_count() or 1)
-
-
-@dataclass(frozen=True)
-class CellTask:
-    """Everything a worker needs to run one cell.  Strictly picklable:
-    the application itself is looked up by name inside the worker."""
-
-    app: str
-    level: int
-    workload: Optional[WorkloadConfig]
-    seed: int
-    with_trace: bool = False
-    with_spans: bool = False
-    with_metrics: bool = False
-    # Fault schedule (frozen dataclasses of tuples — picklable); None or
-    # an empty schedule leaves the run untouched.
-    faults: Optional[FaultSchedule] = None
-    # Explicit placement policy (frozen, picklable); None runs the canned
-    # configuration for ``level``.
-    policy: Optional[PlacementPolicy] = None
-    # Testbed overrides (frozen, picklable); None keeps the app's
-    # calibrated topology.
-    topology: Optional[TopologyOverrides] = None
-    # Open-loop workload (frozen, picklable); None runs the closed-loop
-    # client population described by ``workload``.
-    openloop: Optional[OpenLoopConfig] = None
-    # Windowed-telemetry interval in simulated ms; None leaves the
-    # sampler uninstalled (no extra kernel events at all).
-    obs_interval: Optional[float] = None
-    # Deterministic span-sampling rate (see SpanRecorder.sample).
-    obs_sample: float = 1.0
 
 
 @dataclass
@@ -154,133 +113,59 @@ class CellResult:
         return self.monitor.groups()
 
 
-def _run_cell(task: CellTask) -> CellResult:
-    """Worker entry point: run one cell and serialize the outcome."""
-    from .runner import run_configuration
-
-    result = run_configuration(
-        task.app,
-        PatternLevel(task.level),
-        workload=task.workload,
-        seed=task.seed,
-        with_trace=task.with_trace,
-        with_spans=task.with_spans,
-        with_metrics=task.with_metrics,
-        faults=task.faults,
-        policy=task.policy,
-        topology=task.topology,
-        openloop=task.openloop,
-        obs_interval_ms=task.obs_interval,
-        obs_sample=task.obs_sample,
-    )
-    return CellResult.from_experiment(result)
+def _run_cell(
+    app: str, level: PatternLevel, spec: RunSpec, profile: bool = False
+) -> CellResult:
+    """Run one cell and serialize the outcome (the worker entry point)."""
+    return CellResult.from_experiment(run_cell(app, level, spec, profile))
 
 
 def run_cells(
     cells: Iterable[Tuple[str, PatternLevel]],
-    workload: Optional[WorkloadConfig] = None,
-    seed: int = calibration.MASTER_SEED,
-    with_trace: bool = False,
-    with_spans: bool = False,
-    with_metrics: bool = False,
+    spec: Optional[RunSpec] = None,
+    *,
     jobs: Optional[int] = None,
     progress: Optional[ProgressReporter] = None,
-    faults: Optional[FaultSchedule] = None,
-    policy: Optional[PlacementPolicy] = None,
-    topology: Optional[TopologyOverrides] = None,
-    openloop: Optional[OpenLoopConfig] = None,
-    obs_interval_ms: Optional[float] = None,
-    obs_sample: float = 1.0,
+    profile: bool = False,
+    **options,
 ) -> Dict[Tuple[str, PatternLevel], CellResult]:
     """Run every (app, level) cell, fanning out across ``jobs`` processes.
 
-    ``jobs=None`` uses one worker per CPU; ``jobs=1`` runs the cells in
-    the current process (no pool, no pickling overhead) but still
-    returns :class:`CellResult`, so downstream output is identical.
-    The returned dict is keyed in sorted (app, level) order regardless
-    of completion order.
+    ``spec`` (or its keyword form, see :class:`RunSpec`) applies to every
+    cell; the pool ships ``(app, level, spec)``.  ``jobs=None`` uses one
+    worker per CPU; ``jobs=1`` runs the cells in the current process (no
+    pool, no pickling overhead) but still returns :class:`CellResult`,
+    so downstream output is identical.  ``profile=True`` profiles each
+    cell (see :func:`~repro.experiments.runner.run_cell`) and forces one
+    worker, with a stderr warning.  The returned dict is keyed in sorted
+    (app, level) order regardless of completion order.
     """
+    spec = replace(spec or RunSpec(), **options)
     keys = [(app, PatternLevel(level)) for app, level in cells]
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate cells in {keys!r}")
-    tasks = {
-        key: CellTask(
-            key[0],
-            int(key[1]),
-            workload,
-            seed,
-            with_trace,
-            with_spans,
-            with_metrics,
-            faults=faults,
-            policy=policy,
-            topology=topology,
-            openloop=openloop,
-            obs_interval=obs_interval_ms,
-            obs_sample=obs_sample,
-        )
-        for key in keys
-    }
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
+    if profile and jobs != 1:
+        from .profile import warn_forced_serial
+
+        warn_forced_serial(jobs, sys.stderr)
+        jobs = 1
     results: Dict[Tuple[str, PatternLevel], CellResult] = {}
-    if jobs == 1 or len(tasks) <= 1:
-        for key, task in tasks.items():
-            results[key] = _run_cell(task)
-            if progress is not None:
-                progress.cell_done(key[0], key[1], results[key].wall_seconds)
+
+    def done(key, result):
+        results[key] = result
+        if progress is not None:
+            progress.cell_done(*key, result.wall_seconds)
+
+    if jobs == 1 or len(keys) <= 1:
+        for key in keys:
+            done(key, _run_cell(*key, spec, profile))
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = {pool.submit(_run_cell, task): key for key, task in tasks.items()}
+        with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
+            futures = {pool.submit(_run_cell, *key, spec): key for key in keys}
             for future in as_completed(futures):
-                key = futures[future]
-                results[key] = future.result()
-                if progress is not None:
-                    progress.cell_done(key[0], key[1], results[key].wall_seconds)
+                done(futures[future], future.result())
     return {
         key: results[key]
         for key in sorted(results, key=lambda k: (k[0], int(k[1])))
     }
-
-
-def run_series_parallel(
-    app: str,
-    levels=None,
-    workload: Optional[WorkloadConfig] = None,
-    seed: int = calibration.MASTER_SEED,
-    with_trace: bool = False,
-    with_spans: bool = False,
-    with_metrics: bool = False,
-    jobs: Optional[int] = None,
-    progress: Optional[ProgressReporter] = None,
-    faults: Optional[FaultSchedule] = None,
-    policy: Optional[PlacementPolicy] = None,
-    topology: Optional[TopologyOverrides] = None,
-    openloop: Optional[OpenLoopConfig] = None,
-    obs_interval_ms: Optional[float] = None,
-    obs_sample: float = 1.0,
-) -> Dict[PatternLevel, CellResult]:
-    """Parallel counterpart of :func:`~repro.experiments.runner.run_series`.
-
-    Same grid, same seeds, same output — only the wall clock differs.
-    """
-    if policy is not None:
-        levels = [policy.effective_level()]
-    else:
-        levels = [PatternLevel(level) for level in (levels or PAPER_LEVELS)]
-    results = run_cells(
-        [(app, level) for level in levels],
-        workload=workload,
-        seed=seed,
-        with_trace=with_trace,
-        with_spans=with_spans,
-        with_metrics=with_metrics,
-        jobs=jobs,
-        progress=progress,
-        faults=faults,
-        policy=policy,
-        topology=topology,
-        openloop=openloop,
-        obs_interval_ms=obs_interval_ms,
-        obs_sample=obs_sample,
-    )
-    return {level: results[(app, level)] for level in levels}

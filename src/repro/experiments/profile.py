@@ -10,10 +10,11 @@ Two layers:
   rarely "which function" but "which layer pays for a request".
 
 The experiment runner exposes this through ``run_series(profile=True)``
-and ``python -m repro.experiments <target> --profile``, which dump the
-top cumulative entries and the attribution for every cell to stderr.
-Profiling is serial-only: a cProfile object cannot follow work into
-worker processes, so ``--profile`` forces ``--jobs 1``.
+/ ``run_cells(profile=True)`` and ``python -m repro.experiments <target>
+--profile``, which dump the top cumulative entries and the attribution
+for every cell to stderr.  Profiling is serial-only: a cProfile object
+cannot follow work into worker processes, so ``--profile`` forces
+``--jobs 1``.
 
 Note that cProfile adds substantial constant overhead per function call
 (2x+ wall clock on this workload), which *exaggerates* the cost of
@@ -44,7 +45,8 @@ _REPRO_MARKER = "/repro/"
 def warn_forced_serial(requested_jobs: Any, stream: TextIO) -> None:
     """Explain on ``stream`` why profiling downgraded ``jobs`` to 1.
 
-    Shared by the CLI and :func:`~repro.experiments.runner.run_series` so
+    Shared by :func:`~repro.experiments.runner.run_series` and
+    :func:`~repro.experiments.parallel.run_cells` (which the CLI calls) so
     the message is identical wherever the downgrade happens.
     """
     print(

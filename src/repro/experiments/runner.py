@@ -5,6 +5,7 @@ application servers, client population — runs it for the configured
 simulated duration, and returns the response-time monitor plus the
 deployed system for inspection.  ``run_series`` sweeps all five pattern
 levels, which is exactly the data behind Tables 6/7 and Figures 7/8.
+:class:`RunSpec` is the one declaration of how a cell is run.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from ..workload.generator import LoadGenerator, WorkloadConfig
 from ..workload.openloop import OpenLoopConfig, OpenLoopGenerator, TransitionMatrixPattern
 from . import calibration
 
-__all__ = ["AppSpec", "APPS", "ExperimentResult", "run_configuration", "run_series"]
+__all__ = [
+    "AppSpec",
+    "APPS",
+    "ExperimentResult",
+    "RunSpec",
+    "run_configuration",
+    "run_series",
+]
 
 
 @dataclass(frozen=True)
@@ -190,82 +198,109 @@ def topology_dict(config: TestbedConfig) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """How to run a cell: every option except which (app, level) it is.
+
+    The one declaration of the per-cell options.  ``run_configuration``,
+    ``run_series`` and ``run_cells`` take a spec, the worker pool ships
+    it, and their keyword form is ``replace(spec or RunSpec(), **options)``
+    — so a new option is one new field here, and a misspelt one is a
+    ``TypeError`` naming it.  Frozen and picklable: every field is a
+    plain value or a frozen dataclass of tuples.
+    """
+
+    # Closed-loop client population; None is the paper's default workload.
+    workload: Optional[WorkloadConfig] = None
+    seed: int = calibration.MASTER_SEED
+    with_trace: bool = False
+    with_spans: bool = False
+    with_metrics: bool = False
+    # None or an empty schedule installs nothing at all — no kernel
+    # events, no RNG draws — so fault-free runs stay byte-identical.
+    faults: Optional[FaultSchedule] = None
+    # Explicit placement policy; the cell's level is then ignored and the
+    # policy's metadata level picks the application era.
+    policy: Optional[PlacementPolicy] = None
+    # Overrides of the app's calibrated testbed knobs.
+    topology: Optional[TopologyOverrides] = None
+    # Swaps the closed-loop population for the open-loop arrival engine
+    # (:mod:`repro.workload.openloop`); ``workload`` is then ignored and
+    # browser sessions become Markov walks over the app's page mix.
+    openloop: Optional[OpenLoopConfig] = None
+    # Windowed telemetry: a kernel sampler snapshots counters/gauges every
+    # interval and the generator streams response times into per-window
+    # histograms (:mod:`repro.obs.timeseries`).  None installs no sampler.
+    obs_interval_ms: Optional[float] = None
+    # Deterministic fraction of sessions kept in the span table (hash of
+    # the session id, not RNG), so tracing stays bounded at 10^6 sessions.
+    obs_sample: float = 1.0
+    # Stand-in for the paper's measurement-excluded warm-up hour:
+    # read-only replicas and query caches start hot.
+    warm_replicas: bool = True
+
+
+def sweep_levels(policy: Optional[PlacementPolicy], levels=None) -> List[PatternLevel]:
+    """The configurations a run covers.
+
+    A policy is its own single configuration (its metadata level);
+    otherwise the requested ``levels``, by default the paper's five.
+    """
+    if policy is not None:
+        return [policy.effective_level()]
+    return [PatternLevel(level) for level in (levels or PAPER_LEVELS)]
+
+
 def run_configuration(
     app: str,
     level: PatternLevel,
-    workload: Optional[WorkloadConfig] = None,
-    seed: int = calibration.MASTER_SEED,
-    with_trace: bool = False,
-    with_spans: bool = False,
-    with_metrics: bool = False,
-    costs_override=None,
-    sizes: Optional[dict] = None,
-    warm_replicas: bool = True,
-    faults: Optional[FaultSchedule] = None,
-    policy: Optional[PlacementPolicy] = None,
-    topology: Optional[TopologyOverrides] = None,
-    openloop: Optional[OpenLoopConfig] = None,
-    browser_pattern=None,
-    obs_interval_ms: Optional[float] = None,
-    obs_sample: float = 1.0,
+    spec: Optional[RunSpec] = None,
+    *,
+    browser_pattern: Optional[Callable] = None,
+    **options,
 ) -> ExperimentResult:
     """Run one (application, configuration) cell of the evaluation.
 
-    The configuration is a pattern ``level`` (compiled to its canned
-    policy) or, when ``policy`` is given, an explicit
-    :class:`PlacementPolicy` — ``level`` is then ignored and the
-    policy's metadata level picks the application era.  ``topology``
-    optionally overrides the app's calibrated testbed knobs.
-
-    ``openloop`` swaps the closed-loop client population for the
-    open-loop arrival engine (:mod:`repro.workload.openloop`); the
-    closed-loop ``workload`` config is then ignored.  Browser sessions
-    become per-session Markov walks over the app's weighted page mix.
-    ``browser_pattern`` optionally replaces the app's stock browse mix:
-    a callable taking the populated catalog and returning a usage
-    pattern, exactly like :attr:`AppSpec.browser_pattern`.
-
-    ``obs_interval_ms`` turns on windowed telemetry: a kernel sampler
-    process snapshots counters/gauges every interval and the generator
-    streams response times into per-window histograms (see
-    :mod:`repro.obs.timeseries`).  ``obs_sample`` keeps only that
-    deterministic fraction of sessions in the span table (hash of the
-    session id, not RNG) so tracing stays bounded at 10^6 sessions.
+    ``spec`` (or its keyword form: any :class:`RunSpec` field as an
+    option) says how.  ``browser_pattern`` optionally replaces the app's
+    stock browse mix: a callable taking the populated catalog and
+    returning a usage pattern, exactly like
+    :attr:`AppSpec.browser_pattern` — a direct keyword, not a spec field,
+    because a callable cannot cross the worker pool.
     """
     from ..middleware.context import reset_ids
     from ..simnet.rng import Streams
 
+    spec = replace(spec or RunSpec(), **options)
     reset_ids()
-    spec = APPS[app]
-    if policy is not None:
-        level = policy.effective_level()
-    else:
-        level = PatternLevel(level)
-    workload = workload or calibration.default_workload()
+    app_spec = APPS[app]
+    policy, openloop = spec.policy, spec.openloop
+    (level,) = sweep_levels(policy, [level])
+    workload = spec.workload or calibration.default_workload()
 
-    streams = Streams(seed)
-    database, catalog = spec.populate(streams, sizes)
+    streams = Streams(spec.seed)
+    database, catalog = app_spec.populate(streams)
     env = Environment()
-    config = spec.testbed_config()
-    if topology is not None:
-        config = topology.apply(config)
+    config = app_spec.testbed_config()
+    if spec.topology is not None:
+        config = spec.topology.apply(config)
     testbed = build_testbed(env, config)
-    trace = Trace(max_records=2_000_000) if with_trace else None
+    trace = Trace(max_records=2_000_000) if spec.with_trace else None
     spans = (
-        SpanRecorder(max_spans=2_000_000, sample_rate=obs_sample)
-        if with_spans
+        SpanRecorder(max_spans=2_000_000, sample_rate=spec.obs_sample)
+        if spec.with_spans
         else None
     )
-    metrics = MetricsRegistry() if with_metrics else None
-    application = spec.build_application(level, catalog=catalog)
+    metrics = MetricsRegistry() if spec.with_metrics else None
+    application = app_spec.build_application(level, catalog=catalog)
     system = distribute(
         env,
         testbed,
         application,
         policy if policy is not None else level,
         database,
-        costs=costs_override or spec.costs,
-        db_cost_model=spec.db_costs,
+        costs=app_spec.costs,
+        db_cost_model=app_spec.db_costs,
         trace=trace,
         spans=spans,
         metrics=metrics,
@@ -279,18 +314,14 @@ def run_configuration(
             openloop.duration_ms if openloop is not None else workload.duration_ms
         )
         system.cluster.start(horizon_ms)
-    if warm_replicas:
-        # Stand-in for the paper's measurement-excluded warm-up hour:
-        # read-only replicas and query caches start hot.
+    if spec.warm_replicas:
         system.warm_replicas()
-        if spec.warm_queries is not None:
-            system.warm_query_caches(spec.warm_queries(catalog))
+        if app_spec.warm_queries is not None:
+            system.warm_query_caches(app_spec.warm_queries(catalog))
     injector = None
-    if faults is not None and not faults.empty:
-        # An empty schedule installs nothing at all — no kernel events,
-        # no RNG draws — so fault-free runs stay byte-identical.
-        injector = FaultInjector(faults, streams).install(env, system)
-    browser_factory = browser_pattern or spec.browser_pattern
+    if spec.faults is not None and not spec.faults.empty:
+        injector = FaultInjector(spec.faults, streams).install(env, system)
+    browser_factory = browser_pattern or app_spec.browser_pattern
     if openloop is not None:
         browser = browser_factory(catalog)
         if isinstance(browser, WeightedPattern):
@@ -299,27 +330,27 @@ def run_configuration(
             system,
             streams,
             browser,
-            spec.writer_pattern(catalog),
+            app_spec.writer_pattern(catalog),
             config=openloop,
-            writer_group_name=spec.writer_group,
+            writer_group_name=app_spec.writer_group,
         )
     else:
         generator = LoadGenerator(
             system,
             streams,
             browser_factory(catalog),
-            spec.writer_pattern(catalog),
+            app_spec.writer_pattern(catalog),
             config=workload,
-            writer_group_name=spec.writer_group,
+            writer_group_name=app_spec.writer_group,
         )
     series = None
-    if obs_interval_ms is not None:
-        series = TimeSeriesRecorder(interval_ms=obs_interval_ms)
+    if spec.obs_interval_ms is not None:
+        series = TimeSeriesRecorder(interval_ms=spec.obs_interval_ms)
         generator.timeseries = series
         # Install after warm-up/fault setup so the sampler's baseline
         # snapshot excludes construction-time counter churn, and before
         # run() so window boundaries start at t=0.
-        series.install(env, system, generator, faults=faults)
+        series.install(env, system, generator, faults=spec.faults)
     started = time.perf_counter()
     cpu_started = time.process_time()
     monitor = generator.run(env)
@@ -349,113 +380,70 @@ def run_configuration(
     )
 
 
+def run_cell(
+    app: str, level: PatternLevel, spec: RunSpec, profile: bool = False
+) -> ExperimentResult:
+    """One cell of a sweep, optionally under cProfile.
+
+    ``profile=True`` dumps the top-25 cumulative entries plus a
+    per-subsystem attribution to stderr (see
+    :mod:`repro.experiments.profile`).  Results are unchanged — the
+    profiler only costs wall-clock time.
+    """
+    if not profile:
+        return run_configuration(app, level, spec)
+    from .profile import dump_cell_profile, profile_call
+
+    result, stats = profile_call(run_configuration, app, level, spec)
+    dump_cell_profile(f"{app} L{int(level)}", stats, sys.stderr)
+    return result
+
+
 def run_series(
     app: str,
     levels=None,
-    workload: Optional[WorkloadConfig] = None,
-    seed: int = calibration.MASTER_SEED,
-    with_trace: bool = False,
-    with_spans: bool = False,
-    with_metrics: bool = False,
+    spec: Optional[RunSpec] = None,
+    *,
     jobs: Optional[int] = None,
     progress=None,
     profile: bool = False,
-    faults: Optional[FaultSchedule] = None,
-    policy: Optional[PlacementPolicy] = None,
-    topology: Optional[TopologyOverrides] = None,
-    openloop: Optional[OpenLoopConfig] = None,
-    obs_interval_ms: Optional[float] = None,
-    obs_sample: float = 1.0,
+    **options,
 ) -> Dict[PatternLevel, "ExperimentResult"]:
     """All five configurations of one application (Tables 6/7).
 
     ``jobs`` selects the execution strategy: ``None`` or ``1`` runs the
     cells serially in this process and returns full
     :class:`ExperimentResult` objects (live system, generator, trace);
-    any other value fans the cells out across that many worker
-    processes via :mod:`repro.experiments.parallel` and returns
-    picklable :class:`~repro.experiments.parallel.CellResult` objects
-    instead.  Both forms feed ``build_table`` / ``build_figure`` and
-    produce byte-identical output for a given seed — cells are seeded
+    any other value hands the cells to
+    :func:`~repro.experiments.parallel.run_cells` and returns picklable
+    :class:`~repro.experiments.parallel.CellResult` objects instead.
+    Both forms feed ``build_table`` / ``build_figure`` and produce
+    byte-identical output for a given seed — cells are seeded
     independently, so results do not depend on who ran them or in what
     order they finished.
 
-    ``profile=True`` runs each cell under cProfile and dumps the top-25
-    cumulative entries plus a per-subsystem attribution to stderr (see
-    :mod:`repro.experiments.profile`).  Results are unchanged — the
-    profiler only costs wall-clock time.  Profiling is serial-only:
-    ``jobs != 1`` is downgraded to serial with a stderr warning (results
-    are identical either way; only the wall clock differs).
+    ``profile=True`` profiles each cell (see :func:`run_cell`).
+    Profiling is serial-only: ``jobs != 1`` is downgraded to serial with
+    a stderr warning (results are identical either way; only the wall
+    clock differs).
     """
-    if policy is not None:
-        levels = [policy.effective_level()]
-    else:
-        levels = [PatternLevel(level) for level in (levels or PAPER_LEVELS)]
-    if jobs is not None and jobs != 1:
-        if profile:
-            from .profile import warn_forced_serial
+    spec = replace(spec or RunSpec(), **options)
+    levels = sweep_levels(spec.policy, levels)
+    if profile and jobs not in (None, 1):
+        from .profile import warn_forced_serial
 
-            warn_forced_serial(jobs, sys.stderr)
-            jobs = 1
-        else:
-            from .parallel import run_series_parallel
+        warn_forced_serial(jobs, sys.stderr)
+        jobs = 1
+    if jobs not in (None, 1):
+        from .parallel import run_cells
 
-            return run_series_parallel(
-                app,
-                levels=levels,
-                workload=workload,
-                seed=seed,
-                with_trace=with_trace,
-                with_spans=with_spans,
-                with_metrics=with_metrics,
-                jobs=jobs,
-                progress=progress,
-                faults=faults,
-                policy=policy,
-                topology=topology,
-                openloop=openloop,
-                obs_interval_ms=obs_interval_ms,
-                obs_sample=obs_sample,
-            )
+        cells = run_cells(
+            [(app, level) for level in levels], spec, jobs=jobs, progress=progress
+        )
+        return {level: cells[(app, level)] for level in levels}
     results: Dict[PatternLevel, ExperimentResult] = {}
     for level in levels:
-        if profile:
-            from .profile import dump_cell_profile, profile_call
-
-            result, stats = profile_call(
-                run_configuration,
-                app,
-                level,
-                workload=workload,
-                seed=seed,
-                with_trace=with_trace,
-                with_spans=with_spans,
-                with_metrics=with_metrics,
-                faults=faults,
-                policy=policy,
-                topology=topology,
-                openloop=openloop,
-                obs_interval_ms=obs_interval_ms,
-                obs_sample=obs_sample,
-            )
-            dump_cell_profile(f"{app} L{int(level)}", stats, sys.stderr)
-        else:
-            result = run_configuration(
-                app,
-                level,
-                workload=workload,
-                seed=seed,
-                with_trace=with_trace,
-                with_spans=with_spans,
-                with_metrics=with_metrics,
-                faults=faults,
-                policy=policy,
-                topology=topology,
-                openloop=openloop,
-                obs_interval_ms=obs_interval_ms,
-                obs_sample=obs_sample,
-            )
-        results[level] = result
+        results[level] = run_cell(app, level, spec, profile)
         if progress is not None:
-            progress.cell_done(app, level, result.wall_seconds)
+            progress.cell_done(app, level, results[level].wall_seconds)
     return results

@@ -2,7 +2,7 @@
 
 A :class:`FaultSchedule` is a frozen, picklable value object — tuples of
 frozen dataclasses holding only strings and floats — so it rides inside
-a ``CellTask`` across process boundaries unchanged.  All randomness
+a ``RunSpec`` across process boundaries unchanged.  All randomness
 (latency jitter, per-packet loss draws) is deferred to run time, where
 the injector derives named streams from the cell's master seed via
 :class:`repro.simnet.rng.Streams`; the schedule itself is deterministic

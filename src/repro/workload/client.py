@@ -10,7 +10,6 @@ load independent of response times."
 
 from __future__ import annotations
 
-import itertools
 from typing import Generator, Optional
 
 from ..core.distribution import DeployedSystem
@@ -28,8 +27,6 @@ __all__ = ["Client"]
 # or the transport layer itself faulting mid-request.
 _REQUEST_FAULTS = (ServerUnavailable, RmiTimeout) + RETRYABLE_ERRORS
 
-_client_ids = itertools.count(1)
-
 
 class Client:
     """One emulated user bound to a client machine and a usage pattern."""
@@ -45,8 +42,12 @@ class Client:
         think_time: float,
         start_offset: float = 0.0,
         end_time: Optional[float] = None,
+        client_id: int = 1,
     ):
-        self.id = next(_client_ids)
+        # Position in the owning LoadGenerator's population (1..N in
+        # build order): ``c{id}-s{n}`` session ids feed the span sampler,
+        # so they must not depend on what else this process ran.
+        self.id = client_id
         self.system = system
         self.monitor = monitor
         self.streams = streams

@@ -27,9 +27,13 @@ from .client import Client
 __all__ = ["WorkloadConfig", "LoadGenerator"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadConfig:
-    """Paper defaults: 30 req/s combined, 80/20 mix, soft think time."""
+    """Paper defaults: 30 req/s combined, 80/20 mix, soft think time.
+
+    Frozen, like :class:`~repro.workload.openloop.OpenLoopConfig`: one
+    config is shared by every cell of a sweep and shipped to workers.
+    """
 
     total_rate_per_s: float = 30.0
     browser_fraction: float = 0.8
@@ -42,6 +46,8 @@ class WorkloadConfig:
             raise ValueError("browser_fraction must be in [0, 1]")
         if self.total_rate_per_s <= 0 or self.think_time_ms <= 0:
             raise ValueError("rate and think time must be positive")
+        if self.duration_ms <= 0 or self.warmup_ms < 0:
+            raise ValueError("duration must be positive and warmup non-negative")
 
 
 class LoadGenerator:
@@ -112,6 +118,7 @@ class LoadGenerator:
                                 0, self.config.think_time_ms
                             ),
                             end_time=end_time,
+                            client_id=len(self.clients) + 1,
                         )
                     )
         return self.clients

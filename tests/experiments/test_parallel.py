@@ -14,15 +14,9 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.experiments import calibration
 from repro.experiments.figures import build_figure, figure_to_csv, render_figure
-from repro.experiments.parallel import (
-    CellResult,
-    CellTask,
-    default_jobs,
-    run_cells,
-    run_series_parallel,
-)
+from repro.experiments.parallel import CellResult, default_jobs, run_cells
 from repro.experiments.progress import ProgressReporter
-from repro.experiments.runner import run_series
+from repro.experiments.runner import RunSpec, run_series
 from repro.experiments.tables import build_table, render_table, table_to_csv
 
 FAST = calibration.default_workload(duration_ms=20_000.0, warmup_ms=5_000.0)
@@ -111,8 +105,9 @@ def test_cell_result_matches_experiment_result_surface(
             assert parallel.mean(group, page) == serial.mean(group, page)
 
 
-def test_cell_task_is_picklable():
-    task = CellTask("rubis", int(PatternLevel.CENTRALIZED), FAST, 21)
+def test_run_spec_is_picklable():
+    """What the pool ships per cell: ``(app, level, spec)``."""
+    task = ("rubis", PatternLevel.CENTRALIZED, RunSpec(workload=FAST, seed=21))
     copy = pickle.loads(pickle.dumps(task))
     assert copy == task
 
@@ -179,16 +174,21 @@ def test_progress_reporter_counts_and_prints():
 
 
 def test_run_series_reports_progress_in_both_modes():
-    for jobs in (1, 2):
+    """The serial loop, ``run_cells`` in-process, and the pool."""
+    options = dict(workload=FAST, seed=21)
+    cells = [("rubis", level) for level in LEVELS]
+    sweeps = [
+        lambda progress: run_series(
+            "rubis", levels=LEVELS, jobs=1, progress=progress, **options
+        ),
+        lambda progress: run_cells(cells, jobs=1, progress=progress, **options),
+        lambda progress: run_series(
+            "rubis", levels=LEVELS, jobs=2, progress=progress, **options
+        ),
+    ]
+    for sweep in sweeps:
         stream = io.StringIO()
         progress = ProgressReporter(len(LEVELS), stream=stream)
-        run_series_parallel(
-            "rubis",
-            levels=LEVELS,
-            workload=FAST,
-            seed=21,
-            jobs=jobs,
-            progress=progress,
-        )
+        sweep(progress)
         assert progress.completed == len(LEVELS)
         assert stream.getvalue().count("done in") == len(LEVELS)

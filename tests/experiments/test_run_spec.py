@@ -1,0 +1,125 @@
+"""Tests for the one run description (``RunSpec``) and its keyword form.
+
+``RunSpec`` is the only declaration of the per-cell options: the three
+entry points take a spec, or any of its fields as keyword options, and
+the CLI builds one spec and makes one ``run_cells`` call whatever
+``--jobs`` says.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from repro.core.patterns import PatternLevel
+from repro.core.policy import load_policy
+from repro.experiments import calibration
+from repro.experiments.__main__ import main
+from repro.experiments.parallel import run_cells
+from repro.experiments.runner import RunSpec, run_configuration, run_series
+from repro.faults import scenarios
+from repro.simnet.topology import TopologyOverrides
+from repro.workload.openloop import OpenLoopConfig
+
+POLICY_FILE = Path(__file__).resolve().parents[2] / "policies" / "replicas-one-edge.json"
+TINY = calibration.default_workload(duration_ms=6_000.0, warmup_ms=1_000.0)
+
+# One non-default value per option; the test below fails when RunSpec
+# grows a field this table does not cover.
+NON_DEFAULT = {
+    "workload": TINY,
+    "seed": 5,
+    "with_trace": True,
+    "with_spans": True,
+    "with_metrics": True,
+    "faults": scenarios.scenario("latency-spike", 6_000.0, 1_000.0),
+    "policy": load_policy(str(POLICY_FILE)),
+    "topology": TopologyOverrides(edges=3),
+    "openloop": OpenLoopConfig(
+        session_rate_per_s=2.0, duration_ms=6_000.0, warmup_ms=1_000.0
+    ),
+    "obs_interval_ms": 1_000.0,
+    "obs_sample": 0.5,
+    "warm_replicas": False,
+}
+FIELDS = [field.name for field in dataclasses.fields(RunSpec)]
+LEVEL = NON_DEFAULT["policy"].effective_level()
+
+ENTRY_POINTS = {
+    "run_configuration": lambda **options: run_configuration(
+        "petstore", LEVEL, **options
+    ),
+    "run_series": lambda **options: run_series("petstore", **options)[LEVEL],
+    "run_cells": lambda **options: run_cells([("petstore", LEVEL)], jobs=1, **options)[
+        ("petstore", LEVEL)
+    ],
+}
+
+
+def test_every_option_has_a_non_default_value():
+    assert sorted(NON_DEFAULT) == sorted(FIELDS)
+    defaults = RunSpec()
+    for name in FIELDS:
+        assert NON_DEFAULT[name] != getattr(defaults, name), name
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_field_is_an_option_of_every_entry_point(entry):
+    result = ENTRY_POINTS[entry](**{name: NON_DEFAULT[name] for name in FIELDS})
+    # Each option visibly took effect.
+    assert result.label == "replicas-one-edge"
+    assert result.topology["edge_servers"] == 3
+    assert result.trace_summary.span_sample_rate == 0.5
+    assert result.spans_state is not None
+    assert result.metrics_state is not None
+    assert result.series_state is not None
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_misspelt_option_is_a_type_error_naming_it(entry):
+    with pytest.raises(TypeError, match="obs_smaple"):
+        ENTRY_POINTS[entry](workload=TINY, obs_smaple=0.5)
+
+
+def test_browser_pattern_cannot_cross_the_pool():
+    """A callable: a direct keyword of ``run_configuration`` only."""
+    assert "browser_pattern" not in FIELDS
+    with pytest.raises(TypeError, match="browser_pattern"):
+        run_cells([("rubis", 1)], workload=TINY, browser_pattern=lambda catalog: None)
+
+
+def test_spec_and_keyword_form_agree_and_options_override_the_spec():
+    spec = RunSpec(workload=TINY, seed=5)
+    level = PatternLevel.REMOTE_FACADE
+    by_spec = run_configuration("rubis", level, spec)
+    by_keywords = run_configuration("rubis", level, workload=TINY, seed=5)
+    overridden = run_configuration("rubis", level, spec, seed=6)
+    assert by_spec.monitor.to_state() == by_keywords.monitor.to_state()
+    assert by_spec.monitor.to_state() != overridden.monitor.to_state()
+    assert spec.seed == 5  # frozen: options build a new spec
+
+
+# ---------------------------------------------------------------------------
+# The CLI: one spec, one sweep call, the same output for any --jobs
+# ---------------------------------------------------------------------------
+
+
+def test_cli_single_level_is_identical_for_any_jobs(capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        argv = ["table7", "--level", "6", "--duration", "15", "--warmup", "5"]
+        assert main(argv + ["--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("Method caching") == 1
+    assert "Centralized" not in outputs[0]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--duration", "-5"], ["--warmup", "-1"], ["--workload", "open", "--duration", "0"]]
+)
+def test_cli_rejects_an_invalid_workload(capsys, flags):
+    assert main(["table7", "--jobs", "1"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("[workload] ")
+    assert captured.out == ""

@@ -16,8 +16,8 @@ from repro.core.patterns import PatternLevel
 from repro.core.policy import load_policy
 from repro.experiments import calibration
 from repro.experiments.__main__ import main
-from repro.experiments.parallel import CellTask, run_cells
-from repro.experiments.runner import run_configuration, run_series
+from repro.experiments.parallel import run_cells
+from repro.experiments.runner import RunSpec, run_configuration, run_series
 from repro.experiments.tables import build_table, render_table, table_to_csv
 from repro.faults import scenarios
 from repro.faults.report import (
@@ -140,19 +140,18 @@ def test_policy_label_and_topology_reach_availability_artifact(policy_serial):
     assert '"topology"' in payload
 
 
-def test_cell_task_pickles_with_policy_and_topology(custom_policy):
-    task = CellTask(
-        "petstore",
-        int(custom_policy.effective_level()),
-        FAST,
-        21,
+def test_run_spec_pickles_with_policy_and_topology(custom_policy):
+    spec = RunSpec(
+        workload=FAST,
+        seed=21,
         policy=custom_policy,
         topology=TopologyOverrides(edges=3, wan_latency=80.0),
     )
+    task = ("petstore", custom_policy.effective_level(), spec)
     copy = pickle.loads(pickle.dumps(task))
     assert copy == task
-    assert copy.policy.to_json() == custom_policy.to_json()
-    assert copy.topology.edges == 3
+    assert copy[2].policy.to_json() == custom_policy.to_json()
+    assert copy[2].topology.edges == 3
 
 
 # ---------------------------------------------------------------------------

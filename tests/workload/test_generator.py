@@ -1,9 +1,13 @@
 """Tests for the client population and load generation (§3.3)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.patterns import PatternLevel
 from repro.core.usage import ScriptedPattern
+from repro.experiments.calibration import default_workload
+from repro.experiments.runner import run_configuration
 from repro.simnet.rng import Streams
 from repro.workload.generator import LoadGenerator, WorkloadConfig
 from tests.helpers import tiny_system
@@ -22,15 +26,16 @@ def _notes_pattern(length=4):
 def _generator(level=PatternLevel.STATEFUL_CACHING, **config_overrides):
     env, system = tiny_system(level)
     system.warm_replicas()
-    config = WorkloadConfig(
-        total_rate_per_s=6.0,
-        browser_fraction=0.8,
-        think_time_ms=2_000.0,
-        duration_ms=20_000.0,
-        warmup_ms=4_000.0,
+    config = dataclasses.replace(
+        WorkloadConfig(
+            total_rate_per_s=6.0,
+            browser_fraction=0.8,
+            think_time_ms=2_000.0,
+            duration_ms=20_000.0,
+            warmup_ms=4_000.0,
+        ),
+        **config_overrides,
     )
-    for key, value in config_overrides.items():
-        setattr(config, key, value)
     generator = LoadGenerator(
         system,
         Streams(77),
@@ -47,6 +52,13 @@ def test_config_validation():
         WorkloadConfig(browser_fraction=1.5)
     with pytest.raises(ValueError):
         WorkloadConfig(total_rate_per_s=0.0)
+    # Same rule (and message) as OpenLoopConfig.
+    with pytest.raises(ValueError, match="duration must be positive"):
+        WorkloadConfig(duration_ms=0.0)
+    with pytest.raises(ValueError, match="warmup non-negative"):
+        WorkloadConfig(warmup_ms=-1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        WorkloadConfig().duration_ms = 1.0
 
 
 def test_clients_per_group_math():
@@ -109,3 +121,30 @@ def test_clients_stop_at_duration():
     # All sessions wound down shortly after the configured duration.
     assert env.now < 10_000.0 + 5_000.0
     assert all(client.requests_sent > 0 for client in generator.clients)
+
+
+def test_clients_are_numbered_per_generator():
+    _env, _system, first = _generator()
+    _env, _system, second = _generator()
+    for generator in (first, second):
+        clients = generator.build()
+        assert [client.id for client in clients] == list(range(1, len(clients) + 1))
+
+
+def test_back_to_back_runs_sample_the_same_sessions():
+    """``c{id}-s{n}`` session ids feed the span sampler, so a cell's span
+    table must not depend on which cells this process ran before it."""
+
+    def run():
+        return run_configuration(
+            "rubis",
+            PatternLevel.CENTRALIZED,
+            workload=default_workload(20_000, 5_000),
+            seed=5,
+            with_spans=True,
+            obs_sample=0.3,
+        )
+
+    first, second = run(), run()
+    assert 0 < first.spans.sampled_requests == second.spans.sampled_requests
+    assert first.spans_state == second.spans_state
