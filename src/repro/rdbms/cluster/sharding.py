@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple, Union
 
-from ..compiler import EMPTY_ROW, compiled
+from ..compiler import EMPTY_ROW, compile_expression
 from ..executor import ResultSet
 from ..expressions import And, Comparison, Expression
 from ..sql import (
@@ -104,7 +104,7 @@ def _bound_shard(
         if _bare(column) not in shard_keys:
             continue
         try:
-            value = compiled(expr)(EMPTY_ROW, params)
+            value = compile_expression(expr)(EMPTY_ROW, params)
         except Exception:
             continue
         return partitioner.shard_of(value)
@@ -141,7 +141,7 @@ def route_statement(
         key_column = tier.shard_key(statement.table)
         for column, expr in zip(statement.columns, statement.values):
             if _bare(column) == key_column:
-                value = compiled(expr)(EMPTY_ROW, params)
+                value = compile_expression(expr)(EMPTY_ROW, params)
                 return Route("single", partitioner.shard_of(value), True, sharded)
         raise ClusterRoutingError(
             f"INSERT into sharded table {statement.table!r} does not set its "

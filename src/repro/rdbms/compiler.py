@@ -1,29 +1,33 @@
 """Expression compilation: AST -> Python closures.
 
-The tree-walking :meth:`~repro.rdbms.expressions.Expression.evaluate`
-re-interprets the WHERE/ON tree for every row, and parameter binding used
-to rebuild the whole AST per execution (``_substitute``).  This module
-compiles an expression once into a nest of closures with the signature
-``fn(row, params) -> value``: parameters are read from the ``params``
-tuple at call time (an environment, not a tree rewrite), and constant
-folding happens at compile time (LIKE needles are lowered once, literal
-IN lists become tuple-membership tests).
+:func:`compile_expression` lowers a WHERE/ON/value tree once into a nest
+of closures ``fn(row, params) -> value``.  Parameters are read from the
+``params`` tuple at call time (an environment, not a tree rewrite) and
+constants are folded at compile time (LIKE needles are lowered once,
+literal IN lists become tuple-membership tests).
 
-Compiled closures reproduce the tree-walker *exactly*, including SQL
+Closures reproduce the tree-walking
+:meth:`~repro.rdbms.expressions.Expression.evaluate` *exactly*: SQL
 three-valued logic collapsed to False, short-circuit evaluation order,
 and :class:`~repro.rdbms.expressions.EvaluationError` on missing or
-ambiguous columns (the executor's join pass relies on those errors to
-defer predicates until all join columns are visible).
+ambiguous columns (a join's first pass relies on those errors to defer
+conjuncts until the joined columns are visible).
 
-``compiled`` memoizes per expression object.  Every statement the
-applications execute flows through :func:`~repro.rdbms.sql.parse_cached`,
-so the expression objects are long-lived singletons and the cache is
-bounded by the statement vocabulary.
+Column access comes in two strengths.  Without a resolver a column
+compiles to :func:`column_lookup`, which searches the row for the
+qualified name, the bare name and a unique ``.name`` suffix, and raises
+when none fits.  With ``resolve`` — column name to the row key it is
+*proven* to live under, or None — a proven column is one ``row[key]``
+and ``column <op> ?|literal`` over it is one closure; an unproven name
+keeps the searching lookup, so it raises the same error at the same
+point.  :func:`resolves` says whether a whole tree is proven.  Nothing
+is memoized here: a prepared statement (:mod:`repro.rdbms.executor`)
+compiles its trees once and owns the closures.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .expressions import (
     _OPERATORS,
@@ -40,18 +44,18 @@ from .expressions import (
     Parameter,
     like_matcher,
 )
-from .lru import LruCache
-
-__all__ = ["compile_expression", "compiled", "column_lookup", "EMPTY_ROW"]
+__all__ = ["compile_expression", "resolves", "column_lookup", "EMPTY_ROW"]
 
 CompiledExpr = Callable[[Dict[str, Any], Tuple[Any, ...]], Any]
+Resolver = Callable[[str], Optional[str]]
 
 EMPTY_ROW: Dict[str, Any] = {}
 
 _MISSING = object()
 
 
-def _compile_column(name: str) -> CompiledExpr:
+def column_lookup(name: str) -> CompiledExpr:
+    """Searching row-lookup closure for a (possibly qualified) column name."""
     if "." in name:
         bare = name.split(".", 1)[1]
 
@@ -82,23 +86,14 @@ def _compile_column(name: str) -> CompiledExpr:
     return lookup
 
 
-# Column lookups depend only on the column name, so they are shared
-# across statements (projection lists build fresh ColumnRef nodes per
-# execution; compiling those through this memo makes that free).
-_COLUMN_CACHE = LruCache(4096)
+def compile_expression(
+    expression: Expression, resolve: Optional[Resolver] = None
+) -> CompiledExpr:
+    """Compile ``expression`` into ``fn(row, params) -> value``.
 
-
-def column_lookup(name: str) -> CompiledExpr:
-    """Memoized row-lookup closure for a (possibly qualified) column name."""
-    lookup = _COLUMN_CACHE.get(name)
-    if lookup is None:
-        lookup = _compile_column(name)
-        _COLUMN_CACHE.put(name, lookup)
-    return lookup
-
-
-def compile_expression(expression: Expression) -> CompiledExpr:
-    """Compile ``expression`` into ``fn(row, params) -> value``."""
+    ``resolve`` maps a column name to the row key it is proven to live
+    under (None: not proven, keep the searching lookup).
+    """
     kind = type(expression)
     if kind is Literal:
         value = expression.value
@@ -107,11 +102,35 @@ def compile_expression(expression: Expression) -> CompiledExpr:
         index = expression.index
         return lambda row, params: params[index]
     if kind is ColumnRef:
-        return column_lookup(expression.name)
+        key = resolve(expression.name) if resolve is not None else None
+        if key is None:
+            return column_lookup(expression.name)
+        return lambda row, params: row[key]
     if kind is Comparison:
-        left = compile_expression(expression.left)
-        right = compile_expression(expression.right)
         operator = _OPERATORS[expression.operator]
+        right_kind = type(expression.right)
+        if (
+            resolve is not None
+            and type(expression.left) is ColumnRef
+            and (right_kind is Parameter or right_kind is Literal)
+        ):
+            key = resolve(expression.left.name)
+            if key is not None:
+                # ``column <op> ?|literal`` over a proven column: neither
+                # side can raise, so one closure does the whole test.
+                index = expression.right.index if right_kind is Parameter else None
+                constant = None if right_kind is Parameter else expression.right.value
+
+                def compare_column(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
+                    value = row[key]
+                    bound = constant if index is None else params[index]
+                    if value is None or bound is None:
+                        return False
+                    return operator(value, bound)
+
+                return compare_column
+        left = compile_expression(expression.left, resolve)
+        right = compile_expression(expression.right, resolve)
 
         def compare(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
             # Both sides evaluate before the NULL check, exactly like the
@@ -124,7 +143,7 @@ def compile_expression(expression: Expression) -> CompiledExpr:
 
         return compare
     if kind is And:
-        parts = tuple(compile_expression(part) for part in expression.parts)
+        parts = tuple(compile_expression(part, resolve) for part in expression.parts)
 
         def conjunction(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
             for part in parts:
@@ -134,7 +153,7 @@ def compile_expression(expression: Expression) -> CompiledExpr:
 
         return conjunction
     if kind is Or:
-        parts = tuple(compile_expression(part) for part in expression.parts)
+        parts = tuple(compile_expression(part, resolve) for part in expression.parts)
 
         def disjunction(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
             for part in parts:
@@ -144,10 +163,10 @@ def compile_expression(expression: Expression) -> CompiledExpr:
 
         return disjunction
     if kind is Not:
-        part = compile_expression(expression.part)
+        part = compile_expression(expression.part, resolve)
         return lambda row, params: not part(row, params)
     if kind is Like:
-        column = compile_expression(expression.column)
+        column = compile_expression(expression.column, resolve)
         if type(expression.pattern) is Literal and expression.pattern.value is not None:
             match = like_matcher(str(expression.pattern.value))
 
@@ -158,7 +177,7 @@ def compile_expression(expression: Expression) -> CompiledExpr:
                 return match(str(value).lower())
 
             return like_constant
-        pattern = compile_expression(expression.pattern)
+        pattern = compile_expression(expression.pattern, resolve)
         # The pattern is constant across a scan (it comes from the params
         # tuple), so memoize the lowered matcher for the last pattern seen
         # instead of re-compiling it for every candidate row.
@@ -176,13 +195,15 @@ def compile_expression(expression: Expression) -> CompiledExpr:
 
         return like
     if kind is InList:
-        column = compile_expression(expression.column)
+        column = compile_expression(expression.column, resolve)
         if all(type(option) is Literal for option in expression.options):
             values = tuple(option.value for option in expression.options)
             # Tuple membership uses ==, matching the tree-walker's
             # pairwise comparisons (including NULL == NULL -> True).
             return lambda row, params: column(row, params) in values
-        options = tuple(compile_expression(option) for option in expression.options)
+        options = tuple(
+            compile_expression(option, resolve) for option in expression.options
+        )
 
         def in_list(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
             value = column(row, params)
@@ -197,18 +218,28 @@ def compile_expression(expression: Expression) -> CompiledExpr:
     return lambda row, params: expression.evaluate(row)
 
 
-# Memo keyed by object identity.  Expressions are pinned in the value so a
-# cached id can never be matched by a different (dead) expression; the LRU
-# evicts cold entries, dropping the pin, so long multi-cell runs neither
-# leak expressions nor stop admitting new ones.
-_COMPILED_CACHE: LruCache = LruCache(4096)
+def resolves(expression: Expression, resolve: Resolver) -> bool:
+    """True when ``resolve`` proves every column ``expression`` reads.
 
-
-def compiled(expression: Expression) -> CompiledExpr:
-    """Memoized :func:`compile_expression` (per expression object)."""
-    entry = _COMPILED_CACHE.get(id(expression))
-    if entry is not None:
-        return entry[1]
-    function = compile_expression(expression)
-    _COMPILED_CACHE.put(id(expression), (expression, function))
-    return function
+    Such a tree cannot raise :class:`EvaluationError`, and its closures
+    touch the row only through proven keys.  A node kind this module
+    does not know reads its row itself, so it is never proven.
+    """
+    kind = type(expression)
+    if kind is ColumnRef:
+        return resolve(expression.name) is not None
+    if kind is Literal or kind is Parameter:
+        return True
+    if kind is Comparison:
+        return resolves(expression.left, resolve) and resolves(expression.right, resolve)
+    if kind is And or kind is Or:
+        return all(resolves(part, resolve) for part in expression.parts)
+    if kind is Not:
+        return resolves(expression.part, resolve)
+    if kind is Like:
+        return resolves(expression.column, resolve) and resolves(expression.pattern, resolve)
+    if kind is InList:
+        return resolves(expression.column, resolve) and all(
+            resolves(option, resolve) for option in expression.options
+        )
+    return False

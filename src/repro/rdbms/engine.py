@@ -3,6 +3,10 @@
 This is the *pure* engine — it executes instantly in simulated time.
 Timing, locking, and network protocol live in :mod:`repro.rdbms.server`
 and :mod:`repro.rdbms.jdbc`.
+
+A SQL text is parsed, analysed and compiled once per database: the
+:class:`~repro.rdbms.executor.PreparedStatement` of every text lives in
+one bounded LRU here, and executing is lookup + bind + run.
 """
 
 from __future__ import annotations
@@ -10,15 +14,20 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .compiler import EMPTY_ROW, compiled
-from .executor import ExecutionError, Executor, ResultSet
-from .expressions import EvaluationError
+from .executor import Executor, PreparedStatement, ResultSet
+from .lru import LruCache
 from .schema import TableSchema
-from .sql import Delete, Insert, Select, Statement, Update, parse_cached
+from .sql import Statement, parse_cached
 from .storage import Table
 from .transactions import Transaction
 
 __all__ = ["Database", "DatabaseError"]
+
+_PREPARED_LIMIT = 4096
+
+# What the execution entry points accept: SQL text, a pre-built AST, or a
+# statement this database already prepared.
+Preparable = Union[str, Statement, PreparedStatement]
 
 
 class DatabaseError(Exception):
@@ -28,15 +37,20 @@ class DatabaseError(Exception):
 class Database:
     """A named collection of tables plus an executor.
 
-    Statements may be SQL text (parsed and memoized) or pre-built
-    statement ASTs.  Passing a :class:`Transaction` collects undo
-    information; without one, statements auto-commit.
+    Statements may be SQL text (prepared once, see :meth:`prepare`),
+    pre-built statement ASTs, or prepared statements of this database.
+    Passing a :class:`Transaction` collects undo information; without
+    one, statements auto-commit.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.tables: Dict[str, Table] = {}
         self._executor = Executor(self.tables)
+        # SQL text -> PreparedStatement.  Entries bind Table objects, so
+        # they live and die with this database and are dropped whenever
+        # the table set changes.
+        self._prepared = LruCache(_PREPARED_LIMIT)
         self.statements_executed = 0
         self.rows_scanned_total = 0
         # Per-instance so a fresh Database starts at id 1: transaction
@@ -54,6 +68,7 @@ class Database:
             raise DatabaseError(f"table {schema.name!r} already exists")
         table = Table(schema)
         self.tables[schema.name] = table
+        self._prepared.clear()
         return table
 
     def table(self, name: str) -> Table:
@@ -72,70 +87,59 @@ class Database:
         )
 
     # -- execution -----------------------------------------------------------
-    def prepare(self, sql: str) -> Statement:
-        """Parse (memoized) without executing."""
-        return parse_cached(sql)
+    def prepare(self, statement: Preparable) -> PreparedStatement:
+        """The prepared form of ``statement``, built on first sight of a text.
+
+        A pre-built AST goes through the same constructor, uncached; a
+        prepared statement (of this database) is returned as it is.
+        Raises :class:`~repro.rdbms.executor.ExecutionError` when the
+        statement names a table this database does not have.
+        """
+        if type(statement) is PreparedStatement:
+            return statement
+        if not isinstance(statement, str):
+            return PreparedStatement(self._executor, statement)
+        prepared = self._prepared.get(statement)
+        if prepared is None:
+            prepared = PreparedStatement(self._executor, parse_cached(statement))
+            self._prepared.put(statement, prepared)
+        return prepared
 
     def execute(
         self,
-        statement: Union[str, Statement],
+        statement: Preparable,
         params: Tuple[Any, ...] = (),
         transaction: Optional[Transaction] = None,
     ) -> ResultSet:
-        if isinstance(statement, str):
-            statement = parse_cached(statement)
-        if transaction is not None and transaction.read_only and not isinstance(statement, Select):
-            raise DatabaseError("write statement in a read-only transaction")
-        undo_log = transaction.undo_log if transaction is not None else None
-        result = self._executor.execute(statement, params, undo_log=undo_log)
+        kind = type(statement)
+        if kind is PreparedStatement:
+            prepared = statement
+        else:  # the hit of :meth:`prepare`, inline: this is the hot path
+            prepared = self._prepared.get(statement) if kind is str else None
+            if prepared is None:
+                prepared = self.prepare(statement)
+        undo_log = None
+        if transaction is not None:
+            if transaction.read_only and prepared.is_write:
+                raise DatabaseError("write statement in a read-only transaction")
+            undo_log = transaction.undo_log
+        result = prepared.run(params, undo_log)
         self.statements_executed += 1
         self.rows_scanned_total += result.rows_scanned
         return result
 
     # -- introspection -----------------------------------------------------------
-    def explain(
-        self, statement: Union[str, Statement], params: Tuple[Any, ...] = ()
-    ):
+    def explain(self, statement: Preparable, params: Tuple[Any, ...] = ()):
         """The query plan the executor would choose, without executing.
 
         Returns a :class:`~repro.rdbms.plan.QueryPlan`; ``.render()``
         yields EXPLAIN-style text including rejected candidate paths.
         """
-        if isinstance(statement, str):
-            statement = parse_cached(statement)
-        return self._executor.explain(statement, params)
+        return self.prepare(statement).explain(params)
 
-    def write_targets(self, statement: Union[str, Statement], params: Tuple[Any, ...] = ()) -> List[Tuple[str, Any]]:
-        """The (table, key) pairs a mutation will touch — used for locking.
-
-        For INSERTs this is the new primary key; for UPDATE/DELETE the
-        matching rows' keys (or a whole-table sentinel when un-indexed and
-        unpredictable).  SELECTs return no targets.
-        """
-        if isinstance(statement, str):
-            statement = parse_cached(statement)
-        if isinstance(statement, Select):
-            return []
-        if isinstance(statement, Insert):
-            table = self.table(statement.table)
-            pk = table.schema.primary_key
-            for column, expr in zip(statement.columns, statement.values):
-                if column == pk:
-                    # Parameter indexes are statement-global, so the
-                    # compiled closure reads the full parameter tuple.
-                    return [(statement.table, compiled(expr)(EMPTY_ROW, params))]
-            return [(statement.table, ("*",))]
-        if isinstance(statement, (Update, Delete)):
-            # Dry-run the executor's plan to find target keys.  Any
-            # evaluation failure degrades to the whole-table sentinel,
-            # which locks conservatively.
-            table = self.table(statement.table)
-            pk = table.schema.primary_key
-            try:
-                rows, _scanned, _index, _node = self._executor._scan_with_plan(
-                    table, statement.where, params, copy_rows=False
-                )
-            except (ExecutionError, EvaluationError, IndexError):
-                return [(statement.table, ("*",))]
-            return [(statement.table, row[pk]) for row in rows]
-        return []
+    def write_targets(
+        self, statement: Preparable, params: Tuple[Any, ...] = ()
+    ) -> List[Tuple[str, Any]]:
+        """The (table, key) pairs a mutation will touch — used for locking
+        (see :meth:`PreparedStatement.write_targets`)."""
+        return self.prepare(statement).write_targets(params)

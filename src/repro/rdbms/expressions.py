@@ -7,6 +7,7 @@ to these expressions rather than to SQL text).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -151,12 +152,12 @@ class Parameter(Expression):
 
 
 _OPERATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 _RANGE_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}

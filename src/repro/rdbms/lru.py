@@ -1,13 +1,12 @@
 """A tiny bounded LRU map for the engine's memo caches.
 
-The engine memoizes by object identity in several places (compiled
-expressions, scan plans, SELECT shapes).  Identity-keyed caches must pin
-the keyed object inside the value so a live cache entry can never be
-matched by a *different* object that reused the id — and pinning means
-the cache must evict, or every statement/schema ever seen stays alive
-for the process lifetime.  This LRU evicts least-recently-used entries
-once ``capacity`` is exceeded; evicting an entry drops the pin, so a
-later id reuse simply misses and recomputes.
+A database keeps the prepared statement of every SQL text it has seen,
+and the parser keeps every AST; the middleware's query and method caches
+keep results.  A cache that only grows pins every statement ever seen
+for the life of the process, and one that stops admitting when full
+silently stops caching.  This LRU evicts the least-recently-used entry
+once ``capacity`` is exceeded, so a long multi-cell process neither
+leaks nor goes cold.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from ..simnet.kernel import Environment, Event
 from ..simnet.network import Node
 from .engine import Database
 from .executor import ResultSet
-from .sql import Select, Statement, parse_cached
+from .sql import Statement
 from .transactions import LockManager, Transaction
 
 __all__ = ["DbCostModel", "DbSession", "DatabaseServer", "result_wire_size"]
@@ -57,9 +57,6 @@ def result_wire_size(result: ResultSet) -> int:
     return size
 
 
-_session_ids = itertools.count(1)
-
-
 class DbSession:
     """Server-side state for one client connection.
 
@@ -68,7 +65,7 @@ class DbSession:
     """
 
     def __init__(self, server: "DatabaseServer"):
-        self.id = next(_session_ids)
+        self.id = next(server._session_ids)
         self.server = server
         self.transaction: Optional[Transaction] = None
         self.auto_commit = True
@@ -97,6 +94,9 @@ class DatabaseServer:
         self.statements = 0
         self.commits = 0
         self.rollbacks = 0
+        # Per server, so a fresh deployment numbers its sessions from 1
+        # however many cells the worker process ran before.
+        self._session_ids = itertools.count(1)
 
     # -- session lifecycle -----------------------------------------------------
     def open_session(self) -> DbSession:
@@ -140,9 +140,9 @@ class DatabaseServer:
         params: Tuple[Any, ...] = (),
     ) -> Generator[Event, Any, ResultSet]:
         """Run one statement inside the session, in simulated time."""
-        if isinstance(statement, str):
-            statement = parse_cached(statement)
-        is_write = not isinstance(statement, Select)
+        # Prepared once for the lock targets and the execution alike.
+        statement = self.database.prepare(statement)
+        is_write = statement.is_write
 
         implicit = False
         if session.transaction is None:

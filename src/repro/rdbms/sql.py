@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .expressions import (
     And,
@@ -35,6 +35,7 @@ from .expressions import (
     Or,
     Parameter,
 )
+from .lru import LruCache
 
 __all__ = [
     "SqlError",
@@ -539,14 +540,17 @@ def parse(sql: str) -> Statement:
     return _Parser(sql).parse()
 
 
-_PARSE_CACHE: Dict[str, Statement] = {}
+_PARSE_CACHE = LruCache(4096)
 
 
 def parse_cached(sql: str) -> Statement:
-    """Like :func:`parse` but memoized by statement text (ASTs are frozen)."""
+    """Like :func:`parse` but memoized by statement text (ASTs are frozen).
+
+    A bounded LRU: past 4,096 texts the coldest is evicted, so a process
+    that churns through statements neither grows nor stops caching.
+    """
     statement = _PARSE_CACHE.get(sql)
     if statement is None:
         statement = parse(sql)
-        if len(_PARSE_CACHE) < 4096:
-            _PARSE_CACHE[sql] = statement
+        _PARSE_CACHE.put(sql, statement)
     return statement

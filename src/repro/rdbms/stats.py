@@ -25,6 +25,8 @@ from .storage import Table
 
 __all__ = [
     "TableStats",
+    "blocks_for",
+    "equality_records",
     "BLOCK_SIZE",
     "DEFAULT_RANGE_SELECTIVITY",
     "DEFAULT_PREFIX_SELECTIVITY",
@@ -43,6 +45,24 @@ def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
+def blocks_for(records: int, row_size: int) -> int:
+    """Blocks touched to read ``records`` sequential rows of ``row_size`` bytes."""
+    if records <= 0:
+        return 0
+    return _ceil_div(records * row_size, BLOCK_SIZE)
+
+
+def equality_records(row_count: int, distinct: int) -> int:
+    """Estimated rows matching ``column = constant``: ``ceil(rows / distinct)``.
+
+    Never more than ``row_count``, which is why a lone equality
+    candidate needs no costing against the full scan.
+    """
+    if row_count == 0:
+        return 0
+    return _ceil_div(row_count, max(1, distinct))
+
+
 class TableStats:
     """A snapshot-free statistics view over one table."""
 
@@ -56,9 +76,7 @@ class TableStats:
     # -- blocks ---------------------------------------------------------------
     def blocks_for(self, records: int) -> int:
         """Blocks touched to read ``records`` sequential rows."""
-        if records <= 0:
-            return 0
-        return _ceil_div(records * self.row_size, BLOCK_SIZE)
+        return blocks_for(records, self.row_size)
 
     def table_blocks(self) -> int:
         """Blocks a full scan of the heap touches."""
@@ -74,9 +92,7 @@ class TableStats:
 
     def equality_records(self, column: str) -> int:
         """Estimated rows matching ``column = constant``."""
-        if self.row_count == 0:
-            return 0
-        return _ceil_div(self.row_count, self.distinct_values(column))
+        return equality_records(self.row_count, self.distinct_values(column))
 
     def range_records(
         self,

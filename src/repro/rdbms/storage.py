@@ -23,7 +23,7 @@ distinct-value count.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .bptree import BPlusTree
 from .schema import TableSchema
@@ -80,19 +80,19 @@ class Table:
         row = self._rows.get(key)
         return dict(row) if row is not None else None
 
-    def scan(self, copy: bool = True) -> Iterator[Dict[str, Any]]:
-        """Iterate over every row (heap order = insertion order).
+    def scan(self, copy: bool = True) -> Iterable[Dict[str, Any]]:
+        """Every row (heap order = insertion order).
 
-        ``copy=False`` yields the live storage dicts — the executor's
-        copy-on-match path uses this so rows a predicate rejects are
-        never copied.  Live rows must only be mutated through the
-        undo-logged mutation API (:meth:`update` / :meth:`delete`).
+        ``copy=False`` is a sized *live view* of the storage dicts: it
+        follows later inserts and deletes, so a prepared statement binds
+        it once and reads ``len()`` and the rows from it on every
+        execution, and rows a predicate rejects are never copied.  Live
+        rows must only be mutated through the undo-logged mutation API
+        (:meth:`update` / :meth:`delete`).
         """
         if copy:
-            for row in self._rows.values():
-                yield dict(row)
-        else:
-            yield from self._rows.values()
+            return (dict(row) for row in self._rows.values())
+        return self._rows.values()
 
     def keys(self) -> List[Any]:
         return list(self._rows.keys())

@@ -16,7 +16,7 @@ from repro.rdbms.compiler import (
     EMPTY_ROW,
     column_lookup,
     compile_expression,
-    compiled,
+    resolves,
 )
 from repro.rdbms.engine import Database
 from repro.rdbms.expressions import (
@@ -59,12 +59,27 @@ def _outcome(fn):
         return (_RAISED, str(exc))
 
 
+# The rows that have exactly these keys: names proven against them read
+# ``row[key]`` directly, every other name keeps the searching lookup.
+_PROVEN = {"id", "name", "price", "qty"}
+_PROVEN_ROWS = [row for row in ROWS if set(row) == _PROVEN]
+
+
+def _prove(name):
+    return name if name in _PROVEN else None
+
+
 def assert_equivalent(expression, params=(), rows=ROWS):
     walker = bind_parameters(expression, params)
-    run = compiled(expression)
+    run = compile_expression(expression)
     for row in rows:
         tree = _outcome(lambda: walker.evaluate(row))
         fast = _outcome(lambda: run(row, params))
+        assert fast == tree, (expression, row, params, tree, fast)
+    proven = compile_expression(expression, _prove)
+    for row in _PROVEN_ROWS:
+        tree = _outcome(lambda: walker.evaluate(row))
+        fast = _outcome(lambda: proven(row, params))
         assert fast == tree, (expression, row, params, tree, fast)
 
 
@@ -186,7 +201,7 @@ def test_column_resolution_matches_tree_walker(name):
 
 
 def test_parameter_environment_binding():
-    run = compiled(Comparison(Parameter(0), "=", Parameter(1)))
+    run = compile_expression(Comparison(Parameter(0), "=", Parameter(1)))
     assert run(EMPTY_ROW, (7, 7)) is True
     assert run(EMPTY_ROW, (7, 8)) is False
     # Same compiled closure, new params: no recompilation or tree rewrite.
@@ -194,18 +209,38 @@ def test_parameter_environment_binding():
 
 
 # ---------------------------------------------------------------------------
-# Memoization contracts and the unknown-node fallback
+# Proven columns and the unknown-node fallback
 # ---------------------------------------------------------------------------
 
 
-def test_compiled_is_memoized_per_object():
-    expr = Comparison(ColumnRef("id"), "=", Literal(1))
-    assert compiled(expr) is compiled(expr)
+def test_resolves_needs_every_column_proven():
+    proven = Comparison(ColumnRef("id"), "=", Parameter(0))
+    assert resolves(proven, _prove)
+    assert resolves(And((proven, Like(ColumnRef("name"), Literal("a%")))), _prove)
+    assert resolves(Comparison(Literal(1), "=", Literal(1)), _prove)  # no columns
+    unproven = Comparison(ColumnRef("t.id"), "=", Parameter(0))
+    assert not resolves(unproven, _prove)
+    assert not resolves(Or((proven, Not(unproven))), _prove)
+    assert not resolves(InList(ColumnRef("id"), (Literal(1), ColumnRef("nope"))), _prove)
 
 
-def test_column_lookup_is_shared_across_statements():
-    assert column_lookup("list_price") is column_lookup("list_price")
-    assert compile_expression(ColumnRef("list_price")) is column_lookup("list_price")
+def test_resolves_never_proves_an_unknown_node():
+    class Opaque(Expression):
+        def evaluate(self, row):
+            return row["id"]
+
+    assert not resolves(Opaque(), _prove)
+    assert not resolves(And((Opaque(),)), _prove)
+
+
+def test_proven_column_compare_is_one_closure_over_the_row_key():
+    run = compile_expression(Comparison(ColumnRef("x.id"), ">", Parameter(0)), {"x.id": "id"}.get)
+    assert run({"id": 3}, (2,)) is True
+    assert run({"id": 3}, (3,)) is False
+    assert run({"id": None}, (3,)) is False and run({"id": 3}, (None,)) is False
+    # The searching lookup is what an unproven name still gets.
+    searching = compile_expression(ColumnRef("x.id"), lambda name: None)
+    assert searching({"x.id": 9}, ()) == column_lookup("x.id")({"x.id": 9}, ()) == 9
 
 
 def test_unknown_node_falls_back_to_tree_walker():

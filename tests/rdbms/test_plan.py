@@ -289,27 +289,41 @@ def test_lru_cache_get_refreshes_recency():
     assert cache.get("a") == 1 and cache.get("c") == 3
 
 
-def test_executor_plan_cache_admits_after_statement_churn(db):
+def test_prepared_statement_cache_admits_after_statement_churn(db):
     """Regression: the old module-global caches stopped admitting at 4096
     entries, so statement churn silently disabled plan caching forever."""
-    executor = db.executor
-    capacity = executor._scan_plans.capacity
+    prepared = db._prepared
+    capacity = prepared.capacity
     # Simulate heavy churn: saturate the cache with dead entries.
     for i in range(capacity + 50):
-        executor._scan_plans.put(("churn", i), None)
-    assert len(executor._scan_plans) == capacity
-    result = db.execute("SELECT id FROM items WHERE category = ?", (2,))
+        prepared.put(("churn", i), None)
+    assert len(prepared) == capacity
+    sql = "SELECT id FROM items WHERE category = ?"
+    result = db.execute(sql, (2,))
     assert result.used_index == "items.category"  # fresh plan was admitted
-    assert len(executor._scan_plans) == capacity  # evicted, not overflowed
+    assert len(prepared) == capacity  # evicted, not overflowed
     # And the new plan is actually cached: a second execution reuses it.
-    result2 = db.execute("SELECT id FROM items WHERE category = ?", (3,))
+    entry = prepared.peek(sql)
+    result2 = db.execute(sql, (3,))
     assert result2.used_index == "items.category"
+    assert prepared.peek(sql) is entry is db.prepare(sql)
 
 
-def test_executor_caches_are_per_instance(db):
+def test_prepared_statements_are_per_database(db):
     other = Database("other")
     other.create_table(
         TableSchema("t", [Column("id", INTEGER)], primary_key="id")
     )
-    assert db.executor._scan_plans is not other.executor._scan_plans
-    assert db.executor._select_plans is not other.executor._select_plans
+    assert db._prepared is not other._prepared
+    sql = "SELECT * FROM items WHERE id = ?"
+    db.execute(sql, (1,))
+    assert sql in db._prepared and sql not in other._prepared
+
+
+def test_create_table_drops_prepared_statements(db):
+    sql = "SELECT * FROM items WHERE id = ?"
+    before = db.prepare(sql)
+    db.create_table(TableSchema("extra", [Column("id", INTEGER)], primary_key="id"))
+    assert len(db._prepared) == 0
+    assert db.prepare(sql) is not before
+    assert db.execute(sql, (1,)).rows == before.run((1,)).rows

@@ -206,6 +206,26 @@ def test_parse_cached_returns_same_ast():
     assert first is second
 
 
+def test_parse_cache_keeps_admitting_past_its_capacity(monkeypatch):
+    """Regression: the cache was a dict that stopped admitting at 4,096
+    texts, so a long process silently re-parsed every later statement."""
+    from repro.rdbms import sql
+    from repro.rdbms.lru import LruCache
+
+    cache = LruCache(4096)
+    monkeypatch.setattr(sql, "_PARSE_CACHE", cache)  # leave the process's own alone
+    texts = [f"SELECT * FROM t WHERE id = {number}" for number in range(4097)]
+    first = [parse_cached(text) for text in texts[:4096]]
+    assert len(cache) == 4096
+    newest = parse_cached(texts[4096])  # the 4,097th distinct text ...
+    assert parse_cached(texts[4096]) is newest  # ... is cached,
+    assert len(cache) == 4096
+    assert texts[0] not in cache  # the coldest one made room
+    reparsed = parse_cached(texts[0])
+    assert reparsed == first[0] and reparsed is not first[0]
+    assert parse_cached(texts[4095]) is first[4095]  # a warm one survived
+
+
 def test_float_literals():
     statement = parse("SELECT * FROM t WHERE price >= 10.5")
     assert statement.where.right == Literal(10.5)

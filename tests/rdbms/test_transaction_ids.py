@@ -6,11 +6,13 @@ had already run in the worker process — harmless for the golden tables
 but a landmine for any artifact that ever prints an id, and a real
 divergence between ``--jobs 1`` and ``--jobs N`` (workers recycle
 processes at different cell boundaries).  Each ``Database`` now owns its
-own counter.
+own counter — and each ``DatabaseServer`` numbers its own sessions, which
+came from a module-level counter of the same kind.
 """
 
 from repro.rdbms.engine import Database
 from repro.rdbms.schema import Column, TableSchema
+from repro.rdbms.server import DatabaseServer
 from repro.rdbms.transactions import Transaction
 from repro.rdbms.types import INTEGER
 
@@ -60,3 +62,11 @@ def test_rerunning_the_same_work_yields_the_same_ids():
 def test_explicit_id_overrides_the_counter():
     txn = Transaction({}, id=99)
     assert txn.id == 99
+
+
+def test_two_servers_both_number_their_sessions_from_one(env, network):
+    first = DatabaseServer(env, network.node("c"), _db("a"))
+    assert [first.open_session().id for _ in range(3)] == [1, 2, 3]
+    second = DatabaseServer(env, network.node("c"), _db("b"))
+    assert second.open_session().id == 1  # the old global counter would say 4
+    assert first.open_session().id == 4
