@@ -3,8 +3,7 @@
 A short sweep (20 simulated seconds, two configurations) run both
 serially and through the worker pool: asserts the rendered table is
 byte-identical, and reports both wall times.  Fast enough for the CI
-smoke job; the full-fidelity speedup measurement lives in
-``bench_parallel_runner.py`` (writes ``BENCH_parallel_runner.json``).
+smoke job.
 """
 
 from __future__ import annotations

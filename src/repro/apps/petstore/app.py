@@ -4,8 +4,8 @@
 paper ran it at that configuration level — V1 (direct-JDBC) catalog
 servlets in the centralized baseline, V2 (façade) servlets afterwards.
 Read-mostly and query-cache extended descriptors are always declared;
-:func:`repro.core.automation.configure_for_level` activates them per
-level.
+:func:`repro.core.automation.apply_policy` activates them per placement
+policy.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ or, with an explicit placement policy::
     system = distribute(env, testbed, application, policy, db)
 """
 
-from .automation import AutomationReport, apply_policy, configure_for_level
+from .automation import AutomationReport, apply_policy
 from .distribution import DeployedSystem, distribute
 from .mutable import MutableServiceManager, RedeploymentAction
 from .patterns import PATTERN_CATALOG, PatternInfo, PatternLevel, level_name
@@ -36,7 +36,6 @@ from .usage import (
 __all__ = [
     "AutomationReport",
     "apply_policy",
-    "configure_for_level",
     "DeployedSystem",
     "distribute",
     "ComponentPolicy",

@@ -19,14 +19,12 @@ of those declarations are active and how updates propagate, it
   additional auxiliary components".
 
 Application code never references these auxiliaries explicitly.
-:func:`configure_for_level` survives as a thin compatibility wrapper
-that compiles the canned policy for a pattern level and applies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Union
+from typing import Dict
 
 from ..middleware.descriptors import (
     ApplicationDescriptor,
@@ -39,10 +37,9 @@ from ..middleware.updates import (
     update_subscriber_descriptor,
     updater_facade_descriptor,
 )
-from .patterns import PatternLevel
-from .policy import PlacementPolicy, level_policy
+from .policy import PlacementPolicy
 
-__all__ = ["apply_policy", "configure_for_level", "AutomationReport"]
+__all__ = ["apply_policy", "AutomationReport"]
 
 
 class AutomationReport:
@@ -124,11 +121,3 @@ def apply_policy(
 
     application.validate()
     return report
-
-
-def configure_for_level(
-    application: ApplicationDescriptor, level: Union[PatternLevel, int]
-) -> AutomationReport:
-    """Compatibility wrapper: compile the canned policy for ``level`` and
-    apply it (the pre-policy-layer entry point)."""
-    return apply_policy(application, level_policy(PatternLevel(level), application))

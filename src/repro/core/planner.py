@@ -8,9 +8,6 @@ configurations arrive here as canned policies compiled by
 arrives exactly the same way, so the planner has no notion of "levels"
 beyond the metadata it copies into the plan for table labels.
 
-For backward compatibility a bare :class:`PatternLevel` (or int) is
-still accepted and compiled on the fly.
-
 A façade plus its co-located domain entities is the paper's "unit of
 distribution"; the plan realizes exactly that granularity.  The plan
 also records *entry servers* — the servers hosting the complete web
@@ -23,7 +20,7 @@ whereas the edge servers were not used at all", §4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..middleware.descriptors import ApplicationDescriptor, ComponentKind
 from .patterns import PatternLevel
@@ -31,7 +28,6 @@ from .policy import (
     ComponentPolicy,
     PlacementPolicy,
     PolicyError,
-    level_policy,
     resolve_selectors,
 )
 
@@ -122,16 +118,13 @@ def plan_deployment(
     application: ApplicationDescriptor,
     main: str,
     edges: List[str],
-    policy: Union[PlacementPolicy, PatternLevel, int],
+    policy: PlacementPolicy,
 ) -> DeploymentPlan:
     """Resolve ``policy`` onto the (main, edges) topology.
 
     Call *after* :func:`repro.core.automation.apply_policy`, so extended
-    descriptors already reflect the policy.  Passing a
-    :class:`PatternLevel` compiles the matching canned policy first.
+    descriptors already reflect the policy.
     """
-    if not isinstance(policy, PlacementPolicy):
-        policy = level_policy(PatternLevel(policy), application)
     try:
         policy.validate_against(application)
     except PolicyError as exc:

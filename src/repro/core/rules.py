@@ -117,21 +117,15 @@ class DesignRuleChecker:
         spans = spans if spans is not None else self.system.spans
         report = RuleReport(level=self.system.level)
         plan = self.system.plan
-        policy = self.system.policy or plan.policy
         self._check_r1(report, trace)
         if _web_tier_distributed(plan):
             self._check_r2(report, trace, spans)
             self._check_r3(report)
         if plan.replicas:
             self._check_r4(report)
-        asynchronous = (
-            policy.async_updates
-            if policy is not None
-            else self.system.level >= PatternLevel.ASYNC_UPDATES
-        )
-        if asynchronous:
+        if self.system.policy.async_updates:
             self._check_r5(report)
-        if getattr(self.system, "cluster", None) is not None:
+        if self.system.cluster is not None:
             self._check_r6(report)
         if plan.method_caches:
             self._check_r7(report)

@@ -2,12 +2,12 @@
 
 from . import calibration
 from .figures import FigureData, build_figure, figure_to_csv, render_figure
-from .parallel import CellResult, default_jobs, run_cells
+from .parallel import default_jobs, run_cells
 from .progress import ProgressReporter
 from .runner import (
     APPS,
     AppSpec,
-    ExperimentResult,
+    CellResult,
     RunSpec,
     run_configuration,
     run_series,
@@ -22,7 +22,6 @@ __all__ = [
     "figure_to_csv",
     "APPS",
     "AppSpec",
-    "ExperimentResult",
     "RunSpec",
     "run_configuration",
     "run_series",

@@ -554,10 +554,11 @@ def main(argv=None) -> int:
 
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
     duration_ms, warmup_ms = args.duration * 1000.0, args.warmup * 1000.0
-    openloop = None
+    workload = openloop = None
     try:
-        workload = default_workload(duration_ms, warmup_ms)
-        if args.workload == "open":
+        if args.workload == "closed":
+            workload = default_workload(duration_ms, warmup_ms)
+        else:
             openloop = OpenLoopConfig(
                 arrival=args.arrival,
                 scenario=args.scenario,

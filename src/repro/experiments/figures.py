@@ -8,17 +8,12 @@ that group's sessions, across the five configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from ..core.patterns import PatternLevel, level_name
-from .parallel import CellResult
-from .runner import APPS, ExperimentResult
+from .runner import APPS, CellResult
 
 __all__ = ["FigureData", "build_figure", "render_figure"]
-
-# Accepts the serial runner's live results or the parallel runner's
-# reconstructed-from-state results interchangeably.
-SeriesResult = Union[ExperimentResult, CellResult]
 
 PAPER_FIGURES = {
     "petstore": (7, "Java Pet Store session average response times"),
@@ -47,7 +42,7 @@ class FigureData:
         return sorted({level for (_g, level) in self.series})
 
 
-def build_figure(results: Dict[PatternLevel, SeriesResult]) -> FigureData:
+def build_figure(results: Dict[PatternLevel, CellResult]) -> FigureData:
     """Assemble Figure 7/8 data from a five-configuration series."""
     any_result = next(iter(results.values()))
     spec = APPS[any_result.app]
@@ -59,9 +54,8 @@ def build_figure(results: Dict[PatternLevel, SeriesResult]) -> FigureData:
     ]
     figure = FigureData(app=any_result.app, groups=groups)
     for level, result in results.items():
-        label = getattr(result, "label", None)
-        if label:
-            figure.labels[PatternLevel(level)] = label
+        if result.label:
+            figure.labels[PatternLevel(level)] = result.label
         for group in groups:
             figure.series[(group, PatternLevel(level))] = result.session_mean(group)
     return figure

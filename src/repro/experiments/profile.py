@@ -45,9 +45,8 @@ _REPRO_MARKER = "/repro/"
 def warn_forced_serial(requested_jobs: Any, stream: TextIO) -> None:
     """Explain on ``stream`` why profiling downgraded ``jobs`` to 1.
 
-    Shared by :func:`~repro.experiments.runner.run_series` and
-    :func:`~repro.experiments.parallel.run_cells` (which the CLI calls) so
-    the message is identical wherever the downgrade happens.
+    Called by :func:`~repro.experiments.parallel.run_cells`, through
+    which every sweep (``run_series``, the CLI) goes.
     """
     print(
         f"[profile] cProfile cannot follow worker processes; "

@@ -2,17 +2,18 @@
 
 ``run_configuration`` stands up the full testbed — network, database,
 application servers, client population — runs it for the configured
-simulated duration, and returns the response-time monitor plus the
-deployed system for inspection.  ``run_series`` sweeps all five pattern
-levels, which is exactly the data behind Tables 6/7 and Figures 7/8.
-:class:`RunSpec` is the one declaration of how a cell is run.
+simulated duration, and returns a :class:`CellResult`: the picklable
+outcome plus, in this process only, the live deployment for inspection.
+``run_series`` sweeps all five pattern levels, which is exactly the data
+behind Tables 6/7 and Figures 7/8.  :class:`RunSpec` is the one
+declaration of how a cell is run, :class:`CellResult` the one result.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from ..apps import petstore, rubis
@@ -26,7 +27,7 @@ from ..obs.metrics import MetricsRegistry, collect_cache_stats, collect_system_m
 from ..obs.spans import SpanRecorder
 from ..obs.timeseries import TimeSeriesRecorder
 from ..simnet.kernel import Environment
-from ..simnet.monitor import ResponseTimeMonitor, Trace
+from ..simnet.monitor import ResponseTimeMonitor, Trace, TraceSummary
 from ..simnet.topology import TestbedConfig, TopologyOverrides, build_testbed
 from ..core.usage import WeightedPattern
 from ..workload.generator import LoadGenerator, WorkloadConfig
@@ -36,7 +37,7 @@ from . import calibration
 __all__ = [
     "AppSpec",
     "APPS",
-    "ExperimentResult",
+    "CellResult",
     "RunSpec",
     "run_configuration",
     "run_series",
@@ -106,40 +107,80 @@ APPS: Dict[str, AppSpec] = {
 }
 
 
+# What a result holds only in the process that ran the cell: the live
+# simulation objects.  Pickling (and ``from_experiment``) drops them.
+IN_PROCESS_FIELDS = ("system", "generator", "trace", "spans", "metrics", "series", "fault_injector")
+
+
+def _in_process():
+    return field(default=None, repr=False, compare=False)
+
+
 @dataclass
-class ExperimentResult:
-    """Outcome of one configuration run."""
+class CellResult:
+    """Outcome of one (application, configuration) cell.
+
+    The compared fields are plain data — serialized monitor state and
+    canonical snapshots — so two results are ``==`` exactly when the
+    simulations agreed, whoever ran them.  Host timings and the
+    in-process fields (:data:`IN_PROCESS_FIELDS`) are excluded from
+    comparison; the latter are also dropped on pickling, which is how a
+    result crosses the worker pool.
+    """
 
     app: str
     level: PatternLevel
-    monitor: ResponseTimeMonitor
-    system: DeployedSystem
-    # LoadGenerator (closed loop) or OpenLoopGenerator (open loop); both
-    # expose the reporting surface the tables and artifacts consume.
-    generator: object
-    wall_seconds: float
-    # CPU seconds over the same region as ``wall_seconds``; benchmarks
-    # gate on this because it is immune to scheduler-preemption noise on
+    monitor_state: dict
+    total_requests: int
+    # Host seconds around ``generator.run(env)``.  Benchmarks gate on the
+    # CPU figure because it is immune to scheduler-preemption noise on
     # busy hosts (a big effect on 1-CPU CI runners).
-    cpu_seconds: float = 0.0
-    trace: Optional[Trace] = None
-    spans: Optional[SpanRecorder] = None
-    metrics: Optional[MetricsRegistry] = None
-    # Windowed telemetry (None unless an obs interval was requested).
-    series: Optional[TimeSeriesRecorder] = None
-    # Query-cache and replica counters, collected before the system is
-    # dropped — previously this evidence died with the run.
+    wall_seconds: float = field(default=0.0, compare=False)
+    cpu_seconds: float = field(default=0.0, compare=False)
+    # Trace digest with resilience counters folded in (None without trace).
+    trace_summary: Optional[TraceSummary] = None
+    # Observability snapshots (plain dicts, canonical key order): the
+    # span table, the metrics registry, the windowed telemetry, and the
+    # query-cache/replica counters.
+    spans_state: Optional[dict] = None
+    metrics_state: Optional[dict] = None
+    series_state: Optional[dict] = None
     cache_stats: Optional[dict] = None
-    # Canonical resilience snapshot (all-zero in fault-free runs) and the
-    # injector that produced it (None when no schedule was installed).
+    # Canonical resilience snapshot (all-zero in fault-free runs).
     resilience: Optional[dict] = None
-    fault_injector: Optional[FaultInjector] = None
     # Row label for tables/figures (a custom policy's name; None for the
     # canned configurations, which label themselves by level).
     label: Optional[str] = None
     # Effective topology of the run (edge count, WAN latency, client
     # groups) for results/metrics artifacts.
     topology: Optional[dict] = None
+    system: Optional[DeployedSystem] = _in_process()
+    # LoadGenerator (closed loop) or OpenLoopGenerator (open loop).
+    generator: object = _in_process()
+    trace: Optional[Trace] = _in_process()
+    spans: Optional[SpanRecorder] = _in_process()
+    metrics: Optional[MetricsRegistry] = _in_process()
+    series: Optional[TimeSeriesRecorder] = _in_process()
+    # None when no fault schedule was installed.
+    fault_injector: Optional[FaultInjector] = _in_process()
+    _monitor: Optional[ResponseTimeMonitor] = _in_process()
+
+    @classmethod
+    def from_experiment(cls, result: "CellResult") -> "CellResult":
+        """``result`` without its in-process fields: what a sweep keeps of
+        a cell, so ten live deployments do not pile up in memory."""
+        return replace(result, **dict.fromkeys(IN_PROCESS_FIELDS))
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, **dict.fromkeys(IN_PROCESS_FIELDS)}
+
+    @property
+    def monitor(self) -> ResponseTimeMonitor:
+        """The response-time monitor (rebuilt from ``monitor_state`` when
+        the result was assembled from state alone)."""
+        if self._monitor is None:
+            self._monitor = ResponseTimeMonitor.from_state(self.monitor_state)
+        return self._monitor
 
     def mean(self, group: str, page: str) -> float:
         return self.monitor.mean(group, page)
@@ -150,43 +191,29 @@ class ExperimentResult:
     def groups(self) -> List[str]:
         return self.monitor.groups()
 
-    @property
-    def spans_state(self) -> Optional[dict]:
-        """Picklable span-table snapshot (None when tracing was off)."""
-        return self.spans.to_state() if self.spans is not None else None
 
-    @property
-    def metrics_state(self) -> Optional[dict]:
-        """Picklable metrics snapshot (None when metrics were off)."""
-        return self.metrics.to_state() if self.metrics is not None else None
-
-    @property
-    def series_state(self) -> Optional[dict]:
-        """Picklable time-series snapshot (None when telemetry was off)."""
-        return self.series.to_state() if self.series is not None else None
-
-    @property
-    def trace_summary(self):
-        """Trace digest with resilience counters folded in (None without trace)."""
-        if self.trace is None:
-            return None
-        snapshot = self.resilience or {}
+def _trace_summary(
+    trace: Optional[Trace], spans: Optional[SpanRecorder], resilience: dict
+) -> Optional[TraceSummary]:
+    """Trace digest with resilience and span-sampling counters folded in."""
+    if trace is None:
+        return None
+    summary = replace(
+        trace.summary(),
+        retries=resilience.get("rmi_retries", 0),
+        timeouts=resilience.get("rmi_timeouts", 0),
+        failovers=resilience.get("failovers", 0),
+        dropped_updates=resilience.get("dropped_updates", 0),
+        dropped_sessions=resilience.get("dropped_sessions", 0),
+    )
+    if spans is not None and spans.sample_rate < 1.0:
         summary = replace(
-            self.trace.summary(),
-            retries=snapshot.get("rmi_retries", 0),
-            timeouts=snapshot.get("rmi_timeouts", 0),
-            failovers=snapshot.get("failovers", 0),
-            dropped_updates=snapshot.get("dropped_updates", 0),
-            dropped_sessions=snapshot.get("dropped_sessions", 0),
+            summary,
+            span_sample_rate=spans.sample_rate,
+            spans_sampled=spans.sampled_requests,
+            spans_skipped=spans.skipped_requests,
         )
-        if self.spans is not None and self.spans.sample_rate < 1.0:
-            summary = replace(
-                summary,
-                span_sample_rate=self.spans.sample_rate,
-                spans_sampled=self.spans.sampled_requests,
-                spans_skipped=self.spans.skipped_requests,
-            )
-        return summary
+    return summary
 
 
 def topology_dict(config: TestbedConfig) -> dict:
@@ -258,7 +285,7 @@ def run_configuration(
     *,
     browser_pattern: Optional[Callable] = None,
     **options,
-) -> ExperimentResult:
+) -> CellResult:
     """Run one (application, configuration) cell of the evaluation.
 
     ``spec`` (or its keyword form: any :class:`RunSpec` field as an
@@ -310,10 +337,7 @@ def run_configuration(
         # The raft heartbeat/election driver is horizon-bounded: the load
         # generators run the kernel to exhaustion, so an open-ended
         # driver would never let the simulation drain.
-        horizon_ms = (
-            openloop.duration_ms if openloop is not None else workload.duration_ms
-        )
-        system.cluster.start(horizon_ms)
+        system.cluster.start((openloop or workload).duration_ms)
     if spec.warm_replicas:
         system.warm_replicas()
         if app_spec.warm_queries is not None:
@@ -321,28 +345,20 @@ def run_configuration(
     injector = None
     if spec.faults is not None and not spec.faults.empty:
         injector = FaultInjector(spec.faults, streams).install(env, system)
-    browser_factory = browser_pattern or app_spec.browser_pattern
-    if openloop is not None:
-        browser = browser_factory(catalog)
-        if isinstance(browser, WeightedPattern):
-            browser = TransitionMatrixPattern(browser)
-        generator = OpenLoopGenerator(
-            system,
-            streams,
-            browser,
-            app_spec.writer_pattern(catalog),
-            config=openloop,
-            writer_group_name=app_spec.writer_group,
-        )
-    else:
-        generator = LoadGenerator(
-            system,
-            streams,
-            browser_factory(catalog),
-            app_spec.writer_pattern(catalog),
-            config=workload,
-            writer_group_name=app_spec.writer_group,
-        )
+    # One constructor shape for both arrival policies; the open loop walks
+    # the browse mix as a Markov chain.
+    browser = (browser_pattern or app_spec.browser_pattern)(catalog)
+    if openloop is not None and isinstance(browser, WeightedPattern):
+        browser = TransitionMatrixPattern(browser)
+    generator_class = LoadGenerator if openloop is None else OpenLoopGenerator
+    generator = generator_class(
+        system,
+        streams,
+        browser,
+        app_spec.writer_pattern(catalog),
+        config=openloop or workload,
+        writer_group_name=app_spec.writer_group,
+    )
     series = None
     if spec.obs_interval_ms is not None:
         series = TimeSeriesRecorder(interval_ms=spec.obs_interval_ms)
@@ -360,43 +376,50 @@ def run_configuration(
     resilience = collect_resilience(system, generator=generator)
     if metrics is not None:
         collect_system_metrics(metrics, system, generator=generator)
-    return ExperimentResult(
+    return CellResult(
         app=app,
         level=level,
-        monitor=monitor,
-        system=system,
-        generator=generator,
+        monitor_state=monitor.to_state(),
+        total_requests=generator.total_requests(),
         wall_seconds=wall,
         cpu_seconds=cpu,
+        trace_summary=_trace_summary(trace, spans, resilience),
+        spans_state=spans.to_state() if spans is not None else None,
+        metrics_state=metrics.to_state() if metrics is not None else None,
+        series_state=series.to_state() if series is not None else None,
+        cache_stats=collect_cache_stats(system),
+        resilience=resilience,
+        label=policy.name if policy is not None else None,
+        topology=topology_dict(config),
+        system=system,
+        generator=generator,
         trace=trace,
         spans=spans,
         metrics=metrics,
         series=series,
-        cache_stats=collect_cache_stats(system),
-        resilience=resilience,
         fault_injector=injector,
-        label=policy.name if policy is not None else None,
-        topology=topology_dict(config),
+        _monitor=monitor,
     )
 
 
 def run_cell(
     app: str, level: PatternLevel, spec: RunSpec, profile: bool = False
-) -> ExperimentResult:
-    """One cell of a sweep, optionally under cProfile.
+) -> CellResult:
+    """One cell of a sweep, optionally under cProfile (the worker entry).
 
-    ``profile=True`` dumps the top-25 cumulative entries plus a
-    per-subsystem attribution to stderr (see
-    :mod:`repro.experiments.profile`).  Results are unchanged — the
-    profiler only costs wall-clock time.
+    Returns the result without its in-process fields.  ``profile=True``
+    dumps the top-25 cumulative entries plus a per-subsystem attribution
+    to stderr (see :mod:`repro.experiments.profile`).  Results are
+    unchanged — the profiler only costs wall-clock time.
     """
-    if not profile:
-        return run_configuration(app, level, spec)
-    from .profile import dump_cell_profile, profile_call
+    if profile:
+        from .profile import dump_cell_profile, profile_call
 
-    result, stats = profile_call(run_configuration, app, level, spec)
-    dump_cell_profile(f"{app} L{int(level)}", stats, sys.stderr)
-    return result
+        result, stats = profile_call(run_configuration, app, level, spec)
+        dump_cell_profile(f"{app} L{int(level)}", stats, sys.stderr)
+    else:
+        result = run_configuration(app, level, spec)
+    return CellResult.from_experiment(result)
 
 
 def run_series(
@@ -408,42 +431,23 @@ def run_series(
     progress=None,
     profile: bool = False,
     **options,
-) -> Dict[PatternLevel, "ExperimentResult"]:
+) -> Dict[PatternLevel, CellResult]:
     """All five configurations of one application (Tables 6/7).
 
-    ``jobs`` selects the execution strategy: ``None`` or ``1`` runs the
-    cells serially in this process and returns full
-    :class:`ExperimentResult` objects (live system, generator, trace);
-    any other value hands the cells to
-    :func:`~repro.experiments.parallel.run_cells` and returns picklable
-    :class:`~repro.experiments.parallel.CellResult` objects instead.
-    Both forms feed ``build_table`` / ``build_figure`` and produce
-    byte-identical output for a given seed — cells are seeded
-    independently, so results do not depend on who ran them or in what
-    order they finished.
-
-    ``profile=True`` profiles each cell (see :func:`run_cell`).
-    Profiling is serial-only: ``jobs != 1`` is downgraded to serial with
-    a stderr warning (results are identical either way; only the wall
-    clock differs).
+    :func:`~repro.experiments.parallel.run_cells` over ``app``'s levels,
+    re-keyed by level — same ``jobs`` / ``progress`` / ``profile``
+    meaning, same results for any worker count.  The results carry no
+    live deployment; call :func:`run_configuration` for one.
     """
+    from .parallel import run_cells
+
     spec = replace(spec or RunSpec(), **options)
     levels = sweep_levels(spec.policy, levels)
-    if profile and jobs not in (None, 1):
-        from .profile import warn_forced_serial
-
-        warn_forced_serial(jobs, sys.stderr)
-        jobs = 1
-    if jobs not in (None, 1):
-        from .parallel import run_cells
-
-        cells = run_cells(
-            [(app, level) for level in levels], spec, jobs=jobs, progress=progress
-        )
-        return {level: cells[(app, level)] for level in levels}
-    results: Dict[PatternLevel, ExperimentResult] = {}
-    for level in levels:
-        results[level] = run_cell(app, level, spec, profile)
-        if progress is not None:
-            progress.cell_done(app, level, results[level].wall_seconds)
-    return results
+    cells = run_cells(
+        [(app, level) for level in levels],
+        spec,
+        jobs=jobs,
+        progress=progress,
+        profile=profile,
+    )
+    return {level: cells[(app, level)] for level in levels}

@@ -10,17 +10,12 @@ and one Remote row per configuration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..core.patterns import PatternLevel, level_name
-from .parallel import CellResult
-from .runner import APPS, ExperimentResult
+from .runner import APPS, CellResult
 
 __all__ = ["TableCell", "ResponseTimeTable", "build_table", "render_table"]
-
-# Either execution path feeds the table builder: live results from the
-# serial runner or reconstructed-from-state results from worker processes.
-SeriesResult = Union[ExperimentResult, CellResult]
 
 PAPER_TABLES = {
     # (table number, paper caption) per application.
@@ -61,7 +56,7 @@ class ResponseTimeTable:
         return sorted({level for (level, _loc, _page) in self.cells})
 
 
-def _merge_page_means(result: SeriesResult, locality: str, page: str) -> TableCell:
+def _merge_page_means(result: CellResult, locality: str, page: str) -> TableCell:
     """Combine the browser and writer observations of one page."""
     total = 0.0
     count = 0
@@ -74,7 +69,7 @@ def _merge_page_means(result: SeriesResult, locality: str, page: str) -> TableCe
     return TableCell(mean=(total / count if count else float("nan")), count=count)
 
 
-def build_table(results: Dict[PatternLevel, SeriesResult]) -> ResponseTimeTable:
+def build_table(results: Dict[PatternLevel, CellResult]) -> ResponseTimeTable:
     """Assemble the Table 6/7 grid from a five-configuration series."""
     any_result = next(iter(results.values()))
     spec = APPS[any_result.app]
@@ -86,9 +81,8 @@ def build_table(results: Dict[PatternLevel, SeriesResult]) -> ResponseTimeTable:
         app=any_result.app, pages=pages, writer_pages=list(spec.writer_pages)
     )
     for level, result in results.items():
-        label = getattr(result, "label", None)
-        if label:
-            table.labels[PatternLevel(level)] = label
+        if result.label:
+            table.labels[PatternLevel(level)] = result.label
         for locality in ("local", "remote"):
             for page in pages:
                 cell = _merge_page_means(result, locality, page)

@@ -48,7 +48,7 @@ class FaultInjector:
     def install(self, env: Environment, system) -> "FaultInjector":
         """Spawn the fault processes against ``system`` (idempotent per call)."""
         self._env = env
-        self._spans = getattr(system, "spans", None)
+        self._spans = system.spans
         network = system.testbed.network
         for index, fault in enumerate(self.schedule.partitions):
             link = network.link_between(fault.a, fault.b)
@@ -76,9 +76,8 @@ class FaultInjector:
                 # A crash naming no app server may target a data-tier
                 # seat ("db", or an edge hosting only replicas): resolve
                 # it to the cluster members seated there, if any.
-                cluster = getattr(system, "cluster", None)
-                if cluster is not None:
-                    server = cluster.seat_target(fault.server)
+                if system.cluster is not None:
+                    server = system.cluster.seat_target(fault.server)
             if server is None:
                 self.skipped += 1
                 continue

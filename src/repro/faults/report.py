@@ -1,8 +1,8 @@
 """The per-configuration availability/degradation report.
 
 ``collect_resilience`` condenses one finished run into a canonical plain
-dict (picklable, sorted keys) carried on ``ExperimentResult`` /
-``CellResult`` next to the monitor state; ``build_availability_table`` /
+dict (picklable, sorted keys) carried on ``CellResult`` next to the
+monitor state; ``build_availability_table`` /
 ``render_availability_table`` turn a five-configuration series of those
 dicts into the availability table printed alongside Tables 6–7 when a
 fault scenario is active.
@@ -40,29 +40,24 @@ def collect_resilience(system, generator=None) -> dict:
     }
     if generator is not None:
         data["requests"] = generator.total_requests()
-        clients = getattr(generator, "clients", None)
-        if clients is not None:
-            data["errors"] = sum(client.errors for client in clients)
-            data["failovers"] = sum(client.failovers for client in clients)
-        else:
-            # Open-loop generator: counters live on the generator itself,
-            # and dropped arrivals are a resilience fact of their own.
-            # The key is only present for open-loop runs, so closed-loop
-            # artifacts stay byte-identical.
-            data["errors"] = generator.errors
-            data["failovers"] = generator.failovers
+        data["errors"] = generator.errors
+        data["failovers"] = generator.failovers
+        if hasattr(generator, "admitted"):
+            # Open loop: dropped arrivals are a resilience fact of their
+            # own.  The key is only present for open-loop runs, so
+            # closed-loop artifacts stay byte-identical.
             data["dropped_sessions"] = generator.dropped_sessions
     if stats is not None:
         stats.finalize(system.env.now)
         data.update(stats.to_dict())
-    cluster = getattr(system, "cluster", None)
+    cluster = system.cluster
     if cluster is not None:
         # Only present for data-tier policies, so every artifact of a
         # single-instance run stays byte-identical to pre-cluster output.
         data["cluster"] = cluster.stats.to_dict()
     method_cache: dict = {}
-    for server_name in sorted(getattr(system, "servers", {})):
-        cache = getattr(system.servers[server_name], "method_cache", None)
+    for server_name in sorted(system.servers):
+        cache = system.servers[server_name].method_cache
         if cache is None:
             continue
         stats = cache.stats.as_dict()
@@ -103,11 +98,10 @@ def build_availability_table(app: str, series: Dict, scenario: str = "") -> Avai
         result = series[level]
         resilience = result.resilience or {}
         rows.append((PatternLevel(level), resilience))
-        label = getattr(result, "label", None)
-        if label:
-            labels[PatternLevel(level)] = label
+        if result.label:
+            labels[PatternLevel(level)] = result.label
         if topology is None:
-            topology = getattr(result, "topology", None)
+            topology = result.topology
     return AvailabilityTable(
         app=app, scenario=scenario, rows=tuple(rows), labels=labels, topology=topology
     )

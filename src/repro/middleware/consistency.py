@@ -279,9 +279,6 @@ class TransactionalMethodCache(ConsistencyInterceptor):
     def intercepts(self, component: str, method: str) -> bool:
         return (component, method) in self._methods
 
-    def registered_methods(self) -> List[Tuple[str, str]]:
-        return sorted(self._methods)
-
     def entry_count(self) -> int:
         return len(self._entries)
 

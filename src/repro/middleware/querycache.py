@@ -86,9 +86,6 @@ class QueryCacheManager:
     def descriptor(self, query_id: str) -> QueryCacheDescriptor:
         return self._descriptors[query_id]
 
-    def registered_queries(self) -> List[str]:
-        return sorted(self._descriptors)
-
     # -- read path -----------------------------------------------------------
     def get(
         self, ctx: InvocationContext, query_id: str, params: Tuple
@@ -152,11 +149,6 @@ class QueryCacheManager:
         self._install(query_id, tuple(params), [dict(row) for row in rows])
         self.stats[query_id].push_refreshes += 1
 
-    def cached_params(self, query_id: str) -> List[Tuple]:
-        """Parameter tuples currently cached for ``query_id``."""
-        cache = self._entries.get(query_id)
-        return [] if cache is None else list(cache.keys())
-
     def is_fresh(self, query_id: str, params: Tuple) -> bool:
         params = tuple(params)
         cache = self._entries.get(query_id)
@@ -165,7 +157,3 @@ class QueryCacheManager:
             and params in cache
             and params not in self._stale.get(query_id, set())
         )
-
-    def tables_of(self, query_id: str) -> Tuple[str, ...]:
-        """Tables the query's SQL reads (auto-derived at registration)."""
-        return self._tables.get(query_id, ())

@@ -309,12 +309,6 @@ class AppServer:
         self.home_cache.put(cache_key, ref)
         return ref
 
-    def lookup_for_update(
-        self, ctx: InvocationContext, name: str
-    ) -> Generator[Event, Any, ComponentRef]:
-        result = yield from self.lookup(ctx, name, for_update=True)
-        return result
-
     def lookup_at(
         self, ctx: InvocationContext, name: str, target: "AppServer"
     ) -> Generator[Event, Any, ComponentRef]:

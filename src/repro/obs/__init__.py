@@ -27,7 +27,7 @@ needs first-class causal instrumentation, not just a flat call log:
 """
 
 from .flame import collapse_spans, layer_self_times, merge_folded, render_folded
-from .metrics import MetricsRegistry, collect_cache_stats, collect_system_metrics, merge_cache_stats
+from .metrics import MetricsRegistry, collect_cache_stats, collect_system_metrics
 from .slo import evaluate_slo, load_slo, parse_objectives, render_slo_report
 from .spans import Span, SpanRecorder, SpanTree, client_path_wan_calls
 from .timeseries import HDR_BOUNDS, TimeSeriesRecorder
@@ -40,7 +40,6 @@ __all__ = [
     "MetricsRegistry",
     "collect_system_metrics",
     "collect_cache_stats",
-    "merge_cache_stats",
     "HDR_BOUNDS",
     "TimeSeriesRecorder",
     "evaluate_slo",

@@ -23,7 +23,7 @@ Two acquisition styles coexist:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -32,7 +32,6 @@ __all__ = [
     "MetricsRegistry",
     "collect_system_metrics",
     "collect_cache_stats",
-    "merge_cache_stats",
 ]
 
 Number = Union[int, float]
@@ -275,7 +274,7 @@ def collect_cache_stats(system) -> dict:
     method_cache: Dict[str, dict] = {}
     for server_name in sorted(system.servers):
         server = system.servers[server_name]
-        if getattr(server, "method_cache", None) is not None:
+        if server.method_cache is not None:
             method_cache[server_name] = server.method_cache.stats.as_dict()
         if server.query_cache is not None:
             query_cache[server_name] = {
@@ -301,29 +300,6 @@ def collect_cache_stats(system) -> dict:
     if method_cache:
         stats["method_cache"] = method_cache
     return stats
-
-
-def merge_cache_stats(*stats: Optional[dict]) -> dict:
-    """Sum cache-stat dicts leaf-wise (missing branches are zeros)."""
-    merged: dict = {"query_cache": {}, "replicas": {}}
-    for item in stats:
-        if not item:
-            continue
-        for section in ("query_cache", "replicas"):
-            for server, per_key in item.get(section, {}).items():
-                into_server = merged[section].setdefault(server, {})
-                for key, counters in per_key.items():
-                    into = into_server.setdefault(key, {})
-                    for counter, value in counters.items():
-                        into[counter] = into.get(counter, 0) + value
-        # Method-cache stats are one flat dict per server (the cache is
-        # per-container-chain, not per-query); the merged dict only grows
-        # the section when some input carried it.
-        for server, counters in item.get("method_cache", {}).items():
-            into = merged.setdefault("method_cache", {}).setdefault(server, {})
-            for counter, value in counters.items():
-                into[counter] = into.get(counter, 0) + value
-    return merged
 
 
 def collect_system_metrics(registry: MetricsRegistry, system, generator=None) -> MetricsRegistry:
@@ -397,37 +373,30 @@ def collect_system_metrics(registry: MetricsRegistry, system, generator=None) ->
 
     if generator is not None:
         registry.counter("workload.requests").inc(generator.total_requests())
-        clients = getattr(generator, "clients", None)
-        if clients is not None:
-            registry.counter("workload.errors").inc(
-                sum(client.errors for client in clients)
-            )
-            registry.counter("workload.failovers").inc(
-                sum(client.failovers for client in clients)
-            )
-            registry.counter("workload.think_time_ms").inc(
-                sum(client.think_ms for client in clients)
-            )
-        else:
+        registry.counter("workload.errors").inc(generator.errors)
+        # Why visits were lost; only non-zero kinds, so the snapshot of a
+        # run that loses none is byte-identical with earlier releases.
+        for kind, count in sorted(generator.error_kinds.items()):
+            registry.counter(f"workload.errors.{kind}").inc(count)
+        registry.counter("workload.failovers").inc(generator.failovers)
+        registry.counter("workload.think_time_ms").inc(generator.think_ms)
+        if hasattr(generator, "admitted"):
             # Open-loop generator: per-run session health.  These names
             # exist only for open-loop runs, so closed-loop metrics
             # snapshots stay byte-identical with earlier releases.
-            registry.counter("workload.errors").inc(generator.errors)
-            registry.counter("workload.failovers").inc(generator.failovers)
             registry.counter("workload.sessions_arrived").inc(generator.arrivals)
             registry.counter("workload.sessions_admitted").inc(generator.admitted)
             registry.counter("workload.sessions_completed").inc(generator.completions)
             registry.counter("workload.sessions_dropped").inc(
                 generator.dropped_sessions
             )
-            registry.counter("workload.think_time_ms").inc(generator.think_ms)
             registry.gauge("workload.sessions_active").set(float(generator.active))
             registry.gauge("workload.sessions_peak").set(float(generator.peak_active))
 
     # Resilience counters are emitted only when nonzero: a fault-free run
     # produces a metrics snapshot byte-identical to one taken before the
     # fault subsystem existed.
-    resilience = getattr(system, "resilience", None)
+    resilience = system.resilience
     if resilience is not None:
         resilience.finalize(system.env.now)
         snapshot = resilience.to_dict()
@@ -443,7 +412,7 @@ def collect_system_metrics(registry: MetricsRegistry, system, generator=None) ->
 
     # Data-tier cluster counters exist only under a data_tier policy, so
     # single-instance snapshots stay byte-identical with earlier releases.
-    cluster = getattr(system, "cluster", None)
+    cluster = system.cluster
     if cluster is not None:
         snapshot = cluster.stats.to_dict()
         staleness_ms = snapshot.pop("staleness_ms")

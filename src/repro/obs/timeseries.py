@@ -37,7 +37,7 @@ byte-identical for any ``--jobs N``.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Sequence, Tuple
 
 from ..simnet.kernel import Environment
 from .metrics import Histogram
@@ -334,7 +334,7 @@ class _Sampler:
         method_hits = method_misses = 0
         any_method_cache = False
         for server_name in sorted(system.servers):
-            cache = getattr(system.servers[server_name], "method_cache", None)
+            cache = system.servers[server_name].method_cache
             if cache is not None:
                 any_method_cache = True
                 method_hits += cache.stats.hits
@@ -345,7 +345,7 @@ class _Sampler:
 
         # Cluster counters appear only under a data_tier policy, so
         # single-instance series stay byte-identical with earlier runs.
-        cluster = getattr(system, "cluster", None)
+        cluster = system.cluster
         if cluster is not None:
             stats = cluster.stats
             current["cluster.elections_won"] = stats.elections_won
@@ -358,21 +358,16 @@ class _Sampler:
             current["cluster.catchup_entries"] = stats.catchup_entries
 
         generator = self.generator
-        clients = getattr(generator, "clients", None)
-        if clients is not None:
-            current["requests.sent"] = sum(c.requests_sent for c in clients)
-            current["requests.errors"] = sum(c.errors for c in clients)
-            current["requests.failovers"] = sum(c.failovers for c in clients)
-            current["think_ms"] = sum(c.think_ms for c in clients)
-        else:
-            current["requests.sent"] = generator.requests_sent
-            current["requests.errors"] = generator.errors
-            current["requests.failovers"] = generator.failovers
+        current["requests.sent"] = generator.requests_sent
+        current["requests.errors"] = generator.errors
+        current["requests.failovers"] = generator.failovers
+        current["think_ms"] = generator.think_ms
+        if hasattr(generator, "admitted"):
+            # Open-loop session accounting.
             current["sessions.arrivals"] = generator.arrivals
             current["sessions.admitted"] = generator.admitted
             current["sessions.dropped"] = generator.dropped_sessions
             current["sessions.completed"] = generator.completions
-            current["think_ms"] = generator.think_ms
         return current
 
     def _sample(self, env: Environment) -> None:
@@ -391,7 +386,7 @@ class _Sampler:
 
         gauges = window["gauges"]
         generator = self.generator
-        if getattr(generator, "clients", None) is None:
+        if hasattr(generator, "admitted"):
             gauges["sessions.active"] = generator.active
         jms = self.system.main.jms
         if jms is not None:

@@ -6,26 +6,26 @@ receiving response from the previous request, the client waits for only
 DELAY - response time.  So effectively DELAY becomes the time interval
 between sending requests, which allowed us to simulate steady client
 load independent of response times."
+
+A client is the closed-loop *arrival policy* of the one session driver
+(:mod:`.driver`): it supplies the sessions (back-to-back until
+``end_time``), the soft-delay think rule, and owns its counters; the
+request/failover loop itself lives in the driver.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+import math
+from typing import Dict, Generator, Iterator, List, Tuple
 
 from ..core.distribution import DeployedSystem
-from ..core.usage import UsagePattern
-from ..middleware.resilience import RETRYABLE_ERRORS, RmiTimeout
-from ..middleware.web import ServerUnavailable, WebRequest, http_get
+from ..core.usage import PageVisit, UsagePattern
 from ..simnet.kernel import Environment, Event
 from ..simnet.monitor import ResponseTimeMonitor
 from ..simnet.rng import Streams
+from .driver import drive_sessions
 
 __all__ = ["Client"]
-
-# Failures a browser reacts to by trying the other entry point: the
-# server refusing connections, an RMI call beneath the page timing out,
-# or the transport layer itself faulting mid-request.
-_REQUEST_FAULTS = (ServerUnavailable, RmiTimeout) + RETRYABLE_ERRORS
 
 
 class Client:
@@ -41,7 +41,7 @@ class Client:
         pattern: UsagePattern,
         think_time: float,
         start_offset: float = 0.0,
-        end_time: Optional[float] = None,
+        end_time: float = math.inf,
         client_id: int = 1,
     ):
         # Position in the owning LoadGenerator's population (1..N in
@@ -62,93 +62,39 @@ class Client:
         self.errors = 0
         self.failovers = 0
         self.think_ms = 0.0
+        # Lost visits by the class name of the exception that lost them.
+        self.error_kinds: Dict[str, int] = {}
         # Optional TimeSeriesRecorder, set by LoadGenerator.start().
         self.timeseries = None
 
-    def run(self, env: Environment) -> Generator[Event, None, None]:
-        """The client process: sessions back-to-back until ``end_time``."""
-        if self.start_offset > 0:
-            yield env.sleep(self.start_offset)
-        session_index = 0
-        while self.end_time is None or env.now < self.end_time:
-            session_id = f"c{self.id}-s{session_index}"
-            visits = self.pattern.session(self.streams, session_index)
-            session_index += 1
-            for visit in visits:
-                if self.end_time is not None and env.now >= self.end_time:
-                    return
-                request = WebRequest(
-                    page=visit.page,
-                    params=dict(visit.params),
-                    session_id=session_id,
-                    client_node=self.client_node,
-                )
-                started = env.now
-                # One page fetch with client-side failover: "client
-                # requests can utilize several entry points into the
-                # service" (§1) — when the local edge is down, fall back
-                # to the main server after the connect timeout.  Session
-                # state lives on the failed edge, so mid-session state is
-                # lost, but browse pages keep working.  (Inlined rather
-                # than a helper generator: one less frame per request and
-                # one less delegation hop for every resume beneath it.)
-                server = self.system.entry_server_for(self.client_node)
-                session_broken = False
-                try:
-                    yield from http_get(
-                        env, server, request, client_group=self.group
-                    )
-                    response_time = env.now - started
-                except _REQUEST_FAULTS:
-                    fallback = self.system.main
-                    if fallback is server or not fallback.available:
-                        response_time = None
-                    else:
-                        self.failovers += 1
-                        try:
-                            yield from http_get(
-                                env, fallback, request, client_group=self.group
-                            )
-                            response_time = env.now - started
-                        except _REQUEST_FAULTS:
-                            response_time = None
-                        except Exception:
-                            # The fallback answered with an application
-                            # error: conversational state (cart, bid
-                            # drafts) lived on the faulted edge, so the
-                            # replayed request is inconsistent there.
-                            response_time = None
-                            session_broken = True
-                except Exception:
-                    # The server itself answered with an application error
-                    # (a 500): under faults, earlier lost visits leave the
-                    # session's state inconsistent (e.g. committing a cart
-                    # whose additions never landed).  Never reached in
-                    # fault-free runs — every session is then consistent
-                    # by construction.
-                    response_time = None
-                    session_broken = True
-                if response_time is None:
-                    # Both entry points down, or the session is broken:
-                    # the visit is lost.
-                    self.errors += 1
-                    response_time = env.now - started
-                else:
-                    self.requests_sent += 1
-                    self.monitor.observe(
-                        env.now, self.group, visit.page, response_time
-                    )
-                    ts = self.timeseries
-                    if ts is not None:
-                        ts.observe_response(env.now, visit.page, response_time)
-                # Soft delay: the think time absorbs the response time.
-                remaining = self.think_time - response_time
-                if remaining > 0:
-                    self.think_ms += remaining
-                    yield env.sleep(remaining)
-                if session_broken:
-                    # The user gives up on this session and starts a new
-                    # one after the think time.
-                    break
-            self.sessions_completed += 1
+    def _sessions(self, env: Environment) -> Iterator[Tuple[str, List[PageVisit]]]:
+        """``c{id}-s{n}`` sessions back-to-back until ``end_time``.
 
+        A session is drawn when the driver asks for it and counted as
+        completed when the driver asks for the next; one cut short by
+        the deadline is closed mid-yield and never counted.
+        """
+        index = 0
+        while env.now < self.end_time:
+            yield f"c{self.id}-s{index}", self.pattern.session(self.streams, index)
+            self.sessions_completed += 1
+            index += 1
+
+    def _soft_delay(self, elapsed: float, last: bool, broken: bool) -> float:
+        """Soft delay: the think time absorbs the response time (of a
+        lost visit too), so a user who gives a broken session up starts
+        the next one think-time after the failed request was sent."""
+        return self.think_time - elapsed
+
+    def run(self, env: Environment) -> Generator[Event, None, None]:
+        """The client process: the session driver under the soft-delay policy."""
+        return drive_sessions(
+            env,
+            self,
+            self.client_node,
+            self.group,
+            self._sessions(env),
+            self._soft_delay,
+            self.end_time,
+            self.start_offset,
+        )

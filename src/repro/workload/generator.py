@@ -10,10 +10,16 @@ delays make the rate response-time independent), so a group of
 ``rate x think_time`` clients produces ``rate`` requests/second.
 Client start times are staggered across one think-time interval to
 avoid lockstep arrivals.
+
+The generator only builds and starts the population; what a client does
+is :func:`~repro.workload.driver.drive_sessions` under the closed-loop
+policy (:mod:`.client`).  Its reporting surface is the one
+:class:`~repro.workload.openloop.OpenLoopGenerator` has.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -48,6 +54,11 @@ class WorkloadConfig:
             raise ValueError("rate and think time must be positive")
         if self.duration_ms <= 0 or self.warmup_ms < 0:
             raise ValueError("duration must be positive and warmup non-negative")
+        if self.warmup_ms >= self.duration_ms:
+            # Clients stop sending at duration_ms, so nothing would be
+            # observed.  (The open loop differs: its sessions drain past
+            # duration_ms and are measured.)
+            raise ValueError("warmup must be shorter than duration")
 
 
 class LoadGenerator:
@@ -81,11 +92,18 @@ class LoadGenerator:
         return self.config.total_rate_per_s / groups
 
     def clients_per_group(self) -> Dict[str, int]:
-        """(browsers, writers) per group, from rate x think time."""
+        """(browsers, writers) per group, from rate x think time.
+
+        A side with a non-zero fraction gets at least one client; a
+        fraction of exactly 0 gets none, as in the open loop.
+        """
         per_group = self._group_rate() * self.config.think_time_ms / 1000.0
-        browsers = max(1, round(per_group * self.config.browser_fraction))
-        writers = max(1, round(per_group * (1.0 - self.config.browser_fraction)))
-        return {"browser": browsers, "writer": writers}
+
+        def count(fraction: float) -> int:
+            return max(1, round(per_group * fraction)) if fraction > 0 else 0
+
+        fraction = self.config.browser_fraction
+        return {"browser": count(fraction), "writer": count(1.0 - fraction)}
 
     # -- assembly -----------------------------------------------------------
     def build(self) -> List[Client]:
@@ -99,10 +117,12 @@ class LoadGenerator:
         for server_name in testbed.app_servers:
             locality = "local" if server_name == testbed.main_server else "remote"
             machines = testbed.clients_of(server_name)
-            specs = [("browser", self.browser_pattern, counts["browser"])]
-            specs.append((self.writer_group_name, self.writer_pattern, counts["writer"]))
+            specs = [
+                ("browser", self.browser_pattern, counts["browser"]),
+                (self.writer_group_name, self.writer_pattern, counts["writer"]),
+            ]
             for kind, pattern, count in specs:
-                group = f"{locality}-{kind if kind != 'writer' else self.writer_group_name}"
+                group = f"{locality}-{kind}"
                 for index in range(count):
                     machine = machines[index % len(machines)]
                     self.clients.append(
@@ -136,8 +156,34 @@ class LoadGenerator:
         return self.monitor
 
     # -- reporting ------------------------------------------------------------
-    def total_requests(self) -> int:
+    # The counter surface OpenLoopGenerator has, summed over the clients
+    # (who stay the counter owners).
+    @property
+    def requests_sent(self) -> int:
         return sum(client.requests_sent for client in self.clients)
+
+    @property
+    def errors(self) -> int:
+        return sum(client.errors for client in self.clients)
+
+    @property
+    def failovers(self) -> int:
+        return sum(client.failovers for client in self.clients)
+
+    @property
+    def think_ms(self) -> float:
+        return sum(client.think_ms for client in self.clients)
+
+    @property
+    def error_kinds(self) -> Dict[str, int]:
+        """Lost visits by exception class name, over all clients."""
+        kinds: Counter = Counter()
+        for client in self.clients:
+            kinds.update(client.error_kinds)
+        return dict(kinds)
+
+    def total_requests(self) -> int:
+        return self.requests_sent
 
     def achieved_rate_per_s(self) -> float:
         if not self.clients:

@@ -19,9 +19,15 @@ Sessions draw their page sequences from a first-order Markov walk
 each synthetic user follows its own path through the page graph instead
 of replaying a fixed-length weighted mix.
 
+Each admitted session is one kernel process whose body is the session
+driver (:mod:`.driver`) — the same request/failover loop the closed-loop
+clients run — handed this module's arrival policy: one ``o{n}`` session,
+the full (not soft) think time, and no deadline.
+
 Scale notes.  The engine is built to sustain 10^5-10^6 concurrent
-sessions on the two-tier simulation kernel: a session costs one
-generator frame plus its precomputed visit list while it sleeps, and a
+sessions on the two-tier simulation kernel: a session costs two
+generator frames (the driver's and its one-session iterator's) plus its
+precomputed visit list while it sleeps, and a
 sleeping session occupies exactly one calendar-queue slot (the bare
 float fast lane in :mod:`..simnet.kernel`).  For million-session runs
 the benchmark harness additionally calls :func:`gc.freeze` after the
@@ -43,15 +49,14 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..core.distribution import DeployedSystem
 from ..core.usage import PageVisit, PatternError, UsagePattern, WeightedPattern
-from ..middleware.web import WebRequest, http_get
 from ..simnet.kernel import Environment, Event
 from ..simnet.monitor import ResponseTimeMonitor
 from ..simnet.rng import Streams
-from .client import _REQUEST_FAULTS
+from .driver import drive_sessions
 
 __all__ = [
     "ARRIVALS",
@@ -231,9 +236,12 @@ class OpenLoopGenerator:
     """Spawns independent sessions from an arrival process.
 
     API-compatible with :class:`.generator.LoadGenerator` where the
-    experiment runner cares (``monitor``, ``start``, ``run``,
-    ``total_requests``, ``achieved_rate_per_s``), so the two are
-    interchangeable behind the ``--workload`` knob.
+    experiment runner and the obs layer care (``monitor``, ``start``,
+    ``run``, ``total_requests``, ``achieved_rate_per_s``, and the counter
+    surface ``requests_sent`` / ``errors`` / ``failovers`` / ``think_ms``
+    / ``error_kinds``), so the two are interchangeable behind the
+    ``--workload`` knob; the session counters (``arrivals``,
+    ``admitted``, ...) exist only here.
     """
 
     def __init__(
@@ -263,6 +271,9 @@ class OpenLoopGenerator:
         self.errors = 0
         self.failovers = 0
         self.think_ms = 0.0
+        #: Lost visits by the class name of the exception that lost them.
+        self.error_kinds: Dict[str, int] = {}
+        self._think_rng = streams.get("openloop-think")
         #: Optional :class:`~repro.obs.timeseries.TimeSeriesRecorder`;
         #: when set, every successful response is streamed into the
         #: current window as it happens (the one per-request telemetry
@@ -319,6 +330,7 @@ class OpenLoopGenerator:
         mean_gap = config.mean_gap_ms
         duration = config.duration_ms
         max_sessions = config.max_sessions
+        think = self._full_think  # one bound method for every session
         index = 0
         while True:
             gap = self._draw_gap(gap_rng, mean_gap)
@@ -345,87 +357,46 @@ class OpenLoopGenerator:
             group = f"{locality}-{kind}"
             self.admitted += 1
             env.process(
-                self._session(env, self.arrivals, machine, group, pattern),
+                drive_sessions(
+                    env,
+                    self,
+                    machine,
+                    group,
+                    self._one_session(self.arrivals, pattern),
+                    think,
+                    math.inf,
+                ),
                 name=f"open-session-{self.arrivals}",
             )
 
     # -- one session --------------------------------------------------------
-    def _session(
-        self,
-        env: Environment,
-        session_index: int,
-        machine: str,
-        group: str,
-        pattern: UsagePattern,
-    ) -> Generator[Event, None, None]:
+    def _one_session(
+        self, index: int, pattern: UsagePattern
+    ) -> Iterator[Tuple[str, List[PageVisit]]]:
+        """The single ``o{index}`` session of one arrival.
+
+        Active from the driver's first pull until it asks for a second
+        session (or drops the iterator), whichever way the session ends.
+        """
         self.active += 1
         if self.active > self.peak_active:
             self.peak_active = self.active
-        think_rng = self.streams.get("openloop-think")
-        mean_think = self.config.think_time_ms
-        session_id = f"o{session_index}"
         try:
-            visits = pattern.session(self.streams, session_index)
-            last = len(visits) - 1
-            for position, visit in enumerate(visits):
-                request = WebRequest(
-                    page=visit.page,
-                    params=dict(visit.params),
-                    session_id=session_id,
-                    client_node=machine,
-                )
-                started = env.now
-                # Same failover shape as the closed-loop Client: try the
-                # local entry point, fall back to main on transport-level
-                # faults, give the session up on application errors.
-                server = self.system.entry_server_for(machine)
-                session_broken = False
-                try:
-                    yield from http_get(env, server, request, client_group=group)
-                    response_time = env.now - started
-                except _REQUEST_FAULTS:
-                    fallback = self.system.main
-                    if fallback is server or not fallback.available:
-                        response_time = None
-                    else:
-                        self.failovers += 1
-                        try:
-                            yield from http_get(
-                                env, fallback, request, client_group=group
-                            )
-                            response_time = env.now - started
-                        except _REQUEST_FAULTS:
-                            response_time = None
-                        except Exception:
-                            response_time = None
-                            session_broken = True
-                except Exception:
-                    response_time = None
-                    session_broken = True
-                if response_time is None:
-                    self.errors += 1
-                else:
-                    self.requests_sent += 1
-                    self.monitor.observe(env.now, group, visit.page, response_time)
-                    ts = self.timeseries
-                    if ts is not None:
-                        ts.observe_response(env.now, visit.page, response_time)
-                if session_broken:
-                    break
-                if position != last:
-                    # Open loop uses the *full* think time: the arrival
-                    # process owns the rate, so there is nothing for a
-                    # soft delay to hold steady.  Truncated to whole
-                    # milliseconds — the RUBiS client emulator schedules
-                    # think times through Thread.sleep(ms) — which also
-                    # lets the kernel batch same-instant wake-ups.
-                    think = float(int(think_rng.expovariate(1.0 / mean_think)))
-                    if think > 0.0:
-                        self.think_ms += think
-                        yield env.sleep(think)
+            yield f"o{index}", pattern.session(self.streams, index)
         finally:
             self.active -= 1
             self.completions += 1
+
+    def _full_think(self, elapsed: float, last: bool, broken: bool) -> float:
+        """Open loop uses the *full* think time: the arrival process owns
+        the rate, so there is nothing for a soft delay to hold steady.
+        Truncated to whole milliseconds — the RUBiS client emulator
+        schedules think times through Thread.sleep(ms) — which also lets
+        the kernel batch same-instant wake-ups.  Nothing is drawn after a
+        session's last visit or a broken one: the session just ends."""
+        if last or broken:
+            return 0.0
+        return float(int(self._think_rng.expovariate(1.0 / self.config.think_time_ms)))
 
     # -- driving ------------------------------------------------------------
     def start(self, env: Environment) -> None:

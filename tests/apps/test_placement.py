@@ -3,17 +3,19 @@
 import pytest
 
 from repro.apps import petstore, rubis
-from repro.core.automation import configure_for_level
+from repro.core.automation import apply_policy
 from repro.core.patterns import PatternLevel
 from repro.core.planner import plan_deployment
+from repro.core.policy import level_policy
 
 ALL = ["main", "edge1", "edge2"]
 
 
 def _plan(build, level, **kwargs):
     app = build(PatternLevel(level), **kwargs)
-    configure_for_level(app, PatternLevel(level))
-    return plan_deployment(app, "main", ["edge1", "edge2"], PatternLevel(level))
+    policy = level_policy(PatternLevel(level), app)
+    apply_policy(app, policy)
+    return plan_deployment(app, "main", ["edge1", "edge2"], policy)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.automation import configure_for_level
+from repro.core.automation import apply_policy
 from repro.core.patterns import PAPER_LEVELS, PATTERN_CATALOG, PatternLevel, level_name
 from repro.core.planner import PlanError, plan_deployment
+from repro.core.policy import level_policy
 from repro.middleware.descriptors import UpdateMode
 from repro.middleware.updates import UPDATE_SUBSCRIBER, UPDATER_FACADE
 from tests.helpers import tiny_application
@@ -39,9 +40,14 @@ def test_levels_are_ordered():
 # ---------------------------------------------------------------------------
 
 
+def configure(app, level):
+    """Apply the canned policy of ``level``, as ``distribute`` does."""
+    return apply_policy(app, level_policy(level, app))
+
+
 def test_level1_strips_read_mostly_and_caches():
     app = tiny_application()
-    report = configure_for_level(app, PatternLevel.CENTRALIZED)
+    report = configure(app, PatternLevel.CENTRALIZED)
     assert app.components["Note"].read_mostly is None
     assert app.query_caches == {}
     assert "tiny.notes_of" in app.queries  # definitions survive
@@ -51,7 +57,7 @@ def test_level1_strips_read_mostly_and_caches():
 
 def test_level3_activates_replicas_sync():
     app = tiny_application()
-    report = configure_for_level(app, PatternLevel.STATEFUL_CACHING)
+    report = configure(app, PatternLevel.STATEFUL_CACHING)
     assert app.components["Note"].read_mostly.update_mode == UpdateMode.SYNC
     assert app.query_caches == {}  # caches only from level 4
     assert UPDATER_FACADE in app.components
@@ -60,14 +66,14 @@ def test_level3_activates_replicas_sync():
 
 def test_level4_activates_query_caches():
     app = tiny_application()
-    configure_for_level(app, PatternLevel.QUERY_CACHING)
+    configure(app, PatternLevel.QUERY_CACHING)
     assert "tiny.notes_of" in app.query_caches
     assert app.query_caches["tiny.notes_of"].update_mode == UpdateMode.SYNC
 
 
 def test_level5_switches_everything_async():
     app = tiny_application()
-    report = configure_for_level(app, PatternLevel.ASYNC_UPDATES)
+    report = configure(app, PatternLevel.ASYNC_UPDATES)
     assert app.components["Note"].read_mostly.update_mode == UpdateMode.ASYNC
     assert app.query_caches["tiny.notes_of"].update_mode == UpdateMode.ASYNC
     assert UPDATE_SUBSCRIBER in app.components
@@ -76,14 +82,14 @@ def test_level5_switches_everything_async():
 
 def test_automation_is_idempotent_about_auxiliaries():
     app = tiny_application()
-    configure_for_level(app, PatternLevel.ASYNC_UPDATES)
-    configure_for_level(app, PatternLevel.ASYNC_UPDATES)
+    configure(app, PatternLevel.ASYNC_UPDATES)
+    configure(app, PatternLevel.ASYNC_UPDATES)
     assert list(app.components).count(UPDATER_FACADE) == 1
 
 
 def test_automation_report_summary_text():
     app = tiny_application()
-    report = configure_for_level(app, PatternLevel.ASYNC_UPDATES)
+    report = configure(app, PatternLevel.ASYNC_UPDATES)
     summary = report.summary()
     assert "asynchronous" in summary
     assert "UpdaterFacade" in summary
@@ -96,8 +102,9 @@ def test_automation_report_summary_text():
 
 def _plan(level):
     app = tiny_application()
-    configure_for_level(app, level)
-    return app, plan_deployment(app, "main", ["edge1", "edge2"], level)
+    policy = level_policy(level, app)
+    apply_policy(app, policy)
+    return app, plan_deployment(app, "main", ["edge1", "edge2"], policy)
 
 
 def test_level1_everything_on_main():

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.apps import petstore, rubis
-from repro.core.automation import apply_policy, configure_for_level
+from repro.core.automation import apply_policy
 from repro.core.patterns import PAPER_LEVELS, PatternLevel
 from repro.core.planner import PlanError, plan_deployment
 from repro.core.policy import (
@@ -285,11 +285,12 @@ def test_level_policy_matches_legacy_planner(build, level):
 
 @pytest.mark.parametrize("level", list(PAPER_LEVELS))
 def test_configure_for_level_still_compiles_policies(level):
-    """The compatibility wrapper behaves like the old automation pass."""
+    """Applying a level's canned policy behaves like the old automation
+    pass (``configure_for_level``, which this pipeline replaced)."""
     legacy_app = tiny_application()
     _legacy_configure(legacy_app, level)
     new_app = tiny_application()
-    configure_for_level(new_app, level)
+    apply_policy(new_app, level_policy(level, new_app))
     assert set(new_app.components) == set(legacy_app.components)
     assert set(new_app.query_caches) == set(legacy_app.query_caches)
     for name, descriptor in new_app.components.items():
@@ -306,10 +307,14 @@ def test_configure_for_level_still_compiles_policies(level):
 
 def test_entry_servers_follow_web_tier():
     app = tiny_application()
-    plan = plan_deployment(app, "main", ["edge1", "edge2"], PatternLevel.CENTRALIZED)
+    plan = plan_deployment(
+        app, "main", ["edge1", "edge2"], level_policy(PatternLevel.CENTRALIZED, app)
+    )
     assert plan.entry_servers == ["main"]
     app = tiny_application()
-    plan = plan_deployment(app, "main", ["edge1", "edge2"], PatternLevel.REMOTE_FACADE)
+    plan = plan_deployment(
+        app, "main", ["edge1", "edge2"], level_policy(PatternLevel.REMOTE_FACADE, app)
+    )
     assert plan.entry_servers == ["main", "edge1", "edge2"]
 
 
@@ -373,6 +378,8 @@ def test_precheck_catches_session_state_gap():
 
 def test_precheck_centralized_skips_r3():
     app = tiny_application()
-    plan = plan_deployment(app, "main", ["edge1"], PatternLevel.CENTRALIZED)
+    plan = plan_deployment(
+        app, "main", ["edge1"], level_policy(PatternLevel.CENTRALIZED, app)
+    )
     report = precheck(app, plan)
     assert report.checked_rules == ["R1"]

@@ -14,12 +14,11 @@ FAST = calibration.default_workload(duration_ms=30_000.0, warmup_ms=8_000.0)
 
 @pytest.fixture(scope="module")
 def small_series():
-    return run_series(
-        "rubis",
-        levels=[PatternLevel.CENTRALIZED, PatternLevel.QUERY_CACHING],
-        workload=FAST,
-        seed=55,
-    )
+    # Live results (generator, system), so cell by cell.
+    return {
+        level: run_configuration("rubis", level, workload=FAST, seed=55)
+        for level in (PatternLevel.CENTRALIZED, PatternLevel.QUERY_CACHING)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ out across a worker pool — whatever the worker count and completion
 order.
 """
 
+import dataclasses
 import io
 import pickle
 
@@ -16,8 +17,9 @@ from repro.experiments import calibration
 from repro.experiments.figures import build_figure, figure_to_csv, render_figure
 from repro.experiments.parallel import CellResult, default_jobs, run_cells
 from repro.experiments.progress import ProgressReporter
-from repro.experiments.runner import RunSpec, run_series
+from repro.experiments.runner import IN_PROCESS_FIELDS, RunSpec, run_configuration, run_series
 from repro.experiments.tables import build_table, render_table, table_to_csv
+from repro.faults.scenarios import scenario
 
 FAST = calibration.default_workload(duration_ms=20_000.0, warmup_ms=5_000.0)
 LEVELS = [PatternLevel.CENTRALIZED, PatternLevel.STATEFUL_CACHING]
@@ -46,6 +48,25 @@ def test_parallel_series_returns_cell_results(parallel_series):
         assert result.level == level
         assert result.wall_seconds > 0
         assert result.total_requests > 0
+
+
+def test_serial_and_parallel_results_are_equal(serial_series, parallel_series):
+    """Whole results, not only what the tables read off them.  (Host
+    timings and the in-process fields are not compared.)"""
+    assert serial_series == parallel_series
+    for result in list(serial_series.values()) + list(parallel_series.values()):
+        assert all(getattr(result, name) is None for name in IN_PROCESS_FIELDS)
+    observed = run_series(
+        "rubis", levels=LEVELS[:1], workload=FAST, seed=21, jobs=1,
+        with_trace=True, with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
+    )
+    pooled = run_cells(
+        [("rubis", LEVELS[0]), ("petstore", LEVELS[0])], workload=FAST, seed=21, jobs=2,
+        with_trace=True, with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
+    )
+    assert observed[LEVELS[0]] == pooled[("rubis", LEVELS[0])]
+    assert observed[LEVELS[0]].spans_state["spans"]
+    assert observed[LEVELS[0]] != serial_series[LEVELS[0]]
 
 
 def test_serial_and_parallel_monitor_tables_identical(serial_series, parallel_series):
@@ -79,8 +100,38 @@ def test_result_order_is_canonical_regardless_of_completion(parallel_series):
 
 
 # ---------------------------------------------------------------------------
-# CellResult: picklable, reporting-compatible with ExperimentResult
+# CellResult: one result, live where it ran, plain data once pickled
 # ---------------------------------------------------------------------------
+
+
+def test_pickling_loses_exactly_the_in_process_fields():
+    result = run_configuration(
+        "rubis", LEVELS[1], workload=FAST, seed=21,
+        with_trace=True, with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
+        faults=scenario("edge-crash", FAST.duration_ms, FAST.warmup_ms),
+    )
+    assert IN_PROCESS_FIELDS == (
+        "system", "generator", "trace", "spans", "metrics", "series", "fault_injector",
+    )
+    for name in IN_PROCESS_FIELDS:
+        assert getattr(result, name) is not None, name
+    assert result.monitor is result.generator.monitor
+    copy = pickle.loads(pickle.dumps(result))
+    assert copy == result
+    for field in dataclasses.fields(CellResult):
+        if field.name in IN_PROCESS_FIELDS:
+            assert getattr(copy, field.name) is None, field.name
+        elif field.name == "_monitor":
+            assert copy.monitor.to_state() == result.monitor.to_state()
+        else:
+            assert getattr(copy, field.name) == getattr(result, field.name), field.name
+    # from_experiment is the same drop without the pickle.
+    condensed = CellResult.from_experiment(result)
+    assert condensed == result
+    assert all(getattr(condensed, name) is None for name in IN_PROCESS_FIELDS)
+    assert condensed.wall_seconds == result.wall_seconds
+    assert condensed.cpu_seconds == result.cpu_seconds > 0
+    assert result.system is not None  # the original keeps its deployment
 
 
 def test_cell_result_pickle_roundtrip(parallel_series):

@@ -88,10 +88,12 @@ def test_run_series_profile_forces_serial_with_warning(capsys):
     captured = capsys.readouterr()
     assert "forcing jobs=1" in captured.err
     assert "requested 2" in captured.err
-    # Serial path returns live ExperimentResult objects, not CellResult.
-    from repro.experiments.runner import ExperimentResult
+    # Same result as any other sweep: no live deployment attached.
+    from repro.experiments.runner import CellResult
 
-    assert isinstance(results[PatternLevel.CENTRALIZED], ExperimentResult)
+    result = results[PatternLevel.CENTRALIZED]
+    assert isinstance(result, CellResult)
+    assert result.system is None and result.generator is None
 
 
 def test_warn_forced_serial_message():

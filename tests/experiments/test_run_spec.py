@@ -123,3 +123,12 @@ def test_cli_rejects_an_invalid_workload(capsys, flags):
     captured = capsys.readouterr()
     assert captured.err.startswith("[workload] ")
     assert captured.out == ""
+
+
+def test_cli_rejects_a_closed_loop_warmup_that_swallows_the_run(capsys):
+    """Used to print a header-only table and exit 0."""
+    argv = ["table7", "--jobs", "1", "--level", "1", "--duration", "10", "--warmup", "20"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "[workload] warmup must be shorter than duration\n"
+    assert captured.out == ""

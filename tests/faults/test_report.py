@@ -36,7 +36,7 @@ def _row(requests=100, errors=0, **extra):
 
 def _series(rows):
     return {
-        level: SimpleNamespace(resilience=row)
+        level: SimpleNamespace(resilience=row, label=None, topology=None)
         for level, row in zip(PatternLevel, rows)
     }
 

@@ -8,7 +8,7 @@ page class — rather than absolute milliseconds.
 
 import pytest
 
-from repro.core.patterns import PatternLevel
+from repro.core.patterns import PAPER_LEVELS, PatternLevel
 from repro.experiments.calibration import default_workload
 from repro.experiments.runner import run_configuration, run_series
 
@@ -17,7 +17,12 @@ WORKLOAD = default_workload(duration_ms=90_000.0, warmup_ms=25_000.0)
 
 @pytest.fixture(scope="module")
 def petstore_series():
-    return run_series("petstore", workload=WORKLOAD, seed=101)
+    # run_configuration, not run_series: the sanity tests below read the
+    # live generator and deployment, which only it returns.
+    return {
+        level: run_configuration("petstore", level, workload=WORKLOAD, seed=101)
+        for level in PAPER_LEVELS
+    }
 
 
 @pytest.fixture(scope="module")

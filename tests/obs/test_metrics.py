@@ -18,7 +18,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     collect_cache_stats,
-    merge_cache_stats,
 )
 
 FAST = calibration.default_workload(duration_ms=20_000.0, warmup_ms=5_000.0)
@@ -74,13 +73,6 @@ def test_merge_state_adds_counters_and_maxes_gauges():
     assert first.value("u") == 0.9
     merged_h = first.to_state()["histograms"]["h"]
     assert merged_h["count"] == 2 and merged_h["counts"] == [1, 1]
-
-
-def test_merge_cache_stats_sums_leafwise():
-    one = {"query_cache": {"edge1": {"q": {"hits": 2, "misses": 1}}}, "replicas": {}}
-    two = {"query_cache": {"edge1": {"q": {"hits": 3}}}, "replicas": {}}
-    merged = merge_cache_stats(one, two, None)
-    assert merged["query_cache"]["edge1"]["q"] == {"hits": 5, "misses": 1}
 
 
 # -- collection from a real run ----------------------------------------------

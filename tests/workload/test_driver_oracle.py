@@ -1,0 +1,190 @@
+"""The one session driver against the two loops it replaced.
+
+``reference_drivers.py`` keeps the parent commit's ``Client.run`` and
+``OpenLoopGenerator._arrivals`` / ``._session`` literally.  For the
+closed and the open loop, fault-free and under the three scenarios where
+the failover, both-entry-points-down and broken-session arms actually
+run, the same cell is simulated twice on one seed — once through the
+references, once through :func:`repro.workload.driver.drive_sessions` —
+and everything observable must agree: the monitor, every per-client /
+per-generator counter, the kernel's event count and the span table.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+from repro.core.patterns import PatternLevel
+from repro.experiments import runner
+from repro.experiments.calibration import default_workload
+from repro.faults.scenarios import scenario
+from repro.workload import generator as generator_module
+from repro.workload.openloop import OpenLoopConfig
+
+from .reference_drivers import ReferenceClient, ReferenceOpenLoopGenerator
+
+WARMUP_MS = 5_000.0
+L1, L3, L5 = PatternLevel.CENTRALIZED, PatternLevel.STATEFUL_CACHING, PatternLevel.ASYNC_UPDATES
+# Level 1 enters at main from everywhere, so a WAN fault there is a lost
+# visit with no second entry point to try; level 3 enters at the edges,
+# so a crash fails over (and strands the cart on the dead edge) and a
+# partition fails the failover too.
+CASES = [
+    ("rubis", L5, None),
+    ("petstore", L3, None),
+    ("petstore", L3, "edge-crash"),
+    ("petstore", L3, "edge-partition"),
+    ("petstore", L1, "edge-partition"),
+    ("petstore", L1, "flaky-wan"),
+]
+
+CLIENT_COUNTERS = (
+    "requests_sent", "errors", "failovers", "think_ms", "sessions_completed",
+)
+GENERATOR_COUNTERS = (
+    "requests_sent", "errors", "failovers", "think_ms",
+    "arrivals", "admitted", "completions", "dropped_sessions", "peak_active",
+    "active",
+)
+TRANSPORT_KINDS = {
+    "ServerUnavailable", "RmiTimeout", "LinkDown", "PacketLoss", "NodeUnavailable",
+}
+
+
+def _options(loop, fault):
+    if loop == "closed":
+        # Long enough under a crash for a stranded cart to be committed.
+        duration_ms = 100_000.0 if fault == "edge-crash" else 40_000.0
+        return duration_ms, {"workload": default_workload(duration_ms, WARMUP_MS)}
+    # The cap is low enough to bind, so the admission check's view of
+    # ``active`` at spawn time is part of what must agree.
+    duration_ms = 40_000.0
+    return duration_ms, {
+        "openloop": OpenLoopConfig(
+            session_rate_per_s=6.0,
+            duration_ms=duration_ms,
+            warmup_ms=WARMUP_MS,
+            think_time_ms=3_000.0,
+            max_sessions=45,
+        )
+    }
+
+
+def _run(loop, app, level, fault):
+    duration_ms, options = _options(loop, fault)
+    faults = None if fault is None else scenario(fault, duration_ms, WARMUP_MS)
+    return runner.run_configuration(
+        app, level, seed=41, faults=faults, with_spans=True, **options
+    )
+
+
+_driven = lru_cache(maxsize=None)(_run)
+
+
+def _observed(result, counters):
+    """Everything a run exposes that does not depend on the host."""
+    return {
+        "monitor": result.monitor.to_state(),
+        "counters": counters,
+        "kernel_events": result.system.env.stats()["sequence"],
+        "spans": result.spans_state,
+        "resilience": result.resilience,
+        "cache_stats": result.cache_stats,
+    }
+
+
+def _closed_counters(result):
+    return [
+        {name: getattr(client, name) for name in CLIENT_COUNTERS}
+        for client in result.generator.clients
+    ]
+
+
+def _open_counters(result):
+    return {name: getattr(result.generator, name) for name in GENERATOR_COUNTERS}
+
+
+def _assert_kinds_sum_to_errors(owner, fault):
+    assert sum(owner.error_kinds.values()) == owner.errors
+    assert all(count > 0 for count in owner.error_kinds.values())
+    if fault is None:
+        assert owner.errors == 0 and owner.error_kinds == {}
+
+
+@pytest.mark.parametrize("app,level,fault", CASES)
+def test_closed_loop_matches_reference(monkeypatch, app, level, fault):
+    driven = _driven("closed", app, level, fault)
+    monkeypatch.setattr(generator_module, "Client", ReferenceClient)
+    reference = _run("closed", app, level, fault)
+    assert isinstance(reference.generator.clients[0], ReferenceClient)
+    assert not isinstance(driven.generator.clients[0], ReferenceClient)
+    assert _observed(driven, _closed_counters(driven)) == _observed(
+        reference, _closed_counters(reference)
+    )
+    assert driven.total_requests > 0
+    for owner in driven.generator.clients + [driven.generator]:
+        _assert_kinds_sum_to_errors(owner, fault)
+
+
+@pytest.mark.parametrize("app,level,fault", CASES)
+def test_open_loop_matches_reference(monkeypatch, app, level, fault):
+    driven = _driven("open", app, level, fault)
+    monkeypatch.setattr(runner, "OpenLoopGenerator", ReferenceOpenLoopGenerator)
+    reference = _run("open", app, level, fault)
+    assert isinstance(reference.generator, ReferenceOpenLoopGenerator)
+    assert not isinstance(driven.generator, ReferenceOpenLoopGenerator)
+    assert _observed(driven, _open_counters(driven)) == _observed(
+        reference, _open_counters(reference)
+    )
+    generator = driven.generator
+    assert generator.requests_sent > 0
+    assert generator.dropped_sessions > 0, "the admission cap never bound"
+    assert generator.active == 0 and generator.completions == generator.admitted
+    _assert_kinds_sum_to_errors(generator, fault)
+
+
+@pytest.mark.parametrize("loop", ["closed", "open"])
+def test_every_arm_of_the_driver_is_exercised(loop):
+    """The cases above are only an oracle for code they reach: between
+    them they must fail over successfully, lose a visit after failing
+    over, lose one with no second entry point to try, and break a
+    session on an application error."""
+
+    def generator(level, fault):
+        return _driven(loop, "petstore", level, fault).generator
+
+    crash = generator(L3, "edge-crash")
+    assert crash.failovers > crash.errors
+    assert set(crash.error_kinds) - TRANSPORT_KINDS, crash.error_kinds
+    partition = generator(L3, "edge-partition")
+    assert partition.failovers > 0
+    assert partition.error_kinds.get("LinkDown", 0) > 0
+    for fault, kind in (("edge-partition", "LinkDown"), ("flaky-wan", "PacketLoss")):
+        central = generator(L1, fault)
+        assert central.failovers == 0
+        assert central.error_kinds.get(kind, 0) > 0, central.error_kinds
+
+
+@pytest.mark.parametrize("loop", ["closed", "open"])
+def test_metrics_say_why_visits_were_lost(loop):
+    """``workload.errors.<Kind>`` sums to ``workload.errors`` under a
+    crash, and does not exist in a run that loses nothing."""
+    from repro.obs.metrics import MetricsRegistry, collect_system_metrics
+
+    def kinds_and_total(fault):
+        result = _driven(loop, "petstore", L3, fault)
+        registry = collect_system_metrics(
+            MetricsRegistry(), result.system, generator=result.generator
+        )
+        prefix = "workload.errors."
+        kinds = {
+            name[len(prefix):]: registry.value(name)
+            for name in registry.names()
+            if name.startswith(prefix)
+        }
+        return kinds, registry.value("workload.errors")
+
+    kinds, total = kinds_and_total("edge-crash")
+    assert total > 0 and sum(kinds.values()) == total
+    assert kinds == _driven(loop, "petstore", L3, "edge-crash").generator.error_kinds
+    assert kinds_and_total(None) == ({}, 0)

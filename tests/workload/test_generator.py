@@ -61,12 +61,49 @@ def test_config_validation():
         WorkloadConfig().duration_ms = 1.0
 
 
+def test_config_rejects_a_warmup_that_swallows_the_run():
+    """Clients stop at ``duration_ms``: a warm-up that long observes nothing."""
+    for warmup_ms in (10_000.0, 20_000.0):
+        with pytest.raises(ValueError, match="warmup must be shorter than duration"):
+            WorkloadConfig(duration_ms=10_000.0, warmup_ms=warmup_ms)
+    WorkloadConfig(duration_ms=10_000.0, warmup_ms=9_999.0)
+    # Open-loop sessions drain past duration_ms and are measured.
+    from repro.workload.openloop import OpenLoopConfig
+
+    OpenLoopConfig(duration_ms=10_000.0, warmup_ms=20_000.0)
+
+
 def test_clients_per_group_math():
     env, system, generator = _generator()
     counts = generator.clients_per_group()
     # 6 req/s over 3 groups = 2 req/s per group; 2 x 2 s think = 4 clients.
     assert counts["browser"] == 3  # 80% of 4, rounded
     assert counts["writer"] == 1
+
+
+def test_mix_honours_the_ends_of_its_range():
+    """A fraction of exactly 0 or 1 starts no client of the other kind;
+    any other fraction keeps at least one of each."""
+    _env, _system, generator = _generator(browser_fraction=1.0)
+    assert generator.clients_per_group() == {"browser": 4, "writer": 0}
+    _env, _system, generator = _generator(browser_fraction=0.0)
+    assert generator.clients_per_group() == {"browser": 0, "writer": 4}
+    _env, _system, generator = _generator(browser_fraction=0.99)
+    assert generator.clients_per_group() == {"browser": 4, "writer": 1}
+    # Paper defaults: 10 req/s x 7 s per group, 80/20.
+    _env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
+    paper = LoadGenerator(system, Streams(1), _notes_pattern(), _notes_pattern())
+    assert paper.clients_per_group() == {"browser": 56, "writer": 14}
+
+
+def test_browsers_only_run_has_no_writer_group():
+    workload = dataclasses.replace(
+        default_workload(20_000.0, 4_000.0), browser_fraction=1.0
+    )
+    result = run_configuration("rubis", PatternLevel.CENTRALIZED, workload=workload, seed=5)
+    assert result.groups() == ["local-browser", "remote-browser"]
+    assert all(client.group.endswith("-browser") for client in result.generator.clients)
+    assert result.total_requests > 0
 
 
 def test_population_spans_all_client_machines():
