@@ -38,7 +38,7 @@ from .entity import EntityContainer, FinderSpec
 from .jms import JmsProvider, Message, Topic
 from .marshalling import sizeof
 from .mdb import MessageDrivenContainer
-from .naming import HomeCache, JndiRegistry, NamingError
+from .naming import HomeCache, NamingError
 from .querycache import QueryCacheManager
 from .readonly import ReadOnlyEntityContainer, ReadOnlyViolation
 from .rmi import AccessError, BoundEntityRef, ComponentRef, LocalRef, RemoteRef
@@ -89,7 +89,6 @@ __all__ = [
     "sizeof",
     "MessageDrivenContainer",
     "HomeCache",
-    "JndiRegistry",
     "NamingError",
     "QueryCacheManager",
     "ReadOnlyEntityContainer",

@@ -275,6 +275,7 @@ class TransactionalMethodCache(ConsistencyInterceptor):
     def register(self, component: str, methods) -> None:
         for method in methods:
             self._methods.add((component, method))
+        self.server.drop_call_plans()  # plans hold the answer of intercepts()
 
     def intercepts(self, component: str, method: str) -> bool:
         return (component, method) in self._methods
@@ -290,61 +291,63 @@ class TransactionalMethodCache(ConsistencyInterceptor):
         return None
 
     # -- call-path interception ---------------------------------------------------
-    def _fresh_enough(self, now: float) -> bool:
-        if not self.strict:
-            return True
-        return now - self._last_sent <= self.lease_ms
-
-    def invoke_through(
-        self, ctx: InvocationContext, container: Any, method: str, args: tuple
-    ) -> Generator[Event, Any, Any]:
-        """The cached call path: serve a hit, or run-and-learn on a miss."""
-        component = container.descriptor.name
+    # BaseContainer.invoke drives these: find; serve on a hit; on a miss
+    # the uncached call with a collector attached, then learn.
+    def find(self, component: str, method: str, args: tuple, now: float) -> tuple:
+        """``(key, entry)`` of a call.  The key is None when the call can be
+        neither served nor stored (the method was seen writing, or an
+        argument is unhashable) and simply runs uncached; the entry is
+        None on a miss — no entry, or strict mode's lease ran out."""
         if (component, method) in self._no_store:
-            result = yield from container._invoke_direct(ctx, method, args)
-            return result
+            return None, None
+        key = (component, method, args)
         try:
-            key = (component, method, args)
-            entry = self._entries.get(key) if self._fresh_enough(ctx.env.now) else None
-        except TypeError:  # unhashable argument: not cacheable
-            result = yield from container._invoke_direct(ctx, method, args)
-            return result
+            hash(key)
+        except TypeError:
+            return None, None
+        entry = None
+        if not self.strict or now - self._last_sent <= self.lease_ms:
+            entry = self._entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+        return key, entry
 
-        if entry is not None:
-            self.stats.hits += 1
-            yield from ctx.cpu(self.HIT_CPU_MS)
-            if ctx.footprint is not None:
-                # A nested hit still contributes its reads to the
-                # enclosing method's learned footprint.
-                ctx.footprint.add(entry.tables_read, ())
-            now = ctx.env.now
-            if self.strict:
-                if key in self._compromised:
-                    self.stats.stale_serves += 1
-            else:
-                log = self._hit_log.setdefault(key, [])
-                log.append(now)
-                horizon = now - _HIT_LOG_HORIZON_MS
-                while log and log[0] < horizon:
-                    log.pop(0)
-            return _copy_result(entry.result)
+    def serve(
+        self, ctx: InvocationContext, key: tuple, entry: _Entry
+    ) -> Generator[Event, Any, Any]:
+        """A hit: charge the lookup and hand out a copy of the result."""
+        self.stats.hits += 1
+        yield from ctx.cpu(self.HIT_CPU_MS)
+        if ctx.footprint is not None:
+            # A nested hit still contributes its reads to the
+            # enclosing method's learned footprint.
+            ctx.footprint.add(entry.tables_read, ())
+        now = ctx.env.now
+        if self.strict:
+            if key in self._compromised:
+                self.stats.stale_serves += 1
+        else:
+            log = self._hit_log.setdefault(key, [])
+            log.append(now)
+            horizon = now - _HIT_LOG_HORIZON_MS
+            while log and log[0] < horizon:
+                log.pop(0)
+        return _copy_result(entry.result)
 
-        self.stats.misses += 1
-        collector = FootprintCollector()
-        result = yield from container._invoke_direct(
-            ctx.with_footprint(collector), method, args
-        )
+    def learn(
+        self, ctx: InvocationContext, key: tuple, collector: FootprintCollector, result: Any
+    ) -> None:
+        """Store a missed call's result under the footprint it was seen
+        reading — or never again, if it was seen writing."""
         if ctx.footprint is not None:
             ctx.footprint.add(collector.tables_read, collector.tables_written)
         if collector.tables_written:
-            self._no_store.add((component, method))
-            self.write_violations.setdefault(
-                (component, method), tuple(collector.tables_written)
-            )
+            method = key[:2]
+            self._no_store.add(method)
+            self.write_violations.setdefault(method, tuple(collector.tables_written))
             self.stats.rejected_stores += 1
-            return result
+            return
         self._store(key, result, tuple(collector.tables_read), ctx.env.now)
-        return result
 
     def _store(
         self, key: tuple, result: Any, tables_read: Tuple[str, ...], now: float

@@ -12,8 +12,8 @@ heart of the paper's container-mediated approach.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import AbstractSet, Any, Dict, Generator, Optional, Sequence, TYPE_CHECKING
 
 from ..simnet.kernel import Environment, Event
 
@@ -52,15 +52,24 @@ def reset_ids() -> None:
     _transaction_ids = itertools.count(1)
 
 
-@dataclass
 class RequestInfo:
     """Identity of the client page request being served."""
 
-    page: str
-    client_group: str
-    session_id: str
-    client_node: str
-    id: int = field(default_factory=lambda: next(_request_ids))
+    __slots__ = ("page", "client_group", "session_id", "client_node", "id")
+
+    def __init__(
+        self,
+        page: str,
+        client_group: str,
+        session_id: str,
+        client_node: str,
+        id: Optional[int] = None,
+    ):
+        self.page = page
+        self.client_group = client_group
+        self.session_id = session_id
+        self.client_node = client_node
+        self.id = next(_request_ids) if id is None else id
 
 
 @dataclass
@@ -94,35 +103,47 @@ class TransactionContext:
     publish) of replica updates.
     """
 
+    # Every collection is empty until its first entry allocates it: almost
+    # all transactions of a read-heavy deployment end as empty as they
+    # began, and one is started per façade call.  These are the shared,
+    # never-mutated empties; ``enlisted`` says some entry was made (while
+    # it is False, committing is setting ``state``).
+    enlisted = False
+    _enlisted_entities: Sequence[tuple] = ()  # (container, instance)
+    _enlisted_seen: AbstractSet[tuple] = frozenset()
+    _connections: Sequence[Any] = ()  # JdbcConnection, committed in order
+    update_events: Sequence[UpdateEvent] = ()
+    query_invalidations: Sequence[tuple] = ()  # (query_id, params-or-None)
+    # Tables written by this transaction (first-write order).  The
+    # consistency bus turns these into method-cache invalidations.
+    written_tables: Sequence[str] = ()
+    # Scratch space for containers (per-tx entity instance caches,
+    # enlisted JDBC connections by datasource, ...), keyed by owner;
+    # whoever stores the first entry creates the dict.
+    resources: Optional[Dict[Any, Any]] = None
+
     def __init__(self, ctx: "InvocationContext", read_only_hint: bool = False):
         self.id = next(_transaction_ids)
-        self.origin = ctx.server.name if ctx.server else "?"
         self.read_only = True  # flips on first write
         self.read_only_hint = read_only_hint
         self.state = "active"
-        self._enlisted_entities: List[tuple] = []  # (container, instance)
-        self._enlisted_seen: set = set()
-        self._connections: List[Any] = []  # JdbcConnection, committed in order
-        self.update_events: List[UpdateEvent] = []
-        self.query_invalidations: List[tuple] = []  # (query_id, params-or-None)
-        # Tables written by this transaction (first-write order).  The
-        # consistency bus turns these into method-cache invalidations;
-        # collection is free when no method caches are deployed.
-        self.written_tables: List[str] = []
-        # Scratch space for containers (per-tx entity instance caches,
-        # enlisted JDBC connections by datasource, ...), keyed by owner.
-        self.resources: Dict[Any, Any] = {}
 
     # -- enlistment -----------------------------------------------------------
     def enlist_entity(self, container: Any, instance: Any) -> None:
         key = (id(container), getattr(instance, "primary_key", id(instance)))
         if key in self._enlisted_seen:
             return
+        if not self._enlisted_seen:
+            self.enlisted = True
+            self._enlisted_seen, self._enlisted_entities = set(), []
         self._enlisted_seen.add(key)
         self._enlisted_entities.append((container, instance))
 
     def enlist_connection(self, connection: Any) -> None:
         if connection not in self._connections:
+            if not self._connections:
+                self.enlisted = True
+                self._connections = []
             self._connections.append(connection)
 
     def mark_write(self) -> None:
@@ -131,13 +152,22 @@ class TransactionContext:
         self.read_only = False
 
     def add_update_event(self, event: UpdateEvent) -> None:
+        if not self.update_events:
+            self.enlisted = True
+            self.update_events = []
         self.update_events.append(event)
 
     def add_query_invalidation(self, query_id: str, params: Optional[tuple]) -> None:
+        if not self.query_invalidations:
+            self.enlisted = True
+            self.query_invalidations = []
         self.query_invalidations.append((query_id, params))
 
     def record_table_write(self, table: str) -> None:
         if table and table not in self.written_tables:
+            if not self.written_tables:
+                self.enlisted = True
+                self.written_tables = []
             self.written_tables.append(table)
 
     # -- completion -----------------------------------------------------------
@@ -180,14 +210,23 @@ class TransactionContext:
             if connection.session.in_transaction:
                 yield from connection.rollback()
             connection.close()
-        self.update_events.clear()
-        self.query_invalidations.clear()
-        self.written_tables.clear()
+        self.update_events = self.query_invalidations = self.written_tables = ()
         self.state = "aborted"
 
 
 class InvocationContext:
-    """Where/why/within-what a component method is executing."""
+    """Where/why/within-what a component method is executing.
+
+    ``cpu(work_ms)`` charges CPU time on the current server's node
+    (``yield from`` it).  It is the node's own ``compute``, bound when
+    the context is made, so a charge reaches ``Resource.use`` in one
+    call.
+    """
+
+    __slots__ = (
+        "env", "server", "request", "costs", "trace", "transaction",
+        "depth", "spans", "span_id", "footprint", "cpu",
+    )
 
     def __init__(
         self,
@@ -215,8 +254,9 @@ class InvocationContext:
         # Travels across servers with the call — a delegated sub-call's
         # reads still belong to the caller's method footprint.
         self.footprint = footprint
+        self.cpu = None if server is None else server.node.compute
 
-    # -- derived contexts -----------------------------------------------------
+    # -- derived contexts (positional clones: one call, no keyword parsing) ------
     def at_server(self, server: "AppServer") -> "InvocationContext":
         """The context seen by the callee of a cross-server RMI call.
 
@@ -226,46 +266,22 @@ class InvocationContext:
         across the WAN).
         """
         return InvocationContext(
-            env=self.env,
-            server=server,
-            request=self.request,
-            costs=server.costs,
-            trace=self.trace,
-            transaction=None,
-            depth=self.depth + 1,
-            spans=self.spans,
-            span_id=self.span_id,
-            footprint=self.footprint,
+            self.env, server, self.request, server.costs, self.trace, None,
+            self.depth + 1, self.spans, self.span_id, self.footprint,
         )
 
     def in_transaction(self, transaction: TransactionContext) -> "InvocationContext":
         return InvocationContext(
-            env=self.env,
-            server=self.server,
-            request=self.request,
-            costs=self.costs,
-            trace=self.trace,
-            transaction=transaction,
-            depth=self.depth,
-            spans=self.spans,
-            span_id=self.span_id,
-            footprint=self.footprint,
+            self.env, self.server, self.request, self.costs, self.trace, transaction,
+            self.depth, self.spans, self.span_id, self.footprint,
         )
 
     def with_footprint(self, footprint: Any) -> "InvocationContext":
         """The context seen by work whose table accesses ``footprint``
         collects (the method-cache miss path)."""
         return InvocationContext(
-            env=self.env,
-            server=self.server,
-            request=self.request,
-            costs=self.costs,
-            trace=self.trace,
-            transaction=self.transaction,
-            depth=self.depth,
-            spans=self.spans,
-            span_id=self.span_id,
-            footprint=footprint,
+            self.env, self.server, self.request, self.costs, self.trace, self.transaction,
+            self.depth, self.spans, self.span_id, footprint,
         )
 
     def in_span(self, span: Optional["Span"]) -> "InvocationContext":
@@ -278,23 +294,11 @@ class InvocationContext:
         if span is None:
             return self
         return InvocationContext(
-            env=self.env,
-            server=self.server,
-            request=self.request,
-            costs=self.costs,
-            trace=self.trace,
-            transaction=self.transaction,
-            depth=self.depth,
-            spans=self.spans,
-            span_id=span.id,
-            footprint=self.footprint,
+            self.env, self.server, self.request, self.costs, self.trace, self.transaction,
+            self.depth, self.spans, span.id, self.footprint,
         )
 
     # -- effects -----------------------------------------------------------
-    def cpu(self, work_ms: float) -> Iterable[Event]:
-        """Charge CPU time on the current server's node (``yield from`` it)."""
-        return self.server.node.compute(work_ms)
-
     def lookup(self, component_name: str):
         """Resolve a component reference (see AppServer.lookup).
 

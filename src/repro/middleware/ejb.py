@@ -10,14 +10,14 @@ Business methods are written as generators taking an
             return details
 
 Plain (non-generator) methods are also accepted for trivial accessors —
-containers detect and run both.
+a container resolves each method once (:func:`business_method`) and
+then calls the function it found directly.
 """
 
 from __future__ import annotations
 
 import inspect
-from functools import lru_cache
-from typing import Any, Dict, Generator, Optional, Set
+from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
 
 __all__ = [
     "Bean",
@@ -26,7 +26,7 @@ __all__ = [
     "EntityBean",
     "MessageDrivenBean",
     "Servlet",
-    "run_business_method",
+    "business_method",
     "BeanError",
 ]
 
@@ -35,43 +35,31 @@ class BeanError(Exception):
     """Raised on bean protocol violations (missing method, bad state)."""
 
 
-@lru_cache(maxsize=None)
-def _generator_business_method(cls: type, method: str) -> bool:
-    """Check ``cls.method`` is a public business method, once per pair.
+def business_method(cls: type, method: str) -> Tuple[Callable, bool]:
+    """Resolve ``cls.method`` once: ``(function, is a generator function)``.
 
-    True when it is a generator function (the common case), whose result
-    needs no inspection.  Bounded by the deployed (bean class, method)
-    pairs; a :class:`BeanError` is not cached and is raised on every call.
+    Call it as ``function(instance, ctx, *args)``.  When it is not a
+    generator function its result may still be a generator (a plain
+    method handing back another method's), so callers test the result's
+    class against ``types.GeneratorType``.  A missing or non-public name
+    resolves to a function that raises the :class:`BeanError`: a container
+    reaches a method only after its charges and inside its transaction,
+    and the error keeps that place — and the counters it moves — on
+    every call.
     """
     try:
         function = getattr(cls, method)
     except AttributeError:
-        raise BeanError(f"{cls.__name__} has no business method {method!r}") from None
-    if method.startswith("_"):
-        raise BeanError(f"{method!r} is not a public business method")
-    return inspect.isgeneratorfunction(function)
+        message = f"{cls.__name__} has no business method {method!r}"
+    else:
+        if not method.startswith("_"):
+            return function, inspect.isgeneratorfunction(function)
+        message = f"{method!r} is not a public business method"
 
+    def refuse(*_args):
+        raise BeanError(message)
 
-def run_business_method(instance: Any, method: str, ctx: Any, args: tuple):
-    """Invoke ``instance.method(ctx, *args)`` supporting plain or generator form.
-
-    Returns a generator in both cases so containers can uniformly
-    ``yield from`` it.
-    """
-    generator_method = _generator_business_method(type(instance), method)
-    result = getattr(instance, method)(ctx, *args)
-    # Generators are returned as-is: wrapping them in another generator
-    # just to ``yield from`` would add one interpreter frame to every
-    # resume of every component call.
-    if generator_method or inspect.isgenerator(result):
-        return result
-    return _plain_result(result)
-
-
-def _plain_result(result: Any):
-    """Lift a plain return value into the generator protocol."""
-    return result
-    yield  # pragma: no cover - keeps this a generator function
+    return refuse, False
 
 
 class Bean:

@@ -21,7 +21,7 @@ from typing import Any, Dict, Generator, List
 from ..simnet.kernel import Event
 from .context import InvocationContext, TransactionContext, UpdateEvent
 from .descriptors import ComponentDescriptor, ComponentKind, Persistence
-from .ejb import BeanError, EntityBean, run_business_method
+from .ejb import BeanError, EntityBean
 from .session import BaseContainer
 
 __all__ = ["EntityContainer", "FinderSpec"]
@@ -47,12 +47,21 @@ class FinderSpec:
 
 
 class EntityContainer(BaseContainer):
-    """Container for one read-write entity bean type."""
+    """Container for one read-write entity bean type.
+
+    A call with an identity runs a business method of that entity,
+    activated into the caller's transaction; a call without one runs a
+    home method, with the container itself as the instance.
+    """
+
+    _transactional_instances = True
 
     def __init__(self, server: Any, descriptor: ComponentDescriptor):
         if descriptor.kind != ComponentKind.ENTITY:
             raise BeanError(f"{descriptor.name!r} is not an entity bean")
         super().__init__(server, descriptor)
+        self._home_plans = server.plan_table()
+        self._cache_key = ("entities", descriptor.name)
         self.schema = server.application.schemas[descriptor.table]
         self.loads = 0
         self.stores = 0
@@ -61,7 +70,9 @@ class EntityContainer(BaseContainer):
 
     # -- transaction-scoped instance cache -------------------------------------
     def _cache(self, transaction: TransactionContext) -> Dict[Any, EntityBean]:
-        return transaction.resources.setdefault(("entities", self.name), {})
+        if transaction.resources is None:
+            transaction.resources = {}
+        return transaction.resources.setdefault(self._cache_key, {})
 
     def _emits_update_events(self) -> bool:
         """Writes generate update events only when somebody consumes them:
@@ -75,14 +86,11 @@ class EntityContainer(BaseContainer):
         return False
 
     # -- home methods -----------------------------------------------------------
-    def _finder_spec(self, finder: str) -> FinderSpec:
-        finders = getattr(self.descriptor.impl, "FINDERS", {})
-        try:
-            return finders[finder]
-        except KeyError:
-            raise BeanError(
-                f"entity {self.name!r} has no finder {finder!r}"
-            ) from None
+    def _plan(self, method: str, plans: Dict[str, tuple], resolved: tuple = None) -> tuple:
+        def home(container: "EntityContainer", ctx: InvocationContext, *args: Any):
+            return container._run_home(ctx, method, args)
+
+        return super()._plan(method, plans, None if plans is self._plans else (home, False))
 
     def _run_home(
         self, ctx: InvocationContext, method: str, args: tuple
@@ -153,7 +161,9 @@ class EntityContainer(BaseContainer):
             return None
 
         # Custom declarative finder.
-        spec = self._finder_spec(method)
+        spec = getattr(self.descriptor.impl, "FINDERS", {}).get(method)
+        if spec is None:
+            raise BeanError(f"entity {self.name!r} has no finder {method!r}")
         self.finder_calls += 1
         result = yield from self.server.db_execute(ctx, spec.sql, args)
         primary_keys: List[Any] = []
@@ -183,13 +193,17 @@ class EntityContainer(BaseContainer):
         return instance
 
     # -- activation -----------------------------------------------------------
-    def _activate(
+    def _instance(self, ctx: InvocationContext, identity: Any) -> Any:
+        if identity is None:
+            return self  # a home method: the container is the instance
+        resources = ctx.transaction.resources
+        cache = resources.get(self._cache_key) if resources is not None else None
+        return cache.get(identity) if cache is not None else None
+
+    def _instance_wait(
         self, ctx: InvocationContext, primary_key: Any
     ) -> Generator[Event, Any, EntityBean]:
-        cache = self._cache(ctx.transaction)
-        instance = cache.get(primary_key)
-        if instance is not None:
-            return instance
+        """``ejbLoad``: one SELECT brings the row into the transaction."""
         result = yield from self.server.db_execute(
             ctx,
             f"SELECT * FROM {self.schema.name} WHERE {self.schema.primary_key} = ?",
@@ -254,24 +268,3 @@ class EntityContainer(BaseContainer):
     def discard_instance(self, instance: EntityBean) -> None:
         instance.clear_dirty()
         instance._loaded = False
-
-    # -- dispatch ------------------------------------------------------------
-    def invoke(
-        self, ctx: InvocationContext, method: str, args: tuple, identity: Any = None
-    ) -> Generator[Event, Any, Any]:
-        self.invocations += 1
-
-        def body(inner_ctx):
-            yield from inner_ctx.cpu(inner_ctx.costs.bean_method_base)
-            if identity is None:
-                result = yield from self._run_home(inner_ctx, method, args)
-                return result
-            instance = yield from self._activate(inner_ctx, identity)
-            was_dirty = instance.is_dirty
-            result = yield from run_business_method(instance, method, inner_ctx, args)
-            if instance.is_dirty and not was_dirty:
-                inner_ctx.transaction.mark_write()
-            return result
-
-        result = yield from self._run_demarcated(ctx, body)
-        return result

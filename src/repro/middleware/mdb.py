@@ -9,44 +9,32 @@ caches.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any
 
-from ..simnet.kernel import Event
 from .context import InvocationContext
 from .descriptors import ComponentDescriptor, ComponentKind
-from .ejb import BeanError, run_business_method
+from .ejb import BeanError
 from .session import BaseContainer
 
 __all__ = ["MessageDrivenContainer"]
 
 
 class MessageDrivenContainer(BaseContainer):
-    """Container for one message-driven bean type."""
+    """Container for one message-driven bean type: a single instance."""
 
     def __init__(self, server: Any, descriptor: ComponentDescriptor):
         if descriptor.kind != ComponentKind.MESSAGE_DRIVEN:
             raise BeanError(f"{descriptor.name!r} is not a message-driven bean")
         super().__init__(server, descriptor)
-        self._instance = descriptor.impl()
-        self.messages_handled = 0
+        self._bean = descriptor.impl()
 
-    def invoke(
-        self, ctx: InvocationContext, method: str, args: tuple, identity: Any = None
-    ) -> Generator[Event, Any, Any]:
+    def invoke(self, ctx: InvocationContext, method: str, args: tuple, identity: Any = None):
         if method != "on_message":
             raise BeanError(
                 f"message-driven bean {self.name!r} only accepts on_message, "
                 f"got {method!r}"
             )
-        self.invocations += 1
+        return super().invoke(ctx, method, args, identity)
 
-        def body(inner_ctx):
-            yield from inner_ctx.cpu(inner_ctx.costs.bean_method_base)
-            result = yield from run_business_method(
-                self._instance, "on_message", inner_ctx, args
-            )
-            return result
-
-        result = yield from self._run_demarcated(ctx, body)
-        self.messages_handled += 1
-        return result
+    def _instance(self, ctx: InvocationContext, identity: Any) -> Any:
+        return self._bean

@@ -1,9 +1,9 @@
-"""JNDI-style naming: per-server registries and the home-stub cache.
+"""JNDI-style naming: the home-stub cache and the cost of a remote lookup.
 
-Each application server has a local JNDI tree holding the components
-deployed on it.  Resolving a component that lives elsewhere requires a
-remote lookup against the authoritative (main) server's tree — a network
-round trip — unless the *EJBHomeFactory* cache already holds the stub.
+Each application server's JNDI tree is its own ``containers`` table.
+Resolving a component that lives elsewhere requires a remote lookup
+against the authoritative (main) server's tree — a network round trip —
+unless the *EJBHomeFactory* cache already holds the stub.
 Caching home stubs "to avoid unnecessary trips to the JNDI tree" is one
 of the paper's remote-façade optimizations (§4.2).
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-__all__ = ["JndiRegistry", "HomeCache", "NamingError"]
+__all__ = ["HomeCache", "NamingError"]
 
 JNDI_LOOKUP_REQUEST = 140
 JNDI_LOOKUP_RESPONSE = 420  # a marshalled home stub
@@ -20,36 +20,6 @@ JNDI_LOOKUP_RESPONSE = 420  # a marshalled home stub
 
 class NamingError(Exception):
     """Raised when a name cannot be resolved anywhere."""
-
-
-class JndiRegistry:
-    """One server's JNDI tree: name -> locally deployed container."""
-
-    def __init__(self, server_name: str):
-        self.server_name = server_name
-        self._bindings: Dict[str, Any] = {}
-        self.lookups = 0
-
-    def bind(self, name: str, container: Any) -> None:
-        if name in self._bindings:
-            raise NamingError(f"{name!r} already bound on {self.server_name}")
-        self._bindings[name] = container
-
-    def rebind(self, name: str, container: Any) -> None:
-        self._bindings[name] = container
-
-    def unbind(self, name: str) -> None:
-        self._bindings.pop(name, None)
-
-    def resolve(self, name: str) -> Optional[Any]:
-        self.lookups += 1
-        return self._bindings.get(name)
-
-    def names(self):
-        return sorted(self._bindings)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
 
 
 class HomeCache:
@@ -62,27 +32,28 @@ class HomeCache:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._cache: Dict[str, Any] = {}
+        self._cache: Dict[Any, Any] = {}  # keys are the resolver's own
         self.hits = 0
         self.misses = 0
 
-    def get(self, name: str) -> Optional[Any]:
-        if not self.enabled:
-            self.misses += 1
-            return None
-        ref = self._cache.get(name)
-        if ref is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return ref
-
-    def put(self, name: str, ref: Any) -> None:
+    def get(self, key: Any) -> Optional[Any]:
         if self.enabled:
-            self._cache[name] = ref
+            try:
+                ref = self._cache[key]
+            except KeyError:
+                pass
+            else:
+                self.hits += 1
+                return ref
+        self.misses += 1
+        return None
 
-    def invalidate(self, name: Optional[str] = None) -> None:
-        if name is None:
+    def put(self, key: Any, ref: Any) -> None:
+        if self.enabled:
+            self._cache[key] = ref
+
+    def invalidate(self, key: Optional[Any] = None) -> None:
+        if key is None:
             self._cache.clear()
         else:
-            self._cache.pop(name, None)
+            self._cache.pop(key, None)

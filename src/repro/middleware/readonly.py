@@ -16,12 +16,13 @@ Cold misses always pull — a replica cannot invent state it never saw.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Dict, Generator, Set
 
 from ..simnet.kernel import Event
 from .context import InvocationContext, UpdateEvent
-from .descriptors import ComponentDescriptor, ComponentKind, RefreshMode
-from .ejb import BeanError, run_business_method
+from .descriptors import ComponentDescriptor, ComponentKind
+from .ejb import BeanError
 from .session import BaseContainer
 
 __all__ = ["ReadOnlyEntityContainer", "ReadOnlyViolation"]
@@ -49,10 +50,6 @@ class ReadOnlyEntityContainer(BaseContainer):
         self.misses = 0
         self.refreshes = 0
         self.invalidations = 0
-
-    @property
-    def refresh_mode(self) -> RefreshMode:
-        return self.descriptor.read_mostly.refresh_mode
 
     # -- replica maintenance (called by update propagation) ---------------------
     def apply_update(self, event: UpdateEvent) -> None:
@@ -116,14 +113,11 @@ class ReadOnlyEntityContainer(BaseContainer):
         return primary_key in self._cache and primary_key not in self._stale
 
     # -- state acquisition -----------------------------------------------------
-    def _get_state(
+    def _refresh(
         self, ctx: InvocationContext, primary_key: Any
     ) -> Generator[Event, Any, Dict[str, Any]]:
-        if self.is_fresh(primary_key):
-            self.hits += 1
-            return self._cache[primary_key]
+        """A miss: pull from the central updater façade, exactly one RMI call."""
         self.misses += 1
-        # Refresh from the central updater façade: exactly one RMI call.
         facade = yield from ctx.lookup(UPDATER_FACADE + "@central")
         state = yield from facade.call(ctx, "fetch_state", self.name, primary_key)
         if state is None:
@@ -137,8 +131,12 @@ class ReadOnlyEntityContainer(BaseContainer):
     def invoke(
         self, ctx: InvocationContext, method: str, args: tuple, identity: Any = None
     ) -> Generator[Event, Any, Any]:
+        """A replica read: no pool and no transaction, so the call plan is
+        consulted for the method's function alone."""
         self.invocations += 1
-        yield from ctx.cpu(ctx.costs.bean_method_base)
+        work = ctx.costs.bean_method_base
+        if work:
+            yield from self._cpu_use(work / self._cpu_speed)
         if ctx.footprint is not None:
             # Replica reads never reach the JDBC layer; the mapped table
             # is this container's whole read footprint.
@@ -155,13 +153,23 @@ class ReadOnlyEntityContainer(BaseContainer):
                 f"{method!r}; aggregate queries belong to query caches"
             )
 
-        state = yield from self._get_state(ctx, identity)
+        if identity in self._cache and identity not in self._stale:
+            self.hits += 1
+            state = self._cache[identity]
+        else:
+            state = yield from self._refresh(ctx, identity)
         instance = self.descriptor.impl()
         instance.primary_key = identity
         instance.state = dict(state)
         instance._loaded = True
-        result = yield from run_business_method(instance, method, ctx, args)
-        if instance.is_dirty:
+        try:
+            plan = self._plans[method]
+        except KeyError:
+            plan = self._plan(method, self._plans)
+        result = plan[0](instance, ctx, *args)  # (function, is_generator, ...)
+        if plan[1] or result.__class__ is GeneratorType:
+            result = yield from result
+        if instance._dirty_fields:
             raise ReadOnlyViolation(
                 f"method {method!r} mutated read-only replica "
                 f"{self.name}[{identity!r}] on {self.server.name}"

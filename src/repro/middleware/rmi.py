@@ -35,6 +35,7 @@ class ComponentRef:
     """Common reference surface for local and remote components."""
 
     descriptor: ComponentDescriptor
+    is_remote: bool  # fixed by the kind of reference
 
     def call(
         self, ctx: InvocationContext, method: str, *args: Any, identity: Any = None
@@ -50,10 +51,6 @@ class ComponentRef:
     ) -> Generator[Event, Any, Any]:
         """Invoke a home finder method (entity homes only)."""
         return self.call(ctx, finder, *args)
-
-    @property
-    def is_remote(self) -> bool:
-        raise NotImplementedError
 
 
 class BoundEntityRef:
@@ -75,31 +72,32 @@ class BoundEntityRef:
 class LocalRef(ComponentRef):
     """In-VM reference: dispatches straight into the local container."""
 
+    is_remote = False
+
     def __init__(self, container: Any):
         self.container = container
         self.descriptor = container.descriptor
-
-    @property
-    def is_remote(self) -> bool:
-        return False
+        self._cpu_use = container._cpu_use
+        self._cpu_speed = container._cpu_speed
 
     def call(
         self, ctx: InvocationContext, method: str, *args: Any, identity: Any = None
     ) -> Generator[Event, Any, Any]:
-        span = None if ctx.spans is None else ctx.start_span(
-            "invoke",
-            f"{self.descriptor.name}.{method}",
-            target=self.descriptor.name,
-            method=method,
-        )
+        span = None
+        callee_ctx = ctx
+        if ctx.spans is not None:
+            name = self.descriptor.name
+            span = ctx.start_span("invoke", f"{name}.{method}", target=name, method=method)
+            callee_ctx = ctx.in_span(span)
         try:
-            yield from ctx.cpu(ctx.costs.local_call)
-            result = yield from self.container.invoke(
-                ctx.in_span(span), method, args, identity=identity
-            )
+            work = ctx.costs.local_call
+            if work:
+                yield from self._cpu_use(work / self._cpu_speed)
+            result = yield from self.container.invoke(callee_ctx, method, args, identity)
             return result
         finally:
-            ctx.finish_span(span)
+            if span is not None:
+                ctx.finish_span(span)
 
 
 class RemoteRef(ComponentRef):
@@ -107,8 +105,12 @@ class RemoteRef(ComponentRef):
 
     The callee executes under a fresh context bound to the target server
     (transactions do not span the wire — there is no WAN 2PC in the
-    paper's deployments).
+    paper's deployments).  What the pair of servers decides — the route's
+    end points, whether it is wide-area, whether the component may be
+    called remotely at all — is recorded when the stub is made.
     """
+
+    is_remote = True
 
     def __init__(self, source_server: "AppServer", target_server: "AppServer", container: Any):
         self.source_server = source_server
@@ -116,38 +118,39 @@ class RemoteRef(ComponentRef):
         self.container = container
         self.descriptor = container.descriptor
         self._stub_created = not source_server.costs.rmi_stub_creation_rtt
-        self.calls = 0
-
-    @property
-    def is_remote(self) -> bool:
-        return True
+        self._network = source_server.network
+        self._src = source_server.node.name
+        self._dst = target_server.node.name
+        self._wide_area: Any = None  # a span label: asked once, by the first traced call
+        self._remote_interface = self.descriptor.remote_interface
 
     def call(
         self, ctx: InvocationContext, method: str, *args: Any, identity: Any = None
     ) -> Generator[Event, Any, Any]:
-        if not self.descriptor.remote_interface:
+        if not self._remote_interface:
             raise AccessError(
                 f"component {self.descriptor.name!r} exposes only a local "
                 f"interface but was invoked from {self.source_server.name} "
                 f"against {self.target_server.name} (design rule R1)"
             )
         costs = ctx.costs
-        network = self.source_server.network
-        src = self.source_server.node.name
-        dst = self.target_server.node.name
-        start = ctx.env.now
-        span = None if ctx.spans is None else ctx.start_span(
-            "rmi",
-            f"{self.descriptor.name}.{method}",
-            wide_area=self.source_server.is_wide_area(dst),
-            target=self.descriptor.name,
-            method=method,
-        )
+        env = ctx.env
+        start = env.now
+        span = None
+        if ctx.spans is not None:
+            if self._wide_area is None:
+                self._wide_area = self.source_server.is_wide_area(self._dst)
+            name = self.descriptor.name
+            span = ctx.start_span(
+                "rmi", f"{name}.{method}", wide_area=self._wide_area,
+                target=name, method=method,
+            )
 
         marshal_args = args if identity is None else args + (identity,)
         request_bytes = call_size(
             costs.rmi_marshal_base, costs.rmi_marshal_per_arg, method, marshal_args
         )
+        network, src, dst = self._network, self._src, self._dst
         # Deadline-based timeout with capped exponential-backoff retries.
         # The deadline is pure arithmetic — no race events, no pending
         # timeouts — so a call that never faults schedules exactly the
@@ -158,93 +161,72 @@ class RemoteRef(ComponentRef):
             while True:
                 attempt += 1
                 try:
-                    result = yield from self._attempt(
-                        ctx, span, method, args, identity, costs, network,
-                        src, dst, request_bytes,
-                    )
+                    # One marshalled round trip, in this frame: the callee's
+                    # events resume no stub frame on their way down.
+                    if not self._stub_created:
+                        # First use of the remote stub: an extra round trip to
+                        # create it (the paper pools stubs client-side).
+                        yield from network.transfer(src, dst, 96, kind="rmi")
+                        yield from network.transfer(dst, src, 512, kind="rmi")
+                        self._stub_created = True
+
+                    yield from ctx.cpu(costs.rmi_cpu)  # client-side marshalling
+
+                    pool = self.source_server.rmi_pool(dst)
+                    connection = yield from pool.checkout(src, dst)
+                    try:
+                        yield from network.transfer(src, dst, request_bytes, kind="rmi")
+                        callee_ctx = ctx.at_server(self.target_server)
+                        if span is not None:
+                            callee_ctx.span_id = span.id  # fresh context; bind in place
+                        yield from callee_ctx.cpu(costs.rmi_cpu)  # server-side unmarshalling
+                        result = yield from self.container.invoke(
+                            callee_ctx, method, args, identity
+                        )
+                        response_bytes = result_size(costs.rmi_result_base, result)
+                        yield from network.transfer(dst, src, response_bytes, kind="rmi")
+                    except BaseException:
+                        # A fault mid-exchange leaves the socket in an unknown
+                        # state; close it so the pool never hands it out.
+                        connection.close()
+                        raise
+                    finally:
+                        pool.checkin(connection)  # no-op when the connection is closed
+
+                    # Distributed garbage collection / ping traffic: the
+                    # *latency* effect is an amortized fractional extra round
+                    # trip per call; the *bytes* flow as detached ping/lease
+                    # traffic sized to reproduce "more than half of the data
+                    # traffic incurred by RMI is due to distributed garbage
+                    # collection" (§4.3, citing [5]).
+                    if costs.rmi_dgc_fraction > 0:
+                        dgc_delay = costs.rmi_dgc_fraction * 2.0 * network.path_latency(src, dst)
+                        if dgc_delay > 0:
+                            yield env.sleep(dgc_delay)
+                        env.process(
+                            self._dgc_traffic(network, src, dst, request_bytes + response_bytes),
+                            name=f"dgc-{self.descriptor.name}",
+                        )
                     break
                 except RETRYABLE_ERRORS as error:
                     stats = self.source_server.resilience
-                    if attempt > costs.rmi_max_retries or ctx.env.now >= deadline:
+                    if attempt > costs.rmi_max_retries or env.now >= deadline:
                         if stats is not None:
                             stats.rmi_timeouts += 1
-                        raise RmiTimeout(
-                            self.descriptor.name, method, src, dst, attempt
-                        ) from error
+                        raise RmiTimeout(self.descriptor.name, method, src, dst, attempt) from error
                     if stats is not None:
                         stats.rmi_retries += 1
-                    yield ctx.env.sleep(
+                    yield env.sleep(
                         backoff_delay(
                             costs.rmi_backoff_base_ms, costs.rmi_backoff_cap_ms, attempt
                         )
                     )
         finally:
-            ctx.finish_span(span)
-
-        self.calls += 1
-        ctx.record_call(
-            "rmi", dst, self.descriptor.name, method, duration=ctx.env.now - start
-        )
-        return result
-
-    def _attempt(
-        self,
-        ctx: InvocationContext,
-        span,
-        method: str,
-        args: tuple,
-        identity: Any,
-        costs,
-        network,
-        src: str,
-        dst: str,
-        request_bytes: int,
-    ) -> Generator[Event, Any, Any]:
-        """One marshalled round trip (the pre-resilience ``call`` body)."""
-        if not self._stub_created:
-            # First use of the remote stub: an extra round trip to create
-            # it (the paper pools stubs client-side to avoid this).
-            yield from network.transfer(src, dst, 96, kind="rmi")
-            yield from network.transfer(dst, src, 512, kind="rmi")
-            self._stub_created = True
-
-        yield from ctx.cpu(costs.rmi_cpu)  # client-side marshalling
-
-        pool = self.source_server.rmi_pool(dst)
-        connection = yield from pool.checkout(src, dst)
-        try:
-            yield from network.transfer(src, dst, request_bytes, kind="rmi")
-            callee_ctx = ctx.at_server(self.target_server)
             if span is not None:
-                callee_ctx.span_id = span.id  # fresh context; bind in place
-            yield from callee_ctx.cpu(costs.rmi_cpu)  # server-side unmarshalling
-            result = yield from self.container.invoke(
-                callee_ctx, method, args, identity=identity
-            )
-            response_bytes = result_size(costs.rmi_result_base, result)
-            yield from network.transfer(dst, src, response_bytes, kind="rmi")
-        except BaseException:
-            # A fault mid-exchange leaves the socket in an unknown state;
-            # close it so the pool never hands out a broken connection.
-            connection.close()
-            raise
-        finally:
-            pool.checkin(connection)  # no-op when the connection is closed
+                ctx.finish_span(span)
 
-        # Distributed garbage collection / ping traffic: the *latency*
-        # effect is an amortized fractional extra round trip per call; the
-        # *bytes* flow as detached ping/lease traffic sized to reproduce
-        # "more than half of the data traffic incurred by RMI is due to
-        # distributed garbage collection" (§4.3, citing [5]).
-        if costs.rmi_dgc_fraction > 0:
-            dgc_delay = costs.rmi_dgc_fraction * 2.0 * network.path_latency(src, dst)
-            if dgc_delay > 0:
-                yield ctx.env.sleep(dgc_delay)
-            dgc_bytes = request_bytes + response_bytes
-            ctx.env.process(
-                self._dgc_traffic(network, src, dst, dgc_bytes),
-                name=f"dgc-{self.descriptor.name}",
-            )
+        if ctx.trace is not None:
+            ctx.record_call("rmi", dst, self.descriptor.name, method, duration=env.now - start)
         return result
 
     def _dgc_traffic(self, network, src: str, dst: str, total_bytes: int):

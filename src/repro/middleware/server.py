@@ -43,7 +43,7 @@ from .ejb import BeanError
 from .entity import EntityContainer
 from .jms import JmsProvider
 from .mdb import MessageDrivenContainer
-from .naming import JNDI_LOOKUP_REQUEST, JNDI_LOOKUP_RESPONSE, HomeCache, JndiRegistry, NamingError
+from .naming import JNDI_LOOKUP_REQUEST, JNDI_LOOKUP_RESPONSE, HomeCache, NamingError
 from .querycache import QueryCacheManager
 from .readonly import ReadOnlyEntityContainer
 from .rmi import ComponentRef, LocalRef, RemoteRef
@@ -83,11 +83,13 @@ class AppServer:
         self.is_main = is_main
         self._wide_area_of = wide_area_of  # callable(node_a, node_b) -> bool
 
-        self.naming = JndiRegistry(node.name)
         self.home_cache = HomeCache(enabled=True)
         self.web_sessions = HttpSessionStore()
         self.containers: Dict[str, Any] = {}
         self._readonly: Dict[str, ReadOnlyEntityContainer] = {}
+        # What was resolved per method (containers) and per page (here).
+        self._plan_tables: List[dict] = []
+        self._pages: Dict[str, ServletContainer] = self.plan_table()
         self.query_cache: Optional[QueryCacheManager] = None
         # Unified edge-consistency chain: replicas, the query cache and
         # the method cache all receive bus payloads through it.
@@ -168,6 +170,7 @@ class AppServer:
         if self.method_cache is not None:
             self.method_cache.drop_all()
         self.home_cache.invalidate()
+        self.drop_call_plans()
         self._rmi_pools.clear()
         self._datasource = None
         for peer in self.peers.values():
@@ -194,11 +197,11 @@ class AppServer:
         ``replica=True`` deploys the read-only flavour of a read-mostly
         entity bean; read access then resolves to it locally.
         """
+        self.drop_call_plans()
         if descriptor.kind == ComponentKind.ENTITY:
             if replica:
                 container = ReadOnlyEntityContainer(self, descriptor)
                 self._readonly[descriptor.name] = container
-                self.naming.rebind(descriptor.name + ".ro", container)
                 return container
             container = EntityContainer(self, descriptor)
         elif descriptor.kind == ComponentKind.STATELESS_SESSION:
@@ -212,8 +215,19 @@ class AppServer:
         else:  # pragma: no cover - enum is closed
             raise BeanError(f"unknown component kind {descriptor.kind}")
         self.containers[descriptor.name] = container
-        self.naming.rebind(descriptor.name, container)
         return container
+
+    def plan_table(self) -> dict:
+        """A dict for what its owner resolves once per method or page."""
+        self._plan_tables.append({})
+        return self._plan_tables[-1]
+
+    def drop_call_plans(self) -> None:
+        """Empty every plan table: plans cache what the deployment decides,
+        so what changes it here — :meth:`deploy`, the method cache,
+        :meth:`crash` — calls this, and each next call resolves again."""
+        for table in self._plan_tables:
+            table.clear()
 
     def enable_query_cache(self) -> QueryCacheManager:
         if self.query_cache is None:
@@ -232,6 +246,7 @@ class AppServer:
                 self, mode=mode, lease_ms=lease_ms, capacity=capacity
             )
             self.consistency.register(self.method_cache)
+            self.drop_call_plans()
         return self.method_cache
 
     def container(self, name: str) -> Any:
@@ -269,15 +284,16 @@ class AppServer:
         self, ctx: InvocationContext, name: str, for_update: bool = False
     ) -> Generator[Event, Any, ComponentRef]:
         """Resolve ``name`` to a component reference (read-preferring)."""
-        force_central = name.endswith("@central")
-        if force_central:
-            name = name[: -len("@central")]
-
-        cache_key = name + (":w" if for_update else ":r") + (":c" if force_central else "")
+        # The name as given (an ``@central`` suffix included) is the key of
+        # a read lookup, so a cached home costs no string to find.
+        cache_key = (name, "w") if for_update else name
         cached = self.home_cache.get(cache_key)
         if cached is not None:
             return cached
 
+        force_central = name.endswith("@central")
+        if force_central:
+            name = name[: -len("@central")]
         ref: Optional[ComponentRef] = None
         if force_central and self.central is None:
             # This server *is* the central server: resolve locally.
@@ -389,11 +405,14 @@ class AppServer:
             transaction = ctx.transaction
             if transaction is not None:
                 key = ("jdbc", id(source))
-                connection = transaction.resources.get(key)
+                resources = transaction.resources
+                if resources is None:
+                    resources = transaction.resources = {}
+                connection = resources.get(key)
                 if connection is None:
                     connection = yield from source.connect()
                     connection.begin()
-                    transaction.resources[key] = connection
+                    resources[key] = connection
                     transaction.enlist_connection(connection)
                 result = yield from connection.execute(sql, params)
             else:
@@ -426,10 +445,16 @@ class AppServer:
     def cached_query(
         self, ctx: InvocationContext, query_id: str, params: Tuple = ()
     ) -> Generator[Event, Any, List[dict]]:
-        """Run a registered aggregate query, using the edge cache if present."""
-        if self.query_cache is not None and self.query_cache.handles(query_id):
-            rows = yield from self.query_cache.get(ctx, query_id, params)
-            return rows
+        """Run a registered aggregate query, using the edge cache if present
+        (a plain function handing back the generator of whoever answers)."""
+        cache = self.query_cache
+        if cache is not None and cache.handles(query_id):
+            return cache.get(ctx, query_id, params)
+        return self._uncached_query(ctx, query_id, params)
+
+    def _uncached_query(
+        self, ctx: InvocationContext, query_id: str, params: Tuple
+    ) -> Generator[Event, Any, List[dict]]:
         sql = self.application.queries.get(query_id)
         if sql is None:
             raise BeanError(f"unknown query id {query_id!r}")
@@ -445,19 +470,24 @@ class AppServer:
     def serve(
         self, ctx: InvocationContext, request: WebRequest
     ) -> Generator[Event, Any, Response]:
-        """Dispatch an HTTP request to the mapped servlet."""
+        """Dispatch an HTTP request to the mapped servlet: a plain function
+        handing back its container's generator, so dispatch adds no frame."""
         self.http_requests += 1
-        servlet_name = self.application.servlets.get(request.page)
-        if servlet_name is None:
-            raise BeanError(f"no servlet mapped for page {request.page!r}")
-        container = self.containers.get(servlet_name)
-        if container is None:
-            raise BeanError(
-                f"servlet {servlet_name!r} (page {request.page!r}) is not "
-                f"deployed on {self.name}"
-            )
-        response = yield from container.handle(ctx, request)
-        return response
+        page = request.page
+        try:
+            container = self._pages[page]
+        except KeyError:
+            servlet_name = self.application.servlets.get(page)
+            container = self.containers.get(servlet_name)
+            if container is None:
+                raise BeanError(
+                    f"no servlet mapped for page {page!r}"
+                    if servlet_name is None
+                    else f"servlet {servlet_name!r} (page {page!r}) is not "
+                    f"deployed on {self.name}"
+                ) from None
+            self._pages[page] = container
+        return container.handle(ctx, request)
 
 
 def _table_of(sql: str) -> str:

@@ -4,67 +4,148 @@ Transaction demarcation is container-managed.  A ``REQUIRED`` business
 method called outside a transaction begins one, commits it on success —
 including the blocking replica push of §4.3 when updates are pending —
 and rolls it back on failure.
+
+What only the deployment decides about a call is resolved once per method
+into a *call plan*; :meth:`BaseContainer.invoke` runs one, for every kind.
 """
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Dict, Generator, List
 
 from ..simnet.kernel import Event
+from .consistency import FootprintCollector
 from .context import InvocationContext, TransactionContext
 from .descriptors import ComponentDescriptor, ComponentKind, TxAttribute
-from .ejb import BeanError, StatefulSessionBean, run_business_method
+from .ejb import BeanError, StatefulSessionBean, business_method
 
 __all__ = ["BaseContainer", "StatelessSessionContainer", "StatefulSessionContainer"]
 
 
 class BaseContainer:
-    """Shared container behaviour: metrics and transaction demarcation."""
+    """Shared container behaviour: counters, call plans, the invocation path.
+
+    A subclass says where instances come from: ``_instance(ctx, identity)``
+    hands one over without waiting or returns None, and then the generator
+    ``_instance_wait(ctx, identity)`` waits for one (a pool miss, an
+    activation, a load).  ``_release(instance)``, where defined, takes it
+    back after the call.
+    """
+
+    # Entity beans: instances live in the caller's transaction — acquired in
+    # it, after the method charge; one left dirty marks it as writing.
+    _transactional_instances = False
+    _release = None
+    _home_plans = None  # plans of calls without an identity, for kinds with a home
 
     def __init__(self, server: Any, descriptor: ComponentDescriptor):
         self.server = server
         self.descriptor = descriptor
+        self.name = descriptor.name
         self.invocations = 0
         self.transactions_started = 0
+        # Charges go straight to this server's CPUs (``ctx.cpu``, inlined).
+        self._cpu_use = server.node.cpu.use
+        self._cpu_speed = server.node.cpu_speed
+        # method -> call plan, filled on first use; the server drops them.
+        self._plans: Dict[str, tuple] = server.plan_table()
 
-    @property
-    def name(self) -> str:
-        return self.descriptor.name
+    def _plan(self, method: str, plans: Dict[str, tuple], resolved: tuple = None) -> tuple:
+        """Resolve ``method`` into ``(function, is_generator, begins, nests,
+        suspends, cached)``, remember that in ``plans`` and return it.
+
+        ``function(instance, ctx, *args)`` is what the name means.  The next
+        three are the transaction attribute against "the caller has a
+        transaction": open one when it has none / although it has one / run
+        outside the one it has.  ``cached``: the server's method cache (None
+        at levels 1–5) intercepts the method.
+        """
+        function, is_generator = resolved or business_method(self.descriptor.impl, method)
+        attribute = self.descriptor.tx_attribute
+        cache = self.server.method_cache
+        plan = plans[method] = (
+            function,
+            is_generator,
+            attribute in (TxAttribute.REQUIRED, TxAttribute.REQUIRES_NEW),
+            attribute == TxAttribute.REQUIRES_NEW,
+            attribute == TxAttribute.NOT_SUPPORTED,
+            cache is not None and cache.intercepts(self.name, method),
+        )
+        return plan
 
     def invoke(
         self, ctx: InvocationContext, method: str, args: tuple, identity: Any = None
     ) -> Generator[Event, Any, Any]:
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    # -- container-managed transactions ---------------------------------------
-    def _run_demarcated(
-        self, ctx: InvocationContext, body
-    ) -> Generator[Event, Any, Any]:
-        """Run ``body(inner_ctx)`` under this component's tx attribute."""
-        attribute = self.descriptor.tx_attribute
-        if attribute == TxAttribute.NOT_SUPPORTED:
-            inner = ctx.in_transaction(None) if ctx.transaction else ctx
-            result = yield from body(inner)
-            return result
-        if attribute == TxAttribute.SUPPORTS:
-            result = yield from body(ctx)
-            return result
-        if attribute == TxAttribute.REQUIRED and ctx.transaction is not None:
-            result = yield from body(ctx)
-            return result
-        # REQUIRED without a transaction, or REQUIRES_NEW: start one here.
-        transaction = TransactionContext(ctx)
-        self.transactions_started += 1
-        inner = ctx.in_transaction(transaction)
+        """Run one business (or home) method under its plan: acquire an
+        instance, demarcate, charge, call, commit or roll back."""
+        self.invocations += 1
+        plans = self._plans
+        if identity is None and self._home_plans is not None:
+            plans = self._home_plans
         try:
-            result = yield from body(inner)
-        except BaseException:
-            if transaction.state == "active":
-                yield from transaction.rollback(inner)
-            raise
-        if transaction.state == "active":
-            yield from transaction.commit(inner)
+            plan = plans[method]
+        except KeyError:
+            plan = self._plan(method, plans)
+        function, is_generator, begins, nests, suspends, cached = plan
+
+        # Level 6: a method-cache hit skips everything below; a miss runs
+        # it with a footprint collector attached and is stored afterwards.
+        collector = None
+        if cached:
+            cache = self.server.method_cache
+            key, entry = cache.find(self.name, method, args, ctx.env.now)
+            if entry is not None:
+                result = yield from cache.serve(ctx, key, entry)
+                return result
+            if key is not None:
+                collector = FootprintCollector()
+                caller, ctx = ctx, ctx.with_footprint(collector)
+
+        transactional = self._transactional_instances
+        if not transactional:
+            instance = self._instance(ctx, identity)
+            if instance is None:
+                instance = yield from self._instance_wait(ctx, identity)
+        try:
+            transaction = None
+            if ctx.transaction is None:
+                if begins:
+                    transaction = TransactionContext(ctx)
+            elif nests:
+                transaction = TransactionContext(ctx)
+            elif suspends:
+                ctx = ctx.in_transaction(None)
+            if transaction is not None:
+                self.transactions_started += 1
+                ctx = ctx.in_transaction(transaction)
+            try:
+                work = ctx.costs.bean_method_base
+                if work:
+                    yield from self._cpu_use(work / self._cpu_speed)
+                if transactional:
+                    instance = self._instance(ctx, identity)
+                    if instance is None:
+                        instance = yield from self._instance_wait(ctx, identity)
+                result = function(instance, ctx, *args)
+                if is_generator or result.__class__ is GeneratorType:
+                    result = yield from result
+                if transactional and instance is not self and instance._dirty_fields:
+                    ctx.transaction.mark_write()
+            except BaseException:
+                if transaction is not None and transaction.state == "active":
+                    yield from transaction.rollback(ctx)
+                raise
+            if transaction is not None and transaction.state == "active":
+                if transaction.enlisted:
+                    yield from transaction.commit(ctx)
+                else:
+                    transaction.state = "committed"  # nothing to store, commit or push
+        finally:
+            if self._release is not None:
+                self._release(instance)
+        if collector is not None:
+            cache.learn(caller, key, collector, result)
         return result
 
 
@@ -83,49 +164,21 @@ class StatelessSessionContainer(BaseContainer):
         """Server-process crash: pooled instances are gone (counters survive)."""
         self._pool.clear()
 
-    def _checkout(self, ctx: InvocationContext) -> Generator[Event, Any, Any]:
-        if self._pool:
-            return self._pool.pop()
+    def _instance(self, ctx: InvocationContext, identity: Any) -> Any:
+        return self._pool.pop() if self._pool else None
+
+    def _instance_wait(
+        self, ctx: InvocationContext, identity: Any
+    ) -> Generator[Event, Any, Any]:
         instance = self.descriptor.impl()
         instance.ejb_create(ctx)
         self.instances_created += 1
         yield from ctx.cpu(ctx.costs.instance_creation)
         return instance
 
-    def _checkin(self, instance: Any) -> None:
+    def _release(self, instance: Any) -> None:
         if len(self._pool) < self.pool_size:
             self._pool.append(instance)
-
-    def invoke(
-        self, ctx: InvocationContext, method: str, args: tuple, identity: Any = None
-    ) -> Generator[Event, Any, Any]:
-        self.invocations += 1
-        # Level 6: annotated methods route through the transactional
-        # method cache (a hit skips checkout, demarcation and the
-        # business method entirely; a miss runs below with a footprint
-        # collector attached).  ``method_cache`` is None at levels 1–5.
-        cache = self.server.method_cache
-        if cache is not None and cache.intercepts(self.name, method):
-            result = yield from cache.invoke_through(ctx, self, method, args)
-            return result
-        result = yield from self._invoke_direct(ctx, method, args)
-        return result
-
-    def _invoke_direct(
-        self, ctx: InvocationContext, method: str, args: tuple
-    ) -> Generator[Event, Any, Any]:
-        instance = yield from self._checkout(ctx)
-
-        def body(inner_ctx):
-            yield from inner_ctx.cpu(inner_ctx.costs.bean_method_base)
-            result = yield from run_business_method(instance, method, inner_ctx, args)
-            return result
-
-        try:
-            result = yield from self._run_demarcated(ctx, body)
-        finally:
-            self._checkin(instance)
-        return result
 
 
 class StatefulSessionContainer(BaseContainer):
@@ -148,10 +201,10 @@ class StatefulSessionContainer(BaseContainer):
         if descriptor.kind != ComponentKind.STATEFUL_SESSION:
             raise BeanError(f"{descriptor.name!r} is not a stateful session bean")
         super().__init__(server, descriptor)
+        # Live instances, least recently touched first (a touch re-inserts
+        # its key): the passivation victim is the first key, never a scan.
         self._instances: Dict[str, StatefulSessionBean] = {}
         self._passivated: Dict[str, StatefulSessionBean] = {}
-        self._last_used: Dict[str, int] = {}
-        self._use_counter = 0
         self.instances_created = 0
         self.instances_removed = 0
         self.passivations = 0
@@ -161,33 +214,6 @@ class StatefulSessionContainer(BaseContainer):
         """Server-process crash: all conversational state is lost (counters survive)."""
         self._instances.clear()
         self._passivated.clear()
-        self._last_used.clear()
-
-    def _touch(self, key: str) -> None:
-        self._use_counter += 1
-        self._last_used[key] = self._use_counter
-
-    def _maybe_passivate(self, ctx: InvocationContext, protect: str):
-        threshold = ctx.costs.stateful_passivation_threshold
-        while len(self._instances) > threshold:
-            victim = min(
-                (k for k in self._instances if k != protect),
-                key=lambda k: self._last_used.get(k, 0),
-                default=None,
-            )
-            if victim is None:
-                return
-            self._passivated[victim] = self._instances.pop(victim)
-            self.passivations += 1
-            yield from ctx.cpu(self.PASSIVATION_IO_MS)
-
-    def _activate_if_passivated(self, ctx: InvocationContext, key: str):
-        instance = self._passivated.pop(key, None)
-        if instance is not None:
-            self._instances[key] = instance
-            self.activations += 1
-            yield from ctx.cpu(self.PASSIVATION_IO_MS)
-            yield ctx.env.sleep(self.PASSIVATION_IO_MS)  # store read-back
 
     def _session_key(self, ctx: InvocationContext, identity: Any) -> str:
         if identity is not None:
@@ -204,35 +230,49 @@ class StatefulSessionContainer(BaseContainer):
     def live_instance_count(self) -> int:
         return len(self._instances)
 
-    def invoke(
-        self, ctx: InvocationContext, method: str, args: tuple, identity: Any = None
-    ) -> Generator[Event, Any, Any]:
+    def invoke(self, ctx: InvocationContext, method: str, args: tuple, identity: Any = None):
+        """``remove`` ends the session without entering a bean: nothing is
+        charged or demarcated, and the empty result yields nothing."""
+        if method != "remove":
+            return super().invoke(ctx, method, args, identity)
         self.invocations += 1
         key = self._session_key(ctx, identity)
+        removed = self._instances.pop(key, None) or self._passivated.pop(key, None)
+        if removed is not None:
+            self.instances_removed += 1
+        return ()
 
-        if method == "remove":
-            removed = self._instances.pop(key, None) or self._passivated.pop(key, None)
-            self._last_used.pop(key, None)
-            if removed is not None:
-                self.instances_removed += 1
-            return None
+    def _instance(self, ctx: InvocationContext, identity: Any) -> None:
+        return None  # every acquisition touches the LRU order and may wait
 
-        yield from self._activate_if_passivated(ctx, key)
-        self._touch(key)
-        instance = self._instances.get(key)
+    def _instance_wait(
+        self, ctx: InvocationContext, identity: Any
+    ) -> Generator[Event, Any, Any]:
+        """Activate or create the session's instance, then passivate down
+        to the threshold (never the session being served)."""
+        key = self._session_key(ctx, identity)
+        live = self._instances
+        instance = self._passivated.pop(key, None)
+        if instance is not None:
+            live[key] = instance
+            self.activations += 1
+            yield from ctx.cpu(self.PASSIVATION_IO_MS)
+            yield ctx.env.sleep(self.PASSIVATION_IO_MS)  # store read-back
+        instance = live.pop(key, None)
         if instance is None:
             instance = self.descriptor.impl()
             instance.session_id = key
             instance.ejb_create(ctx)
-            self._instances[key] = instance
+            live[key] = instance
             self.instances_created += 1
             yield from ctx.cpu(ctx.costs.instance_creation)
-        yield from self._maybe_passivate(ctx, protect=key)
-
-        def body(inner_ctx):
-            yield from inner_ctx.cpu(inner_ctx.costs.bean_method_base)
-            result = yield from run_business_method(instance, method, inner_ctx, args)
-            return result
-
-        result = yield from self._run_demarcated(ctx, body)
-        return result
+        else:
+            live[key] = instance  # the touch
+        while len(live) > ctx.costs.stateful_passivation_threshold:
+            victim = next((other for other in live if other != key), None)
+            if victim is None:
+                break
+            self._passivated[victim] = live.pop(victim)
+            self.passivations += 1
+            yield from ctx.cpu(self.PASSIVATION_IO_MS)
+        return instance

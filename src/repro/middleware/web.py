@@ -10,13 +10,14 @@ charge CPU on the serving node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import GeneratorType
 from typing import Any, Dict, Generator, Optional, TYPE_CHECKING
 
 from ..simnet.kernel import Environment, Event
-from ..simnet.transport import Connection, ConnectionPool
+from ..simnet.transport import ACK_SIZE, SYN_SIZE, ConnectionPool
 from .context import InvocationContext, RequestInfo
 from .descriptors import ComponentDescriptor, ComponentKind
-from .ejb import BeanError, run_business_method
+from .ejb import BeanError, business_method
 
 if TYPE_CHECKING:  # pragma: no cover
     from .server import AppServer
@@ -108,48 +109,43 @@ class ServletContainer:
             raise BeanError(f"{descriptor.name!r} is not a servlet")
         self.server = server
         self.descriptor = descriptor
+        self.name = descriptor.name
         self.instance = descriptor.impl()
-        self.requests = 0
-
-    @property
-    def name(self) -> str:
-        return self.descriptor.name
-
-    def invoke(
-        self, ctx: InvocationContext, method: str, args: tuple, identity: Any = None
-    ) -> Generator[Event, Any, Any]:
-        """Servlets are invocable like components (used by dispatch)."""
-        result = yield from run_business_method(self.instance, method, ctx, args)
-        return result
+        # The servlet's call plan: one instance, one entry point.
+        self._handle, self._handle_is_generator = business_method(
+            type(self.instance), "handle"
+        )
+        # Charges go straight to this server's CPUs (see BaseContainer).
+        self._cpu_use = server.node.cpu.use
+        self._cpu_speed = server.node.cpu_speed
 
     def handle(
         self, ctx: InvocationContext, request: WebRequest
     ) -> Generator[Event, Any, Response]:
-        self.requests += 1
-        yield from ctx.cpu(ctx.costs.servlet_base)
-        if ctx.costs.servlet_io_wait > 0:
+        costs = ctx.costs
+        if costs.servlet_base:
+            yield from self._cpu_use(costs.servlet_base / self._cpu_speed)
+        if costs.servlet_io_wait > 0:
             # Stack latency that does not occupy a CPU (see MiddlewareCosts).
-            yield ctx.env.sleep(ctx.costs.servlet_io_wait)
-        response = yield from run_business_method(
-            self.instance, "handle", ctx, (request,)
-        )
-        if not isinstance(response, Response):
+            yield ctx.env.sleep(costs.servlet_io_wait)
+        response = self._handle(self.instance, ctx, request)
+        if self._handle_is_generator or response.__class__ is GeneratorType:
+            response = yield from response
+        if response.__class__ is not Response and not isinstance(response, Response):
             raise BeanError(
                 f"servlet {self.name!r} returned {type(response).__name__}, "
                 "expected Response"
             )
         # Rendering cost scales with the generated page size.
-        yield from ctx.cpu(ctx.costs.page_render_per_kb * response.html_size / 1024.0)
+        work = costs.page_render_per_kb * response.html_size / 1024.0
+        if work:
+            yield from self._cpu_use(work / self._cpu_speed)
         return response
 
 
 # ---------------------------------------------------------------------------
 # Client side
 # ---------------------------------------------------------------------------
-
-
-def _response_wire_size(response: "Response") -> int:
-    return response.wire_size()
 
 
 def http_get(
@@ -168,14 +164,10 @@ def http_get(
         # The connection attempt hangs until the client-side timeout.
         yield env.sleep(CONNECT_TIMEOUT_MS)
         raise ServerUnavailable(server.name)
-    network = server.network
+    network = server._network or server.network  # the property raises when unattached
     costs = server.costs
-    info = RequestInfo(
-        page=request.page,
-        client_group=client_group,
-        session_id=request.session_id,
-        client_node=request.client_node,
-    )
+    client = request.client_node
+    node = server.node.name
     # Per-session span sampling: the decision is a pure hash of the
     # session id (see SpanRecorder.sample), so either *every* request of
     # a session is traced or none is — partial trees would break the
@@ -186,29 +178,26 @@ def http_get(
     if spans is not None and not spans.sample(request.session_id):
         spans = None
     ctx = InvocationContext(
-        env=env,
-        server=server,
-        request=info,
-        costs=costs,
-        trace=server.trace,
-        spans=spans,
+        env,
+        server,
+        RequestInfo(request.page, client_group, request.session_id, client),
+        costs,
+        server.trace,
+        None,
+        0,
+        spans,
     )
     # Root span of the request's causal tree: everything the page does —
     # servlet work, RMI, JDBC, JMS — nests under it via ctx.span_id.
-    root_span = None if spans is None else ctx.start_span(
-        "http",
-        "GET " + request.page,
-        node=request.client_node or server.node.name,
-        wide_area=server.is_wide_area(request.client_node),
-    )
-    if root_span is not None:
+    root_span = None
+    if spans is not None:
+        root_span = ctx.start_span(
+            "http",
+            "GET " + request.page,
+            node=client or node,
+            wide_area=server.is_wide_area(client),
+        )
         ctx.span_id = root_span.id  # ctx is fresh; safe to bind in place
-
-    # ``serve`` is a generator function, so it can be handed to the
-    # transport layer directly — wrapping it in another generator would
-    # add a frame to every resume of every request.
-    def handler():
-        return server.serve(ctx, request)
 
     try:
         if costs.http_keep_alive:
@@ -216,24 +205,25 @@ def http_get(
             if pool is None:
                 pool = network.http_pool = ConnectionPool(network, kind="http")
             response = yield from pool.exchange(
-                request.client_node,
-                server.node.name,
+                client,
+                node,
                 costs.http_request_size,
-                handler,
-                response_size_of=_response_wire_size,
+                lambda: server.serve(ctx, request),
+                response_size_of=Response.wire_size,
             )
             return response
 
-        connection = Connection(
-            network, request.client_node, server.node.name, kind="http"
-        )
-        yield from connection.open()
-        response = yield from connection.request(
-            costs.http_request_size,
-            handler,
-            response_size_of=_response_wire_size,
-        )
-        connection.close()
+        # A connection opened for one exchange and closed after it is its
+        # four messages — SYN, SYN-ACK (the final ACK rides on the
+        # request), request, response — sent from this frame, so every
+        # event of the page resumes no transport frame on its way down.
+        transfer = network.transfer
+        yield from transfer(client, node, SYN_SIZE, kind="http")
+        yield from transfer(node, client, ACK_SIZE, kind="http")
+        yield from transfer(client, node, costs.http_request_size, kind="http")
+        response = yield from server.serve(ctx, request)
+        yield from transfer(node, client, response.wire_size(), kind="http")
         return response
     finally:
-        ctx.finish_span(root_span)
+        if root_span is not None:
+            ctx.finish_span(root_span)

@@ -72,28 +72,35 @@ class JdbcConnection:
             raise JdbcError("execute on a closed connection")
         server = self.source.server
         network = self.source.network
+        fetch_size = self.source.config.fetch_size
         request_size = STATEMENT_BASE_SIZE + _params_size(statement, params)
+        # Sized once, when the first batch is shipped: every batch of the
+        # cursor costs its row count times the same mean row size.
+        row_size = 0
 
         def handler():
             result = yield from server.execute(self.session, statement, params)
             return result
 
+        def first_batch_size(result: ResultSet) -> int:
+            nonlocal row_size
+            row_size = _mean_row_size(result)
+            return 64 + min(len(result.rows), fetch_size) * row_size
+
         result = yield from self.transport.request(
-            request_size,
-            handler,
-            response_size_of=lambda r: _first_batch_size(r, self.source.config.fetch_size),
+            request_size, handler, response_size_of=first_batch_size
         )
         # Cursor traversal: each further batch is its own round trip.
-        remaining = max(0, len(result.rows) - self.source.config.fetch_size)
+        remaining = max(0, len(result.rows) - fetch_size)
         while remaining > 0:
-            batch = min(remaining, self.source.config.fetch_size)
+            batch = min(remaining, fetch_size)
             yield from network.transfer(
                 self.transport.client, self.transport.server, FETCH_REQUEST_SIZE, kind="jdbc"
             )
             yield from network.transfer(
                 self.transport.server,
                 self.transport.client,
-                64 + batch * _mean_row_size(result),
+                64 + batch * row_size,
                 kind="jdbc",
             )
             remaining -= batch
@@ -195,8 +202,3 @@ def _mean_row_size(result: ResultSet) -> int:
     if not result.rows:
         return 16
     return max(16, (result_wire_size(result) - 64) // len(result.rows))
-
-
-def _first_batch_size(result: ResultSet, fetch_size: int) -> int:
-    rows = min(len(result.rows), fetch_size)
-    return 64 + rows * _mean_row_size(result)

@@ -84,6 +84,27 @@ class Connection:
         """Tear down (FIN exchange is not awaited by the application)."""
         self.is_open = False
 
+    def send(self, size: int, deadline: Optional[float] = None):
+        """The request half of an exchange; ``yield from`` the result.
+
+        A plain function: the checks and the count run at the call, and
+        the caller drives the transfer generator in its own frame, so no
+        transport frame sits between a caller and the server-side work
+        it runs between :meth:`send` and :meth:`reply`.
+        """
+        if not self.is_open:
+            raise TransportError(f"request on a closed {self._describe()}")
+        if deadline is not None and self.env.now >= deadline:
+            raise RequestTimeout(
+                f"{self._describe()} deadline passed before the request was sent"
+            )
+        self.requests_sent += 1
+        return self.network.transfer(self.client, self.server, size, kind=self.kind)
+
+    def reply(self, size: int):
+        """The response half of an exchange; ``yield from`` the result."""
+        return self.network.transfer(self.server, self.client, size, kind=self.kind)
+
     def request(
         self,
         request_size: int,
@@ -92,7 +113,7 @@ class Connection:
         response_size_of: Optional[Callable[[Any], int]] = None,
         deadline: Optional[float] = None,
     ) -> Generator[Event, Any, Any]:
-        """One request/response exchange.
+        """One request/response exchange: :meth:`send`, handler, :meth:`reply`.
 
         ``handler`` is a zero-argument callable returning a generator that
         performs the server-side work (CPU, nested calls, ...).  Its return
@@ -107,14 +128,7 @@ class Connection:
         after the bytes arrived.  ``None`` (the default) never times out
         and adds no events, keeping fault-free runs byte-identical.
         """
-        if not self.is_open:
-            raise TransportError(f"request on a closed {self._describe()}")
-        if deadline is not None and self.env.now >= deadline:
-            raise RequestTimeout(
-                f"{self._describe()} deadline passed before the request was sent"
-            )
-        self.requests_sent += 1
-        yield from self.network.transfer(self.client, self.server, request_size, kind=self.kind)
+        yield from self.send(request_size, deadline)
         result = yield from handler()
         if response_size_of is not None:
             size = response_size_of(result)
@@ -122,7 +136,7 @@ class Connection:
             size = response_size
         else:
             raise TransportError(f"response size unspecified on {self._describe()}")
-        yield from self.network.transfer(self.server, self.client, size, kind=self.kind)
+        yield from self.reply(size)
         if deadline is not None and self.env.now > deadline:
             raise RequestTimeout(
                 f"{self._describe()} response arrived after the deadline"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.core.distribution import DeployedSystem, distribute
 from repro.core.patterns import PatternLevel
+from repro.middleware.context import TransactionContext
 from repro.middleware.descriptors import (
     ApplicationDescriptor,
     ComponentDescriptor,
@@ -179,6 +180,22 @@ def tiny_system(
         trace=trace,
     )
     return env, system
+
+
+def in_transaction(ctx, body):
+    """Run ``body(inner_ctx)`` as a REQUIRED method's container would: in
+    a fresh transaction, committed on success and rolled back on failure."""
+    transaction = TransactionContext(ctx)
+    inner = ctx.in_transaction(transaction)
+    try:
+        result = yield from body(inner)
+    except BaseException:
+        if transaction.state == "active":
+            yield from transaction.rollback(inner)
+        raise
+    if transaction.state == "active":
+        yield from transaction.commit(inner)
+    return result
 
 
 def run_process(env: Environment, generator):

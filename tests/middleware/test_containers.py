@@ -5,7 +5,7 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.middleware.context import InvocationContext, RequestInfo
 from repro.middleware.ejb import BeanError
-from tests.helpers import run_process, tiny_system
+from tests.helpers import in_transaction, run_process, tiny_system
 
 
 def _ctx(env, server, page="Notes", session="s1"):
@@ -90,7 +90,7 @@ def test_transaction_rolls_back_on_bean_exception(system_level3):
                 yield from note_home.call(inner, "create", {"id": 100, "author": "x", "text": "a"})
                 yield from note_home.call(inner, "create", {"id": 100, "author": "x", "text": "b"})
 
-            yield from main.container("NotesFacade")._run_demarcated(ctx, body)
+            yield from in_transaction(ctx, body)
         except Exception:
             pass
 
@@ -117,7 +117,7 @@ def test_entity_read_loads_once_per_transaction(system_level3):
             yield from home.entity(5).call(inner, "get_text")
             yield from home.entity(5).call(inner, "get_text")  # cached in tx
 
-        yield from main.container("NotesFacade")._run_demarcated(ctx, body)
+        yield from in_transaction(ctx, body)
 
     run_process(env, proc())
     assert container.loads == 1
@@ -203,7 +203,7 @@ def test_entity_create_and_remove(system_level3):
         def body(inner):
             yield from home.call(inner, "remove", 200)
 
-        yield from main.container("NotesFacade")._run_demarcated(ctx, body)
+        yield from in_transaction(ctx, body)
 
     run_process(env, remove())
     assert (
@@ -245,7 +245,7 @@ def test_cmp_finder_batching_avoids_n_plus_1(system_level3):
             for key in keys:
                 yield from home.entity(key).call(inner, "get_text")
 
-        yield from main.container("NotesFacade")._run_demarcated(ctx, body)
+        yield from in_transaction(ctx, body)
 
     run_process(env, proc())
     assert container.loads == 0  # all rows came from the finder batch
@@ -266,7 +266,7 @@ def test_bmp_n_plus_1_without_batching(system_level3):
             for key in keys:
                 yield from home.entity(key).call(inner, "get_text")
 
-        yield from main.container("NotesFacade")._run_demarcated(ctx, body)
+        yield from in_transaction(ctx, body)
 
     run_process(env, proc())
     assert container.loads == 4  # one ejbLoad per found bean

@@ -87,8 +87,8 @@ def test_rollback_discards_update_events():
         yield from tx.rollback(ctx.in_transaction(tx))
 
     run_process(env, proc())
-    assert tx.update_events == []
-    assert tx.query_invalidations == []
+    assert not tx.update_events
+    assert not tx.query_invalidations
     assert tx.state == "aborted"
 
 

@@ -1,16 +1,19 @@
-"""Unit tests for the bean base classes and method dispatch helper."""
+"""Unit tests for the bean base classes and how containers dispatch to them."""
 
 import pytest
 
+from repro.core.patterns import PatternLevel
+from repro.middleware.context import InvocationContext, RequestInfo
+from repro.middleware.descriptors import ComponentDescriptor, ComponentKind
 from repro.middleware.ejb import (
     BeanError,
     EntityBean,
     StatefulSessionBean,
     StatelessSessionBean,
-    run_business_method,
+    business_method,
 )
-from repro.simnet.kernel import Environment
-from tests.helpers import run_process
+from repro.middleware.session import StatelessSessionContainer
+from tests.helpers import run_process, tiny_system
 
 
 class _Sample(StatelessSessionBean):
@@ -18,7 +21,7 @@ class _Sample(StatelessSessionBean):
         return value * 2
 
     def generator(self, ctx, value):
-        yield ctx  # any event-like; tests drive manually
+        yield from ctx.cpu(3.0)
         return value + 1
 
     def delegating(self, ctx, value):
@@ -29,61 +32,62 @@ class _Sample(StatelessSessionBean):
         return "secret"
 
 
-def test_plain_methods_are_wrapped_into_generators(env):
-    runner = run_business_method(_Sample(), "plain", None, (21,))
+@pytest.fixture
+def sample():
+    """``call(method, *args)`` through a stateless container of ``_Sample``."""
+    env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
+    main = system.main
+    container = StatelessSessionContainer(
+        main,
+        ComponentDescriptor(
+            name="Sample", kind=ComponentKind.STATELESS_SESSION, impl=_Sample
+        ),
+    )
+    ctx = InvocationContext(
+        env=env,
+        server=main,
+        request=RequestInfo("p", "g", "s", "client-main-0"),
+        costs=main.costs.variant(bean_method_base=0.0, instance_creation=0.0),
+    )
 
-    def proc():
-        result = yield from runner
-        return result
+    def call(method, *args):
+        return run_process(env, container.invoke(ctx, method, args))
 
-    assert run_process(env, proc()) == 42
-
-
-def test_generator_methods_compose(env):
-    def proc():
-        result = yield from run_business_method(
-            _WaitingBean(), "wait_then", _RealCtx(env), (5,)
-        )
-        return result
-
-    start = env.now
-    assert run_process(env, proc()) == 6
-    assert env.now == start + 3.0  # the bean's cpu() wait really happened
-
-
-class _RealCtx:
-    def __init__(self, env):
-        self.env = env
-
-    def cpu(self, ms):
-        yield self.env.timeout(ms)
+    call.env = env
+    call.container = container
+    return call
 
 
-class _WaitingBean(StatelessSessionBean):
-    def wait_then(self, ctx, value):
-        yield from ctx.cpu(3.0)
-        return value + 1
+def test_plain_methods_are_wrapped_into_generators(sample):
+    assert business_method(_Sample, "plain")[1] is False
+    assert sample("plain", 21) == 42
 
 
-def test_plain_methods_may_return_a_generator():
-    runner = run_business_method(_Sample(), "delegating", "event", (1,))
-    assert next(runner) == "event"
-    with pytest.raises(StopIteration) as finished:
-        runner.send(None)
-    assert finished.value.value == 2
+def test_generator_methods_compose(sample):
+    assert business_method(_Sample, "generator")[1] is True
+    start = sample.env.now
+    assert sample("generator", 5) == 6
+    assert sample.env.now == start + 3.0  # the bean's cpu() wait really happened
 
 
-def test_missing_method_raises():
-    # Twice: the per-(class, method) memo must not swallow the error.
+def test_plain_methods_may_return_a_generator(sample):
+    start = sample.env.now
+    assert sample("delegating", 1) == 2
+    assert sample.env.now == start + 3.0
+
+
+def test_missing_method_raises(sample):
+    # Twice: the container's per-method plan must not swallow the error.
     for _ in range(2):
         with pytest.raises(BeanError, match="_Sample has no business method 'nope'"):
-            run_business_method(_Sample(), "nope", None, ())
+            sample("nope")
+    assert sample.container.invocations == 2
 
 
-def test_private_methods_rejected():
+def test_private_methods_rejected(sample):
     for _ in range(2):
         with pytest.raises(BeanError, match="not a public"):
-            run_business_method(_Sample(), "_private", None, ())
+            sample("_private")
 
 
 # ---------------------------------------------------------------------------

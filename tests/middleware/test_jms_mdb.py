@@ -73,7 +73,7 @@ def test_delivery_to_local_subscriber(jms_setup):
 
     run_process(env, proc())
     assert [body for _t, body in _CollectingMdb.received] == ["hello"]
-    assert container.messages_handled == 1
+    assert container.invocations == 1
 
 
 def test_delivery_to_remote_subscriber_crosses_wan(jms_setup):

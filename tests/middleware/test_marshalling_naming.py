@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.middleware.marshalling import call_size, result_size, sizeof
-from repro.middleware.naming import HomeCache, JndiRegistry, NamingError
+from repro.middleware.naming import HomeCache
 
 
 # ---------------------------------------------------------------------------
@@ -176,32 +176,6 @@ def test_result_size():
 # ---------------------------------------------------------------------------
 # Naming
 # ---------------------------------------------------------------------------
-
-
-def test_registry_bind_and_resolve():
-    registry = JndiRegistry("main")
-    registry.bind("Catalog", "container")
-    assert registry.resolve("Catalog") == "container"
-    assert registry.lookups == 1
-    assert "Catalog" in registry
-
-
-def test_registry_duplicate_bind_rejected():
-    registry = JndiRegistry("main")
-    registry.bind("Catalog", "a")
-    with pytest.raises(NamingError):
-        registry.bind("Catalog", "b")
-    registry.rebind("Catalog", "b")  # rebind is allowed
-    assert registry.resolve("Catalog") == "b"
-
-
-def test_registry_unbind_and_names():
-    registry = JndiRegistry("main")
-    registry.bind("B", 1)
-    registry.bind("A", 2)
-    assert registry.names() == ["A", "B"]
-    registry.unbind("A")
-    assert registry.resolve("A") is None
 
 
 def test_home_cache_hit_miss_counters():

@@ -13,7 +13,8 @@ from repro.core.patterns import PatternLevel
 from repro.core.policy import level_policy
 from repro.core.rules import DesignRuleChecker
 from repro.middleware.context import InvocationContext, RequestInfo
-from repro.middleware.descriptors import UpdateMode
+from repro.middleware.descriptors import ComponentDescriptor, ComponentKind, UpdateMode
+from repro.middleware.ejb import StatelessSessionBean
 from repro.middleware.updates import UpdatePayload
 from repro.rdbms.lru import LruCache
 from repro.simnet.kernel import Environment
@@ -217,37 +218,42 @@ def test_writing_method_is_never_cached_and_recorded_as_r7():
     assert violations and "write_note" in violations[0].subject
 
 
+class _EchoBean(StatelessSessionBean):
+    def echo(self, ctx, value):
+        return value
+        yield  # pragma: no cover
+
+
 def test_unhashable_args_fall_through_to_direct_invocation():
     env, system = _strict_system()
-    cache = system.servers["edge1"].method_cache
     server = system.servers["edge1"]
-
-    class _StubDescriptor:
-        name = "NotesFacade"
-
-    class _StubContainer:
-        descriptor = _StubDescriptor()
-        direct_calls = 0
-
-        def _invoke_direct(self, ctx, method, args):
-            self.direct_calls += 1
-            yield from ctx.cpu(0.01)
-            return "direct"
-
-    stub = _StubContainer()
-
-    def proc():
-        ctx = _ctx(env, server)
-        result = yield from cache.invoke_through(
-            ctx, stub, "notes_of", (["unhashable"],)
+    cache = server.method_cache
+    container = server.deploy(
+        ComponentDescriptor(
+            name="Echo",
+            kind=ComponentKind.STATELESS_SESSION,
+            impl=_EchoBean,
+            cached_methods=("echo",),
         )
-        return result
+    )
+    ctx = _ctx(env, server)
+    # Called once before the cache learns of it: the plan this makes
+    # must not outlive the registration.
+    assert run_process(env, container.invoke(ctx, "echo", (1,))) == 1
+    cache.register("Echo", ("echo",))
 
     # A list argument is unhashable: the call still works, nothing cached.
-    assert run_process(env, proc()) == "direct"
-    assert stub.direct_calls == 1
+    assert cache.find("Echo", "echo", (["unhashable"],), env.now) == (None, None)
+    result = run_process(env, container.invoke(ctx, "echo", (["unhashable"],)))
+    assert result == ["unhashable"]
     assert cache.entry_count() == 0
-    assert cache.stats.stores == 0
+    assert cache.stats.stores == cache.stats.misses == cache.stats.hits == 0
+
+    # ... while a hashable one is intercepted: a miss, then a hit.
+    assert run_process(env, container.invoke(ctx, "echo", (2,))) == 2
+    assert run_process(env, container.invoke(ctx, "echo", (2,))) == 2
+    assert (cache.stats.misses, cache.stats.stores, cache.stats.hits) == (1, 1, 1)
+    assert container.invocations == 4
 
 
 # ---------------------------------------------------------------------------

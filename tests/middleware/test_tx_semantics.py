@@ -1,6 +1,8 @@
 """Tests for container-managed transaction attributes and stateful beans."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.patterns import PatternLevel
 from repro.middleware.context import InvocationContext, RequestInfo, TransactionContext
@@ -262,3 +264,89 @@ def test_lru_victim_selection():
     run_process(env, proc())
     assert "b" in container._passivated
     assert "a" in container._instances and "c" in container._instances
+
+
+class _MinVictimModel:
+    """The eviction rule this container had before it kept its instances
+    in last-touch order: stamp every touch with a counter, and passivate
+    ``min()`` over all live instances.  The reference for the test below."""
+
+    def __init__(self, threshold, costs):
+        self.threshold = threshold
+        self.costs = costs
+        self.live, self.passivated, self.last_used = set(), set(), {}
+        self.counter = self.passivations = self.activations = 0
+        self.evicted = []
+        self.charged = 0.0
+
+    def touch(self, key):
+        io = StatefulSessionContainer.PASSIVATION_IO_MS
+        if key in self.passivated:
+            self.passivated.remove(key)
+            self.live.add(key)
+            self.activations += 1
+            self.charged += 2 * io  # CPU, then the store read-back
+        self.counter += 1
+        self.last_used[key] = self.counter
+        if key not in self.live:
+            self.live.add(key)
+            self.charged += self.costs.instance_creation
+        while len(self.live) > self.threshold:
+            victim = min(
+                (k for k in self.live if k != key),
+                key=lambda k: self.last_used.get(k, 0),
+                default=None,
+            )
+            if victim is None:
+                break
+            self.live.remove(victim)
+            self.passivated.add(victim)
+            self.evicted.append(victim)
+            self.passivations += 1
+            self.charged += io
+        self.charged += self.costs.bean_method_base
+
+    def remove(self, key):
+        self.live.discard(key)
+        self.passivated.discard(key)
+        self.last_used.pop(key, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["touch", "touch", "touch", "remove"]), st.integers(0, 6)),
+        max_size=40,
+    )
+)
+def test_last_touch_order_evicts_what_min_over_stamps_did(operations):
+    env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
+    system.main.costs = system.main.costs.variant(stateful_passivation_threshold=3)
+    container = _passivating_container(system)
+    model = _MinVictimModel(3, system.main.costs)
+    evicted = []
+
+    def proc():
+        for operation, user in operations:
+            key = f"user-{user}"
+            ctx = _ctx(env, system.main, session=key)
+            before = set(container._passivated)
+            if operation == "touch":
+                model.touch(key)
+                yield from container.invoke(ctx, "bump", ())
+            else:
+                model.remove(key)
+                yield from container.invoke(ctx, "remove", ())
+            evicted.extend(k for k in container._passivated if k not in before)
+            assert set(container._instances) == model.live
+            assert set(container._passivated) == model.passivated
+            # Least recently used first, exactly as the stamps order them.
+            assert list(container._instances) == sorted(model.live, key=model.last_used.get)
+
+    run_process(env, proc())
+    assert evicted == model.evicted
+    assert (container.passivations, container.activations) == (
+        model.passivations,
+        model.activations,
+    )
+    assert env.now == pytest.approx(model.charged, abs=1e-9)
