@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..middleware.descriptors import ApplicationDescriptor
+from ..obs.metrics import collect_cache_stats, sum_counter
 from ..obs.spans import SpanRecorder, build_trees, client_path_wan_calls
 from ..simnet.monitor import Trace
 from .distribution import DeployedSystem
@@ -304,14 +305,10 @@ class DesignRuleChecker:
     # -- R7 -----------------------------------------------------------------
     def _check_r7(self, report: RuleReport) -> None:
         report.checked_rules.append("R7")
-        hits = misses = stale = 0
         for server in self.system.servers.values():
             cache = server.method_cache
             if cache is None:
                 continue
-            hits += cache.stats.hits
-            misses += cache.stats.misses
-            stale += cache.stats.stale_serves
             for (component, method), tables in sorted(cache.write_violations.items()):
                 report.violations.append(
                     RuleViolation(
@@ -321,9 +318,9 @@ class DesignRuleChecker:
                         "its results cannot be cached safely",
                     )
                 )
-        report.metrics["method_cache_hits"] = float(hits)
-        report.metrics["method_cache_misses"] = float(misses)
-        report.metrics["method_cache_stale_serves"] = float(stale)
+        section = collect_cache_stats(self.system).get("method_cache", {})
+        for name in ("hits", "misses", "stale_serves"):
+            report.metrics[f"method_cache_{name}"] = float(sum_counter(section, name))
 
     # -- R5 -----------------------------------------------------------------
     def _check_r5(self, report: RuleReport) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..core.patterns import PatternLevel, level_name
+from ..obs.metrics import collect_cache_stats
 
 __all__ = [
     "collect_resilience",
@@ -56,12 +57,8 @@ def collect_resilience(system, generator=None) -> dict:
         # single-instance run stays byte-identical to pre-cluster output.
         data["cluster"] = cluster.stats.to_dict()
     method_cache: dict = {}
-    for server_name in sorted(system.servers):
-        cache = system.servers[server_name].method_cache
-        if cache is None:
-            continue
-        stats = cache.stats.as_dict()
-        for key, value in stats.items():
+    for counters in collect_cache_stats(system).get("method_cache", {}).values():
+        for key, value in counters.items():
             if key == "staleness_max_ms":
                 method_cache[key] = max(method_cache.get(key, 0.0), value)
             else:

@@ -8,13 +8,27 @@ mechanisms share one shape — *edge-held state keyed by what it was
 derived from, invalidated when the underlying tables change* — and this
 module names that shape:
 
-* every mechanism is a :class:`ConsistencyInterceptor` registered with
-  its server's :class:`EdgeConsistencyManager`;
-* one shared **invalidation bus** (the existing
-  :class:`~repro.middleware.updates.UpdatePropagator` payloads, sync
-  push or JMS) delivers committed writes to the chain — the updater
-  façade dispatches an arriving payload through the manager instead of
-  hand-enumerating replica containers and the query cache;
+* a **chain member** is an object that holds such state on one server
+  and implements :class:`ConsistencyInterceptor`: ``apply(ctx, payload)``
+  takes what one bus payload means to it, ``drop_all()`` loses the state
+  (not the counters) and ``counters()`` reports it.  The members are the
+  mechanisms themselves — a
+  :class:`~repro.middleware.readonly.ReadOnlyEntityContainer` per
+  replicated bean, the server's
+  :class:`~repro.middleware.querycache.QueryCacheManager` and its
+  :class:`TransactionalMethodCache` — and no adapter stands between;
+* the server **registers** a member with its
+  :class:`EdgeConsistencyManager` in the call that creates it
+  (``AppServer.deploy(replica=True)``, ``enable_query_cache()``,
+  ``enable_method_cache()``), so the chain is exactly what the
+  deployment put there;
+* three callers **iterate** the chain and none of them names a
+  mechanism: the invalidation bus (the updater façade hands every
+  arriving :class:`~repro.middleware.updates.UpdatePayload`, sync push
+  or JMS, to :meth:`EdgeConsistencyManager.deliver`), a server crash
+  (:meth:`EdgeConsistencyManager.drop_all`) and the statistics walk
+  (``repro.obs.metrics.collect_cache_stats``, which everything that
+  reports edge state reads);
 * read/write **table footprints** are collected automatically at the
   JDBC layer through :class:`FootprintCollector` (threaded on
   ``InvocationContext.footprint``), never hand-declared.
@@ -36,8 +50,8 @@ Consistency modes mirror the paper's sync-vs-JMS spectrum:
   *sequence numbers* (a push the RMI layer lost leaves a gap; the next
   arriving payload reveals it and the cache drops everything), and a
   *freshness lease* — the cache serves hits only while the newest
-  payload it received was *stamped* within ``lease_ms``.  With
-  ``lease_ms`` no larger than the RMI deadline, a write whose push
+  payload it received was *stamped* within ``lease_ms``.  The lease is
+  the RMI deadline (``costs.rmi_timeout_ms``), so a write whose push
   failed cannot complete its commit before the lease that could have
   served its stale entry has expired.
 * **bounded** (``UpdateMode.ASYNC``): invalidations arrive via JMS with
@@ -63,17 +77,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FootprintCollector",
     "ConsistencyInterceptor",
-    "ReplicaInterceptor",
-    "QueryCacheInterceptor",
     "TransactionalMethodCache",
     "MethodCacheStats",
     "EdgeConsistencyManager",
     "METHOD_CACHE_CAPACITY",
 ]
 
-# Default bound on live (bean, method, args) entries per server.  Large
-# enough that the RUBiS/petstore working sets never evict in the paper
-# sweeps; the knob exists for memory-bounded deployments.
+# Bound on live (bean, method, args) entries per server.  Large enough
+# that the RUBiS/petstore working sets never evict in the paper sweeps.
 METHOD_CACHE_CAPACITY = 4096
 
 # Hit timestamps older than this can never be inside a measured
@@ -108,63 +119,28 @@ class FootprintCollector:
 
 
 class ConsistencyInterceptor:
-    """One edge-state mechanism plugged into the consistency chain."""
+    """What a member of a server's consistency chain implements.
 
-    name = "interceptor"
+    ``kind`` names the mechanism (the section of ``cache_stats`` its
+    counters land in); ``name`` tells apart several members of one kind
+    on one server — a replica container's is its component — and stays
+    None for a mechanism a server holds once.
+    """
+
+    kind: str
+    name: Optional[str] = None
 
     def apply(self, ctx: InvocationContext, payload: "UpdatePayload") -> None:
-        """Install/apply one bus payload into this mechanism's state."""
+        """Take from one bus payload what concerns this member's state."""
         raise NotImplementedError
 
-    def drop_all(self) -> None:  # pragma: no cover - default no-op
-        """Server-process crash: volatile state is gone."""
-
-
-class ReplicaInterceptor(ConsistencyInterceptor):
-    """Read-only entity replicas (§4.3) as a chain member."""
-
-    name = "replicas"
-
-    def __init__(self, server: "AppServer"):
-        self.server = server
-
-    def apply(self, ctx: InvocationContext, payload: "UpdatePayload") -> None:
-        server = self.server
-        for event in payload.events:
-            container = server.readonly_container(event.component)
-            if container is None:
-                continue
-            if event.state or event.deleted:
-                container.apply_update(event)
-            else:
-                container.invalidate(event.primary_key)
-
     def drop_all(self) -> None:
-        for container in self.server._readonly.values():
-            container.drop_all()
+        """Server-process crash: the state is gone, the counters survive."""
+        raise NotImplementedError
 
-
-class QueryCacheInterceptor(ConsistencyInterceptor):
-    """Aggregate query result caches (§4.4) as a chain member."""
-
-    name = "query_cache"
-
-    def __init__(self, server: "AppServer"):
-        self.server = server
-
-    def apply(self, ctx: InvocationContext, payload: "UpdatePayload") -> None:
-        cache = self.server.query_cache
-        if cache is None:
-            return
-        for query_id, params in payload.invalidations:
-            cache.invalidate(query_id, params)
-        for query_id, params, rows in payload.query_refreshes:
-            cache.apply_refresh(query_id, params, rows)
-
-    def drop_all(self) -> None:
-        cache = self.server.query_cache
-        if cache is not None:
-            cache.drop_all()
+    def counters(self) -> Dict[str, Any]:
+        """This member's counters, as its entry of ``cache_stats``."""
+        raise NotImplementedError
 
 
 class MethodCacheStats:
@@ -234,27 +210,17 @@ class TransactionalMethodCache(ConsistencyInterceptor):
     intersects the committed write set.
     """
 
-    name = "method_cache"
+    kind = "method_cache"
     HIT_CPU_MS = 0.02  # local lookup, same as a query-cache hit
 
-    def __init__(
-        self,
-        server: "AppServer",
-        mode: UpdateMode = UpdateMode.SYNC,
-        lease_ms: Optional[float] = None,
-        capacity: int = METHOD_CACHE_CAPACITY,
-    ):
+    def __init__(self, server: "AppServer", mode: UpdateMode = UpdateMode.SYNC):
         self.server = server
         self.mode = mode
         self.strict = mode == UpdateMode.SYNC
-        # Strict-mode freshness lease; must not exceed the RMI deadline
-        # (the zero-staleness argument in the module docstring needs
-        # lease_ms <= rmi_timeout_ms).
-        self.lease_ms = float(
-            server.costs.rmi_timeout_ms if lease_ms is None else lease_ms
-        )
-        self.capacity = capacity
-        self._entries = LruCache(capacity)
+        # Strict-mode freshness lease: the RMI deadline (the zero-staleness
+        # argument in the module docstring needs lease_ms <= rmi_timeout_ms).
+        self.lease_ms = float(server.costs.rmi_timeout_ms)
+        self._entries = LruCache(METHOD_CACHE_CAPACITY)
         self._by_table: Dict[str, Set[tuple]] = {}
         self._methods: Set[Tuple[str, str]] = set()
         self._no_store: Set[Tuple[str, str]] = set()
@@ -282,6 +248,9 @@ class TransactionalMethodCache(ConsistencyInterceptor):
 
     def entry_count(self) -> int:
         return len(self._entries)
+
+    def counters(self) -> Dict[str, Any]:
+        return self.stats.as_dict()
 
     def footprint_of(self, component: str, method: str) -> Optional[Tuple[str, ...]]:
         """The learned read footprint of a cached method (None = no entry)."""
@@ -453,31 +422,28 @@ class TransactionalMethodCache(ConsistencyInterceptor):
 
 
 class EdgeConsistencyManager:
-    """The per-server interceptor chain behind the invalidation bus.
+    """One server's consistency chain: the members, in registration order.
 
-    Replica containers and the query cache are standing members (they
-    observe the server's live registries, so deploying a replica or
-    enabling the query cache needs no registration step); the
-    transactional method cache joins when a deployment activates it.
-    An arriving bus payload is applied to every member, in chain order.
+    The server registers each mechanism as it creates it; the bus, a
+    crash and the statistics walk iterate whatever is there.
     """
 
-    def __init__(self, server: "AppServer"):
-        self.server = server
-        self._chain: List[ConsistencyInterceptor] = [
-            ReplicaInterceptor(server),
-            QueryCacheInterceptor(server),
-        ]
-        self.payloads_delivered = 0
+    def __init__(self):
+        self._chain: List[ConsistencyInterceptor] = []
 
-    def register(self, interceptor: ConsistencyInterceptor) -> None:
-        self._chain.append(interceptor)
+    def register(self, member: ConsistencyInterceptor) -> None:
+        self._chain.append(member)
 
-    def interceptors(self) -> List[ConsistencyInterceptor]:
+    def members(self) -> List[ConsistencyInterceptor]:
         return list(self._chain)
 
     def deliver(self, ctx: InvocationContext, payload: "UpdatePayload") -> bool:
-        self.payloads_delivered += 1
-        for interceptor in self._chain:
-            interceptor.apply(ctx, payload)
+        """Apply an arriving bus payload to every member, in chain order."""
+        for member in self._chain:
+            member.apply(ctx, payload)
         return True
+
+    def drop_all(self) -> None:
+        """Server-process crash: every member loses its state."""
+        for member in self._chain:
+            member.drop_all()

@@ -10,23 +10,30 @@ servers".  The manager supports the paper's two refresh protocols:
   the query at the main server (one RMI);
 * **push**: update propagation delivers fresh rows with the
   invalidation, so "query readers are not penalized".
+
+The manager is itself a member of its server's consistency chain
+(:mod:`repro.middleware.consistency`): the bus, a crash and the
+statistics walk reach it there.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from ..rdbms.lru import LruCache
 from ..rdbms.sql import parse_cached, statement_footprint
 from ..simnet.kernel import Event
+from .consistency import ConsistencyInterceptor
 from .context import InvocationContext
 from .descriptors import QueryCacheDescriptor
+from .updates import UPDATER_FACADE
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .updates import UpdatePayload
 
 __all__ = ["QueryCacheManager", "QueryCacheStats", "QUERY_CACHE_CAPACITY"]
 
-UPDATER_FACADE = "UpdaterFacade"
-
-# Default bound on cached parameter tuples per query.  Generous: the
+# Bound on cached parameter tuples per query.  Generous: the
 # paper-sweep working sets (categories × regions) stay well under it,
 # so the bound only bites for adversarial/unbounded parameter spaces —
 # the unbounded-growth hazard this cap exists to close.
@@ -57,12 +64,13 @@ class QueryCacheStats:
         return stats
 
 
-class QueryCacheManager:
+class QueryCacheManager(ConsistencyInterceptor):
     """Per-server cache of parameterized aggregate query results."""
 
-    def __init__(self, server: Any, capacity: int = QUERY_CACHE_CAPACITY):
+    kind = "query_cache"
+
+    def __init__(self, server: Any):
         self.server = server
-        self.capacity = capacity
         self._descriptors: Dict[str, QueryCacheDescriptor] = {}
         # query_id -> bounded LRU of {params: rows}
         self._entries: Dict[str, LruCache] = {}
@@ -74,7 +82,7 @@ class QueryCacheManager:
     # -- registration -----------------------------------------------------------
     def register(self, descriptor: QueryCacheDescriptor) -> None:
         self._descriptors[descriptor.query_id] = descriptor
-        self._entries.setdefault(descriptor.query_id, LruCache(self.capacity))
+        self._entries.setdefault(descriptor.query_id, LruCache(QUERY_CACHE_CAPACITY))
         self._stale.setdefault(descriptor.query_id, set())
         reads, _ = statement_footprint(parse_cached(descriptor.sql))
         self._tables[descriptor.query_id] = reads
@@ -120,7 +128,19 @@ class QueryCacheManager:
             self.stats[query_id].evictions += 1
             self._stale[query_id].discard(evicted[0])
 
-    # -- maintenance (update propagation) ---------------------------------------
+    # -- maintenance (the consistency chain) -------------------------------------
+    def apply(self, ctx: InvocationContext, payload: "UpdatePayload") -> None:
+        """Take the payload's query invalidations and refreshes."""
+        for query_id, params in payload.invalidations:
+            self.invalidate(query_id, params)
+        for query_id, params, rows in payload.query_refreshes:
+            self.apply_refresh(query_id, params, rows)
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        return {
+            query_id: self.stats[query_id].as_dict() for query_id in sorted(self.stats)
+        }
+
     def drop_all(self) -> None:
         """Server-process crash: every cached result set is lost.
 

@@ -12,30 +12,39 @@ response time; any attempted write raises.  State arrives either
   façade ("one RMI call").
 
 Cold misses always pull — a replica cannot invent state it never saw.
+
+The container is itself a member of its server's consistency chain
+(:mod:`repro.middleware.consistency`): the bus, a crash and the
+statistics walk reach it there.
 """
 
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import Any, Dict, Generator, Set
+from typing import TYPE_CHECKING, Any, Dict, Generator, Set
 
 from ..simnet.kernel import Event
+from .consistency import ConsistencyInterceptor
 from .context import InvocationContext, UpdateEvent
 from .descriptors import ComponentDescriptor, ComponentKind
 from .ejb import BeanError
 from .session import BaseContainer
+from .updates import UPDATER_FACADE
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .updates import UpdatePayload
 
 __all__ = ["ReadOnlyEntityContainer", "ReadOnlyViolation"]
-
-UPDATER_FACADE = "UpdaterFacade"
 
 
 class ReadOnlyViolation(BeanError):
     """A business method attempted to mutate read-only replica state."""
 
 
-class ReadOnlyEntityContainer(BaseContainer):
+class ReadOnlyEntityContainer(BaseContainer, ConsistencyInterceptor):
     """Cache-backed, read-only replica of an entity bean type."""
+
+    kind = "replicas"
 
     def __init__(self, server: Any, descriptor: ComponentDescriptor):
         if descriptor.kind != ComponentKind.ENTITY or descriptor.read_mostly is None:
@@ -51,9 +60,25 @@ class ReadOnlyEntityContainer(BaseContainer):
         self.refreshes = 0
         self.invalidations = 0
 
-    # -- replica maintenance (called by update propagation) ---------------------
+    # -- replica maintenance (the consistency chain) ----------------------------
+    def apply(self, ctx: InvocationContext, payload: "UpdatePayload") -> None:
+        """Take the payload's events for this component."""
+        name = self.name
+        for event in payload.events:
+            if event.component == name:
+                self.apply_update(event)
+
+    def counters(self) -> Dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "refreshes": self.refreshes,
+            "invalidations": self.invalidations,
+        }
+
     def apply_update(self, event: UpdateEvent) -> None:
-        """Push-path: install fresh state delivered with the invalidation."""
+        """One bus event: install the state pushed with it, or — an event
+        that carries none (pull mode) — mark the entry stale."""
         if event.deleted:
             self._cache.pop(event.primary_key, None)
             self._stale.discard(event.primary_key)

@@ -26,11 +26,7 @@ from ..rdbms.sql import parse_cached, statement_footprint
 from ..simnet.kernel import Environment, Event
 from ..simnet.monitor import Trace
 from ..simnet.transport import ConnectionPool
-from .consistency import (
-    EdgeConsistencyManager,
-    METHOD_CACHE_CAPACITY,
-    TransactionalMethodCache,
-)
+from .consistency import EdgeConsistencyManager, TransactionalMethodCache
 from .context import InvocationContext
 from .costs import MiddlewareCosts
 from .descriptors import (
@@ -48,6 +44,7 @@ from .querycache import QueryCacheManager
 from .readonly import ReadOnlyEntityContainer
 from .rmi import ComponentRef, LocalRef, RemoteRef
 from .session import StatefulSessionContainer, StatelessSessionContainer
+from .updates import UPDATER_FACADE
 from .web import HttpSessionStore, Response, ServletContainer, WebRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,10 +87,11 @@ class AppServer:
         # What was resolved per method (containers) and per page (here).
         self._plan_tables: List[dict] = []
         self._pages: Dict[str, ServletContainer] = self.plan_table()
+        # The edge-consistency chain: every replica container, the query
+        # cache and the method cache join it as they are created.  The
+        # typed accessors beside it serve the read path.
+        self.consistency = EdgeConsistencyManager()
         self.query_cache: Optional[QueryCacheManager] = None
-        # Unified edge-consistency chain: replicas, the query cache and
-        # the method cache all receive bus payloads through it.
-        self.consistency = EdgeConsistencyManager(self)
         self.method_cache: Optional[TransactionalMethodCache] = None
         self.update_propagator: Optional["UpdatePropagator"] = None
         self.jms: Optional[JmsProvider] = None
@@ -148,9 +146,9 @@ class AppServer:
 
         Unlike :meth:`fail` (a reachability blip), a crash drains
         everything held in process memory — HTTP sessions, stateful bean
-        instances, stateless instance pools, read-only replica caches,
-        query caches, the home-stub cache, and open connections (ours and
-        the idle sockets peers pooled towards us).  The *node* keeps
+        instances, stateless instance pools, whatever the members of the
+        consistency chain hold, the home-stub cache, and open connections
+        (ours and the idle sockets peers pooled towards us).  The *node* keeps
         routing; only the application server is gone, so clients can fail
         over to another entry point while we are down.
         """
@@ -163,12 +161,7 @@ class AppServer:
             drain = getattr(container, "drain", None)
             if drain is not None:
                 drain()
-        for container in self._readonly.values():
-            container.drop_all()
-        if self.query_cache is not None:
-            self.query_cache.drop_all()
-        if self.method_cache is not None:
-            self.method_cache.drop_all()
+        self.consistency.drop_all()
         self.home_cache.invalidate()
         self.drop_call_plans()
         self._rmi_pools.clear()
@@ -202,6 +195,7 @@ class AppServer:
             if replica:
                 container = ReadOnlyEntityContainer(self, descriptor)
                 self._readonly[descriptor.name] = container
+                self.consistency.register(container)
                 return container
             container = EntityContainer(self, descriptor)
         elif descriptor.kind == ComponentKind.STATELESS_SESSION:
@@ -232,19 +226,15 @@ class AppServer:
     def enable_query_cache(self) -> QueryCacheManager:
         if self.query_cache is None:
             self.query_cache = QueryCacheManager(self)
+            self.consistency.register(self.query_cache)
         return self.query_cache
 
     def enable_method_cache(
-        self,
-        mode: UpdateMode = UpdateMode.SYNC,
-        lease_ms: Optional[float] = None,
-        capacity: int = METHOD_CACHE_CAPACITY,
+        self, mode: UpdateMode = UpdateMode.SYNC
     ) -> TransactionalMethodCache:
         """Activate transactional method caching (level 6) on this server."""
         if self.method_cache is None:
-            self.method_cache = TransactionalMethodCache(
-                self, mode=mode, lease_ms=lease_ms, capacity=capacity
-            )
+            self.method_cache = TransactionalMethodCache(self, mode)
             self.consistency.register(self.method_cache)
             self.drop_call_plans()
         return self.method_cache
@@ -460,7 +450,7 @@ class AppServer:
             raise BeanError(f"unknown query id {query_id!r}")
         if not self.is_main and self.central is not None:
             # No local cache: fetch through the central façade (one RMI).
-            facade = yield from self.lookup(ctx, "UpdaterFacade@central")
+            facade = yield from self.lookup(ctx, UPDATER_FACADE + "@central")
             rows = yield from facade.call(ctx, "fetch_query", query_id, tuple(params))
             return rows
         result = yield from self.db_execute(ctx, sql, tuple(params))

@@ -130,12 +130,12 @@ class UpdaterFacadeBean(StatelessSessionBean):
     def apply_updates(self, ctx, payload: UpdatePayload):
         """Dispatch a bulk update payload through the consistency chain.
 
-        Replica installs, query-cache invalidations/refreshes and
-        method-cache invalidations are all interceptors on the server's
-        :class:`~repro.middleware.consistency.EdgeConsistencyManager`;
-        this façade no longer knows which mechanisms are deployed.
+        Every mechanism holding edge state on this server is a member of
+        its :class:`~repro.middleware.consistency.EdgeConsistencyManager`
+        and takes from the payload what concerns it; this façade does
+        not know which mechanisms are deployed.
         """
-        yield from ctx.cpu(0.05 * max(1, len(payload.events)))
+        yield from ctx.cpu(0.05 * (len(payload.events) or 1))
         return ctx.server.consistency.deliver(ctx, payload)
 
 
@@ -202,13 +202,6 @@ class UpdatePropagator:
         self.bounded_flushes = 0
 
     # -- payload assembly ---------------------------------------------------
-    def _mode_of_event(self, event: UpdateEvent) -> Tuple[UpdateMode, RefreshMode]:
-        descriptor = self.server.application.components.get(event.component)
-        read_mostly = descriptor.read_mostly if descriptor else None
-        if read_mostly is None:
-            return UpdateMode.SYNC, RefreshMode.PUSH
-        return read_mostly.update_mode, read_mostly.refresh_mode
-
     def _derived_invalidations(
         self, events: List[UpdateEvent]
     ) -> List[Tuple[QueryCacheDescriptor, Optional[tuple]]]:
@@ -236,9 +229,9 @@ class UpdatePropagator:
                 # No replicas consume this bean's state; the event exists
                 # only to derive query-cache invalidations below.
                 continue
-            mode, refresh = self._mode_of_event(event)
+            read_mostly = descriptor.read_mostly
             shipped = event
-            if refresh == RefreshMode.PULL and not event.deleted:
+            if read_mostly.refresh_mode == RefreshMode.PULL and not event.deleted:
                 shipped = UpdateEvent(
                     component=event.component,
                     table=event.table,
@@ -263,7 +256,8 @@ class UpdatePropagator:
                     changed_fields=event.changed_fields,
                     partial=True,
                 )
-            (sync if mode == UpdateMode.SYNC else asynchronous).events.append(shipped)
+            target = sync if read_mostly.update_mode == UpdateMode.SYNC else asynchronous
+            target.events.append(shipped)
 
         invalidation_work: List[Tuple[QueryCacheDescriptor, Optional[tuple]]] = []
         invalidation_work.extend(self._derived_invalidations(events))

@@ -32,6 +32,7 @@ __all__ = [
     "MetricsRegistry",
     "collect_system_metrics",
     "collect_cache_stats",
+    "sum_counter",
 ]
 
 Number = Union[int, float]
@@ -261,45 +262,56 @@ class MetricsRegistry:
 
 
 def collect_cache_stats(system) -> dict:
-    """Query-cache and read-only replica counters, in canonical nesting.
+    """The counters of every consistency-chain member, in canonical nesting.
 
     ``{"query_cache": {server: {query_id: {...}}}, "replicas": {server:
-    {component: {...}}}}`` — the per-container evidence behind the
-    paper's caching claims, previously discarded when a worker process
-    exited.  Keys are sorted so the dict is deterministic and directly
-    comparable across runs.
+    {component: {...}}}[, "method_cache": {server: {...}}]}`` — one
+    section per mechanism ``kind``, then the server, then the member's
+    ``name`` where a server holds several of a kind; keys sorted, so the
+    dict is deterministic and directly comparable across runs.  This is
+    the one walk of edge state: metrics, the time series, the
+    availability report and rule R7 all read its result.
     """
-    query_cache: Dict[str, dict] = {}
-    replicas: Dict[str, dict] = {}
-    method_cache: Dict[str, dict] = {}
+    # The paper's two sections always exist; any other (``method_cache``,
+    # level 6) only with a member, so levels 1-5 emit byte-identical dicts.
+    stats: Dict[str, dict] = {"query_cache": {}, "replicas": {}}
     for server_name in sorted(system.servers):
-        server = system.servers[server_name]
-        if server.method_cache is not None:
-            method_cache[server_name] = server.method_cache.stats.as_dict()
-        if server.query_cache is not None:
-            query_cache[server_name] = {
-                query_id: server.query_cache.stats[query_id].as_dict()
-                for query_id in sorted(server.query_cache.stats)
-            }
-        replica_stats = {}
-        for name in sorted(system.plan.replicas):
-            container = server.readonly_container(name)
-            if container is None:
-                continue
-            replica_stats[name] = {
-                "hits": container.hits,
-                "misses": container.misses,
-                "refreshes": container.refreshes,
-                "invalidations": container.invalidations,
-            }
-        if replica_stats:
-            replicas[server_name] = replica_stats
-    stats = {"query_cache": query_cache, "replicas": replicas}
-    # The method-cache section exists only when level 6 is active, so
-    # levels 1-5 keep emitting byte-identical cache-stat dicts.
-    if method_cache:
-        stats["method_cache"] = method_cache
+        members = system.servers[server_name].consistency.members()
+        for member in sorted(members, key=lambda member: member.name or ""):
+            section = stats.setdefault(member.kind, {})
+            if member.name is None:
+                section[server_name] = member.counters()
+            else:
+                section.setdefault(server_name, {})[member.name] = member.counters()
     return stats
+
+
+def sum_counter(section: dict, name: str) -> Number:
+    """Total of the counter ``name`` over one ``cache_stats`` section."""
+    total = 0
+    for key, value in section.items():
+        if isinstance(value, dict):
+            total += sum_counter(value, name)
+        elif key == name:
+            total += value
+    return total
+
+
+# Metric-name prefix of a cache_stats section where it is not the kind.
+_METRIC_PREFIX = {
+    "query_cache": "querycache",
+    "replicas": "replica",
+    "method_cache": "methodcache",
+}
+
+
+def _register_counters(registry: MetricsRegistry, prefix: str, counters: dict) -> None:
+    """One counter per leaf of a nested counter dict, named by its path."""
+    for name, value in counters.items():
+        if isinstance(value, dict):
+            _register_counters(registry, f"{prefix}.{name}", value)
+        else:
+            registry.counter(f"{prefix}.{name}").inc(value)
 
 
 def collect_system_metrics(registry: MetricsRegistry, system, generator=None) -> MetricsRegistry:
@@ -355,21 +367,9 @@ def collect_system_metrics(registry: MetricsRegistry, system, generator=None) ->
         registry.counter("propagator.bounded_flushes").inc(propagator.bounded_flushes)
         registry.gauge("propagator.blocking_time_ms").set(propagator.blocking_time_total)
 
-    cache_stats = collect_cache_stats(system)
-    for server_name, per_query in cache_stats["query_cache"].items():
-        for query_id, counters in per_query.items():
-            prefix = f"querycache.{server_name}.{query_id}"
-            for counter_name, value in counters.items():
-                registry.counter(f"{prefix}.{counter_name}").inc(value)
-    for server_name, per_component in cache_stats["replicas"].items():
-        for component, counters in per_component.items():
-            prefix = f"replica.{server_name}.{component}"
-            for counter_name, value in counters.items():
-                registry.counter(f"{prefix}.{counter_name}").inc(value)
     # methodcache.* names exist only under level 6 (see collect_cache_stats).
-    for server_name, counters in cache_stats.get("method_cache", {}).items():
-        for counter_name, value in counters.items():
-            registry.counter(f"methodcache.{server_name}.{counter_name}").inc(value)
+    for kind, section in collect_cache_stats(system).items():
+        _register_counters(registry, _METRIC_PREFIX.get(kind, kind), section)
 
     if generator is not None:
         registry.counter("workload.requests").inc(generator.total_requests())

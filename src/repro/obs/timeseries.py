@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Sequence, Tuple
 
 from ..simnet.kernel import Environment
-from .metrics import Histogram
+from .metrics import Histogram, collect_cache_stats, sum_counter
 
 __all__ = [
     "HDR_BOUNDS",
@@ -278,6 +278,14 @@ class TimeSeriesRecorder:
 # ---------------------------------------------------------------------------
 
 
+# Series-name prefix of a cache_stats section where it is not ``kind.``.
+_SERIES_PREFIX = {
+    "query_cache": "cache.query_",
+    "replicas": "replica.",
+    "method_cache": "methodcache.",
+}
+
+
 class _Sampler:
     """Reads cumulative sources at window boundaries and stores deltas.
 
@@ -311,37 +319,13 @@ class _Sampler:
         jms = system.main.jms
         if jms is not None:
             current["jms.deliveries"] = jms.deliveries
-        query_hits = query_misses = 0
-        replica_hits = replica_misses = 0
-        for server_name in sorted(system.servers):
-            server = system.servers[server_name]
-            if server.query_cache is not None:
-                for stats in server.query_cache.stats.values():
-                    query_hits += stats.hits
-                    query_misses += stats.misses
-            for name in system.plan.replicas:
-                container = server.readonly_container(name)
-                if container is not None:
-                    replica_hits += container.hits
-                    replica_misses += container.misses
-        current["cache.query_hits"] = query_hits
-        current["cache.query_misses"] = query_misses
-        current["replica.hits"] = replica_hits
-        current["replica.misses"] = replica_misses
-
-        # Method-cache counters appear only under level 6, so the
-        # paper-level series artifacts stay byte-identical.
-        method_hits = method_misses = 0
-        any_method_cache = False
-        for server_name in sorted(system.servers):
-            cache = system.servers[server_name].method_cache
-            if cache is not None:
-                any_method_cache = True
-                method_hits += cache.stats.hits
-                method_misses += cache.stats.misses
-        if any_method_cache:
-            current["methodcache.hits"] = method_hits
-            current["methodcache.misses"] = method_misses
+        # Hits and misses per edge-state mechanism.  A section exists only
+        # with a member (method_cache: level 6), so the paper-level series
+        # artifacts stay byte-identical.
+        for kind, section in collect_cache_stats(system).items():
+            prefix = _SERIES_PREFIX.get(kind, kind + ".")
+            current[prefix + "hits"] = sum_counter(section, "hits")
+            current[prefix + "misses"] = sum_counter(section, "misses")
 
         # Cluster counters appear only under a data_tier policy, so
         # single-instance series stay byte-identical with earlier runs.

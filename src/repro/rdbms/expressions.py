@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .lru import LruCache
+
 __all__ = [
     "Expression",
     "ColumnRef",
@@ -34,8 +36,7 @@ __all__ = [
 # LIKE pattern semantics (shared by the tree-walker and the compiler)
 # ---------------------------------------------------------------------------
 
-_LIKE_CACHE: Dict[str, Callable[[str], bool]] = {}
-_LIKE_CACHE_LIMIT = 1024
+_LIKE_CACHE = LruCache(1024)  # pattern -> matcher
 
 
 def _compile_like(pattern: str) -> Callable[[str], bool]:
@@ -64,13 +65,14 @@ def like_matcher(pattern: str) -> Callable[[str], bool]:
     """Predicate for a SQL LIKE ``pattern`` (``%`` wildcard, case-insensitive).
 
     The returned callable expects an already-**lowercased** value; callers
-    lower each candidate once instead of per pattern segment.
+    lower each candidate once instead of per pattern segment.  Matchers
+    are memoized in a bounded LRU, so a process that churns through
+    patterns neither grows nor stops caching.
     """
     matcher = _LIKE_CACHE.get(pattern)
     if matcher is None:
         matcher = _compile_like(pattern)
-        if len(_LIKE_CACHE) < _LIKE_CACHE_LIMIT:
-            _LIKE_CACHE[pattern] = matcher
+        _LIKE_CACHE.put(pattern, matcher)
     return matcher
 
 

@@ -8,7 +8,8 @@ included) of every JDBC statement the invocation actually executed.
 The two are derived by different code paths — the cache from the SQL
 ASTs flowing through the collector, the ground truth from the planner's
 chosen access paths — so agreement means the auto-derivation misses
-nothing and invents nothing.
+nothing and invents nothing.  The same case list carries the
+result-identity gate: caching may never change what a method returns.
 """
 
 import pytest
@@ -122,7 +123,7 @@ def _assert_footprints(monkeypatch, build_application, database, catalog, cases)
         cache = system.servers["edge1"].method_cache
         assert cache is not None and cache.intercepts(component, method)
         executed.clear()
-        _invoke(env, system, component, method, args)
+        direct = _invoke(env, system, component, method, args)
         learned = cache.footprint_of(component, method)
         assert learned is not None, (component, method)
         truth = _ground_truth_tables(database, executed)
@@ -130,6 +131,11 @@ def _assert_footprints(monkeypatch, build_application, database, catalog, cases)
         # Annotated methods are read-only: nothing may hit the write set.
         assert (component, method) not in cache.write_violations
         assert truth, (component, method)  # a cold read must touch tables
+        # Result identity: the second call is served from the cache and
+        # deep-equals what the first one computed through replicas and JDBC.
+        hits = cache.stats.hits
+        assert _invoke(env, system, component, method, args) == direct
+        assert cache.stats.hits == hits + 1, (component, method)
 
 
 def _annotated(application):

@@ -90,3 +90,26 @@ def test_level6_cache_stats_survive_the_worker_pool(serial_series, parallel_seri
         "method_cache"
         not in parallel_series[PatternLevel.ASYNC_UPDATES].cache_stats
     )
+
+
+# Remote-browser pages served by the annotated cacheable methods.
+READ_PAGES = (
+    "All Categories", "All Regions", "Bids", "Category",
+    "Category & Region", "Item", "Region", "User Info",
+)
+
+
+def test_level6_serves_hits_and_does_not_slow_the_read_pages(serial_series):
+    """Level 6 must not regress the read path it exists to accelerate."""
+    level5 = serial_series[PatternLevel.ASYNC_UPDATES]
+    level6 = serial_series[PatternLevel.METHOD_CACHING]
+    counters = level6.cache_stats["method_cache"].values()
+    assert sum(c["hits"] for c in counters) > 0
+    assert all(c["rejected_stores"] == 0 for c in counters)  # no method wrote
+    assert all(c["missed_payloads"] == 0 for c in counters)  # no push was lost
+    means = {
+        level: [result.mean("remote-browser", page) for page in READ_PAGES]
+        for level, result in ((5, level5), (6, level6))
+    }
+    assert None not in means[5] + means[6]  # every read page was visited
+    assert sum(means[6]) <= sum(means[5])

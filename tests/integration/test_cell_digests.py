@@ -1,12 +1,18 @@
 """Whole-cell equivalence: short cells must reproduce recorded digests.
 
-``cell_digests.json`` holds, for 73 short cells, the kernel's event
+``cell_digests.json`` holds, for 76 short cells, the kernel's event
 ``sequence``, the network's ``total_transfers`` and sha256 digests of
 ``monitor.to_state()``, the span table, the call-trace summary and the
 metrics registry — {petstore, rubis} x levels 1-6 x {closed, open} with
 spans off / on / sampled, plus one ``edge-crash`` fault cell.  The golden
 Tables 6/7 cover levels 1-5, closed loop, untraced; this is the net
 under level 6, faults, the open loop and tracing.
+
+Three more ``edge-crash`` cells run with the telemetry sampler on
+(``obs_interval_ms=1000``) and add digests of the time series and of the
+resilience snapshot: the only pin on the sampler's ``cache.query_*`` /
+``replica.*`` / ``methodcache.*`` deltas and on the availability
+report's ``method_cache`` fold.
 
 The file is recorded at the commit a host-only change starts from::
 
@@ -75,6 +81,27 @@ def _cells():
             faults=scenario("edge-crash", FAULT_DURATION_MS, WARMUP_MS),
         ),
     )
+    fault_loops = {
+        "closed": {
+            "workload": default_workload(duration_ms=FAULT_DURATION_MS, warmup_ms=WARMUP_MS)
+        },
+        "open": {
+            "openloop": OpenLoopConfig(
+                duration_ms=FAULT_DURATION_MS, warmup_ms=WARMUP_MS, session_rate_per_s=3.0
+            )
+        },
+    }
+    for app, level, loop in (("petstore", 4, "closed"), ("rubis", 5, "open"), ("rubis", 6, "closed")):
+        cells[f"{app}-L{level}-{loop}-series-edge-crash"] = (
+            app,
+            level,
+            RunSpec(
+                with_metrics=True,
+                obs_interval_ms=1000.0,
+                faults=scenario("edge-crash", FAULT_DURATION_MS, WARMUP_MS),
+                **fault_loops[loop],
+            ),
+        )
     return cells
 
 
@@ -88,7 +115,7 @@ def _sha256(value) -> str:
 def digest(app: str, level: int, spec: RunSpec) -> dict:
     result = run_configuration(app, level, spec)
     trace = result.trace_summary
-    return {
+    entry = {
         "sequence": result.system.env.stats()["sequence"],
         "transfers": result.system.testbed.network.total_transfers,
         "requests": result.total_requests,
@@ -97,6 +124,10 @@ def digest(app: str, level: int, spec: RunSpec) -> dict:
         "trace": _sha256(None if trace is None else dataclasses.asdict(trace)),
         "metrics": _sha256(result.metrics_state),
     }
+    if spec.obs_interval_ms:
+        entry["series"] = _sha256(result.series_state)
+        entry["resilience"] = _sha256(result.resilience)
+    return entry
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,14 @@
 """The unified consistency chain and level-6 transactional method caching.
 
-Covers the interceptor chain shape, the cached call path (hits, misses,
+Covers the chain's members, the cached call path (hits, misses,
 learned footprints, write rejection), commit-driven invalidation over
 the shared bus in both strict and bounded modes, and the failure guards
 (sequence gaps, crash drops, LRU eviction bookkeeping).
 """
 
 from dataclasses import replace
+
+import pytest
 
 from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel
@@ -111,12 +113,54 @@ def test_levels_below_six_have_no_method_cache():
 
 
 def test_consistency_chain_members():
+    """The chain holds the mechanisms themselves, in the order the
+    deployment created them: replicas, the query cache, the method cache."""
     env, system = _level6_system()
-    names = [i.name for i in system.servers["edge1"].consistency.interceptors()]
-    assert names == ["replicas", "query_cache", "method_cache"]
-    # Main has the standing members but no method cache registered.
-    names = [i.name for i in system.main.consistency.interceptors()]
-    assert names == ["replicas", "query_cache"]
+    edge = system.servers["edge1"]
+    members = edge.consistency.members()
+    assert [m.kind for m in members] == ["replicas", "query_cache", "method_cache"]
+    assert members == [edge.readonly_container("Note"), edge.query_cache, edge.method_cache]
+    # A replica is told apart by its component; the caches are one a server.
+    assert [m.name for m in members] == ["Note", None, None]
+    # Main has no method cache.
+    assert [m.kind for m in system.main.consistency.members()] == ["replicas", "query_cache"]
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_crash_empties_every_chain_member_and_keeps_its_counters(level):
+    env, system = tiny_system(PatternLevel(level))
+    edge = system.servers["edge1"]
+
+    def traffic():
+        yield from _call(env, system, "edge1", "read_note", 1)
+        yield from _call(env, system, "edge1", "read_note", 1)
+        yield from _call(env, system, "edge1", "notes_of", "author1")
+        yield from _call(env, system, "edge1", "notes_of", "author1")
+
+    run_process(env, traffic())
+    members = edge.consistency.members()
+    kinds = ["replicas", "query_cache", "method_cache"]
+    assert [m.kind for m in members] == kinds[: {3: 1, 4: 2, 5: 2, 6: 3}[level]]
+    replica = edge.readonly_container("Note")
+    assert replica.cached_keys() == {1} and replica.is_fresh(1)
+    if level >= 4:
+        assert edge.query_cache.is_fresh("tiny.notes_of", ("author1",))
+    if level == 6:
+        assert edge.method_cache.entry_count() == 2
+    before = {m: m.counters() for m in members}
+    assert all(before.values())  # every member has counted something
+
+    edge.crash()
+
+    assert replica.cached_keys() == set() and not replica.is_fresh(1)
+    if level >= 4:
+        assert not edge.query_cache.is_fresh("tiny.notes_of", ("author1",))
+    if level == 6:
+        assert edge.method_cache.entry_count() == 0
+        # The one counter a crash moves: the whole-cache drop it caused.
+        before[edge.method_cache]["drops"] += 1
+        assert edge.method_cache.stats.drops == 1
+    assert {m: m.counters() for m in members} == before
 
 
 def test_canned_level6_mode_is_bounded_strict_under_sync():

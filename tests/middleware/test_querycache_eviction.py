@@ -1,9 +1,10 @@
-"""Bounded query caches: the capacity knob and eviction accounting.
+"""Bounded query caches: the capacity bound and eviction accounting.
 
 Before the LRU refit the per-query entry dict grew without bound for
-the life of the server; now every query's entries live in a shared
-:class:`~repro.rdbms.lru.LruCache` whose capacity is a manager knob,
-and evictions surface in :class:`QueryCacheStats`.
+the life of the server; now every query's entries live in a
+:class:`~repro.rdbms.lru.LruCache` of ``QUERY_CACHE_CAPACITY``, and
+evictions surface in :class:`QueryCacheStats`.  The tests shrink a
+cache by replacing its ``_entries`` LRU.
 """
 
 from repro.core.patterns import PatternLevel
@@ -38,7 +39,7 @@ def test_default_capacity_is_generous():
     env, system = tiny_system(PatternLevel.QUERY_CACHING)
     manager = system.servers["edge1"].query_cache
     assert isinstance(manager, QueryCacheManager)
-    assert manager.capacity == QUERY_CACHE_CAPACITY
+    assert manager._entries["tiny.notes_of"].capacity == QUERY_CACHE_CAPACITY
 
 
 def test_full_cache_evicts_lru_params_and_counts_it():

@@ -226,6 +226,32 @@ def test_parse_cache_keeps_admitting_past_its_capacity(monkeypatch):
     assert parse_cached(texts[4095]) is first[4095]  # a warm one survived
 
 
+def test_like_matcher_cache_keeps_admitting_past_its_capacity(monkeypatch):
+    """Regression: the matcher cache was a dict that stopped admitting at
+    1,024 patterns, after which ``Like.evaluate`` recompiled its pattern
+    for every row."""
+    from repro.rdbms import expressions
+    from repro.rdbms.expressions import ColumnRef, Like, like_matcher
+    from repro.rdbms.lru import LruCache
+
+    cache = LruCache(1024)
+    monkeypatch.setattr(expressions, "_LIKE_CACHE", cache)  # leave the process's own alone
+    patterns = [f"item{number}%" for number in range(1025)]
+    first = [like_matcher(pattern) for pattern in patterns[:1024]]
+    assert len(cache) == 1024
+    newest = like_matcher(patterns[1024])  # the 1,025th distinct pattern ...
+    assert like_matcher(patterns[1024]) is newest  # ... is cached,
+    assert len(cache) == 1024
+    assert patterns[0] not in cache  # the coldest one made room
+    assert like_matcher(patterns[1023]) is first[1023]  # a warm one survived
+    # What a matcher answers does not depend on whether it was cached.
+    assert newest("item1024-blue") and not newest("item1023-blue")
+    assert like_matcher(patterns[0])("item0-red") and first[0]("item0-red")
+    row = {"name": "Item1024-Blue"}
+    assert Like(ColumnRef("name"), Literal(patterns[1024])).evaluate(row) is True
+    assert Like(ColumnRef("name"), Literal(patterns[3])).evaluate(row) is False
+
+
 def test_float_literals():
     statement = parse("SELECT * FROM t WHERE price >= 10.5")
     assert statement.where.right == Literal(10.5)
