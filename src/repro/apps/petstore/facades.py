@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from ...middleware.ejb import StatelessSessionBean
+from ...middleware.ejb import BeanError, StatelessSessionBean
 
 __all__ = ["CatalogBean", "SignOnFacadeBean", "CustomerFacadeBean", "OrderFacadeBean"]
 
@@ -94,7 +94,7 @@ class SignOnFacadeBean(StatelessSessionBean):
         signon_home = yield from ctx.lookup("SignOn")
         try:
             yield from signon_home.find(ctx, "find_by_primary_key", user_id)
-        except Exception:
+        except BeanError:  # no such user; a transport or database fault propagates
             return False
         ok = yield from signon_home.entity(user_id).call(ctx, "check_password", password)
         return bool(ok)

@@ -19,17 +19,7 @@ from .monitor import CallRecord, PageStats, ResponseTimeMonitor, Trace
 from .network import Link, Network, NetworkError, Node
 from .primitives import Latch, Resource, Semaphore, Store
 from .rng import Streams
-from .router import (
-    BandwidthShaper,
-    Classifier,
-    Counter,
-    ElementChain,
-    FixedDelay,
-    LossElement,
-    Packet,
-    PacketLoss,
-    TokenBucketShaper,
-)
+from .router import Hop, PacketLoss
 from .topology import (
     MBIT_PER_S,
     Testbed,
@@ -61,15 +51,8 @@ __all__ = [
     "Semaphore",
     "Store",
     "Streams",
-    "BandwidthShaper",
-    "Classifier",
-    "Counter",
-    "ElementChain",
-    "FixedDelay",
-    "LossElement",
-    "Packet",
+    "Hop",
     "PacketLoss",
-    "TokenBucketShaper",
     "MBIT_PER_S",
     "Testbed",
     "TestbedConfig",

@@ -1,10 +1,10 @@
 """Nodes, links and routing: the emulated network fabric.
 
 A :class:`Network` is a graph of named :class:`Node` objects joined by
-:class:`Link` objects.  Each link direction is an independent Click-style
-element chain (counter -> bandwidth shaper -> fixed delay), so latency and
-bandwidth contention are per-direction, exactly as with the paper's
-software router.
+:class:`Link` objects.  Each link direction is one
+:class:`~repro.simnet.router.Hop` — counter, bandwidth shaper and fixed
+delay, the paper's software-router pipeline — so latency and bandwidth
+contention are per-direction, exactly as with that router.
 
 The only public transfer primitive is :meth:`Network.transfer`, a
 generator that moves a message of ``size`` bytes from ``src`` to ``dst``
@@ -17,29 +17,25 @@ The wait path
 A page fetch crosses ``transfer`` four times (no keep-alive: SYN,
 SYN-ACK, request, response) and charges a CPU about six times, so both
 are kept to one generator frame and no allocation.  Per healthy hop,
-``transfer`` calls :meth:`ElementChain.hop_delay
-<repro.simnet.router.ElementChain.hop_delay>` — plain arithmetic over
-the chain's counter, shaper and delay — and yields the returned float
-bare, which the kernel treats as "resume me that many ms from now".
-Simulated time is bit-identical to walking the elements because the
-float is the same sum in the same order and is added to the clock once,
-at the same point in the event sequence.  A
-:class:`~repro.simnet.router.Packet` is built, once per transfer, only
-when a hop cannot take that path: the link has active fault state
-(:meth:`Network._faulted_hop`) or its chain is no longer the canonical
-triple.  :meth:`Node.compute` is a plain function that hands back
-:meth:`Resource.use <repro.simnet.primitives.Resource.use>`'s generator,
-so a CPU charge is that one frame.
+``transfer`` calls :meth:`Hop.cross <repro.simnet.router.Hop.cross>` —
+plain arithmetic over the hop's counter, port and delay — and yields
+the returned float bare, which the kernel treats as "resume me that
+many ms from now".  A link with active fault state takes
+:meth:`Network._faulted_hop` instead, which draws partition, loss and
+jitter around the same ``cross``.  :meth:`Node.compute` is a plain
+function that hands back :meth:`Resource.use
+<repro.simnet.primitives.Resource.use>`'s generator, so a CPU charge is
+that one frame.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, List, Tuple
 
 from .kernel import Environment, Event
 from .primitives import Resource
-from .router import BandwidthShaper, Counter, ElementChain, FixedDelay, Packet, PacketLoss
+from .router import Hop, PacketLoss
 
 __all__ = ["Node", "Link", "Network", "NetworkError", "LinkDown"]
 
@@ -105,7 +101,7 @@ class Node:
 
 
 class Link:
-    """A bidirectional link; each direction has its own element chain."""
+    """A bidirectional link; each direction is its own :class:`Hop`."""
 
     def __init__(
         self,
@@ -123,11 +119,10 @@ class Link:
         self.name = name or f"{a.name}<->{b.name}"
         self.latency = latency
         self.bandwidth = bandwidth
-        self._chains: Dict[Tuple[str, str], ElementChain] = {}
-        for src, dst in ((a.name, b.name), (b.name, a.name)):
-            self._chains[(src, dst)] = ElementChain(
-                [Counter(), BandwidthShaper(env, bandwidth), FixedDelay(env, latency)]
-            )
+        self._hops: Dict[Tuple[str, str], Hop] = {
+            (a.name, b.name): Hop(env, bandwidth, latency),
+            (b.name, a.name): Hop(env, bandwidth, latency),
+        }
         # -- fault-injection state (see repro.faults) --------------------
         # ``faulted`` is the single flag the transfer hot path checks; the
         # individual fields only matter once it is set, so fault-free runs
@@ -186,16 +181,12 @@ class Link:
         self.loss_probability = 0.0
         self._refresh_faulted()
 
-    def chain(self, src: str, dst: str) -> ElementChain:
+    def hop(self, src: str, dst: str) -> Hop:
+        """The ``src -> dst`` direction of this link."""
         try:
-            return self._chains[(src, dst)]
+            return self._hops[(src, dst)]
         except KeyError:
             raise NetworkError(f"link {self.name} does not join {src}->{dst}") from None
-
-    def counter(self, src: str, dst: str) -> Counter:
-        element = self.chain(src, dst).find(Counter)
-        assert element is not None
-        return element
 
 
 class Network:
@@ -207,10 +198,10 @@ class Network:
         self._adjacency: Dict[str, List[Tuple[str, Link]]] = {}
         self._routes: Dict[Tuple[str, str], List[Link]] = {}
         self._path_latencies: Dict[Tuple[str, str], float] = {}
-        # (src, dst) -> ordered per-hop (link, chain) pairs; saves
-        # re-deriving hop direction and chain lookups on every transfer,
-        # and keeps the owning link at hand for fault-state checks.
-        self._hop_chains: Dict[Tuple[str, str], List[Tuple[Link, ElementChain]]] = {}
+        # (src, dst) -> ordered (link, hop) pairs; saves re-deriving hop
+        # direction on every transfer, and keeps the owning link at hand
+        # for fault-state checks.
+        self._route_hops: Dict[Tuple[str, str], List[Tuple[Link, Hop]]] = {}
         self.total_transfers = 0
         # The keep-alive HTTP ConnectionPool, created by http_get on
         # first use: it lives and dies with the network it pools for.
@@ -235,7 +226,7 @@ class Network:
         self._adjacency[b].append((a, link))
         self._routes.clear()
         self._path_latencies.clear()
-        self._hop_chains.clear()
+        self._route_hops.clear()
         return link
 
     def node(self, name: str) -> Node:
@@ -298,32 +289,25 @@ class Network:
         return latency
 
     # -- transfer --------------------------------------------------------------
-    def _hops(self, src: str, dst: str) -> List[Tuple[Link, ElementChain]]:
-        """The route's ordered per-hop (link, chain) pairs, derived once."""
+    def _hops(self, src: str, dst: str) -> List[Tuple[Link, Hop]]:
+        """The route's ordered (link, hop) pairs, derived once."""
         hops = []
         hop_src = src
         for link in self.route(src, dst):
             hop_dst = link.b.name if link.a.name == hop_src else link.a.name
-            hops.append((link, link.chain(hop_src, hop_dst)))
+            hops.append((link, link.hop(hop_src, hop_dst)))
             hop_src = hop_dst
-        self._hop_chains[(src, dst)] = hops
+        self._route_hops[(src, dst)] = hops
         return hops
 
     def transfer(
-        self,
-        src: str,
-        dst: str,
-        size: int,
-        kind: str = "data",
-        meta: Optional[dict] = None,
+        self, src: str, dst: str, size: int, kind: str = "data"
     ) -> Generator[Event, None, None]:
         """Move ``size`` bytes from ``src`` to ``dst``.
 
         Store-and-forward over each hop: the caller resumes when the
-        message has fully arrived at ``dst``.  A healthy canonical hop is
-        :meth:`ElementChain.hop_delay` plus one bare-float yield; a
-        :class:`Packet` (carrying ``meta``) is built only when a hop has
-        to walk its elements or the link has active fault state.
+        message has fully arrived at ``dst``.  A healthy hop is
+        :meth:`Hop.cross` plus one bare-float yield.
         """
         if size < 0:
             raise ValueError("size must be non-negative")
@@ -332,24 +316,18 @@ class Network:
             return
         self.total_transfers += 1
         try:
-            hops = self._hop_chains[(src, dst)]
+            hops = self._route_hops[(src, dst)]
         except KeyError:
             hops = self._hops(src, dst)
-        created = self.env.now
-        packet = None
-        for link, chain in hops:
-            delay = None if link.faulted else chain.hop_delay(size, kind)
-            if delay is None:
-                if packet is None:
-                    packet = Packet(src, dst, size, kind, created, meta)
-                if link.faulted:
-                    yield from self._faulted_hop(link, chain, packet)
-                else:
-                    yield from chain.traverse(packet)
-            elif delay > 0:
-                yield delay
+        for link, hop in hops:
+            if link.faulted:
+                yield from self._faulted_hop(link, hop, src, dst, size, kind)
+            else:
+                delay = hop.cross(size, kind)
+                if delay > 0:
+                    yield delay
 
-    def _faulted_hop(self, link: Link, chain: ElementChain, packet: Packet):
+    def _faulted_hop(self, link: Link, hop: Hop, src: str, dst: str, size: int, kind: str):
         """One hop over a link with active fault state (cold path).
 
         Partition and loss are decided at hop entry — a message already
@@ -359,12 +337,14 @@ class Network:
         count; fault-free links never draw at all.
         """
         if not link.up:
-            raise LinkDown(link.name, packet.src, packet.dst, packet.kind)
+            raise LinkDown(link.name, src, dst, kind)
         if link.loss_probability > 0.0:
             if link._fault_rng.random() < link.loss_probability:
                 link.dropped_packets += 1
-                raise PacketLoss(packet)
-        yield from chain.traverse(packet)
+                raise PacketLoss(src, dst, kind)
+        delay = hop.cross(size, kind)
+        if delay > 0:
+            yield delay
         extra = link.extra_latency
         if link.latency_jitter > 0.0:
             extra += link._fault_rng.uniform(0.0, link.latency_jitter)
@@ -381,9 +361,8 @@ class Network:
                 if id(link) in seen:
                     continue
                 seen.add(id(link))
-                directions = {}
-                for (dsrc, ddst), chain in link._chains.items():
-                    counter = chain.find(Counter)
-                    directions[f"{dsrc}->{ddst}"] = (counter.packets, counter.bytes)
-                report[link.name] = directions
+                report[link.name] = {
+                    f"{hop_src}->{hop_dst}": (hop.packets, hop.bytes)
+                    for (hop_src, hop_dst), hop in link._hops.items()
+                }
         return report

@@ -1,5 +1,7 @@
 """Tests for the Pet Store application: data, pages, and behaviour."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.petstore import (
@@ -12,9 +14,11 @@ from repro.apps.petstore import (
 )
 from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel
+from repro.middleware.context import InvocationContext, RequestInfo
 from repro.middleware.descriptors import ComponentKind
 from repro.middleware.web import WebRequest, http_get
 from repro.simnet.kernel import Environment
+from repro.simnet.router import PacketLoss
 from repro.simnet.rng import Streams
 from repro.simnet.topology import TestbedConfig, build_testbed
 from tests.helpers import run_process
@@ -170,6 +174,41 @@ def test_bad_password_rejected(level3):
     )
     assert response.status == 401
     assert response.data["signed_in"] is False
+
+
+def test_signon_finder_misses_are_false_but_faults_propagate(catalog_and_db):
+    """Only "no such entity" means a failed sign-in: a transport fault
+    under the finder reaches the caller, where the session driver counts it."""
+    db, _catalog = catalog_and_db
+    env, system = _system(1, db)
+    main = system.main
+    # The BMP finder's own SELECT (off in the calibrated costs) is what
+    # makes a missing user a finder miss.
+    costs = dataclasses.replace(main.costs, bmp_find_extra_db_call=True)
+    ctx = InvocationContext(
+        env=env,
+        server=main,
+        request=RequestInfo("SignOnFacade", "test", "signon", "client-main-0"),
+        costs=costs,
+    )
+
+    def authenticate(user_id):
+        facade = yield from main.lookup(ctx, "SignOnFacade")
+        ok = yield from facade.call(ctx, "authenticate", user_id, "pw")
+        return ok
+
+    assert run_process(env, authenticate("nobody")) is False
+
+    db_execute = main.db_execute
+
+    def lossy_finder(ctx, sql, args=()):
+        if sql.startswith("SELECT user_id FROM signon"):
+            raise PacketLoss("main", "db", "jdbc")
+        return db_execute(ctx, sql, args)
+
+    main.db_execute = lossy_finder
+    with pytest.raises(PacketLoss):
+        run_process(env, authenticate("user3"))
 
 
 def test_full_buyer_session_decrements_inventory(level3):

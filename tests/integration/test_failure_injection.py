@@ -5,13 +5,14 @@ the substrate outside that envelope to verify that failures surface
 loudly and state stays consistent.
 """
 
+import random
+
 import pytest
 
 from repro.core.patterns import PatternLevel
 from repro.middleware.context import InvocationContext, RequestInfo
 from repro.rdbms.transactions import TransactionError
-from repro.simnet.router import LossElement, PacketLoss
-from repro.simnet.rng import Streams
+from repro.simnet.router import PacketLoss
 from tests.helpers import run_process, tiny_system
 
 
@@ -24,21 +25,17 @@ def _ctx(env, server, session="fi"):
     )
 
 
-def _inject_loss(system, a, b, probability, streams):
-    """Insert a loss element at the head of the a->b link direction."""
-    network = system.testbed.network
-    link = network.route(a, b)[0]
-    chain = link.chain(a, b)
-    loss = LossElement(probability, streams, stream_name=f"loss-{a}-{b}")
-    chain.elements.insert(0, loss)
-    return loss
+def _lossy_link(system, a, b, probability, seed):
+    """Make the link joining ``a`` and ``b`` drop messages (``Link.set_loss``)."""
+    link = system.testbed.network.link_between(a, b)
+    link.set_loss(probability, random.Random(seed))
+    return link
 
 
 def test_packet_loss_surfaces_as_exception():
     env, system = tiny_system(PatternLevel.REMOTE_FACADE)
     system.warm_replicas()
-    streams = Streams(3)
-    loss = _inject_loss(system, "edge1", "router", probability=1.0, streams=streams)
+    link = _lossy_link(system, "edge1", "router", probability=1.0, seed=3)
     edge = system.servers["edge1"]
     ctx = _ctx(env, edge)
 
@@ -48,13 +45,12 @@ def test_packet_loss_surfaces_as_exception():
 
     with pytest.raises(PacketLoss):
         run_process(env, proc())
-    assert loss.dropped >= 1
+    assert link.dropped_packets >= 1
 
 
 def test_zero_loss_probability_is_harmless():
     env, system = tiny_system(PatternLevel.REMOTE_FACADE)
-    streams = Streams(4)
-    _inject_loss(system, "edge1", "router", probability=0.0, streams=streams)
+    link = _lossy_link(system, "edge1", "router", probability=0.0, seed=4)
     edge = system.servers["edge1"]
     ctx = _ctx(env, edge)
 
@@ -64,6 +60,7 @@ def test_zero_loss_probability_is_harmless():
         return text
 
     assert run_process(env, proc()) == "note text 1"
+    assert link.dropped_packets == 0
 
 
 def test_lock_timeout_aborts_cleanly():

@@ -313,19 +313,14 @@ def test_dgc_traffic_accompanies_rmi_calls():
             yield from ref.call(ctx, "read_note", 1)
 
     run_process(env, proc())
-    network = system.testbed.network
+    # Count per-kind on the edge1 WAN link's two directions.
+    link = system.testbed.network.route("edge1", "main")[0]
     rmi_bytes = 0
     dgc_bytes = 0
-    for link, directions in network.traffic_report().items():
-        if not link.startswith("wan-"):
-            continue
-    # Count per-kind on the edge1 WAN link counters directly.
-    link = network.route("edge1", "main")[0]
-    for direction in ("edge1->router", "router->edge1"):
-        src, dst = direction.split("->")
-        counter = link.counter(src, dst)
-        rmi_bytes += counter.by_kind.get("rmi", [0, 0])[1]
-        dgc_bytes += counter.by_kind.get("dgc", [0, 0])[1]
+    for src, dst in (("edge1", "router"), ("router", "edge1")):
+        hop = link.hop(src, dst)
+        rmi_bytes += hop.by_kind.get("rmi", [0, 0])[1]
+        dgc_bytes += hop.by_kind.get("dgc", [0, 0])[1]
     assert dgc_bytes > 0
     # The DGC lease traffic approximates the payload traffic in volume
     # (~half of all RMI-related bytes), minus the one-time stub creation.

@@ -1,8 +1,11 @@
 """Unit tests for nodes, links, routing and transfers."""
 
+import random
+
 import pytest
 
 from repro.simnet.network import Network, NetworkError
+from repro.simnet.router import PacketLoss
 from tests.helpers import run_process
 
 
@@ -116,6 +119,64 @@ def test_traffic_report_counts_per_direction(env, network):
     report = network.traffic_report()["a<->b"]
     assert report["a->b"] == (1, 500)
     assert report["b->a"] == (1, 900)
+
+
+def test_lossy_link_drops_a_seeded_share_of_messages(env, network):
+    link = network.link_between("a", "b")
+    link.set_loss(0.5, random.Random(9))
+    outcomes = []
+
+    def proc():
+        for _ in range(200):
+            try:
+                yield from network.transfer("a", "b", 100)
+                outcomes.append(True)
+            except PacketLoss:
+                outcomes.append(False)
+
+    run_process(env, proc())
+    assert link.dropped_packets == outcomes.count(False)
+    assert 60 < link.dropped_packets < 140
+    # A dropped message never reached the hop: only arrivals are counted.
+    assert link.hop("a", "b").packets == outcomes.count(True)
+    link.clear_loss()
+    assert not link.faulted
+
+
+def test_a_faulted_link_crosses_its_hop_once_per_message(env, network):
+    link = network.link_between("a", "b")
+    link.set_latency_fault(2.0)
+
+    def proc():
+        yield from network.transfer("a", "b", 10_000, kind="rmi")
+        return env.now
+
+    # latency 5 + transmission 1 + the fault's extra 2.
+    assert run_process(env, proc()) == pytest.approx(8.0)
+    hop = link.hop("a", "b")
+    assert (hop.packets, hop.bytes, hop.by_kind) == (1, 10_000, {"rmi": [1, 10_000]})
+
+
+def test_packet_loss_names_the_message_endpoints_and_protocol(env, network):
+    network.link_between("b", "c").set_loss(1.0, random.Random(1))
+
+    def proc():
+        yield from network.transfer("a", "c", 100, kind="jdbc")
+
+    with pytest.raises(PacketLoss) as caught:
+        run_process(env, proc())
+    assert (caught.value.src, caught.value.dst, caught.value.kind) == ("a", "c", "jdbc")
+    # The first hop was crossed before the second dropped the message.
+    assert network.link_between("a", "b").hop("a", "b").packets == 1
+
+
+def test_loss_probability_must_be_a_probability(env, network):
+    link = network.link_between("a", "b")
+    for probability in (-0.1, 1.5):
+        with pytest.raises(NetworkError):
+            link.set_loss(probability, random.Random(1))
+    with pytest.raises(NetworkError):
+        link.set_loss(0.5, None)  # draws need a seeded rng
 
 
 def test_node_compute_charges_cpu(env, network):

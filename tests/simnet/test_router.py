@@ -1,154 +1,109 @@
-"""Unit tests for Click-style router elements."""
+"""Unit tests for one link direction of the emulated router (``Hop``)."""
 
 import pytest
 
-from repro.simnet.kernel import Environment
-from repro.simnet.router import (
-    BandwidthShaper,
-    Classifier,
-    Counter,
-    ElementChain,
-    FixedDelay,
-    LossElement,
-    Packet,
-    PacketLoss,
-    TokenBucketShaper,
-)
-from repro.simnet.rng import Streams
+from repro.simnet.router import Hop
 from tests.helpers import run_process
 
 
-def traverse(env, element_or_chain, packet):
+def cross(env, hop, size, kind="data"):
+    """Send one message across ``hop``; returns the arrival time."""
+
     def proc():
-        yield from element_or_chain.traverse(packet)
+        delay = hop.cross(size, kind)
+        if delay > 0:
+            yield delay
         return env.now
 
     return run_process(env, proc())
 
 
 def test_fixed_delay_adds_latency(env):
-    element = FixedDelay(env, 100.0)
-    finished = traverse(env, element, Packet("a", "b", 1000))
-    assert finished == 100.0
+    hop = Hop(env, bandwidth=1e12, delay=100.0)
+    assert cross(env, hop, 0) == 100.0
 
 
 def test_fixed_delay_zero_is_free(env):
-    element = FixedDelay(env, 0.0)
-    assert traverse(env, element, Packet("a", "b", 1000)) == 0.0
+    hop = Hop(env, bandwidth=1000.0, delay=0.0)
+    assert cross(env, hop, 0) == 0.0
 
 
 def test_fixed_delay_rejects_negative(env):
     with pytest.raises(ValueError):
-        FixedDelay(env, -1.0)
+        Hop(env, bandwidth=1000.0, delay=-1.0)
 
 
 def test_bandwidth_shaper_transmission_time(env):
-    shaper = BandwidthShaper(env, bandwidth=1000.0)  # bytes/ms
-    assert traverse(env, shaper, Packet("a", "b", 5000)) == pytest.approx(5.0)
+    hop = Hop(env, bandwidth=1000.0, delay=0.0)  # bytes/ms
+    assert cross(env, hop, 5000) == pytest.approx(5.0)
 
 
 def test_bandwidth_shaper_serializes_packets(env):
-    shaper = BandwidthShaper(env, bandwidth=1000.0)
+    hop = Hop(env, bandwidth=1000.0, delay=2.0)
     finish_times = []
 
-    def sender(env, size):
-        yield from shaper.traverse(Packet("a", "b", size))
+    def sender(size):
+        yield hop.cross(size, "data")
         finish_times.append(env.now)
 
-    env.process(sender(env, 5000))
-    env.process(sender(env, 5000))
+    env.process(sender(5000))
+    env.process(sender(5000))
     env.run()
-    assert finish_times == [pytest.approx(5.0), pytest.approx(10.0)]
+    # The second message queues behind the first for the port, not for
+    # the propagation delay.
+    assert finish_times == [pytest.approx(7.0), pytest.approx(12.0)]
 
 
 def test_bandwidth_shaper_rejects_zero(env):
     with pytest.raises(ValueError):
-        BandwidthShaper(env, bandwidth=0.0)
-
-
-def test_token_bucket_burst_passes_at_line_rate(env):
-    bucket = TokenBucketShaper(env, rate=100.0, burst=10_000.0)
-    assert traverse(env, bucket, Packet("a", "b", 5000)) == 0.0
-
-
-def test_token_bucket_throttles_beyond_burst(env):
-    bucket = TokenBucketShaper(env, rate=100.0, burst=1_000.0)
-
-    def proc():
-        yield from bucket.traverse(Packet("a", "b", 1_000))  # drains the bucket
-        yield from bucket.traverse(Packet("a", "b", 2_000))  # needs 20 ms refill
-        return env.now
-
-    assert run_process(env, proc()) == pytest.approx(20.0)
+        Hop(env, bandwidth=0.0, delay=1.0)
 
 
 def test_counter_counts_packets_and_bytes(env):
-    counter = Counter()
+    hop = Hop(env, bandwidth=1000.0, delay=1.0)
+    hop.cross(700, "rmi")
+    hop.cross(300, "http")
+    hop.cross(100, "rmi")
+    assert hop.packets == 3
+    assert hop.bytes == 1100
+    assert hop.by_kind == {"rmi": [2, 800], "http": [1, 300]}
+
+
+def test_hop_composes_transmission_and_propagation(env):
+    hop = Hop(env, bandwidth=1000.0, delay=100.0)
+    assert cross(env, hop, 5000) == pytest.approx(105.0)
+
+
+def test_hop_queueing_wait_comes_first_in_the_sum(env):
+    """``(wait + tx) + delay``, left to right: the float order is the model."""
+    hop = Hop(env, bandwidth=3.0, delay=0.1)
+    hop.cross(1, "data")
+    wait = hop._free_at - env.now
+    assert hop.cross(1, "data") == (wait + 1 / 3.0) + 0.1
+
+
+def test_link_directions_are_independent(env, network):
+    link = network.link_between("a", "b")
+    forward, backward = link.hop("a", "b"), link.hop("b", "a")
+    assert forward is not backward
+    first = forward.cross(50_000, "http")
+    # A saturated a->b port does not delay b->a traffic.
+    assert backward.cross(50_000, "http") == first
+    assert (forward.packets, backward.packets) == (1, 1)
+
+
+def test_utilization_excludes_the_pending_backlog(env):
+    hop = Hop(env, bandwidth=1000.0, delay=0.0)
 
     def proc():
-        yield from ElementChain([counter]).traverse(Packet("a", "b", 700, kind="rmi"))
-        yield from ElementChain([counter]).traverse(Packet("a", "b", 300, kind="http"))
+        yield 10.0
+        hop.cross(5000, "data")  # transmits over [10, 15)
+        yield 2.0
+        during = hop.utilization()
+        yield 8.0
+        return during, hop.utilization()
 
-    run_process(env, proc())
-    assert counter.packets == 2
-    assert counter.bytes == 1000
-    assert counter.by_kind["rmi"] == [1, 700]
-
-
-def test_classifier_routes_by_kind(env):
-    slow = ElementChain([FixedDelay(env, 50.0)])
-    classifier = Classifier({"bulk": slow})
-
-    assert traverse(env, classifier, Packet("a", "b", 10, kind="bulk")) == 50.0
-    env2 = Environment()
-    classifier2 = Classifier({"bulk": ElementChain([FixedDelay(env2, 50.0)])})
-
-    def proc():
-        yield from classifier2.traverse(Packet("a", "b", 10, kind="other"))
-        return env2.now
-
-    assert run_process(env2, proc()) == 0.0
-
-
-def test_loss_element_drops_probabilistically(env):
-    streams = Streams(5)
-    loss = LossElement(1.0, streams)
-
-    def proc():
-        yield from loss.traverse(Packet("a", "b", 10))
-
-    with pytest.raises(PacketLoss):
-        run_process(env, proc())
-    assert loss.dropped == 1
-
-
-def test_loss_element_zero_probability_never_drops(env):
-    streams = Streams(5)
-    loss = LossElement(0.0, streams)
-
-    def proc():
-        for _ in range(100):
-            yield from loss.traverse(Packet("a", "b", 10))
-
-    run_process(env, proc())
-    assert loss.dropped == 0
-
-
-def test_loss_element_rejects_bad_probability(env):
-    with pytest.raises(ValueError):
-        LossElement(1.5, Streams(1))
-
-
-def test_element_chain_composes_delays(env):
-    chain = ElementChain(
-        [Counter(), BandwidthShaper(env, 1000.0), FixedDelay(env, 100.0)]
-    )
-    finished = traverse(env, chain, Packet("a", "b", 5000))
-    assert finished == pytest.approx(105.0)
-
-
-def test_element_chain_find(env):
-    counter = Counter()
-    chain = ElementChain([counter, FixedDelay(env, 1.0)])
-    assert chain.find(Counter) is counter
-    assert chain.find(BandwidthShaper) is None
+    assert hop.utilization() == 0.0
+    during, after = run_process(env, proc())
+    assert during == pytest.approx(2.0 / 12.0)
+    assert after == pytest.approx(5.0 / 20.0)

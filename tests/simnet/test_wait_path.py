@@ -1,21 +1,20 @@
 """The simnet wait path vs literal copies of the implementation it replaced.
 
 A link hop and a CPU charge are arithmetic plus one bare-float yield
-(``ElementChain.hop_delay``, ``Network.transfer``, ``Resource.use``).
-The promise is that no simulated timestamp and no event sequence number
-moved.  These tests hold the wait path to it:
+(``Hop.cross``, ``Network.transfer``, ``Resource.use``).  The promise is
+that no simulated timestamp and no event sequence number moved.  These
+tests hold the wait path to it:
 
-* the previous ``Network.transfer`` / ``_faulted_hop`` /
-  ``ElementChain.traverse`` / ``Resource.use`` / ``Node.compute`` are
-  kept below as references, written over the same ``Counter.apply`` /
-  ``BandwidthShaper.occupy`` / ``env.sleep`` / ``Resource.release``
-  methods they always called, and a hypothesis property replays one
-  traffic plan through both — multi-hop routes over slow links (shaper
-  contention), CPU charges on a one-CPU node (queued waiters),
-  partition / jitter / loss windows and a ``LossElement`` spliced into a
-  chain, all opening mid-run — requiring bit-equal arrival logs, kernel
-  sequence counts, link counters, shaper and CPU utilization and mean
-  waits;
+* the element pipeline a link direction used to be — ``Counter.apply``,
+  ``BandwidthShaper.occupy`` and ``FixedDelay`` — and the
+  ``Network.transfer`` / ``_faulted_hop`` / ``Resource.use`` /
+  ``Node.compute`` that walked it with ``env.sleep`` events are kept
+  below as references, and a hypothesis property replays one traffic
+  plan through both — multi-hop routes over slow links (shaper
+  contention), CPU charges on a one-CPU node (queued waiters) and
+  partition / jitter / loss windows, all opening mid-run — requiring
+  bit-equal arrival logs, kernel sequence counts, link counters, shaper
+  and CPU utilization and mean waits;
 * machine-independent gates count Python-level calls with
   ``sys.setprofile``: a single-hop transfer may take 3 and an
   uncontended CPU charge 4, and nothing outside the kernel may assign
@@ -33,45 +32,87 @@ from hypothesis import strategies as st
 
 import repro
 from repro.middleware.context import InvocationContext
-from repro.simnet import network as network_module
 from repro.simnet.kernel import Environment
 from repro.simnet.network import LinkDown
-from repro.simnet.rng import Streams
-from repro.simnet.router import (
-    BandwidthShaper,
-    Counter,
-    FixedDelay,
-    LossElement,
-    Packet,
-    PacketLoss,
-)
+from repro.simnet.router import PacketLoss
 from repro.simnet.topology import TestbedConfig, build_testbed
 
 # ---------------------------------------------------------------------------
-# References: the bodies the wait path had before it became arithmetic,
-# as free functions over the same objects.
+# References: the element pipeline and the bodies that walked it before a
+# hop became arithmetic, as free functions over those elements.
 # ---------------------------------------------------------------------------
 
 
+class _Counter:
+    def __init__(self):
+        self.packets = 0
+        self.bytes = 0
+        self.by_kind: dict = {}
+
+    def apply(self, packet) -> None:
+        self.packets += 1
+        self.bytes += packet.size
+        stats = self.by_kind.setdefault(packet.kind, [0, 0])
+        stats[0] += 1
+        stats[1] += packet.size
+
+
+class _BandwidthShaper:
+    def __init__(self, env, bandwidth: float):
+        self.env = env
+        self.bandwidth = bandwidth
+        self._free_at = 0.0
+        self._busy_time = 0.0
+        self._started = env.now
+
+    def occupy(self, size: int) -> float:
+        """Reserve the port FIFO; returns queueing wait + transmission time."""
+        now = self.env.now
+        tx = size / self.bandwidth
+        free_at = self._free_at
+        self._busy_time += tx
+        if free_at <= now:
+            self._free_at = now + tx
+            return tx
+        self._free_at = free_at + tx
+        return free_at - now + tx
+
+    def utilization(self) -> float:
+        elapsed = self.env.now - self._started
+        if elapsed <= 0:
+            return 0.0
+        pending = self._free_at - self.env.now
+        busy = self._busy_time - pending if pending > 0 else self._busy_time
+        return busy / elapsed
+
+
+class _FixedDelay:
+    def __init__(self, env, delay: float):
+        if delay < 0:
+            raise ValueError("delay must be non-negative")
+        self.env = env
+        self.delay = delay
+
+
+def _reference_chains(network):
+    """Per link direction, the counter -> shaper -> delay triple."""
+    return {
+        (link.name, direction): (
+            _Counter(),
+            _BandwidthShaper(network.env, link.bandwidth),
+            _FixedDelay(network.env, link.latency),
+        )
+        for link in _unique_links(network)
+        for direction in link._hops
+    }
+
+
 def _reference_traverse(chain, packet):
-    elements = chain.elements
-    if (
-        len(elements) == 3
-        and type(elements[1]) is BandwidthShaper
-        and type(elements[0]) is Counter
-        and type(elements[2]) is FixedDelay
-    ):
-        elements[0].apply(packet)
-        shaper = elements[1]
-        total = shaper.occupy(packet.size) + elements[2].delay
-        if total > 0:
-            yield shaper.env.sleep(total)
-        return
-    for element in elements:
-        if element.instant:
-            element.apply(packet)
-        else:
-            yield from element.traverse(packet)
+    counter, shaper, delay = chain
+    counter.apply(packet)
+    total = shaper.occupy(packet.size) + delay.delay
+    if total > 0:
+        yield shaper.env.sleep(total)
 
 
 def _reference_faulted_hop(network, link, chain, packet):
@@ -80,7 +121,7 @@ def _reference_faulted_hop(network, link, chain, packet):
     if link.loss_probability > 0.0:
         if link._fault_rng.random() < link.loss_probability:
             link.dropped_packets += 1
-            raise PacketLoss(packet)
+            raise PacketLoss(packet.src, packet.dst, packet.kind)
     yield from _reference_traverse(chain, packet)
     extra = link.extra_latency
     if link.latency_jitter > 0.0:
@@ -89,28 +130,22 @@ def _reference_faulted_hop(network, link, chain, packet):
         yield network.env.sleep(extra)
 
 
-def _reference_transfer(network, src, dst, size, kind="data", meta=None):
+def _reference_transfer(network, chains, src, dst, size, kind="data"):
     if size < 0:
         raise ValueError("size must be non-negative")
     if src == dst:
-        return Packet(src, dst, size, kind, network.env.now, meta)
+        return
     network.total_transfers += 1
-    packet = Packet(src, dst, size, kind, network.env.now, meta)
-    hops = network._hop_chains.get((src, dst))
-    if hops is None:
-        hops = []
-        hop_src = src
-        for link in network.route(src, dst):
-            hop_dst = link.b.name if link.a.name == hop_src else link.a.name
-            hops.append((link, link.chain(hop_src, hop_dst)))
-            hop_src = hop_dst
-        network._hop_chains[(src, dst)] = hops
-    for link, chain in hops:
+    packet = SimpleNamespace(src=src, dst=dst, size=size, kind=kind)
+    hop_src = src
+    for link in network.route(src, dst):
+        hop_dst = link.b.name if link.a.name == hop_src else link.a.name
+        chain = chains[(link.name, (hop_src, hop_dst))]
         if link.faulted:
             yield from _reference_faulted_hop(network, link, chain, packet)
         else:
             yield from _reference_traverse(chain, packet)
-    return packet
+        hop_src = hop_dst
 
 
 def _reference_use(resource, duration):
@@ -154,7 +189,7 @@ _ROUTES = [
     ("client-main-0", "db"),
     ("main", "main"),  # loopback
 ]
-# The links a fault or a splice may hit, as adjacent node pairs.
+# The links a fault may hit, as adjacent node pairs.
 _LINKS = [("edge1", "router"), ("main", "router"), ("client-edge1-0", "edge1")]
 
 _gap = st.one_of(
@@ -185,7 +220,7 @@ _workers = st.lists(st.lists(_charge, max_size=6), max_size=10)
 _action = st.tuples(
     st.floats(min_value=0.0, max_value=400.0, allow_nan=False),
     st.sampled_from(
-        ["down", "up", "jitter", "calm", "loss", "lossless", "splice", "unsplice", "sample"]
+        ["down", "up", "jitter", "calm", "loss", "lossless", "sample"]
     ),
     st.sampled_from(_LINKS),
 )
@@ -206,16 +241,24 @@ def _replay(senders, workers, actions, reference):
     env = Environment()
     network = build_testbed(env, _CONFIG).network
     fault_rng = random.Random(11)
-    streams = Streams(12)
     log = []
-    spliced = []
     if reference:
+        chains = _reference_chains(network)
+
         def transfer(*args):
-            return _reference_transfer(network, *args)
+            return _reference_transfer(network, chains, *args)
+
+        def counters(link, direction):
+            counter, shaper, _delay = chains[(link.name, direction)]
+            return counter, shaper
 
         hold = _reference_compute
     else:
         transfer = network.transfer
+
+        def counters(link, direction):
+            hop = link.hop(*direction)
+            return hop, hop
 
         def hold(node, work):
             return node.compute(work)
@@ -241,14 +284,15 @@ def _replay(senders, workers, actions, reference):
             (
                 link.name,
                 direction,
-                chain.find(Counter).packets,
-                chain.find(Counter).bytes,
-                list(chain.find(Counter).by_kind.items()),
-                chain.find(BandwidthShaper).utilization(),
+                counter.packets,
+                counter.bytes,
+                list(counter.by_kind.items()),
+                port.utilization(),
                 link.dropped_packets,
             )
             for link in _unique_links(network)
-            for direction, chain in link._chains.items()
+            for direction in link._hops
+            for counter, port in [counters(link, direction)]
         ] + [
             (name, node.cpu.utilization(), node.cpu.mean_wait(), node.cpu.in_use)
             for name, node in network.nodes.items()
@@ -259,7 +303,6 @@ def _replay(senders, workers, actions, reference):
             if time > env.now:
                 yield env.sleep(time - env.now)
             link = network.link_between(a, b)
-            chain = link.chain(a, b)
             if action == "down":
                 link.set_down(True)
             elif action == "up":
@@ -272,15 +315,6 @@ def _replay(senders, workers, actions, reference):
                 link.set_loss(0.3, fault_rng)
             elif action == "lossless":
                 link.clear_loss()
-            elif action == "splice":
-                loss = LossElement(0.3, streams)
-                spliced.append(loss)
-                chain.elements.insert(0, loss)
-            elif action == "unsplice":
-                chain.elements[:] = [
-                    element for element in chain.elements
-                    if not isinstance(element, LossElement)
-                ]
             else:
                 log.append(("sample", env.now, observe()))
 
@@ -296,7 +330,6 @@ def _replay(senders, workers, actions, reference):
         "sequence": env.stats()["sequence"],
         "transfers": network.total_transfers,
         "final": observe(),
-        "spliced_drops": [loss.dropped for loss in spliced],
     }
 
 
@@ -308,14 +341,14 @@ def test_wait_path_is_bit_equal_to_the_reference(senders, workers, actions):
     )
 
 
-def test_the_plans_reach_contention_faults_and_splices():
+def test_the_plans_reach_contention_and_faults():
     """The property above is only as good as the paths its plans take."""
     burst = [(0.0, ("client-edge1-0", "main"), 100_000, "http")] * 3
     outcome = _replay(
         senders=[burst, burst, [(50.0, ("edge1", "main"), 10, "rmi")] * 6],
         workers=[[(0.0, "router", 20.0)] * 2] * 3,
         actions=[
-            (10.0, "splice", ("edge1", "router")),
+            (10.0, "loss", ("edge1", "router")),
             (60.0, "down", ("main", "router")),
             (300.0, "up", ("main", "router")),
             (320.0, "sample", ("main", "router")),
@@ -328,51 +361,6 @@ def test_the_plans_reach_contention_faults_and_splices():
     assert cpus["router"][2] > 0.0  # charges queued behind the one CPU
     shapers = [row[5] for row in outcome["final"] if len(row) == 7]
     assert max(shapers) > 0.5  # a port stayed busy: messages queued behind it
-
-
-# ---------------------------------------------------------------------------
-# Directed checks of the arithmetic hop
-# ---------------------------------------------------------------------------
-
-
-def test_hop_delay_declines_a_spliced_chain_and_touches_nothing(env, network, streams):
-    chain = network.link_between("a", "b").chain("a", "b")
-    chain.elements.insert(0, LossElement(0.0, streams))
-    assert chain.hop_delay(1_000, "http") is None
-    assert chain.find(Counter).packets == 0
-    assert chain.find(BandwidthShaper).utilization() == 0.0
-    del chain.elements[0]
-    assert chain.hop_delay(1_000, "http") == 1_000 / 10_000.0 + 5.0
-    assert chain.find(Counter).by_kind == {"http": [1, 1_000]}
-
-
-def test_a_packet_exists_only_off_the_canonical_path(env, network, streams, monkeypatch):
-    built = []
-
-    class CountingPacket(Packet):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(network_module, "Packet", CountingPacket)
-
-    def proc():
-        yield from network.transfer("a", "c", 4_000, "rmi")
-        canonical = len(built)
-        network.link_between("a", "b").set_latency_fault(2.0)
-        yield from network.transfer("a", "c", 4_000, "rmi")
-        faulted = len(built)
-        network.link_between("a", "b").clear_latency_fault()
-        network.link_between("b", "c").chain("b", "c").elements.append(
-            LossElement(0.0, streams)
-        )
-        yield from network.transfer("a", "c", 4_000, "rmi")
-        return canonical, faulted, len(built)
-
-    process = env.process(proc())
-    env.run()
-    assert process.value == (0, 1, 2)
-    assert built[-1][:4] == ("a", "c", 4_000, "rmi")
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +402,7 @@ def test_a_single_hop_transfer_costs_three_python_calls(env, network):
     list(network.transfer("a", "b", 1_000, "http"))  # fill the route memo
     delay, calls = _one_wait(lambda: network.transfer("a", "b", 1_000, "http"))
     assert type(delay) is float and delay > 5.0
-    # transfer entered, hop_delay, transfer resumed.
+    # transfer entered, Hop.cross, transfer resumed.
     assert len(calls) <= 3, calls
 
 
