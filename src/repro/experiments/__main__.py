@@ -161,6 +161,7 @@ def _run_plan(args, policy, topology, levels) -> int:
     deployment plan, the resolved policy JSON, and the static design-rule
     precheck.  Returns non-zero when the precheck finds violations.
     """
+    from ..apps.dataset import load_dataset
     from ..core.automation import apply_policy
     from ..core.planner import PlanError, plan_deployment
     from ..core.policy import level_policy
@@ -187,7 +188,7 @@ def _run_plan(args, policy, topology, levels) -> int:
             from ..simnet.topology import build_testbed
 
             streams = Streams(args.seed)
-            _database, catalog = spec.populate(streams)
+            _database, catalog = load_dataset(spec.populate, streams)
             env = Environment()
             testbed = build_testbed(env, config)
             resolved = policy

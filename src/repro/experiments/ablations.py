@@ -31,6 +31,7 @@ from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from ..apps import petstore
+from ..apps.dataset import load_dataset
 from ..core.distribution import distribute
 from ..core.patterns import PatternLevel
 from ..middleware.descriptors import RefreshMode
@@ -61,7 +62,7 @@ _MAIN_CLIENT = "client-main-0"
 def _petstore_system(level, costs, seed=7, app_level=None, mutate_app=None):
     """Stand up Pet Store at ``level`` with the given cost profile."""
     streams = Streams(seed)
-    database, catalog = petstore.populate_petstore(streams)
+    database, catalog = load_dataset(petstore.populate_petstore, streams)
     env = Environment()
     testbed = build_testbed(env, calibration.petstore_testbed_config())
     application = petstore.build_application(

@@ -11,12 +11,14 @@ declaration of how a cell is run, :class:`CellResult` the one result.
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from ..apps import petstore, rubis
+from ..apps.dataset import load_dataset
 from ..core.distribution import DeployedSystem, distribute
 from ..core.patterns import PAPER_LEVELS, PatternLevel
 from ..core.policy import PlacementPolicy
@@ -299,6 +301,11 @@ def run_configuration(
     from ..simnet.rng import Streams
 
     spec = replace(spec or RunSpec(), **options)
+    # A finished cell's deployment is reference cycles (kernel, processes,
+    # servers) that only the cyclic collector frees.  Collecting before
+    # building the next cell holds a sweep to one deployment in memory and
+    # keeps that collection out of the timed run.
+    gc.collect()
     reset_ids()
     app_spec = APPS[app]
     policy, openloop = spec.policy, spec.openloop
@@ -306,7 +313,7 @@ def run_configuration(
     workload = spec.workload or calibration.default_workload()
 
     streams = Streams(spec.seed)
-    database, catalog = app_spec.populate(streams)
+    database, catalog = load_dataset(app_spec.populate, streams)
     env = Environment()
     config = app_spec.testbed_config()
     if spec.topology is not None:

@@ -7,12 +7,15 @@ and :mod:`repro.rdbms.jdbc`.
 A SQL text is parsed, analysed and compiled once per database: the
 :class:`~repro.rdbms.executor.PreparedStatement` of every text lives in
 one bounded LRU here, and executing is lookup + bind + run.
+
+A database's data and counters can be taken as a :class:`DatabaseImage`
+(tuples only) and rebuilt from it without SQL: that is how a process
+populates each application dataset once (:mod:`repro.apps.dataset`).
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .executor import Executor, PreparedStatement, ResultSet
 from .lru import LruCache
@@ -21,7 +24,7 @@ from .sql import Statement, parse_cached
 from .storage import Table
 from .transactions import Transaction
 
-__all__ = ["Database", "DatabaseError"]
+__all__ = ["Database", "DatabaseError", "DatabaseImage"]
 
 _PREPARED_LIMIT = 4096
 
@@ -32,6 +35,24 @@ Preparable = Union[str, Statement, PreparedStatement]
 
 class DatabaseError(Exception):
     """Raised for engine-level misuse (unknown table, bad DDL)."""
+
+
+class DatabaseImage(NamedTuple):
+    """A database as immutable data: what :meth:`Database.from_image` rebuilds.
+
+    The schemas and the row values are shared with every database
+    rebuilt from the image; both are immutable once stored.
+    """
+
+    name: str
+    # (schema, rows) per table, in creation order; see Table.image.
+    tables: Tuple[Tuple[TableSchema, Tuple[Tuple[Any, ...], ...]], ...]
+    statements_executed: int
+    rows_scanned_total: int
+    next_transaction_id: int
+    # The executor's attributes other than its tables: scan counters and
+    # the force_full_scans switch.
+    executor_state: Tuple[Tuple[str, Any], ...]
 
 
 class Database:
@@ -55,7 +76,7 @@ class Database:
         self.rows_scanned_total = 0
         # Per-instance so a fresh Database starts at id 1: transaction
         # ids must not leak across cell runs in one worker process.
-        self._transaction_ids = itertools.count(1)
+        self._next_transaction_id = 1
 
     @property
     def executor(self) -> Executor:
@@ -80,11 +101,44 @@ class Database:
     def load(self, table_name: str, rows) -> int:
         return self.table(table_name).bulk_load(rows)
 
+    # -- images -----------------------------------------------------------
+    def image(self) -> DatabaseImage:
+        """This database's schemas, rows and counters, as immutable data."""
+        executor_state = dict(vars(self._executor))
+        del executor_state["tables"]
+        return DatabaseImage(
+            name=self.name,
+            tables=tuple((table.schema, table.image()) for table in self.tables.values()),
+            statements_executed=self.statements_executed,
+            rows_scanned_total=self.rows_scanned_total,
+            next_transaction_id=self._next_transaction_id,
+            executor_state=tuple(executor_state.items()),
+        )
+
+    @classmethod
+    def from_image(cls, image: DatabaseImage) -> Database:
+        """A new database equal to the one ``image`` was taken of.
+
+        Rows, indexes, the executor's scan counters and the statement
+        counters are equal; no SQL runs.  The prepared statements are not
+        part of an image (they bind the tables they were prepared
+        against), so each text is prepared again, to the same plan, on
+        its first execution.
+        """
+        database = cls(image.name)
+        for schema, rows in image.tables:
+            database.create_table(schema).load_image(rows)
+        database.statements_executed = image.statements_executed
+        database.rows_scanned_total = image.rows_scanned_total
+        database._next_transaction_id = image.next_transaction_id
+        vars(database._executor).update(image.executor_state)
+        return database
+
     # -- transactions -----------------------------------------------------------
     def begin(self, read_only: bool = False) -> Transaction:
-        return Transaction(
-            self.tables, read_only=read_only, id=next(self._transaction_ids)
-        )
+        transaction_id = self._next_transaction_id
+        self._next_transaction_id += 1
+        return Transaction(self.tables, read_only=read_only, id=transaction_id)
 
     # -- execution -----------------------------------------------------------
     def prepare(self, statement: Preparable) -> PreparedStatement:

@@ -308,6 +308,38 @@ class Table:
         for tree in self._ordered.values():
             tree.clear()
 
+    # -- images -----------------------------------------------------------
+    def image(self) -> Tuple[Tuple[Any, ...], ...]:
+        """Every row's values in column order, in heap order.
+
+        Rows are stored in column order (:meth:`TableSchema.normalize_row`
+        builds them so, and updates keep the key order), so a row's
+        values are its ``values()``.  Mapped in C: no Python call per row.
+        """
+        return tuple(map(tuple, map(dict.values, self._rows.values())))
+
+    def load_image(self, rows: Iterable[Tuple[Any, ...]]) -> None:
+        """Fill an empty table with the rows of an :meth:`image`.
+
+        The values were validated when they were first stored, so they
+        are not coerced again; each row is indexed as :meth:`insert`
+        indexes it.  Rows go in in heap order, which is insertion order
+        for a table whose indexed columns were never updated: the hash
+        buckets and B+-trees are then rebuilt key for key and node for
+        node.  Otherwise they hold the same entries in another layout,
+        which no lookup can observe (buckets are read sorted, trees in
+        key order).
+        """
+        if self._rows:
+            raise StorageError(f"load_image needs an empty table, {self.name} has rows")
+        names = self.schema.column_names()
+        key_at = names.index(self.schema.primary_key)
+        stored = self._rows
+        for values in rows:
+            key = values[key_at]
+            row = stored[key] = dict(zip(names, values))
+            self._index_add(row, key)
+
     def bulk_load(self, rows: Iterable[Dict[str, Any]]) -> int:
         """Insert many rows (data-generator path); returns the count."""
         count = 0

@@ -1,5 +1,8 @@
 """Tests for the experiment harness: runner, tables, figures, probes, CLI."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.patterns import PatternLevel
@@ -82,6 +85,22 @@ def test_runner_is_deterministic():
     second = run_configuration("rubis", PatternLevel.REMOTE_FACADE, workload=FAST, seed=77)
     for group in first.groups():
         assert first.session_mean(group) == second.session_mean(group), group
+
+
+def test_a_cell_starts_after_the_previous_cells_deployment_is_freed():
+    short = calibration.default_workload(duration_ms=2_000.0, warmup_ms=500.0)
+    collecting = gc.isenabled()
+    gc.disable()  # only run_configuration's own collection may free it
+    try:
+        first = run_configuration("petstore", PatternLevel.CENTRALIZED, workload=short)
+        server = weakref.ref(first.system.main)
+        del first
+        assert server() is not None  # a deployment is reference cycles
+        run_configuration("petstore", PatternLevel.CENTRALIZED, workload=short)
+        assert server() is None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_runner_seed_changes_results():

@@ -249,3 +249,65 @@ def test_ordered_index_skips_null_values():
     assert t.column_min_max("score") == (7, 7)
     t.delete(1)  # deleting the NULL row must not touch the tree
     assert t.column_min_max("score") == (7, 7)
+
+
+# ---------------------------------------------------------------------------
+# Images (image -> load_image rebuilds a table without SQL)
+# ---------------------------------------------------------------------------
+
+
+def _lookups(table):
+    return (
+        list(table.scan()),
+        [table.index_lookup("city", city) for city in ("nyc", "sf", "la", "boston")],
+        table.range_lookup("id", 2, 40),
+        table.prefix_lookup("city", "N"),
+        table.distinct_count("city"),
+        table.column_min_max("city"),
+        table.column_min_max("id"),
+    )
+
+
+def _shape(tree):
+    """Keys per node, level by level, and the leaves' buckets."""
+    levels, nodes = [], [tree._root]
+    while nodes:
+        levels.append([list(node.keys) for node in nodes])
+        nodes = [child for node in nodes for child in getattr(node, "children", ())]
+    return levels, list(tree.items())
+
+
+def test_an_image_rebuilds_an_insert_only_table_node_for_node(table):
+    for i in range(300):
+        table.insert({"id": (i * 37) % 300, "name": f"p{i}", "city": f"c{i % 17}"})
+    copy = Table(table.schema)
+    copy.load_image(table.image())
+    assert list(copy._rows.items()) == list(table._rows.items())
+    assert list(copy._indexes["city"].items()) == list(table._indexes["city"].items())
+    assert table._ordered["id"].height > 1
+    for column, tree in table._ordered.items():
+        assert _shape(copy._ordered[column]) == _shape(tree)
+    # Nothing mutable is shared: the copy moves on alone.
+    copy.update(5, {"city": "moved"})
+    copy.delete(6)
+    assert table.get(5)["city"] != "moved" and 6 in table
+
+
+def test_an_image_of_a_churned_table_answers_every_lookup_alike(table):
+    for i in range(60):
+        table.insert({"id": i, "name": f"p{i}", "city": ["nyc", "sf", "la"][i % 3]})
+    for i in range(0, 60, 4):
+        table.update(i, {"city": "boston" if i % 8 else "Nashville"})
+    for i in range(1, 60, 5):
+        table.delete(i)
+    table.restore({"id": 1, "name": "back", "city": "sf"})
+    copy = Table(table.schema)
+    copy.load_image(table.image())
+    assert _lookups(copy) == _lookups(table)
+    assert table.image() == copy.image()
+
+
+def test_load_image_needs_an_empty_table(table):
+    table.insert({"id": 1, "name": "ann", "city": "nyc"})
+    with pytest.raises(StorageError, match="empty"):
+        table.load_image(table.image())

@@ -70,3 +70,23 @@ def test_two_servers_both_number_their_sessions_from_one(env, network):
     second = DatabaseServer(env, network.node("c"), _db("b"))
     assert second.open_session().id == 1  # the old global counter would say 4
     assert first.open_session().id == 4
+
+
+def test_a_database_rebuilt_from_an_image_keeps_its_counters():
+    database = _db()
+    for key in range(5):
+        database.execute("INSERT INTO t (id) VALUES (?)", (key,))
+    database.execute("SELECT id FROM t WHERE id = ?", (3,))
+    database.execute("SELECT id FROM t WHERE id > ?", (1,))
+    database.begin()
+    database.executor.force_full_scans = True
+    copy = Database.from_image(database.image())
+    assert copy.name == database.name
+    assert copy.tables["t"].schema is database.tables["t"].schema
+    assert copy.statements_executed == database.statements_executed == 7
+    assert copy.rows_scanned_total == database.rows_scanned_total
+    for counter in ("index_scans", "full_scans", "range_scans", "prefix_scans",
+                    "join_index_lookups", "join_full_scans", "force_full_scans"):
+        assert getattr(copy.executor, counter) == getattr(database.executor, counter)
+    assert copy.begin().id == database.begin().id == 2
+    assert copy.execute("SELECT id FROM t").rows == database.execute("SELECT id FROM t").rows
