@@ -51,7 +51,7 @@ def audit_bad_deployment() -> RuleReport:
     env = Environment()
     testbed = build_testbed(env, TestbedConfig(db_colocated=True))
     trace = Trace()
-    application = build_application(PatternLevel.REMOTE_FACADE, catalog=catalog)
+    application = build_application(catalog=catalog)
     # Mistake #1: expose the Item entity bean remotely (violates R1).
     application.components["RubisItem"].remote_interface = True
     system = distribute(

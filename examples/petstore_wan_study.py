@@ -12,7 +12,7 @@ Run:  python examples/petstore_wan_study.py [--duration SECONDS] [--jobs N]
 
 import argparse
 
-from repro.core.patterns import PAPER_LEVELS, PATTERN_CATALOG, PatternLevel
+from repro.core.patterns import PAPER_LEVELS, PatternLevel, level_name
 from repro.experiments import build_figure, build_table, render_figure, render_table
 from repro.experiments.calibration import default_workload
 from repro.experiments.progress import ProgressReporter
@@ -31,9 +31,7 @@ def main() -> None:
     )
 
     def announce(level):
-        info = PATTERN_CATALOG[level]
-        print(f"[{int(level)}/5] {info.name} (§{info.paper_section}): "
-              f"adds {info.adds.split(';')[0]} ...")
+        print(f"[{int(level)}/5] {level_name(level)}")
 
     def describe(result):
         print(f"      remote browser {result.session_mean('remote-browser'):6.0f} ms | "

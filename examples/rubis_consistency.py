@@ -25,7 +25,7 @@ def build(level):
     env = Environment()
     testbed = build_testbed(env, TestbedConfig(db_colocated=True))
     system = distribute(
-        env, testbed, build_application(level, catalog=catalog), level, database
+        env, testbed, build_application(catalog=catalog), level, database
     )
     system.warm_replicas()
     return env, system, catalog

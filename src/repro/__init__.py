@@ -4,7 +4,7 @@ ICDCS 2003).
 
 The package layers, bottom-up:
 
-* :mod:`repro.simnet` — discrete-event simulation kernel, Click-style
+* :mod:`repro.simnet` — discrete-event simulation kernel, per-link
   network emulation, and the paper's 3-server + 9-client WAN testbed;
 * :mod:`repro.rdbms` — an in-memory relational engine with a SQL subset
   and a JDBC-like remote access protocol;
@@ -12,8 +12,8 @@ The package layers, bottom-up:
   containers (stateless/stateful session, entity, message-driven), RMI,
   JNDI, JMS, servlets, read-only replication, and query caching;
 * :mod:`repro.core` — the paper's contribution: pattern levels,
-  deployment planning, extended-descriptor automation, design-rule
-  checking, and mutable-services dynamic redeployment;
+  deployment planning, extended-descriptor automation and design-rule
+  checking;
 * :mod:`repro.apps` — Java Pet Store and RUBiS built on the middleware;
 * :mod:`repro.workload` — usage-pattern-driven client simulation;
 * :mod:`repro.experiments` — the harness regenerating Tables 6/7 and
@@ -29,7 +29,6 @@ Quick start::
 from .core import (
     DeployedSystem,
     DesignRuleChecker,
-    MutableServiceManager,
     PatternLevel,
     distribute,
 )
@@ -41,7 +40,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DeployedSystem",
     "DesignRuleChecker",
-    "MutableServiceManager",
     "PatternLevel",
     "distribute",
     "run_configuration",

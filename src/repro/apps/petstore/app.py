@@ -1,16 +1,15 @@
 """Assembly of the Java Pet Store application descriptor.
 
-``build_application(level)`` returns the application wired the way the
-paper ran it at that configuration level — V1 (direct-JDBC) catalog
-servlets in the centralized baseline, V2 (façade) servlets afterwards.
-Read-mostly and query-cache extended descriptors are always declared;
-:func:`repro.core.automation.apply_policy` activates them per placement
-policy.
+``build_application()`` returns the application with every extended
+descriptor declared; :func:`repro.core.automation.apply_policy` activates
+them per placement policy.  The catalog servlets are V2 (one façade call
+per page) with V1 (direct JDBC) as their central implementation, so a
+policy that keeps the web tier on the main server — the centralized
+baseline — runs the original servlets.
 """
 
 from __future__ import annotations
 
-from ...core.patterns import PatternLevel
 from ...middleware.descriptors import (
     ApplicationDescriptor,
     ComponentDescriptor,
@@ -81,23 +80,23 @@ def _stateful(name, impl):
     )
 
 
-def _servlet(name, impl):
+def _servlet(name, impl, central_impl=None):
     return ComponentDescriptor(
         name=name,
         kind=ComponentKind.SERVLET,
         impl=impl,
         remote_interface=False,
         tx_attribute=TxAttribute.NOT_SUPPORTED,
+        central_impl=central_impl,
     )
 
 
-def build_application(level: PatternLevel, catalog=None) -> ApplicationDescriptor:
-    """The Pet Store application as configured for ``level``.
+def build_application(catalog=None) -> ApplicationDescriptor:
+    """The Pet Store application.
 
     ``catalog`` is accepted for interface parity with RUBiS; Pet Store's
-    cache keys derive fully from update events, so it is unused.
+    cache keys derive fully from update events.
     """
-    level = PatternLevel(level)
     app = ApplicationDescriptor(name="petstore")
 
     for schema in petstore_schemas():
@@ -170,13 +169,6 @@ def build_application(level: PatternLevel, catalog=None) -> ApplicationDescripto
     )
 
     # -- web tier ------------------------------------------------------------
-    facade_era = level >= PatternLevel.REMOTE_FACADE
-    catalog_servlets = {
-        "Category": web.CategoryServletV2 if facade_era else web.CategoryServletV1,
-        "Product": web.ProductServletV2 if facade_era else web.ProductServletV1,
-        "Item": web.ItemServletV2 if facade_era else web.ItemServletV1,
-        "Search": web.SearchServletV2 if facade_era else web.SearchServletV1,
-    }
     servlet_impls = {
         "Main": web.MainServlet,
         "Signin": web.SigninServlet,
@@ -187,11 +179,20 @@ def build_application(level: PatternLevel, catalog=None) -> ApplicationDescripto
         "Billing": web.BillingServlet,
         "Commit Order": web.CommitOrderServlet,
         "Signout": web.SignoutServlet,
+        "Category": web.CategoryServletV2,
+        "Product": web.ProductServletV2,
+        "Item": web.ItemServletV2,
+        "Search": web.SearchServletV2,
     }
-    servlet_impls.update(catalog_servlets)
+    direct_jdbc = {
+        "Category": web.CategoryServletV1,
+        "Product": web.ProductServletV1,
+        "Item": web.ItemServletV1,
+        "Search": web.SearchServletV1,
+    }
     for page, impl in servlet_impls.items():
         component = f"servlet.{page}"
-        app.add(_servlet(component, impl))
+        app.add(_servlet(component, impl, direct_jdbc.get(page)))
         app.map_page(page, component)
 
     app.validate()

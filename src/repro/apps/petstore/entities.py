@@ -35,9 +35,6 @@ class CategoryBean(EntityBean):
     def get_details(self, ctx):
         return dict(self.state)
 
-    def get_name(self, ctx):
-        return self.state["name"]
-
 
 class ProductBean(EntityBean):
     """A product within a category (read-mostly)."""
@@ -49,9 +46,6 @@ class ProductBean(EntityBean):
     def get_details(self, ctx):
         return dict(self.state)
 
-    def get_category_id(self, ctx):
-        return self.state["category_id"]
-
 
 class ItemBean(EntityBean):
     """A sellable item: the bean behind the hottest browser page."""
@@ -62,9 +56,6 @@ class ItemBean(EntityBean):
 
     def get_details(self, ctx):
         return dict(self.state)
-
-    def get_price(self, ctx):
-        return self.state["list_price"]
 
 
 class InventoryBean(EntityBean):
@@ -86,24 +77,12 @@ class InventoryBean(EntityBean):
         self.set_field("quantity", current - amount)
         return current - amount
 
-    def replenish(self, ctx, amount):
-        if amount <= 0:
-            raise ValueError("replenish amount must be positive")
-        self.set_field("quantity", self.state["quantity"] + amount)
-        return self.state["quantity"]
-
 
 class AccountBean(EntityBean):
     """Customer account: billing and shipping information."""
 
     def get_details(self, ctx):
         return dict(self.state)
-
-    def update_address(self, ctx, address, city, state, zip_code):
-        self.set_field("address", address)
-        self.set_field("city", city)
-        self.set_field("state", state)
-        self.set_field("zip", zip_code)
 
 
 class SignOnBean(EntityBean):
@@ -120,12 +99,6 @@ class OrderBean(EntityBean):
         "find_by_user": FinderSpec("SELECT * FROM orders WHERE user_id = ?"),
     }
 
-    def get_details(self, ctx):
-        return dict(self.state)
-
-    def set_status(self, ctx, status):
-        self.set_field("status", status)
-
 
 class LineItemBean(EntityBean):
     """One item position within an order."""
@@ -133,6 +106,3 @@ class LineItemBean(EntityBean):
     FINDERS = {
         "find_by_order": FinderSpec("SELECT * FROM lineitem WHERE order_id = ?"),
     }
-
-    def get_details(self, ctx):
-        return dict(self.state)

@@ -108,13 +108,6 @@ class CustomerFacadeBean(StatelessSessionBean):
         details = yield from account_home.entity(user_id).call(ctx, "get_details")
         return details
 
-    def update_address(self, ctx, user_id, address, city, state, zip_code):
-        account_home = yield from ctx.lookup("Account")
-        yield from account_home.entity(user_id).call(
-            ctx, "update_address", address, city, state, zip_code
-        )
-        return True
-
 
 class OrderFacadeBean(StatelessSessionBean):
     """The write path: creates the order and updates inventory in one

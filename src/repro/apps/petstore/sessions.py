@@ -64,9 +64,6 @@ class CustomerSessionBean(StatefulSessionBean):
             raise ValueError("no customer is signed in for this session")
         return dict(profile)
 
-    def is_signed_in(self, ctx):
-        return self.state["profile"] is not None
-
 
 class ShoppingClientControllerBean(StatefulSessionBean):
     """The EJB-tier half of the MVC Controller (§2.2).

@@ -24,15 +24,9 @@ __all__ = [
 class RegionBean(EntityBean):
     FINDERS = {"find_all": FinderSpec("SELECT * FROM regions")}
 
-    def get_details(self, ctx):
-        return dict(self.state)
-
 
 class CategoryBean(EntityBean):
     FINDERS = {"find_all": FinderSpec("SELECT * FROM categories")}
-
-    def get_details(self, ctx):
-        return dict(self.state)
 
 
 class UserBean(EntityBean):
@@ -75,19 +69,6 @@ class RubisItemBean(EntityBean):
             "current_price": max(self.state["max_bid"], self.state["initial_price"]),
         }
 
-    def register_bid(self, ctx, amount):
-        """Apply a new bid to the denormalized summary columns."""
-        if amount <= 0:
-            raise ValueError("bid amount must be positive")
-        current = max(self.state["max_bid"], self.state["initial_price"])
-        if amount <= current:
-            raise ValueError(
-                f"bid {amount} does not beat the current price {current}"
-            )
-        self.set_field("nb_of_bids", self.state["nb_of_bids"] + 1)
-        self.set_field("max_bid", amount)
-        return self.state["nb_of_bids"]
-
     def register_bid_increment(self, ctx, increment):
         """Bid ``increment`` above the current price; returns the new bid."""
         if increment <= 0:
@@ -105,14 +86,8 @@ class BidBean(EntityBean):
         "find_by_user": FinderSpec("SELECT * FROM bids WHERE user_id = ?"),
     }
 
-    def get_details(self, ctx):
-        return dict(self.state)
-
 
 class CommentBean(EntityBean):
     FINDERS = {
         "find_by_to_user": FinderSpec("SELECT * FROM comments WHERE to_user = ?"),
     }
-
-    def get_details(self, ctx):
-        return dict(self.state)

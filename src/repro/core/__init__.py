@@ -14,8 +14,7 @@ or, with an explicit placement policy::
 
 from .automation import AutomationReport, apply_policy
 from .distribution import DeployedSystem, distribute
-from .mutable import MutableServiceManager, RedeploymentAction
-from .patterns import PATTERN_CATALOG, PatternInfo, PatternLevel, level_name
+from .patterns import PatternLevel, level_name
 from .planner import DeploymentPlan, PlanError, plan_deployment
 from .policy import (
     ComponentPolicy,
@@ -44,10 +43,6 @@ __all__ = [
     "level_policy",
     "load_policy",
     "precheck",
-    "MutableServiceManager",
-    "RedeploymentAction",
-    "PATTERN_CATALOG",
-    "PatternInfo",
     "PatternLevel",
     "level_name",
     "DeploymentPlan",

@@ -10,6 +10,8 @@ of those declarations are active and how updates propagate, it
 * strips read-mostly descriptors the policy gives no replica placements
   (they exist in the application, but this deployment does not use them),
 * strips query caches when the policy activates no cache servers,
+* gives a component its ``central_impl`` when the policy deploys it on
+  the main server only,
 * switches the update mode of the surviving extended descriptors to the
   policy's propagation mode (sync push vs. JMS async),
 * registers the auxiliary system components (``UpdaterFacade`` wherever
@@ -37,6 +39,7 @@ from ..middleware.updates import (
     update_subscriber_descriptor,
     updater_facade_descriptor,
 )
+from .planner import component_policy
 from .policy import PlacementPolicy
 
 __all__ = ["apply_policy", "AutomationReport"]
@@ -77,8 +80,7 @@ def apply_policy(
     for name, descriptor in list(application.components.items()):
         if descriptor.read_mostly is None:
             continue
-        component_policy = policy.components.get(name)
-        if component_policy is None or not component_policy.replicas:
+        if not component_policy(descriptor, policy).replicas:
             descriptor.read_mostly = None
             report.read_mostly_stripped.append(name)
         else:
@@ -96,9 +98,19 @@ def apply_policy(
             report.query_caches_active.append(query_id)
         application.query_caches = adjusted
 
+    # -- centralized implementations ------------------------------------------
+    # Decided from the planner's placement, so a component the policy
+    # leaves out (and the planner keeps on main) counts as main-only.
+    for descriptor in application.components.values():
+        if (
+            descriptor.central_impl is not None
+            and tuple(component_policy(descriptor, policy).deploy) == ("main",)
+        ):
+            descriptor.impl = descriptor.central_impl
+
     # -- transactional method caches (level 6) ---------------------------------
-    for name, component_policy in policy.components.items():
-        if not component_policy.method_cache:
+    for name, placed in policy.components.items():
+        if not placed.method_cache:
             continue
         descriptor = application.components.get(name)
         if descriptor is not None and descriptor.cached_methods:

@@ -114,25 +114,29 @@ class DeployedSystem:
     def warm_query_caches(self, params_by_query: Dict[str, list]) -> int:
         """Preload query caches for the given parameter tuples.
 
-        Executes each query once against the (pure) engine and installs
-        the rows on every server with an active cache; returns the number
-        of cache entries installed.  Like :meth:`warm_replicas`, this
-        stands in for warm-up traffic excluded from measurement.
+        Executes each cached query once against the (pure) engine and
+        installs the rows on every server with an active cache; a query
+        no server caches is not executed.  Returns the number of cache
+        entries installed.  Like :meth:`warm_replicas`, this stands in
+        for warm-up traffic excluded from measurement.
         """
         installed = 0
         database = self.db_server.database
         for query_id, params_list in params_by_query.items():
             sql = self.application.queries.get(query_id)
-            if sql is None:
+            caches = [
+                server.query_cache
+                for server in self.servers.values()
+                if server.query_cache is not None and server.query_cache.handles(query_id)
+            ]
+            if sql is None or not caches:
                 continue
             for params in params_list:
                 params = tuple(params)
                 rows = [dict(r) for r in database.execute(sql, params).rows]
-                for server in self.servers.values():
-                    cache = server.query_cache
-                    if cache is not None and cache.handles(query_id):
-                        cache.apply_refresh(query_id, params, rows)
-                        installed += 1
+                for cache in caches:
+                    cache.apply_refresh(query_id, params, rows)
+                installed += len(caches)
         return installed
 
     def utilization_report(self) -> Dict[str, float]:

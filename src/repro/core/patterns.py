@@ -10,15 +10,12 @@ the published tables and figures are unaffected by the extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict
 
 __all__ = [
     "PatternLevel",
     "PAPER_LEVELS",
-    "PatternInfo",
-    "PATTERN_CATALOG",
     "level_name",
 ]
 
@@ -48,76 +45,16 @@ PAPER_LEVELS = (
 )
 
 
-@dataclass(frozen=True)
-class PatternInfo:
-    """Human-readable metadata for reports and benchmark labels."""
-
-    level: PatternLevel
-    name: str
-    paper_section: str
-    adds: str
-    expected_effect: str
-
-
-PATTERN_CATALOG: Dict[PatternLevel, PatternInfo] = {
-    PatternLevel.CENTRALIZED: PatternInfo(
-        PatternLevel.CENTRALIZED,
-        "Centralized",
-        "4.1",
-        "nothing — single-server baseline",
-        "remote clients pay ~2 WAN round trips (TCP handshake + HTTP) per page",
-    ),
-    PatternLevel.REMOTE_FACADE: PatternInfo(
-        PatternLevel.REMOTE_FACADE,
-        "Remote façade",
-        "4.2",
-        "web components and stateful session beans at edges; all shared-data "
-        "access funnelled through session façades co-located with the data; "
-        "home/remote stub caching (EJBHomeFactory)",
-        "session-only pages become local for remote clients; shared-data pages "
-        "cost exactly one wide-area RMI call",
-    ),
-    PatternLevel.STATEFUL_CACHING: PatternInfo(
-        PatternLevel.STATEFUL_CACHING,
-        "Stateful component caching",
-        "4.3",
-        "read-only entity bean replicas at edges (read-mostly pattern) with a "
-        "blocking, push-based, zero-staleness update protocol",
-        "entity-backed read pages become local everywhere; write pages slow "
-        "down because writers block on WAN pushes",
-    ),
-    PatternLevel.QUERY_CACHING: PatternInfo(
-        PatternLevel.QUERY_CACHING,
-        "Query caching",
-        "4.4",
-        "aggregate SQL query result caches in edge servers with declarative "
-        "invalidation",
-        "aggregate-query pages become local for remote clients; un-cacheable "
-        "keyword search still crosses the WAN; writers still block",
-    ),
-    PatternLevel.ASYNC_UPDATES: PatternInfo(
-        PatternLevel.ASYNC_UPDATES,
-        "Asynchronous updates",
-        "4.5",
-        "the synchronous update façade is replaced by a JMS topic and "
-        "message-driven bean façades on the edges",
-        "write pages return to façade-level latency; reads stay local; "
-        "staleness bounded by one-way propagation delay",
-    ),
-    PatternLevel.METHOD_CACHING: PatternInfo(
-        PatternLevel.METHOD_CACHING,
-        "Method caching",
-        "beyond the paper (Pfeifer & Lockemann)",
-        "transactional method caching at edge containers: (bean, method, "
-        "args) → result entries with read/write table footprints derived "
-        "automatically from the JDBC layer, invalidated transaction-"
-        "consistently over the shared consistency bus",
-        "edge-local read pages skip container dispatch, entity "
-        "materialization and cache assembly entirely on a hit; write "
-        "pages unchanged from level 5",
-    ),
+# Row and bar labels of the tables, figures and availability report.
+_NAMES: Dict[PatternLevel, str] = {
+    PatternLevel.CENTRALIZED: "Centralized",
+    PatternLevel.REMOTE_FACADE: "Remote façade",
+    PatternLevel.STATEFUL_CACHING: "Stateful component caching",
+    PatternLevel.QUERY_CACHING: "Query caching",
+    PatternLevel.ASYNC_UPDATES: "Asynchronous updates",
+    PatternLevel.METHOD_CACHING: "Method caching",
 }
 
 
 def level_name(level: PatternLevel) -> str:
-    return PATTERN_CATALOG[PatternLevel(level)].name
+    return _NAMES[PatternLevel(level)]

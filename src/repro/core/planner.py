@@ -63,9 +63,6 @@ class DeploymentPlan:
     def servers_of(self, component: str) -> List[str]:
         return self.placements.get(component, [])
 
-    def replica_servers_of(self, component: str) -> List[str]:
-        return self.replicas.get(component, [])
-
     def components_on(self, server: str) -> List[str]:
         return sorted(
             name for name, servers in self.placements.items() if server in servers
@@ -96,17 +93,19 @@ class DeploymentPlan:
         return "\n".join(lines)
 
 
-def _default_component_policy(
-    descriptor, policy: PlacementPolicy
-) -> ComponentPolicy:
-    """Placement for components the policy does not mention.
+def component_policy(descriptor, policy: PlacementPolicy) -> ComponentPolicy:
+    """The placement ``policy`` gives ``descriptor``'s component.
 
-    The auxiliary maintenance components (``UpdaterFacade``,
+    A component the policy does not mention gets a default: the
+    auxiliary maintenance components (``UpdaterFacade``,
     ``UpdateSubscriber``) follow the replica/cache placements they
     serve; anything else stays on the main server.
     """
     from ..middleware.updates import UPDATE_SUBSCRIBER, UPDATER_FACADE
 
+    named = policy.components.get(descriptor.name)
+    if named is not None:
+        return named
     if descriptor.name == UPDATER_FACADE:
         return ComponentPolicy(deploy=policy.maintenance_selectors())
     if descriptor.name == UPDATE_SUBSCRIBER and policy.async_updates:
@@ -135,23 +134,21 @@ def plan_deployment(
     )
 
     for name, descriptor in application.components.items():
-        component_policy = policy.components.get(name)
-        if component_policy is None:
-            component_policy = _default_component_policy(descriptor, policy)
+        placed = component_policy(descriptor, policy)
         try:
-            placement = resolve_selectors(component_policy.deploy, main, edges)
-            if descriptor.kind == ComponentKind.ENTITY and component_policy.replicas:
+            placement = resolve_selectors(placed.deploy, main, edges)
+            if descriptor.kind == ComponentKind.ENTITY and placed.replicas:
                 if descriptor.read_mostly is not None:
                     plan.replicas[name] = resolve_selectors(
-                        component_policy.replicas, main, edges
+                        placed.replicas, main, edges
                     )
-            if component_policy.method_cache and descriptor.cached_methods:
+            if placed.method_cache and descriptor.cached_methods:
                 # A method cache only makes sense where the façade itself
                 # is deployed; restrict the resolved selectors to that.
                 cache_servers = [
                     server
                     for server in resolve_selectors(
-                        component_policy.method_cache, main, edges
+                        placed.method_cache, main, edges
                     )
                     if server in placement
                 ]

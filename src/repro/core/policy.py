@@ -120,9 +120,9 @@ class PlacementPolicy:
     """A complete distribution policy for one application.
 
     ``level`` is *metadata only*: the paper configuration this policy is
-    closest to, used for table/figure labels and to choose the servlet
-    era when assembling the application.  Nothing downstream branches on
-    it for placement, caching or update behaviour.
+    closest to, used for table/figure labels.  Nothing downstream
+    branches on it for placement, caching, update behaviour or the
+    servlets an application runs.
     """
 
     name: str
@@ -136,23 +136,11 @@ class PlacementPolicy:
 
     # -- derived properties ---------------------------------------------------
     @property
-    def has_replicas(self) -> bool:
-        return any(cp.replicas for cp in self.components.values())
-
-    @property
-    def has_query_caches(self) -> bool:
-        return bool(self.query_caches)
-
-    @property
-    def has_method_caches(self) -> bool:
-        return any(cp.method_cache for cp in self.components.values())
-
-    @property
     def async_updates(self) -> bool:
         return self.update_mode == UpdateMode.ASYNC
 
     def effective_level(self) -> PatternLevel:
-        """Label/assembly level (defaults to the remote-façade era)."""
+        """Label level (defaults to the remote-façade configuration)."""
         if self.level is not None:
             return PatternLevel(self.level)
         return PatternLevel.REMOTE_FACADE

@@ -191,14 +191,10 @@ def _run_plan(args, policy, topology, levels) -> int:
             _database, catalog = load_dataset(spec.populate, streams)
             env = Environment()
             testbed = build_testbed(env, config)
+            application = spec.build_application(catalog=catalog)
             resolved = policy
             if resolved is None:
-                application = spec.build_application(level, catalog=catalog)
                 resolved = level_policy(level, application)
-            else:
-                application = spec.build_application(
-                    resolved.effective_level(), catalog=catalog
-                )
             try:
                 apply_policy(application, resolved)
                 plan = plan_deployment(

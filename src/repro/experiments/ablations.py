@@ -59,15 +59,13 @@ _EDGE_CLIENT = "client-edge1-0"
 _MAIN_CLIENT = "client-main-0"
 
 
-def _petstore_system(level, costs, seed=7, app_level=None, mutate_app=None):
+def _petstore_system(level, costs, seed=7, mutate_app=None):
     """Stand up Pet Store at ``level`` with the given cost profile."""
     streams = Streams(seed)
     database, catalog = load_dataset(petstore.populate_petstore, streams)
     env = Environment()
     testbed = build_testbed(env, calibration.petstore_testbed_config())
-    application = petstore.build_application(
-        PatternLevel(app_level if app_level is not None else level)
-    )
+    application = petstore.build_application()
     if mutate_app is not None:
         mutate_app(application)
     system = distribute(
@@ -183,10 +181,15 @@ def ablate_edge_jdbc() -> Dict[str, float]:
     # The original web tier also opened/recycled un-pooled connections and
     # traversed results in small cursor batches ("verbose communication
     # with the database server", §4.2).
+    def direct_jdbc_everywhere(application):
+        for descriptor in application.components.values():
+            if descriptor.central_impl is not None:
+                descriptor.impl = descriptor.central_impl
+
     env, system, catalog = _petstore_system(
         PatternLevel.REMOTE_FACADE,
         calibration.PETSTORE_COSTS,
-        app_level=PatternLevel.CENTRALIZED,  # V1 servlets
+        mutate_app=direct_jdbc_everywhere,
     )
     from ..rdbms.jdbc import JdbcConfig
 

@@ -249,7 +249,7 @@ class RunSpec:
     # events, no RNG draws — so fault-free runs stay byte-identical.
     faults: Optional[FaultSchedule] = None
     # Explicit placement policy; the cell's level is then ignored and the
-    # policy's metadata level picks the application era.
+    # policy's metadata level labels the row.
     policy: Optional[PlacementPolicy] = None
     # Overrides of the app's calibrated testbed knobs.
     topology: Optional[TopologyOverrides] = None
@@ -326,7 +326,7 @@ def run_configuration(
         else None
     )
     metrics = MetricsRegistry() if spec.with_metrics else None
-    application = app_spec.build_application(level, catalog=catalog)
+    application = app_spec.build_application(catalog=catalog)
     system = distribute(
         env,
         testbed,

@@ -113,7 +113,6 @@ class TransactionContext:
     _enlisted_seen: AbstractSet[tuple] = frozenset()
     _connections: Sequence[Any] = ()  # JdbcConnection, committed in order
     update_events: Sequence[UpdateEvent] = ()
-    query_invalidations: Sequence[tuple] = ()  # (query_id, params-or-None)
     # Tables written by this transaction (first-write order).  The
     # consistency bus turns these into method-cache invalidations.
     written_tables: Sequence[str] = ()
@@ -157,12 +156,6 @@ class TransactionContext:
             self.update_events = []
         self.update_events.append(event)
 
-    def add_query_invalidation(self, query_id: str, params: Optional[tuple]) -> None:
-        if not self.query_invalidations:
-            self.enlisted = True
-            self.query_invalidations = []
-        self.query_invalidations.append((query_id, params))
-
     def record_table_write(self, table: str) -> None:
         if table and table not in self.written_tables:
             if not self.written_tables:
@@ -190,14 +183,12 @@ class TransactionContext:
         propagator = ctx.server.update_propagator if ctx.server else None
         if propagator is not None and (
             self.update_events
-            or self.query_invalidations
             or (propagator.tracks_table_writes and self.written_tables)
         ):
             post_commit_ctx = ctx.in_transaction(None)
             yield from propagator.propagate(
                 post_commit_ctx,
                 self.update_events,
-                self.query_invalidations,
                 written_tables=self.written_tables,
             )
 
@@ -210,7 +201,7 @@ class TransactionContext:
             if connection.session.in_transaction:
                 yield from connection.rollback()
             connection.close()
-        self.update_events = self.query_invalidations = self.written_tables = ()
+        self.update_events = self.written_tables = ()
         self.state = "aborted"
 
 

@@ -129,6 +129,10 @@ class ComponentDescriptor:
     #    write table footprints are *not* declared here — they are derived
     #    automatically from the JDBC statements the method executes.
     cached_methods: Tuple[str, ...] = ()
+    # -- the implementation used where the policy keeps this component on
+    #    the main server only, next to the database (Pet Store's direct-
+    #    JDBC catalog servlets, §4.2); None = ``impl`` everywhere.
+    central_impl: Optional[type] = None
 
     def __post_init__(self):
         if self.kind == ComponentKind.ENTITY and self.table is None:

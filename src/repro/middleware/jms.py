@@ -202,6 +202,15 @@ class JmsProvider:
             self.in_flight -= 1
             ctx.finish_span(span)
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative delivery counters, per topic too, by metric name."""
+        counters = {"jms.deliveries": self.deliveries}
+        for name in sorted(self.topics):
+            topic = self.topics[name]
+            counters[f"jms.topic.{name}.published"] = topic.published
+            counters[f"jms.topic.{name}.delivered"] = topic.delivered
+        return counters
+
     def mean_delivery_latency(self) -> float:
         if not self.deliveries:
             return 0.0

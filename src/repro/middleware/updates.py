@@ -20,7 +20,7 @@ and query caches are made in one bulk RMI call" (§4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..simnet.kernel import Event
 from .context import InvocationContext, UpdateEvent
@@ -201,6 +201,15 @@ class UpdatePropagator:
         self.coalesced_events = 0
         self.bounded_flushes = 0
 
+    def counters(self) -> Dict[str, int]:
+        """Cumulative propagation counters, by metric name."""
+        return {
+            "propagator.sync_pushes": self.sync_pushes,
+            "propagator.async_publishes": self.async_publishes,
+            "propagator.coalesced_events": self.coalesced_events,
+            "propagator.bounded_flushes": self.bounded_flushes,
+        }
+
     # -- payload assembly ---------------------------------------------------
     def _derived_invalidations(
         self, events: List[UpdateEvent]
@@ -218,7 +227,6 @@ class UpdatePropagator:
         self,
         ctx: InvocationContext,
         events: List[UpdateEvent],
-        explicit_invalidations: List[Tuple[str, Optional[tuple]]],
     ) -> Generator[Event, Any, Tuple[UpdatePayload, UpdatePayload]]:
         """Partition work into (synchronous, asynchronous) payloads."""
         sync = UpdatePayload()
@@ -259,15 +267,8 @@ class UpdatePropagator:
             target = sync if read_mostly.update_mode == UpdateMode.SYNC else asynchronous
             target.events.append(shipped)
 
-        invalidation_work: List[Tuple[QueryCacheDescriptor, Optional[tuple]]] = []
-        invalidation_work.extend(self._derived_invalidations(events))
-        for query_id, params in explicit_invalidations:
-            descriptor = self.server.application.query_caches.get(query_id)
-            if descriptor is not None:
-                invalidation_work.append((descriptor, params))
-
         seen = set()
-        for descriptor, params in invalidation_work:
+        for descriptor, params in self._derived_invalidations(events):
             marker = (descriptor.query_id, params)
             if marker in seen:
                 continue
@@ -290,7 +291,6 @@ class UpdatePropagator:
         self,
         ctx: InvocationContext,
         events: List[UpdateEvent],
-        explicit_invalidations: List[Tuple[str, Optional[tuple]]],
         written_tables: Tuple[str, ...] = (),
     ) -> Generator[Event, Any, None]:
         if not self.targets:
@@ -301,9 +301,7 @@ class UpdatePropagator:
         span = ctx.start_span("propagate", "replica-updates")
         ctx = ctx.in_span(span)
         try:
-            sync, asynchronous = yield from self.build_payloads(
-                ctx, events, explicit_invalidations
-            )
+            sync, asynchronous = yield from self.build_payloads(ctx, events)
             if self.tracks_table_writes and written_tables:
                 carrier = (
                     sync

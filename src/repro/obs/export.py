@@ -17,7 +17,7 @@ honour.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "chrome_trace_events",
@@ -293,15 +293,3 @@ def validate_series(data: object) -> List[str]:
     return problems
 
 
-def _maybe_summary(spans_state: Optional[dict]) -> dict:
-    """Small digest used by CLI stderr reporting (kind counts + dropped)."""
-    if not spans_state:
-        return {"spans": 0, "dropped": 0, "by_kind": {}}
-    by_kind: Dict[str, int] = {}
-    for span in spans_state.get("spans", ()):
-        by_kind[span["kind"]] = by_kind.get(span["kind"], 0) + 1
-    return {
-        "spans": len(spans_state.get("spans", ())),
-        "dropped": spans_state.get("dropped", 0),
-        "by_kind": dict(sorted(by_kind.items())),
-    }

@@ -32,6 +32,7 @@ __all__ = [
     "MetricsRegistry",
     "collect_system_metrics",
     "collect_cache_stats",
+    "system_counters",
     "sum_counter",
 ]
 
@@ -305,21 +306,39 @@ _METRIC_PREFIX = {
 }
 
 
-def _register_counters(registry: MetricsRegistry, prefix: str, counters: dict) -> None:
-    """One counter per leaf of a nested counter dict, named by its path."""
-    for name, value in counters.items():
+def _flatten(counters: Dict[str, Number], prefix: str, nested: dict) -> None:
+    """One entry per leaf of a nested counter dict, named by its path."""
+    for name, value in nested.items():
         if isinstance(value, dict):
-            _register_counters(registry, f"{prefix}.{name}", value)
+            _flatten(counters, f"{prefix}.{name}", value)
         else:
-            registry.counter(f"{prefix}.{name}").inc(value)
+            counters[f"{prefix}.{name}"] = value
+
+
+def system_counters(system, generator=None) -> Dict[str, Number]:
+    """Every cumulative counter of a deployment, by metric name.
+
+    The one walk of the simulated system's counters: each subsystem names
+    its own through ``counters()``, and the edge-state members through
+    :func:`collect_cache_stats`.  A subsystem the deployment lacks (JMS,
+    the propagator, a data tier, the generator) contributes no names;
+    ``methodcache.*`` exists only under level 6.  End-of-run metrics
+    register every entry; the time-series sampler reads deltas of some.
+    """
+    counters: Dict[str, Number] = dict(system.db_server.counters())
+    for source in (system.main.jms, system.main.update_propagator, system.cluster, generator):
+        if source is not None:
+            counters.update(source.counters())
+    for kind, section in collect_cache_stats(system).items():
+        _flatten(counters, _METRIC_PREFIX.get(kind, kind), section)
+    return counters
 
 
 def collect_system_metrics(registry: MetricsRegistry, system, generator=None) -> MetricsRegistry:
-    """Register every per-container counter of a finished deployment.
+    """Register every counter of a finished deployment, plus its gauges.
 
-    Walks servers, database, JMS topics, the update propagator, caches
-    and replicas in sorted order; names are stable dotted paths so the
-    registry snapshot is canonical.
+    Counters come from :func:`system_counters`; names are stable dotted
+    paths and the registry snapshot is sorted, so it is canonical.
     """
     config = system.testbed.config
     registry.gauge("topology.edge_servers").set(float(config.edge_servers))
@@ -333,65 +352,20 @@ def collect_system_metrics(registry: MetricsRegistry, system, generator=None) ->
         registry.counter(f"{prefix}.web_sessions_created").inc(server.web_sessions.created)
         registry.gauge(f"{prefix}.cpu_utilization").set(server.node.cpu_utilization())
 
-    db_server = system.db_server
-    database = db_server.database
-    registry.counter("db.statements").inc(db_server.statements)
-    registry.counter("db.commits").inc(db_server.commits)
-    registry.counter("db.rollbacks").inc(db_server.rollbacks)
-    registry.counter("db.rows_scanned").inc(database.rows_scanned_total)
-    registry.counter("db.statements_executed").inc(database.statements_executed)
-    registry.gauge("db.cpu_utilization").set(db_server.node.cpu_utilization())
-    executor = database.executor
-    registry.counter("db.executor.index_scans").inc(executor.index_scans)
-    registry.counter("db.executor.full_scans").inc(executor.full_scans)
-    registry.counter("db.executor.range_scans").inc(executor.range_scans)
-    registry.counter("db.executor.prefix_scans").inc(executor.prefix_scans)
-    registry.counter("db.executor.join_index_lookups").inc(executor.join_index_lookups)
-    registry.counter("db.executor.join_full_scans").inc(executor.join_full_scans)
+    for name, value in system_counters(system, generator).items():
+        registry.counter(name).inc(value)
 
+    registry.gauge("db.cpu_utilization").set(system.db_server.node.cpu_utilization())
     jms = system.main.jms
     if jms is not None:
-        registry.counter("jms.deliveries").inc(jms.deliveries)
         registry.gauge("jms.in_flight_at_end").set(jms.in_flight)
         registry.gauge("jms.mean_delivery_latency_ms").set(jms.mean_delivery_latency())
-        for topic_name in sorted(jms.topics):
-            topic = jms.topics[topic_name]
-            registry.counter(f"jms.topic.{topic_name}.published").inc(topic.published)
-            registry.counter(f"jms.topic.{topic_name}.delivered").inc(topic.delivered)
-
     propagator = system.main.update_propagator
     if propagator is not None:
-        registry.counter("propagator.sync_pushes").inc(propagator.sync_pushes)
-        registry.counter("propagator.async_publishes").inc(propagator.async_publishes)
-        registry.counter("propagator.coalesced_events").inc(propagator.coalesced_events)
-        registry.counter("propagator.bounded_flushes").inc(propagator.bounded_flushes)
         registry.gauge("propagator.blocking_time_ms").set(propagator.blocking_time_total)
-
-    # methodcache.* names exist only under level 6 (see collect_cache_stats).
-    for kind, section in collect_cache_stats(system).items():
-        _register_counters(registry, _METRIC_PREFIX.get(kind, kind), section)
-
-    if generator is not None:
-        registry.counter("workload.requests").inc(generator.total_requests())
-        registry.counter("workload.errors").inc(generator.errors)
-        # Why visits were lost; only non-zero kinds, so the snapshot of a
-        # run that loses none is byte-identical with earlier releases.
-        for kind, count in sorted(generator.error_kinds.items()):
-            registry.counter(f"workload.errors.{kind}").inc(count)
-        registry.counter("workload.failovers").inc(generator.failovers)
-        registry.counter("workload.think_time_ms").inc(generator.think_ms)
-        if hasattr(generator, "admitted"):
-            # Open-loop generator: per-run session health.  These names
-            # exist only for open-loop runs, so closed-loop metrics
-            # snapshots stay byte-identical with earlier releases.
-            registry.counter("workload.sessions_arrived").inc(generator.arrivals)
-            registry.counter("workload.sessions_admitted").inc(generator.admitted)
-            registry.counter("workload.sessions_completed").inc(generator.completions)
-            registry.counter("workload.sessions_dropped").inc(
-                generator.dropped_sessions
-            )
-            registry.gauge("workload.sessions_active").set(float(generator.active))
-            registry.gauge("workload.sessions_peak").set(float(generator.peak_active))
+    if generator is not None and hasattr(generator, "admitted"):
+        registry.gauge("workload.sessions_active").set(float(generator.active))
+        registry.gauge("workload.sessions_peak").set(float(generator.peak_active))
 
     # Resilience counters are emitted only when nonzero: a fault-free run
     # produces a metrics snapshot byte-identical to one taken before the
@@ -410,15 +384,9 @@ def collect_system_metrics(registry: MetricsRegistry, system, generator=None) ->
                     staleness[server_name]
                 )
 
-    # Data-tier cluster counters exist only under a data_tier policy, so
-    # single-instance snapshots stay byte-identical with earlier releases.
     cluster = system.cluster
     if cluster is not None:
-        snapshot = cluster.stats.to_dict()
-        staleness_ms = snapshot.pop("staleness_ms")
-        for name in sorted(snapshot):
-            registry.counter(f"cluster.{name}").inc(snapshot[name])
-        registry.gauge("cluster.staleness_ms").set(staleness_ms)
+        registry.gauge("cluster.staleness_ms").set(cluster.stats.to_dict()["staleness_ms"])
         registry.gauge("cluster.shards").set(float(cluster.tier.shard_count))
         registry.gauge("cluster.replication_factor").set(
             float(cluster.tier.replication_factor)

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Sequence, Tuple
 
 from ..simnet.kernel import Environment
-from .metrics import Histogram, collect_cache_stats, sum_counter
+from .metrics import Histogram, system_counters
 
 __all__ = [
     "HDR_BOUNDS",
@@ -278,11 +278,52 @@ class TimeSeriesRecorder:
 # ---------------------------------------------------------------------------
 
 
-# Series-name prefix of a cache_stats section where it is not ``kind.``.
-_SERIES_PREFIX = {
-    "query_cache": "cache.query_",
-    "replicas": "replica.",
-    "method_cache": "methodcache.",
+# The metrics of ``system_counters`` the sampler reads, in series order;
+# a workload metric is stored under its ``_SERIES_NAMES`` series name,
+# every other one under its own.  A metric the deployment lacks (no JMS,
+# no data tier, a closed loop) is not sampled, so those series exist
+# only where their source does.
+_SERIES_COUNTERS = (
+    "db.statements",
+    "db.executor.index_scans",
+    "db.executor.full_scans",
+    "db.executor.range_scans",
+    "db.executor.prefix_scans",
+    "jms.deliveries",
+    "cluster.elections_won",
+    "cluster.leader_failovers",
+    "cluster.quorum_commits",
+    "cluster.cross_shard_txns",
+    "cluster.scatter_gather_queries",
+    "cluster.stale_reads_served",
+    "cluster.catchup_entries",
+    "workload.requests",
+    "workload.errors",
+    "workload.failovers",
+    "workload.think_time_ms",
+    "workload.sessions_arrived",
+    "workload.sessions_admitted",
+    "workload.sessions_dropped",
+    "workload.sessions_completed",
+)
+_SERIES_NAMES = {
+    "workload.requests": "requests.sent",
+    "workload.errors": "requests.errors",
+    "workload.failovers": "requests.failovers",
+    "workload.think_time_ms": "think_ms",
+    "workload.sessions_arrived": "sessions.arrivals",
+    "workload.sessions_admitted": "sessions.admitted",
+    "workload.sessions_dropped": "sessions.dropped",
+    "workload.sessions_completed": "sessions.completed",
+}
+
+# Series-name prefix of each edge-state mechanism's hits and misses,
+# summed over its members, by the mechanism's metric-name prefix;
+# methodcache exists only at level 6.
+_SERIES_CACHE_PREFIX = {
+    "querycache": "cache.query_",
+    "replica": "replica.",
+    "methodcache": "methodcache.",
 }
 
 
@@ -306,52 +347,21 @@ class _Sampler:
 
     # -- cumulative sources -------------------------------------------------
     def _cumulative(self, env: Environment) -> Dict[str, float]:
-        current: Dict[str, float] = {"kernel.events": env._sequence}
         system = self.system
-        db_server = system.db_server
-        database = db_server.database
-        current["db.statements"] = db_server.statements
-        executor = database.executor
-        current["db.executor.index_scans"] = executor.index_scans
-        current["db.executor.full_scans"] = executor.full_scans
-        current["db.executor.range_scans"] = executor.range_scans
-        current["db.executor.prefix_scans"] = executor.prefix_scans
-        jms = system.main.jms
-        if jms is not None:
-            current["jms.deliveries"] = jms.deliveries
-        # Hits and misses per edge-state mechanism.  A section exists only
-        # with a member (method_cache: level 6), so the paper-level series
-        # artifacts stay byte-identical.
-        for kind, section in collect_cache_stats(system).items():
-            prefix = _SERIES_PREFIX.get(kind, kind + ".")
-            current[prefix + "hits"] = sum_counter(section, "hits")
-            current[prefix + "misses"] = sum_counter(section, "misses")
-
-        # Cluster counters appear only under a data_tier policy, so
-        # single-instance series stay byte-identical with earlier runs.
-        cluster = system.cluster
-        if cluster is not None:
-            stats = cluster.stats
-            current["cluster.elections_won"] = stats.elections_won
-            current["cluster.leader_failovers"] = stats.leader_failovers
-            current["cluster.quorum_commits"] = stats.quorum_commits
-            current["cluster.cross_shard_txns"] = stats.cross_shard_txns
-            current["cluster.scatter_gather_queries"] = stats.scatter_gather_queries
-            current["cluster.stale_reads_served"] = stats.stale_reads_served
-            current["cluster.staleness_ms"] = stats.staleness_ms
-            current["cluster.catchup_entries"] = stats.catchup_entries
-
-        generator = self.generator
-        current["requests.sent"] = generator.requests_sent
-        current["requests.errors"] = generator.errors
-        current["requests.failovers"] = generator.failovers
-        current["think_ms"] = generator.think_ms
-        if hasattr(generator, "admitted"):
-            # Open-loop session accounting.
-            current["sessions.arrivals"] = generator.arrivals
-            current["sessions.admitted"] = generator.admitted
-            current["sessions.dropped"] = generator.dropped_sessions
-            current["sessions.completed"] = generator.completions
+        walk = system_counters(system, self.generator)
+        current: Dict[str, float] = {"kernel.events": env._sequence}
+        for metric in _SERIES_COUNTERS:
+            if metric in walk:
+                current[_SERIES_NAMES.get(metric, metric)] = walk[metric]
+        for name, value in walk.items():
+            mechanism, _, path = name.partition(".")
+            series = _SERIES_CACHE_PREFIX.get(mechanism)
+            counter = path.rpartition(".")[2]
+            if series is not None and counter in ("hits", "misses"):
+                current[series + counter] = current.get(series + counter, 0) + value
+        if system.cluster is not None:
+            # A reading, not a count: read raw, not as the rounded gauge.
+            current["cluster.staleness_ms"] = system.cluster.stats.staleness_ms
         return current
 
     def _sample(self, env: Environment) -> None:

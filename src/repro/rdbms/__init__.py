@@ -15,7 +15,6 @@ from .expressions import (
     Not,
     Or,
     Parameter,
-    bind_parameters,
     like_matcher,
     like_prefix,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "Not",
     "Or",
     "Parameter",
-    "bind_parameters",
     "DataSource",
     "JdbcConfig",
     "JdbcConnection",

@@ -152,11 +152,13 @@ class DataTierCluster:
             for group in self.groups:
                 group.tick()
 
-    def leader_seats(self) -> Dict[str, str]:
-        """group name -> seat of its current leader (diagnostics)."""
+    def counters(self) -> Dict[str, int]:
+        """Cumulative data-tier counters, by metric name (``staleness_ms``
+        is a reading, not a count, and is left out)."""
         return {
-            group.name: group.leader.seat if group.leader is not None else "?"
-            for group in self.groups
+            f"cluster.{name}": value
+            for name, value in self.stats.to_dict().items()
+            if name != "staleness_ms"
         }
 
 

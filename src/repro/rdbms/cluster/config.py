@@ -20,7 +20,7 @@ to every earlier release.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 __all__ = ["DataTierError", "DataTierPolicy", "READ_MODES", "SHARD_STRATEGIES"]
 
@@ -220,8 +220,3 @@ class DataTierPolicy:
             election_timeout_ms=(float(lo), float(hi)),
         )
         return tier.validate()
-
-
-def _as_dict(shard_tables: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
-    """Helper for tests: canonical tuple form of a table->key mapping."""
-    return tuple(sorted((str(k), str(v)) for k, v in shard_tables.items()))

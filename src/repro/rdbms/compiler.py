@@ -6,8 +6,7 @@ of closures ``fn(row, params) -> value``.  Parameters are read from the
 constants are folded at compile time (LIKE needles are lowered once,
 literal IN lists become tuple-membership tests).
 
-Closures reproduce the tree-walking
-:meth:`~repro.rdbms.expressions.Expression.evaluate` *exactly*: SQL
+Closures keep SQL's semantics as a tree walk would read them: SQL
 three-valued logic collapsed to False, short-circuit evaluation order,
 and :class:`~repro.rdbms.expressions.EvaluationError` on missing or
 ambiguous columns (a join's first pass relies on those errors to defer
@@ -213,9 +212,7 @@ def compile_expression(
             return False
 
         return in_list
-    # Unknown node type: fall back to the tree-walker so programmatically
-    # built extensions keep working (parameters must be pre-bound there).
-    return lambda row, params: expression.evaluate(row)
+    raise TypeError(f"cannot compile a {kind.__name__} expression")
 
 
 def resolves(expression: Expression, resolve: Resolver) -> bool:

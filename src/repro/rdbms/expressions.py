@@ -1,8 +1,9 @@
 """Predicate and scalar expression AST used by the SQL layer.
 
-The executor evaluates these against row dicts.  The AST is also built
-programmatically by the entity-bean containers (CMP finder methods render
-to these expressions rather than to SQL text).
+:mod:`repro.rdbms.compiler` lowers these trees to closures the executor
+runs against row dicts.  The AST is also built programmatically by the
+entity-bean containers (CMP finder methods render to these expressions
+rather than to SQL text).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from .lru import LruCache
 
@@ -26,14 +27,13 @@ __all__ = [
     "Like",
     "InList",
     "EvaluationError",
-    "bind_parameters",
     "like_matcher",
     "like_prefix",
 ]
 
 
 # ---------------------------------------------------------------------------
-# LIKE pattern semantics (shared by the tree-walker and the compiler)
+# LIKE pattern semantics
 # ---------------------------------------------------------------------------
 
 _LIKE_CACHE = LruCache(1024)  # pattern -> matcher
@@ -94,13 +94,6 @@ class EvaluationError(Exception):
 class Expression:
     """Base expression node."""
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        raise NotImplementedError
-
-    def columns(self) -> List[str]:
-        """All column names referenced (qualified names kept as-is)."""
-        return []
-
     def parameters(self) -> int:
         """Number of ``?`` placeholders in this subtree."""
         return 0
@@ -112,32 +105,10 @@ class ColumnRef(Expression):
 
     name: str
 
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        if self.name in row:
-            return row[self.name]
-        # Permit unqualified access to a qualified row key and vice versa.
-        if "." in self.name:
-            bare = self.name.split(".", 1)[1]
-            if bare in row:
-                return row[bare]
-        else:
-            matches = [key for key in row if key.endswith("." + self.name)]
-            if len(matches) == 1:
-                return row[matches[0]]
-            if len(matches) > 1:
-                raise EvaluationError(f"ambiguous column {self.name!r}: {matches}")
-        raise EvaluationError(f"row has no column {self.name!r}")
-
-    def columns(self) -> List[str]:
-        return [self.name]
-
 
 @dataclass(frozen=True)
 class Literal(Expression):
     value: Any
-
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -145,9 +116,6 @@ class Parameter(Expression):
     """A ``?`` placeholder; must be bound before evaluation."""
 
     index: int
-
-    def evaluate(self, row: Dict[str, Any]) -> Any:
-        raise EvaluationError(f"unbound parameter ?{self.index}")
 
     def parameters(self) -> int:
         return 1
@@ -174,16 +142,6 @@ class Comparison(Expression):
     def __post_init__(self):
         if self.operator not in _OPERATORS:
             raise EvaluationError(f"unknown operator {self.operator!r}")
-
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if left is None or right is None:
-            return False  # SQL three-valued logic, collapsed to False
-        return _OPERATORS[self.operator](left, right)
-
-    def columns(self) -> List[str]:
-        return self.left.columns() + self.right.columns()
 
     def parameters(self) -> int:
         return self.left.parameters() + self.right.parameters()
@@ -219,12 +177,6 @@ class Comparison(Expression):
 class And(Expression):
     parts: Tuple[Expression, ...]
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        return all(part.evaluate(row) for part in self.parts)
-
-    def columns(self) -> List[str]:
-        return [c for part in self.parts for c in part.columns()]
-
     def parameters(self) -> int:
         return sum(part.parameters() for part in self.parts)
 
@@ -233,12 +185,6 @@ class And(Expression):
 class Or(Expression):
     parts: Tuple[Expression, ...]
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        return any(part.evaluate(row) for part in self.parts)
-
-    def columns(self) -> List[str]:
-        return [c for part in self.parts for c in part.columns()]
-
     def parameters(self) -> int:
         return sum(part.parameters() for part in self.parts)
 
@@ -246,12 +192,6 @@ class Or(Expression):
 @dataclass(frozen=True)
 class Not(Expression):
     part: Expression
-
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        return not self.part.evaluate(row)
-
-    def columns(self) -> List[str]:
-        return self.part.columns()
 
     def parameters(self) -> int:
         return self.part.parameters()
@@ -273,16 +213,6 @@ class Like(Expression):
     column: ColumnRef
     pattern: Expression
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        value = self.column.evaluate(row)
-        pattern = self.pattern.evaluate(row)
-        if value is None or pattern is None:
-            return False
-        return like_matcher(str(pattern))(str(value).lower())
-
-    def columns(self) -> List[str]:
-        return self.column.columns()
-
     def parameters(self) -> int:
         return self.pattern.parameters()
 
@@ -292,45 +222,5 @@ class InList(Expression):
     column: ColumnRef
     options: Tuple[Expression, ...]
 
-    def evaluate(self, row: Dict[str, Any]) -> bool:
-        value = self.column.evaluate(row)
-        return any(value == option.evaluate(row) for option in self.options)
-
-    def columns(self) -> List[str]:
-        return self.column.columns()
-
     def parameters(self) -> int:
         return sum(option.parameters() for option in self.options)
-
-
-def bind_parameters(expression: Optional[Expression], params: Tuple[Any, ...]) -> Optional[Expression]:
-    """Return a copy of ``expression`` with ``Parameter`` nodes replaced.
-
-    Raises :class:`EvaluationError` when the parameter count mismatches.
-    """
-    if expression is None:
-        if params:
-            raise EvaluationError("parameters supplied but statement takes none")
-        return None
-    expected = expression.parameters()
-    if expected != len(params):
-        raise EvaluationError(f"statement takes {expected} parameters, got {len(params)}")
-
-    def substitute(node: Expression) -> Expression:
-        if isinstance(node, Parameter):
-            return Literal(params[node.index])
-        if isinstance(node, Comparison):
-            return Comparison(substitute(node.left), node.operator, substitute(node.right))
-        if isinstance(node, And):
-            return And(tuple(substitute(part) for part in node.parts))
-        if isinstance(node, Or):
-            return Or(tuple(substitute(part) for part in node.parts))
-        if isinstance(node, Not):
-            return Not(substitute(node.part))
-        if isinstance(node, Like):
-            return Like(node.column, substitute(node.pattern))
-        if isinstance(node, InList):
-            return InList(node.column, tuple(substitute(o) for o in node.options))
-        return node
-
-    return substitute(expression)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Generator, Optional, Tuple, Union
+from typing import Any, Dict, Generator, Optional, Tuple, Union
 
 from ..simnet.kernel import Environment, Event
 from ..simnet.network import Node
@@ -97,6 +97,24 @@ class DatabaseServer:
         # Per server, so a fresh deployment numbers its sessions from 1
         # however many cells the worker process ran before.
         self._session_ids = itertools.count(1)
+
+    def counters(self) -> Dict[str, int]:
+        """Cumulative statement and executor counters, by metric name."""
+        database = self.database
+        executor = database.executor
+        return {
+            "db.statements": self.statements,
+            "db.commits": self.commits,
+            "db.rollbacks": self.rollbacks,
+            "db.rows_scanned": database.rows_scanned_total,
+            "db.statements_executed": database.statements_executed,
+            "db.executor.index_scans": executor.index_scans,
+            "db.executor.full_scans": executor.full_scans,
+            "db.executor.range_scans": executor.range_scans,
+            "db.executor.prefix_scans": executor.prefix_scans,
+            "db.executor.join_index_lookups": executor.join_index_lookups,
+            "db.executor.join_full_scans": executor.join_full_scans,
+        }
 
     # -- session lifecycle -----------------------------------------------------
     def open_session(self) -> DbSession:

@@ -327,11 +327,6 @@ class Process(Event):
     def _resume_initial(self) -> None:
         self._step(None, None)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered:
@@ -641,16 +636,6 @@ class Environment:
             self._buckets[index].append((time, sequence, item))
         else:
             self._overflow.append((time, sequence, item))
-
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            return
-        event._scheduled = True
-        if delay == 0.0:
-            self._ready.append(event)
-        else:
-            self._sequence = sequence = self._sequence + 1
-            self._push(self.now + delay, sequence, event)
 
     def _schedule_call(self, func: Callable[[], None], delay: float = 0.0) -> None:
         if delay == 0.0:

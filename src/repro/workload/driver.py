@@ -27,14 +27,14 @@ visit classification and the four counters every owner exposes
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, List, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Tuple
 
 from ..core.usage import PageVisit
 from ..middleware.resilience import RETRYABLE_ERRORS, RmiTimeout
 from ..middleware.web import ServerUnavailable, WebRequest, http_get
 from ..simnet.kernel import Environment, Event
 
-__all__ = ["drive_sessions"]
+__all__ = ["drive_sessions", "workload_counters"]
 
 # Failures a browser reacts to by trying the other entry point: the
 # server refusing connections, an RMI call beneath the page timing out,
@@ -135,3 +135,20 @@ def drive_sessions(
             if broken:
                 # The user gives up on this session.
                 break
+
+
+def workload_counters(owner) -> Dict[str, float]:
+    """The cumulative counters every session owner keeps, by metric name.
+
+    Lost visits by kind appear only where non-zero, so a run that loses
+    none names no kind.
+    """
+    counters = {
+        "workload.requests": owner.total_requests(),
+        "workload.errors": owner.errors,
+    }
+    for kind, count in sorted(owner.error_kinds.items()):
+        counters[f"workload.errors.{kind}"] = count
+    counters["workload.failovers"] = owner.failovers
+    counters["workload.think_time_ms"] = owner.think_ms
+    return counters

@@ -29,6 +29,7 @@ from ..simnet.kernel import Environment
 from ..simnet.monitor import ResponseTimeMonitor
 from ..simnet.rng import Streams
 from .client import Client
+from .driver import workload_counters
 
 __all__ = ["WorkloadConfig", "LoadGenerator"]
 
@@ -184,6 +185,10 @@ class LoadGenerator:
 
     def total_requests(self) -> int:
         return self.requests_sent
+
+    def counters(self) -> Dict[str, float]:
+        """Cumulative workload counters, by metric name."""
+        return workload_counters(self)
 
     def achieved_rate_per_s(self) -> float:
         if not self.clients:

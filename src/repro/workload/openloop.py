@@ -56,7 +56,7 @@ from ..core.usage import PageVisit, PatternError, UsagePattern, WeightedPattern
 from ..simnet.kernel import Environment, Event
 from ..simnet.monitor import ResponseTimeMonitor
 from ..simnet.rng import Streams
-from .driver import drive_sessions
+from .driver import drive_sessions, workload_counters
 
 __all__ = [
     "ARRIVALS",
@@ -413,6 +413,16 @@ class OpenLoopGenerator:
     # -- reporting ----------------------------------------------------------
     def total_requests(self) -> int:
         return self.requests_sent
+
+    def counters(self) -> Dict[str, float]:
+        """Cumulative workload and session counters, by metric name."""
+        return {
+            **workload_counters(self),
+            "workload.sessions_arrived": self.arrivals,
+            "workload.sessions_admitted": self.admitted,
+            "workload.sessions_completed": self.completions,
+            "workload.sessions_dropped": self.dropped_sessions,
+        }
 
     def achieved_rate_per_s(self) -> float:
         return self.requests_sent / (self.config.duration_ms / 1000.0)

@@ -87,7 +87,7 @@ def _database_state(database):
 
 
 def _answers(app, database, catalog):
-    queries = APPS[app].build_application(1, catalog=catalog).queries
+    queries = APPS[app].build_application(catalog=catalog).queries
     battery = [
         (queries[query_id], params)
         for query_id, params_list in APPS[app].warm_queries(catalog).items()

@@ -66,7 +66,7 @@ def _cold_system(build_application, database, catalog):
     """A fresh level-6 deployment with cold replicas and caches."""
     env = Environment()
     testbed = build_testbed(env, TestbedConfig(db_colocated=True))
-    application = build_application(PatternLevel.METHOD_CACHING, catalog=catalog)
+    application = build_application(catalog=catalog)
     system = distribute(
         env, testbed, application, PatternLevel.METHOD_CACHING, database
     )
@@ -148,14 +148,14 @@ def _annotated(application):
 
 def test_cases_cover_every_annotated_rubis_method(rubis_data):
     _, catalog = rubis_data
-    app = rubis.build_application(PatternLevel.METHOD_CACHING, catalog=catalog)
+    app = rubis.build_application(catalog=catalog)
     covered = {(c, m) for c, m, _ in _rubis_cases(catalog)}
     assert covered == _annotated(app)
 
 
 def test_cases_cover_every_annotated_petstore_method(petstore_data):
     _, catalog = petstore_data
-    app = petstore.build_application(PatternLevel.METHOD_CACHING, catalog=catalog)
+    app = petstore.build_application(catalog=catalog)
     covered = {(c, m) for c, m, _ in _petstore_cases(catalog)}
     assert covered == _annotated(app)
 

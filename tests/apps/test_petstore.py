@@ -33,7 +33,7 @@ def _system(level, db):
     env = Environment()
     testbed = build_testbed(env, TestbedConfig())
     system = distribute(
-        env, testbed, build_application(level), PatternLevel(level), db
+        env, testbed, build_application(), PatternLevel(level), db
     )
     system.warm_replicas()
     return env, system
@@ -93,19 +93,19 @@ def test_every_account_has_signon(catalog_and_db):
 
 
 def test_application_has_all_pages():
-    app = build_application(PatternLevel.REMOTE_FACADE)
+    app = build_application()
     for page in set(BROWSER_PAGES) | set(BUYER_PAGES):
         assert page in app.servlets, page
 
 
 def test_entities_are_local_only():
-    app = build_application(PatternLevel.REMOTE_FACADE)
+    app = build_application()
     for descriptor in app.entities():
         assert not descriptor.remote_interface, descriptor.name
 
 
 def test_read_mostly_beans_match_paper():
-    app = build_application(PatternLevel.STATEFUL_CACHING)
+    app = build_application()
     replicated = {
         name for name, d in app.components.items() if d.read_mostly is not None
     }
@@ -115,10 +115,34 @@ def test_read_mostly_beans_match_paper():
 def test_centralized_uses_direct_jdbc_servlets():
     from repro.apps.petstore.web import CategoryServletV1, CategoryServletV2
 
-    v1_app = build_application(PatternLevel.CENTRALIZED)
-    v2_app = build_application(PatternLevel.REMOTE_FACADE)
-    assert v1_app.components["servlet.Category"].impl is CategoryServletV1
-    assert v2_app.components["servlet.Category"].impl is CategoryServletV2
+    from repro.core.automation import apply_policy
+    from repro.core.policy import level_policy
+
+    apps = {}
+    for level in (PatternLevel.CENTRALIZED, PatternLevel.REMOTE_FACADE):
+        apps[level] = build_application()
+        apply_policy(apps[level], level_policy(level, apps[level]))
+    assert apps[PatternLevel.CENTRALIZED].components["servlet.Category"].impl is CategoryServletV1
+    assert apps[PatternLevel.REMOTE_FACADE].components["servlet.Category"].impl is CategoryServletV2
+
+
+def test_a_servlet_the_policy_leaves_out_runs_on_main_with_direct_jdbc():
+    from repro.apps.petstore.web import CategoryServletV1, ProductServletV2
+
+    from repro.core.automation import apply_policy
+    from repro.core.planner import plan_deployment
+    from repro.core.policy import level_policy
+
+    app = build_application()
+    facade = level_policy(PatternLevel.REMOTE_FACADE, app)
+    components = dict(facade.components)
+    del components["servlet.Category"]
+    policy = dataclasses.replace(facade, components=components)
+    apply_policy(app, policy)
+    plan = plan_deployment(app, "main", ["edge1", "edge2"], policy)
+    assert plan.servers_of("servlet.Category") == ["main"]
+    assert app.components["servlet.Category"].impl is CategoryServletV1
+    assert app.components["servlet.Product"].impl is ProductServletV2
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def systems():
         testbed = build_testbed(env, TestbedConfig())
         trace = Trace()
         system = distribute(
-            env, testbed, build_application(level), level, database, trace=trace
+            env, testbed, build_application(), level, database, trace=trace
         )
         built[label] = (env, system, catalog)
     return built

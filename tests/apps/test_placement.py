@@ -48,13 +48,13 @@ def test_petstore_level3_placement():
     plan = _plan(petstore.build_application, PatternLevel.STATEFUL_CACHING)
     assert plan.servers_of("Catalog") == ALL
     for bean in ("Category", "Product", "Item", "Inventory"):
-        assert plan.replica_servers_of(bean) == ALL, bean
+        assert plan.replicas.get(bean, []) == ALL, bean
     # The buyer-path façades never leave the main server.
     for central in ("SignOnFacade", "CustomerFacade", "OrderFacade"):
         assert plan.servers_of(central) == ["main"], central
     # SignOn/Account/Order have no replicas.
     for bean in ("SignOn", "Account", "Order", "LineItem"):
-        assert plan.replica_servers_of(bean) == [], bean
+        assert plan.replicas.get(bean, []) == [], bean
 
 
 def test_petstore_level4_adds_query_caches_only():
@@ -98,7 +98,7 @@ def test_rubis_level3_view_facades_and_replicas():
     for facade in ("SB_ViewItem", "SB_ViewBidHistory", "SB_ViewUserInfo"):
         assert plan.servers_of(facade) == ALL, facade
     for bean in ("RubisItem", "User"):
-        assert plan.replica_servers_of(bean) == ALL, bean
+        assert plan.replicas.get(bean, []) == ALL, bean
     # Browse/form façades move only with the query caches (level 4).
     for facade in ("SB_BrowseCategories", "SB_PutBid", "SB_PutComment"):
         assert plan.servers_of(facade) == ["main"], facade

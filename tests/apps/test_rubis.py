@@ -28,7 +28,7 @@ def _system(level, db, catalog):
     env = Environment()
     testbed = build_testbed(env, TestbedConfig(db_colocated=True))
     system = distribute(
-        env, testbed, build_application(level, catalog=catalog), PatternLevel(level), db
+        env, testbed, build_application(catalog=catalog), PatternLevel(level), db
     )
     system.warm_replicas()
     return env, system
@@ -102,13 +102,13 @@ def test_region_of_user_mapping(catalog_and_db):
 
 
 def test_application_has_all_pages():
-    app = build_application(PatternLevel.REMOTE_FACADE)
+    app = build_application()
     for page in set(BROWSER_PAGES) | set(BIDDER_PAGES):
         assert page in app.servlets, page
 
 
 def test_only_item_and_user_are_read_mostly():
-    app = build_application(PatternLevel.STATEFUL_CACHING)
+    app = build_application()
     replicated = {
         name for name, d in app.components.items() if d.read_mostly is not None
     }
@@ -117,12 +117,12 @@ def test_only_item_and_user_are_read_mostly():
 
 
 def test_all_browser_queries_are_cached():
-    app = build_application(PatternLevel.QUERY_CACHING)
+    app = build_application()
     assert len(app.query_caches) == 6  # "caching of all queries" (§4.4)
 
 
 def test_store_facades_never_move_to_edge():
-    app = build_application(PatternLevel.ASYNC_UPDATES)
+    app = build_application()
     assert app.components["SB_StoreBid"].edge_from_level is None
     assert app.components["SB_StoreComment"].edge_from_level is None
     assert app.components["SB_ViewItem"].edge_from_level == 3

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.automation import apply_policy
-from repro.core.patterns import PAPER_LEVELS, PATTERN_CATALOG, PatternLevel, level_name
+from repro.core.patterns import PatternLevel, level_name
 from repro.core.planner import PlanError, plan_deployment
 from repro.core.policy import level_policy
 from repro.middleware.descriptors import UpdateMode
@@ -17,13 +17,8 @@ from tests.helpers import tiny_application
 
 
 def test_catalog_covers_all_levels():
-    assert set(PATTERN_CATALOG) == set(PatternLevel)
-    for level, info in PATTERN_CATALOG.items():
-        assert info.level == level
-        if level in PAPER_LEVELS:
-            assert info.paper_section.startswith("4.")
-        else:
-            assert info.paper_section.startswith("beyond the paper")
+    names = [level_name(level) for level in PatternLevel]
+    assert all(names) and len(set(names)) == len(names)
 
 
 def test_level_name():
@@ -125,7 +120,7 @@ def test_level2_web_and_stateful_everywhere():
 def test_level3_facades_and_replicas_at_edges():
     app, plan = _plan(PatternLevel.STATEFUL_CACHING)
     assert plan.servers_of("NotesFacade") == ["main", "edge1", "edge2"]
-    assert plan.replica_servers_of("Note") == ["main", "edge1", "edge2"]
+    assert plan.replicas.get("Note", []) == ["main", "edge1", "edge2"]
     assert plan.query_cache_servers == []
 
 

@@ -95,7 +95,7 @@ def test_policy_json_defaults():
     assert policy.update_mode == UpdateMode.SYNC
     assert policy.level is None
     assert policy.effective_level() == PatternLevel.REMOTE_FACADE
-    assert not policy.has_replicas and not policy.has_query_caches
+    assert not policy.replica_selectors() and not policy.query_caches
 
 
 @pytest.mark.parametrize(
@@ -125,7 +125,7 @@ def test_load_policy_checked_in_file():
     assert policy.update_mode == UpdateMode.SYNC
     assert policy.components["Category"].replicas == ("main", "edge1")
     # It is consistent with the application it was written for.
-    app = petstore.build_application(policy.effective_level())
+    app = petstore.build_application()
     assert policy.validation_errors(app) == []
 
 

@@ -1,8 +1,7 @@
-"""Unit tests for the design-rule checker and mutable-services manager."""
+"""Unit tests for the design-rule checker."""
 
 import pytest
 
-from repro.core.mutable import MutableServiceManager
 from repro.core.patterns import PatternLevel
 from repro.core.rules import DesignRuleChecker
 from repro.middleware.context import InvocationContext, RequestInfo
@@ -104,66 +103,3 @@ def test_report_summary_format():
     _drive_edge_traffic(env, system)
     summary = DesignRuleChecker(system).check().summary()
     assert "PASS" in summary
-
-
-# ---------------------------------------------------------------------------
-# Mutable services (dynamic redeployment)
-# ---------------------------------------------------------------------------
-
-
-def test_manager_deploys_replica_on_demand():
-    env, system = tiny_system(PatternLevel.STATEFUL_CACHING, with_trace=True)
-    edge2 = system.servers["edge2"]
-    # Simulate a deployment hole: edge2 lost its replica.
-    edge2._readonly.pop("Note")
-    manager = MutableServiceManager(system, check_interval_ms=1_000.0, miss_threshold=3)
-    for _ in range(5):
-        manager.note_wan_read("edge2", "Note")
-    env.process(manager.run(env))
-    env.run(until=2_500.0)
-    manager.stop()
-    assert edge2.readonly_container("Note") is not None
-    assert len(manager.actions) == 1
-    action = manager.actions[0]
-    assert (action.component, action.server, action.kind) == ("Note", "edge2", "replica")
-
-
-def test_manager_respects_threshold():
-    env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
-    edge2 = system.servers["edge2"]
-    edge2._readonly.pop("Note")
-    manager = MutableServiceManager(system, check_interval_ms=1_000.0, miss_threshold=10)
-    manager.note_wan_read("edge2", "Note")
-    env.process(manager.run(env))
-    env.run(until=2_500.0)
-    manager.stop()
-    assert edge2.readonly_container("Note") is None
-    assert manager.actions == []
-
-
-def test_manager_extends_update_propagation():
-    env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
-    edge2 = system.servers["edge2"]
-    edge2._readonly.pop("Note")
-    propagator = system.main.update_propagator
-    propagator.targets.remove(edge2)
-    manager = MutableServiceManager(system, check_interval_ms=500.0, miss_threshold=1)
-    manager.note_wan_read("edge2", "Note")
-    env.process(manager.run(env))
-    env.run(until=1_200.0)
-    manager.stop()
-    assert edge2 in propagator.targets
-
-
-def test_manager_derives_demand_from_trace():
-    env, system = tiny_system(PatternLevel.REMOTE_FACADE, with_trace=True)
-    # At level 2 the façade is main-only: edge servlet traffic creates
-    # wide-area RMI records the manager can read as demand.
-    _drive_edge_traffic(env, system, note_ids=(1, 2, 3), repeats=2)
-    manager = MutableServiceManager(system, check_interval_ms=1_000.0, miss_threshold=3)
-    env.process(manager.run(env))
-    env.run(until=env.now + 1_500.0)  # the traffic already advanced the clock
-    manager.stop()
-    facade_actions = [a for a in manager.actions if a.kind == "facade"]
-    assert facade_actions, "expected on-demand facade deployment"
-    assert system.servers["edge1"].containers.get("NotesFacade") is not None

@@ -47,7 +47,7 @@ def _scenario():
 
 
 def _strict_policy():
-    application = rubis.build_application(PatternLevel.METHOD_CACHING)
+    application = rubis.build_application()
     policy = level_policy(PatternLevel.METHOD_CACHING, application)
     components = {
         name: cp

@@ -83,7 +83,7 @@ def rubis_level1():
     system = distribute(
         env,
         build_testbed(env, TestbedConfig()),
-        rubis.build_application(1, catalog=catalog),
+        rubis.build_application(catalog=catalog),
         1,
         database,
     )

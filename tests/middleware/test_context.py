@@ -81,14 +81,12 @@ def test_rollback_discards_update_events():
     ctx = _ctx(env, system.main)
     tx = TransactionContext(ctx)
     tx.add_update_event(UpdateEvent("Note", "notes", 1, {"text": "x"}))
-    tx.add_query_invalidation("q", (1,))
 
     def proc():
         yield from tx.rollback(ctx.in_transaction(tx))
 
     run_process(env, proc())
     assert not tx.update_events
-    assert not tx.query_invalidations
     assert tx.state == "aborted"
 
 

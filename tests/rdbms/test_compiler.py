@@ -32,9 +32,10 @@ from repro.rdbms.expressions import (
     Not,
     Or,
     Parameter,
-    bind_parameters,
 )
 from repro.rdbms.sql import parse_cached
+
+from .tree_walker import bind_parameters, evaluate
 
 # Rows covering: empty, NULLs, qualified keys, bare/qualified aliasing,
 # ambiguity, and plain data.
@@ -73,12 +74,12 @@ def assert_equivalent(expression, params=(), rows=ROWS):
     walker = bind_parameters(expression, params)
     run = compile_expression(expression)
     for row in rows:
-        tree = _outcome(lambda: walker.evaluate(row))
+        tree = _outcome(lambda: evaluate(walker, row))
         fast = _outcome(lambda: run(row, params))
         assert fast == tree, (expression, row, params, tree, fast)
     proven = compile_expression(expression, _prove)
     for row in _PROVEN_ROWS:
-        tree = _outcome(lambda: walker.evaluate(row))
+        tree = _outcome(lambda: evaluate(walker, row))
         fast = _outcome(lambda: proven(row, params))
         assert fast == tree, (expression, row, params, tree, fast)
 
@@ -243,12 +244,12 @@ def test_proven_column_compare_is_one_closure_over_the_row_key():
     assert searching({"x.id": 9}, ()) == column_lookup("x.id")({"x.id": 9}, ()) == 9
 
 
-def test_unknown_node_falls_back_to_tree_walker():
+def test_unknown_node_is_refused():
     class Always42(Expression):
-        def evaluate(self, row):
-            return 42
+        pass
 
-    assert compile_expression(Always42())(EMPTY_ROW, ()) == 42
+    with pytest.raises(TypeError, match="Always42"):
+        compile_expression(Always42())
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,7 @@ def _assert_select_matches_tree_walk(db, table, sql, params):
     statement = parse_cached(sql)
     where = bind_parameters(statement.where, params)
     everything = db.execute(f"SELECT * FROM {table}").rows
-    expected = [row for row in everything if where is None or where.evaluate(row)]
+    expected = [row for row in everything if where is None or evaluate(where, row)]
     assert db.execute(sql, params).rows == expected
 
 

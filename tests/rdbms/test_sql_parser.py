@@ -25,6 +25,8 @@ from repro.rdbms.sql import (
     parse_cached,
 )
 
+from .tree_walker import evaluate
+
 
 # ---------------------------------------------------------------------------
 # SELECT
@@ -248,8 +250,8 @@ def test_like_matcher_cache_keeps_admitting_past_its_capacity(monkeypatch):
     assert newest("item1024-blue") and not newest("item1023-blue")
     assert like_matcher(patterns[0])("item0-red") and first[0]("item0-red")
     row = {"name": "Item1024-Blue"}
-    assert Like(ColumnRef("name"), Literal(patterns[1024])).evaluate(row) is True
-    assert Like(ColumnRef("name"), Literal(patterns[3])).evaluate(row) is False
+    assert evaluate(Like(ColumnRef("name"), Literal(patterns[1024])), row) is True
+    assert evaluate(Like(ColumnRef("name"), Literal(patterns[3])), row) is False
 
 
 def test_float_literals():

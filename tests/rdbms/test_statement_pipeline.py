@@ -173,7 +173,7 @@ def _python_calls(function) -> int:
 @pytest.fixture(scope="module")
 def rubis_database():
     database, catalog = rubis.populate_rubis(Streams(7), None)
-    return database, catalog, rubis.build_application(5).queries
+    return database, catalog, rubis.build_application().queries
 
 
 @pytest.mark.parametrize(

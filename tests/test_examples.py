@@ -43,12 +43,6 @@ def test_rubis_consistency():
     assert output.count("FRESH") >= 3
 
 
-def test_mutable_redeployment():
-    output = _run("mutable_redeployment.py")
-    assert "adaptation actions taken:" in output
-    assert "deployed facade of 'Catalog' on edge1" in output
-
-
 def test_design_rule_audit():
     output = _run("design_rule_audit.py")
     assert "design rules at level 5: PASS" in output
