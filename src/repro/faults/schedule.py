@@ -17,6 +17,7 @@ server crashes name the application-server node (e.g. ``edge1``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Tuple
 
@@ -30,6 +31,8 @@ __all__ = [
 
 
 def _check_window(what: str, start: float, end: float) -> None:
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"{what}: start and end must be finite, got {start}, {end}")
     if start < 0:
         raise ValueError(f"{what}: start must be non-negative, got {start}")
     if end <= start:
@@ -62,8 +65,8 @@ class LatencySpike:
 
     def validate(self) -> None:
         _check_window(f"latency spike {self.a}<->{self.b}", self.start, self.end)
-        if self.extra_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency spike: extra_ms/jitter_ms must be non-negative")
+        if not (0 <= self.extra_ms < math.inf and 0 <= self.jitter_ms < math.inf):
+            raise ValueError("latency spike: extra_ms/jitter_ms must be finite and non-negative")
         if self.extra_ms == 0 and self.jitter_ms == 0:
             raise ValueError("latency spike: extra_ms and jitter_ms are both zero")
 

@@ -25,8 +25,8 @@ entry per window and nothing else: workload RNG draws and event
 timestamps are untouched, and the tables/monitor output stays
 byte-identical with telemetry on or off.  The sampler terminates itself
 via the kernel's non-mutating :meth:`~repro.simnet.kernel.Environment.
-pending` check — calling ``peek()`` from inside a process could promote
-buckets under the run loop's cached locals and lose events.
+pending` check — a check that promoted buckets from inside a process
+would change them under the run loop's cached locals and lose events.
 
 State discipline mirrors the rest of ``repro.obs``: ``to_state()`` is a
 sorted-key, JSON-safe dict; ``merge_state()`` folds another recorder's

@@ -1,8 +1,9 @@
 """Discrete-event simulation substrate: kernel, network, transport, testbed.
 
 This package is self-contained (no dependency on the middleware or the
-applications) and reusable for any latency/bandwidth-dominated systems
-simulation.
+applications).  It carries what the paper's testbed needs and no more:
+timed waits, CPU holds and joins on events in the kernel, and links with
+latency and shared bandwidth between the workstations of the testbed.
 """
 
 from .kernel import (
@@ -10,14 +11,13 @@ from .kernel import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
 from .monitor import CallRecord, PageStats, ResponseTimeMonitor, Trace
 from .network import Link, Network, NetworkError, Node
-from .primitives import Latch, Resource, Semaphore, Store
+from .primitives import Resource
 from .rng import Streams
 from .router import Hop, PacketLoss
 from .topology import (
@@ -34,7 +34,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",
@@ -46,10 +45,7 @@ __all__ = [
     "Network",
     "NetworkError",
     "Node",
-    "Latch",
     "Resource",
-    "Semaphore",
-    "Store",
     "Streams",
     "Hop",
     "PacketLoss",

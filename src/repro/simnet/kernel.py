@@ -3,7 +3,11 @@
 The kernel executes *processes* — Python generator functions that yield
 :class:`Event` objects — against a single global virtual clock.  It is the
 substrate on which every other subsystem (network links, the database
-engine, EJB containers, HTTP clients) is built.
+engine, EJB containers, HTTP clients) is built, and it offers only what
+they use: timed waits (``env.sleep`` / ``env.timeout``), one-shot events,
+joins on processes and ``any_of`` / ``all_of``.  :meth:`Environment.run`
+is the one place items are dequeued and dispatched; it runs until
+nothing is pending.
 
 Design notes
 ------------
@@ -108,9 +112,7 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "SimulationError",
-    "StopProcess",
 ]
 
 
@@ -118,31 +120,11 @@ class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
 
 
-# Sentinel returned by Environment._advance when `until` cuts the run short.
-_BOUNDARY = object()
-
 # Sort/bisect key for wheel entries (C-speed single-float comparisons).
 _entry_time = itemgetter(0)
 _entry_item = itemgetter(2)
 
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the interrupting party's reason.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class StopProcess(Exception):
-    """Raised internally to terminate a process early with a value."""
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
+_INF = float("inf")
 
 
 class Event:
@@ -163,7 +145,6 @@ class Event:
         "_value",
         "_exception",
         "_triggered",
-        "_scheduled",
         "_dispatched",
     )
 
@@ -177,7 +158,6 @@ class Event:
         self._value: Any = None
         self._exception: Optional[BaseException] = None
         self._triggered = False
-        self._scheduled = False
         self._dispatched = False
 
     # -- inspection ------------------------------------------------------
@@ -185,11 +165,6 @@ class Event:
     def triggered(self) -> bool:
         """True once the event has a value or exception."""
         return self._triggered
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self._triggered and self._exception is None
 
     @property
     def value(self) -> Any:
@@ -206,7 +181,6 @@ class Event:
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
-        self._scheduled = True
         self._value = value
         self.env._ready.append(self)
         return self
@@ -218,7 +192,6 @@ class Event:
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._triggered = True
-        self._scheduled = True
         self._exception = exception
         self.env._ready.append(self)
         return self
@@ -228,10 +201,10 @@ class Event:
         """Run ``callback(event)`` when the event fires.
 
         If the event has already been dispatched the callback runs at the
-        next scheduling opportunity (still in virtual time ``now``).
+        current instant, behind every item already ready.
         """
         if self._dispatched:
-            self.env._schedule_call(partial(callback, self))
+            self.env._ready.append(partial(callback, self))
         elif self._callbacks is None:
             self._callbacks = [callback]
         else:
@@ -248,8 +221,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not 0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and non-negative: {delay!r}")
         # Inlined Event.__init__ plus scheduling: timeouts are the single
         # most-allocated object in a simulation.
         self.env = env
@@ -259,14 +232,14 @@ class Timeout(Event):
         self._value = value
         self._exception = None
         self._triggered = False
-        self._scheduled = True
         self._dispatched = False
         self.delay = delay
         if delay == 0.0:
             # Due this very instant: the ready deque, not the wheel.
             env._ready.append(self)
         else:
-            # Inlined wheel push (kept in lockstep with Environment._push).
+            # Wheel push: the same routing as Process._step's float lane
+            # and the run loop's sleep lane.
             time = env.now + delay
             env._sequence = sequence = env._sequence + 1
             if time < env._cur_top:
@@ -298,9 +271,7 @@ class Process(Event):
         "_send",
         "generator",
         "name",
-        "_waiting_on",
         "_throw",
-        "_interrupts",
     )
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
@@ -312,51 +283,18 @@ class Process(Event):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         self._send = generator.send
         self._throw = generator.throw
-        self._interrupts: Optional[List[Interrupt]] = None
         # Bootstrap: start the generator at the current simulation time.
         # A brand-new process is indistinguishable from one sleeping for
         # zero delay — the run loop's fast lane primes the generator
-        # with ``send(None)`` exactly as ``_resume_initial`` would, but
-        # without a deferred-call allocation or a ``_step`` frame.
+        # with ``send(None)``, with no deferred-call allocation and no
+        # ``_step`` frame.
         self._sleeping = True
         env._ready.append(self)
 
-    def _resume_initial(self) -> None:
-        self._step(None, None)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._sleeping:
-            raise SimulationError(
-                "cannot interrupt a process suspended in env.sleep(); "
-                "use env.timeout() for interruptible waits"
-            )
-        target = self._waiting_on
-        if target is not None:
-            # Stop listening to whatever we were waiting on.
-            callbacks = target._callbacks
-            if callbacks is not None:
-                try:
-                    callbacks.remove(self._on_event)
-                except ValueError:
-                    pass
-            self._waiting_on = None
-        if self._interrupts is None:
-            self._interrupts = []
-        self._interrupts.append(Interrupt(cause))
-        self.env._schedule_call(self._deliver_interrupt)
-
-    def _deliver_interrupt(self) -> None:
-        self._step(None, self._interrupts.pop(0))
-
     # -- stepping machinery ----------------------------------------------
     def _on_event(self, event: Event) -> None:
-        self._waiting_on = None
         exception = event._exception
         if exception is not None:
             self._step(None, exception)
@@ -366,15 +304,12 @@ class Process(Event):
     def _finish(self, error: BaseException) -> None:
         """Handle an exception the generator raised out of send/throw.
 
-        StopIteration/StopProcess are normal completion; anything else
-        fails the process event if someone is waiting on it, or crashes
-        the simulation loudly if nobody is.
+        StopIteration is normal completion; anything else fails the
+        process event if someone is waiting on it, or crashes the
+        simulation loudly if nobody is.
         """
         if isinstance(error, StopIteration):
             value = getattr(error, "value", None)
-        elif isinstance(error, StopProcess):
-            self.generator.close()
-            value = error.value
         elif self._callbacks:
             self.fail(error)
             return
@@ -386,7 +321,6 @@ class Process(Event):
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
-        self._scheduled = True
         self._value = value
         if self._callbacks is None:
             # Nobody is waiting: skip the ready-deque dispatch entirely.
@@ -417,7 +351,8 @@ class Process(Event):
             env = self.env
             if target > 0:
                 self._sleeping = True
-                # Inlined wheel push (lockstep with Environment._push).
+                # Wheel push: the same routing as Timeout and the run
+                # loop's sleep lane.
                 time = env.now + target
                 env._sequence = sequence = env._sequence + 1
                 if time < env._cur_top:
@@ -452,10 +387,9 @@ class Process(Event):
             )
         if target.env is not self.env:
             raise SimulationError("cannot wait on an event from another Environment")
-        self._waiting_on = target
-        # Inlined add_callback: this registration runs once per kernel step.
+        # Inlined add_callback: this registration runs once per event wait.
         if target._dispatched:
-            self.env._schedule_call(partial(self._on_event, target))
+            self.env._ready.append(partial(self._on_event, target))
         elif target._callbacks is None:
             target._callbacks = [self._on_event]
         else:
@@ -489,9 +423,6 @@ class _Condition(Event):
             for index, event in enumerate(self.events)
             if event._triggered and event._exception is None
         }
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
 
 
 class AnyOf(_Condition):
@@ -552,7 +483,6 @@ class Environment:
         "now",
         "_ready",
         "_sequence",
-        "_active",
         "_cur",
         "_hot",
         "_cur_top",
@@ -563,20 +493,18 @@ class Environment:
         "_overflow",
     )
 
-    def __init__(self, initial_time: float = 0.0):
-        now = float(initial_time)
-        self.now = now
+    def __init__(self):
+        self.now = 0.0
         self._ready: deque = deque()
         self._sequence = 0
-        self._active = True
         # -- timer-wheel state (see module docstring) ---------------------
         self._cur: List[tuple] = []  # descending (time, seq, item) stack
         self._hot: List[tuple] = []  # heapq of pushes below _cur_top
-        self._cur_top = now  # exclusive upper bound of _cur's and _hot's span
+        self._cur_top = 0.0  # exclusive upper bound of _cur's and _hot's span
         self._buckets: List[List[tuple]] = []
         self._bounds: List[float] = []  # bucket i's exclusive upper edge
         self._idx = 0  # next bucket to promote
-        self._limit = now  # == _bounds[-1] once an epoch exists
+        self._limit = 0.0  # == _bounds[-1] once an epoch exists
         self._overflow: List[tuple] = []  # unsorted, time >= _limit
         # With _cur_top == _limit == now, the first pushes spill to the
         # overflow list and the first dequeue re-epochs with a width fit
@@ -597,13 +525,13 @@ class Environment:
         Unlike :meth:`timeout` no :class:`Event` is allocated: the kernel
         treats a yielded bare number as "resume me ``delay`` ms from
         now".  A sleeping process carries no event identity, so it
-        cannot be waited on mid-sleep, combined with
-        ``any_of``/``all_of``, or interrupted.  Use :meth:`timeout` for
-        anything fancier.  (``yield some_float`` directly is equivalent;
-        this method just documents intent and validates eagerly.)
+        cannot be waited on mid-sleep or combined with
+        ``any_of``/``all_of``.  Use :meth:`timeout` for that.
+        (``yield some_float`` directly is equivalent; this method just
+        documents intent and validates eagerly.)
         """
-        if delay < 0:
-            raise ValueError(f"negative sleep delay: {delay!r}")
+        if not 0 <= delay < _INF:
+            raise ValueError(f"sleep delay must be finite and non-negative: {delay!r}")
         return float(delay)
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -618,33 +546,7 @@ class Environment:
         """Composite event firing when all of ``events`` have fired."""
         return AllOf(self, events)
 
-    # -- scheduling --------------------------------------------------------
-    def _push(self, time: float, sequence: int, item: Any) -> None:
-        """Insert a future ``(time, sequence, item)`` entry into the wheel.
-
-        ``time`` must be strictly greater than ``now``.  Entries below
-        the current bucket's span go to the ``_hot`` heap; entries
-        within the epoch go to their O(1) bucket; the rest spill to the
-        overflow list until the next re-epoch.
-        """
-        if time < self._cur_top:
-            heappush(self._hot, (time, sequence, item))
-        elif time < self._limit:
-            index = bisect_right(self._bounds, time)
-            if index < self._idx:
-                index = self._idx
-            self._buckets[index].append((time, sequence, item))
-        else:
-            self._overflow.append((time, sequence, item))
-
-    def _schedule_call(self, func: Callable[[], None], delay: float = 0.0) -> None:
-        if delay == 0.0:
-            self._ready.append(func)
-        else:
-            self._sequence = sequence = self._sequence + 1
-            self._push(self.now + delay, sequence, func)
-
-    # -- dequeue (the single implementation) -------------------------------
+    # -- dequeue -----------------------------------------------------------
     def _wheel_min(self) -> Optional[tuple]:
         """An entry due at the wheel's minimum time, or None if empty.
 
@@ -655,11 +557,10 @@ class Environment:
         descending sort on the time alone (~3x faster than whole-tuple
         comparisons), so entries due at the same instant sit in
         ascending-sequence order left to right — push order, because
-        buckets are appended to in sequence order.  Dequeuers must
-        therefore take an equal-time ``_cur`` group from its *left*
-        edge, and any ``_hot`` entries due at that instant after it
-        (see ``_advance`` and ``run``); the entry returned here is only
-        guaranteed minimal in time, which is all ``peek`` needs.
+        buckets are appended to in sequence order.  ``run`` therefore
+        takes an equal-time ``_cur`` group from its *left* edge, and any
+        ``_hot`` entries due at that instant after it; the entry
+        returned here is only guaranteed minimal in time.
         """
         cur = self._cur
         hot = self._hot
@@ -742,56 +643,19 @@ class Environment:
             start = end
         self._buckets = buckets
 
-    def _advance(self, until: Optional[float] = None) -> Any:
-        """Advance the clock to the next wheel instant and dequeue it.
-
-        Must be called with the ready deque empty.  Every entry due at
-        the new instant moves to the ready deque in one batch — the
-        ``_cur`` group, then the ``_hot`` group: sequence order (future
-        pushes are strictly later, so no wheel entry can ever rejoin
-        the current instant afterwards) — and the first is returned.
-        Returns None when the wheel is empty and the module-level
-        ``_BOUNDARY`` sentinel when the next instant lies beyond
-        ``until`` (clock parked at ``until``).
-        """
-        entry = self._wheel_min()
-        if entry is None:
-            return None
-        time = entry[0]
-        if until is not None and time > until:
-            self.now = until
-            return _BOUNDARY
-        self.now = time
-        ready = self._ready
-        cur = self._cur
-        i = len(cur)
-        while i and cur[i - 1][0] == time:
-            i -= 1
-        if i < len(cur):
-            ready.extend(map(_entry_item, cur[i:]))
-            del cur[i:]
-        hot = self._hot
-        while hot and hot[0][0] == time:
-            ready.append(heappop(hot)[2])
-        return ready.popleft()
-
     # -- execution ---------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until both queues drain or the clock passes ``until``.
+    def run(self) -> None:
+        """Dequeue and dispatch every item until nothing is pending.
 
-        Returns the final simulation time.  Events scheduled exactly at
-        ``until`` still execute.
+        This loop is the only dequeue.  It is the workhorse under
+        open-loop load — ~10^7 dispatches per million-session run — so
+        the wheel dequeue is inlined here alongside the dispatch:
+        cur-stack pop, hot-heap merge, and same-instant batching happen
+        without a method call, and bucket promotion / re-epoch (once per
+        ~256 events) goes through _wheel_min.  A process that wants to
+        look at the simulation at time ``t`` sleeps until ``t`` and
+        reads it, as the telemetry sampler does.
         """
-        if until is not None:
-            return self._run_bounded(until)
-        # The unbounded loop is the workhorse under open-loop load —
-        # ~10^7 dispatches per million-session run — so the wheel
-        # dequeue is inlined here alongside the dispatch: cur-stack pop,
-        # hot-heap merge, and same-instant batching happen without a
-        # method call, and bucket promotion / re-epoch (once per ~256
-        # events) goes through _wheel_min.  step(), peek(), and
-        # _run_bounded share the generic dequeue (_advance); this loop
-        # must stay in lockstep with it.
         ready = self._ready
         popleft = ready.popleft
         wheel_min = self._wheel_min
@@ -899,7 +763,7 @@ class Environment:
                     continue
             elif not cur:
                 if wheel_min() is None:
-                    break
+                    return
                 cur = self._cur
                 cur_top = self._cur_top
                 limit = self._limit
@@ -920,63 +784,13 @@ class Environment:
                 append(cur.pop()[2])
             while hot and hot[0][0] == time:
                 append(heappop(hot)[2])
-        return self.now
-
-    def _run_bounded(self, until: float) -> float:
-        """The ``run(until=...)`` loop: same discipline, generic dequeue.
-
-        Only tests and interactive probes run bounded, so this path
-        trades the tight loop's inlining for the shared _advance
-        implementation and a per-item boundary check.
-        """
-        ready = self._ready
-        popleft = ready.popleft
-        advance = self._advance
-        while True:
-            if ready:
-                item = popleft()
-            else:
-                item = advance(until)
-                if item is None:
-                    break
-                if item is _BOUNDARY:
-                    return until
-            if isinstance(item, Event):
-                self._dispatch(item)
-            else:
-                item()
-        if until > self.now:
-            self.now = until
-        return self.now
-
-    def step(self) -> bool:
-        """Execute one scheduled item.  Returns False if nothing is pending."""
-        ready = self._ready
-        if ready:
-            item = ready.popleft()
-        else:
-            item = self._advance()
-            if item is None:
-                return False
-        if isinstance(item, Event):
-            self._dispatch(item)
-        else:
-            item()
-        return True
-
-    def peek(self) -> Optional[float]:
-        """Time of the next scheduled item, or None if nothing is pending."""
-        if self._ready:
-            return self.now
-        entry = self._wheel_min()
-        return entry[0] if entry is not None else None
 
     # -- introspection ------------------------------------------------------
     def pending(self) -> bool:
         """True while any ready item or wheel entry is outstanding.
 
-        Unlike :meth:`peek` this never promotes buckets or re-epochs the
-        overflow, so it is safe to call from *inside* a running process:
+        This never promotes buckets or re-epochs the overflow, so it is
+        safe to call from *inside* a running process:
         the ``run`` loop's cached wheel locals stay valid.  (The
         telemetry sampler uses it to decide whether it is the only thing
         left alive — a mutating check there could swap ``_overflow`` /
@@ -1016,16 +830,3 @@ class Environment:
             "buckets_live": max(0, len(self._buckets) - self._idx),
             "overflow": len(self._overflow),
         }
-
-    def _dispatch(self, event: Event) -> None:
-        if event._sleeping:
-            event._sleeping = False
-            event._step(None, None)
-            return
-        event._triggered = True
-        event._dispatched = True
-        callbacks = event._callbacks
-        if callbacks is not None:
-            event._callbacks = None
-            for callback in callbacks:
-                callback(event)

@@ -76,7 +76,7 @@ class Node:
         self.env = env
         self.name = name
         self.cpu_speed = cpu_speed
-        self.cpu = Resource(env, capacity=cpus, name=f"{name}.cpu")
+        self.cpu = Resource(env, capacity=cpus)
         self.tags: set = set()
 
     def compute(self, work_ms: float) -> Iterable[Event]:
@@ -305,7 +305,7 @@ class Network:
     ) -> Generator[Event, None, None]:
         """Move ``size`` bytes from ``src`` to ``dst``.
 
-        Store-and-forward over each hop: the caller resumes when the
+        Each hop is store-and-forward: the caller resumes when the
         message has fully arrived at ``dst``.  A healthy hop is
         :meth:`Hop.cross` plus one bare-float yield.
         """

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Sequence, TypeVar
+from typing import Dict, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -42,29 +42,8 @@ class Streams:
     def uniform(self, name: str, low: float, high: float) -> float:
         return self.get(name).uniform(low, high)
 
-    def expovariate(self, name: str, mean: float) -> float:
-        """Exponential draw with the given *mean* (not rate)."""
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        return self.get(name).expovariate(1.0 / mean)
-
     def choice(self, name: str, items: Sequence[T]) -> T:
         return self.get(name).choice(items)
 
-    def weighted_choice(self, name: str, items: Sequence[T], weights: Sequence[float]) -> T:
-        """One weighted draw (weights need not sum to 1)."""
-        if len(items) != len(weights):
-            raise ValueError("items and weights must be the same length")
-        return self.get(name).choices(list(items), weights=list(weights), k=1)[0]
-
     def randint(self, name: str, low: int, high: int) -> int:
         return self.get(name).randint(low, high)
-
-    def sample(self, name: str, items: Sequence[T], k: int) -> List[T]:
-        return self.get(name).sample(list(items), k)
-
-    def jitter(self, name: str, base: float, fraction: float = 0.1) -> float:
-        """``base`` perturbed by a uniform +/- ``fraction`` multiplier."""
-        if base < 0:
-            raise ValueError("base must be non-negative")
-        return base * self.get(name).uniform(1.0 - fraction, 1.0 + fraction)

@@ -17,6 +17,20 @@ def _install(env, system, schedule, seed=1234):
     return FaultInjector(schedule, Streams(seed)).install(env, system)
 
 
+def _readings(env, read, times=(15.0, 25.0)):
+    """``read()`` at each of ``times``, taken by a probe process: the
+    list fills in while ``env.run()`` runs."""
+    readings = []
+
+    def probe():
+        for time in times:
+            yield env.sleep(time - env.now)
+            readings.append(read())
+
+    env.process(probe())
+    return readings
+
+
 def test_empty_schedule_installs_nothing():
     env, system = tiny_system()
     injector = _install(env, system, FaultSchedule())
@@ -35,15 +49,11 @@ def test_partition_window_takes_link_down_and_heals_it():
         FaultSchedule(partitions=(LinkPartition("router", "edge1", 10.0, 20.0),)),
     )
     assert link.up and not link.faulted
-
-    env.run(until=15.0)
-    assert not link.up
-    assert link.faulted
-    assert injector.partitions_applied == 1
-
-    env.run(until=25.0)
-    assert link.up
-    assert not link.faulted
+    readings = _readings(
+        env, lambda: (link.up, link.faulted, injector.partitions_applied)
+    )
+    env.run()
+    assert readings == [(False, True, 1), (True, False, 1)]
 
 
 def test_latency_spike_window_sets_and_clears_extra_latency():
@@ -60,15 +70,19 @@ def test_latency_spike_window_sets_and_clears_extra_latency():
             )
         ),
     )
-    env.run(until=15.0)
-    assert link.extra_latency == 50.0
-    assert link.latency_jitter == 5.0
-    assert link.faulted
-    assert injector.latency_spikes_applied == 1
-
-    env.run(until=25.0)
-    assert link.extra_latency == 0.0
-    assert not link.faulted
+    readings = _readings(
+        env,
+        lambda: (
+            link.extra_latency,
+            link.latency_jitter,
+            link.faulted,
+            injector.latency_spikes_applied,
+        ),
+    )
+    env.run()
+    assert readings[0] == (50.0, 5.0, True, 1)
+    assert readings[1][0] == 0.0
+    assert not readings[1][2]
 
 
 def test_loss_window_sets_and_clears_probability():
@@ -81,14 +95,12 @@ def test_loss_window_sets_and_clears_probability():
             loss_windows=(LossWindow("router", "edge1", 10.0, 20.0, probability=0.5),)
         ),
     )
-    env.run(until=15.0)
-    assert link.loss_probability == 0.5
-    assert link.faulted
-    assert injector.loss_windows_applied == 1
-
-    env.run(until=25.0)
-    assert link.loss_probability == 0.0
-    assert not link.faulted
+    readings = _readings(
+        env,
+        lambda: (link.loss_probability, link.faulted, injector.loss_windows_applied),
+    )
+    env.run()
+    assert readings == [(0.5, True, 1), (0.0, False, 1)]
 
 
 def test_crash_window_takes_server_down_and_restarts_it():
@@ -97,14 +109,18 @@ def test_crash_window_takes_server_down_and_restarts_it():
     injector = _install(
         env, system, FaultSchedule(crashes=(ServerCrash("edge1", 10.0, 20.0),))
     )
-    env.run(until=15.0)
-    assert not edge.available
-    assert edge.crashes == 1
-    assert system.resilience.server_crashes == 1
-    assert injector.crashes_applied == 1
-
-    env.run(until=25.0)
-    assert edge.available
+    readings = _readings(
+        env,
+        lambda: (
+            edge.available,
+            edge.crashes,
+            system.resilience.server_crashes,
+            injector.crashes_applied,
+        ),
+    )
+    env.run()
+    assert readings[0] == (False, 1, 1, 1)
+    assert readings[1][0]
 
 
 def test_crash_of_undeployed_server_is_skipped_not_an_error():

@@ -67,6 +67,9 @@ def test_from_json_defaults_name_to_custom():
 # Validation
 # ---------------------------------------------------------------------------
 
+_INF = float("inf")
+_NAN = float("nan")
+
 
 @pytest.mark.parametrize(
     "bad",
@@ -79,11 +82,31 @@ def test_from_json_defaults_name_to_custom():
         LatencySpike("a", "b", 0.0, 1.0, extra_ms=0.0, jitter_ms=0.0),
         LatencySpike("a", "b", 0.0, 1.0, extra_ms=-1.0),
         ServerCrash("edge1", 5.0, 5.0),
+        # Not finite: the injector sleeps ``end - start`` and a link adds
+        # ``extra_ms``, so the run would park a wake time it never reaches.
+        LinkPartition("a", "b", 10.0, _INF),
+        LinkPartition("a", "b", _NAN, 5.0),
+        LossWindow("a", "b", 0.0, _NAN, probability=0.5),
+        LatencySpike("a", "b", 0.0, 1.0, extra_ms=_INF),
+        LatencySpike("a", "b", 0.0, 1.0, extra_ms=1.0, jitter_ms=_NAN),
+        ServerCrash("edge1", 5.0, _INF),
     ],
 )
 def test_validate_rejects_malformed_faults(bad):
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_load_schedule_rejects_a_json_infinity(tmp_path):
+    import json
+
+    plan = _full_schedule().to_json()
+    plan["partitions"][0]["end"] = _INF
+    path = tmp_path / "forever.json"
+    path.write_text(json.dumps(plan))  # written as the JSON token Infinity
+    assert "Infinity" in path.read_text()
+    with pytest.raises(ValueError, match="finite"):
+        load_schedule(str(path), 100_000.0)
 
 
 def test_schedule_validate_checks_every_fault():

@@ -93,7 +93,7 @@ def test_lock_timeout_aborts_cleanly():
 
     env.process(holder())
     env.process(contender())
-    env.run(until=10_000.0)
+    env.run()
     assert outcome["held"] == 1
     assert "timeout" in outcome["error"]
     # The contender's transaction rolled back: its value never landed.

@@ -101,8 +101,16 @@ def _chain(generator):
 
 def test_a_facade_cpu_charge_is_at_most_eight_frames_deep(rubis_level1, monkeypatch):
     env, system = rubis_level1
+    charges = []
+
+    def watcher():
+        # Bootstrapped by get_all just before its charge, so it runs at
+        # the same instant, while the session is parked inside the hold.
+        charges.append(_chain(process.generator))
+        yield env.sleep(0.0)
 
     def get_all(self, ctx):
+        env.process(watcher())
         yield from ctx.cpu(0.05)
         return []
 
@@ -113,14 +121,10 @@ def test_a_facade_cpu_charge_is_at_most_eight_frames_deep(rubis_level1, monkeypa
         yield from http_get(env, system.main, request, client_group="local")
 
     process = env.process(session())
-    deepest = None
-    while env.step():
-        frames = _chain(process.generator)
-        if frames[-2:] == ["get_all", "use"]:
-            deepest = frames
-            break
     env.run()
-    assert deepest is not None, "the façade's CPU charge was never reached"
+    assert charges, "the façade's CPU charge was never reached"
+    deepest = charges[0]
+    assert deepest[-2:] == ["get_all", "use"]
     # 13 at the parent commit: session, http_get, request, serve, handle,
     # handle, call, invoke, _invoke_direct, _run_demarcated, body, get_all, use.
     assert len(deepest) <= 8, deepest

@@ -7,7 +7,6 @@ from repro.simnet.kernel import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
 )
 
@@ -211,74 +210,63 @@ def test_all_of_empty_fires_immediately(env):
     assert process.value == 0.0
 
 
-def test_interrupt_raises_in_process(env):
+def test_joining_a_finished_process_resumes_behind_ready_items(env):
+    """A process that finished with no waiter is already dispatched: a
+    later join resumes at the same instant with its return value, behind
+    every item that was ready before the join."""
     log = []
 
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((env.now, interrupt.cause))
-
-    def interrupter(env, target):
-        yield env.timeout(5.0)
-        target.interrupt("wake up")
-
-    target = env.process(sleeper(env))
-    env.process(interrupter(env, target))
-    env.run()
-    assert log == [(5.0, "wake up")]
-
-
-def test_interrupt_finished_process_rejected(env):
     def quick(env):
-        yield env.timeout(1.0)
+        return "result"
+        yield  # pragma: no cover - makes this a generator
 
-    process = env.process(quick(env))
+    def bystander(env):
+        log.append(("bystander", env.now))
+        yield env.sleep(0.0)
+        log.append(("bystander again", env.now))
+
+    def joiner(env):
+        done = env.process(quick(env))
+        yield env.sleep(5.0)
+        assert done.triggered
+        env.process(bystander(env))
+        value = yield done
+        log.append(("joined", env.now, value))
+
+    env.process(joiner(env))
     env.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
+    assert log == [
+        ("bystander", 5.0),
+        ("joined", 5.0, "result"),
+        ("bystander again", 5.0),
+    ]
 
 
-def test_run_until_stops_clock(env):
-    def proc(env):
-        yield env.timeout(100.0)
-
-    env.process(proc(env))
-    final = env.run(until=30.0)
-    assert final == 30.0
-    assert env.now == 30.0
-    # Resuming completes the pending work.
-    env.run()
-    assert env.now == 100.0
-
-
-def test_run_until_includes_boundary_events(env):
+def test_add_callback_after_dispatch_runs_behind_ready_items(env):
+    event = env.event()
+    event.succeed("v")
     log = []
 
-    def proc(env):
-        yield env.timeout(30.0)
-        log.append(env.now)
+    def bystander(env):
+        log.append(("bystander", env.now))
+        yield env.sleep(0.0)
 
-    env.process(proc(env))
-    env.run(until=30.0)
-    assert log == [30.0]
+    def late(env):
+        yield env.sleep(2.0)
+        env.process(bystander(env))
+        event.add_callback(lambda fired: log.append(("callback", env.now, fired.value)))
+        log.append(("registered", env.now))
+        yield env.sleep(0.0)
+        log.append(("after", env.now))
 
-
-def test_peek_reports_next_event_time(env):
-    assert env.peek() is None
-    env.timeout(5.0)
-    assert env.peek() == 5.0
-
-
-def test_step_executes_one_item(env):
-    env.timeout(1.0)
-    env.timeout(4.0)
-    assert env.step() is True
-    assert env.now == 1.0
-    assert env.step() is True
-    assert env.now == 4.0
-    assert env.step() is False
+    env.process(late(env))
+    env.run()
+    assert log == [
+        ("registered", 2.0),
+        ("bystander", 2.0),
+        ("callback", 2.0, "v"),
+        ("after", 2.0),
+    ]
 
 
 def test_process_requires_generator(env):
@@ -324,50 +312,3 @@ def test_determinism_two_identical_runs():
         return log
 
     assert build() == build()
-
-
-def test_run_until_boundary_runs_same_time_chains(env):
-    """Work scheduled *at* ``until`` runs fully, including zero-delay
-    follow-ups at the same timestamp."""
-    log = []
-
-    def follow_up(env):
-        yield env.timeout(0.0)
-        log.append(("follow-up", env.now))
-
-    def proc(env):
-        yield env.timeout(30.0)
-        log.append(("boundary", env.now))
-        env.process(follow_up(env))
-        yield env.timeout(0.0)
-        log.append(("same-time", env.now))
-
-    env.process(proc(env))
-    final = env.run(until=30.0)
-    assert final == 30.0
-    assert ("boundary", 30.0) in log
-    assert ("same-time", 30.0) in log
-    assert ("follow-up", 30.0) in log
-
-
-def test_run_until_excludes_events_after_boundary(env):
-    log = []
-
-    def proc(env, delay):
-        yield env.timeout(delay)
-        log.append(env.now)
-
-    env.process(proc(env, 30.0))
-    env.process(proc(env, 30.0 + 1e-9))
-    env.run(until=30.0)
-    assert log == [30.0]
-    assert env.now == 30.0
-    env.run()
-    assert log == [30.0, 30.0 + 1e-9]
-
-
-def test_run_until_with_empty_heap_advances_clock(env):
-    assert env.run(until=75.0) == 75.0
-    assert env.now == 75.0
-    # Running to an earlier point never moves the clock backwards.
-    assert env.run(until=10.0) == 75.0

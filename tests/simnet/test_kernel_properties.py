@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simnet.kernel import Environment
-from repro.simnet.primitives import Resource, Store
+from repro.simnet.primitives import Resource
 
 _settings = settings(max_examples=60, deadline=None)
 
@@ -78,29 +78,6 @@ def test_resource_total_busy_time_conserved(capacity, durations):
     env.run()
     busy = resource.utilization() * env.now * capacity
     assert abs(busy - sum(durations)) < 1e-6 * max(1.0, sum(durations))
-
-
-@given(items=st.lists(st.integers(), min_size=1, max_size=30))
-@_settings
-def test_store_preserves_fifo_under_any_interleaving(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in items:
-            store.put(item)
-            yield env.timeout(1.0)
-
-    def consumer(env):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == items
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -11,9 +11,11 @@ would produce.  These tests hold it to that promise:
   bucket widths mid-run — and requires identical wake logs;
 * a directed plan parks a population in the current bucket and then
   lands in-span pushes (the ``_hot`` heap) on the very instants the
-  parked sleepers are due, through every dequeue entry point;
-* deterministic regressions pin the zero-delay FIFO fast path and the
-  bare-float sleep lane's error handling.
+  parked sleepers are due, through ``Environment.run``, the kernel's one
+  dequeue;
+* deterministic regressions pin the zero-delay FIFO fast path, the
+  bare-float sleep lane's error handling and the eager rejection of
+  delays that are negative or not finite.
 """
 
 import heapq
@@ -135,12 +137,13 @@ def test_timeout_events_match_heapq_reference(plans):
 def test_equal_time_ties_across_cur_and_hot_dispatch_in_sequence_order():
     """Parked sleepers promoted into ``_cur`` and later in-span pushes in
     ``_hot`` due at the same integer instant: the ``_cur`` group goes
-    first, then the ``_hot`` group — ``(time, sequence)`` order — through
-    ``run``, ``run(until=...)``, ``step`` and ``peek`` alike.
+    first, then the ``_hot`` group — ``(time, sequence)`` order.
 
     640 sleepers park eight to an integer instant in 1000..1079 and each
     re-sleeps 1.0 twice, onto its neighbours' instants; a pinger ticks
-    in halves across the whole span."""
+    in halves across the whole span.  A probe that logs nothing wakes
+    every quarter ms and counts the instants at which the next due
+    ``_cur`` and ``_hot`` entries share a time."""
     plans = [[1000.0 + (pid % 80), 1.0, 1.0] for pid in range(640)]
     plans.append([0.5] * 2400)
     expected = _reference_wakes(plans)
@@ -150,46 +153,46 @@ def test_equal_time_ties_across_cur_and_hot_dispatch_in_sequence_order():
     assert log == expected
 
     env, log = _spawn(plans)
-    horizon = 0.0
-    while env.pending():
-        horizon += 7.25
-        assert env.run(until=horizon) == horizon
-    assert log == expected
-
-    env, log = _spawn(plans)
     cross_tier_ties = 0
-    while True:
-        if env._cur and env._hot and env._cur[-1][0] == env._hot[0][0]:
-            cross_tier_ties += 1
-        upcoming = env.peek()
-        if upcoming is None:
-            break
-        assert env.step()
-        assert log[-1][0] == upcoming == env.now
-    assert not env.step()
+
+    def probe(env):
+        nonlocal cross_tier_ties
+        while env.now < 1100.0:
+            yield env.sleep(0.25)
+            if env._cur and env._hot and env._cur[-1][0] == env._hot[0][0]:
+                cross_tier_ties += 1
+
+    env.process(probe(env))
+    env.run()
     assert log == expected
     assert cross_tier_ties >= 80  # the scenario really straddles the tiers
 
 
 def test_pending_and_stats_count_the_hot_heap():
-    """An entry that lives only in ``_hot`` is still pending, counted in
-    ``current_bucket`` and seen by ``peek``."""
+    """An entry that lives only in ``_hot`` is still pending and counted
+    in ``current_bucket``.  A probe process reads both at its own wake
+    times, as the telemetry sampler does."""
     env = Environment()
+    seen = []
 
-    def proc(env):
-        yield env.sleep(10.0)
+    def sleeper(env):
         yield env.sleep(0.5)
 
-    env.process(proc(env))
-    assert env.step()  # bootstrap: parks at 10.0
-    assert env.step()  # wakes at 10.0, re-sleeps inside the promoted span
-    assert not env._cur and not env._ready and len(env._hot) == 1
-    assert env.pending()
-    assert env.stats()["current_bucket"] == 1
-    assert env.peek() == 10.5
-    assert env.step()
-    assert not env.pending()
-    assert env.stats()["current_bucket"] == 0
+    def probe(env):
+        yield env.sleep(10.0)
+        # The epoch was sized from this one entry, so its bucket is
+        # current and a sleep of 0.5 lands inside its span: in ``_hot``.
+        env.process(sleeper(env))
+        yield env.sleep(0.0)  # the sleeper's bootstrap runs first
+        seen.append((len(env._cur), len(env._ready), len(env._hot)))
+        seen.append((env.pending(), env.stats()["current_bucket"]))
+        yield env.sleep(1.0)
+        seen.append((env.pending(), env.stats()["current_bucket"]))
+
+    env.process(probe(env))
+    env.run()
+    assert seen == [(0, 0, 1), (True, 1), (False, 0)]
+    assert env.now == 11.0
 
 
 def _pinger_seconds_per_event(parked, pings=5_000):
@@ -303,6 +306,18 @@ def test_sleep_rejects_negative_delay_eagerly():
         env.sleep(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("inf"), float("-inf"), float("nan")])
+def test_sleep_and_timeout_reject_non_finite_delays(delay):
+    """An infinite or NaN wake time would never leave the overflow list,
+    so ``run`` would re-epoch forever: both are refused at the call."""
+    env = Environment()
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        env.sleep(delay)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        env.timeout(delay)
+    assert not env.pending()
+
+
 def test_bare_negative_float_yield_fails_the_process():
     env = Environment()
 
@@ -313,19 +328,3 @@ def test_bare_negative_float_yield_fails_the_process():
     with pytest.raises(SimulationError):
         env.run()
     del process
-
-
-def test_interrupt_while_sleeping_is_an_error():
-    env = Environment()
-
-    def sleeper(env):
-        yield env.sleep(100.0)
-
-    def meddler(env, target):
-        yield env.timeout(1.0)
-        target.interrupt("nope")
-
-    target = env.process(sleeper(env))
-    env.process(meddler(env, target))
-    with pytest.raises(SimulationError):
-        env.run()

@@ -1,46 +1,8 @@
-"""Unit tests for resources, semaphores, stores, and latches."""
+"""Unit tests for the CPU resource."""
 
 import pytest
 
-from repro.simnet.kernel import SimulationError
-from repro.simnet.primitives import Latch, Resource, Semaphore, Store
-
-
-# ---------------------------------------------------------------------------
-# Semaphore
-# ---------------------------------------------------------------------------
-
-
-def test_semaphore_grants_up_to_permits(env):
-    semaphore = Semaphore(env, permits=2)
-    first = semaphore.acquire()
-    second = semaphore.acquire()
-    third = semaphore.acquire()
-    env.run()
-    assert first.triggered and second.triggered
-    assert not third.triggered
-    assert semaphore.queue_length == 1
-
-
-def test_semaphore_release_wakes_fifo(env):
-    semaphore = Semaphore(env, permits=1)
-    semaphore.acquire()
-    waiter_a = semaphore.acquire()
-    waiter_b = semaphore.acquire()
-    semaphore.release()
-    env.run()
-    assert waiter_a.triggered
-    assert not waiter_b.triggered
-
-
-def test_semaphore_negative_permits_rejected(env):
-    with pytest.raises(ValueError):
-        Semaphore(env, permits=-1)
-
-
-# ---------------------------------------------------------------------------
-# Resource
-# ---------------------------------------------------------------------------
+from repro.simnet.primitives import Resource
 
 
 def test_resource_serializes_beyond_capacity(env):
@@ -77,30 +39,15 @@ def test_resource_utilization_accounting(env):
     def worker(env):
         yield from resource.use(50.0)
 
-    env.process(worker(env))
-    env.run(until=100.0)
-    # One unit busy for 50 of 100 ms over capacity 2 => 25%.
-    assert resource.utilization() == pytest.approx(0.25)
-
-
-def test_resource_mean_wait(env):
-    resource = Resource(env, capacity=1)
-
-    def worker(env):
-        yield from resource.use(10.0)
+    def probe(env):
+        yield env.sleep(100.0)
+        return resource.utilization()
 
     env.process(worker(env))
-    env.process(worker(env))
-    env.process(worker(env))
+    reading = env.process(probe(env))
     env.run()
-    # Waits: 0, 10, 20 -> mean 10.
-    assert resource.mean_wait() == pytest.approx(10.0)
-
-
-def test_resource_release_without_acquire_fails(env):
-    resource = Resource(env, capacity=1)
-    with pytest.raises(SimulationError):
-        resource.release()
+    # One unit busy for 50 of 100 ms over capacity 2 => 25%.
+    assert reading.value == pytest.approx(0.25)
 
 
 def test_resource_zero_capacity_rejected(env):
@@ -110,114 +57,30 @@ def test_resource_zero_capacity_rejected(env):
 
 def test_resource_released_on_exception(env):
     resource = Resource(env, capacity=1)
+    log = []
 
     def failing(env):
         try:
             yield from resource.use(float("nan"))
-        except Exception:
-            pass
-
-    def bad(env):
-        yield resource.request()
-        try:
-            raise RuntimeError("work failed")
-        finally:
-            resource.release()
+        except ValueError:
+            log.append(("failed", env.now))
 
     def check(env):
-        yield env.timeout(1.0)
-        return resource.in_use
+        yield from resource.use(1.0)
+        log.append(("held", env.now))
 
-    try:
-        env.process(bad(env))
-        env.run()
-    except RuntimeError:
-        pass
-    process = env.process(check(env))
+    env.process(failing(env))
+    env.process(check(env))
     env.run()
-    assert process.value == 0
+    # The failed hold gave its unit back at once: the next one never waited.
+    assert log == [("failed", 0.0), ("held", 1.0)]
+    assert resource._busy == 0
 
 
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-
-def test_store_fifo_order(env):
-    store = Store(env)
-    store.put("x")
-    store.put("y")
-    values = []
-
-    def getter(env):
-        for _ in range(2):
-            value = yield store.get()
-            values.append(value)
-
-    env.process(getter(env))
-    env.run()
-    assert values == ["x", "y"]
-
-
-def test_store_get_blocks_until_put(env):
-    store = Store(env)
-    log = []
-
-    def getter(env):
-        value = yield store.get()
-        log.append((env.now, value))
-
-    def putter(env):
-        yield env.timeout(8.0)
-        store.put("late")
-
-    env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    assert log == [(8.0, "late")]
-
-
-def test_store_try_get(env):
-    store = Store(env)
-    assert store.try_get() == (False, None)
-    store.put(5)
-    assert store.try_get() == (True, 5)
-    assert len(store) == 0
-
-
-def test_store_counters(env):
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    store.get()
-    assert store.total_put == 2
-    assert store.total_got == 1
-
-
-# ---------------------------------------------------------------------------
-# Latch
-# ---------------------------------------------------------------------------
-
-
-def test_latch_opens_after_count(env):
-    latch = Latch(env, count=3)
-    assert not latch.event.triggered
-    latch.count_down()
-    latch.count_down()
-    assert not latch.event.triggered
-    latch.count_down()
-    env.run()
-    assert latch.event.triggered
-
-
-def test_latch_zero_opens_immediately(env):
-    latch = Latch(env, count=0)
-    env.run()
-    assert latch.event.triggered
-
-
-def test_latch_overflow_rejected(env):
-    latch = Latch(env, count=1)
-    latch.count_down()
-    with pytest.raises(SimulationError):
-        latch.count_down()
+@pytest.mark.parametrize("duration", [float("inf"), float("nan"), -1.0])
+def test_resource_rejects_a_hold_that_is_negative_or_not_finite(env, duration):
+    resource = Resource(env, capacity=1)
+    hold = resource.use(duration)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        next(hold)
+    assert resource._busy == 0 and resource._free == 1

@@ -7,14 +7,15 @@ tests hold the wait path to it:
 
 * the element pipeline a link direction used to be — ``Counter.apply``,
   ``BandwidthShaper.occupy`` and ``FixedDelay`` — and the
-  ``Network.transfer`` / ``_faulted_hop`` / ``Resource.use`` /
-  ``Node.compute`` that walked it with ``env.sleep`` events are kept
-  below as references, and a hypothesis property replays one traffic
-  plan through both — multi-hop routes over slow links (shaper
-  contention), CPU charges on a one-CPU node (queued waiters) and
-  partition / jitter / loss windows, all opening mid-run — requiring
-  bit-equal arrival logs, kernel sequence counts, link counters, shaper
-  and CPU utilization and mean waits;
+  ``Network.transfer`` / ``_faulted_hop`` / ``Node.compute`` that walked
+  it with ``env.sleep`` events, plus the hold that ``Resource.use`` was
+  before it became one frame (``Resource.request`` / ``Resource.release``
+  with a grant callback), are kept below as references, and a hypothesis
+  property replays one traffic plan through both — multi-hop routes over
+  slow links (shaper contention), CPU charges on a one-CPU node (queued
+  waiters) and partition / jitter / loss windows, all opening mid-run —
+  requiring bit-equal arrival and charge logs, kernel sequence counts,
+  link counters, and shaper and CPU utilization;
 * machine-independent gates count Python-level calls with
   ``sys.setprofile``: a single-hop transfer may take 3 and an
   uncontended CPU charge 4, and nothing outside the kernel may assign
@@ -148,19 +149,48 @@ def _reference_transfer(network, chains, src, dst, size, kind="data"):
         hop_src = hop_dst
 
 
-def _reference_use(resource, duration):
-    semaphore = resource._semaphore
-    if semaphore._permits > 0 and not semaphore._waiters:
-        semaphore._permits -= 1
-        resource._account()
+def _reference_account(resource):
+    now = resource.env.now
+    resource._busy_time += resource._busy * (now - resource._last_change)
+    resource._last_change = now
+
+
+def _reference_request(resource):
+    """``Resource.request`` with every unit busy (the only way
+    ``_reference_use`` calls it): an event that fires once a unit is
+    granted, with the grant booked by a callback."""
+    event = resource.env.event()
+    resource._waiters.append(event)
+
+    def _granted(_event):
+        _reference_account(resource)
         resource._busy += 1
-        resource._wait_count += 1
+
+    event.add_callback(_granted)
+    return event
+
+
+def _reference_release(resource):
+    """``Resource.release``: return one granted unit, FIFO hand-off."""
+    _reference_account(resource)
+    resource._busy -= 1
+    if resource._waiters:
+        resource._waiters.popleft().succeed()
     else:
-        yield resource.request()
+        resource._free += 1
+
+
+def _reference_use(resource, duration):
+    if resource._free > 0 and not resource._waiters:
+        resource._free -= 1
+        _reference_account(resource)
+        resource._busy += 1
+    else:
+        yield _reference_request(resource)
     try:
         yield resource.env.sleep(duration)
     finally:
-        resource.release()
+        _reference_release(resource)
 
 
 def _reference_compute(node, work_ms):
@@ -276,8 +306,9 @@ def _replay(senders, workers, actions, reference):
     def worker(index, charges):
         for position, (gap, node, work) in enumerate(charges):
             yield env.sleep(gap)
+            started = env.now
             yield from hold(network.node(node), work)
-            log.append(("charge", index, position, env.now))
+            log.append(("charge", index, position, started, env.now))
 
     def observe():
         return [
@@ -294,7 +325,7 @@ def _replay(senders, workers, actions, reference):
             for direction in link._hops
             for counter, port in [counters(link, direction)]
         ] + [
-            (name, node.cpu.utilization(), node.cpu.mean_wait(), node.cpu.in_use)
+            (name, node.cpu.utilization(), node.cpu._busy)
             for name, node in network.nodes.items()
         ]
 
@@ -357,8 +388,9 @@ def test_the_plans_reach_contention_and_faults():
     )
     outcomes = {entry[3] for entry in outcome["log"] if entry[0] == "message"}
     assert {"arrived", "LinkDown", "PacketLoss"} <= outcomes
-    cpus = {row[0]: row for row in outcome["final"] if len(row) == 4}
-    assert cpus["router"][2] > 0.0  # charges queued behind the one CPU
+    # Six 20 ms charges on the router's one CPU: some queued behind it.
+    holds = [entry[4] - entry[3] for entry in outcome["log"] if entry[0] == "charge"]
+    assert len(holds) == 6 and max(holds) > 20.0
     shapers = [row[5] for row in outcome["final"] if len(row) == 7]
     assert max(shapers) > 0.5  # a port stayed busy: messages queued behind it
 
@@ -414,7 +446,7 @@ def test_an_uncontended_cpu_charge_costs_four_python_calls(env, network):
     # ctx.cpu, Node.compute, Resource.use entered, Resource.use resumed.
     assert len(calls) <= 4, calls
     assert list(ctx.cpu(0.0)) == []
-    assert network.node("a").cpu.in_use == 0
+    assert network.node("a").cpu._busy == 0
 
 
 def test_only_the_kernel_assigns_the_clock():
