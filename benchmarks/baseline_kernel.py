@@ -1,4 +1,4 @@
-"""Frozen copy of the pre-calendar-queue simulation kernel.
+"""Frozen copy of the seed tree's simulation kernel.
 
 This is the seed tree's ``repro.simnet.kernel`` — a single binary heap
 of ``(time, sequence, item)`` entries, with per-sleep ``Timeout`` event

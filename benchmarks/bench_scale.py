@@ -1,20 +1,20 @@
 """Open-loop scale benchmark: session capacity and kernel throughput.
 
-Two measurements back the calendar-queue scalability work, written to
+Two measurements back the open-loop scalability work, written to
 ``BENCH_scale.json``:
 
-1. **Kernel microbench** — pure session churn through the live kernel
-   and through the frozen pre-calendar-queue baseline
-   (``benchmarks/baseline_kernel.py``, the seed tree's single-binary-
-   heap kernel).  Each of N sessions sleeps through a fixed number of
-   think times drawn once per session from an exponential with the
-   open-loop engine's 7 s default mean, truncated to whole milliseconds
-   exactly as the engine truncates them (the RUBiS client emulator
+1. **Kernel microbench** — the live kernel (sleep lane, one heap) vs the
+   frozen seed kernel (a ``Timeout`` per think,
+   ``benchmarks/baseline_kernel.py``): pure session churn through both.
+   Each of N sessions sleeps through a fixed number of think times
+   drawn once per session from an exponential with the open-loop
+   engine's 7 s default mean, truncated to whole milliseconds exactly
+   as the engine truncates them (the RUBiS client emulator
    schedules thinks via ``Thread.sleep(ms)``).  The live kernel sleeps
    through ``yield env.sleep(t)``; the baseline predates the sleep lane,
    so its sessions wait the idiomatic way it offers —
    ``yield env.timeout(t)``, one Timeout event plus callback list per
-   think, which is precisely the allocation hot path this PR interned.
+   think — the allocation the sleep lane removes.
    N spans 10^5 and 10^6 concurrent sessions.
 
 2. **Full-stack run** — the RUBiS open-loop scenario through the entire
@@ -269,7 +269,8 @@ def main() -> int:
               f"in {fullstack['wall_seconds']}s wall", file=sys.stderr)
 
     report = {
-        "benchmark": "open-loop scale (calendar-queue kernel vs heapq baseline)",
+        "benchmark": "open-loop scale (live kernel (sleep lane, one heap) vs "
+                     "the frozen seed kernel (a Timeout per think))",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "machine": machine_info(),
         "smoke": args.smoke,

@@ -57,6 +57,7 @@ running any simulation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ..core.patterns import PatternLevel
@@ -435,6 +436,9 @@ def main(argv=None) -> int:
 
     if args.edges is not None and args.edges < 1:
         print("[topology] --edges must be >= 1", file=sys.stderr)
+        return 2
+    if args.wan_latency is not None and not 0 <= args.wan_latency < math.inf:
+        print("[topology] --wan-latency must be finite and >= 0", file=sys.stderr)
         return 2
     overrides = TopologyOverrides(
         edges=args.edges,

@@ -12,21 +12,20 @@ per window:
   admissions, drops, completions, errors, DB statements, executor
   index-vs-scan mix, JMS deliveries, cache hits/misses, kernel events);
 * **gauges** — point-in-time readings at the window boundary (active
-  sessions, JMS in-flight, ready-deque length, calendar-queue bucket
-  occupancy and overflow);
+  sessions, JMS in-flight, the kernel's ready-deque length and its
+  count of scheduled timers);
 * **quantiles** — fixed-bucket HDR-style :class:`Histogram` per page
   class (plus an ``_all`` aggregate) over response times observed in
   the window, so p50/p95/p99 per window are streaming and deterministic
   — no reservoir, no randomness.
 
 The sampler is an ordinary kernel process riding the sleep fast lane
-(``yield interval_ms``), so a telemetry-on run schedules one extra wheel
-entry per window and nothing else: workload RNG draws and event
+(``yield interval_ms``), so a telemetry-on run schedules one extra timer
+per window and nothing else: workload RNG draws and event
 timestamps are untouched, and the tables/monitor output stays
 byte-identical with telemetry on or off.  The sampler terminates itself
-via the kernel's non-mutating :meth:`~repro.simnet.kernel.Environment.
-pending` check — a check that promoted buckets from inside a process
-would change them under the run loop's cached locals and lose events.
+via the kernel's read-only :meth:`~repro.simnet.kernel.Environment.
+pending` check.
 
 State discipline mirrors the rest of ``repro.obs``: ``to_state()`` is a
 sorted-key, JSON-safe dict; ``merge_state()`` folds another recorder's
@@ -387,10 +386,7 @@ class _Sampler:
             gauges["jms.in_flight"] = jms.in_flight
         kernel = env.stats()
         gauges["kernel.ready"] = kernel["ready"]
-        gauges["kernel.current_bucket"] = kernel["current_bucket"]
-        gauges["kernel.future_entries"] = kernel["future_entries"]
-        gauges["kernel.buckets_occupied"] = kernel["buckets_occupied"]
-        gauges["kernel.overflow"] = kernel["overflow"]
+        gauges["kernel.scheduled"] = kernel["scheduled"]
 
     def run(self, env: Environment) -> Generator[float, None, None]:
         interval = self.recorder.interval_ms
@@ -402,8 +398,7 @@ class _Sampler:
             self._sample(env)
             if not env.pending():
                 # Nothing but this sampler left alive: final deltas are
-                # taken, so let the run drain.  pending() is the
-                # non-mutating check — see the class docstring.
+                # taken, so let the run drain.
                 return
 
 

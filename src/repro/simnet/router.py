@@ -12,7 +12,7 @@ models its output port as a free-from timestamp (a reservation is a
 comparison and an addition, with no grant or release event), and the
 delay is a constant.  :meth:`Hop.cross` therefore returns the one float
 the sender sleeps — queueing wait + transmission + propagation — and
-``Network.transfer`` yields it bare: one wheel entry and one dispatch
+``Network.transfer`` yields it bare: one heap entry and one dispatch
 per hop.
 
 The sum is taken as ``(wait + tx) + delay``, left to right, and added to
@@ -27,6 +27,8 @@ from __future__ import annotations
 from .kernel import Environment
 
 __all__ = ["Hop", "PacketLoss"]
+
+_INF = float("inf")
 
 
 class PacketLoss(Exception):
@@ -59,10 +61,12 @@ class Hop:
     )
 
     def __init__(self, env: Environment, bandwidth: float, delay: float):
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        # Checked once here so that ``cross`` can only ever yield a finite,
+        # non-negative delay (the comparisons also reject NaN).
+        if not 0 < bandwidth < _INF:
+            raise ValueError(f"bandwidth must be positive and finite: {bandwidth!r}")
+        if not 0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and non-negative: {delay!r}")
         self.env = env
         self.bandwidth = bandwidth
         self.delay = delay

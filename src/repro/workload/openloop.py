@@ -28,7 +28,7 @@ Scale notes.  The engine is built to sustain 10^5-10^6 concurrent
 sessions on the two-tier simulation kernel: a session costs two
 generator frames (the driver's and its one-session iterator's) plus its
 precomputed visit list while it sleeps, and a
-sleeping session occupies exactly one calendar-queue slot (the bare
+sleeping session occupies exactly one timer-heap entry (the bare
 float fast lane in :mod:`..simnet.kernel`).  For million-session runs
 the benchmark harness additionally calls :func:`gc.freeze` after the
 population is spawned so the cyclic collector stops re-tracing the

@@ -231,3 +231,21 @@ def test_plan_target_policy_requires_app(capsys):
 def test_cli_rejects_nonpositive_edges(capsys):
     code = main(["plan", "--app", "petstore", "--level", "1", "--edges", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("latency", ["inf", "nan", "-5"])
+def test_cli_rejects_a_wan_latency_that_is_not_finite_and_non_negative(
+    latency, capsys, monkeypatch
+):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("repro.experiments.__main__.run_cells", no_simulation)
+    code = main(
+        ["table7", "--level", "1", "--duration", "5", "--warmup", "1",
+         "--jobs", "1", f"--wan-latency={latency}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "[topology] --wan-latency" in captured.err
+    assert captured.out == ""

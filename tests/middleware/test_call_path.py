@@ -188,8 +188,7 @@ def _main_page_calls(rubis_level1):
 
 BUDGETS = {
     # case: (budget, count at the parent commit).  The counts include the
-    # kernel's own calls for the process, which vary by a few with the
-    # state of its calendar; the parent's are the lowest seen.
+    # kernel's own calls for the process.
     "LocalRef.call, stateless": (37, 49),
     "LocalRef.call, read-only replica": (36, 45),
     "RemoteRef.call": (112, 133),

@@ -59,6 +59,14 @@ def test_bandwidth_shaper_rejects_zero(env):
         Hop(env, bandwidth=0.0, delay=1.0)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_hop_rejects_a_non_finite_bandwidth_or_delay(env, value):
+    with pytest.raises(ValueError, match="finite"):
+        Hop(env, bandwidth=value, delay=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Hop(env, bandwidth=1000.0, delay=value)
+
+
 def test_counter_counts_packets_and_bytes(env):
     hop = Hop(env, bandwidth=1000.0, delay=1.0)
     hop.cross(700, "rmi")
