@@ -52,7 +52,9 @@ Usage::
     python benchmarks/bench_obs.py --smoke         # CI-sized cell
     python benchmarks/bench_obs.py --smoke --require-overhead 0.05
 
-Exits non-zero when a gate fails.
+Exits non-zero when telemetry changes the monitor state, samples no
+window or records no span, or when the ``--require-overhead`` gate
+fails.
 """
 
 from __future__ import annotations
@@ -248,6 +250,12 @@ def main() -> int:
     if not cell["monitor_identical"]:
         print("ERROR: telemetry changed the response-time monitor state",
               file=sys.stderr)
+        failed = True
+    # A run that sampled no window or recorded no span did not watch
+    # anything, so its overhead says nothing.
+    if cell["windows"] == 0 or cell["spans_recorded"] == 0:
+        print(f"ERROR: telemetry recorded {cell['windows']} windows and "
+              f"{cell['spans_recorded']} spans", file=sys.stderr)
         failed = True
     if args.require_overhead is not None:
         if cell["overhead_fraction"] > args.require_overhead:

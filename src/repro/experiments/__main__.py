@@ -437,6 +437,9 @@ def main(argv=None) -> int:
     if args.edges is not None and args.edges < 1:
         print("[topology] --edges must be >= 1", file=sys.stderr)
         return 2
+    if args.clients_per_group is not None and args.clients_per_group < 1:
+        print("[topology] --clients-per-group must be >= 1", file=sys.stderr)
+        return 2
     if args.wan_latency is not None and not 0 <= args.wan_latency < math.inf:
         print("[topology] --wan-latency must be finite and >= 0", file=sys.stderr)
         return 2
@@ -493,8 +496,8 @@ def main(argv=None) -> int:
     if args.slo_out is not None and args.slo is None:
         print("[slo] --slo-out requires --slo", file=sys.stderr)
         return 2
-    if args.obs_interval <= 0:
-        print("[obs] --obs-interval must be positive", file=sys.stderr)
+    if not 0 < args.obs_interval < math.inf:
+        print("[obs] --obs-interval must be positive and finite", file=sys.stderr)
         return 2
     if not 0.0 < args.obs_sample <= 1.0:
         print("[obs] --obs-sample must be in (0, 1]", file=sys.stderr)

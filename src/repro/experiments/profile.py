@@ -20,7 +20,7 @@ Note that cProfile adds substantial constant overhead per function call
 (2x+ wall clock on this workload), which *exaggerates* the cost of
 call-heavy layers relative to allocation- or arithmetic-heavy ones.
 Treat the output as a map, not a measurement; wall-clock comparisons
-belong to ``benchmarks/bench_hotpath.py``.
+belong to the benchmark suite (``benchmarks/suite/run.py``).
 """
 
 from __future__ import annotations

@@ -34,8 +34,14 @@ from __future__ import annotations
 import random
 from typing import Any, Generator, List, Optional, Tuple
 
-from ..engine import Database
+from ..engine import Database, DatabaseError
+from ..executor import ExecutionError
+from ..expressions import EvaluationError
 from ..server import DatabaseServer
+from ..sql import SqlError
+from ..storage import StorageError
+from ..transactions import TransactionError
+from ..types import TypeError_
 from ...simnet.kernel import Environment, Event
 from ...simnet.network import Network, NetworkError, Node
 from ...simnet.router import PacketLoss
@@ -44,6 +50,18 @@ from .config import DataTierPolicy
 from .stats import ClusterStats
 
 __all__ = ["LogEntry", "RaftMember", "RaftGroup"]
+
+# What executing a committed statement raises when the statement or its
+# parameters are bad: the engine's own errors, nothing else.
+_APPLY_ERRORS = (
+    DatabaseError,
+    SqlError,
+    ExecutionError,
+    EvaluationError,
+    StorageError,
+    TransactionError,
+    TypeError_,
+)
 
 # Wire sizes (bytes) for the consensus control plane.
 HEARTBEAT_SIZE = 48
@@ -447,9 +465,10 @@ class RaftGroup:
                             sql, params, transaction=transaction
                         )
                         transaction.commit()
-                    except Exception:
+                    except _APPLY_ERRORS:
                         # A divergent copy is better than a crashed kernel;
-                        # surfaced through the counter, never silently.
+                        # surfaced through the counter, never silently.  A
+                        # simulator bug is not a bad statement and propagates.
                         self.stats.apply_errors += 1
                         continue
                     yield from member.node.compute(

@@ -22,7 +22,7 @@ from typing import Any, List, Optional, Tuple, Union
 
 from ..compiler import EMPTY_ROW, compile_expression
 from ..executor import ResultSet
-from ..expressions import And, Comparison, Expression
+from ..expressions import And, Comparison, EvaluationError, Expression
 from ..sql import (
     Aggregate,
     Delete,
@@ -105,7 +105,9 @@ def _bound_shard(
             continue
         try:
             value = compile_expression(expr)(EMPTY_ROW, params)
-        except Exception:
+        except (EvaluationError, IndexError):
+            # A value that reads a row, or a parameter the caller did not
+            # bind: this conjunct pins nothing, and execution reports it.
             continue
         return partitioner.shard_of(value)
     return None

@@ -19,6 +19,7 @@ policy (:mod:`.client`).  Its reporting surface is the one
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -49,6 +50,14 @@ class WorkloadConfig:
     warmup_ms: float = 20_000.0
 
     def __post_init__(self):
+        for value in (
+            self.total_rate_per_s,
+            self.think_time_ms,
+            self.duration_ms,
+            self.warmup_ms,
+        ):
+            if not -math.inf < value < math.inf:  # NaN fails both
+                raise ValueError("rate, think time, duration and warmup must be finite")
         if not 0.0 <= self.browser_fraction <= 1.0:
             raise ValueError("browser_fraction must be in [0, 1]")
         if self.total_rate_per_s <= 0 or self.think_time_ms <= 0:

@@ -106,6 +106,20 @@ class OpenLoopConfig:
             raise ValueError(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
+        for value in (
+            self.session_rate_per_s,
+            self.think_time_ms,
+            self.duration_ms,
+            self.warmup_ms,
+            self.pareto_alpha,
+            self.lognormal_sigma,
+            self.flash_multiplier,
+        ):
+            if not -math.inf < value < math.inf:  # NaN fails both
+                raise ValueError(
+                    "session rate, think time, duration, warmup and arrival "
+                    "shape must be finite"
+                )
         if self.session_rate_per_s <= 0 or self.think_time_ms <= 0:
             raise ValueError("session rate and think time must be positive")
         if self.duration_ms <= 0 or self.warmup_ms < 0:

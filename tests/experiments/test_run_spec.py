@@ -116,9 +116,30 @@ def test_cli_single_level_is_identical_for_any_jobs(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--duration", "-5"], ["--warmup", "-1"], ["--workload", "open", "--duration", "0"]]
+    "flags",
+    [
+        ["--duration", "-5"],
+        ["--warmup", "-1"],
+        ["--workload", "open", "--duration", "0"],
+        # Not finite: these used to print an empty table, hang, measure
+        # the warm-up or crash.
+        ["--duration", "nan"],
+        ["--duration", "inf"],
+        ["--warmup", "nan"],
+        ["--workload", "open", "--duration", "nan"],
+        ["--workload", "open", "--duration", "inf"],
+        ["--workload", "open", "--warmup", "nan"],
+        ["--workload", "open", "--session-rate", "nan"],
+        ["--workload", "open", "--session-rate", "inf"],
+        ["--workload", "open", "--think-time", "nan"],
+        ["--workload", "open", "--think-time", "inf"],
+    ],
 )
-def test_cli_rejects_an_invalid_workload(capsys, flags):
+def test_cli_rejects_an_invalid_workload(capsys, monkeypatch, flags):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("repro.experiments.__main__.run_cells", no_simulation)
     assert main(["table7", "--jobs", "1"] + flags) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("[workload] ")
@@ -131,4 +152,20 @@ def test_cli_rejects_a_closed_loop_warmup_that_swallows_the_run(capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "[workload] warmup must be shorter than duration\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf", "0", "-1"])
+def test_cli_rejects_an_obs_interval_that_is_not_positive_and_finite(
+    capsys, monkeypatch, interval
+):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("repro.experiments.__main__.run_cells", no_simulation)
+    argv = ["table6", "--level", "1", "--jobs", "1", "--duration", "5", "--warmup", "1",
+            f"--obs-interval={interval}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "[obs] --obs-interval must be positive and finite\n"
     assert captured.out == ""

@@ -233,6 +233,24 @@ def test_cli_rejects_nonpositive_edges(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("clients", ["0", "-1"])
+def test_cli_rejects_fewer_than_one_client_per_group(clients, capsys, monkeypatch):
+    """Zero clients per group used to divide by zero building the load."""
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("repro.experiments.__main__.run_cells", no_simulation)
+    code = main(
+        ["table7", "--level", "1", "--duration", "5", "--warmup", "1",
+         "--jobs", "1", f"--clients-per-group={clients}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "[topology] --clients-per-group must be >= 1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("latency", ["inf", "nan", "-5"])
 def test_cli_rejects_a_wan_latency_that_is_not_finite_and_non_negative(
     latency, capsys, monkeypatch

@@ -88,6 +88,27 @@ def test_unpinned_select_scatters():
     assert not route.is_write
 
 
+def test_unbound_shard_key_parameter_scatters():
+    # The key cannot be evaluated, so the statement pins nothing; the
+    # executor reports the arity error when the statement runs.
+    route = _route("SELECT * FROM items WHERE id = ?", ())
+    assert route.kind == "scatter"
+
+
+def test_shard_key_evaluation_bug_propagates(monkeypatch):
+    # Only bad statements fall back to scatter: a fault in the evaluator
+    # itself must not silently give up the pin.
+    def broken(expression):
+        def evaluate(row, params):
+            raise TypeError("evaluator bug")
+
+        return evaluate
+
+    monkeypatch.setattr("repro.rdbms.cluster.sharding.compile_expression", broken)
+    with pytest.raises(TypeError, match="evaluator bug"):
+        _route("SELECT * FROM items WHERE id = ?", (7,))
+
+
 def test_global_table_read_routes_to_shard_zero():
     route = _route("SELECT * FROM regions WHERE id = ?", (1,))
     assert route.kind == "single"

@@ -9,12 +9,12 @@
 (``tools/reach_hook/sitecustomize.py``) that also follows forked
 workers and child processes.  The steps run with ``bash -eo pipefail``
 in a scratch copy of the repository, as in a CI checkout.  Each job is
-one source, named without its ``-smoke`` suffix: ``perf`` is the Tables
-6/7 and Figures 7/8 sweep checked against its goldens, ``suite`` the
-benchmark suite's smoke run.  The tier-1 ``tests`` and ``lint`` jobs and
-the ``pip install`` steps are left out, and pytest runs with
-``--benchmark-disable`` because pytest-benchmark clears the hook around
-a timed call (the assertions run the same).
+one source, named without its ``-smoke`` suffix: ``bench`` includes the
+Tables 6/7 and Figures 7/8 sweep checked against its goldens, serially
+and pooled, ``suite`` the benchmark suite's smoke run.  The tier-1
+``tests`` and ``lint`` jobs and the ``pip install`` steps are left out,
+and pytest runs with ``--benchmark-disable`` because pytest-benchmark
+clears the hook around a timed call (the assertions run the same).
 
 Unit tests are not a source: code only a test calls is not code the
 paper's runs need.  ``table`` lists every function, method, lambda and
