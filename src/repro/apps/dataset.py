@@ -16,8 +16,9 @@ A restored dataset is the generator's output exactly:
 
 * the database has the same rows in the same heap order, the same index
   contents in the same layout (the generators only insert, so re-inserting
-  in heap order rebuilds every hash bucket and B+-tree node as it was,
-  see :meth:`~repro.rdbms.storage.Table.load_image`), and the same
+  in heap order rebuilds every hash bucket as it was and the key order
+  sorts to the same list, see
+  :meth:`~repro.rdbms.storage.Table.load_image`), and the same
   counters: ``statements_executed`` and the executor's scan counters
   count the generator's statements as if they had just run.  Only its
   prepared-statement cache starts empty;

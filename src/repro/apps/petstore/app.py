@@ -21,7 +21,7 @@ from ...middleware.descriptors import (
     TxAttribute,
 )
 from . import entities, facades, sessions, web
-from .facades import Q_ITEMS_OF_PRODUCT, Q_PRODUCTS_OF_CATEGORY, Q_SEARCH_ITEMS
+from .facades import Q_ITEMS_OF_PRODUCT, Q_PRODUCTS_OF_CATEGORY
 from .schema import petstore_schemas
 
 __all__ = ["build_application", "BROWSER_PAGES", "BUYER_PAGES", "ALL_PAGES"]
@@ -139,10 +139,6 @@ def build_application(catalog=None) -> ApplicationDescriptor:
 
     # -- queries and their edge caches (§4.4: "the set of products for a
     #    given category, and the set of items belonging to a given product") --
-    app.add_query(
-        Q_SEARCH_ITEMS,
-        "SELECT id, name, list_price FROM item WHERE name LIKE ?",
-    )
     app.add_query_cache(
         QueryCacheDescriptor(
             query_id=Q_PRODUCTS_OF_CATEGORY,

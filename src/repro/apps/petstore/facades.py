@@ -21,7 +21,6 @@ __all__ = ["CatalogBean", "SignOnFacadeBean", "CustomerFacadeBean", "OrderFacade
 
 Q_PRODUCTS_OF_CATEGORY = "petstore.products_of_category"
 Q_ITEMS_OF_PRODUCT = "petstore.items_of_product"
-Q_SEARCH_ITEMS = "petstore.search_items"
 
 _order_ids = itertools.count(100_000)
 

@@ -86,6 +86,9 @@ class UpdateEvent:
     primary_key: Any
     state: Dict[str, Any]
     changed_fields: tuple = ()
+    # Always False: no entity is removed any more.  The flag stays because
+    # an event's simulated wire size counts every field, and the recorded
+    # runs (goldens, cell digests) were measured with it.
     deleted: bool = False
     inserted: bool = False
     # True when ``state`` carries only the changed fields (the §4.3

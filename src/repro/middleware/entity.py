@@ -139,27 +139,6 @@ class EntityContainer(BaseContainer):
                 )
             return primary_key
 
-        if method == "remove":
-            (primary_key,) = args
-            ctx.transaction.mark_write()
-            yield from self.server.db_execute(
-                ctx,
-                f"DELETE FROM {self.schema.name} WHERE {self.schema.primary_key} = ?",
-                (primary_key,),
-            )
-            self._cache(ctx.transaction).pop(primary_key, None)
-            if self._emits_update_events():
-                ctx.transaction.add_update_event(
-                    UpdateEvent(
-                        component=self.name,
-                        table=self.schema.name,
-                        primary_key=primary_key,
-                        state={},
-                        deleted=True,
-                    )
-                )
-            return None
-
         # Custom declarative finder.
         spec = getattr(self.descriptor.impl, "FINDERS", {}).get(method)
         if spec is None:

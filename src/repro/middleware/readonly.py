@@ -79,10 +79,6 @@ class ReadOnlyEntityContainer(BaseContainer, ConsistencyInterceptor):
     def apply_update(self, event: UpdateEvent) -> None:
         """One bus event: install the state pushed with it, or — an event
         that carries none (pull mode) — mark the entry stale."""
-        if event.deleted:
-            self._cache.pop(event.primary_key, None)
-            self._stale.discard(event.primary_key)
-            return
         if event.partial:
             # Delta push (§4.3): merge changed fields into the cached row.
             # A replica that never saw the full row cannot apply a delta —

@@ -239,7 +239,7 @@ class UpdatePropagator:
                 continue
             read_mostly = descriptor.read_mostly
             shipped = event
-            if read_mostly.refresh_mode == RefreshMode.PULL and not event.deleted:
+            if read_mostly.refresh_mode == RefreshMode.PULL:
                 shipped = UpdateEvent(
                     component=event.component,
                     table=event.table,
@@ -252,7 +252,6 @@ class UpdatePropagator:
                 ctx.costs.push_delta_only
                 and event.changed_fields
                 and not event.inserted
-                and not event.deleted
             ):
                 # §4.3: push "only the changes instead of the entire
                 # bean's state (i.e., fields that were modified)".

@@ -287,7 +287,6 @@ _SERIES_COUNTERS = (
     "db.executor.index_scans",
     "db.executor.full_scans",
     "db.executor.range_scans",
-    "db.executor.prefix_scans",
     "jms.deliveries",
     "cluster.elections_won",
     "cluster.leader_failovers",

@@ -1,35 +1,27 @@
-"""Relational database substrate: engine, SQL subset, server, JDBC model."""
+"""Relational database substrate: engine, SQL dialect, server, JDBC model."""
 
-from .bptree import BPlusTree
 from .engine import Database, DatabaseError
 from .executor import ExecutionError, Executor, PreparedStatement, ResultSet
 from .expressions import (
     And,
+    Between,
     ColumnRef,
-    Comparison,
+    Equals,
     EvaluationError,
     Expression,
-    InList,
     Like,
     Literal,
-    Not,
     Or,
     Parameter,
     like_matcher,
-    like_prefix,
 )
 from .jdbc import DataSource, JdbcConfig, JdbcConnection, JdbcError
-from .plan import AccessChoice, PlanNode, QueryPlan
 from .schema import Column, ForeignKey, SchemaError, TableSchema
 from .server import DatabaseServer, DbCostModel, DbSession, result_wire_size
-from .stats import TableStats
 from .sql import (
-    Aggregate,
-    Delete,
     Insert,
-    OrderBy,
+    JoinClause,
     Select,
-    SelectItem,
     SqlError,
     Statement,
     TableRef,
@@ -42,28 +34,21 @@ from .transactions import LockManager, Transaction, TransactionError
 from .types import BOOLEAN, FLOAT, INTEGER, TEXT, ColumnType
 
 __all__ = [
-    "BPlusTree",
     "Database",
     "DatabaseError",
     "ExecutionError",
     "Executor",
     "PreparedStatement",
     "ResultSet",
-    "AccessChoice",
-    "PlanNode",
-    "QueryPlan",
-    "TableStats",
     "like_matcher",
-    "like_prefix",
     "And",
+    "Between",
     "ColumnRef",
-    "Comparison",
+    "Equals",
     "EvaluationError",
     "Expression",
-    "InList",
     "Like",
     "Literal",
-    "Not",
     "Or",
     "Parameter",
     "DataSource",
@@ -78,12 +63,9 @@ __all__ = [
     "DbCostModel",
     "DbSession",
     "result_wire_size",
-    "Aggregate",
-    "Delete",
     "Insert",
-    "OrderBy",
+    "JoinClause",
     "Select",
-    "SelectItem",
     "SqlError",
     "Statement",
     "TableRef",

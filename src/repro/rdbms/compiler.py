@@ -1,64 +1,68 @@
-"""Expression compilation: AST -> Python closures.
+"""Condition compilation: AST -> Python closures.
 
-:func:`compile_expression` lowers a WHERE/ON/value tree once into a nest
-of closures ``fn(row, params) -> value``.  Parameters are read from the
-``params`` tuple at call time (an environment, not a tree rewrite) and
-constants are folded at compile time (LIKE needles are lowered once,
-literal IN lists become tuple-membership tests).
+:func:`compile_expression` lowers a WHERE tree once into a nest of
+closures ``fn(row, params) -> bool``.  Values are ``?`` or literals, so
+each one compiles to a *slot* (:func:`value_slot`): a parameter index
+read from the ``params`` tuple at call time, or a constant.
 
 Closures keep SQL's semantics as a tree walk would read them: SQL
-three-valued logic collapsed to False, short-circuit evaluation order,
-and :class:`~repro.rdbms.expressions.EvaluationError` on missing or
-ambiguous columns (a join's first pass relies on those errors to defer
-conjuncts until the joined columns are visible).
+three-valued logic collapsed to False (a NULL column or bound makes the
+predicate false), short-circuit evaluation order, and
+:class:`~repro.rdbms.expressions.EvaluationError` on missing or
+ambiguous columns.
 
 Column access comes in two strengths.  Without a resolver a column
 compiles to :func:`column_lookup`, which searches the row for the
 qualified name, the bare name and a unique ``.name`` suffix, and raises
 when none fits.  With ``resolve`` — column name to the row key it is
-*proven* to live under, or None — a proven column is one ``row[key]``
-and ``column <op> ?|literal`` over it is one closure; an unproven name
-keeps the searching lookup, so it raises the same error at the same
-point.  :func:`resolves` says whether a whole tree is proven.  Nothing
-is memoized here: a prepared statement (:mod:`repro.rdbms.executor`)
-compiles its trees once and owns the closures.
+*proven* to live under, or None — a proven column is one ``row[key]``;
+an unproven name keeps the searching lookup, so it raises the same error
+at the same point.  :func:`resolves` says whether a whole tree is
+proven.  Nothing is memoized here: a prepared statement
+(:mod:`repro.rdbms.executor`) compiles its trees once and owns the
+closures.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .expressions import (
-    _OPERATORS,
     And,
-    ColumnRef,
-    Comparison,
+    Between,
+    Equals,
     EvaluationError,
     Expression,
-    InList,
     Like,
-    Literal,
-    Not,
     Or,
     Parameter,
     like_matcher,
 )
-__all__ = ["compile_expression", "resolves", "column_lookup", "EMPTY_ROW"]
 
-CompiledExpr = Callable[[Dict[str, Any], Tuple[Any, ...]], Any]
+__all__ = ["compile_expression", "resolves", "column_lookup", "getter", "value_slot"]
+
+Row = Dict[str, Any]
+CompiledExpr = Callable[[Row, Tuple[Any, ...]], bool]
 Resolver = Callable[[str], Optional[str]]
-
-EMPTY_ROW: Dict[str, Any] = {}
 
 _MISSING = object()
 
 
-def column_lookup(name: str) -> CompiledExpr:
-    """Searching row-lookup closure for a (possibly qualified) column name."""
+def value_slot(value: Expression) -> Tuple[Optional[int], Any]:
+    """``(index, constant)`` of a ``?`` or literal: the value is
+    ``params[index]``, or ``constant`` when ``index`` is None."""
+    if type(value) is Parameter:
+        return value.index, None
+    return None, value.value
+
+
+def column_lookup(name: str) -> Callable[[Row], Any]:
+    """Searching ``row -> value`` for a (possibly qualified) column name."""
     if "." in name:
         bare = name.split(".", 1)[1]
 
-        def lookup(row: Dict[str, Any], params: Tuple[Any, ...]) -> Any:
+        def lookup(row: Row) -> Any:
             value = row.get(name, _MISSING)
             if value is not _MISSING:
                 return value
@@ -71,7 +75,7 @@ def column_lookup(name: str) -> CompiledExpr:
     else:
         suffix = "." + name
 
-        def lookup(row: Dict[str, Any], params: Tuple[Any, ...]) -> Any:
+        def lookup(row: Row) -> Any:
             value = row.get(name, _MISSING)
             if value is not _MISSING:
                 return value
@@ -85,158 +89,96 @@ def column_lookup(name: str) -> CompiledExpr:
     return lookup
 
 
+def getter(name: str, resolve: Optional[Resolver]) -> Callable[[Row], Any]:
+    """``row -> value`` for a column: one key read when ``resolve`` proves it."""
+    key = resolve(name) if resolve is not None else None
+    return column_lookup(name) if key is None else itemgetter(key)
+
+
 def compile_expression(
     expression: Expression, resolve: Optional[Resolver] = None
 ) -> CompiledExpr:
-    """Compile ``expression`` into ``fn(row, params) -> value``.
+    """Compile a condition into ``fn(row, params) -> bool``.
 
     ``resolve`` maps a column name to the row key it is proven to live
     under (None: not proven, keep the searching lookup).
     """
     kind = type(expression)
-    if kind is Literal:
-        value = expression.value
-        return lambda row, params: value
-    if kind is Parameter:
-        index = expression.index
-        return lambda row, params: params[index]
-    if kind is ColumnRef:
-        key = resolve(expression.name) if resolve is not None else None
-        if key is None:
-            return column_lookup(expression.name)
-        return lambda row, params: row[key]
-    if kind is Comparison:
-        operator = _OPERATORS[expression.operator]
-        right_kind = type(expression.right)
-        if (
-            resolve is not None
-            and type(expression.left) is ColumnRef
-            and (right_kind is Parameter or right_kind is Literal)
-        ):
-            key = resolve(expression.left.name)
-            if key is not None:
-                # ``column <op> ?|literal`` over a proven column: neither
-                # side can raise, so one closure does the whole test.
-                index = expression.right.index if right_kind is Parameter else None
-                constant = None if right_kind is Parameter else expression.right.value
+    if kind is And or kind is Or:
+        parts = tuple(compile_expression(part, resolve) for part in expression.parts)
+        if kind is And:
 
-                def compare_column(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
-                    value = row[key]
-                    bound = constant if index is None else params[index]
-                    if value is None or bound is None:
+            def conjunction(row: Row, params: Tuple[Any, ...]) -> bool:
+                for part in parts:
+                    if not part(row, params):
                         return False
-                    return operator(value, bound)
+                return True
 
-                return compare_column
-        left = compile_expression(expression.left, resolve)
-        right = compile_expression(expression.right, resolve)
+            return conjunction
 
-        def compare(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
-            # Both sides evaluate before the NULL check, exactly like the
-            # tree-walker: a missing column on either side must raise.
-            left_value = left(row, params)
-            right_value = right(row, params)
-            if left_value is None or right_value is None:
-                return False  # SQL three-valued logic, collapsed to False
-            return operator(left_value, right_value)
-
-        return compare
-    if kind is And:
-        parts = tuple(compile_expression(part, resolve) for part in expression.parts)
-
-        def conjunction(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
-            for part in parts:
-                if not part(row, params):
-                    return False
-            return True
-
-        return conjunction
-    if kind is Or:
-        parts = tuple(compile_expression(part, resolve) for part in expression.parts)
-
-        def disjunction(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
+        def disjunction(row: Row, params: Tuple[Any, ...]) -> bool:
             for part in parts:
                 if part(row, params):
                     return True
             return False
 
         return disjunction
-    if kind is Not:
-        part = compile_expression(expression.part, resolve)
-        return lambda row, params: not part(row, params)
-    if kind is Like:
-        column = compile_expression(expression.column, resolve)
-        if type(expression.pattern) is Literal and expression.pattern.value is not None:
-            match = like_matcher(str(expression.pattern.value))
+    if kind is not Equals and kind is not Between and kind is not Like:
+        raise TypeError(f"cannot compile a {kind.__name__} expression")
+    get = getter(expression.column.name, resolve)
+    if kind is Equals:
+        index, constant = value_slot(expression.value)
 
-            def like_constant(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
-                value = column(row, params)
-                if value is None:
-                    return False
-                return match(str(value).lower())
-
-            return like_constant
-        pattern = compile_expression(expression.pattern, resolve)
-        # The pattern is constant across a scan (it comes from the params
-        # tuple), so memoize the lowered matcher for the last pattern seen
-        # instead of re-compiling it for every candidate row.
-        last = [_MISSING, None]
-
-        def like(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
-            value = column(row, params)
-            pattern_value = pattern(row, params)
-            if value is None or pattern_value is None:
+        def equals(row: Row, params: Tuple[Any, ...]) -> bool:
+            value = get(row)
+            other = constant if index is None else params[index]
+            if value is None or other is None:
                 return False
-            if pattern_value != last[0]:
-                last[0] = pattern_value
-                last[1] = like_matcher(str(pattern_value))
-            return last[1](str(value).lower())
+            return value == other
 
-        return like
-    if kind is InList:
-        column = compile_expression(expression.column, resolve)
-        if all(type(option) is Literal for option in expression.options):
-            values = tuple(option.value for option in expression.options)
-            # Tuple membership uses ==, matching the tree-walker's
-            # pairwise comparisons (including NULL == NULL -> True).
-            return lambda row, params: column(row, params) in values
-        options = tuple(
-            compile_expression(option, resolve) for option in expression.options
-        )
+        return equals
+    if kind is Between:
+        low_index, low_constant = value_slot(expression.low)
+        high_index, high_constant = value_slot(expression.high)
 
-        def in_list(row: Dict[str, Any], params: Tuple[Any, ...]) -> bool:
-            value = column(row, params)
-            for option in options:
-                if value == option(row, params):
-                    return True
+        def between(row: Row, params: Tuple[Any, ...]) -> bool:
+            value = get(row)
+            low = low_constant if low_index is None else params[low_index]
+            high = high_constant if high_index is None else params[high_index]
+            if value is None or low is None or high is None:
+                return False
+            return low <= value <= high
+
+        return between
+    index, constant = value_slot(expression.pattern)
+    # The pattern is constant across a scan (it comes from the params
+    # tuple), so memoize the lowered matcher for the last pattern seen
+    # instead of re-compiling it for every candidate row.
+    last = [_MISSING, None]
+
+    def like(row: Row, params: Tuple[Any, ...]) -> bool:
+        value = get(row)
+        pattern = constant if index is None else params[index]
+        if value is None or pattern is None:
             return False
+        if pattern != last[0]:
+            last[0] = pattern
+            last[1] = like_matcher(str(pattern))
+        return last[1](str(value).lower())
 
-        return in_list
-    raise TypeError(f"cannot compile a {kind.__name__} expression")
+    return like
 
 
 def resolves(expression: Expression, resolve: Resolver) -> bool:
-    """True when ``resolve`` proves every column ``expression`` reads.
+    """True when ``resolve`` proves every column the condition reads.
 
     Such a tree cannot raise :class:`EvaluationError`, and its closures
-    touch the row only through proven keys.  A node kind this module
-    does not know reads its row itself, so it is never proven.
+    touch the row only through proven keys.  A node kind this module does
+    not know reads its row itself, so it is never proven.
     """
     kind = type(expression)
-    if kind is ColumnRef:
-        return resolve(expression.name) is not None
-    if kind is Literal or kind is Parameter:
-        return True
-    if kind is Comparison:
-        return resolves(expression.left, resolve) and resolves(expression.right, resolve)
     if kind is And or kind is Or:
         return all(resolves(part, resolve) for part in expression.parts)
-    if kind is Not:
-        return resolves(expression.part, resolve)
-    if kind is Like:
-        return resolves(expression.column, resolve) and resolves(expression.pattern, resolve)
-    if kind is InList:
-        return resolves(expression.column, resolve) and all(
-            resolves(option, resolve) for option in expression.options
-        )
+    if kind is Equals or kind is Between or kind is Like:
+        return resolve(expression.column.name) is not None
     return False

@@ -4,7 +4,8 @@ This is the *pure* engine — it executes instantly in simulated time.
 Timing, locking, and network protocol live in :mod:`repro.rdbms.server`
 and :mod:`repro.rdbms.jdbc`.
 
-A SQL text is parsed, analysed and compiled once per database: the
+A SQL text of the dialect (:mod:`repro.rdbms.sql`) is parsed, analysed
+and compiled once per database: the
 :class:`~repro.rdbms.executor.PreparedStatement` of every text lives in
 one bounded LRU here, and executing is lookup + bind + run.
 
@@ -122,8 +123,8 @@ class Database:
         Rows, indexes, the executor's scan counters and the statement
         counters are equal; no SQL runs.  The prepared statements are not
         part of an image (they bind the tables they were prepared
-        against), so each text is prepared again, to the same plan, on
-        its first execution.
+        against), so each text is prepared again, to the same access path,
+        on its first execution.
         """
         database = cls(image.name)
         for schema, rows in image.tables:
@@ -183,14 +184,6 @@ class Database:
         return result
 
     # -- introspection -----------------------------------------------------------
-    def explain(self, statement: Preparable, params: Tuple[Any, ...] = ()):
-        """The query plan the executor would choose, without executing.
-
-        Returns a :class:`~repro.rdbms.plan.QueryPlan`; ``.render()``
-        yields EXPLAIN-style text including rejected candidate paths.
-        """
-        return self.prepare(statement).explain(params)
-
     def write_targets(
         self, statement: Preparable, params: Tuple[Any, ...] = ()
     ) -> List[Tuple[str, Any]]:

@@ -1,17 +1,17 @@
-"""Predicate and scalar expression AST used by the SQL layer.
+"""Condition AST of the SQL dialect.
 
+A WHERE is an OR of ANDs over three predicates, each a column against
+values: :class:`Equals`, :class:`Like` and :class:`Between`.  A value
+is a :class:`Parameter` (``?``) or a :class:`Literal`.
 :mod:`repro.rdbms.compiler` lowers these trees to closures the executor
-runs against row dicts.  The AST is also built programmatically by the
-entity-bean containers (CMP finder methods render to these expressions
-rather than to SQL text).
+runs against row dicts.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 from .lru import LruCache
 
@@ -20,15 +20,13 @@ __all__ = [
     "ColumnRef",
     "Literal",
     "Parameter",
-    "Comparison",
+    "Equals",
+    "Like",
+    "Between",
     "And",
     "Or",
-    "Not",
-    "Like",
-    "InList",
     "EvaluationError",
     "like_matcher",
-    "like_prefix",
 ]
 
 
@@ -41,19 +39,6 @@ _LIKE_CACHE = LruCache(1024)  # pattern -> matcher
 
 def _compile_like(pattern: str) -> Callable[[str], bool]:
     parts = pattern.lower().split("%")
-    if len(parts) == 1:  # no wildcard: exact (case-insensitive) match
-        exact = parts[0]
-        return lambda value: value == exact
-    if len(parts) == 2:
-        head, tail = parts
-        if not tail:  # 'abc%'
-            return lambda value: value.startswith(head)
-        if not head:  # '%abc'
-            return lambda value: value.endswith(tail)
-        floor = len(head) + len(tail)
-        return lambda value: (
-            len(value) >= floor and value.startswith(head) and value.endswith(tail)
-        )
     if len(parts) == 3 and not parts[0] and not parts[2]:  # '%abc%'
         needle = parts[1]
         return lambda value: needle in value
@@ -74,17 +59,6 @@ def like_matcher(pattern: str) -> Callable[[str], bool]:
         matcher = _compile_like(pattern)
         _LIKE_CACHE.put(pattern, matcher)
     return matcher
-
-
-def like_prefix(pattern: str) -> Optional[str]:
-    """The literal prefix when ``pattern`` is prefix-shaped (``abc%``), else None.
-
-    A pattern qualifies for an ordered-index prefix scan only when its
-    single ``%`` is the final character and the prefix is non-empty.
-    """
-    if len(pattern) > 1 and pattern.endswith("%") and "%" not in pattern[:-1]:
-        return pattern[:-1]
-    return None
 
 
 class EvaluationError(Exception):
@@ -121,56 +95,45 @@ class Parameter(Expression):
         return 1
 
 
-_OPERATORS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+@dataclass(frozen=True)
+class Equals(Expression):
+    """``column = value``."""
 
-_RANGE_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+    column: ColumnRef
+    value: Expression
+
+    def parameters(self) -> int:
+        return self.value.parameters()
 
 
 @dataclass(frozen=True)
-class Comparison(Expression):
-    left: Expression
-    operator: str
-    right: Expression
+class Like(Expression):
+    """``column LIKE pattern``: ``%`` wildcards, matched case-insensitively.
 
-    def __post_init__(self):
-        if self.operator not in _OPERATORS:
-            raise EvaluationError(f"unknown operator {self.operator!r}")
+    ``%needle%`` keeps its substring semantics (the Pet Store keyword
+    search); any other pattern is an anchored regex.  LIKE is never
+    index-accelerated, reproducing "highly customized aggregate queries
+    (such as keyword searches) ... end up being executed in the database
+    server".
+    """
+
+    column: ColumnRef
+    pattern: Expression
 
     def parameters(self) -> int:
-        return self.left.parameters() + self.right.parameters()
+        return self.pattern.parameters()
 
-    def equality_binding(self) -> Optional[Tuple[str, Expression]]:
-        """If this is ``column = value-expr``, return that pair (for index use)."""
-        if self.operator != "=":
-            return None
-        if isinstance(self.left, ColumnRef) and not isinstance(self.right, ColumnRef):
-            return self.left.name, self.right
-        if isinstance(self.right, ColumnRef) and not isinstance(self.left, ColumnRef):
-            return self.right.name, self.left
-        return None
 
-    def range_binding(self) -> Optional[Tuple[str, str, Expression]]:
-        """If this is a range bound on one column, return (column, op, value-expr).
+@dataclass(frozen=True)
+class Between(Expression):
+    """``column BETWEEN low AND high``, both bounds inclusive."""
 
-        The operator is normalized to column-on-the-left form, so
-        ``5 < price`` reports ``("price", ">", 5)``.  Used by the planner
-        to consider ordered-index range scans.
-        """
-        flipped = _RANGE_FLIP.get(self.operator)
-        if flipped is None:
-            return None
-        if isinstance(self.left, ColumnRef) and not isinstance(self.right, ColumnRef):
-            return self.left.name, self.operator, self.right
-        if isinstance(self.right, ColumnRef) and not isinstance(self.left, ColumnRef):
-            return self.right.name, flipped, self.left
-        return None
+    column: ColumnRef
+    low: Expression
+    high: Expression
+
+    def parameters(self) -> int:
+        return self.low.parameters() + self.high.parameters()
 
 
 @dataclass(frozen=True)
@@ -187,40 +150,3 @@ class Or(Expression):
 
     def parameters(self) -> int:
         return sum(part.parameters() for part in self.parts)
-
-
-@dataclass(frozen=True)
-class Not(Expression):
-    part: Expression
-
-    def parameters(self) -> int:
-        return self.part.parameters()
-
-
-@dataclass(frozen=True)
-class Like(Expression):
-    """SQL LIKE with ``%`` wildcards, matched case-insensitively.
-
-    ``%needle%`` keeps its substring semantics (the Pet Store keyword
-    search), ``abc%`` anchors a prefix — which the planner can serve from
-    an ordered index — and general multi-``%`` patterns fall back to an
-    anchored regex.  Interior-wildcard patterns are never
-    index-accelerated, reproducing "highly customized aggregate queries
-    (such as keyword searches) ... end up being executed in the database
-    server".
-    """
-
-    column: ColumnRef
-    pattern: Expression
-
-    def parameters(self) -> int:
-        return self.pattern.parameters()
-
-
-@dataclass(frozen=True)
-class InList(Expression):
-    column: ColumnRef
-    options: Tuple[Expression, ...]
-
-    def parameters(self) -> int:
-        return sum(option.parameters() for option in self.options)

@@ -14,11 +14,6 @@ class SchemaError(Exception):
     """Raised for malformed schema definitions or violated constraints."""
 
 
-# Per-type nominal sizes for :meth:`TableSchema.estimated_row_size` (the
-# planner's cost model); unknown types get a conservative middle value.
-_NOMINAL_TYPE_SIZES = {"INTEGER": 8, "FLOAT": 8, "TEXT": 40, "BOOLEAN": 1}
-
-
 @dataclass(frozen=True)
 class Column:
     """One column: name, type, nullability, optional default."""
@@ -79,13 +74,9 @@ class TableSchema:
             if fk.column not in self.column_map:
                 raise SchemaError(f"foreign key column {fk.column!r} missing in {name!r}")
         self.foreign_keys: List[ForeignKey] = list(foreign_keys)
-        self._estimated_row_size: Any = None  # computed lazily
 
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]
-
-    def has_column(self, name: str) -> bool:
-        return name in self.column_map
 
     def column(self, name: str) -> Column:
         try:
@@ -105,27 +96,3 @@ class TableSchema:
             else:
                 row[column.name] = column.coerce(column.default)
         return row
-
-    def estimated_row_size(self) -> int:
-        """Nominal row size in bytes, independent of any stored data.
-
-        The cost-based planner converts record estimates to block
-        estimates with this; it uses fixed per-type sizes (TEXT columns
-        are assumed ~40 bytes) so estimates never require touching rows.
-        """
-        if self._estimated_row_size is None:
-            size = 0
-            for column in self.columns:
-                size += _NOMINAL_TYPE_SIZES.get(column.type.name, 16) + 2
-            self._estimated_row_size = size
-        return self._estimated_row_size
-
-    def row_size(self, row: Dict[str, Any]) -> int:
-        """Approximate serialized size of a row in bytes."""
-        size = 0
-        for column in self.columns:
-            value = row.get(column.name)
-            if value is not None:
-                size += column.type.size_of(value)
-            size += 2  # field framing
-        return size

@@ -111,7 +111,6 @@ class DatabaseServer:
             "db.executor.index_scans": executor.index_scans,
             "db.executor.full_scans": executor.full_scans,
             "db.executor.range_scans": executor.range_scans,
-            "db.executor.prefix_scans": executor.prefix_scans,
             "db.executor.join_index_lookups": executor.join_index_lookups,
             "db.executor.join_full_scans": executor.join_full_scans,
         }

@@ -1,20 +1,22 @@
-"""A SQL subset: lexer, parser, and statement AST.
+"""The SQL dialect: lexer, parser, and statement AST.
 
-Supports exactly what the two applications and the query-caching layer
-need — single-table and equi-join SELECTs with aggregates, ORDER BY and
-LIMIT, plus INSERT / UPDATE / DELETE — while rejecting anything else
-loudly.  Statements parse to dataclass ASTs consumed by
+The dialect is what the two applications, their data generators and the
+sharded data tier prepare, and no more (``tests/rdbms/dialect.txt`` pins
+those texts)::
+
+    SELECT (* | col[, col]* | COUNT(*) [AS n]) FROM t [alias]
+        [JOIN t alias ON col = col] [WHERE cond]
+    INSERT INTO t (cols) VALUES (vals)
+    UPDATE t SET col = val[, ...] WHERE cond
+
+``cond`` is an OR of ANDs over ``col = val``, ``col LIKE val`` and
+``col BETWEEN val AND val``; a ``val`` is ``?`` or a literal (number,
+``'string'``, NULL, TRUE, FALSE).  A ``col`` may be qualified by its
+table or alias.  Everything else raises :class:`SqlError` here, at
+parse: DELETE, GROUP BY, ORDER BY, LIMIT, IN, NOT, parentheses, INNER,
+``<``, ``>``, ``!=``/``<>``, a second JOIN, and aggregates other than
+``COUNT(*)``.  Statements parse to frozen dataclass ASTs consumed by
 :mod:`repro.rdbms.executor`.
-
-Grammar (informal)::
-
-    select   := SELECT select_list FROM table_ref (JOIN table_ref ON eq)*
-                [WHERE expr] [GROUP BY column] [ORDER BY column [ASC|DESC]]
-                [LIMIT int]
-    expr     := comparisons, LIKE, IN, BETWEEN, AND/OR/NOT, parentheses
-    insert   := INSERT INTO name '(' columns ')' VALUES '(' values ')'
-    update   := UPDATE name SET assignments [WHERE expr]
-    delete   := DELETE FROM name [WHERE expr]
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from typing import List, Optional, Tuple, Union
 
 from .expressions import (
     And,
+    Between,
     ColumnRef,
-    Comparison,
+    Equals,
     Expression,
-    InList,
     Like,
     Literal,
-    Not,
     Or,
     Parameter,
 )
@@ -42,12 +43,8 @@ __all__ = [
     "Select",
     "Insert",
     "Update",
-    "Delete",
-    "Aggregate",
-    "SelectItem",
     "TableRef",
     "JoinClause",
-    "OrderBy",
     "Statement",
     "statement_footprint",
     "parse",
@@ -56,42 +53,12 @@ __all__ = [
 
 
 class SqlError(Exception):
-    """Raised on lexical, syntactic, or unsupported-feature errors."""
+    """Raised on lexical, syntactic, or out-of-dialect statements."""
 
 
 # ---------------------------------------------------------------------------
 # Statement AST
 # ---------------------------------------------------------------------------
-
-AGGREGATE_FUNCTIONS = ("COUNT", "MAX", "MIN", "SUM", "AVG")
-
-
-@dataclass(frozen=True)
-class Aggregate:
-    """``COUNT(*)`` / ``MAX(col)`` etc. in a select list."""
-
-    function: str
-    column: Optional[str]  # None means '*' (COUNT(*) only)
-    alias: Optional[str] = None
-
-    @property
-    def output_name(self) -> str:
-        if self.alias:
-            return self.alias
-        target = self.column if self.column is not None else "*"
-        return f"{self.function.lower()}({target})"
-
-
-@dataclass(frozen=True)
-class SelectItem:
-    """A plain column in a select list, optionally aliased."""
-
-    column: str
-    alias: Optional[str] = None
-
-    @property
-    def output_name(self) -> str:
-        return self.alias or self.column
 
 
 @dataclass(frozen=True)
@@ -112,31 +79,19 @@ class JoinClause:
 
 
 @dataclass(frozen=True)
-class OrderBy:
-    column: str
-    descending: bool = False
-
-
-@dataclass(frozen=True)
 class Select:
-    items: Tuple[Union[SelectItem, Aggregate], ...]  # empty tuple means '*'
+    # The selected columns; empty for ``*`` and for ``COUNT(*)``.
+    columns: Tuple[str, ...]
     table: TableRef
-    joins: Tuple[JoinClause, ...] = ()
+    join: Optional[JoinClause] = None
     where: Optional[Expression] = None
-    group_by: Optional[str] = None
-    order_by: Optional[OrderBy] = None
-    limit: Optional[int] = None
-
-    @property
-    def is_aggregate(self) -> bool:
-        return any(isinstance(item, Aggregate) for item in self.items)
-
-    @property
-    def is_star(self) -> bool:
-        return not self.items
+    # The output name of ``COUNT(*)``; None when the statement selects rows.
+    count: Optional[str] = None
 
     def tables(self) -> List[str]:
-        return [self.table.name] + [join.table.name for join in self.joins]
+        if self.join is None:
+            return [self.table.name]
+        return [self.table.name, self.join.table.name]
 
 
 @dataclass(frozen=True)
@@ -150,33 +105,25 @@ class Insert:
 class Update:
     table: str
     assignments: Tuple[Tuple[str, Expression], ...]
-    where: Optional[Expression] = None
+    where: Expression
 
 
-@dataclass(frozen=True)
-class Delete:
-    table: str
-    where: Optional[Expression] = None
-
-
-Statement = Union[Select, Insert, Update, Delete]
+Statement = Union[Select, Insert, Update]
 
 
 def statement_footprint(statement: Statement) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """``(tables_read, tables_written)`` of one statement, from the AST.
 
-    SELECT reads its FROM table plus every JOIN table; INSERT writes its
-    target; UPDATE and DELETE both read (scan) and write their target.
-    This is the primitive the consistency layer uses to derive method
-    footprints automatically — no hand-maintained table lists.
+    SELECT reads its FROM and JOIN tables; INSERT writes its target;
+    UPDATE reads (scans) and writes its target.  This is the primitive
+    the consistency layer uses to derive method footprints automatically
+    — no hand-maintained table lists.
     """
     if isinstance(statement, Select):
         return tuple(sorted(set(statement.tables()))), ()
     if isinstance(statement, Insert):
         return (), (statement.table,)
-    if isinstance(statement, (Update, Delete)):
-        return (statement.table,), (statement.table,)
-    raise SqlError(f"no footprint for statement type {type(statement).__name__}")
+    return (statement.table,), (statement.table,)
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +136,24 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+\.\d+|\d+)
   | (?P<string>'(?:[^']|'')*')
   | (?P<param>\?)
-  | (?P<op><=|>=|!=|<>|=|<|>)
+  | (?P<op>=)
   | (?P<punct>[(),.*])
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
     """,
     re.VERBOSE,
 )
 
+# The dialect's keywords, plus the words of the SQL it leaves out: those
+# are reserved too, so ``FROM a INNER JOIN b`` or ``... t ORDER BY x``
+# can never parse with the word read as an alias.
 _KEYWORDS = {
-    "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "JOIN", "ON", "AS",
-    "GROUP", "ORDER", "BY", "ASC", "DESC", "LIMIT", "INSERT", "INTO",
-    "VALUES", "UPDATE", "SET", "DELETE", "LIKE", "IN", "NULL", "TRUE",
-    "FALSE", "INNER", "BETWEEN",
+    "SELECT", "FROM", "WHERE", "AND", "OR", "JOIN", "ON", "AS", "INSERT",
+    "INTO", "VALUES", "UPDATE", "SET", "LIKE", "BETWEEN", "NULL", "TRUE",
+    "FALSE",
+    "DELETE", "GROUP", "ORDER", "BY", "LIMIT", "IN", "NOT", "INNER",
 }
+
+_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 @dataclass
@@ -256,256 +208,141 @@ class _Parser:
         token = self._peek()
         return SqlError(f"{message} at {token.position} (near {token.text!r}) in {self.sql!r}")
 
-    def _expect_keyword(self, keyword: str) -> None:
-        token = self._advance()
-        if token.kind != "keyword" or token.text != keyword:
-            self.index -= 1
-            raise self._error(f"expected {keyword}")
-
-    def _match_keyword(self, keyword: str) -> bool:
+    def _expect(self, kind: str, text: str) -> None:
         token = self._peek()
-        if token.kind == "keyword" and token.text == keyword:
-            self.index += 1
-            return True
-        return False
+        if token.kind != kind or token.text != text:
+            raise self._error(f"expected {text}")
+        self.index += 1
 
-    def _expect_punct(self, punct: str) -> None:
-        token = self._advance()
-        if token.kind != "punct" or token.text != punct:
-            self.index -= 1
-            raise self._error(f"expected {punct!r}")
-
-    def _match_punct(self, punct: str) -> bool:
+    def _match(self, kind: str, text: str) -> bool:
         token = self._peek()
-        if token.kind == "punct" and token.text == punct:
+        if token.kind == kind and token.text == text:
             self.index += 1
             return True
         return False
 
     def _expect_ident(self) -> str:
-        token = self._advance()
+        token = self._peek()
         if token.kind != "ident":
-            self.index -= 1
             raise self._error("expected identifier")
+        self.index += 1
         return token.text
 
     def _column_name(self) -> str:
         """Possibly-qualified column name: ident ['.' ident]."""
         name = self._expect_ident()
-        if self._match_punct("."):
+        if self._match("punct", "."):
             name = f"{name}.{self._expect_ident()}"
         return name
+
+    def _list(self, item) -> List:
+        """``item (',' item)*``."""
+        items = [item()]
+        while self._match("punct", ","):
+            items.append(item())
+        return items
 
     # -- entry -----------------------------------------------------------------
     def parse(self) -> Statement:
         token = self._peek()
-        if token.kind != "keyword":
-            raise self._error("expected a statement keyword")
-        if token.text == "SELECT":
+        if token.kind == "keyword" and token.text == "SELECT":
             statement = self._select()
-        elif token.text == "INSERT":
+        elif token.kind == "keyword" and token.text == "INSERT":
             statement = self._insert()
-        elif token.text == "UPDATE":
+        elif token.kind == "keyword" and token.text == "UPDATE":
             statement = self._update()
-        elif token.text == "DELETE":
-            statement = self._delete()
         else:
-            raise self._error(f"unsupported statement {token.text}")
+            raise self._error("expected SELECT, INSERT or UPDATE")
         if self._peek().kind != "eof":
             raise self._error("trailing tokens")
         return statement
 
     # -- SELECT ------------------------------------------------------------------
     def _select(self) -> Select:
-        self._expect_keyword("SELECT")
-        items = self._select_list()
-        self._expect_keyword("FROM")
-        table = self._table_ref()
-        joins: List[JoinClause] = []
-        while True:
-            if self._match_keyword("INNER"):
-                self._expect_keyword("JOIN")
-            elif not self._match_keyword("JOIN"):
-                break
-            join_table = self._table_ref()
-            self._expect_keyword("ON")
-            left = self._column_name()
-            token = self._advance()
-            if token.kind != "op" or token.text != "=":
-                self.index -= 1
-                raise self._error("JOIN supports only equality conditions")
-            right = self._column_name()
-            joins.append(JoinClause(join_table, left, right))
-        where = self._where_clause()
-        group_by = None
-        if self._match_keyword("GROUP"):
-            self._expect_keyword("BY")
-            group_by = self._column_name()
-        order_by = None
-        if self._match_keyword("ORDER"):
-            self._expect_keyword("BY")
-            column = self._column_name()
-            descending = False
-            if self._match_keyword("DESC"):
-                descending = True
-            else:
-                self._match_keyword("ASC")
-            order_by = OrderBy(column, descending)
-        limit = None
-        if self._match_keyword("LIMIT"):
-            token = self._advance()
-            if token.kind != "number" or "." in token.text:
-                self.index -= 1
-                raise self._error("LIMIT expects an integer")
-            limit = int(token.text)
-        return Select(tuple(items), table, tuple(joins), where, group_by, order_by, limit)
-
-    def _select_list(self) -> List[Union[SelectItem, Aggregate]]:
-        if self._match_punct("*"):
-            return []
-        items: List[Union[SelectItem, Aggregate]] = []
-        while True:
-            items.append(self._select_item())
-            if not self._match_punct(","):
-                break
-        return items
-
-    def _select_item(self) -> Union[SelectItem, Aggregate]:
+        self._expect("keyword", "SELECT")
+        columns: List[str] = []
+        count = None
         token = self._peek()
-        if token.kind == "ident" and token.text.upper() in AGGREGATE_FUNCTIONS:
-            lookahead = self.tokens[self.index + 1]
-            if lookahead.kind == "punct" and lookahead.text == "(":
-                function = self._advance().text.upper()
-                self._expect_punct("(")
-                if self._match_punct("*"):
-                    if function != "COUNT":
-                        raise self._error(f"{function}(*) is not supported")
-                    column = None
-                else:
-                    column = self._column_name()
-                self._expect_punct(")")
-                alias = self._alias()
-                return Aggregate(function, column, alias)
-        column = self._column_name()
-        return SelectItem(column, self._alias())
-
-    def _alias(self) -> Optional[str]:
-        if self._match_keyword("AS"):
-            return self._expect_ident()
-        if self._peek().kind == "ident":
-            return self._advance().text
-        return None
+        if self._match("punct", "*"):
+            pass
+        elif token.text.upper() == "COUNT" and self.tokens[self.index + 1].text == "(":
+            self.index += 2
+            self._expect("punct", "*")
+            self._expect("punct", ")")
+            count = self._expect_ident() if self._match("keyword", "AS") else "count(*)"
+        else:
+            columns = self._list(self._column_name)
+        self._expect("keyword", "FROM")
+        table = self._table_ref()
+        join = None
+        if self._match("keyword", "JOIN"):
+            join_table = self._table_ref()
+            if join_table.binding == table.binding:
+                raise self._error(f"JOIN repeats the binding {table.binding!r}")
+            self._expect("keyword", "ON")
+            left = self._column_name()
+            self._expect("op", "=")
+            join = JoinClause(join_table, left, self._column_name())
+        where = self._condition() if self._match("keyword", "WHERE") else None
+        return Select(tuple(columns), table, join, where, count)
 
     def _table_ref(self) -> TableRef:
         name = self._expect_ident()
-        alias = None
-        if self._match_keyword("AS"):
-            alias = self._expect_ident()
-        elif self._peek().kind == "ident":
-            alias = self._advance().text
+        alias = self._advance().text if self._peek().kind == "ident" else None
         return TableRef(name, alias)
 
-    def _where_clause(self) -> Optional[Expression]:
-        if self._match_keyword("WHERE"):
-            return self._expression()
-        return None
-
-    # -- expressions ----------------------------------------------------------
-    def _expression(self) -> Expression:
-        return self._or_expression()
-
-    def _or_expression(self) -> Expression:
-        parts = [self._and_expression()]
-        while self._match_keyword("OR"):
-            parts.append(self._and_expression())
+    # -- conditions -------------------------------------------------------------
+    def _condition(self) -> Expression:
+        parts = [self._conjunction()]
+        while self._match("keyword", "OR"):
+            parts.append(self._conjunction())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
-    def _and_expression(self) -> Expression:
-        parts = [self._not_expression()]
-        while self._match_keyword("AND"):
-            parts.append(self._not_expression())
+    def _conjunction(self) -> Expression:
+        parts = [self._predicate()]
+        while self._match("keyword", "AND"):
+            parts.append(self._predicate())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
-    def _not_expression(self) -> Expression:
-        if self._match_keyword("NOT"):
-            return Not(self._not_expression())
-        return self._primary()
-
-    def _primary(self) -> Expression:
-        if self._match_punct("("):
-            inner = self._expression()
-            self._expect_punct(")")
-            return inner
-        left = self._value()
-        token = self._peek()
-        if token.kind == "keyword" and token.text == "LIKE":
-            if not isinstance(left, ColumnRef):
-                raise self._error("LIKE requires a column on the left")
-            self._advance()
-            return Like(left, self._value())
-        if token.kind == "keyword" and token.text == "BETWEEN":
-            # Desugar to a pair of inclusive range comparisons; the
-            # planner recombines them into one ordered-index range scan.
-            self._advance()
+    def _predicate(self) -> Expression:
+        column = ColumnRef(self._column_name())
+        if self._match("op", "="):
+            return Equals(column, self._value())
+        if self._match("keyword", "LIKE"):
+            return Like(column, self._value())
+        if self._match("keyword", "BETWEEN"):
             low = self._value()
-            self._expect_keyword("AND")
-            high = self._value()
-            return And(
-                (Comparison(left, ">=", low), Comparison(left, "<=", high))
-            )
-        if token.kind == "keyword" and token.text == "IN":
-            if not isinstance(left, ColumnRef):
-                raise self._error("IN requires a column on the left")
-            self._advance()
-            self._expect_punct("(")
-            options = [self._value()]
-            while self._match_punct(","):
-                options.append(self._value())
-            self._expect_punct(")")
-            return InList(left, tuple(options))
-        if token.kind == "op":
-            operator = self._advance().text
-            if operator == "<>":
-                operator = "!="
-            right = self._value()
-            return Comparison(left, operator, right)
-        raise self._error("expected a comparison operator")
+            self._expect("keyword", "AND")
+            return Between(column, low, self._value())
+        raise self._error("expected =, LIKE or BETWEEN")
 
     def _value(self) -> Expression:
         token = self._advance()
         if token.kind == "number":
-            value = float(token.text) if "." in token.text else int(token.text)
-            return Literal(value)
+            return Literal(float(token.text) if "." in token.text else int(token.text))
         if token.kind == "string":
             return Literal(token.text[1:-1].replace("''", "'"))
         if token.kind == "param":
             parameter = Parameter(self._parameter_count)
             self._parameter_count += 1
             return parameter
-        if token.kind == "keyword" and token.text in ("NULL", "TRUE", "FALSE"):
-            return Literal({"NULL": None, "TRUE": True, "FALSE": False}[token.text])
-        if token.kind == "ident":
-            self.index -= 1
-            return ColumnRef(self._column_name())
+        if token.kind == "keyword" and token.text in _LITERALS:
+            return Literal(_LITERALS[token.text])
         self.index -= 1
-        raise self._error("expected a value")
+        raise self._error("expected ? or a literal")
 
-    # -- INSERT / UPDATE / DELETE -----------------------------------------------
+    # -- INSERT / UPDATE ----------------------------------------------------------
     def _insert(self) -> Insert:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
+        self._expect("keyword", "INSERT")
+        self._expect("keyword", "INTO")
         table = self._expect_ident()
-        self._expect_punct("(")
-        columns = [self._expect_ident()]
-        while self._match_punct(","):
-            columns.append(self._expect_ident())
-        self._expect_punct(")")
-        self._expect_keyword("VALUES")
-        self._expect_punct("(")
-        values = [self._value()]
-        while self._match_punct(","):
-            values.append(self._value())
-        self._expect_punct(")")
+        self._expect("punct", "(")
+        columns = self._list(self._expect_ident)
+        self._expect("punct", ")")
+        self._expect("keyword", "VALUES")
+        self._expect("punct", "(")
+        values = self._list(self._value)
+        self._expect("punct", ")")
         if len(columns) != len(values):
             raise SqlError(
                 f"INSERT column/value count mismatch ({len(columns)} vs {len(values)})"
@@ -513,30 +350,22 @@ class _Parser:
         return Insert(table, tuple(columns), tuple(values))
 
     def _update(self) -> Update:
-        self._expect_keyword("UPDATE")
+        self._expect("keyword", "UPDATE")
         table = self._expect_ident()
-        self._expect_keyword("SET")
-        assignments: List[Tuple[str, Expression]] = []
-        while True:
-            column = self._expect_ident()
-            token = self._advance()
-            if token.kind != "op" or token.text != "=":
-                self.index -= 1
-                raise self._error("expected = in SET")
-            assignments.append((column, self._value()))
-            if not self._match_punct(","):
-                break
-        return Update(table, tuple(assignments), self._where_clause())
+        self._expect("keyword", "SET")
 
-    def _delete(self) -> Delete:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
-        table = self._expect_ident()
-        return Delete(table, self._where_clause())
+        def assignment() -> Tuple[str, Expression]:
+            column = self._expect_ident()
+            self._expect("op", "=")
+            return column, self._value()
+
+        assignments = self._list(assignment)
+        self._expect("keyword", "WHERE")
+        return Update(table, tuple(assignments), self._condition())
 
 
 def parse(sql: str) -> Statement:
-    """Parse one SQL statement; raises :class:`SqlError` on anything off-grammar."""
+    """Parse one SQL statement; raises :class:`SqlError` on anything off-dialect."""
     return _Parser(sql).parse()
 
 

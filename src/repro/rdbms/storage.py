@@ -1,31 +1,23 @@
-"""Row storage: tables with a primary index, hash indexes, ordered indexes.
+"""Row storage: tables with a primary key, hash indexes and a key order.
 
-Every column named in ``schema.indexes`` is backed by **two** index
-structures: a hash index (``{value: set-of-primary-keys}``) answering
-equality probes in O(1), and a :class:`~repro.rdbms.bptree.BPlusTree`
-answering range and prefix probes in key order.  The primary key gets an
-ordered index too (equality on the primary key is served by the row dict
-itself).
-
-TEXT columns store *casefolded* keys in their ordered index: the only
-ordered probe the planner issues against TEXT is the prefix scan backing
-case-insensitive ``LIKE 'abc%'`` predicates, and a casefolded tree makes
-that scan return exactly the case-insensitively matching rows.  Numeric
-columns store raw values, so range probes follow numeric order.
+Rows live in a dict keyed by primary key, which answers equality on the
+primary key.  Every column named in ``schema.indexes`` gets a hash index
+(``{value: set-of-primary-keys}``) answering equality probes in O(1).
+A table whose primary key is not TEXT also keeps its primary keys in a
+sorted list, maintained with :mod:`bisect`, which answers the one range
+probe the dialect has: ``pk BETWEEN low AND high``, in key order.
 
 Empty index buckets are pruned on every mutation path (delete, update,
 restore): a bucket that loses its last row key is removed from the hash
-dict and the tree leaf, so index size tracks the *data*, not the
-mutation history — this matters for churny workloads (bids, comments)
-and for the statistics layer, which reads ``len(bucket dict)`` as the
-distinct-value count.
+dict, so index size tracks the *data*, not the mutation history — this
+matters for churny workloads (bids, comments).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from .bptree import BPlusTree
 from .schema import TableSchema
 from .types import TEXT
 
@@ -44,7 +36,7 @@ def _stable_sorted(keys: Iterable[Any]) -> List[Any]:
 
 
 class Table:
-    """In-memory heap of rows keyed by primary key, with hash + ordered indexes.
+    """In-memory heap of rows keyed by primary key, with hash indexes.
 
     Rows are stored as plain dicts.  Mutating operations return enough
     information for the transaction layer to undo them.
@@ -56,20 +48,14 @@ class Table:
         self._indexes: Dict[str, Dict[Any, Set[Any]]] = {
             column: {} for column in schema.indexes
         }
-        # Ordered indexes cover the secondary-index columns plus the
-        # primary key; TEXT columns are casefolded (see module docstring).
-        self._ordered: Dict[str, BPlusTree] = {}
-        self._casefolded: Dict[str, bool] = {}
-        for column in [schema.primary_key, *schema.indexes]:
-            self._ordered[column] = BPlusTree()
-            self._casefolded[column] = schema.column(column).type == TEXT
+        # The primary keys in ascending order; None for a TEXT key, which
+        # no range probe may use.
+        ordered = schema.column(schema.primary_key).type != TEXT
+        self.key_order: Optional[List[Any]] = [] if ordered else None
 
     # -- inspection -----------------------------------------------------------
     def __len__(self) -> int:
         return len(self._rows)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._rows
 
     @property
     def name(self) -> str:
@@ -93,9 +79,6 @@ class Table:
         if copy:
             return (dict(row) for row in self._rows.values())
         return self._rows.values()
-
-    def keys(self) -> List[Any]:
-        return list(self._rows.keys())
 
     def index_lookup(
         self, column: str, value: Any, copy: bool = True
@@ -125,84 +108,23 @@ class Table:
     def has_index(self, column: str) -> bool:
         return column == self.schema.primary_key or column in self._indexes
 
-    def has_ordered_index(self, column: str) -> bool:
-        return column in self._ordered
-
-    def ordered_index_is_casefolded(self, column: str) -> bool:
-        """True when the ordered index stores lowercase keys (TEXT columns)."""
-        return self._casefolded.get(column, False)
-
-    def _ordered_key(self, column: str, value: Any) -> Any:
-        return value.lower() if self._casefolded[column] else value
-
     def range_lookup(
-        self,
-        column: str,
-        lo: Any = None,
-        hi: Any = None,
-        lo_inclusive: bool = True,
-        hi_inclusive: bool = True,
-        copy: bool = True,
+        self, low: Any = None, high: Any = None, copy: bool = True
     ) -> List[Dict[str, Any]]:
-        """Rows with ``lo <[=] column <[=] hi``, in (value, primary-key) order.
+        """Rows with ``low <= pk <= high``, in primary-key order.
 
-        Bounds of ``None`` are unbounded.  On a casefolded (TEXT) ordered
-        index the comparison happens in lowercase key space — the planner
-        only issues TEXT probes through :meth:`prefix_lookup`.
+        A bound of ``None`` is unbounded.  Raises :class:`StorageError`
+        on a table whose primary key is TEXT.
         """
-        tree = self._ordered_tree(column)
-        if lo is not None:
-            lo = self._ordered_key(column, lo)
-        if hi is not None:
-            hi = self._ordered_key(column, hi)
+        keys = self.key_order
+        if keys is None:
+            raise StorageError(f"no key order on {self.name}")
+        start = 0 if low is None else bisect_left(keys, low)
+        stop = len(keys) if high is None else bisect_right(keys, high)
         rows = self._rows
-        out: List[Dict[str, Any]] = []
-        for _key, bucket in tree.range_items(lo, hi, lo_inclusive, hi_inclusive):
-            for key in _stable_sorted(bucket):
-                row = rows[key]
-                out.append(dict(row) if copy else row)
-        return out
-
-    def prefix_lookup(
-        self, column: str, prefix: str, copy: bool = True
-    ) -> List[Dict[str, Any]]:
-        """Rows whose ``column`` starts (case-insensitively) with ``prefix``."""
-        tree = self._ordered_tree(column)
-        prefix = self._ordered_key(column, prefix)
-        rows = self._rows
-        out: List[Dict[str, Any]] = []
-        for _key, bucket in tree.prefix_items(prefix):
-            for key in _stable_sorted(bucket):
-                row = rows[key]
-                out.append(dict(row) if copy else row)
-        return out
-
-    def _ordered_tree(self, column: str) -> BPlusTree:
-        try:
-            return self._ordered[column]
-        except KeyError:
-            raise StorageError(f"no ordered index on {self.name}.{column}") from None
-
-    # -- statistics accessors -------------------------------------------------
-    def distinct_count(self, column: str) -> Optional[int]:
-        """Distinct non-pruned values of an indexed ``column`` (None if unindexed)."""
-        if column == self.schema.primary_key:
-            return len(self._rows)
-        index = self._indexes.get(column)
-        if index is None:
-            return None
-        return len(index)
-
-    def column_min_max(self, column: str) -> Optional[Tuple[Any, Any]]:
-        """(min, max) of an ordered-indexed column, in its key space.
-
-        TEXT columns report casefolded bounds.  None when the column has
-        no ordered index or the table is empty.
-        """
-        tree = self._ordered.get(column)
-        if tree is None or not tree:
-            return None
-        return tree.min_key(), tree.max_key()
+        if copy:
+            return [dict(rows[key]) for key in keys[start:stop]]
+        return [rows[key] for key in keys[start:stop]]
 
     # -- mutation -----------------------------------------------------------
     def insert(self, values: Dict[str, Any]) -> Dict[str, Any]:
@@ -215,6 +137,8 @@ class Table:
             raise StorageError(f"duplicate primary key {key!r} in {self.name}")
         self._rows[key] = row
         self._index_add(row, key)
+        if self.key_order is not None:
+            insort(self.key_order, key)
         return dict(row)
 
     def _index_add(self, row: Dict[str, Any], key: Any) -> None:
@@ -224,23 +148,6 @@ class Table:
             if bucket is None:
                 bucket = index[value] = set()
             bucket.add(key)
-        for column, tree in self._ordered.items():
-            value = row[column]
-            if value is not None:
-                tree.add(self._ordered_key(column, value), key)
-
-    def _index_remove(self, row: Dict[str, Any], key: Any) -> None:
-        for column, index in self._indexes.items():
-            value = row[column]
-            bucket = index.get(value)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del index[value]
-        for column, tree in self._ordered.items():
-            value = row[column]
-            if value is not None:
-                tree.discard(self._ordered_key(column, value), key)
 
     def update(self, key: Any, changes: Dict[str, Any]) -> Dict[str, Any]:
         """Apply ``changes`` to the row at ``key``; returns the prior image."""
@@ -261,52 +168,41 @@ class Table:
     def _index_move(self, column: str, old_value: Any, new_value: Any, key: Any) -> None:
         """Re-home ``key`` after a value change on one (possibly indexed) column."""
         index = self._indexes.get(column)
-        if index is not None:
-            bucket = index.get(old_value)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del index[old_value]
-            new_bucket = index.get(new_value)
-            if new_bucket is None:
-                new_bucket = index[new_value] = set()
-            new_bucket.add(key)
-        tree = self._ordered.get(column)
-        if tree is not None:
-            if old_value is not None:
-                tree.discard(self._ordered_key(column, old_value), key)
-            if new_value is not None:
-                tree.add(self._ordered_key(column, new_value), key)
+        if index is None:
+            return
+        bucket = index.get(old_value)
+        if bucket is not None:
+            bucket.discard(key)
+            if not bucket:
+                del index[old_value]
+        new_bucket = index.get(new_value)
+        if new_bucket is None:
+            new_bucket = index[new_value] = set()
+        new_bucket.add(key)
 
     def delete(self, key: Any) -> Dict[str, Any]:
-        """Remove the row at ``key``; returns its final image."""
+        """Remove the row at ``key`` (the undo of an INSERT); returns its image."""
         if key not in self._rows:
             raise StorageError(f"no row {key!r} in {self.name}")
         row = self._rows.pop(key)
-        self._index_remove(row, key)
+        for column, index in self._indexes.items():
+            bucket = index[row[column]]
+            bucket.discard(key)
+            if not bucket:
+                del index[row[column]]
+        if self.key_order is not None:
+            del self.key_order[bisect_left(self.key_order, key)]
         return dict(row)
 
     def restore(self, row: Dict[str, Any]) -> None:
-        """Reinstate a previously deleted/overwritten row image (undo path)."""
+        """Overwrite a row with an earlier image of it (the undo of an UPDATE)."""
         key = row[self.schema.primary_key]
-        if key in self._rows:
-            # Undo of an update: overwrite in place.
-            current = self._rows[key]
-            for column in set([*self._indexes, *self._ordered]):
-                if current[column] != row[column]:
-                    self._index_move(column, current[column], row[column], key)
-            current.clear()
-            current.update(row)
-        else:
-            self._rows[key] = dict(row)
-            self._index_add(self._rows[key], key)
-
-    def truncate(self) -> None:
-        self._rows.clear()
-        for index in self._indexes.values():
-            index.clear()
-        for tree in self._ordered.values():
-            tree.clear()
+        current = self._rows[key]
+        for column in self._indexes:
+            if current[column] != row[column]:
+                self._index_move(column, current[column], row[column], key)
+        current.clear()
+        current.update(row)
 
     # -- images -----------------------------------------------------------
     def image(self) -> Tuple[Tuple[Any, ...], ...]:
@@ -323,12 +219,12 @@ class Table:
 
         The values were validated when they were first stored, so they
         are not coerced again; each row is indexed as :meth:`insert`
-        indexes it.  Rows go in in heap order, which is insertion order
-        for a table whose indexed columns were never updated: the hash
-        buckets and B+-trees are then rebuilt key for key and node for
-        node.  Otherwise they hold the same entries in another layout,
-        which no lookup can observe (buckets are read sorted, trees in
-        key order).
+        indexes it, and the key order is sorted once at the end.  Rows go
+        in in heap order, which is insertion order for a table whose
+        indexed columns were never updated: the hash buckets are then
+        rebuilt key for key.  Otherwise they hold the same entries in
+        another layout, which no lookup can observe (buckets are read
+        sorted).
         """
         if self._rows:
             raise StorageError(f"load_image needs an empty table, {self.name} has rows")
@@ -339,6 +235,8 @@ class Table:
             key = values[key_at]
             row = stored[key] = dict(zip(names, values))
             self._index_add(row, key)
+        if self.key_order is not None:
+            self.key_order = sorted(stored)
 
     def bulk_load(self, rows: Iterable[Dict[str, Any]]) -> int:
         """Insert many rows (data-generator path); returns the count."""

@@ -66,7 +66,7 @@ class Transaction:
             table = self.tables[table_name]
             if op == "insert":
                 table.delete(image)  # image is the inserted primary key
-            elif op in ("update", "delete"):
+            elif op == "update":
                 table.restore(image)  # image is the prior row
             else:  # pragma: no cover - executor writes only these ops
                 raise TransactionError(f"unknown undo op {op!r}")
@@ -82,7 +82,7 @@ class LockManager:
     """Exclusive row-level locks with FIFO waiting in simulated time.
 
     Locks are keyed by ``(table, primary_key)``; a whole-table write (an
-    un-indexed UPDATE/DELETE) locks the sentinel key ``('*',)``.
+    UPDATE whose targets cannot be found) locks the sentinel key ``('*',)``.
     Deadlock handling is by timeout: a waiter that is not granted within
     ``timeout_ms`` gets a :class:`TransactionError` thrown into it.
     """

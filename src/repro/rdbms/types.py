@@ -12,16 +12,12 @@ class TypeError_(Exception):
 
 
 class ColumnType:
-    """A storable column type with validation and size estimation."""
+    """A storable column type with validation."""
 
     name = "abstract"
 
     def validate(self, value: Any) -> Any:
         """Coerce ``value`` for storage; raise :class:`TypeError_` if invalid."""
-        raise NotImplementedError
-
-    def size_of(self, value: Any) -> int:
-        """Approximate on-the-wire size in bytes (for response sizing)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -46,9 +42,6 @@ class _Integer(ColumnType):
             return int(value)
         raise TypeError_(f"{value!r} is not an INTEGER")
 
-    def size_of(self, value: Any) -> int:
-        return 8
-
 
 class _Float(ColumnType):
     name = "FLOAT"
@@ -60,9 +53,6 @@ class _Float(ColumnType):
             return float(value)
         raise TypeError_(f"{value!r} is not a FLOAT")
 
-    def size_of(self, value: Any) -> int:
-        return 8
-
 
 class _Text(ColumnType):
     name = "TEXT"
@@ -72,9 +62,6 @@ class _Text(ColumnType):
             return value
         raise TypeError_(f"{value!r} is not TEXT")
 
-    def size_of(self, value: Any) -> int:
-        return len(value)
-
 
 class _Boolean(ColumnType):
     name = "BOOLEAN"
@@ -83,9 +70,6 @@ class _Boolean(ColumnType):
         if isinstance(value, bool):
             return value
         raise TypeError_(f"{value!r} is not a BOOLEAN")
-
-    def size_of(self, value: Any) -> int:
-        return 1
 
 
 INTEGER = _Integer()

@@ -112,9 +112,9 @@ def drive_sessions(
                 # The server itself answered with an application error (a
                 # 500): under faults, earlier lost visits leave the
                 # session's state inconsistent (e.g. committing a cart
-                # whose additions never landed).  Never reached in
-                # fault-free runs — every session is then consistent by
-                # construction.
+                # whose additions never landed), and under overload a
+                # transaction times out waiting for a row lock (a hot
+                # item's bids queue behind each other).
                 lost = type(error).__name__
                 broken = True
             elapsed = env.now - started

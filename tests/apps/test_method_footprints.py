@@ -3,12 +3,11 @@
 For every method annotated ``cached_methods`` in RUBiS and Pet Store,
 invoke it cold on a level-6 edge and compare the footprint the method
 cache *learned* against ground truth taken from the database itself:
-the set of tables named by the query plans (joins and index paths
-included) of every JDBC statement the invocation actually executed.
-The two are derived by different code paths — the cache from the SQL
-ASTs flowing through the collector, the ground truth from the planner's
-chosen access paths — so agreement means the auto-derivation misses
-nothing and invents nothing.  The same case list carries the
+the set of tables the executor actually scanned, probed or wrote while
+the invocation ran.  The two are derived by different code paths — the
+cache from the SQL ASTs flowing through the collector, the ground truth
+from the storage the executor touched — so agreement means the
+auto-derivation misses nothing and invents nothing.  The same case list carries the
 result-identity gate: caching may never change what a method returns.
 """
 
@@ -18,8 +17,8 @@ from repro.apps import petstore, rubis
 from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel
 from repro.middleware.context import InvocationContext, RequestInfo
-from repro.middleware.server import AppServer
-from repro.rdbms.sql import Insert, Select, parse_cached
+from repro.rdbms import executor
+from repro.rdbms.storage import Table
 from repro.simnet.kernel import Environment
 from repro.simnet.rng import Streams
 from repro.simnet.topology import TestbedConfig, build_testbed
@@ -90,43 +89,42 @@ def _invoke(env, system, component, method, args):
     return run_process(env, proc())
 
 
-def _ground_truth_tables(database, statements):
-    """Tables named by the planner's chosen plans for executed statements."""
-    tables = set()
-    for sql, params in statements:
-        statement = parse_cached(sql)
-        if isinstance(statement, Select):
-            plan = database.explain(statement, params)
-            tables.update(
-                node.table for node in plan.root.walk() if node.table
-            )
-        elif isinstance(statement, Insert):
-            tables.add(statement.table)
-        else:  # UPDATE / DELETE
-            tables.add(statement.table)
-    return tables
+def _spy_touched_tables(monkeypatch):
+    """The set every table the executor reads or writes is added to."""
+    touched = set()
+    matches = executor._Scan.matches
+    join = executor.PreparedStatement._join
+    insert = Table.insert
+
+    def spy_matches(self, params):  # the scanned table of SELECT and UPDATE
+        touched.add(self.table.name)
+        return matches(self, params)
+
+    def spy_join(self, rows, scanned, params):  # the JOIN's probed table
+        touched.add(self.join.table.name)
+        return join(self, rows, scanned, params)
+
+    def spy_insert(self, values):
+        touched.add(self.name)
+        return insert(self, values)
+
+    monkeypatch.setattr(executor._Scan, "matches", spy_matches)
+    monkeypatch.setattr(executor.PreparedStatement, "_join", spy_join)
+    monkeypatch.setattr(Table, "insert", spy_insert)
+    return touched
 
 
 def _assert_footprints(monkeypatch, build_application, database, catalog, cases):
-    executed = []
-    original = AppServer.db_execute
-
-    def spy(self, ctx, sql, params=()):
-        executed.append((sql, params))
-        result = yield from original(self, ctx, sql, params)
-        return result
-
-    monkeypatch.setattr(AppServer, "db_execute", spy)
-
+    touched = _spy_touched_tables(monkeypatch)
     for component, method, args in cases:
         env, system = _cold_system(build_application, database, catalog)
         cache = system.servers["edge1"].method_cache
         assert cache is not None and cache.intercepts(component, method)
-        executed.clear()
+        touched.clear()
         direct = _invoke(env, system, component, method, args)
         learned = cache.footprint_of(component, method)
         assert learned is not None, (component, method)
-        truth = _ground_truth_tables(database, executed)
+        truth = set(touched)
         assert set(learned) == truth, (component, method, learned, truth)
         # Annotated methods are read-only: nothing may hit the write set.
         assert (component, method) not in cache.write_violations

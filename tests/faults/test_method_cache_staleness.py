@@ -13,9 +13,10 @@ reading.  The contract split by mode:
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 from repro.core.patterns import PatternLevel
-from repro.core.policy import level_policy
+from repro.core.policy import level_policy, load_policy
 from repro.experiments.runner import run_configuration
 from repro.faults.report import build_availability_table, render_availability_table
 from repro.faults.scenarios import scenario
@@ -25,6 +26,7 @@ from repro.workload.generator import WorkloadConfig
 
 import repro.apps.rubis as rubis
 
+METHOD_CACHE_POLICY = Path(__file__).resolve().parents[2] / "policies" / "method-cache.json"
 DURATION_MS = 15_000.0
 WARMUP_MS = 3_000.0
 
@@ -63,25 +65,28 @@ def _strict_policy():
 
 
 def test_strict_mode_serves_zero_stale_results_under_partition():
-    result = run_configuration(
-        "rubis",
-        PatternLevel.METHOD_CACHING,
-        workload=_workload(),
-        seed=13,
-        faults=_scenario(),
-        policy=_strict_policy(),
-    )
-    audit = result.resilience["method_cache"]
-    # The scenario must actually bite, or the zero proves nothing.
-    assert audit["missed_payloads"] > 0
-    assert audit["hits"] > 0
-    assert audit["stale_serves"] == 0
-    # The guards did real work: lost pushes surfaced as sequence gaps
-    # and the reconnected cache dropped its entries rather than serve them.
-    assert audit["seq_gaps"] > 0
-    assert audit["drops"] > 0
-    # Strict mode never opens a measured staleness window.
-    assert audit["staleness_events"] == 0
+    # The strict policy derived from level 6, and the checked-in one the
+    # CLI runs (``--policy policies/method-cache.json``).
+    for policy in (_strict_policy(), load_policy(str(METHOD_CACHE_POLICY))):
+        result = run_configuration(
+            "rubis",
+            PatternLevel.METHOD_CACHING,
+            workload=_workload(),
+            seed=13,
+            faults=_scenario(),
+            policy=policy,
+        )
+        audit = result.resilience["method_cache"]
+        # The scenario must actually bite, or the zero proves nothing.
+        assert audit["missed_payloads"] > 0, (policy.name, audit)
+        assert audit["hits"] > 0, (policy.name, audit)
+        assert audit["stale_serves"] == 0, (policy.name, audit)
+        # The guards did real work: lost pushes surfaced as sequence gaps
+        # and the reconnected cache dropped its entries rather than serve them.
+        assert audit["seq_gaps"] > 0, (policy.name, audit)
+        assert audit["drops"] > 0, (policy.name, audit)
+        # Strict mode never opens a measured staleness window.
+        assert audit["staleness_events"] == 0, (policy.name, audit)
 
 
 def test_bounded_mode_measures_its_staleness_window_under_partition():

@@ -205,10 +205,10 @@ def test_entity_create_and_remove(system_level3):
 
         yield from in_transaction(ctx, body)
 
-    run_process(env, remove())
-    assert (
-        database.execute("SELECT COUNT(*) AS n FROM notes WHERE id = 200").scalar() == 0
-    )
+    # No application removes an entity, so homes offer no remove.
+    with pytest.raises(BeanError, match="no finder 'remove'"):
+        run_process(env, remove())
+    assert database.execute("SELECT text FROM notes WHERE id = 200").scalar() == "fresh"
 
 
 def test_entity_missing_row_raises(system_level3):

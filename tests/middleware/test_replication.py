@@ -121,14 +121,6 @@ def test_apply_update_installs_fresh_state():
     assert run_process(env, read()) == "pushed"
 
 
-def test_apply_update_delete_evicts():
-    env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
-    system.warm_replicas()
-    replica = _edge(system).readonly_container("Note")
-    replica.apply_update(UpdateEvent("Note", "notes", 1, {}, deleted=True))
-    assert 1 not in replica.cached_keys()
-
-
 def test_invalidate_marks_stale():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     system.warm_replicas()

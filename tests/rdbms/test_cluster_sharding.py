@@ -15,6 +15,7 @@ from repro.rdbms.cluster import (
     route_statement,
 )
 from repro.rdbms.executor import ResultSet
+from repro.rdbms.sql import SqlError
 
 TIER = DataTierPolicy(
     shard_count=3,
@@ -83,7 +84,7 @@ def test_select_on_foreign_shard_key_pins_too():
 
 
 def test_unpinned_select_scatters():
-    route = _route("SELECT * FROM items WHERE quantity > ?", (0,))
+    route = _route("SELECT * FROM items WHERE quantity = ?", (0,))
     assert route.kind == "scatter"
     assert not route.is_write
 
@@ -98,13 +99,10 @@ def test_unbound_shard_key_parameter_scatters():
 def test_shard_key_evaluation_bug_propagates(monkeypatch):
     # Only bad statements fall back to scatter: a fault in the evaluator
     # itself must not silently give up the pin.
-    def broken(expression):
-        def evaluate(row, params):
-            raise TypeError("evaluator bug")
+    def broken(value):
+        raise TypeError("evaluator bug")
 
-        return evaluate
-
-    monkeypatch.setattr("repro.rdbms.cluster.sharding.compile_expression", broken)
+    monkeypatch.setattr("repro.rdbms.cluster.sharding.value_slot", broken)
     with pytest.raises(TypeError, match="evaluator bug"):
         _route("SELECT * FROM items WHERE id = ?", (7,))
 
@@ -123,7 +121,9 @@ def test_global_table_write_broadcasts():
 
 
 def test_unpinned_write_on_sharded_table_broadcasts():
-    route = _route("UPDATE items SET quantity = ? WHERE end_date < ?", (0, 10))
+    route = _route(
+        "UPDATE items SET quantity = ? WHERE end_date BETWEEN ? AND ?", (0, 0, 10)
+    )
     assert route.kind == "broadcast"
     assert route.is_write
 
@@ -142,10 +142,11 @@ def test_insert_without_shard_key_is_rejected():
         _route("INSERT INTO items (name) VALUES (?)", ("thing",))
 
 
-def test_delete_with_shard_key_pins():
-    route = _route("DELETE FROM bids WHERE item_id = ?", (7,))
+def test_update_with_shard_key_pins():
+    route = _route("UPDATE bids SET qty = ? WHERE qty = ? AND item_id = ?", (2, 1, 7))
     assert route.kind == "single"
     assert route.shard == PART.shard_of(7)
+    assert route.is_write
 
 
 # ---------------------------------------------------------------------------
@@ -158,35 +159,36 @@ def _rs(rows, scanned=1):
     return ResultSet(columns=columns, rows=rows, rows_scanned=scanned)
 
 
-def test_merge_concatenates_sorts_and_limits():
+def test_merge_concatenates_rows():
     merged = merge_results(
-        "SELECT id FROM items WHERE quantity > ? ORDER BY id DESC LIMIT 3",
-        [_rs([{"id": 1}, {"id": 5}]), _rs([{"id": 9}]), _rs([{"id": 3}])],
+        "SELECT id FROM items WHERE quantity = ?",
+        [_rs([{"id": 1}, {"id": 5}]), _rs([{"id": 9}]), _rs([])],
     )
-    assert [row["id"] for row in merged.rows] == [9, 5, 3]
+    assert [row["id"] for row in merged.rows] == [1, 5, 9]  # shard order
+    assert merged.columns == ["id"]
     assert merged.rows_scanned == 3
 
 
-def test_merge_count_and_sum_fold_across_shards():
+def test_merge_count_folds_across_shards():
     merged = merge_results(
         "SELECT COUNT(*) AS n FROM items",
         [_rs([{"n": 2}]), _rs([{"n": 0}]), _rs([{"n": 5}])],
     )
-    assert merged.rows == [{"n": 7}]
-    merged = merge_results(
-        "SELECT MAX(bid) AS top FROM bids",
-        [_rs([{"top": 10}]), _rs([{"top": None}]), _rs([{"top": 40}])],
-    )
-    assert merged.rows == [{"top": 40}]
+    assert merged.rows == [{"n": 7}] and merged.columns == ["n"]
+    merged = merge_results("SELECT COUNT(*) FROM bids", [_rs([{"count(*)": 4}])])
+    assert merged.rows == [{"count(*)": 4}]
 
 
 def test_merge_count_of_no_rows_is_zero():
-    merged = merge_results("SELECT COUNT(*) AS n FROM items", [_rs([]), _rs([])])
+    merged = merge_results(
+        "SELECT COUNT(*) AS n FROM items", [_rs([{"n": 0}]), _rs([{"n": 0}])]
+    )
     assert merged.rows == [{"n": 0}]
 
 
 def test_cross_shard_group_by_is_rejected():
-    with pytest.raises(ClusterRoutingError):
+    # GROUP BY is out of the dialect: no statement can ask for it.
+    with pytest.raises(SqlError):
         merge_results(
             "SELECT category, COUNT(*) AS n FROM items GROUP BY category",
             [_rs([])],
@@ -196,6 +198,8 @@ def test_cross_shard_group_by_is_rejected():
 def test_merge_broadcast_write_totals_affected():
     first = ResultSet(columns=[], rows=[], rows_scanned=4, affected=2)
     second = ResultSet(columns=[], rows=[], rows_scanned=1, affected=1)
-    merged = merge_results("UPDATE items SET quantity = 0", [first, second])
+    merged = merge_results(
+        "UPDATE items SET quantity = 0 WHERE end_date = 1", [first, second]
+    )
     assert merged.affected == 3
     assert merged.rows_scanned == 5

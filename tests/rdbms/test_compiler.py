@@ -1,39 +1,32 @@
 """Compiled closures must reproduce the tree-walking evaluator exactly.
 
-Every expression shape the SQL layer produces (Comparison over all
-operators, And/Or/Not, InList, Like, Parameter, qualified and bare
-ColumnRefs) is evaluated both ways over rows that include NULLs, missing
+Every condition shape the dialect produces (Equals, Between and Like
+against literals and parameters, And/Or, qualified and bare column
+names) is evaluated both ways over rows that include NULLs, missing
 columns, and ambiguous qualified keys.  "Equivalent" includes raising
 the same :class:`EvaluationError` with the same message — the executor's
-join pass depends on those errors to defer predicates.
+post-join pass raises exactly those on a name it cannot place.
 """
 
 import pytest
 
 from repro.apps.petstore.schema import petstore_schemas
 from repro.apps.rubis.schema import rubis_schemas
-from repro.rdbms.compiler import (
-    EMPTY_ROW,
-    column_lookup,
-    compile_expression,
-    resolves,
-)
+from repro.rdbms.compiler import column_lookup, compile_expression, resolves
 from repro.rdbms.engine import Database
 from repro.rdbms.expressions import (
-    _OPERATORS,
     And,
+    Between,
     ColumnRef,
-    Comparison,
+    Equals,
     EvaluationError,
     Expression,
-    InList,
     Like,
     Literal,
-    Not,
     Or,
     Parameter,
 )
-from repro.rdbms.sql import parse_cached
+from repro.rdbms.sql import SqlError, parse, parse_cached
 
 from .tree_walker import bind_parameters, evaluate
 
@@ -85,98 +78,112 @@ def assert_equivalent(expression, params=(), rows=ROWS):
 
 
 # ---------------------------------------------------------------------------
-# Comparison: every operator, NULLs on either side, parameters, columns
+# Every comparison SQL offers: the dialect's three predicates compile to
+# closures equal to the tree walk; the other operators never reach the
+# compiler, because the parser refuses them.
 # ---------------------------------------------------------------------------
 
+PREDICATES = {
+    "=": lambda column, value: Equals(column, value),
+    "BETWEEN": lambda column, value: Between(column, Literal(0), value),
+    "LIKE": lambda column, value: Like(column, value),
+}
+OPERATORS = sorted(PREDICATES) + ["!=", "<", "<=", ">", ">="]
 
-@pytest.mark.parametrize("operator", sorted(_OPERATORS))
+
+def _refused(operator):
+    """True, after checking the parser refuses it, for a non-dialect operator."""
+    if operator in PREDICATES:
+        return False
+    with pytest.raises(SqlError, match="unexpected character"):
+        parse(f"SELECT * FROM t WHERE id {operator} ?")
+    return True
+
+
+@pytest.mark.parametrize("operator", OPERATORS)
 def test_every_operator_against_literal(operator):
-    assert_equivalent(Comparison(ColumnRef("id"), operator, Literal(2)))
+    if _refused(operator):
+        return
+    for column, value in (("id", 2), ("id", 2.5), ("price", 10), ("name", "%e%")):
+        if operator == "BETWEEN" and column == "name":
+            continue  # 0 <= 'rex' does not compare
+        assert_equivalent(PREDICATES[operator](ColumnRef(column), Literal(value)))
 
 
-@pytest.mark.parametrize("operator", sorted(_OPERATORS))
+@pytest.mark.parametrize("operator", OPERATORS)
 def test_every_operator_against_parameter(operator):
-    assert_equivalent(Comparison(ColumnRef("price"), operator, Parameter(0)), (10.0,))
+    if _refused(operator):
+        return
+    assert_equivalent(PREDICATES[operator](ColumnRef("price"), Parameter(0)), (10.0,))
+    if operator != "BETWEEN":  # 0 <= 'rex' does not compare
+        assert_equivalent(PREDICATES[operator](ColumnRef("name"), Parameter(0)), ("rex",))
 
 
-@pytest.mark.parametrize("operator", sorted(_OPERATORS))
+@pytest.mark.parametrize("operator", OPERATORS)
 def test_every_operator_null_literal(operator):
-    """NULL on either side collapses to False, never raises."""
-    assert_equivalent(Comparison(ColumnRef("id"), operator, Literal(None)))
-    assert_equivalent(Comparison(Literal(None), operator, ColumnRef("id")))
+    """A NULL bound collapses to False, never raises."""
+    if _refused(operator):
+        return
+    assert_equivalent(PREDICATES[operator](ColumnRef("id"), Literal(None)))
+    assert_equivalent(Between(ColumnRef("id"), Literal(0), Parameter(0)), (None,))
 
 
 def test_comparison_column_to_column():
-    assert_equivalent(Comparison(ColumnRef("id"), "<", ColumnRef("qty")))
+    # A WHERE compares a column with ``?`` or a literal, never a column.
+    with pytest.raises(SqlError, match="expected \\? or a literal"):
+        parse("SELECT * FROM t WHERE id = qty")
 
 
 def test_comparison_missing_column_raises_identically():
-    assert_equivalent(Comparison(ColumnRef("nope"), "=", Literal(1)))
-    # Right side must evaluate (and raise) even when the left is NULL.
-    assert_equivalent(Comparison(Literal(None), "=", ColumnRef("nope")))
+    assert_equivalent(Equals(ColumnRef("nope"), Literal(1)))
+    # The column reads (and raises) even when the bound is NULL.
+    assert_equivalent(Equals(ColumnRef("nope"), Literal(None)))
+    assert_equivalent(Between(ColumnRef("nope"), Literal(None), Literal(None)))
 
 
 # ---------------------------------------------------------------------------
-# And / Or / Not, including short-circuit order
+# And / Or, including short-circuit order
 # ---------------------------------------------------------------------------
 
 
 def test_conjunction_disjunction_negation():
-    ge = Comparison(ColumnRef("id"), ">=", Literal(1))
-    lt = Comparison(ColumnRef("price"), "<", Parameter(0))
-    assert_equivalent(And((ge, lt)), (20.0,))
-    assert_equivalent(Or((ge, lt)), (20.0,))
-    assert_equivalent(Not(ge))
-    assert_equivalent(Not(And((ge, Not(lt)))), (20.0,))
+    ge = Between(ColumnRef("id"), Literal(1), Literal(9))
+    eq = Equals(ColumnRef("price"), Parameter(0))
+    assert_equivalent(And((ge, eq)), (22.5,))
+    assert_equivalent(Or((ge, eq)), (22.5,))
+    assert_equivalent(Or((And((ge, eq)), Like(ColumnRef("name"), Parameter(1)))), (5.0, "%o%"))
+    # There is no negation to compile: NOT is refused at parse.
+    with pytest.raises(SqlError):
+        parse("SELECT * FROM t WHERE NOT id = 1")
 
 
 def test_short_circuit_skips_raising_part():
     """A False left arm must suppress a missing column on the right."""
-    boom = Comparison(ColumnRef("nope"), "=", Literal(1))
-    false = Comparison(Literal(1), "=", Literal(2))
-    true = Comparison(Literal(1), "=", Literal(1))
-    assert_equivalent(And((false, boom)))  # short-circuits: False, no raise
-    assert_equivalent(Or((true, boom)))  # short-circuits: True, no raise
-    assert_equivalent(And((true, boom)))  # must reach boom and raise
-    assert_equivalent(Or((false, boom)))  # must reach boom and raise
+    rows = [row for row in ROWS if "id" in row]
+    boom = Equals(ColumnRef("nope"), Literal(1))
+    false = Equals(ColumnRef("id"), Literal(None))
+    true = Between(ColumnRef("id"), Literal(-1), Literal(99))
+    assert_equivalent(And((false, boom)), rows=rows)  # short-circuits: False, no raise
+    assert_equivalent(Or((true, boom)), rows=rows)  # True where id is set, no raise
+    assert_equivalent(And((true, boom)), rows=rows)  # must reach boom and raise
+    assert_equivalent(Or((false, boom)), rows=rows)  # must reach boom and raise
 
 
 # ---------------------------------------------------------------------------
-# InList: literal fold, NULL membership, parameter options, raising column
-# ---------------------------------------------------------------------------
-
-
-def test_in_list_of_literals():
-    assert_equivalent(InList(ColumnRef("id"), (Literal(1), Literal(3), Literal(99))))
-
-
-def test_in_list_null_option_matches_null_value():
-    """The tree-walker's pairwise == treats NULL == NULL as a match."""
-    assert_equivalent(InList(ColumnRef("qty"), (Literal(None), Literal(99))))
-
-
-def test_in_list_with_parameter_options():
-    expr = InList(ColumnRef("id"), (Parameter(0), Literal(2), Parameter(1)))
-    assert_equivalent(expr, (1, 3))
-
-
-def test_in_list_missing_column_raises():
-    assert_equivalent(InList(ColumnRef("nope"), (Literal(1),)))
-
-
-# ---------------------------------------------------------------------------
-# Like: constant-folded needle, dynamic pattern, NULLs
+# Like: constant pattern, dynamic pattern, NULLs
 # ---------------------------------------------------------------------------
 
 
 def test_like_constant_pattern():
     assert_equivalent(Like(ColumnRef("name"), Literal("%Rex%")))
     assert_equivalent(Like(ColumnRef("name"), Literal("fido")))
+    assert_equivalent(Like(ColumnRef("name"), Literal("r%x%d")))
 
 
 def test_like_parameter_pattern():
     assert_equivalent(Like(ColumnRef("name"), Parameter(0)), ("%RE%",))
     assert_equivalent(Like(ColumnRef("name"), Parameter(0)), ("",))
+    assert_equivalent(Like(ColumnRef("name"), Parameter(0)), ("rex%",))
 
 
 def test_like_null_pattern_is_false():
@@ -198,31 +205,33 @@ def test_like_non_string_value_stringified():
     ["id", "name", "t.id", "t.name", "a.id", "b.id", "nope", "t.nope", "x.qty"],
 )
 def test_column_resolution_matches_tree_walker(name):
-    assert_equivalent(ColumnRef(name))
+    lookup = column_lookup(name)
+    for row in ROWS:
+        tree = _outcome(lambda: evaluate(ColumnRef(name), row))
+        assert _outcome(lambda: lookup(row)) == tree, (name, row)
+    assert_equivalent(Equals(ColumnRef(name), Literal(1)))
 
 
 def test_parameter_environment_binding():
-    run = compile_expression(Comparison(Parameter(0), "=", Parameter(1)))
-    assert run(EMPTY_ROW, (7, 7)) is True
-    assert run(EMPTY_ROW, (7, 8)) is False
+    run = compile_expression(Equals(ColumnRef("id"), Parameter(0)))
+    assert run({"id": 7}, (7,)) is True
+    assert run({"id": 7}, (8,)) is False
     # Same compiled closure, new params: no recompilation or tree rewrite.
-    assert run(EMPTY_ROW, ("a", "a")) is True
+    assert run({"id": "a"}, ("a",)) is True
 
 
 # ---------------------------------------------------------------------------
-# Proven columns and the unknown-node fallback
+# Proven columns and unknown nodes
 # ---------------------------------------------------------------------------
 
 
 def test_resolves_needs_every_column_proven():
-    proven = Comparison(ColumnRef("id"), "=", Parameter(0))
+    proven = Equals(ColumnRef("id"), Parameter(0))
     assert resolves(proven, _prove)
     assert resolves(And((proven, Like(ColumnRef("name"), Literal("a%")))), _prove)
-    assert resolves(Comparison(Literal(1), "=", Literal(1)), _prove)  # no columns
-    unproven = Comparison(ColumnRef("t.id"), "=", Parameter(0))
+    unproven = Equals(ColumnRef("t.id"), Parameter(0))
     assert not resolves(unproven, _prove)
-    assert not resolves(Or((proven, Not(unproven))), _prove)
-    assert not resolves(InList(ColumnRef("id"), (Literal(1), ColumnRef("nope"))), _prove)
+    assert not resolves(Or((proven, And((proven, unproven)))), _prove)
 
 
 def test_resolves_never_proves_an_unknown_node():
@@ -235,13 +244,16 @@ def test_resolves_never_proves_an_unknown_node():
 
 
 def test_proven_column_compare_is_one_closure_over_the_row_key():
-    run = compile_expression(Comparison(ColumnRef("x.id"), ">", Parameter(0)), {"x.id": "id"}.get)
+    run = compile_expression(
+        Between(ColumnRef("x.id"), Parameter(0), Literal(9)), {"x.id": "id"}.get
+    )
     assert run({"id": 3}, (2,)) is True
-    assert run({"id": 3}, (3,)) is False
+    assert run({"id": 3}, (4,)) is False
     assert run({"id": None}, (3,)) is False and run({"id": 3}, (None,)) is False
     # The searching lookup is what an unproven name still gets.
-    searching = compile_expression(ColumnRef("x.id"), lambda name: None)
-    assert searching({"x.id": 9}, ()) == column_lookup("x.id")({"x.id": 9}, ()) == 9
+    searching = compile_expression(Equals(ColumnRef("x.id"), Literal(9)), lambda name: None)
+    assert searching({"x.id": 9}, ()) is True
+    assert column_lookup("x.id")({"x.id": 9}) == 9
 
 
 def test_unknown_node_is_refused():
@@ -318,7 +330,11 @@ def _assert_select_matches_tree_walk(db, table, sql, params):
     [
         ("product", "SELECT * FROM product WHERE category_id = ?", (1,)),
         ("item", "SELECT * FROM item WHERE name LIKE ?", ("%fish%",)),
-        ("item", "SELECT * FROM item WHERE list_price > ? AND product_id = ?", (12.0, 2)),
+        (
+            "item",
+            "SELECT * FROM item WHERE list_price BETWEEN ? AND ? AND product_id = ?",
+            (12.0, 30.0, 2),
+        ),
         ("item", "SELECT * FROM item WHERE product_id = ? OR product_id = ?", (0, 5)),
         ("category", "SELECT * FROM category WHERE id = 99", ()),
     ],
@@ -331,10 +347,14 @@ def test_petstore_statements_match_tree_walker(petstore_db, table, sql, params):
     "table, sql, params",
     [
         ("items", "SELECT * FROM items WHERE category = ?", (1,)),
-        ("items", "SELECT * FROM items WHERE seller = ? AND nb_of_bids >= ?", (2, 1)),
-        ("items", "SELECT * FROM items WHERE reserve_price > ?", (0.0,)),  # all NULL
+        ("items", "SELECT * FROM items WHERE seller = ? AND nb_of_bids = ?", (2, 2)),
+        ("items", "SELECT * FROM items WHERE reserve_price = ?", (0.0,)),  # all NULL
         ("users", "SELECT * FROM users WHERE nickname LIKE ?", ("%USER1%",)),
-        ("users", "SELECT * FROM users WHERE region_id = ? AND id != ?", (0, 2)),
+        (
+            "users",
+            "SELECT * FROM users WHERE region_id = ? AND id BETWEEN ? AND ?",
+            (0, 1, 2),
+        ),
     ],
 )
 def test_rubis_statements_match_tree_walker(rubis_db, table, sql, params):

@@ -1,15 +1,13 @@
-"""Prepared statements against the executor they replaced.
+"""Prepared statements against a reference executor.
 
-``reference_executor.py`` is the parent commit's executor, kept literally:
-it re-analyses, costs every scan against live statistics and builds its
-EXPLAIN nodes eagerly on every execution.  Over generated schemas, index
-sets, table sizes (empty included), statements and parameters, a prepared
-statement must return the same rows, ``rows_scanned``, ``used_index``,
-move the six executor counters by the same amounts, raise the same error
-at the same statement, and — read only at the end, after later inserts
-and deletes — show the same ``plan.render()`` / ``as_dict()`` the
-reference built at execution time.  ``force_full_scans`` is flipped on a
-warm cache and a ``create_table`` lands mid-sequence.
+``reference_executor.py`` re-reads every statement on every execution
+and evaluates its conditions with the tree walker.  Over generated
+schemas, index sets, table sizes (empty included), dialect statements and
+parameters, a prepared statement must return the same rows, columns,
+``rows_scanned`` and ``used_index``, move the five executor counters by
+the same amounts, and raise the same error at the same statement.
+``force_full_scans`` is flipped on a warm cache and a ``create_table``
+lands mid-sequence.
 """
 
 from hypothesis import given, settings
@@ -23,8 +21,7 @@ from repro.rdbms.types import FLOAT, INTEGER, TEXT
 from .reference_executor import Executor as ReferenceExecutor
 
 COUNTERS = (
-    "index_scans", "full_scans", "range_scans", "prefix_scans",
-    "join_index_lookups", "join_full_scans",
+    "index_scans", "full_scans", "range_scans", "join_index_lookups", "join_full_scans",
 )
 
 A_COLUMNS = [
@@ -75,30 +72,21 @@ def schemas(draw):
 
 
 # -- statements ---------------------------------------------------------------
-# A FROM clause, the names a WHERE or select list may use with it (proven,
-# ambiguous, wrongly qualified and unknown ones alike), and its numeric ones.
+# A FROM clause and the names a WHERE or select list may use with it
+# (proven, ambiguous, wrongly qualified and unknown ones alike).
 SHAPES = [
-    ("a", ["id", "k", "n", "f", "s", "v", "a.id", "a.n", "x.s", "zz", "b.g"],
-     ["id", "k", "n", "f", "v", "a.n"]),
+    ("a", ["id", "k", "n", "f", "s", "v", "a.id", "a.n", "x.s", "zz", "b.g"]),
     ("a JOIN b x ON a.k = x.id",
      ["a.id", "a.n", "a.s", "a.v", "x.g", "x.s2", "x.v", "x.id", "n", "g", "k",
-      "id", "v", "zz", "q.n", "s", "s2"],
-     ["a.id", "a.n", "x.g", "x.v", "n", "g", "a.f"]),
+      "id", "v", "zz", "q.n", "s", "s2"]),
     ("a JOIN b ON b.id = k",
-     ["a.id", "a.n", "b.g", "b.s2", "n", "g", "id", "a.s", "b.v"],
-     ["a.id", "a.n", "b.g", "n", "g"]),
+     ["a.id", "a.n", "b.g", "b.s2", "n", "g", "id", "a.s", "b.v"]),
     ("a JOIN b x ON a.v = x.v",
-     ["a.id", "a.n", "x.g", "x.s2", "n", "g", "v", "a.s"],
-     ["a.id", "a.n", "x.g", "n", "g"]),
-    ("a JOIN b x ON a.k = x.id JOIN c y ON x.g = y.id",
-     ["a.id", "a.n", "x.g", "y.h", "n", "g", "h", "id", "a.s"],
-     ["a.id", "a.n", "x.g", "y.h", "h"]),
-    ("a JOIN c y ON y.h = a.n JOIN b x ON x.id = a.k",
-     ["a.id", "a.n", "x.g", "y.h", "h", "a.s"],
-     ["a.id", "y.h", "x.g"]),
-    ("a JOIN b x ON zz = x.id", ["a.id", "x.g"], ["a.id"]),
-    ("a JOIN a ON a.k = a.id", ["a.id", "a.n", "n"], ["a.id", "a.n"]),
-    ("nope", ["id"], ["id"]),
+     ["a.id", "a.n", "x.g", "x.s2", "n", "g", "v", "a.s"]),
+    ("a JOIN c y ON y.h = a.n", ["a.id", "a.n", "y.h", "h", "id", "a.s"]),
+    ("a JOIN b x ON zz = x.id", ["a.id", "x.g"]),
+    ("a JOIN a ON a.k = a.id", ["a.id", "a.n", "n"]),
+    ("nope", ["id"]),
 ]
 
 text_value = st.one_of(word, st.sampled_from(["a%", "%b", "%", "A%c", "ab%"]))
@@ -121,7 +109,7 @@ def operand(draw, params, column="?"):
     """A value as SQL text: a literal, or ``?`` with its parameter appended.
 
     Mostly of ``column``'s type, so that predicates match rows; now and
-    then of any type, so that comparisons also raise ``TypeError``.
+    then of any type, so that BETWEEN also raises ``TypeError``.
     """
     typed = text_value if column.rpartition(".")[2] in ("s", "s2") else number_value
     item = draw(typed if draw(st.integers(0, 7)) else any_value)
@@ -132,105 +120,59 @@ def operand(draw, params, column="?"):
 
 
 @st.composite
-def conjunct(draw, names, params, depth=0):
-    # Nesting matters: ``NOT (a.n = 1 OR x.g = 0)`` can reject a base row of
-    # a join without ever reading the joined table's column.
-    kind = draw(st.sampled_from(
-        ["cmp", "cmp", "cmp", "eq", "eq", "between", "like", "in", "colcol"]
-        + (["or", "not", "not"] if depth < 2 else [])
-    ))
+def predicate(draw, names, params):
+    kind = draw(st.sampled_from(["eq", "eq", "eq", "between", "between", "like"]))
     column = draw(st.sampled_from(names))
     if kind == "eq":
         return f"{column} = {draw(operand(params, column))}"
-    if kind == "cmp":
-        op = draw(st.sampled_from(["=", "!=", "<>", "<", "<=", ">", ">="]))
-        if draw(st.integers(0, 5)) == 0:
-            return f"{draw(operand(params, column))} {op} {column}"
-        return f"{column} {op} {draw(operand(params, column))}"
     if kind == "between":
         low = draw(operand(params, column))
         return f"{column} BETWEEN {low} AND {draw(operand(params, column))}"
-    if kind == "like":
-        return f"{column} LIKE {draw(operand(params, 's'))}"
-    if kind == "in":
-        options = [draw(operand(params, column)) for _ in range(draw(st.integers(1, 3)))]
-        if draw(st.integers(0, 4)) == 0:
-            options.append(draw(st.sampled_from(names)))
-        return f"{column} IN ({', '.join(options)})"
-    if kind == "colcol":
-        return f"{column} = {draw(st.sampled_from(names))}"
-    if kind == "not":
-        return f"NOT {draw(conjunct(names, params, depth + 1))}"
-    left = draw(conjunct(names, params, depth + 1))
-    return f"({left} OR {draw(conjunct(names, params, depth + 1))})"
+    return f"{column} LIKE {draw(operand(params, 's'))}"
 
 
 @st.composite
-def where_clause(draw, names, params):
-    count = draw(st.sampled_from([0, 1, 1, 1, 2, 2, 3]))
-    parts = [draw(conjunct(names, params)) for _ in range(count)]
-    return " WHERE " + " AND ".join(parts) if parts else ""
+def condition(draw, names, params):
+    """An OR of ANDs, mostly a single conjunction."""
+    disjuncts = draw(st.sampled_from([1, 1, 1, 2]))
+    return " OR ".join(
+        " AND ".join(
+            draw(predicate(names, params)) for _ in range(draw(st.integers(1, 3)))
+        )
+        for _ in range(disjuncts)
+    )
 
 
 @st.composite
 def select(draw):
     # The well-formed shapes three times as often as the broken ones.
-    source, names, numeric = draw(st.sampled_from(SHAPES[:6] * 3 + SHAPES[6:]))
+    source, names = draw(st.sampled_from(SHAPES[:5] * 3 + SHAPES[5:]))
     params = []
-    shape = draw(st.sampled_from(
-        ["star", "star", "columns", "columns", "columns", "aggregate", "aggregate",
-         "group", "group", "mixed"]
-    ))
-    tail = ""
+    shape = draw(st.sampled_from(["star", "star", "columns", "columns", "count"]))
     if shape == "star":
         items = "*"
     elif shape == "columns":
-        picked = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
-        items = ", ".join(
-            f"{name} AS c{i}" if draw(st.booleans()) else name
-            for i, name in enumerate(picked)
-        )
+        items = ", ".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)))
     else:
-        functions = st.sampled_from(["COUNT", "MIN", "MAX", "SUM", "AVG"])
-        folded = [
-            f"{draw(functions)}({draw(st.sampled_from(numeric))}) AS f{i}"
-            for i in range(draw(st.integers(0, 2)))
-        ] + (["COUNT(*) AS total"] if draw(st.booleans()) else [])
-        if not folded:
-            folded = ["COUNT(*)"]
-        if shape == "aggregate":
-            items = ", ".join(folded)
-        else:
-            key = draw(st.sampled_from(names))
-            items = ", ".join([key] + folded)
-            if shape == "group":
-                tail = f" GROUP BY {key}"
-    where = draw(where_clause(names, params))
-    if draw(st.booleans()):
-        direction = draw(st.sampled_from(["", " ASC", " DESC"]))
-        order_names = names + ["total", "f0", "c0"]
-        tail += f" ORDER BY {draw(st.sampled_from(order_names))}{direction}"
-    if draw(st.integers(0, 3)) == 0:
-        tail += f" LIMIT {draw(st.integers(0, 4))}"
-    return f"SELECT {items} FROM {source}{where}{tail}", tuple(params)
+        items = draw(st.sampled_from(["COUNT(*)", "COUNT(*) AS total"]))
+    where = ""
+    if draw(st.sampled_from([False, True, True, True])):
+        where = " WHERE " + draw(condition(names, params))
+    return f"SELECT {items} FROM {source}{where}", tuple(params)
 
 
 @st.composite
 def mutation(draw):
     params = []
     names = ["id", "k", "n", "f", "s", "v", "a.n", "zz"]
-    kind = draw(st.sampled_from(["insert", "insert", "update", "update", "delete"]))
-    if kind == "insert":
+    if draw(st.booleans()):
         row = (draw(st.integers(0, 15)), draw(small_int), draw(maybe_int),
                draw(maybe_float), draw(word), draw(maybe_int))
         return "INSERT INTO a (id, k, n, f, s, v) VALUES (?, ?, ?, ?, ?, ?)", row
-    if kind == "update":
-        column = draw(st.sampled_from(["k", "n", "f", "s", "v"]))
-        assigned = {"k": small_int, "n": maybe_int, "f": maybe_float, "s": word, "v": maybe_int}
-        params.append(draw(assigned[column]))
-        sql = f"UPDATE a SET {column} = ?{draw(where_clause(names, params))}"
-    else:
-        sql = f"DELETE FROM a{draw(where_clause(names, params))}"
+    column = draw(st.sampled_from(["k", "n", "f", "s", "v"]))
+    assigned = {"k": small_int, "n": maybe_int, "f": maybe_float, "s": word, "v": maybe_int}
+    params.append(draw(assigned[column]))
+    sql = f"UPDATE a SET {column} = ? WHERE {draw(condition(names, params))}"
     if draw(st.integers(0, 9)) == 0:
         params = params[:-1] if params else [1]  # wrong arity
     return sql, tuple(params)
@@ -241,7 +183,6 @@ operation = st.one_of(
     st.tuples(st.just("execute"), select()),
     st.tuples(st.just("execute"), select()),
     st.tuples(st.just("execute"), mutation()),
-    st.tuples(st.just("explain"), st.one_of(select(), mutation())),
     st.tuples(st.just("force"), st.booleans()),
     st.tuples(st.just("create"), st.none()),  # table c arrives mid-sequence
 )
@@ -250,6 +191,9 @@ operation = st.one_of(
 def _outcome(call):
     try:
         return call()
+    except TypeError as error:  # BETWEEN over values that do not compare:
+        # where the key order answers, bisect words the error its own way.
+        return ("raised", "TypeError")
     except Exception as error:  # compared, not swallowed: both sides must raise it
         return ("raised", type(error).__name__, str(error))
 
@@ -277,7 +221,6 @@ def _run_sequence(table_schemas, rows, operations):
     reference = ReferenceExecutor(twin.tables)
     _load(database.tables, rows[:2])
     _load(twin.tables, rows[:2])
-    plans = []  # (prepared result, the reference's eager plan)
     for op, argument in operations:
         if op == "force":
             database.executor.force_full_scans = argument
@@ -291,20 +234,10 @@ def _run_sequence(table_schemas, rows, operations):
                     tables["c"].bulk_load({"id": key, "h": h} for key, h in rows[2])
             continue
         sql, params = argument
-        if op == "explain":
-            got = _outcome(lambda: database.explain(sql, params).render())
-            want = _outcome(lambda: reference.explain(parse_cached(sql), params).render())
-            if "raised" in (got[0], want[0]):
-                # Both must refuse, but not for the same reason in the same
-                # order: prepare binds tables before it counts parameters.
-                assert got[0] == want[0] == "raised", (sql, params, got, want)
-            else:
-                assert got == want, (sql, params)
-            continue
         before = _counters(database.executor), _counters(reference)
         got = _outcome(lambda: database.execute(sql, params))
         want = _outcome(lambda: reference.execute(parse_cached(sql), params))
-        if isinstance(got, tuple) and got[2].startswith("no such table"):
+        if isinstance(got, tuple) and got[-1].startswith("no such table"):
             # The one reordering: tables are bound at prepare, ahead of
             # whatever else the statement would have tripped over first.
             assert isinstance(want, tuple), (sql, params, got, want)
@@ -321,16 +254,6 @@ def _run_sequence(table_schemas, rows, operations):
         assert _moved(before[0], _counters(database.executor)) == _moved(
             before[1], _counters(reference)
         ), context
-        plans.append((got, want.plan, context))
-    # Read last, after every later insert, update and delete: the lazy plan
-    # must still describe the table as it was when its statement ran.
-    for got, want_plan, context in plans:
-        if want_plan is None:
-            assert got.plan is None, context
-            continue
-        assert got.plan.render() == want_plan.render(), context
-        assert got.plan.as_dict() == want_plan.as_dict(), context
-        assert got.explain() == want_plan.render(), context
     for name, table in database.tables.items():
         assert list(table.scan()) == list(twin.tables[name].scan()), name
 
@@ -355,13 +278,13 @@ test_prepared_statements_equal_the_reference_executor = settings(
 
 
 def test_the_same_statement_repeated_over_a_changing_table():
-    """A warm entry re-run as the table grows and shrinks, plans read last."""
+    """A warm entry re-run as the table grows and changes."""
     schema = TableSchema("a", A_COLUMNS, "id", indexes=["k", "s"])
     other = TableSchema("b", B_COLUMNS, "id", indexes=["g"])
     third = TableSchema("c", C_COLUMNS, "id")
     point = ("SELECT * FROM a WHERE k = ?", (1,))
-    ranged = ("SELECT id, s FROM a WHERE id BETWEEN ? AND ? AND k = ?", (0, 9, 1))
-    prefix = ("SELECT id FROM a WHERE s LIKE ? ORDER BY id DESC", ("a%",))
+    ranged = ("SELECT id, s FROM a WHERE id BETWEEN ? AND ? AND n = ?", (0, 9, None))
+    pattern = ("SELECT id FROM a WHERE s LIKE ? OR v = ?", ("a%", 3))
     join = ("SELECT a.id, x.g FROM a JOIN b x ON a.k = x.id WHERE a.k = ? AND x.g = ?", (1, 0))
     operations = []
     for key in range(8):
@@ -369,14 +292,14 @@ def test_the_same_statement_repeated_over_a_changing_table():
             ("execute", ("INSERT INTO a (id, k, n, f, s, v) VALUES (?, ?, ?, ?, ?, ?)",
                          (key, key % 2, None, None, WORDS[key % len(WORDS)], key)))
         )
-        operations += [("execute", point), ("execute", ranged), ("execute", prefix),
-                       ("execute", join), ("explain", ranged)]
+        operations += [("execute", point), ("execute", ranged), ("execute", pattern),
+                       ("execute", join)]
         if key == 3:
             operations.append(("force", True))
         if key == 5:
             operations += [("force", False), ("create", None)]
-    operations.append(("execute", ("DELETE FROM a WHERE k = ?", (1,))))
-    operations += [("execute", point), ("execute", join)]
+    operations.append(("execute", ("UPDATE a SET k = ? WHERE k = ?", (0, 1))))
+    operations += [("execute", point), ("execute", join), ("execute", ranged)]
     _run_sequence(
         (schema, other, third),
         ([], [(0, 0, "a", None), (1, 0, "b", 2)], [(0, 1)]),

@@ -4,21 +4,17 @@ import pytest
 
 from repro.rdbms.expressions import (
     And,
+    Between,
     ColumnRef,
-    Comparison,
-    InList,
+    Equals,
     Like,
     Literal,
-    Not,
     Or,
     Parameter,
 )
 from repro.rdbms.sql import (
-    Aggregate,
-    Delete,
     Insert,
     Select,
-    SelectItem,
     SqlError,
     Update,
     parse,
@@ -36,25 +32,14 @@ from .tree_walker import evaluate
 def test_select_star():
     statement = parse("SELECT * FROM items")
     assert isinstance(statement, Select)
-    assert statement.is_star
+    assert statement.columns == () and statement.count is None
     assert statement.table.name == "items"
     assert statement.where is None
 
 
-def test_select_columns_with_aliases():
-    statement = parse("SELECT id, name AS label FROM items")
-    assert statement.items == (
-        SelectItem("id", None),
-        SelectItem("name", "label"),
-    )
-    assert statement.items[1].output_name == "label"
-
-
 def test_select_where_equality_parameter():
     statement = parse("SELECT * FROM items WHERE category_id = ?")
-    assert isinstance(statement.where, Comparison)
-    assert statement.where.left == ColumnRef("category_id")
-    assert statement.where.right == Parameter(0)
+    assert statement.where == Equals(ColumnRef("category_id"), Parameter(0))
 
 
 def test_select_where_and_or_precedence():
@@ -63,43 +48,24 @@ def test_select_where_and_or_precedence():
     assert isinstance(statement.where.parts[1], And)
 
 
-def test_select_where_not_and_parentheses():
-    statement = parse("SELECT * FROM t WHERE NOT (a = 1 OR b = 2)")
-    assert isinstance(statement.where, Not)
-    assert isinstance(statement.where.part, Or)
-
-
 def test_select_like():
     statement = parse("SELECT * FROM item WHERE name LIKE '%fish%'")
     assert isinstance(statement.where, Like)
     assert statement.where.pattern == Literal("%fish%")
 
 
-def test_select_in_list():
-    statement = parse("SELECT * FROM t WHERE id IN (1, 2, 3)")
-    assert isinstance(statement.where, InList)
-    assert len(statement.where.options) == 3
-
-
-def test_select_order_by_and_limit():
-    statement = parse("SELECT * FROM t ORDER BY price DESC LIMIT 10")
-    assert statement.order_by.column == "price"
-    assert statement.order_by.descending
-    assert statement.limit == 10
-
-
-def test_select_order_by_asc_default():
-    statement = parse("SELECT * FROM t ORDER BY price")
-    assert not statement.order_by.descending
+def test_select_between():
+    statement = parse("SELECT id FROM items WHERE id BETWEEN ? AND ? AND a = ?")
+    between, equals = statement.where.parts
+    assert between == Between(ColumnRef("id"), Parameter(0), Parameter(1))
+    assert equals == Equals(ColumnRef("a"), Parameter(2))
 
 
 def test_select_aggregates():
-    statement = parse("SELECT COUNT(*) AS n, MAX(bid) FROM bids WHERE item_id = ?")
-    assert statement.is_aggregate
-    count, maximum = statement.items
-    assert count == Aggregate("COUNT", None, "n")
-    assert maximum == Aggregate("MAX", "bid", None)
-    assert maximum.output_name == "max(bid)"
+    statement = parse("SELECT COUNT(*) AS n FROM bids WHERE item_id = ?")
+    assert statement.count == "n" and statement.columns == ()
+    assert parse("SELECT COUNT(*) FROM bids").count == "count(*)"
+    assert parse("SELECT count FROM t").columns == ("count",)  # only COUNT( counts
 
 
 def test_select_join():
@@ -107,16 +73,44 @@ def test_select_join():
         "SELECT b.bid, u.nickname FROM bids b JOIN users u ON b.user_id = u.id "
         "WHERE b.item_id = ?"
     )
+    assert statement.columns == ("b.bid", "u.nickname")
     assert statement.table.alias == "b"
-    assert len(statement.joins) == 1
-    join = statement.joins[0]
+    join = statement.join
     assert join.table.binding == "u"
     assert (join.left_column, join.right_column) == ("b.user_id", "u.id")
+    assert statement.tables() == ["bids", "users"]
+
+
+def test_select_columns_with_aliases():
+    # Column aliases are out of the dialect; only COUNT(*) takes one.
+    with pytest.raises(SqlError, match="expected FROM"):
+        parse("SELECT id, name AS label FROM items")
+
+
+def test_select_where_not_and_parentheses():
+    with pytest.raises(SqlError):
+        parse("SELECT * FROM t WHERE NOT a = 1")
+    with pytest.raises(SqlError):
+        parse("SELECT * FROM t WHERE (a = 1 OR b = 2) AND c = 3")
+
+
+def test_select_in_list():
+    with pytest.raises(SqlError, match="expected =, LIKE or BETWEEN"):
+        parse("SELECT * FROM t WHERE id IN (1, 2, 3)")
+
+
+def test_select_order_by_and_limit():
+    with pytest.raises(SqlError, match="trailing tokens"):
+        parse("SELECT * FROM t WHERE a = 1 ORDER BY price DESC")
+    # LIMIT is reserved, so it cannot be read as the table's alias either.
+    with pytest.raises(SqlError, match="trailing tokens"):
+        parse("SELECT * FROM t LIMIT 10")
 
 
 def test_select_inner_join_keyword():
-    statement = parse("SELECT * FROM a INNER JOIN b ON a.x = b.y")
-    assert len(statement.joins) == 1
+    # INNER is reserved: it is neither a join keyword nor an alias.
+    with pytest.raises(SqlError, match="trailing tokens"):
+        parse("SELECT * FROM a INNER JOIN b ON a.x = b.y")
 
 
 def test_join_non_equality_rejected():
@@ -126,23 +120,23 @@ def test_join_non_equality_rejected():
 
 def test_string_literal_escaping():
     statement = parse("SELECT * FROM t WHERE name = 'it''s'")
-    assert statement.where.right == Literal("it's")
+    assert statement.where.value == Literal("it's")
 
 
 def test_null_true_false_literals():
     statement = parse("SELECT * FROM t WHERE a = NULL OR b = TRUE OR c = FALSE")
-    literals = [part.right.value for part in statement.where.parts]
+    literals = [part.value.value for part in statement.where.parts]
     assert literals == [None, True, False]
 
 
 def test_parameters_numbered_in_order():
     statement = parse("SELECT * FROM t WHERE a = ? AND b = ?")
-    params = [part.right for part in statement.where.parts]
+    params = [part.value for part in statement.where.parts]
     assert params == [Parameter(0), Parameter(1)]
 
 
 # ---------------------------------------------------------------------------
-# INSERT / UPDATE / DELETE
+# INSERT / UPDATE
 # ---------------------------------------------------------------------------
 
 
@@ -162,18 +156,20 @@ def test_update():
     statement = parse("UPDATE t SET a = 1, b = ? WHERE id = ?")
     assert isinstance(statement, Update)
     assert statement.assignments == (("a", Literal(1)), ("b", Parameter(0)))
-    assert statement.where.right == Parameter(1)
+    assert statement.where.value == Parameter(1)
 
 
 def test_delete():
-    statement = parse("DELETE FROM t WHERE id = 5")
-    assert isinstance(statement, Delete)
-    assert statement.where.right == Literal(5)
+    with pytest.raises(SqlError, match="expected SELECT, INSERT or UPDATE"):
+        parse("DELETE FROM t WHERE id = 5")
 
 
 def test_delete_without_where():
-    statement = parse("DELETE FROM t")
-    assert statement.where is None
+    with pytest.raises(SqlError, match="expected SELECT, INSERT or UPDATE"):
+        parse("DELETE FROM t")
+    # Nor may an UPDATE go without one.
+    with pytest.raises(SqlError, match="expected WHERE"):
+        parse("UPDATE t SET a = 1")
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +193,9 @@ def test_unexpected_character_rejected():
 
 
 def test_keywords_case_insensitive():
-    statement = parse("select * from t where a = 1 order by a desc limit 1")
+    statement = parse("select count(*) as n from t join u x on t.a = x.b where a like ?")
     assert isinstance(statement, Select)
-    assert statement.limit == 1
+    assert statement.count == "n" and statement.join.table.alias == "x"
 
 
 def test_parse_cached_returns_same_ast():
@@ -254,13 +250,12 @@ def test_like_matcher_cache_keeps_admitting_past_its_capacity(monkeypatch):
     assert evaluate(Like(ColumnRef("name"), Literal(patterns[3])), row) is False
 
 
-def test_float_literals():
-    statement = parse("SELECT * FROM t WHERE price >= 10.5")
-    assert statement.where.right == Literal(10.5)
-    assert statement.where.operator == ">="
-
-
 def test_not_equal_variants():
     for operator in ("!=", "<>"):
-        statement = parse(f"SELECT * FROM t WHERE a {operator} 1")
-        assert statement.where.operator == "!="
+        with pytest.raises(SqlError, match="unexpected character"):
+            parse(f"SELECT * FROM t WHERE a {operator} 1")
+
+
+def test_float_literals():
+    statement = parse("SELECT * FROM t WHERE price BETWEEN 10.5 AND 12")
+    assert (statement.where.low, statement.where.high) == (Literal(10.5), Literal(12))

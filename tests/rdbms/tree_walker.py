@@ -1,6 +1,6 @@
-"""The tree-walking reference semantics of SQL expressions.
+"""The tree-walking reference semantics of the dialect's conditions.
 
-The program compiles every expression to closures
+The program compiles every condition to closures
 (:mod:`repro.rdbms.compiler`); this walker is the independent reading
 they are checked against: SQL three-valued logic collapsed to False,
 short-circuit evaluation order, and :class:`EvaluationError` on a
@@ -12,16 +12,14 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro.rdbms.expressions import (
-    _OPERATORS,
     And,
+    Between,
     ColumnRef,
-    Comparison,
+    Equals,
     EvaluationError,
     Expression,
-    InList,
     Like,
     Literal,
-    Not,
     Or,
     Parameter,
     like_matcher,
@@ -50,34 +48,58 @@ def evaluate(node: Expression, row: Dict[str, Any]) -> Any:
         return node.value
     if isinstance(node, Parameter):
         raise EvaluationError(f"unbound parameter ?{node.index}")
-    if isinstance(node, Comparison):
-        left = evaluate(node.left, row)
-        right = evaluate(node.right, row)
-        if left is None or right is None:
+    if isinstance(node, Equals):
+        value = evaluate(node.column, row)
+        other = evaluate(node.value, row)
+        return value is not None and other is not None and value == other
+    if isinstance(node, Between):
+        value = evaluate(node.column, row)
+        low = evaluate(node.low, row)
+        high = evaluate(node.high, row)
+        if value is None or low is None or high is None:
             return False
-        return _OPERATORS[node.operator](left, right)
-    if isinstance(node, And):
-        return all(evaluate(part, row) for part in node.parts)
-    if isinstance(node, Or):
-        return any(evaluate(part, row) for part in node.parts)
-    if isinstance(node, Not):
-        return not evaluate(node.part, row)
+        return low <= value and value <= high
     if isinstance(node, Like):
         value = evaluate(node.column, row)
         pattern = evaluate(node.pattern, row)
         if value is None or pattern is None:
             return False
         return like_matcher(str(pattern))(str(value).lower())
-    if isinstance(node, InList):
-        value = evaluate(node.column, row)
-        return any(value == evaluate(option, row) for option in node.options)
+    if isinstance(node, And):
+        return all(evaluate(part, row) for part in node.parts)
+    if isinstance(node, Or):
+        return any(evaluate(part, row) for part in node.parts)
     raise TypeError(f"no reference semantics for {type(node).__name__}")
+
+
+def substitute(expression: Optional[Expression], params: Tuple[Any, ...]) -> Optional[Expression]:
+    """A copy of ``expression`` with every ``Parameter`` replaced by its value.
+
+    Parameter indexes are statement-global, so ``params`` is the whole
+    statement's tuple.
+    """
+    if expression is None or isinstance(expression, (ColumnRef, Literal)):
+        return expression
+    if isinstance(expression, Parameter):
+        return Literal(params[expression.index])
+    if isinstance(expression, Equals):
+        return Equals(expression.column, substitute(expression.value, params))
+    if isinstance(expression, Between):
+        return Between(
+            expression.column,
+            substitute(expression.low, params),
+            substitute(expression.high, params),
+        )
+    if isinstance(expression, Like):
+        return Like(expression.column, substitute(expression.pattern, params))
+    parts = tuple(substitute(part, params) for part in expression.parts)
+    return And(parts) if isinstance(expression, And) else Or(parts)
 
 
 def bind_parameters(
     expression: Optional[Expression], params: Tuple[Any, ...]
 ) -> Optional[Expression]:
-    """A copy of ``expression`` with every ``Parameter`` replaced by its value."""
+    """:func:`substitute` for a condition that takes exactly ``params``."""
     if expression is None:
         if params:
             raise EvaluationError("parameters supplied but statement takes none")
@@ -85,22 +107,4 @@ def bind_parameters(
     expected = expression.parameters()
     if expected != len(params):
         raise EvaluationError(f"statement takes {expected} parameters, got {len(params)}")
-
-    def substitute(node: Expression) -> Expression:
-        if isinstance(node, Parameter):
-            return Literal(params[node.index])
-        if isinstance(node, Comparison):
-            return Comparison(substitute(node.left), node.operator, substitute(node.right))
-        if isinstance(node, And):
-            return And(tuple(substitute(part) for part in node.parts))
-        if isinstance(node, Or):
-            return Or(tuple(substitute(part) for part in node.parts))
-        if isinstance(node, Not):
-            return Not(substitute(node.part))
-        if isinstance(node, Like):
-            return Like(node.column, substitute(node.pattern))
-        if isinstance(node, InList):
-            return InList(node.column, tuple(substitute(o) for o in node.options))
-        return node
-
-    return substitute(expression)
+    return substitute(expression, params)
