@@ -165,11 +165,6 @@ def measure(openloop: OpenLoopConfig, seed: int, repeat: int) -> dict:
         # The neutrality half of the claim: watching changed nothing the
         # tables are built from.
         "monitor_identical": bare.monitor.to_state() == tele.monitor.to_state(),
-        "trace_summary_identical": (
-            bare.trace_summary == tele.trace_summary
-            if bare.trace_summary is not None
-            else None
-        ),
     }
 
 

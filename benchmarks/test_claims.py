@@ -7,13 +7,19 @@
   writer latency proportional to the WAN round trip.
 * E7 (§4.5): asynchronous updates restore writer latency; staleness is
   bounded by the one-way propagation delay.
+* E9 (§5): every configuration passes the design rules that apply to
+  it, read from its span table, with Verify Signin's two wide-area
+  calls as the paper's one stated exception.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.patterns import PatternLevel
+from repro.core.patterns import PAPER_LEVELS, PatternLevel
+from repro.core.rules import DesignRuleChecker
+from repro.experiments.calibration import default_workload
+from repro.experiments.runner import run_configuration
 from repro.middleware.context import InvocationContext, RequestInfo
 from repro.middleware.web import WebRequest, http_get
 from tests.helpers import run_process, tiny_system
@@ -118,3 +124,36 @@ def test_async_update_cost_and_staleness_bound(benchmark):
     # Mean delivery latency averages the local main-replica delivery (~0 ms)
     # with the two WAN edges (~100+ ms each): (0 + 2x~103)/3 ~= 69 ms.
     assert 50.0 <= timings["staleness"] < 160.0
+
+
+# The rules each level's deployment makes applicable: R2/R3 once the web
+# tier leaves the main server, R4 with edge replicas, R5 with
+# asynchronous update propagation.
+EXPECTED_RULES = {
+    1: ["R1"],
+    2: ["R1", "R2", "R3"],
+    3: ["R1", "R2", "R3", "R4"],
+    4: ["R1", "R2", "R3", "R4"],
+    5: ["R1", "R2", "R3", "R4", "R5"],
+}
+
+
+def test_design_rules_hold_at_every_level():
+    """E9: the d20 sweep's ten cells pass the §5 design rules."""
+    workload = default_workload(duration_ms=20_000.0, warmup_ms=5_000.0)
+    for app in ("petstore", "rubis"):
+        exceptions = {"Verify Signin": 2} if app == "petstore" else None
+        for level in PAPER_LEVELS:
+            cell = f"{app} L{int(level)}"
+            result = run_configuration(
+                app, level, workload=workload, seed=2003, with_spans=True
+            )
+            report = DesignRuleChecker(result.system, page_exceptions=exceptions).check()
+            assert report.checked_rules == EXPECTED_RULES[int(level)], cell
+            assert report.ok, f"{cell}: {report.summary()}"
+            if exceptions and level >= PatternLevel.REMOTE_FACADE:
+                # Without the exception, R2 flags exactly that page.
+                strict = DesignRuleChecker(result.system).check()
+                flagged = {v.subject for v in strict.violations_of("R2")}
+                assert flagged == {"Verify Signin"}, cell
+                assert strict.metrics["max_wan_calls_seen"] == 2, cell

@@ -21,7 +21,8 @@ from repro.experiments import run_configuration
 from repro.experiments.calibration import default_workload
 from repro.middleware.rmi import AccessError
 from repro.middleware.context import InvocationContext, RequestInfo
-from repro.simnet import Environment, Streams, Trace, build_testbed
+from repro.obs.spans import SpanRecorder
+from repro.simnet import Environment, Streams, build_testbed
 from repro.simnet.topology import TestbedConfig
 
 
@@ -31,10 +32,10 @@ def audit_good_deployment() -> RuleReport:
         "rubis",
         PatternLevel.ASYNC_UPDATES,
         workload=default_workload(duration_ms=60_000.0, warmup_ms=15_000.0),
-        with_trace=True,
+        with_spans=True,
     )
     report = DesignRuleChecker(result.system, min_replica_hit_rate=0.3).check(
-        result.trace
+        result.spans
     )
     print(report.summary())
     print(f"  rules checked: {', '.join(report.checked_rules)}")
@@ -50,25 +51,27 @@ def audit_bad_deployment() -> RuleReport:
     database, catalog = populate_rubis(streams)
     env = Environment()
     testbed = build_testbed(env, TestbedConfig(db_colocated=True))
-    trace = Trace()
+    spans = SpanRecorder()
     application = build_application(catalog=catalog)
     # Mistake #1: expose the Item entity bean remotely (violates R1).
     application.components["RubisItem"].remote_interface = True
     system = distribute(
-        env, testbed, application, PatternLevel.REMOTE_FACADE, database, trace=trace
+        env, testbed, application, PatternLevel.REMOTE_FACADE, database, trace=spans
     )
 
     # Mistake #2: a "page" that makes three fine-grained wide-area entity
     # calls instead of one façade call (violates R2) — now *possible*
-    # because of mistake #1.
+    # because of mistake #1.  The page opens an http root span, as a
+    # servlet request does, so its calls form one span tree for R2.
     edge = system.servers["edge1"]
     ctx = InvocationContext(
         env=env,
         server=edge,
         request=RequestInfo("Chatty Item", "demo", "s1", "client-edge1-0"),
         costs=edge.costs,
-        trace=trace,
+        trace=spans,
     )
+    ctx = ctx.in_span(ctx.start_span("http", "GET Chatty Item", node="client-edge1-0"))
 
     def chatty_page():
         home = yield from edge.lookup(ctx, "RubisItem")
@@ -78,7 +81,7 @@ def audit_bad_deployment() -> RuleReport:
     env.process(chatty_page())
     env.run()
 
-    report = DesignRuleChecker(system).check(trace)
+    report = DesignRuleChecker(system).check(spans)
     print(report.summary())
 
     # Had the entity kept its local-only interface, the runtime itself

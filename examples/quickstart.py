@@ -19,7 +19,7 @@ def main() -> None:
         "rubis",
         PatternLevel.QUERY_CACHING,
         workload=default_workload(duration_ms=120_000.0, warmup_ms=30_000.0),
-        with_trace=True,
+        with_spans=True,
     )
 
     print(f"\nsimulated 120 s of load in {result.wall_seconds:.1f} s wall-clock")
@@ -42,7 +42,7 @@ def main() -> None:
 
     print("\ndesign-rule check (§5):")
     report = DesignRuleChecker(result.system, min_replica_hit_rate=0.3).check(
-        result.trace
+        result.spans
     )
     print(" ", report.summary().replace("\n", "\n  "))
 

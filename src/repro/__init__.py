@@ -33,7 +33,7 @@ from .core import (
     distribute,
 )
 from .experiments import run_configuration, run_series
-from .simnet import Environment, Streams, Trace, build_testbed
+from .simnet import Environment, Streams, build_testbed
 
 __version__ = "1.0.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "run_series",
     "Environment",
     "Streams",
-    "Trace",
     "build_testbed",
     "__version__",
 ]

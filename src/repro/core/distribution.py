@@ -27,7 +27,6 @@ from ..rdbms.engine import Database
 from ..rdbms.server import DatabaseServer, DbCostModel
 from ..simnet.kernel import Environment
 from ..simnet.rng import Streams
-from ..simnet.monitor import Trace
 from ..simnet.topology import Testbed
 from .automation import AutomationReport, apply_policy
 from .patterns import PatternLevel
@@ -49,8 +48,8 @@ class DeployedSystem:
     db_server: DatabaseServer
     plan: DeploymentPlan
     automation: AutomationReport
-    trace: Optional[Trace] = None
-    spans: Optional["SpanRecorder"] = None
+    # The deployment-wide span table; None when the run records no spans.
+    trace: Optional[SpanRecorder] = None
     metrics: Optional["MetricsRegistry"] = None
     resilience: Optional[ResilienceStats] = None
     policy: Optional[PlacementPolicy] = None
@@ -156,8 +155,7 @@ def distribute(
     database: Database,
     costs: Optional[MiddlewareCosts] = None,
     db_cost_model: Optional[DbCostModel] = None,
-    trace: Optional[Trace] = None,
-    spans: Optional[SpanRecorder] = None,
+    trace: Optional[SpanRecorder] = None,
     metrics: Optional[MetricsRegistry] = None,
     streams: Optional[Streams] = None,
 ) -> DeployedSystem:
@@ -167,7 +165,8 @@ def distribute(
     :class:`PatternLevel` (or int) selects the matching canned policy,
     which is how the paper's five configurations run.  ``streams`` is
     only consulted when the policy declares a ``data_tier`` block (the
-    cluster's election timers draw from named streams).
+    cluster's election timers draw from named streams).  ``trace`` is
+    the span table every server records into; None records nothing.
     """
     if not isinstance(policy, PlacementPolicy):
         policy = level_policy(PatternLevel(policy), application)
@@ -218,7 +217,6 @@ def distribute(
             trace=trace,
             is_main=(server_name == plan.main),
             wide_area_of=testbed.is_wide_area,
-            spans=spans,
             metrics=metrics,
         )
         server.attach_network(testbed.network)
@@ -314,7 +312,6 @@ def distribute(
         plan=plan,
         automation=automation,
         trace=trace,
-        spans=spans,
         metrics=metrics,
         resilience=resilience,
         policy=policy,

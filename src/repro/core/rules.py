@@ -1,8 +1,8 @@
-"""Design-rule enforcement (§5): check deployments and traces.
+"""Design-rule enforcement (§5): check deployments and their span tables.
 
 The paper distils its findings into enforceable rules.  This checker
-verifies them against a deployment plus the call trace of a simulation
-run, producing a structured report:
+verifies them against a deployment plus the span table of a simulation
+run (:mod:`repro.obs.spans`), producing a structured report:
 
 * **R1 — façade-only remote access**: only components with remote
   interfaces are invoked across the network; entity beans expose local
@@ -10,8 +10,9 @@ run, producing a structured report:
   :class:`~repro.middleware.rmi.RemoteRef`; the checker catches
   descriptor-level risk even before running.)
 * **R2 — one wide-area call per page**: serving any page incurs at most
-  ``max_wan_calls_per_request`` wide-area RMI/JDBC calls (the paper's
-  stated exception: Verify Signin makes two).
+  ``max_wan_calls_per_request`` wide-area RMI/JDBC calls on its span
+  tree's client path (the paper's stated exception: Verify Signin makes
+  two).  Checked only from a complete span table.
 * **R3 — session state at the edge**: session-oriented state is created
   on the server the client connects to (every *entry server*), never
   fetched across the WAN.
@@ -51,7 +52,6 @@ from typing import Dict, List, Optional
 from ..middleware.descriptors import ApplicationDescriptor
 from ..obs.metrics import collect_cache_stats, sum_counter
 from ..obs.spans import SpanRecorder, build_trees, client_path_wan_calls
-from ..simnet.monitor import Trace
 from .distribution import DeployedSystem
 from .patterns import PatternLevel
 from .planner import DeploymentPlan
@@ -94,7 +94,7 @@ class RuleReport:
 
 
 class DesignRuleChecker:
-    """Checks the five design rules against a deployment and its trace."""
+    """Checks the design rules against a deployment and its span table."""
 
     def __init__(
         self,
@@ -109,18 +109,14 @@ class DesignRuleChecker:
         self.page_exceptions = dict(page_exceptions or {})
         self.min_replica_hit_rate = min_replica_hit_rate
 
-    def check(
-        self,
-        trace: Optional[Trace] = None,
-        spans: Optional[SpanRecorder] = None,
-    ) -> RuleReport:
-        trace = trace if trace is not None else self.system.trace
-        spans = spans if spans is not None else self.system.spans
+    def check(self, spans: Optional[SpanRecorder] = None) -> RuleReport:
+        """Check ``spans``, by default the deployment's own span table."""
+        spans = spans if spans is not None else self.system.trace
         report = RuleReport(level=self.system.level)
         plan = self.system.plan
-        self._check_r1(report, trace)
+        self._check_r1(report, spans)
         if _web_tier_distributed(plan):
-            self._check_r2(report, trace, spans)
+            self._check_r2(report, spans)
             self._check_r3(report)
         if plan.replicas:
             self._check_r4(report)
@@ -133,79 +129,35 @@ class DesignRuleChecker:
         return report
 
     # -- R1 -----------------------------------------------------------------
-    def _check_r1(self, report: RuleReport, trace: Optional[Trace]) -> None:
+    def _check_r1(self, report: RuleReport, spans: Optional[SpanRecorder]) -> None:
         report.checked_rules.append("R1")
         application = self.system.application
         _static_r1(report, application)
-        if trace is None:
+        if spans is None:
             return
-        for record in trace.wide_area_calls("rmi"):
-            descriptor = application.components.get(record.target)
+        for span in spans.spans:
+            if span.kind != "rmi" or not span.wide_area:
+                continue
+            descriptor = application.components.get(span.target)
             if descriptor is not None and not descriptor.remote_interface:
                 report.violations.append(
                     RuleViolation(
                         "R1",
-                        record.target,
-                        f"invoked across the WAN ({record.src_node} -> "
-                        f"{record.dst_node}) without a remote interface",
+                        span.target,
+                        f"invoked across the WAN from {span.node} "
+                        f"without a remote interface",
                     )
                 )
 
     # -- R2 -----------------------------------------------------------------
-    def _check_r2(
-        self,
-        report: RuleReport,
-        trace: Optional[Trace],
-        spans: Optional[SpanRecorder] = None,
-    ) -> None:
+    def _check_r2(self, report: RuleReport, spans: Optional[SpanRecorder]) -> None:
+        # The span trees carry the causal structure that lets the checker
+        # prune replica-maintenance subtrees ("propagate"/"jms"/
+        # "jms-delivery").  Without a table, or with one that dropped
+        # spans (incomplete trees), R2 is not checked at all.
+        if spans is None or spans.dropped:
+            return
         report.checked_rules.append("R2")
-        # Prefer the span trees: causal structure lets the checker prune
-        # replica-maintenance subtrees ("propagate"/"jms"/"jms-delivery")
-        # instead of guessing by target name.  A recorder that dropped
-        # spans has incomplete trees, so fall back to the flat heuristic.
-        if spans is not None and spans.dropped == 0 and spans.spans:
-            self._check_r2_spans(report, spans)
-            return
-        if trace is None:
-            return
-        wan_calls_by_request: Dict[int, int] = {}
-        request_page: Dict[int, str] = {}
-        from ..middleware.updates import UPDATER_FACADE
-
-        for record in trace.records:
-            if record.request_id is None or not record.wide_area:
-                continue
-            # JNDI lookups are excluded: the EJBHomeFactory cache makes
-            # them one-time costs, not per-request behaviour.  So is
-            # replica-maintenance traffic (the §4.3 blocking push rides on
-            # the committing request but is not a client-path call).
-            if record.kind not in ("rmi", "jdbc"):
-                continue
-            if record.target == UPDATER_FACADE:
-                continue
-            wan_calls_by_request[record.request_id] = (
-                wan_calls_by_request.get(record.request_id, 0) + 1
-            )
-            if record.page is not None:
-                request_page[record.request_id] = record.page
-        worst: Dict[str, int] = {}
-        for request_id, count in wan_calls_by_request.items():
-            page = request_page.get(request_id, "?")
-            worst[page] = max(worst.get(page, 0), count)
-        report.metrics["max_wan_calls_seen"] = float(max(worst.values()) if worst else 0)
-        for page, count in sorted(worst.items()):
-            budget = self.page_exceptions.get(page, self.max_wan_calls_per_request)
-            if count > budget:
-                report.violations.append(
-                    RuleViolation(
-                        "R2",
-                        page,
-                        f"a request incurred {count} wide-area calls "
-                        f"(budget {budget})",
-                    )
-                )
-
-    def _check_r2_spans(self, report: RuleReport, spans: SpanRecorder) -> None:
         from ..middleware.updates import UPDATER_FACADE
 
         exclude = frozenset({UPDATER_FACADE})
@@ -394,7 +346,7 @@ def precheck(
     achievable with this topology's database seats, shard keys against
     known entity tables), and — when the plan places method caches —
     the static half of R7 (annotated methods exist on the bean class).
-    The trace-driven rules (R2, R4, R5, runtime R6, runtime R7) need a
+    The run-driven rules (R2, R4, R5, runtime R6, runtime R7) need a
     run and stay with :class:`DesignRuleChecker`.
     """
     report = RuleReport(level=plan.level)

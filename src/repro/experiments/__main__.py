@@ -87,6 +87,27 @@ ABLATION_TARGET = "ablations"
 PLAN_TARGET = "plan"
 
 
+def _span_digest(state: dict) -> str:
+    """One stderr line per traced cell: spans by kind, wide-area spans,
+    drops, and the sampled share of requests when sampling is on."""
+    by_kind = {}
+    wide_area = 0
+    for span in state["spans"]:
+        by_kind[span["kind"]] = by_kind.get(span["kind"], 0) + 1
+        wide_area += span["wide_area"]
+    kinds = " ".join(f"{kind}={count}" for kind, count in sorted(by_kind.items()))
+    line = (
+        f"{len(state['spans'])} spans ({kinds or 'none'}), "
+        f"{wide_area} wide-area, {state['dropped']} dropped"
+    )
+    if "sample_rate" in state:
+        sampled = state["sampled_requests"]
+        total = sampled + state["skipped_requests"]
+        rate = state["sample_rate"]
+        line += f", spans sampled {sampled}/{total} requests (rate {rate:g})"
+    return line
+
+
 def _export_observability(args, labelled) -> None:
     """Write --trace-out / --metrics-out artifacts and stderr digests.
 
@@ -103,12 +124,8 @@ def _export_observability(args, labelled) -> None:
             if result.spans_state is not None
         ]
         export_chrome_trace(cells, args.trace_out)
-        for label, result in labelled:
-            if result.trace_summary is not None:
-                print(
-                    f"[trace] {label}: {result.trace_summary.render()}",
-                    file=sys.stderr,
-                )
+        for label, state in cells:
+            print(f"[trace] {label}: {_span_digest(state)}", file=sys.stderr)
         print(f"[trace] wrote {args.trace_out}", file=sys.stderr)
     if args.metrics_out is not None:
         cells = [
@@ -599,9 +616,6 @@ def main(argv=None) -> int:
     spec = RunSpec(
         workload=workload,
         seed=args.seed,
-        # Span recording implies flat-trace recording too, so the stderr
-        # digest can report call counts alongside the exported span trees.
-        with_trace=with_spans,
         with_spans=with_spans,
         with_metrics=args.metrics_out is not None,
         faults=faults,

@@ -29,7 +29,7 @@ from ..obs.metrics import MetricsRegistry, collect_cache_stats, collect_system_m
 from ..obs.spans import SpanRecorder
 from ..obs.timeseries import TimeSeriesRecorder
 from ..simnet.kernel import Environment
-from ..simnet.monitor import ResponseTimeMonitor, Trace, TraceSummary
+from ..simnet.monitor import ResponseTimeMonitor
 from ..simnet.topology import TestbedConfig, TopologyOverrides, build_testbed
 from ..core.usage import WeightedPattern
 from ..workload.generator import LoadGenerator, WorkloadConfig
@@ -111,7 +111,7 @@ APPS: Dict[str, AppSpec] = {
 
 # What a result holds only in the process that ran the cell: the live
 # simulation objects.  Pickling (and ``from_experiment``) drops them.
-IN_PROCESS_FIELDS = ("system", "generator", "trace", "spans", "metrics", "series", "fault_injector")
+IN_PROCESS_FIELDS = ("system", "generator", "spans", "metrics", "series", "fault_injector")
 
 
 def _in_process():
@@ -139,8 +139,6 @@ class CellResult:
     # busy hosts (a big effect on 1-CPU CI runners).
     wall_seconds: float = field(default=0.0, compare=False)
     cpu_seconds: float = field(default=0.0, compare=False)
-    # Trace digest with resilience counters folded in (None without trace).
-    trace_summary: Optional[TraceSummary] = None
     # Observability snapshots (plain dicts, canonical key order): the
     # span table, the metrics registry, the windowed telemetry, and the
     # query-cache/replica counters.
@@ -159,7 +157,6 @@ class CellResult:
     system: Optional[DeployedSystem] = _in_process()
     # LoadGenerator (closed loop) or OpenLoopGenerator (open loop).
     generator: object = _in_process()
-    trace: Optional[Trace] = _in_process()
     spans: Optional[SpanRecorder] = _in_process()
     metrics: Optional[MetricsRegistry] = _in_process()
     series: Optional[TimeSeriesRecorder] = _in_process()
@@ -194,30 +191,6 @@ class CellResult:
         return self.monitor.groups()
 
 
-def _trace_summary(
-    trace: Optional[Trace], spans: Optional[SpanRecorder], resilience: dict
-) -> Optional[TraceSummary]:
-    """Trace digest with resilience and span-sampling counters folded in."""
-    if trace is None:
-        return None
-    summary = replace(
-        trace.summary(),
-        retries=resilience.get("rmi_retries", 0),
-        timeouts=resilience.get("rmi_timeouts", 0),
-        failovers=resilience.get("failovers", 0),
-        dropped_updates=resilience.get("dropped_updates", 0),
-        dropped_sessions=resilience.get("dropped_sessions", 0),
-    )
-    if spans is not None and spans.sample_rate < 1.0:
-        summary = replace(
-            summary,
-            span_sample_rate=spans.sample_rate,
-            spans_sampled=spans.sampled_requests,
-            spans_skipped=spans.skipped_requests,
-        )
-    return summary
-
-
 def topology_dict(config: TestbedConfig) -> dict:
     """The artifact-facing summary of a testbed config."""
     return {
@@ -242,7 +215,6 @@ class RunSpec:
     # Closed-loop client population; None is the paper's default workload.
     workload: Optional[WorkloadConfig] = None
     seed: int = calibration.MASTER_SEED
-    with_trace: bool = False
     with_spans: bool = False
     with_metrics: bool = False
     # None or an empty schedule installs nothing at all — no kernel
@@ -319,7 +291,6 @@ def run_configuration(
     if spec.topology is not None:
         config = spec.topology.apply(config)
     testbed = build_testbed(env, config)
-    trace = Trace(max_records=2_000_000) if spec.with_trace else None
     spans = (
         SpanRecorder(max_spans=2_000_000, sample_rate=spec.obs_sample)
         if spec.with_spans
@@ -335,8 +306,7 @@ def run_configuration(
         database,
         costs=app_spec.costs,
         db_cost_model=app_spec.db_costs,
-        trace=trace,
-        spans=spans,
+        trace=spans,
         metrics=metrics,
         streams=streams,
     )
@@ -390,7 +360,6 @@ def run_configuration(
         total_requests=generator.total_requests(),
         wall_seconds=wall,
         cpu_seconds=cpu,
-        trace_summary=_trace_summary(trace, spans, resilience),
         spans_state=spans.to_state() if spans is not None else None,
         metrics_state=metrics.to_state() if metrics is not None else None,
         series_state=series.to_state() if series is not None else None,
@@ -400,7 +369,6 @@ def run_configuration(
         topology=topology_dict(config),
         system=system,
         generator=generator,
-        trace=trace,
         spans=spans,
         metrics=metrics,
         series=series,

@@ -48,7 +48,7 @@ class FaultInjector:
     def install(self, env: Environment, system) -> "FaultInjector":
         """Spawn the fault processes against ``system`` (idempotent per call)."""
         self._env = env
-        self._spans = system.spans
+        self._spans = system.trace
         network = system.testbed.network
         for index, fault in enumerate(self.schedule.partitions):
             link = network.link_between(fault.a, fault.b)

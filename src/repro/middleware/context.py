@@ -21,7 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .costs import MiddlewareCosts
     from .server import AppServer
     from ..obs.spans import Span, SpanRecorder
-    from ..simnet.monitor import Trace
 
 __all__ = [
     "RequestInfo",
@@ -214,12 +213,13 @@ class InvocationContext:
     ``cpu(work_ms)`` charges CPU time on the current server's node
     (``yield from`` it).  It is the node's own ``compute``, bound when
     the context is made, so a charge reaches ``Resource.use`` in one
-    call.
+    call.  ``trace`` is the span table the request records into (None
+    when it is not traced) and ``span_id`` the span new work nests under.
     """
 
     __slots__ = (
         "env", "server", "request", "costs", "trace", "transaction",
-        "depth", "spans", "span_id", "footprint", "cpu",
+        "depth", "span_id", "footprint", "cpu",
     )
 
     def __init__(
@@ -228,10 +228,9 @@ class InvocationContext:
         server: "AppServer",
         request: RequestInfo,
         costs: "MiddlewareCosts",
-        trace: Optional["Trace"] = None,
+        trace: Optional["SpanRecorder"] = None,
         transaction: Optional[TransactionContext] = None,
         depth: int = 0,
-        spans: Optional["SpanRecorder"] = None,
         span_id: Optional[int] = None,
         footprint: Optional[Any] = None,
     ):
@@ -242,7 +241,6 @@ class InvocationContext:
         self.trace = trace
         self.transaction = transaction
         self.depth = depth
-        self.spans = spans
         self.span_id = span_id
         # Active table-footprint collector (see repro.middleware.consistency).
         # Travels across servers with the call — a delegated sub-call's
@@ -261,13 +259,13 @@ class InvocationContext:
         """
         return InvocationContext(
             self.env, server, self.request, server.costs, self.trace, None,
-            self.depth + 1, self.spans, self.span_id, self.footprint,
+            self.depth + 1, self.span_id, self.footprint,
         )
 
     def in_transaction(self, transaction: TransactionContext) -> "InvocationContext":
         return InvocationContext(
             self.env, self.server, self.request, self.costs, self.trace, transaction,
-            self.depth, self.spans, self.span_id, self.footprint,
+            self.depth, self.span_id, self.footprint,
         )
 
     def with_footprint(self, footprint: Any) -> "InvocationContext":
@@ -275,7 +273,7 @@ class InvocationContext:
         collects (the method-cache miss path)."""
         return InvocationContext(
             self.env, self.server, self.request, self.costs, self.trace, self.transaction,
-            self.depth, self.spans, self.span_id, footprint,
+            self.depth, self.span_id, footprint,
         )
 
     def in_span(self, span: Optional["Span"]) -> "InvocationContext":
@@ -289,7 +287,7 @@ class InvocationContext:
             return self
         return InvocationContext(
             self.env, self.server, self.request, self.costs, self.trace, self.transaction,
-            self.depth, self.spans, span.id, self.footprint,
+            self.depth, span.id, self.footprint,
         )
 
     # -- effects -----------------------------------------------------------
@@ -317,10 +315,10 @@ class InvocationContext:
         defaults to this context's span (pass one explicitly to attach
         asynchronous work, e.g. a JMS delivery, to its publish span).
         """
-        if self.spans is None:
+        if self.trace is None:
             return None
         request = self.request
-        return self.spans.start_span(
+        return self.trace.start_span(
             kind=kind,
             name=name,
             node=node if node is not None else (self.server.node.name if self.server else "?"),
@@ -336,27 +334,4 @@ class InvocationContext:
 
     def finish_span(self, span) -> None:
         if span is not None:
-            self.spans.finish_span(span, self.env.now)
-
-    def record_call(
-        self, kind: str, dst_node: str, target: str, method: str, duration: float = 0.0
-    ) -> None:
-        if self.trace is None:
-            return
-        from ..simnet.monitor import CallRecord
-
-        src = self.server.node.name
-        self.trace.record(
-            CallRecord(
-                time=self.env.now,
-                kind=kind,
-                src_node=src,
-                dst_node=dst_node,
-                target=target,
-                method=method,
-                wide_area=self.server.is_wide_area(dst_node),
-                page=self.request.page if self.request else None,
-                request_id=self.request.id if self.request else None,
-                duration=duration,
-            )
-        )
+            self.trace.finish_span(span, self.env.now)

@@ -93,7 +93,7 @@ class JmsProvider:
         message = Message(topic=topic_name, body=body, published_at=ctx.env.now)
         publisher_node = ctx.server.node.name
         broker_node = self.host_server.node.name
-        span = None if ctx.spans is None else ctx.start_span(
+        span = None if ctx.trace is None else ctx.start_span(
             "jms",
             f"publish {topic_name}",
             wide_area=ctx.server.is_wide_area(broker_node),
@@ -109,7 +109,6 @@ class JmsProvider:
         finally:
             ctx.finish_span(span)
         topic.published += 1
-        ctx.record_call("jms", broker_node, topic_name, "publish")
         if self.metrics is not None:
             self.metrics.histogram("jms.topic_depth").observe(self.in_flight)
         for subscriber_server, container in topic.subscribers:
@@ -140,7 +139,7 @@ class JmsProvider:
         subscriber_node = subscriber_server.node.name
         # Deliveries are asynchronous: the span attaches to the *publish*
         # span explicitly so the causal tree survives the detached process.
-        span = None if ctx.spans is None else ctx.start_span(
+        span = None if ctx.trace is None else ctx.start_span(
             "jms-delivery",
             f"deliver {topic.name}",
             node=subscriber_node,

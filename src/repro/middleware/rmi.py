@@ -85,7 +85,7 @@ class LocalRef(ComponentRef):
     ) -> Generator[Event, Any, Any]:
         span = None
         callee_ctx = ctx
-        if ctx.spans is not None:
+        if ctx.trace is not None:
             name = self.descriptor.name
             span = ctx.start_span("invoke", f"{name}.{method}", target=name, method=method)
             callee_ctx = ctx.in_span(span)
@@ -137,7 +137,7 @@ class RemoteRef(ComponentRef):
         env = ctx.env
         start = env.now
         span = None
-        if ctx.spans is not None:
+        if ctx.trace is not None:
             if self._wide_area is None:
                 self._wide_area = self.source_server.is_wide_area(self._dst)
             name = self.descriptor.name
@@ -224,9 +224,6 @@ class RemoteRef(ComponentRef):
         finally:
             if span is not None:
                 ctx.finish_span(span)
-
-        if ctx.trace is not None:
-            ctx.record_call("rmi", dst, self.descriptor.name, method, duration=env.now - start)
         return result
 
     def _dgc_traffic(self, network, src: str, dst: str, total_bytes: int):

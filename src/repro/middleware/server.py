@@ -24,7 +24,6 @@ from ..rdbms.jdbc import DataSource, JdbcConfig
 from ..rdbms.server import DatabaseServer, result_wire_size
 from ..rdbms.sql import parse_cached, statement_footprint
 from ..simnet.kernel import Environment, Event
-from ..simnet.monitor import Trace
 from ..simnet.transport import ConnectionPool
 from .consistency import EdgeConsistencyManager, TransactionalMethodCache
 from .context import InvocationContext
@@ -48,6 +47,7 @@ from .updates import UPDATER_FACADE
 from .web import HttpSessionStore, Response, ServletContainer, WebRequest
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.spans import SpanRecorder
     from .updates import UpdatePropagator
 
 __all__ = ["AppServer", "result_wire_size"]  # result_wire_size re-exported
@@ -63,10 +63,9 @@ class AppServer:
         application: ApplicationDescriptor,
         costs: MiddlewareCosts,
         db_server: Optional[DatabaseServer] = None,
-        trace: Optional[Trace] = None,
+        trace: Optional["SpanRecorder"] = None,
         is_main: bool = False,
         wide_area_of=None,
-        spans=None,
         metrics=None,
     ):
         self.env = env
@@ -74,8 +73,7 @@ class AppServer:
         self.application = application
         self.costs = costs
         self.db_server = db_server
-        self.trace = trace
-        self.spans = spans  # SpanRecorder shared across the deployment
+        self.trace = trace  # SpanRecorder shared across the deployment
         self.metrics = metrics  # MetricsRegistry for live instruments
         self.is_main = is_main
         self._wide_area_of = wide_area_of  # callable(node_a, node_b) -> bool
@@ -308,7 +306,6 @@ class AppServer:
                 yield from self._network.transfer(
                     central.node.name, self.node.name, JNDI_LOOKUP_RESPONSE, kind="lookup"
                 )
-                ctx.record_call("lookup", central.node.name, name, "jndi_lookup")
             target_container = central.containers.get(name) or central._readonly.get(name)
             ref = RemoteRef(self, central, target_container)
 
@@ -358,7 +355,6 @@ class AppServer:
         first use); outside, it runs auto-commit on a pooled connection.
         """
         source = self.datasource()
-        start = ctx.env.now
         # Automatic footprint derivation (level 6): report this
         # statement's read/write tables to any active collector, and
         # record writes on the transaction for the consistency bus.
@@ -379,14 +375,9 @@ class AppServer:
             if tracking:
                 for table in writes:
                     transaction.record_table_write(table)
-        # The label exists for the span and the call record only: an
-        # untraced statement never builds it.
-        statement_label = None
-        if ctx.spans is not None or ctx.trace is not None:
-            statement_label = sql.split(None, 3)[0].lower() + ":" + _table_of(sql)
-        span = None if ctx.spans is None else ctx.start_span(
+        span = None if ctx.trace is None else ctx.start_span(
             "jdbc",
-            statement_label,
+            sql.split(None, 3)[0].lower() + ":" + _table_of(sql),
             wide_area=self.is_wide_area(self.db_server.node.name),
             target=self.db_server.node.name,
             method="execute",
@@ -411,13 +402,6 @@ class AppServer:
                 connection.close()
         finally:
             ctx.finish_span(span)
-        ctx.record_call(
-            "jdbc",
-            self.db_server.node.name,
-            statement_label,
-            "execute",
-            duration=ctx.env.now - start,
-        )
         return result
 
     def can_query_locally(self, query_id: str) -> bool:

@@ -448,7 +448,6 @@ class UpdatePropagator:
             request=None,
             costs=self.server.costs,
             trace=self.server.trace,
-            spans=self.server.spans,
         )
         span = flush_ctx.start_span("propagate", "bounded-flush")
         flush_ctx = flush_ctx.in_span(span)

@@ -174,23 +174,20 @@ def http_get(
     # design-rule tree walk — and the same sessions are kept in any
     # process.  An unsampled request carries no span recorder at all,
     # which keeps its per-call cost identical to spans-disabled runs.
-    spans = server.spans
-    if spans is not None and not spans.sample(request.session_id):
-        spans = None
+    trace = server.trace
+    if trace is not None and not trace.sample(request.session_id):
+        trace = None
     ctx = InvocationContext(
         env,
         server,
         RequestInfo(request.page, client_group, request.session_id, client),
         costs,
-        server.trace,
-        None,
-        0,
-        spans,
+        trace,
     )
     # Root span of the request's causal tree: everything the page does —
     # servlet work, RMI, JDBC, JMS — nests under it via ctx.span_id.
     root_span = None
-    if spans is not None:
+    if trace is not None:
         root_span = ctx.start_span(
             "http",
             "GET " + request.page,

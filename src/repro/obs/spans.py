@@ -4,8 +4,8 @@ A :class:`Span` is one timed operation (an HTTP request, an RMI call, a
 JDBC statement, a JMS publish or delivery, a container invocation) with
 a parent pointer.  The spans of one client page request form a tree
 rooted at the HTTP span, which is what the design-rule checker walks to
-verify the paper's "at most one wide-area call per page" — the flat
-:class:`~repro.simnet.monitor.Trace` is a projection of these trees.
+verify the paper's "at most one wide-area call per page".  The span
+table is the simulator's only call record.
 
 Span ids are assigned from a per-recorder counter in simulation-event
 order, so a seeded run produces identical span tables in any process —
@@ -26,7 +26,6 @@ __all__ = [
     "SpanTree",
     "build_trees",
     "client_path_wan_calls",
-    "spans_to_call_records",
 ]
 
 # Span kinds whose subtrees are *not* client-path work: replica
@@ -61,12 +60,6 @@ class Span:
     @property
     def finished(self) -> bool:
         return self.end is not None
-
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            return 0.0
-        return self.end - self.start
 
     def to_dict(self) -> dict:
         """JSON-safe snapshot; omits unset optionals to keep exports lean."""
@@ -109,20 +102,14 @@ class Span:
 class SpanRecorder:
     """Append-only span table shared by every server of one deployment.
 
-    Mirrors :class:`~repro.simnet.monitor.Trace`: cheap to consult when
-    disabled, bounded by ``max_spans`` with an explicit ``dropped``
-    counter so truncation is never silent.
+    Bounded by ``max_spans`` with an explicit ``dropped`` counter, so
+    truncation is never silent.  A run that records no spans has no
+    recorder at all (``None``), not an empty one.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        max_spans: Optional[int] = None,
-        sample_rate: float = 1.0,
-    ):
+    def __init__(self, max_spans: Optional[int] = None, sample_rate: float = 1.0):
         if not 0.0 < sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in (0, 1], got {sample_rate!r}")
-        self.enabled = enabled
         self.max_spans = max_spans
         self.sample_rate = sample_rate
         self.sampled_requests = 0
@@ -182,13 +169,11 @@ class SpanRecorder:
         target: Optional[str] = None,
         method: Optional[str] = None,
     ) -> Optional[Span]:
-        """Open a span; returns None when disabled or over ``max_spans``.
+        """Open a span; returns None when over ``max_spans``.
 
         Dropped spans still consume an id so the surviving table keeps
         its deterministic numbering.
         """
-        if not self.enabled:
-            return None
         if self.max_spans is not None and len(self.spans) >= self.max_spans:
             self.dropped += 1
             next(self._ids)
@@ -214,21 +199,9 @@ class SpanRecorder:
         if span is not None:
             span.end = time
 
-    def clear(self) -> None:
-        self.spans.clear()
-        self.dropped = 0
-
     # -- queries -------------------------------------------------------------
     def by_kind(self, kind: str) -> List[Span]:
         return [span for span in self.spans if span.kind == kind]
-
-    def roots(self) -> List[Span]:
-        known = {span.id for span in self.spans}
-        return [
-            span
-            for span in self.spans
-            if span.parent_id is None or span.parent_id not in known
-        ]
 
     def unfinished(self) -> List[Span]:
         return [span for span in self.spans if not span.finished]
@@ -294,10 +267,6 @@ class SpanTree:
     def size(self) -> int:
         return sum(1 for _ in self.walk())
 
-    def complete(self) -> bool:
-        """Every span in the tree finished (no in-flight operations)."""
-        return all(span.finished for span in self.walk())
-
 
 def build_trees(spans: List[Span]) -> List[SpanTree]:
     """Group a span table into trees, in root-span-id order.
@@ -321,10 +290,9 @@ def client_path_wan_calls(tree: SpanTree, exclude_targets: frozenset = frozenset
 
     Prunes maintenance subtrees (update propagation, JMS publishes and
     asynchronous deliveries) and spans against excluded targets (the
-    updater façade) — the tree-walk equivalent of the design-rule
-    checker's flat-trace filter, but structural rather than heuristic:
-    a JDBC refresh executed *inside* propagation is excluded because of
-    where it sits in the tree, not because of what it is named.
+    updater façade).  The filter is structural, not heuristic: a JDBC
+    refresh executed *inside* propagation is excluded because of where
+    it sits in the tree, not because of what it is named.
     """
     count = 0
     stack = [tree.root]
@@ -340,16 +308,3 @@ def client_path_wan_calls(tree: SpanTree, exclude_targets: frozenset = frozenset
         stack.extend(tree.children_of(span))
     return count
 
-
-def spans_to_call_records(spans: List[Span]) -> List[tuple]:
-    """Project spans onto flat (kind, target, wide_area, request_id) tuples.
-
-    The flat :class:`~repro.simnet.monitor.Trace` is this projection plus
-    source/destination nodes; tests use it to assert that the two
-    instrumentation layers agree on what happened.
-    """
-    projected = []
-    for span in spans:
-        if span.kind in ("rmi", "jdbc", "jms"):
-            projected.append((span.kind, span.target, span.wide_area, span.request_id))
-    return projected

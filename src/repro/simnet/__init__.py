@@ -15,7 +15,7 @@ from .kernel import (
     SimulationError,
     Timeout,
 )
-from .monitor import CallRecord, PageStats, ResponseTimeMonitor, Trace
+from .monitor import PageStats, ResponseTimeMonitor
 from .network import Link, Network, NetworkError, Node
 from .primitives import Resource
 from .rng import Streams
@@ -37,10 +37,8 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "CallRecord",
     "PageStats",
     "ResponseTimeMonitor",
-    "Trace",
     "Link",
     "Network",
     "NetworkError",

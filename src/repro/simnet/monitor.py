@@ -1,171 +1,17 @@
-"""Tracing and measurement hooks.
+"""Response-time measurement.
 
-Two concerns live here:
-
-* :class:`Trace` — an append-only record of inter-component calls
-  (RMI, JDBC, JMS deliveries) with enough context for the design-rule
-  checker (``repro.core.rules``) to verify, e.g., that a page incurs at
-  most one wide-area call.
-* :class:`ResponseTimeMonitor` — per-(client-group, page) response-time
-  aggregation; this is what the paper's Tables 6/7 report.
+:class:`ResponseTimeMonitor` aggregates response times per
+(client-group, page); this is what the paper's Tables 6/7 report.  The
+simulator's call record is the span table (:mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = [
-    "CallRecord",
-    "Trace",
-    "TraceSummary",
-    "ResponseTimeMonitor",
-    "PageStats",
-]
-
-
-@dataclass
-class CallRecord:
-    """One inter-tier call observed during a simulation."""
-
-    time: float
-    kind: str  # "rmi" | "jdbc" | "jms" | "http" | "lookup"
-    src_node: str
-    dst_node: str
-    target: str  # component or table name
-    method: str
-    wide_area: bool
-    page: Optional[str] = None  # page whose handling triggered the call
-    request_id: Optional[int] = None
-    duration: float = 0.0
-
-
-class Trace:
-    """Append-only call log with simple query helpers."""
-
-    def __init__(self, enabled: bool = True, max_records: Optional[int] = None):
-        self.enabled = enabled
-        self.max_records = max_records
-        self.records: List[CallRecord] = []
-        self.dropped = 0
-
-    def record(self, record: CallRecord) -> None:
-        if not self.enabled:
-            return
-        if self.max_records is not None and len(self.records) >= self.max_records:
-            self.dropped += 1
-            return
-        self.records.append(record)
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
-
-    # -- queries -------------------------------------------------------------
-    def by_kind(self, kind: str) -> List[CallRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def wide_area_calls(self, kind: Optional[str] = None) -> List[CallRecord]:
-        return [
-            r
-            for r in self.records
-            if r.wide_area and (kind is None or r.kind == kind)
-        ]
-
-    def calls_per_request(self, kind: str = "rmi", wide_area_only: bool = True) -> Dict[int, int]:
-        """request_id -> number of (wide-area) calls of ``kind``."""
-        counts: Dict[int, int] = defaultdict(int)
-        for record in self.records:
-            if record.request_id is None or record.kind != kind:
-                continue
-            if wide_area_only and not record.wide_area:
-                continue
-            counts[record.request_id] += 1
-        return dict(counts)
-
-    def remote_targets(self) -> set:
-        """Names of components that were invoked across the network."""
-        return {r.target for r in self.records if r.kind == "rmi" and r.src_node != r.dst_node}
-
-    def summary(self) -> "TraceSummary":
-        """A compact, picklable digest of the call log.
-
-        Full traces can hold millions of records; the summary is what the
-        parallel experiment runner ships back from worker processes.
-        """
-        by_kind: Dict[str, int] = defaultdict(int)
-        wide_area_by_kind: Dict[str, int] = defaultdict(int)
-        for record in self.records:
-            by_kind[record.kind] += 1
-            if record.wide_area:
-                wide_area_by_kind[record.kind] += 1
-        return TraceSummary(
-            records=len(self.records),
-            dropped=self.dropped,
-            by_kind=dict(sorted(by_kind.items())),
-            wide_area_by_kind=dict(sorted(wide_area_by_kind.items())),
-            remote_targets=tuple(sorted(self.remote_targets())),
-        )
-
-
-@dataclass(frozen=True)
-class TraceSummary:
-    """Aggregate view of a :class:`Trace`, safe to pickle between processes."""
-
-    records: int = 0
-    dropped: int = 0
-    by_kind: Dict[str, int] = field(default_factory=dict)
-    wide_area_by_kind: Dict[str, int] = field(default_factory=dict)
-    remote_targets: Tuple[str, ...] = ()
-    # Resilience counters (nonzero only under fault injection); kept on
-    # the summary so parallel workers ship them home without the trace.
-    retries: int = 0
-    timeouts: int = 0
-    failovers: int = 0
-    dropped_updates: int = 0
-    # Open-loop arrivals turned away at the admission cap; always zero
-    # for closed-loop runs, so their digests are unchanged.
-    dropped_sessions: int = 0
-    # Span sampling (--obs-sample): rate 1.0 means every session traced,
-    # keeping pre-sampling digests unchanged.
-    span_sample_rate: float = 1.0
-    spans_sampled: int = 0
-    spans_skipped: int = 0
-
-    def wide_area_calls(self, kind: Optional[str] = None) -> int:
-        if kind is not None:
-            return self.wide_area_by_kind.get(kind, 0)
-        return sum(self.wide_area_by_kind.values())
-
-    def render(self) -> str:
-        """One-line human digest; always states truncation explicitly."""
-        kinds = " ".join(
-            f"{kind}={count}" for kind, count in sorted(self.by_kind.items())
-        )
-        wan = self.wide_area_calls()
-        line = (
-            f"{self.records} calls ({kinds or 'none'}), "
-            f"{wan} wide-area, {self.dropped} dropped"
-        )
-        # Only mention resilience events that actually happened, so the
-        # fault-free digest is unchanged.
-        for count, noun in (
-            (self.retries, "retries"),
-            (self.timeouts, "timeouts"),
-            (self.failovers, "failovers"),
-            (self.dropped_updates, "dropped updates"),
-            (self.dropped_sessions, "dropped sessions"),
-        ):
-            if count:
-                line += f", {count} {noun}"
-        if self.span_sample_rate < 1.0:
-            total = self.spans_sampled + self.spans_skipped
-            line += (
-                f", spans sampled {self.spans_sampled}/{total} sessions "
-                f"(rate {self.span_sample_rate:g})"
-            )
-        return line
+__all__ = ["ResponseTimeMonitor", "PageStats"]
 
 
 @dataclass

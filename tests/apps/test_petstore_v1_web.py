@@ -12,8 +12,8 @@ from repro.apps.petstore import build_application, populate_petstore
 from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel
 from repro.middleware.web import WebRequest, http_get
+from repro.obs.spans import SpanRecorder
 from repro.simnet.kernel import Environment
-from repro.simnet.monitor import Trace
 from repro.simnet.rng import Streams
 from repro.simnet.topology import TestbedConfig, build_testbed
 from tests.helpers import run_process
@@ -27,7 +27,7 @@ def systems():
         database, catalog = populate_petstore(Streams(123))
         env = Environment()
         testbed = build_testbed(env, TestbedConfig())
-        trace = Trace()
+        trace = SpanRecorder()
         system = distribute(
             env, testbed, build_application(), level, database, trace=trace
         )
@@ -87,8 +87,8 @@ def test_v1_issues_multiple_jdbc_statements_per_page(systems):
     before = len(trace.by_kind("jdbc"))
     _get(env, system, "Category", {"category_id": catalog.category_ids[1]})
     jdbc_calls = [
-        record for record in trace.by_kind("jdbc")[before:]
-        if record.page == "Category"
+        span for span in trace.by_kind("jdbc")[before:]
+        if span.page == "Category"
     ]
     # The V1 page queries the category row and the product list separately.
     assert len(jdbc_calls) == 2
@@ -105,4 +105,5 @@ def test_v2_issues_no_web_tier_jdbc(systems):
     # the façade runs in-VM, so JDBC still happens — but always below the
     # Catalog bean, never from the servlet.  Structural check: every call
     # originated on the main server where the entities live.
-    assert all(record.src_node == "main" for record in new_jdbc)
+    assert new_jdbc
+    assert all(span.node == "main" for span in new_jdbc)

@@ -6,7 +6,6 @@ from repro.core.patterns import PatternLevel
 from repro.core.rules import DesignRuleChecker
 from repro.middleware.context import InvocationContext, RequestInfo
 from repro.middleware.web import WebRequest, http_get
-from repro.simnet.monitor import CallRecord, Trace
 from tests.helpers import run_process, tiny_system
 
 
@@ -33,7 +32,7 @@ def _drive_edge_traffic(env, system, note_ids=(1, 2), repeats=2):
 
 
 def test_proper_deployment_passes_all_rules():
-    env, system = tiny_system(PatternLevel.STATEFUL_CACHING, with_trace=True)
+    env, system = tiny_system(PatternLevel.STATEFUL_CACHING, with_spans=True)
     system.warm_replicas()
     _drive_edge_traffic(env, system)
     report = DesignRuleChecker(system).check()
@@ -48,17 +47,31 @@ def test_r1_flags_remote_entity_interfaces():
     assert any(v.rule == "R1" for v in report.violations)
 
 
-def test_r2_flags_chatty_pages():
-    env, system = tiny_system(PatternLevel.REMOTE_FACADE, with_trace=True)
-    trace = system.trace
-    for _ in range(3):
-        trace.record(
-            CallRecord(
-                time=1.0, kind="rmi", src_node="edge1", dst_node="main",
-                target="NotesFacade", method="m", wide_area=True,
-                page="Chatty", request_id=77,
-            )
+def _record_page(recorder, page, wan_calls, target="NotesFacade"):
+    """One page's span tree: an http root with ``wan_calls`` wide-area
+    RMI children, as a request served at an edge would record it."""
+    root = recorder.start_span("http", f"GET {page}", "client-edge1-0", 1.0, page=page)
+    for _ in range(wan_calls):
+        call = recorder.start_span(
+            "rmi", f"{target}.m", "edge1", 1.0, parent_id=root.id,
+            wide_area=True, page=page, target=target, method="m",
         )
+        recorder.finish_span(call, 2.0)
+    recorder.finish_span(root, 3.0)
+
+
+def test_r1_flags_wide_area_calls_to_local_only_components():
+    env, system = tiny_system(PatternLevel.REMOTE_FACADE, with_spans=True)
+    _record_page(system.trace, "Notes", 1, target="Note")
+    report = DesignRuleChecker(system).check()
+    flagged = report.violations_of("R1")
+    assert [v.subject for v in flagged] == ["Note"]
+    assert "edge1" in flagged[0].detail
+
+
+def test_r2_flags_chatty_pages():
+    env, system = tiny_system(PatternLevel.REMOTE_FACADE, with_spans=True)
+    _record_page(system.trace, "Chatty", 3)
     report = DesignRuleChecker(system).check()
     chatty = [v for v in report.violations if v.rule == "R2"]
     assert len(chatty) == 1
@@ -66,20 +79,20 @@ def test_r2_flags_chatty_pages():
 
 
 def test_r2_respects_page_exceptions():
-    env, system = tiny_system(PatternLevel.REMOTE_FACADE, with_trace=True)
-    trace = system.trace
-    for _ in range(2):
-        trace.record(
-            CallRecord(
-                time=1.0, kind="rmi", src_node="edge1", dst_node="main",
-                target="NotesFacade", method="m", wide_area=True,
-                page="Verify Signin", request_id=88,
-            )
-        )
+    env, system = tiny_system(PatternLevel.REMOTE_FACADE, with_spans=True)
+    _record_page(system.trace, "Verify Signin", 2)
     report = DesignRuleChecker(
         system, page_exceptions={"Verify Signin": 2}
     ).check()
     assert report.ok
+    assert report.metrics["max_wan_calls_seen"] == 2
+
+
+def test_r2_is_not_reported_checked_without_a_span_table():
+    env, system = tiny_system(PatternLevel.REMOTE_FACADE)
+    report = DesignRuleChecker(system).check()
+    assert report.checked_rules == ["R1", "R3"]
+    assert "max_wan_calls_seen" not in report.metrics
 
 
 def test_r5_flags_blocking_pushes_at_level5():
@@ -90,7 +103,7 @@ def test_r5_flags_blocking_pushes_at_level5():
 
 
 def test_r5_passes_on_clean_async_deployment():
-    env, system = tiny_system(PatternLevel.ASYNC_UPDATES, with_trace=True)
+    env, system = tiny_system(PatternLevel.ASYNC_UPDATES, with_spans=True)
     system.warm_replicas()
     _drive_edge_traffic(env, system)
     report = DesignRuleChecker(system).check()
@@ -98,7 +111,7 @@ def test_r5_passes_on_clean_async_deployment():
 
 
 def test_report_summary_format():
-    env, system = tiny_system(PatternLevel.STATEFUL_CACHING, with_trace=True)
+    env, system = tiny_system(PatternLevel.STATEFUL_CACHING, with_spans=True)
     system.warm_replicas()
     _drive_edge_traffic(env, system)
     summary = DesignRuleChecker(system).check().summary()

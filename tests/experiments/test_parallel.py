@@ -58,11 +58,11 @@ def test_serial_and_parallel_results_are_equal(serial_series, parallel_series):
         assert all(getattr(result, name) is None for name in IN_PROCESS_FIELDS)
     observed = run_series(
         "rubis", levels=LEVELS[:1], workload=FAST, seed=21, jobs=1,
-        with_trace=True, with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
+        with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
     )
     pooled = run_cells(
         [("rubis", LEVELS[0]), ("petstore", LEVELS[0])], workload=FAST, seed=21, jobs=2,
-        with_trace=True, with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
+        with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
     )
     assert observed[LEVELS[0]] == pooled[("rubis", LEVELS[0])]
     assert observed[LEVELS[0]].spans_state["spans"]
@@ -107,11 +107,11 @@ def test_result_order_is_canonical_regardless_of_completion(parallel_series):
 def test_pickling_loses_exactly_the_in_process_fields():
     result = run_configuration(
         "rubis", LEVELS[1], workload=FAST, seed=21,
-        with_trace=True, with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
+        with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
         faults=scenario("edge-crash", FAST.duration_ms, FAST.warmup_ms),
     )
     assert IN_PROCESS_FIELDS == (
-        "system", "generator", "trace", "spans", "metrics", "series", "fault_injector",
+        "system", "generator", "spans", "metrics", "series", "fault_injector",
     )
     for name in IN_PROCESS_FIELDS:
         assert getattr(result, name) is not None, name
@@ -187,20 +187,20 @@ def test_run_cells_spans_applications():
         assert result.total_requests > 0
 
 
-def test_with_trace_ships_summary_not_records():
+def test_with_spans_ships_the_span_table_not_the_recorder():
     results = run_cells(
         [("rubis", PatternLevel.REMOTE_FACADE)],
         workload=FAST,
         seed=21,
-        with_trace=True,
+        with_spans=True,
         jobs=1,
     )
-    summary = results[("rubis", PatternLevel.REMOTE_FACADE)].trace_summary
-    assert summary is not None
-    assert summary.records > 0
-    assert sum(summary.by_kind.values()) == summary.records
+    result = results[("rubis", PatternLevel.REMOTE_FACADE)]
+    assert result.spans is None
+    spans = result.spans_state["spans"]
+    assert spans and result.spans_state["dropped"] == 0
     # Edge-to-main RMI crosses the WAN at the façade level.
-    assert summary.wide_area_calls("rmi") > 0
+    assert any(span["kind"] == "rmi" and span["wide_area"] for span in spans)
 
 
 def test_default_jobs_positive():

@@ -29,7 +29,6 @@ TINY = calibration.default_workload(duration_ms=6_000.0, warmup_ms=1_000.0)
 NON_DEFAULT = {
     "workload": TINY,
     "seed": 5,
-    "with_trace": True,
     "with_spans": True,
     "with_metrics": True,
     "faults": scenarios.scenario("latency-spike", 6_000.0, 1_000.0),
@@ -69,8 +68,7 @@ def test_every_field_is_an_option_of_every_entry_point(entry):
     # Each option visibly took effect.
     assert result.label == "replicas-one-edge"
     assert result.topology["edge_servers"] == 3
-    assert result.trace_summary.span_sample_rate == 0.5
-    assert result.spans_state is not None
+    assert result.spans_state["sample_rate"] == 0.5
     assert result.metrics_state is not None
     assert result.series_state is not None
 

@@ -1,5 +1,4 @@
-"""The availability report: snapshotting, table assembly, rendering,
-and the trace-digest counters it feeds."""
+"""The availability report: snapshotting, table assembly, rendering."""
 
 import json
 from types import SimpleNamespace
@@ -11,7 +10,6 @@ from repro.faults.report import (
     collect_resilience,
     render_availability_table,
 )
-from repro.simnet.monitor import TraceSummary
 from tests.helpers import tiny_system
 
 
@@ -90,28 +88,3 @@ def test_availability_json_is_canonical():
     assert set(configurations) == {f"L{int(level)}" for level in PatternLevel}
     assert configurations["L1"]["requests"] == 5
     assert availability_to_json([table]).endswith("\n")
-
-
-# ---------------------------------------------------------------------------
-# TraceSummary resilience counters
-# ---------------------------------------------------------------------------
-
-
-def test_trace_summary_render_is_unchanged_when_counters_are_zero():
-    summary = TraceSummary(records=3, by_kind={"rmi": 3})
-    assert summary.render() == "3 calls (rmi=3), 0 wide-area, 0 dropped"
-
-
-def test_trace_summary_render_appends_nonzero_resilience_counters():
-    summary = TraceSummary(
-        records=3,
-        by_kind={"rmi": 3},
-        retries=2,
-        timeouts=1,
-        failovers=4,
-        dropped_updates=5,
-    )
-    assert summary.render() == (
-        "3 calls (rmi=3), 0 wide-area, 0 dropped, "
-        "2 retries, 1 timeouts, 4 failovers, 5 dropped updates"
-    )

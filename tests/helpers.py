@@ -23,11 +23,11 @@ from repro.middleware.descriptors import (
 from repro.middleware.ejb import EntityBean, Servlet, StatelessSessionBean
 from repro.middleware.entity import FinderSpec
 from repro.middleware.web import Response
+from repro.obs.spans import SpanRecorder
 from repro.rdbms.engine import Database
 from repro.rdbms.schema import Column, TableSchema
 from repro.rdbms.types import INTEGER, TEXT
 from repro.simnet.kernel import Environment
-from repro.simnet.monitor import Trace
 from repro.simnet.topology import TestbedConfig, build_testbed
 
 NOTE_COUNT = 12
@@ -165,12 +165,12 @@ def tiny_database() -> Database:
 def tiny_system(
     level=PatternLevel.STATEFUL_CACHING,
     read_mostly: bool = True,
-    with_trace: bool = False,
+    with_spans: bool = False,
 ) -> "tuple[Environment, DeployedSystem]":
     """A fully deployed tiny application on the standard testbed."""
     env = Environment()
     testbed = build_testbed(env, TestbedConfig())
-    trace = Trace() if with_trace else None
+    trace = SpanRecorder() if with_spans else None
     system = distribute(
         env,
         testbed,

@@ -2,9 +2,9 @@
 
 ``cell_digests.json`` holds, for 76 short cells, the kernel's event
 ``sequence``, the network's ``total_transfers`` and sha256 digests of
-``monitor.to_state()``, the span table, the call-trace summary and the
-metrics registry — {petstore, rubis} x levels 1-6 x {closed, open} with
-spans off / on / sampled, plus one ``edge-crash`` fault cell.  The golden
+``monitor.to_state()``, the span table and the metrics registry —
+{petstore, rubis} x levels 1-6 x {closed, open} with spans off / on /
+sampled, plus one ``edge-crash`` fault cell.  The golden
 Tables 6/7 cover levels 1-5, closed loop, untraced; this is the net
 under level 6, faults, the open loop and tracing.
 
@@ -25,7 +25,6 @@ re-records it and says which cells moved and why.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -54,7 +53,7 @@ LOOPS = {
 }
 SPANS = {
     "off": {},
-    "on": {"with_spans": True, "with_trace": True},
+    "on": {"with_spans": True},
     "sampled": {"with_spans": True, "obs_sample": 0.5},
 }
 
@@ -76,7 +75,6 @@ def _cells():
         RunSpec(
             with_metrics=True,
             with_spans=True,
-            with_trace=True,
             workload=default_workload(duration_ms=FAULT_DURATION_MS, warmup_ms=WARMUP_MS),
             faults=scenario("edge-crash", FAULT_DURATION_MS, WARMUP_MS),
         ),
@@ -114,14 +112,12 @@ def _sha256(value) -> str:
 
 def digest(app: str, level: int, spec: RunSpec) -> dict:
     result = run_configuration(app, level, spec)
-    trace = result.trace_summary
     entry = {
         "sequence": result.system.env.stats()["sequence"],
         "transfers": result.system.testbed.network.total_transfers,
         "requests": result.total_requests,
         "monitor": _sha256(result.monitor_state),
         "spans": _sha256(result.spans_state),
-        "trace": _sha256(None if trace is None else dataclasses.asdict(trace)),
         "metrics": _sha256(result.metrics_state),
     }
     if spec.obs_interval_ms:

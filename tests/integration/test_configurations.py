@@ -208,10 +208,10 @@ def test_design_rules_hold_on_final_configuration():
         PatternLevel.ASYNC_UPDATES,
         workload=default_workload(duration_ms=45_000.0, warmup_ms=10_000.0),
         seed=103,
-        with_trace=True,
+        with_spans=True,
     )
     checker = DesignRuleChecker(result.system, min_replica_hit_rate=0.3)
-    report = checker.check(result.trace)
+    report = checker.check()
     assert report.ok, report.summary()
 
 
@@ -225,18 +225,16 @@ def test_design_rules_hold_for_petstore_with_stated_exception():
         PatternLevel.ASYNC_UPDATES,
         workload=default_workload(duration_ms=45_000.0, warmup_ms=10_000.0),
         seed=104,
-        with_trace=True,
+        with_spans=True,
     )
     checker = DesignRuleChecker(
         result.system,
         page_exceptions={"Verify Signin": 2},
         min_replica_hit_rate=0.3,
     )
-    report = checker.check(result.trace)
+    report = checker.check()
     assert report.ok, report.summary()
     # Without the exception, R2 must flag exactly that page.
-    strict = DesignRuleChecker(result.system, min_replica_hit_rate=0.3).check(
-        result.trace
-    )
+    strict = DesignRuleChecker(result.system, min_replica_hit_rate=0.3).check()
     flagged_pages = {v.subject for v in strict.violations_of("R2")}
     assert flagged_pages == {"Verify Signin"}

@@ -149,7 +149,7 @@ def test_telemetry_leaves_the_monitor_untouched(flash_cell):
         faults=_partition(),
     )
     assert bare.monitor.to_state() == flash_cell.monitor.to_state()
-    assert bare.trace_summary == flash_cell.trace_summary
+    assert bare.resilience == flash_cell.resilience
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,11 @@ def test_cpu_charges_current_server():
     assert run_process(env, proc()) == pytest.approx(12.5)
 
 
-def test_record_call_without_trace_is_noop():
+def test_start_span_without_trace_is_noop():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     ctx = _ctx(env, system.main)
     assert ctx.trace is None
-    ctx.record_call("rmi", "edge1", "X", "m")  # must not raise
+    span = ctx.start_span("rmi", "X.m")
+    assert span is None
+    ctx.finish_span(span)  # must not raise
+    assert ctx.in_span(span) is ctx

@@ -158,7 +158,7 @@ def test_local_interface_enforced_over_rmi():
 
 
 def test_rmi_calls_recorded_in_trace():
-    env, system = tiny_system(PatternLevel.REMOTE_FACADE, with_trace=True)
+    env, system = tiny_system(PatternLevel.REMOTE_FACADE, with_spans=True)
     edge = system.servers["edge1"]
     ctx = _ctx(env, edge)
 
@@ -167,7 +167,7 @@ def test_rmi_calls_recorded_in_trace():
         yield from ref.call(ctx, "read_note", 1)
 
     run_process(env, proc())
-    rmi_calls = system.trace.wide_area_calls("rmi")
+    rmi_calls = [span for span in system.trace.by_kind("rmi") if span.wide_area]
     assert len(rmi_calls) == 1
     assert rmi_calls[0].target == "NotesFacade"
     assert rmi_calls[0].page == "Notes"
@@ -196,9 +196,8 @@ def test_http_get_serves_mapped_page():
 
 
 def test_untraced_request_computes_no_trace_arguments(monkeypatch):
-    """With neither a span recorder nor a call trace attached, a page
-    that crosses HTTP, RMI and JDBC builds no statement label and asks
-    no route for its latency."""
+    """With no span recorder attached, a page that crosses HTTP, RMI and
+    JDBC builds no statement label and asks no route for its latency."""
     from repro.middleware import server as server_module
 
     env, system = tiny_system(PatternLevel.REMOTE_FACADE)

@@ -144,17 +144,14 @@ def test_trace_export_byte_identical_serial_vs_parallel(tmp_path):
 
 
 def test_trace_summary_render_reports_dropped():
-    from repro.simnet.monitor import CallRecord, Trace
+    """The CLI's ``[trace]`` line counts spans by kind and states drops."""
+    from repro.experiments.__main__ import _span_digest
+    from repro.obs.spans import SpanRecorder
 
-    trace = Trace(max_records=1)
+    recorder = SpanRecorder(max_spans=2)
+    recorder.start_span("http", "GET x", node="a", time=0.0)
     for index in range(3):
-        trace.record(
-            CallRecord(
-                time=float(index), kind="rmi", src_node="a", dst_node="b",
-                target="X", method="m", wide_area=True,
-            )
-        )
-    rendered = trace.summary().render()
-    assert "1 calls" in rendered
-    assert "2 dropped" in rendered
-    assert "1 wide-area" in rendered
+        recorder.start_span("rmi", "X.m", node="a", time=float(index), wide_area=True)
+    assert _span_digest(recorder.to_state()) == (
+        "2 spans (http=1 rmi=1), 1 wide-area, 2 dropped"
+    )

@@ -20,7 +20,6 @@ from repro.obs.spans import (
     SpanRecorder,
     build_trees,
     client_path_wan_calls,
-    spans_to_call_records,
 )
 
 FAST = calibration.default_workload(duration_ms=20_000.0, warmup_ms=5_000.0)
@@ -36,7 +35,6 @@ def facade_result():
         workload=FAST,
         seed=7,
         with_spans=True,
-        with_trace=True,
     )
 
 
@@ -56,9 +54,13 @@ def async_result():
 
 
 def test_recorder_disabled_records_nothing():
-    recorder = SpanRecorder(enabled=False)
-    assert recorder.start_span("http", "GET x", node="n", time=0.0) is None
-    assert len(recorder) == 0 and recorder.dropped == 0
+    """Spans off is no recorder at all, on every server of the run."""
+    result = run_configuration(
+        "petstore", PatternLevel.REMOTE_FACADE, workload=FAST, seed=7
+    )
+    assert result.spans is None and result.spans_state is None
+    assert result.system.trace is None
+    assert all(server.trace is None for server in result.system.servers.values())
 
 
 def test_recorder_max_spans_counts_drops_and_keeps_ids_stable():
@@ -170,21 +172,6 @@ def test_design_rule_checker_uses_span_trees(facade_result):
     assert report.metrics["max_wan_calls_seen"] >= 1.0
 
 
-def test_span_and_trace_projections_agree(facade_result):
-    """Spans and the flat Trace agree on wide-area RMI counts."""
-    trace_wan_rmi = len(facade_result.trace.wide_area_calls("rmi"))
-    span_wan_rmi = sum(
-        1
-        for span in facade_result.spans.spans
-        if span.kind == "rmi" and span.wide_area
-    )
-    assert span_wan_rmi == trace_wan_rmi
-    projected = spans_to_call_records(facade_result.spans.spans)
-    assert len([p for p in projected if p[0] == "rmi"]) == len(
-        facade_result.spans.by_kind("rmi")
-    )
-
-
 # -- asynchronous boundaries --------------------------------------------------
 
 
@@ -212,16 +199,16 @@ def test_async_updates_keep_client_path_clean(async_result):
         assert client_path_wan_calls(tree, exclude_targets=exclude) <= budget
 
 
-def test_r2_falls_back_to_flat_trace_when_spans_dropped(facade_result):
-    """A truncated recorder must not silently pass the R2 check."""
+def test_r2_is_not_checked_on_a_truncated_span_table(facade_result):
+    """A truncated recorder must not pass R2: it is reported unchecked."""
+    checker = DesignRuleChecker(facade_result.system)
+    # The complete table flags Verify Signin's two calls (no exception).
+    assert [v.subject for v in checker.check().violations_of("R2")] == ["Verify Signin"]
     truncated = SpanRecorder.from_state(facade_result.spans.to_state())
     truncated.dropped = 5
-    checker = DesignRuleChecker(
-        facade_result.system, page_exceptions={"Verify Signin": 2}
-    )
-    report = checker.check(trace=facade_result.trace, spans=truncated)
-    # Fall-back still checks R2 (via the flat trace) and still passes.
-    assert "R2" in report.checked_rules
+    report = checker.check(truncated)
+    assert report.checked_rules == ["R1", "R3"]
+    assert "max_wan_calls_seen" not in report.metrics
     assert report.ok, report.summary()
 
 
@@ -269,13 +256,16 @@ def test_sampling_state_keys_only_present_when_sampling():
 
 
 def test_trace_summary_reports_sampled_fraction():
-    from dataclasses import replace
+    """The CLI's per-cell ``[trace]`` line states the sampled share."""
+    from repro.experiments.__main__ import _span_digest
 
-    from repro.simnet.monitor import TraceSummary
-
-    summary = TraceSummary(records=10, by_kind={"rmi": 3, "jdbc": 7})
-    assert "spans sampled" not in summary.render()
-    sampled = replace(summary, span_sample_rate=0.25, spans_sampled=3,
-                      spans_skipped=9)
-    text = sampled.render()
-    assert "spans sampled 3/12 sessions (rate 0.25)" in text
+    full = SpanRecorder()
+    full.start_span("http", "GET x", node="n", time=0.0)
+    assert "spans sampled" not in _span_digest(full.to_state())
+    sampled = SpanRecorder(sample_rate=0.25)
+    for session in ("a", "b", "c", "d", "e", "f", "g", "h"):
+        sampled.sample(session)
+    kept, skipped = sampled.sampled_requests, sampled.skipped_requests
+    assert f"spans sampled {kept}/{kept + skipped} requests (rate 0.25)" in _span_digest(
+        sampled.to_state()
+    )

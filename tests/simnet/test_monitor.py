@@ -1,56 +1,8 @@
-"""Unit tests for tracing and response-time aggregation."""
+"""Unit tests for response-time aggregation."""
 
 import pytest
 
-from repro.simnet.monitor import CallRecord, PageStats, ResponseTimeMonitor, Trace
-
-
-def _record(**overrides):
-    defaults = dict(
-        time=1.0,
-        kind="rmi",
-        src_node="edge1",
-        dst_node="main",
-        target="Catalog",
-        method="get_item",
-        wide_area=True,
-        page="Item",
-        request_id=1,
-    )
-    defaults.update(overrides)
-    return CallRecord(**defaults)
-
-
-def test_trace_records_and_queries():
-    trace = Trace()
-    trace.record(_record())
-    trace.record(_record(kind="jdbc", wide_area=False, request_id=2))
-    assert len(trace.by_kind("rmi")) == 1
-    assert len(trace.wide_area_calls()) == 1
-    assert trace.remote_targets() == {"Catalog"}
-
-
-def test_trace_disabled_records_nothing():
-    trace = Trace(enabled=False)
-    trace.record(_record())
-    assert trace.records == []
-
-
-def test_trace_max_records_drops_overflow():
-    trace = Trace(max_records=1)
-    trace.record(_record())
-    trace.record(_record())
-    assert len(trace.records) == 1
-    assert trace.dropped == 1
-
-
-def test_calls_per_request_counts_wide_area_only():
-    trace = Trace()
-    trace.record(_record(request_id=5))
-    trace.record(_record(request_id=5))
-    trace.record(_record(request_id=5, wide_area=False))
-    assert trace.calls_per_request("rmi") == {5: 2}
-    assert trace.calls_per_request("rmi", wide_area_only=False) == {5: 3}
+from repro.simnet.monitor import PageStats, ResponseTimeMonitor
 
 
 def test_page_stats_mean_min_max():
@@ -271,22 +223,3 @@ def test_monitor_state_is_json_safe():
     state = json.loads(json.dumps(monitor.to_state()))
     assert ResponseTimeMonitor.from_state(state).mean("g", "P") == 10.0
     assert rebuilt.groups() == []
-
-
-def test_trace_summary_digest():
-    trace = Trace(max_records=2)
-    trace.record(_record())
-    trace.record(_record(kind="jdbc", wide_area=False))
-    trace.record(_record())  # dropped by max_records
-    summary = trace.summary()
-    assert summary.records == 2
-    assert summary.dropped == 1
-    assert summary.by_kind == {"jdbc": 1, "rmi": 1}
-    assert summary.wide_area_by_kind == {"rmi": 1}
-    assert summary.wide_area_calls() == 1
-    assert summary.wide_area_calls("rmi") == 1
-    assert summary.wide_area_calls("jdbc") == 0
-    assert summary.remote_targets == ("Catalog",)
-    import pickle
-
-    assert pickle.loads(pickle.dumps(summary)) == summary

@@ -47,4 +47,5 @@ def test_design_rule_audit():
     output = _run("design_rule_audit.py")
     assert "design rules at level 5: PASS" in output
     assert "[R1] RubisItem" in output
+    assert "[R2] Chatty Item" in output
     assert "runtime enforcement: AccessError" in output

@@ -1,5 +1,7 @@
 """Open-loop workload engine: arrivals, scenarios, Markov sessions."""
 
+import json
+
 import pytest
 
 from repro.core.usage import PatternError, WeightedPattern
@@ -185,14 +187,16 @@ def test_openloop_admission_cap_drops_sessions():
     assert generator.admitted + generator.dropped_sessions == generator.arrivals
 
 
-def test_openloop_dropped_sessions_reach_trace_summary():
-    result = _run_openloop(
-        _small_config(session_rate_per_s=20.0, max_sessions=5),
-        with_trace=True,
-    )
-    summary = result.trace_summary
-    assert summary.dropped_sessions == result.generator.dropped_sessions
-    assert "dropped sessions" in summary.render()
+def test_openloop_dropped_sessions_reach_the_availability_report():
+    from repro.faults.report import availability_to_json, build_availability_table
+
+    result = _run_openloop(_small_config(session_rate_per_s=20.0, max_sessions=5))
+    dropped = result.generator.dropped_sessions
+    assert dropped > 0
+    assert result.resilience["dropped_sessions"] == dropped
+    table = build_availability_table("rubis", {result.level: result})
+    payload = json.loads(availability_to_json([table]))
+    assert payload["rubis"]["configurations"]["L5"]["dropped_sessions"] == dropped
 
 
 def test_openloop_metrics_expose_session_health():
