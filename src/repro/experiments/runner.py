@@ -33,7 +33,7 @@ from ..simnet.monitor import ResponseTimeMonitor
 from ..simnet.topology import TestbedConfig, TopologyOverrides, build_testbed
 from ..core.usage import WeightedPattern
 from ..workload.generator import LoadGenerator, WorkloadConfig
-from ..workload.openloop import OpenLoopConfig, OpenLoopGenerator, TransitionMatrixPattern
+from ..workload.openloop import OpenLoopConfig, TransitionMatrixPattern
 from . import calibration
 
 __all__ = [
@@ -155,8 +155,7 @@ class CellResult:
     # groups) for results/metrics artifacts.
     topology: Optional[dict] = None
     system: Optional[DeployedSystem] = _in_process()
-    # LoadGenerator (closed loop) or OpenLoopGenerator (open loop).
-    generator: object = _in_process()
+    generator: Optional[LoadGenerator] = _in_process()
     spans: Optional[SpanRecorder] = _in_process()
     metrics: Optional[MetricsRegistry] = _in_process()
     series: Optional[TimeSeriesRecorder] = _in_process()
@@ -225,9 +224,10 @@ class RunSpec:
     policy: Optional[PlacementPolicy] = None
     # Overrides of the app's calibrated testbed knobs.
     topology: Optional[TopologyOverrides] = None
-    # Swaps the closed-loop population for the open-loop arrival engine
-    # (:mod:`repro.workload.openloop`); ``workload`` is then ignored and
-    # browser sessions become Markov walks over the app's page mix.
+    # Runs the one generator under the open-loop arrival process instead
+    # of the closed population (:mod:`repro.workload.openloop`);
+    # ``workload`` is then ignored and browser sessions become Markov
+    # walks over the app's page mix.
     openloop: Optional[OpenLoopConfig] = None
     # Windowed telemetry: a kernel sampler snapshots counters/gauges every
     # interval and the generator streams response times into per-window
@@ -322,13 +322,12 @@ def run_configuration(
     injector = None
     if spec.faults is not None and not spec.faults.empty:
         injector = FaultInjector(spec.faults, streams).install(env, system)
-    # One constructor shape for both arrival policies; the open loop walks
-    # the browse mix as a Markov chain.
+    # One generator; the config picks the arrival policy.  The open loop
+    # walks the browse mix as a Markov chain.
     browser = (browser_pattern or app_spec.browser_pattern)(catalog)
     if openloop is not None and isinstance(browser, WeightedPattern):
         browser = TransitionMatrixPattern(browser)
-    generator_class = LoadGenerator if openloop is None else OpenLoopGenerator
-    generator = generator_class(
+    generator = LoadGenerator(
         system,
         streams,
         browser,

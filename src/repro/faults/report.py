@@ -43,11 +43,9 @@ def collect_resilience(system, generator=None) -> dict:
         data["requests"] = generator.total_requests()
         data["errors"] = generator.errors
         data["failovers"] = generator.failovers
-        if hasattr(generator, "admitted"):
-            # Open loop: dropped arrivals are a resilience fact of their
-            # own.  The key is only present for open-loop runs, so
-            # closed-loop artifacts stay byte-identical.
-            data["dropped_sessions"] = generator.dropped_sessions
+        # Dropped arrivals are a resilience fact of their own (always 0
+        # on the closed loop, whose clients never drop).
+        data["dropped_sessions"] = generator.dropped_sessions
     if stats is not None:
         stats.finalize(system.env.now)
         data.update(stats.to_dict())

@@ -6,10 +6,10 @@ naming/rmi -> containers (session/entity/mdb/readonly) -> replication
 """
 
 from .context import (
+    ContainerTransactionError,
     InvocationContext,
     RequestInfo,
     TransactionContext,
-    TransactionError,
     UpdateEvent,
 )
 from .costs import MiddlewareCosts
@@ -58,10 +58,10 @@ from .updates import (
 from .web import HttpSessionStore, Response, ServletContainer, WebRequest, http_get
 
 __all__ = [
+    "ContainerTransactionError",
     "InvocationContext",
     "RequestInfo",
     "TransactionContext",
-    "TransactionError",
     "UpdateEvent",
     "MiddlewareCosts",
     "ApplicationDescriptor",

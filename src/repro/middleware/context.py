@@ -27,12 +27,15 @@ __all__ = [
     "UpdateEvent",
     "TransactionContext",
     "InvocationContext",
-    "TransactionError",
+    "ContainerTransactionError",
 ]
 
 
-class TransactionError(Exception):
-    """Raised on transaction lifecycle misuse in the middleware layer."""
+class ContainerTransactionError(Exception):
+    """Raised on transaction lifecycle misuse in the middleware layer: a
+    write in a read-only transaction, or commit/rollback on one that is
+    not active.  (A lock-wait timeout is the database's own
+    :class:`repro.rdbms.transactions.TransactionError`.)"""
 
 
 _request_ids = itertools.count(1)
@@ -149,7 +152,7 @@ class TransactionContext:
 
     def mark_write(self) -> None:
         if self.read_only_hint:
-            raise TransactionError("write inside a transaction hinted read-only")
+            raise ContainerTransactionError("write inside a transaction hinted read-only")
         self.read_only = False
 
     def add_update_event(self, event: UpdateEvent) -> None:
@@ -168,7 +171,7 @@ class TransactionContext:
     # -- completion -----------------------------------------------------------
     def commit(self, ctx: "InvocationContext") -> Generator[Event, Any, None]:
         if self.state != "active":
-            raise TransactionError(f"commit on a {self.state} transaction")
+            raise ContainerTransactionError(f"commit on a {self.state} transaction")
         # 1. Synchronize dirty (or all, with the unoptimized ejbStore
         #    behaviour) entity instances back to the database.
         for container, instance in self._enlisted_entities:
@@ -196,7 +199,7 @@ class TransactionContext:
 
     def rollback(self, ctx: "InvocationContext") -> Generator[Event, Any, None]:
         if self.state != "active":
-            raise TransactionError(f"rollback on a {self.state} transaction")
+            raise ContainerTransactionError(f"rollback on a {self.state} transaction")
         for container, instance in self._enlisted_entities:
             container.discard_instance(instance)
         for connection in self._connections:

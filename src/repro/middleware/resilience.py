@@ -17,7 +17,7 @@ __all__ = ["RmiTimeout", "RETRYABLE_ERRORS", "backoff_delay"]
 
 # Transient transport-level failures worth retrying: a partitioned link,
 # a lost packet, a pool refusing to dial a crashed node.  Application
-# errors (BeanError, TransactionError, ...) are deliberately absent —
+# errors (BeanError, ContainerTransactionError, ...) are deliberately absent —
 # retrying those would mask bugs, not faults.
 RETRYABLE_ERRORS = (LinkDown, PacketLoss, NodeUnavailable)
 

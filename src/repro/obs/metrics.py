@@ -363,7 +363,7 @@ def collect_system_metrics(registry: MetricsRegistry, system, generator=None) ->
     propagator = system.main.update_propagator
     if propagator is not None:
         registry.gauge("propagator.blocking_time_ms").set(propagator.blocking_time_total)
-    if generator is not None and hasattr(generator, "admitted"):
+    if generator is not None:
         registry.gauge("workload.sessions_active").set(float(generator.active))
         registry.gauge("workload.sessions_peak").set(float(generator.peak_active))
 

@@ -377,9 +377,7 @@ class _Sampler:
         self._last = current
 
         gauges = window["gauges"]
-        generator = self.generator
-        if hasattr(generator, "admitted"):
-            gauges["sessions.active"] = generator.active
+        gauges["sessions.active"] = self.generator.active
         jms = self.system.main.jms
         if jms is not None:
             gauges["jms.in_flight"] = jms.in_flight

@@ -1,22 +1,21 @@
 """Client simulation: usage-pattern-driven load generation and metrics.
 
-One session loop, :func:`~repro.workload.driver.drive_sessions`, under
-two arrival policies: the paper's closed-loop population
-(:mod:`.generator` / :mod:`.client`, soft think times) and the open-loop
-arrival engine (:mod:`.openloop`).
+One session loop, :func:`~repro.workload.driver.drive_sessions`, run by
+one generator, :class:`~repro.workload.generator.LoadGenerator`, under
+either arrival policy: the paper's closed-loop population
+(:class:`~repro.workload.generator.WorkloadConfig`, soft think times) or
+the open-loop arrival process
+(:class:`~repro.workload.openloop.OpenLoopConfig`).
 """
 
-from .client import Client
 from .driver import drive_sessions
 from .generator import LoadGenerator, WorkloadConfig
-from .openloop import OpenLoopConfig, OpenLoopGenerator, TransitionMatrixPattern
+from .openloop import OpenLoopConfig, TransitionMatrixPattern
 
 __all__ = [
-    "Client",
     "drive_sessions",
     "LoadGenerator",
     "WorkloadConfig",
     "OpenLoopConfig",
-    "OpenLoopGenerator",
     "TransitionMatrixPattern",
 ]

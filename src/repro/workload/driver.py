@@ -10,8 +10,8 @@ user thinks*, and both arrive as values, not as a mode:
 ``sessions``
     An iterator of ``(session_id, visits)``.  Pulling an item starts a
     session; pulling the next one (or closing the iterator) ends it, so
-    the iterator is where an arrival policy keeps its session accounting
-    (``sessions_completed``; ``active`` / ``completions``).
+    the iterator is where the generator keeps its session accounting
+    (``admitted`` / ``active`` / ``completions``).
 ``think(elapsed, last, broken) -> delay``
     Milliseconds to wait after a visit that took ``elapsed`` ms, was the
     session's ``last``, or left the session ``broken``.
@@ -19,9 +19,9 @@ user thinks*, and both arrive as values, not as a mode:
     No visit starts at or after this simulated time.
 
 The driver owns everything else: the request, the failover, the lost-
-visit classification and the four counters every owner exposes
-(``requests_sent``, ``errors``, ``failovers``, ``think_ms``) plus
-``error_kinds``.  It is the only caller of :func:`http_get` under
+visit classification and the four counters of its owner, the
+:class:`~repro.workload.generator.LoadGenerator` (``requests_sent``,
+``errors``, ``failovers``, ``think_ms``) plus ``error_kinds``.  It is the only caller of :func:`http_get` under
 ``workload/``.
 """
 
@@ -138,7 +138,7 @@ def drive_sessions(
 
 
 def workload_counters(owner) -> Dict[str, float]:
-    """The cumulative counters every session owner keeps, by metric name.
+    """The cumulative counters the driver keeps on ``owner``, by metric name.
 
     Lost visits by kind appear only where non-zero, so a run that loses
     none names no kind.

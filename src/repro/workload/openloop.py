@@ -1,28 +1,26 @@
-"""Open-loop workload engine: arrivals decoupled from completions.
+"""Open-loop arrivals: the config of the arrival process and its sessions.
 
-The closed-loop generator (:mod:`.generator`) fixes a client *population*
-and lets soft think times pin the request rate.  That shape cannot model
-the situations the paper's motivation leans on — flash crowds, overload,
-and very large mostly-idle user bases — because a closed loop throttles
-itself: when the service slows down, the population slows its arrivals.
+The closed-loop population (:class:`~repro.workload.generator.WorkloadConfig`)
+fixes a number of clients and lets soft think times pin the request
+rate.  That shape cannot model the situations the paper's motivation
+leans on — flash crowds, overload, and very large mostly-idle user
+bases — because a closed loop throttles itself: when the service slows
+down, the population slows its arrivals.
 
-This module provides the open-loop complement: an *arrival process*
-spawns independent, finite sessions at a configured rate regardless of
-how the service is doing.  Three inter-arrival laws are supported —
-Poisson (memoryless), Pareto (heavy-tailed bursts) and lognormal — and
-three canned scenarios modulate the instantaneous rate over the run:
-``steady``, ``flash-crowd`` (a rate spike in a configurable window) and
-``diurnal`` (a one-cycle sinusoidal ramp).
+An :class:`OpenLoopConfig` handed to the one
+:class:`~repro.workload.generator.LoadGenerator` selects the open-loop
+complement instead: an *arrival process* spawns independent, finite
+sessions at a configured rate regardless of how the service is doing.
+Three inter-arrival laws are supported — Poisson (memoryless), Pareto
+(heavy-tailed bursts) and lognormal — and three canned scenarios
+modulate the instantaneous rate over the run: ``steady``,
+``flash-crowd`` (a rate spike in a configurable window) and ``diurnal``
+(a one-cycle sinusoidal ramp).
 
 Sessions draw their page sequences from a first-order Markov walk
 (:class:`TransitionMatrixPattern`) with geometric session lengths, so
 each synthetic user follows its own path through the page graph instead
 of replaying a fixed-length weighted mix.
-
-Each admitted session is one kernel process whose body is the session
-driver (:mod:`.driver`) — the same request/failover loop the closed-loop
-clients run — handed this module's arrival policy: one ``o{n}`` session,
-the full (not soft) think time, and no deadline.
 
 Scale notes.  The engine is built to sustain 10^5-10^6 concurrent
 sessions on the two-tier simulation kernel: a session costs two
@@ -49,25 +47,35 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.distribution import DeployedSystem
 from ..core.usage import PageVisit, PatternError, UsagePattern, WeightedPattern
-from ..simnet.kernel import Environment, Event
-from ..simnet.monitor import ResponseTimeMonitor
 from ..simnet.rng import Streams
-from .driver import drive_sessions, workload_counters
 
 __all__ = [
     "ARRIVALS",
     "SCENARIOS",
     "OpenLoopConfig",
     "TransitionMatrixPattern",
-    "OpenLoopGenerator",
+    "check_shared_fields",
 ]
 
 ARRIVALS = ("poisson", "pareto", "lognormal")
 SCENARIOS = ("steady", "flash-crowd", "diurnal")
+
+
+def check_shared_fields(config) -> None:
+    """The rules both loops' configs share: think time, duration and
+    warm-up finite and in range, and a browser fraction in [0, 1]."""
+    for value in (config.think_time_ms, config.duration_ms, config.warmup_ms):
+        if not -math.inf < value < math.inf:  # NaN fails both
+            raise ValueError("think time, duration and warmup must be finite")
+    if config.think_time_ms <= 0:
+        raise ValueError("think time must be positive")
+    if config.duration_ms <= 0 or config.warmup_ms < 0:
+        raise ValueError("duration must be positive and warmup non-negative")
+    if not 0.0 <= config.browser_fraction <= 1.0:  # NaN fails too
+        raise ValueError("browser_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -106,26 +114,17 @@ class OpenLoopConfig:
             raise ValueError(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
+        check_shared_fields(self)
         for value in (
             self.session_rate_per_s,
-            self.think_time_ms,
-            self.duration_ms,
-            self.warmup_ms,
             self.pareto_alpha,
             self.lognormal_sigma,
             self.flash_multiplier,
         ):
             if not -math.inf < value < math.inf:  # NaN fails both
-                raise ValueError(
-                    "session rate, think time, duration, warmup and arrival "
-                    "shape must be finite"
-                )
-        if self.session_rate_per_s <= 0 or self.think_time_ms <= 0:
-            raise ValueError("session rate and think time must be positive")
-        if self.duration_ms <= 0 or self.warmup_ms < 0:
-            raise ValueError("duration must be positive and warmup non-negative")
-        if not 0.0 <= self.browser_fraction <= 1.0:
-            raise ValueError("browser_fraction must be in [0, 1]")
+                raise ValueError("session rate and arrival shape must be finite")
+        if self.session_rate_per_s <= 0:
+            raise ValueError("session rate must be positive")
         if self.max_sessions < 0:
             raise ValueError("max_sessions must be non-negative")
         if self.pareto_alpha <= 1.0:
@@ -142,6 +141,21 @@ class OpenLoopConfig:
     @property
     def mean_gap_ms(self) -> float:
         return 1000.0 / self.session_rate_per_s
+
+    def draw_gap(self, rng, mean: float) -> float:
+        """One inter-arrival gap of mean ``mean`` ms under ``arrival``."""
+        if self.arrival == "poisson":
+            return rng.expovariate(1.0 / mean)
+        if self.arrival == "pareto":
+            # paretovariate(a) - 1 has mean 1/(a-1) on [0, inf), so this
+            # gap has mean ``mean`` with a heavy right tail and mass near
+            # zero: bursty arrivals.
+            alpha = self.pareto_alpha
+            return mean * (alpha - 1.0) * (rng.paretovariate(alpha) - 1.0)
+        # lognormal: choose mu so the mean is exactly ``mean``.
+        sigma = self.lognormal_sigma
+        mu = math.log(mean) - 0.5 * sigma * sigma
+        return rng.lognormvariate(mu, sigma)
 
     def rate_factor(self, now: float) -> float:
         """Instantaneous rate multiplier of the scenario at time ``now``."""
@@ -244,199 +258,3 @@ class TransitionMatrixPattern(UsagePattern):
                     break
             visit(page)
         return visits
-
-
-class OpenLoopGenerator:
-    """Spawns independent sessions from an arrival process.
-
-    API-compatible with :class:`.generator.LoadGenerator` where the
-    experiment runner and the obs layer care (``monitor``, ``start``,
-    ``run``, ``total_requests``, ``achieved_rate_per_s``, and the counter
-    surface ``requests_sent`` / ``errors`` / ``failovers`` / ``think_ms``
-    / ``error_kinds``), so the two are interchangeable behind the
-    ``--workload`` knob; the session counters (``arrivals``,
-    ``admitted``, ...) exist only here.
-    """
-
-    def __init__(
-        self,
-        system: DeployedSystem,
-        streams: Streams,
-        browser_pattern: UsagePattern,
-        writer_pattern: UsagePattern,
-        config: Optional[OpenLoopConfig] = None,
-        writer_group_name: str = "buyer",
-    ):
-        self.system = system
-        self.streams = streams
-        self.browser_pattern = browser_pattern
-        self.writer_pattern = writer_pattern
-        self.config = config or OpenLoopConfig()
-        self.writer_group_name = writer_group_name
-        self.monitor = ResponseTimeMonitor(warmup=self.config.warmup_ms)
-        # Open-loop session accounting (the obs layer reports these).
-        self.arrivals = 0
-        self.admitted = 0
-        self.dropped_sessions = 0
-        self.completions = 0
-        self.active = 0
-        self.peak_active = 0
-        self.requests_sent = 0
-        self.errors = 0
-        self.failovers = 0
-        self.think_ms = 0.0
-        #: Lost visits by the class name of the exception that lost them.
-        self.error_kinds: Dict[str, int] = {}
-        self._think_rng = streams.get("openloop-think")
-        #: Optional :class:`~repro.obs.timeseries.TimeSeriesRecorder`;
-        #: when set, every successful response is streamed into the
-        #: current window as it happens (the one per-request telemetry
-        #: cost the sampler's pull model does not cover).
-        self.timeseries = None
-        self._targets: List[Tuple[str, str]] = []
-
-    # -- assembly -----------------------------------------------------------
-    def _build_targets(self) -> List[Tuple[str, str]]:
-        """(client machine, locality) in round-robin order across groups.
-
-        Transposed — first machine of every group, then second of every
-        group, ... — so consecutive arrivals spread across entry points
-        instead of piling onto one edge.
-        """
-        if self._targets:
-            return self._targets
-        testbed = self.system.testbed
-        columns: List[List[Tuple[str, str]]] = []
-        for server_name in testbed.app_servers:
-            locality = "local" if server_name == testbed.main_server else "remote"
-            columns.append(
-                [(machine, locality) for machine in testbed.clients_of(server_name)]
-            )
-        depth = max(len(column) for column in columns)
-        for index in range(depth):
-            for column in columns:
-                if index < len(column):
-                    self._targets.append(column[index])
-        return self._targets
-
-    # -- arrival process ----------------------------------------------------
-    def _draw_gap(self, rng, mean: float) -> float:
-        arrival = self.config.arrival
-        if arrival == "poisson":
-            return rng.expovariate(1.0 / mean)
-        if arrival == "pareto":
-            # paretovariate(a) - 1 has mean 1/(a-1) on [0, inf), so this
-            # gap has mean ``mean`` with a heavy right tail and mass near
-            # zero: bursty arrivals.
-            alpha = self.config.pareto_alpha
-            return mean * (alpha - 1.0) * (rng.paretovariate(alpha) - 1.0)
-        # lognormal: choose mu so the mean is exactly ``mean``.
-        sigma = self.config.lognormal_sigma
-        mu = math.log(mean) - 0.5 * sigma * sigma
-        return rng.lognormvariate(mu, sigma)
-
-    def _arrivals(self, env: Environment) -> Generator[Event, None, None]:
-        config = self.config
-        targets = self._build_targets()
-        n_targets = len(targets)
-        gap_rng = self.streams.get("openloop-arrivals")
-        mix_random = self.streams.get("openloop-mix").random
-        mean_gap = config.mean_gap_ms
-        duration = config.duration_ms
-        max_sessions = config.max_sessions
-        think = self._full_think  # one bound method for every session
-        index = 0
-        while True:
-            gap = self._draw_gap(gap_rng, mean_gap)
-            # Scenario modulation scales the *local* mean gap by the
-            # instantaneous rate factor.
-            factor = config.rate_factor(env.now)
-            if factor != 1.0:
-                gap /= factor
-            yield env.sleep(gap)
-            if env.now >= duration:
-                return
-            self.arrivals += 1
-            if max_sessions and self.active >= max_sessions:
-                # Open loop: an arrival finding the system full is turned
-                # away, never queued — the defining drop mode.
-                self.dropped_sessions += 1
-                continue
-            machine, locality = targets[index % n_targets]
-            index += 1
-            if mix_random() < config.browser_fraction:
-                kind, pattern = "browser", self.browser_pattern
-            else:
-                kind, pattern = self.writer_group_name, self.writer_pattern
-            group = f"{locality}-{kind}"
-            self.admitted += 1
-            env.process(
-                drive_sessions(
-                    env,
-                    self,
-                    machine,
-                    group,
-                    self._one_session(self.arrivals, pattern),
-                    think,
-                    math.inf,
-                ),
-                name=f"open-session-{self.arrivals}",
-            )
-
-    # -- one session --------------------------------------------------------
-    def _one_session(
-        self, index: int, pattern: UsagePattern
-    ) -> Iterator[Tuple[str, List[PageVisit]]]:
-        """The single ``o{index}`` session of one arrival.
-
-        Active from the driver's first pull until it asks for a second
-        session (or drops the iterator), whichever way the session ends.
-        """
-        self.active += 1
-        if self.active > self.peak_active:
-            self.peak_active = self.active
-        try:
-            yield f"o{index}", pattern.session(self.streams, index)
-        finally:
-            self.active -= 1
-            self.completions += 1
-
-    def _full_think(self, elapsed: float, last: bool, broken: bool) -> float:
-        """Open loop uses the *full* think time: the arrival process owns
-        the rate, so there is nothing for a soft delay to hold steady.
-        Truncated to whole milliseconds — the RUBiS client emulator
-        schedules think times through Thread.sleep(ms) — which also lets
-        the kernel batch same-instant wake-ups.  Nothing is drawn after a
-        session's last visit or a broken one: the session just ends."""
-        if last or broken:
-            return 0.0
-        return float(int(self._think_rng.expovariate(1.0 / self.config.think_time_ms)))
-
-    # -- driving ------------------------------------------------------------
-    def start(self, env: Environment) -> None:
-        """Register the arrival process."""
-        self._build_targets()
-        env.process(self._arrivals(env), name="open-loop-arrivals")
-
-    def run(self, env: Environment) -> ResponseTimeMonitor:
-        """Start arrivals and run until every admitted session finishes."""
-        self.start(env)
-        env.run()
-        return self.monitor
-
-    # -- reporting ----------------------------------------------------------
-    def total_requests(self) -> int:
-        return self.requests_sent
-
-    def counters(self) -> Dict[str, float]:
-        """Cumulative workload and session counters, by metric name."""
-        return {
-            **workload_counters(self),
-            "workload.sessions_arrived": self.arrivals,
-            "workload.sessions_admitted": self.admitted,
-            "workload.sessions_completed": self.completions,
-            "workload.sessions_dropped": self.dropped_sessions,
-        }
-
-    def achieved_rate_per_s(self) -> float:
-        return self.requests_sent / (self.config.duration_ms / 1000.0)

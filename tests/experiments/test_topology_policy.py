@@ -74,7 +74,7 @@ def test_smoke_run_at_nondefault_edge_count(edges):
         result.system.main.name
     }
     for client in result.generator.clients:
-        assert result.system.entry_server_for(client.client_node).name in names
+        assert result.system.entry_server_for(client.machine).name in names
 
 
 def test_default_topology_recorded_on_result():

@@ -12,9 +12,8 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.core.usage import ScriptedPattern
 from repro.middleware.web import CONNECT_TIMEOUT_MS, ServerUnavailable, WebRequest, http_get
-from repro.simnet.monitor import ResponseTimeMonitor
 from repro.simnet.rng import Streams
-from repro.workload.client import Client
+from repro.workload.generator import ClientSpec, LoadGenerator, WorkloadConfig
 from tests.helpers import run_process, tiny_system
 
 
@@ -26,6 +25,17 @@ def _browse_pattern():
             "note_id": streams.randint("note", 1, 12)
         },
     )
+
+
+def _one_browser(env, system, seed, end_time):
+    """Run a population of one: a remote browser on edge1's first client
+    machine, thinking 4 s between requests until ``end_time``."""
+    pattern = _browse_pattern()
+    config = WorkloadConfig(think_time_ms=4_000.0, duration_ms=end_time, warmup_ms=0.0)
+    generator = LoadGenerator(system, Streams(seed), pattern, pattern, config=config)
+    generator.clients = [ClientSpec(1, "client-edge1-0", "remote-browser", pattern, 0.0)]
+    generator.run(env)
+    return generator
 
 
 def test_request_to_failed_server_times_out():
@@ -52,19 +62,8 @@ def test_client_fails_over_to_main_entry_point():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     system.warm_replicas()
     system.servers["edge1"].fail()
-    monitor = ResponseTimeMonitor()
-    client = Client(
-        system=system,
-        monitor=monitor,
-        streams=Streams(31),
-        client_node="client-edge1-0",
-        group="remote-browser",
-        pattern=_browse_pattern(),
-        think_time=4_000.0,
-        end_time=30_000.0,
-    )
-    env.process(client.run(env))
-    env.run()
+    client = _one_browser(env, system, 31, 30_000.0)
+    monitor = client.monitor
     # Every request was served despite the dead edge.
     assert client.requests_sent == monitor.page_stats("remote-browser", "Notes").count
     assert client.requests_sent > 0
@@ -79,19 +78,7 @@ def test_no_entry_point_left_counts_errors():
     system.warm_replicas()
     for server in system.servers.values():
         server.fail()
-    monitor = ResponseTimeMonitor()
-    client = Client(
-        system=system,
-        monitor=monitor,
-        streams=Streams(32),
-        client_node="client-edge1-0",
-        group="remote-browser",
-        pattern=_browse_pattern(),
-        think_time=4_000.0,
-        end_time=20_000.0,
-    )
-    env.process(client.run(env))
-    env.run()
+    client = _one_browser(env, system, 32, 20_000.0)
     assert client.requests_sent == 0
     assert client.errors > 0
 
@@ -129,18 +116,6 @@ def test_centralized_deployment_has_single_point_of_failure():
     """The counterpoint: without distribution, a main failure kills all."""
     env, system = tiny_system(PatternLevel.CENTRALIZED)
     system.main.fail()
-    monitor = ResponseTimeMonitor()
-    client = Client(
-        system=system,
-        monitor=monitor,
-        streams=Streams(33),
-        client_node="client-edge1-0",
-        group="remote-browser",
-        pattern=_browse_pattern(),
-        think_time=4_000.0,
-        end_time=20_000.0,
-    )
-    env.process(client.run(env))
-    env.run()
+    client = _one_browser(env, system, 33, 20_000.0)
     assert client.requests_sent == 0
     assert client.errors > 0

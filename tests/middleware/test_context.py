@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.patterns import PatternLevel
 from repro.middleware.context import (
+    ContainerTransactionError,
     InvocationContext,
     RequestInfo,
     TransactionContext,
-    TransactionError,
     UpdateEvent,
 )
 from tests.helpers import run_process, tiny_system
@@ -51,7 +51,7 @@ def test_commit_twice_rejected():
         yield from tx.commit(ctx.in_transaction(tx))
         yield from tx.commit(ctx.in_transaction(tx))
 
-    with pytest.raises(TransactionError):
+    with pytest.raises(ContainerTransactionError):
         run_process(env, proc())
 
 
@@ -64,7 +64,7 @@ def test_rollback_after_commit_rejected():
         yield from tx.commit(ctx.in_transaction(tx))
         yield from tx.rollback(ctx.in_transaction(tx))
 
-    with pytest.raises(TransactionError):
+    with pytest.raises(ContainerTransactionError):
         run_process(env, proc())
 
 
@@ -72,7 +72,7 @@ def test_read_only_hint_rejects_writes():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     ctx = _ctx(env, system.main)
     tx = TransactionContext(ctx, read_only_hint=True)
-    with pytest.raises(TransactionError):
+    with pytest.raises(ContainerTransactionError):
         tx.mark_write()
 
 

@@ -1,30 +1,207 @@
 """The parent commit's two session loops, kept as oracles.
 
-``ReferenceClient.run`` and ``ReferenceOpenLoopGenerator._arrivals`` /
-``._session`` are the bodies of ``Client.run`` and
-``OpenLoopGenerator._arrivals`` / ``._session`` as they stood before the
-one session driver (:mod:`repro.workload.driver`) replaced them, copied
+``ReferenceClient.run`` and ``ReferenceOpenLoop._arrivals`` /
+``._session`` are the bodies of the closed-loop ``Client.run`` and of
+the open-loop generator's ``_arrivals`` / ``_session`` as they stood
+before the one session driver (:mod:`repro.workload.driver`) replaced them, copied
 literally — only the imports and the class statements around them
 changed.  ``test_driver_oracle.py`` runs them beside the driver on the
 same seed and demands identical simulations.  Do not "tidy" this file:
 its value is that it is the old code.
+
+The classes those bodies lived in are gone from the program (one
+``LoadGenerator`` now runs both loops), so their scaffolding is copied
+here from the last commit that had them: ``Client.__init__``, the old
+``LoadGenerator``'s population and start-up, and the open-loop
+generator's skeleton (including its ``_draw_gap``).  Two things are added, both
+bookkeeping the old bodies cannot see: a client forwards each increment
+of its counters to its generator's running total, in event order, as the
+one generator counts; and each session drawn from a client's pattern is
+counted as admitted.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+import math
+from typing import Dict, Generator, List, Optional, Tuple
 
+from repro.core.distribution import DeployedSystem
 from repro.core.usage import UsagePattern
 from repro.middleware.resilience import RETRYABLE_ERRORS, RmiTimeout
 from repro.middleware.web import ServerUnavailable, WebRequest, http_get
 from repro.simnet.kernel import Environment, Event
-from repro.workload.client import Client
-from repro.workload.openloop import OpenLoopGenerator
+from repro.simnet.monitor import ResponseTimeMonitor
+from repro.simnet.rng import Streams
+from repro.workload.generator import WorkloadConfig
+from repro.workload.openloop import OpenLoopConfig
 
 _REQUEST_FAULTS = (ServerUnavailable, RmiTimeout) + RETRYABLE_ERRORS
 
 
-class ReferenceClient(Client):
+class _Total:
+    """A client counter kept only as its generator's total.
+
+    Reads give 0, so ``client.x += d`` hands the setter exactly ``d``,
+    which is added to ``generator.x`` at the moment the client counts it.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, client, owner=None):
+        return self if client is None else 0
+
+    def __set__(self, client, value):
+        generator = client.generator
+        setattr(generator, self.name, getattr(generator, self.name) + value)
+
+
+class _CountedPattern:
+    """A client's usage pattern whose every session draw is one admission."""
+
+    def __init__(self, pattern: UsagePattern, generator):
+        self.pattern = pattern
+        self.generator = generator
+
+    def session(self, streams, session_index):
+        self.generator.admitted += 1
+        return self.pattern.session(streams, session_index)
+
+
+class ReferenceLoadGenerator:
+    """The old ``LoadGenerator``: builds and runs the client population."""
+
+    def __init__(
+        self,
+        system: DeployedSystem,
+        streams: Streams,
+        browser_pattern: UsagePattern,
+        writer_pattern: UsagePattern,
+        config: Optional[WorkloadConfig] = None,
+        writer_group_name: str = "buyer",
+    ):
+        self.system = system
+        self.streams = streams
+        self.browser_pattern = browser_pattern
+        self.writer_pattern = writer_pattern
+        self.config = config or WorkloadConfig()
+        self.writer_group_name = writer_group_name
+        self.monitor = ResponseTimeMonitor(warmup=self.config.warmup_ms)
+        self.timeseries = None
+        self.clients: List[ReferenceClient] = []
+        # The clients' counters, as running totals.
+        self.requests_sent = 0
+        self.sessions_completed = 0
+        self.errors = 0
+        self.failovers = 0
+        self.think_ms = 0.0
+        self.admitted = 0
+        # What the availability snapshot reads; clients never drop.
+        self.dropped_sessions = 0
+
+    def _group_rate(self) -> float:
+        groups = len(self.system.testbed.app_servers)
+        return self.config.total_rate_per_s / groups
+
+    def clients_per_group(self) -> Dict[str, int]:
+        per_group = self._group_rate() * self.config.think_time_ms / 1000.0
+
+        def count(fraction: float) -> int:
+            return max(1, round(per_group * fraction)) if fraction > 0 else 0
+
+        fraction = self.config.browser_fraction
+        return {"browser": count(fraction), "writer": count(1.0 - fraction)}
+
+    def build(self) -> List["ReferenceClient"]:
+        if self.clients:
+            return self.clients
+        counts = self.clients_per_group()
+        testbed = self.system.testbed
+        end_time = self.config.duration_ms
+        stagger_stream = self.streams.get("client-stagger")
+        for server_name in testbed.app_servers:
+            locality = "local" if server_name == testbed.main_server else "remote"
+            machines = testbed.clients_of(server_name)
+            specs = [
+                ("browser", self.browser_pattern, counts["browser"]),
+                (self.writer_group_name, self.writer_pattern, counts["writer"]),
+            ]
+            for kind, pattern, count in specs:
+                group = f"{locality}-{kind}"
+                for index in range(count):
+                    machine = machines[index % len(machines)]
+                    self.clients.append(
+                        ReferenceClient(
+                            self,
+                            system=self.system,
+                            monitor=self.monitor,
+                            streams=self.streams,
+                            client_node=machine,
+                            group=group,
+                            pattern=_CountedPattern(pattern, self),
+                            think_time=self.config.think_time_ms,
+                            start_offset=stagger_stream.uniform(
+                                0, self.config.think_time_ms
+                            ),
+                            end_time=end_time,
+                            client_id=len(self.clients) + 1,
+                        )
+                    )
+        return self.clients
+
+    def start(self, env: Environment) -> None:
+        for client in self.build():
+            client.timeseries = self.timeseries
+            env.process(client.run(env), name=f"client-{client.id}")
+
+    def run(self, env: Environment) -> ResponseTimeMonitor:
+        self.start(env)
+        env.run()
+        return self.monitor
+
+    def total_requests(self) -> int:
+        return self.requests_sent
+
+
+class ReferenceClient:
+    requests_sent = _Total()
+    sessions_completed = _Total()
+    errors = _Total()
+    failovers = _Total()
+    think_ms = _Total()
+
+    def __init__(
+        self,
+        generator: ReferenceLoadGenerator,
+        system: DeployedSystem,
+        monitor: ResponseTimeMonitor,
+        streams: Streams,
+        client_node: str,
+        group: str,
+        pattern: UsagePattern,
+        think_time: float,
+        start_offset: float = 0.0,
+        end_time: float = math.inf,
+        client_id: int = 1,
+    ):
+        self.generator = generator
+        self.id = client_id
+        self.system = system
+        self.monitor = monitor
+        self.streams = streams
+        self.client_node = client_node
+        self.group = group
+        self.pattern = pattern
+        self.think_time = think_time
+        self.start_offset = start_offset
+        self.end_time = end_time
+        self.requests_sent = 0
+        self.sessions_completed = 0
+        self.errors = 0
+        self.failovers = 0
+        self.think_ms = 0.0
+        self.timeseries = None
+
     def run(self, env: Environment) -> Generator[Event, None, None]:
         """The client process: sessions back-to-back until ``end_time``."""
         if self.start_offset > 0:
@@ -113,7 +290,82 @@ class ReferenceClient(Client):
             self.sessions_completed += 1
 
 
-class ReferenceOpenLoopGenerator(OpenLoopGenerator):
+class ReferenceOpenLoop:
+    """The old open-loop generator: spawns independent sessions."""
+
+    def __init__(
+        self,
+        system: DeployedSystem,
+        streams: Streams,
+        browser_pattern: UsagePattern,
+        writer_pattern: UsagePattern,
+        config: Optional[OpenLoopConfig] = None,
+        writer_group_name: str = "buyer",
+    ):
+        self.system = system
+        self.streams = streams
+        self.browser_pattern = browser_pattern
+        self.writer_pattern = writer_pattern
+        self.config = config or OpenLoopConfig()
+        self.writer_group_name = writer_group_name
+        self.monitor = ResponseTimeMonitor(warmup=self.config.warmup_ms)
+        self.arrivals = 0
+        self.admitted = 0
+        self.dropped_sessions = 0
+        self.completions = 0
+        self.active = 0
+        self.peak_active = 0
+        self.requests_sent = 0
+        self.errors = 0
+        self.failovers = 0
+        self.think_ms = 0.0
+        self.timeseries = None
+        self._targets: List[Tuple[str, str]] = []
+
+    def _build_targets(self) -> List[Tuple[str, str]]:
+        if self._targets:
+            return self._targets
+        testbed = self.system.testbed
+        columns: List[List[Tuple[str, str]]] = []
+        for server_name in testbed.app_servers:
+            locality = "local" if server_name == testbed.main_server else "remote"
+            columns.append(
+                [(machine, locality) for machine in testbed.clients_of(server_name)]
+            )
+        depth = max(len(column) for column in columns)
+        for index in range(depth):
+            for column in columns:
+                if index < len(column):
+                    self._targets.append(column[index])
+        return self._targets
+
+    def _draw_gap(self, rng, mean: float) -> float:
+        arrival = self.config.arrival
+        if arrival == "poisson":
+            return rng.expovariate(1.0 / mean)
+        if arrival == "pareto":
+            # paretovariate(a) - 1 has mean 1/(a-1) on [0, inf), so this
+            # gap has mean ``mean`` with a heavy right tail and mass near
+            # zero: bursty arrivals.
+            alpha = self.config.pareto_alpha
+            return mean * (alpha - 1.0) * (rng.paretovariate(alpha) - 1.0)
+        # lognormal: choose mu so the mean is exactly ``mean``.
+        sigma = self.config.lognormal_sigma
+        mu = math.log(mean) - 0.5 * sigma * sigma
+        return rng.lognormvariate(mu, sigma)
+
+    def start(self, env: Environment) -> None:
+        self._build_targets()
+        env.process(self._arrivals(env), name="open-loop-arrivals")
+
+    def run(self, env: Environment) -> ResponseTimeMonitor:
+        self.start(env)
+        env.run()
+        return self.monitor
+
+    def total_requests(self) -> int:
+        return self.requests_sent
+
     def _arrivals(self, env: Environment) -> Generator[Event, None, None]:
         config = self.config
         targets = self._build_targets()

@@ -1,13 +1,14 @@
 """The one session driver against the two loops it replaced.
 
-``reference_drivers.py`` keeps the parent commit's ``Client.run`` and
-``OpenLoopGenerator._arrivals`` / ``._session`` literally.  For the
+``reference_drivers.py`` keeps the old ``Client.run`` and the old
+open-loop generator's ``_arrivals`` / ``_session`` literally.  For the
 closed and the open loop, fault-free and under the three scenarios where
 the failover, both-entry-points-down and broken-session arms actually
 run, the same cell is simulated twice on one seed — once through the
-references, once through :func:`repro.workload.driver.drive_sessions` —
-and everything observable must agree: the monitor, every per-client /
-per-generator counter, the kernel's event count and the span table.
+references, once through :func:`repro.workload.driver.drive_sessions`
+under the one :class:`~repro.workload.generator.LoadGenerator` — and
+everything observable must agree: the monitor, the generator's counter
+totals, the kernel's event count and the span table.
 """
 
 from functools import lru_cache
@@ -18,10 +19,9 @@ from repro.core.patterns import PatternLevel
 from repro.experiments import runner
 from repro.experiments.calibration import default_workload
 from repro.faults.scenarios import scenario
-from repro.workload import generator as generator_module
 from repro.workload.openloop import OpenLoopConfig
 
-from .reference_drivers import ReferenceClient, ReferenceOpenLoopGenerator
+from .reference_drivers import ReferenceLoadGenerator, ReferenceOpenLoop
 
 WARMUP_MS = 5_000.0
 L1, L3, L5 = PatternLevel.CENTRALIZED, PatternLevel.STATEFUL_CACHING, PatternLevel.ASYNC_UPDATES
@@ -38,8 +38,8 @@ CASES = [
     ("petstore", L1, "flaky-wan"),
 ]
 
-CLIENT_COUNTERS = (
-    "requests_sent", "errors", "failovers", "think_ms", "sessions_completed",
+CLOSED_COUNTERS = (
+    "requests_sent", "errors", "failovers", "think_ms", "admitted",
 )
 GENERATOR_COUNTERS = (
     "requests_sent", "errors", "failovers", "think_ms",
@@ -94,10 +94,7 @@ def _observed(result, counters):
 
 
 def _closed_counters(result):
-    return [
-        {name: getattr(client, name) for name in CLIENT_COUNTERS}
-        for client in result.generator.clients
-    ]
+    return {name: getattr(result.generator, name) for name in CLOSED_COUNTERS}
 
 
 def _open_counters(result):
@@ -114,25 +111,41 @@ def _assert_kinds_sum_to_errors(owner, fault):
 @pytest.mark.parametrize("app,level,fault", CASES)
 def test_closed_loop_matches_reference(monkeypatch, app, level, fault):
     driven = _driven("closed", app, level, fault)
-    monkeypatch.setattr(generator_module, "Client", ReferenceClient)
+    monkeypatch.setattr(runner, "LoadGenerator", ReferenceLoadGenerator)
     reference = _run("closed", app, level, fault)
-    assert isinstance(reference.generator.clients[0], ReferenceClient)
-    assert not isinstance(driven.generator.clients[0], ReferenceClient)
+    assert isinstance(reference.generator, ReferenceLoadGenerator)
+    assert not isinstance(driven.generator, ReferenceLoadGenerator)
     assert _observed(driven, _closed_counters(driven)) == _observed(
         reference, _closed_counters(reference)
     )
     assert driven.total_requests > 0
-    for owner in driven.generator.clients + [driven.generator]:
-        _assert_kinds_sum_to_errors(owner, fault)
+    # The old loop counted only sessions it finished; a client's session
+    # open at the deadline is completed by the one accounting too.
+    cut = driven.generator.completions - reference.generator.sessions_completed
+    assert 0 <= cut <= len(driven.generator.clients)
+    _assert_kinds_sum_to_errors(driven.generator, fault)
+
+
+@pytest.mark.parametrize("app,level,fault", CASES)
+def test_closed_loop_accounting_at_the_horizon(app, level, fault):
+    """A client is a session source that never drops: every session it
+    pulled was admitted and, by the end of the run, completed, and the
+    whole population was active at once."""
+    generator = _driven("closed", app, level, fault).generator
+    assert generator.arrivals == generator.admitted
+    assert generator.dropped_sessions == 0
+    assert generator.completions == generator.admitted
+    assert generator.active == 0
+    assert generator.peak_active == len(generator.clients)
 
 
 @pytest.mark.parametrize("app,level,fault", CASES)
 def test_open_loop_matches_reference(monkeypatch, app, level, fault):
     driven = _driven("open", app, level, fault)
-    monkeypatch.setattr(runner, "OpenLoopGenerator", ReferenceOpenLoopGenerator)
+    monkeypatch.setattr(runner, "LoadGenerator", ReferenceOpenLoop)
     reference = _run("open", app, level, fault)
-    assert isinstance(reference.generator, ReferenceOpenLoopGenerator)
-    assert not isinstance(driven.generator, ReferenceOpenLoopGenerator)
+    assert isinstance(reference.generator, ReferenceOpenLoop)
+    assert not isinstance(driven.generator, ReferenceOpenLoop)
     assert _observed(driven, _open_counters(driven)) == _observed(
         reference, _open_counters(reference)
     )

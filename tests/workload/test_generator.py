@@ -1,6 +1,7 @@
 """Tests for the client population and load generation (§3.3)."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.experiments.calibration import default_workload
 from repro.experiments.runner import run_configuration
 from repro.simnet.rng import Streams
 from repro.workload.generator import LoadGenerator, WorkloadConfig
+from repro.workload.openloop import OpenLoopConfig
 from tests.helpers import tiny_system
 
 
@@ -61,6 +63,17 @@ def test_config_validation():
         WorkloadConfig().duration_ms = 1.0
 
 
+@pytest.mark.parametrize("config_class", [WorkloadConfig, OpenLoopConfig])
+@pytest.mark.parametrize(
+    "field", ["think_time_ms", "duration_ms", "warmup_ms", "browser_fraction"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_a_shared_field_that_is_not_finite(config_class, field, value):
+    """One validation of the fields both loops' configs share."""
+    with pytest.raises(ValueError):
+        config_class(**{field: value})
+
+
 def test_config_rejects_a_warmup_that_swallows_the_run():
     """Clients stop at ``duration_ms``: a warm-up that long observes nothing."""
     for warmup_ms in (10_000.0, 20_000.0):
@@ -68,8 +81,6 @@ def test_config_rejects_a_warmup_that_swallows_the_run():
             WorkloadConfig(duration_ms=10_000.0, warmup_ms=warmup_ms)
     WorkloadConfig(duration_ms=10_000.0, warmup_ms=9_999.0)
     # Open-loop sessions drain past duration_ms and are measured.
-    from repro.workload.openloop import OpenLoopConfig
-
     OpenLoopConfig(duration_ms=10_000.0, warmup_ms=20_000.0)
 
 
@@ -109,7 +120,7 @@ def test_browsers_only_run_has_no_writer_group():
 def test_population_spans_all_client_machines():
     env, system, generator = _generator()
     clients = generator.build()
-    machines = {client.client_node for client in clients}
+    machines = {client.machine for client in clients}
     assert len(machines) == 9  # 3 machines x 3 groups
     groups = {client.group for client in clients}
     assert groups == {
@@ -157,7 +168,9 @@ def test_clients_stop_at_duration():
     generator.run(env)
     # All sessions wound down shortly after the configured duration.
     assert env.now < 10_000.0 + 5_000.0
-    assert all(client.requests_sent > 0 for client in generator.clients)
+    # Every client was sending: the whole population had a session open.
+    assert generator.requests_sent > 0
+    assert generator.peak_active == len(generator.clients)
 
 
 def test_clients_are_numbered_per_generator():

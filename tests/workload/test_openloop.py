@@ -6,11 +6,7 @@ import pytest
 
 from repro.core.usage import PatternError, WeightedPattern
 from repro.simnet.rng import Streams
-from repro.workload.openloop import (
-    OpenLoopConfig,
-    OpenLoopGenerator,
-    TransitionMatrixPattern,
-)
+from repro.workload.openloop import OpenLoopConfig, TransitionMatrixPattern
 
 
 # -- configuration ----------------------------------------------------------
@@ -59,20 +55,12 @@ def test_rate_factor_scenarios():
 
 # -- arrival draws ----------------------------------------------------------
 
-class _GapProbe(OpenLoopGenerator):
-    """Expose the gap sampler without standing up a deployed system."""
-
-    def __init__(self, config):
-        self.config = config
-
-
 @pytest.mark.parametrize("arrival", ["poisson", "pareto", "lognormal"])
 def test_gap_draws_have_configured_mean(arrival):
     config = OpenLoopConfig(arrival=arrival, session_rate_per_s=10.0)
-    probe = _GapProbe(config)
     rng = Streams(7).get("gap-test")
     n = 200_000
-    gaps = [probe._draw_gap(rng, config.mean_gap_ms) for _ in range(n)]
+    gaps = [config.draw_gap(rng, config.mean_gap_ms) for _ in range(n)]
     assert min(gaps) >= 0.0
     observed = sum(gaps) / n
     # Pareto at alpha=1.5 converges slowly; the others are tight.
@@ -82,12 +70,12 @@ def test_gap_draws_have_configured_mean(arrival):
 
 def test_pareto_gaps_are_heavier_tailed_than_poisson():
     rng = Streams(11).get("tail-test")
-    poisson = _GapProbe(OpenLoopConfig(arrival="poisson"))
-    pareto = _GapProbe(OpenLoopConfig(arrival="pareto", pareto_alpha=1.5))
+    poisson = OpenLoopConfig(arrival="poisson")
+    pareto = OpenLoopConfig(arrival="pareto", pareto_alpha=1.5)
     n = 100_000
     mean = 100.0
-    p_draws = sorted(poisson._draw_gap(rng, mean) for _ in range(n))
-    h_draws = sorted(pareto._draw_gap(rng, mean) for _ in range(n))
+    p_draws = sorted(poisson.draw_gap(rng, mean) for _ in range(n))
+    h_draws = sorted(pareto.draw_gap(rng, mean) for _ in range(n))
     # Same mean, but the heavy tail's extreme quantile is far larger.
     assert h_draws[-10] > 5 * p_draws[-10]
 
