@@ -2,16 +2,18 @@
 
 One reduced RUBiS open-loop cell is run twice — bare, and with the full
 observability stack on (windowed time-series sampler at 1 s intervals,
-metrics registry, span recording at a 5% deterministic session sample) —
-and the wall-clock ratio is written to ``BENCH_obs.json``.  The claim
+span recording at a 5% deterministic session sample) — and the CPU-time
+ratio is written to ``BENCH_obs.json``.  Both sides fill the same
+measurement store (whole-run cells and metrics registry); the monitored
+side adds the store's windows.  The claim
 the CI gate enforces is twofold:
 
 1. **Cheap**: full telemetry costs <= 5% of the bare run's kernel wall
    clock (``--require-overhead 0.05``).  The sampler is pull-based — one
    kernel wake per simulated second, deltas of counters the subsystems
    already keep — so the only per-request cost is two histogram inserts.
-2. **Neutral**: the monitored run's response-time monitor state is
-   byte-identical to the bare run's.  The sampler draws no randomness
+2. **Neutral**: the store's whole-run section (what the tables read) is
+   byte-identical between the monitored and the bare run.  The sampler draws no randomness
    and perturbs no workload timestamps; watching the system must not
    change what the tables report.  (End-of-run ``cpu_utilization``
    gauges are excluded from the claim: they divide busy time by the
@@ -52,7 +54,7 @@ Usage::
     python benchmarks/bench_obs.py --smoke         # CI-sized cell
     python benchmarks/bench_obs.py --smoke --require-overhead 0.05
 
-Exits non-zero when telemetry changes the monitor state, samples no
+Exits non-zero when telemetry changes the whole-run section, samples no
 window or records no span, or when the ``--require-overhead`` gate
 fails.
 """
@@ -104,7 +106,6 @@ def _run(openloop: OpenLoopConfig, seed: int, telemetry: bool):
     kwargs = {}
     if telemetry:
         kwargs = {
-            "with_metrics": True,
             "with_spans": True,
             "obs_interval_ms": 1000.0,
             "obs_sample": 0.05,
@@ -143,7 +144,7 @@ def measure(openloop: OpenLoopConfig, seed: int, repeat: int) -> dict:
     # minority of scheduling-burst-polluted pairs even when they all
     # land on the same side (see module docstring).
     overhead = statistics.median(ratios) if ratios else 0.0
-    series = tele.series
+    series = tele.measurements["series"]
     spans_state = tele.spans_state
     return {
         "scenario": "rubis-L2-openloop-steady",
@@ -156,15 +157,18 @@ def measure(openloop: OpenLoopConfig, seed: int, repeat: int) -> dict:
         "telemetry_wall_seconds": round(min(tele_walls), 3),
         "overhead_fraction": round(overhead, 4),
         "pair_overheads": [round(r, 4) for r in ratios],
-        "windows": len(series.indices()),
-        "interval_ms": series.interval_ms,
+        "windows": len(series["windows"]),
+        "interval_ms": series["interval_ms"],
         "span_sample_rate": spans_state["sample_rate"],
         "spans_recorded": len(spans_state["spans"]),
         "sessions_traced": spans_state["sampled_requests"],
         "sessions_untraced": spans_state["skipped_requests"],
         # The neutrality half of the claim: watching changed nothing the
-        # tables are built from.
-        "monitor_identical": bare.monitor.to_state() == tele.monitor.to_state(),
+        # tables are built from.  Only the whole-run section: the
+        # monitored store also holds windows.
+        "monitor_identical": (
+            bare.measurements["whole_run"] == tele.measurements["whole_run"]
+        ),
     }
 
 
@@ -234,7 +238,7 @@ def main() -> int:
             "gated_on": "process CPU time over env.run() only "
                         "(ExperimentResult.cpu_seconds; wall clock reported "
                         "for context)",
-            "telemetry": "series @1s + metrics registry + spans @5% sample",
+            "telemetry": "series @1s + spans @5% sample",
         },
         "cell": cell,
     }
@@ -243,7 +247,7 @@ def main() -> int:
 
     failed = False
     if not cell["monitor_identical"]:
-        print("ERROR: telemetry changed the response-time monitor state",
+        print("ERROR: telemetry changed the store's whole-run section",
               file=sys.stderr)
         failed = True
     # A run that sampled no window or recorded no span did not watch

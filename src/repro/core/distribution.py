@@ -50,7 +50,6 @@ class DeployedSystem:
     automation: AutomationReport
     # The deployment-wide span table; None when the run records no spans.
     trace: Optional[SpanRecorder] = None
-    metrics: Optional["MetricsRegistry"] = None
     resilience: Optional[ResilienceStats] = None
     policy: Optional[PlacementPolicy] = None
     # Sharded/replicated data tier; None under a single-instance policy.
@@ -167,6 +166,8 @@ def distribute(
     only consulted when the policy declares a ``data_tier`` block (the
     cluster's election timers draw from named streams).  ``trace`` is
     the span table every server records into; None records nothing.
+    ``metrics`` is the registry JMS observes its live histograms into;
+    None observes nothing.
     """
     if not isinstance(policy, PlacementPolicy):
         policy = level_policy(PatternLevel(policy), application)
@@ -217,7 +218,6 @@ def distribute(
             trace=trace,
             is_main=(server_name == plan.main),
             wide_area_of=testbed.is_wide_area,
-            metrics=metrics,
         )
         server.attach_network(testbed.network)
         server.cluster = cluster
@@ -312,7 +312,6 @@ def distribute(
         plan=plan,
         automation=automation,
         trace=trace,
-        metrics=metrics,
         resilience=resilience,
         policy=policy,
         cluster=cluster,

@@ -128,21 +128,13 @@ def _export_observability(args, labelled) -> None:
             print(f"[trace] {label}: {_span_digest(state)}", file=sys.stderr)
         print(f"[trace] wrote {args.trace_out}", file=sys.stderr)
     if args.metrics_out is not None:
-        cells = [
-            (label, result.metrics_state)
-            for label, result in labelled
-            if result.metrics_state is not None
-        ]
+        cells = [(label, result.measurements["metrics"]) for label, result in labelled]
         export_metrics(cells, args.metrics_out)
         print(f"[metrics] wrote {args.metrics_out}", file=sys.stderr)
     if args.series_out is not None:
         from ..obs.export import export_series
 
-        cells = [
-            (label, result.series_state)
-            for label, result in labelled
-            if result.series_state is not None
-        ]
+        cells = [(label, result.measurements["series"]) for label, result in labelled]
         export_series(cells, args.series_out)
         print(f"[series] wrote {args.series_out}", file=sys.stderr)
     if args.flame_out is not None or args.flame_html is not None:
@@ -617,7 +609,6 @@ def main(argv=None) -> int:
         workload=workload,
         seed=args.seed,
         with_spans=with_spans,
-        with_metrics=args.metrics_out is not None,
         faults=faults,
         policy=policy,
         topology=topology,
@@ -673,7 +664,7 @@ def main(argv=None) -> int:
             # Think time accumulates in the telemetry series when it is
             # on; without it the attribution covers server-side work only.
             think = 0.0
-            series_state = result.series_state
+            series_state = result.measurements["series"]
             if series_state is not None:
                 think = sum(
                     entry.get("counters", {}).get("think_ms", 0)
@@ -691,7 +682,7 @@ def main(argv=None) -> int:
 
         slo_reports = {}
         for label, result in labelled:
-            state = result.series_state
+            state = result.measurements["series"]
             if state is None:
                 continue
             report = evaluate_slo(state, objectives)

@@ -10,16 +10,17 @@ and this module exploits it:
 
 * each cell runs in its own worker process (``ProcessPoolExecutor``);
 * the worker ships back a :class:`~repro.experiments.runner.CellResult`,
-  which pickles as plain data — serialized monitor state, a trace
-  summary, snapshots — never live simulation objects;
-* the parent merges results in canonical (app, level) order, so tables
+  which pickles as plain data — the measurement store's state, the span
+  table, snapshots — never live simulation objects;
+* the parent keys results in canonical (app, level) order, so tables
   and figures are **byte-identical for any worker count and any
   completion order**.
 
 Determinism rests on two facts: every cell is seeded independently from
 the same master seed (so a cell's observations do not depend on which
-process ran it), and :meth:`ResponseTimeMonitor.to_state` emits cells in
-sorted order (so reconstruction does not depend on arrival order).
+process ran it), and :meth:`~repro.obs.store.MeasurementStore.to_state`
+emits every section in sorted order (so reading it back does not depend
+on arrival order).
 """
 
 from __future__ import annotations

@@ -25,11 +25,10 @@ from ..core.policy import PlacementPolicy
 from ..faults.injector import FaultInjector
 from ..faults.report import collect_resilience
 from ..faults.schedule import FaultSchedule
-from ..obs.metrics import MetricsRegistry, collect_cache_stats, collect_system_metrics
+from ..obs.metrics import collect_cache_stats, collect_system_metrics
 from ..obs.spans import SpanRecorder
-from ..obs.timeseries import TimeSeriesRecorder
+from ..obs.store import MeasurementStore, WholeRun
 from ..simnet.kernel import Environment
-from ..simnet.monitor import ResponseTimeMonitor
 from ..simnet.topology import TestbedConfig, TopologyOverrides, build_testbed
 from ..core.usage import WeightedPattern
 from ..workload.generator import LoadGenerator, WorkloadConfig
@@ -111,7 +110,7 @@ APPS: Dict[str, AppSpec] = {
 
 # What a result holds only in the process that ran the cell: the live
 # simulation objects.  Pickling (and ``from_experiment``) drops them.
-IN_PROCESS_FIELDS = ("system", "generator", "spans", "metrics", "series", "fault_injector")
+IN_PROCESS_FIELDS = ("system", "generator", "spans", "store", "fault_injector")
 
 
 def _in_process():
@@ -122,8 +121,8 @@ def _in_process():
 class CellResult:
     """Outcome of one (application, configuration) cell.
 
-    The compared fields are plain data — serialized monitor state and
-    canonical snapshots — so two results are ``==`` exactly when the
+    The compared fields are plain data — the measurement store's state
+    and canonical snapshots — so two results are ``==`` exactly when the
     simulations agreed, whoever ran them.  Host timings and the
     in-process fields (:data:`IN_PROCESS_FIELDS`) are excluded from
     comparison; the latter are also dropped on pickling, which is how a
@@ -132,7 +131,9 @@ class CellResult:
 
     app: str
     level: PatternLevel
-    monitor_state: dict
+    # MeasurementStore.to_state(): the whole-run response cells, the
+    # metrics registry and the windowed series (None without windows).
+    measurements: dict
     total_requests: int
     # Host seconds around ``generator.run(env)``.  Benchmarks gate on the
     # CPU figure because it is immune to scheduler-preemption noise on
@@ -140,11 +141,8 @@ class CellResult:
     wall_seconds: float = field(default=0.0, compare=False)
     cpu_seconds: float = field(default=0.0, compare=False)
     # Observability snapshots (plain dicts, canonical key order): the
-    # span table, the metrics registry, the windowed telemetry, and the
-    # query-cache/replica counters.
+    # span table and the query-cache/replica counters.
     spans_state: Optional[dict] = None
-    metrics_state: Optional[dict] = None
-    series_state: Optional[dict] = None
     cache_stats: Optional[dict] = None
     # Canonical resilience snapshot (all-zero in fault-free runs).
     resilience: Optional[dict] = None
@@ -157,11 +155,10 @@ class CellResult:
     system: Optional[DeployedSystem] = _in_process()
     generator: Optional[LoadGenerator] = _in_process()
     spans: Optional[SpanRecorder] = _in_process()
-    metrics: Optional[MetricsRegistry] = _in_process()
-    series: Optional[TimeSeriesRecorder] = _in_process()
+    store: Optional[MeasurementStore] = _in_process()
     # None when no fault schedule was installed.
     fault_injector: Optional[FaultInjector] = _in_process()
-    _monitor: Optional[ResponseTimeMonitor] = _in_process()
+    _monitor: Optional[WholeRun] = _in_process()
 
     @classmethod
     def from_experiment(cls, result: "CellResult") -> "CellResult":
@@ -173,11 +170,10 @@ class CellResult:
         return {**self.__dict__, **dict.fromkeys(IN_PROCESS_FIELDS)}
 
     @property
-    def monitor(self) -> ResponseTimeMonitor:
-        """The response-time monitor (rebuilt from ``monitor_state`` when
-        the result was assembled from state alone)."""
+    def monitor(self) -> WholeRun:
+        """The whole-run response cells, read from ``measurements``."""
         if self._monitor is None:
-            self._monitor = ResponseTimeMonitor.from_state(self.monitor_state)
+            self._monitor = WholeRun(self.measurements["whole_run"])
         return self._monitor
 
     def mean(self, group: str, page: str) -> float:
@@ -215,7 +211,6 @@ class RunSpec:
     workload: Optional[WorkloadConfig] = None
     seed: int = calibration.MASTER_SEED
     with_spans: bool = False
-    with_metrics: bool = False
     # None or an empty schedule installs nothing at all — no kernel
     # events, no RNG draws — so fault-free runs stay byte-identical.
     faults: Optional[FaultSchedule] = None
@@ -230,8 +225,8 @@ class RunSpec:
     # walks over the app's page mix.
     openloop: Optional[OpenLoopConfig] = None
     # Windowed telemetry: a kernel sampler snapshots counters/gauges every
-    # interval and the generator streams response times into per-window
-    # histograms (:mod:`repro.obs.timeseries`).  None installs no sampler.
+    # interval and the store bins response times into per-window
+    # histograms (:mod:`repro.obs.store`).  None installs no sampler.
     obs_interval_ms: Optional[float] = None
     # Deterministic fraction of sessions kept in the span table (hash of
     # the session id, not RNG), so tracing stays bounded at 10^6 sessions.
@@ -282,7 +277,8 @@ def run_configuration(
     app_spec = APPS[app]
     policy, openloop = spec.policy, spec.openloop
     (level,) = sweep_levels(policy, [level])
-    workload = spec.workload or calibration.default_workload()
+    # The one generator's config; the open loop's, when given, wins.
+    loop = openloop or spec.workload or calibration.default_workload()
 
     streams = Streams(spec.seed)
     database, catalog = load_dataset(app_spec.populate, streams)
@@ -296,7 +292,7 @@ def run_configuration(
         if spec.with_spans
         else None
     )
-    metrics = MetricsRegistry() if spec.with_metrics else None
+    store = MeasurementStore(warmup=loop.warmup_ms, interval_ms=spec.obs_interval_ms)
     application = app_spec.build_application(catalog=catalog)
     system = distribute(
         env,
@@ -307,14 +303,14 @@ def run_configuration(
         costs=app_spec.costs,
         db_cost_model=app_spec.db_costs,
         trace=spans,
-        metrics=metrics,
+        metrics=store.registry,
         streams=streams,
     )
     if system.cluster is not None:
         # The raft heartbeat/election driver is horizon-bounded: the load
         # generators run the kernel to exhaustion, so an open-ended
         # driver would never let the simulation drain.
-        system.cluster.start((openloop or workload).duration_ms)
+        system.cluster.start(loop.duration_ms)
     if spec.warm_replicas:
         system.warm_replicas()
         if app_spec.warm_queries is not None:
@@ -332,36 +328,31 @@ def run_configuration(
         streams,
         browser,
         app_spec.writer_pattern(catalog),
-        config=openloop or workload,
+        config=loop,
         writer_group_name=app_spec.writer_group,
+        store=store,
     )
-    series = None
     if spec.obs_interval_ms is not None:
-        series = TimeSeriesRecorder(interval_ms=spec.obs_interval_ms)
-        generator.timeseries = series
         # Install after warm-up/fault setup so the sampler's baseline
         # snapshot excludes construction-time counter churn, and before
         # run() so window boundaries start at t=0.
-        series.install(env, system, generator, faults=spec.faults)
+        store.install_sampler(env, system, generator, faults=spec.faults)
     started = time.perf_counter()
     cpu_started = time.process_time()
-    monitor = generator.run(env)
+    generator.run(env)
     cpu = time.process_time() - cpu_started
     wall = time.perf_counter() - started
     # Close staleness windows before the metrics snapshot reads them.
     resilience = collect_resilience(system, generator=generator)
-    if metrics is not None:
-        collect_system_metrics(metrics, system, generator=generator)
+    collect_system_metrics(store.registry, system, generator=generator)
     return CellResult(
         app=app,
         level=level,
-        monitor_state=monitor.to_state(),
+        measurements=store.to_state(),
         total_requests=generator.total_requests(),
         wall_seconds=wall,
         cpu_seconds=cpu,
         spans_state=spans.to_state() if spans is not None else None,
-        metrics_state=metrics.to_state() if metrics is not None else None,
-        series_state=series.to_state() if series is not None else None,
         cache_stats=collect_cache_stats(system),
         resilience=resilience,
         label=policy.name if policy is not None else None,
@@ -369,10 +360,8 @@ def run_configuration(
         system=system,
         generator=generator,
         spans=spans,
-        metrics=metrics,
-        series=series,
+        store=store,
         fault_injector=injector,
-        _monitor=monitor,
     )
 
 

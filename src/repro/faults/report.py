@@ -2,7 +2,7 @@
 
 ``collect_resilience`` condenses one finished run into a canonical plain
 dict (picklable, sorted keys) carried on ``CellResult`` next to the
-monitor state; ``build_availability_table`` /
+measurement store's state; ``build_availability_table`` /
 ``render_availability_table`` turn a five-configuration series of those
 dicts into the availability table printed alongside Tables 6–7 when a
 fault scenario is active.

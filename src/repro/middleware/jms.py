@@ -65,7 +65,9 @@ class JmsProvider:
         self.in_flight = 0
         self.delivery_latency_total = 0.0
         self.deliveries = 0
-        self.metrics = None  # MetricsRegistry, set by distribute()
+        # The cell's MetricsRegistry (set by distribute()); JMS is the
+        # one live instrument, the rest is collected at the end of a run.
+        self.metrics = None
         # Redelivery + dead-letter queue: a delivery that keeps hitting
         # transport faults is retried with backoff up to the cost
         # profile's budget, then parked here as (topic, message id,

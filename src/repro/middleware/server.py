@@ -66,7 +66,6 @@ class AppServer:
         trace: Optional["SpanRecorder"] = None,
         is_main: bool = False,
         wide_area_of=None,
-        metrics=None,
     ):
         self.env = env
         self.node = node
@@ -74,7 +73,6 @@ class AppServer:
         self.costs = costs
         self.db_server = db_server
         self.trace = trace  # SpanRecorder shared across the deployment
-        self.metrics = metrics  # MetricsRegistry for live instruments
         self.is_main = is_main
         self._wide_area_of = wide_area_of  # callable(node_a, node_b) -> bool
 

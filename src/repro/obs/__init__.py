@@ -1,4 +1,4 @@
-"""Observability: span-based request tracing and a metrics registry.
+"""Observability: span-based request tracing and one measurement store.
 
 The paper's argument is an *attribution* argument — which design pattern
 makes which page pay how many wide-area round trips — so the simulator
@@ -8,15 +8,17 @@ needs first-class causal instrumentation, not just a flat call log:
   :class:`~repro.middleware.context.InvocationContext` threads parent
   span ids through RMI stubs, JDBC calls, JMS publishes/MDB deliveries
   and container invocations, so one request reconstructs as one tree.
-* :mod:`repro.obs.metrics` — a simulation-wide registry of counters,
-  gauges and histograms whose snapshots are picklable and mergeable in
-  canonical order (byte-identical output for any ``--jobs N``).
+* :mod:`repro.obs.store` — the per-cell measurement store the session
+  driver feeds once per served visit: the whole-run response cells
+  behind Tables 6/7 and Figures 7/8, the metrics registry, and the
+  per-window series (a kernel sampler process + windowed HDR-style
+  quantiles) behind ``--series-out``.
+* :mod:`repro.obs.metrics` — the registry of counters, gauges and
+  histograms, snapshot in canonical order (byte-identical output for
+  any ``--jobs N``).
 * :mod:`repro.obs.export` — Chrome trace-event JSON (``--trace-out``,
   loadable in Perfetto / ``chrome://tracing``) and sorted-key metrics
   JSON (``--metrics-out``).
-* :mod:`repro.obs.timeseries` — streaming per-window telemetry (a
-  kernel sampler process + windowed HDR-style quantiles) behind
-  ``--series-out``; merged by simulated-time key across parallel cells.
 * :mod:`repro.obs.slo` — declarative objectives evaluated per window
   with burn rates and fault-overlay recovery times (``--slo``).
 * :mod:`repro.obs.flame` — span trees folded into collapsed-stack
@@ -30,7 +32,7 @@ from .flame import collapse_spans, layer_self_times, merge_folded, render_folded
 from .metrics import MetricsRegistry, collect_cache_stats, collect_system_metrics
 from .slo import evaluate_slo, load_slo, parse_objectives, render_slo_report
 from .spans import Span, SpanRecorder, SpanTree, client_path_wan_calls
-from .timeseries import HDR_BOUNDS, TimeSeriesRecorder
+from .store import HDR_BOUNDS, MeasurementStore, WholeRun
 
 __all__ = [
     "Span",
@@ -41,7 +43,8 @@ __all__ = [
     "collect_system_metrics",
     "collect_cache_stats",
     "HDR_BOUNDS",
-    "TimeSeriesRecorder",
+    "MeasurementStore",
+    "WholeRun",
     "evaluate_slo",
     "load_slo",
     "parse_objectives",

@@ -128,9 +128,9 @@ def export_metrics(cells: List[Tuple[str, dict]], path: str) -> dict:
 def export_series(cells: List[Tuple[str, dict]], path: str) -> dict:
     """Write per-cell time-series states as sorted-key JSON.
 
-    ``cells`` is ``[(label, TimeSeriesRecorder.to_state()), ...]``; the
-    window keys inside each state are already canonical (merged by
-    simulated-time key), so the file is byte-identical for any --jobs N.
+    ``cells`` is ``[(label, series section of MeasurementStore.to_state()),
+    ...]``; the window keys inside each state are already canonical, so
+    the file is byte-identical for any --jobs N.
     """
     data = {"series": {label: state for label, state in cells}}
     with open(path, "w") as handle:

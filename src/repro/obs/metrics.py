@@ -1,23 +1,20 @@
-"""A simulation-wide metrics registry with canonical, mergeable snapshots.
+"""A metrics registry of counters, gauges and histograms.
 
 Three instrument types — :class:`Counter`, :class:`Gauge`,
-:class:`Histogram` — registered by name in a :class:`MetricsRegistry`.
-The registry's :meth:`~MetricsRegistry.to_state` emits instruments in
-sorted name order, exactly like
-:meth:`~repro.simnet.monitor.ResponseTimeMonitor.to_state`, so anything
-derived from a snapshot is byte-identical however the observations were
-produced or shipped (``--jobs 1`` vs ``--jobs N``).
+:class:`Histogram` — registered by name in a :class:`MetricsRegistry`,
+whose :meth:`~MetricsRegistry.to_state` emits instruments in sorted name
+order, so a snapshot is byte-identical however the cell was run
+(``--jobs 1`` or ``--jobs N``).  Each cell's
+:class:`~repro.obs.store.MeasurementStore` holds one registry.
 
 Two acquisition styles coexist:
 
-* **live instruments** — components that must sample mid-run (JMS topic
-  depth and delivery lag, database execution time) hold the registry and
-  observe as events happen;
+* **live instruments** — JMS observes topic depth and delivery lag into
+  the registry as messages flow;
 * **end-of-run collection** — :func:`collect_system_metrics` walks a
   finished :class:`~repro.core.distribution.DeployedSystem` and registers
-  every counter the containers already keep (query-cache hits, replica
-  hit/miss, propagator pushes, executor scan counts), which previously
-  died with the worker process.
+  every counter the subsystems already keep (query-cache hits, replica
+  hit/miss, propagator pushes, executor scan counts).
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bound bucketed distribution (counts + sum, mergeable)."""
+    """Fixed-bound bucketed distribution (counts + sum)."""
 
     __slots__ = ("bounds", "counts", "total", "count")
 
@@ -219,42 +216,6 @@ class MetricsRegistry:
                 for name, h in sorted(self._histograms.items())
             },
         }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "MetricsRegistry":
-        registry = cls()
-        for name, value in state.get("counters", {}).items():
-            registry._counters[name] = Counter(value)
-        for name, value in state.get("gauges", {}).items():
-            registry._gauges[name] = Gauge(value)
-        for name, data in state.get("histograms", {}).items():
-            histogram = Histogram(tuple(data["bounds"]))
-            histogram.counts = list(data["counts"])
-            histogram.total = data["sum"]
-            histogram.count = data["count"]
-            registry._histograms[name] = histogram
-        return registry
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another snapshot in: counters/histograms add, gauges max.
-
-        Gauges are point-in-time readings with no meaningful sum across
-        cells; max keeps "worst seen", which is what utilization-style
-        gauges are read for.
-        """
-        for name, value in state.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in state.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            gauge.set(max(gauge.value, value))
-        for name, data in state.get("histograms", {}).items():
-            histogram = self.histogram(name, tuple(data["bounds"]))
-            if histogram.bounds != tuple(data["bounds"]):
-                raise ValueError(f"histogram {name!r} bound mismatch in merge")
-            for i, count in enumerate(data["counts"]):
-                histogram.counts[i] += count
-            histogram.total += data["sum"]
-            histogram.count += data["count"]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ interpolated histogram mass above ``max_ms`` and the budget is ``1 - q``
 — so a p95 objective burns at rate ``P(late) / 0.05``.
 
 Fault-schedule windows stamped on the series (see
-:meth:`TimeSeriesRecorder.install`) are overlaid: each evaluated window
+:meth:`MeasurementStore.install_sampler`) are overlaid: each evaluated window
 is flagged ``in_fault`` and, per fault window, **recovery time** is
 reported — simulated ms from fault end until the first fully compliant
 window at or after it.  That makes "how long until the system was back

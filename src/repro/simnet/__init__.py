@@ -15,7 +15,6 @@ from .kernel import (
     SimulationError,
     Timeout,
 )
-from .monitor import PageStats, ResponseTimeMonitor
 from .network import Link, Network, NetworkError, Node
 from .primitives import Resource
 from .rng import Streams
@@ -37,8 +36,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "PageStats",
-    "ResponseTimeMonitor",
     "Link",
     "Network",
     "NetworkError",

@@ -19,10 +19,12 @@ user thinks*, and both arrive as values, not as a mode:
     No visit starts at or after this simulated time.
 
 The driver owns everything else: the request, the failover, the lost-
-visit classification and the four counters of its owner, the
+visit classification, the one
+:meth:`~repro.obs.store.MeasurementStore.observe` per served visit, and
+the four counters of its owner, the
 :class:`~repro.workload.generator.LoadGenerator` (``requests_sent``,
-``errors``, ``failovers``, ``think_ms``) plus ``error_kinds``.  It is the only caller of :func:`http_get` under
-``workload/``.
+``errors``, ``failovers``, ``think_ms``) plus ``error_kinds``.  It is
+the only caller of :func:`http_get` under ``workload/``.
 """
 
 from __future__ import annotations
@@ -54,16 +56,15 @@ def drive_sessions(
 ) -> Generator[Event, None, None]:
     """Run ``sessions`` from ``machine`` as one simulation process.
 
-    ``owner`` carries the deployment (``system``), the sinks
-    (``monitor``, optional ``timeseries``) and the counters.
+    ``owner`` carries the deployment (``system``), the measurement
+    ``store`` and the counters.
     """
     if start_offset > 0:
         yield start_offset
     system = owner.system
     # Fixed once distribute() returns, so asked once per process.
     server = system.entry_server_for(machine)
-    monitor = owner.monitor
-    timeseries = owner.timeseries
+    observe = owner.store.observe
     for session_id, visits in sessions:
         last = len(visits) - 1
         for position, visit in enumerate(visits):
@@ -120,9 +121,7 @@ def drive_sessions(
             elapsed = env.now - started
             if lost is None:
                 owner.requests_sent += 1
-                monitor.observe(env.now, group, visit.page, elapsed)
-                if timeseries is not None:
-                    timeseries.observe_response(env.now, visit.page, elapsed)
+                observe(env.now, group, visit.page, elapsed)
             else:
                 # Both entry points down, or the session is broken.
                 owner.errors += 1

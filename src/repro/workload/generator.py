@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Generator, Iterator, List, Tuple, Union
+from typing import Dict, Generator, Iterator, List, Optional, Tuple, Union
 
 from ..core.distribution import DeployedSystem
 from ..core.usage import PageVisit, UsagePattern
+from ..obs.store import MeasurementStore
 from ..simnet.kernel import Environment, Event
-from ..simnet.monitor import ResponseTimeMonitor
 from ..simnet.rng import Streams
 from .driver import drive_sessions, workload_counters
 from .openloop import OpenLoopConfig, check_shared_fields
@@ -102,6 +102,7 @@ class LoadGenerator:
         writer_pattern: UsagePattern,
         config: Union[WorkloadConfig, OpenLoopConfig, None] = None,
         writer_group_name: str = "buyer",
+        store: Optional[MeasurementStore] = None,
     ):
         self.system = system
         self.streams = streams
@@ -109,12 +110,8 @@ class LoadGenerator:
         self.writer_pattern = writer_pattern
         self.config = config or WorkloadConfig()
         self.writer_group_name = writer_group_name
-        self.monitor = ResponseTimeMonitor(warmup=self.config.warmup_ms)
-        #: Optional :class:`~repro.obs.timeseries.TimeSeriesRecorder`;
-        #: when set, every successful response is streamed into the
-        #: current window as it happens (the one per-request telemetry
-        #: cost the sampler's pull model does not cover).
-        self.timeseries = None
+        #: Where the driver records each served visit.
+        self.store = store or MeasurementStore(warmup=self.config.warmup_ms)
         # What the driver counts.
         self.requests_sent = 0
         self.errors = 0
@@ -328,11 +325,11 @@ class LoadGenerator:
                 name=f"client-{client.id}",
             )
 
-    def run(self, env: Environment) -> ResponseTimeMonitor:
+    def run(self, env: Environment) -> MeasurementStore:
         """Start the workload and run until every session has ended."""
         self.start(env)
         env.run()
-        return self.monitor
+        return self.store
 
     # -- reporting --------------------------------------------------------------
     def total_requests(self) -> int:

@@ -144,7 +144,6 @@ def test_the_generator_runs_once_per_seed_and_images_are_bounded():
 def test_a_cell_on_a_restored_dataset_equals_a_cell_on_a_generated_one(app):
     spec = RunSpec(
         seed=26_003,
-        with_metrics=True,
         workload=default_workload(duration_ms=6_000.0, warmup_ms=1_000.0),
     )
     generated = run_configuration(app, 1, spec)

@@ -34,7 +34,7 @@ def test_default_series_sweeps_paper_levels_only():
 @pytest.mark.parametrize("level", list(PAPER_LEVELS))
 def test_paper_levels_emit_no_method_cache_artifacts(level):
     result = run_configuration(
-        "rubis", level, workload=QUICK, seed=31, with_metrics=True
+        "rubis", level, workload=QUICK, seed=31
     )
     # No server grew a cache, so no section appears in the snapshot...
     for server in result.system.servers.values():
@@ -42,7 +42,7 @@ def test_paper_levels_emit_no_method_cache_artifacts(level):
     assert "method_cache" not in result.cache_stats
     # ...no counter appears in the registry...
     assert not any(
-        name.startswith("methodcache.") for name in result.metrics.to_state()
+        name.startswith("methodcache.") for name in result.store.registry.names()
     )
     # ...and the resilience snapshot keeps its pre-refactor key set.
     assert "method_cache" not in result.resilience

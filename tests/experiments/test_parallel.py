@@ -58,11 +58,11 @@ def test_serial_and_parallel_results_are_equal(serial_series, parallel_series):
         assert all(getattr(result, name) is None for name in IN_PROCESS_FIELDS)
     observed = run_series(
         "rubis", levels=LEVELS[:1], workload=FAST, seed=21, jobs=1,
-        with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
+        with_spans=True, obs_interval_ms=5_000.0,
     )
     pooled = run_cells(
         [("rubis", LEVELS[0]), ("petstore", LEVELS[0])], workload=FAST, seed=21, jobs=2,
-        with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
+        with_spans=True, obs_interval_ms=5_000.0,
     )
     assert observed[LEVELS[0]] == pooled[("rubis", LEVELS[0])]
     assert observed[LEVELS[0]].spans_state["spans"]
@@ -107,15 +107,16 @@ def test_result_order_is_canonical_regardless_of_completion(parallel_series):
 def test_pickling_loses_exactly_the_in_process_fields():
     result = run_configuration(
         "rubis", LEVELS[1], workload=FAST, seed=21,
-        with_spans=True, with_metrics=True, obs_interval_ms=5_000.0,
+        with_spans=True, obs_interval_ms=5_000.0,
         faults=scenario("edge-crash", FAST.duration_ms, FAST.warmup_ms),
     )
     assert IN_PROCESS_FIELDS == (
-        "system", "generator", "spans", "metrics", "series", "fault_injector",
+        "system", "generator", "spans", "store", "fault_injector",
     )
     for name in IN_PROCESS_FIELDS:
         assert getattr(result, name) is not None, name
-    assert result.monitor is result.generator.monitor
+    assert result.store is result.generator.store
+    assert result.measurements == result.store.to_state()
     copy = pickle.loads(pickle.dumps(result))
     assert copy == result
     for field in dataclasses.fields(CellResult):

@@ -30,7 +30,6 @@ NON_DEFAULT = {
     "workload": TINY,
     "seed": 5,
     "with_spans": True,
-    "with_metrics": True,
     "faults": scenarios.scenario("latency-spike", 6_000.0, 1_000.0),
     "policy": load_policy(str(POLICY_FILE)),
     "topology": TopologyOverrides(edges=3),
@@ -69,8 +68,7 @@ def test_every_field_is_an_option_of_every_entry_point(entry):
     assert result.label == "replicas-one-edge"
     assert result.topology["edge_servers"] == 3
     assert result.spans_state["sample_rate"] == 0.5
-    assert result.metrics_state is not None
-    assert result.series_state is not None
+    assert result.measurements["series"] is not None
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -62,7 +62,7 @@ def test_fault_run_is_identical_serial_vs_parallel():
         jobs=2,
     )
     for level in LEVELS:
-        assert serial[level].monitor.to_state() == parallel[level].monitor_state
+        assert serial[level].monitor.to_state() == parallel[level].measurements["whole_run"]
         assert serial[level].resilience == parallel[level].resilience
 
 

@@ -12,6 +12,7 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.core.usage import ScriptedPattern
 from repro.middleware.web import CONNECT_TIMEOUT_MS, ServerUnavailable, WebRequest, http_get
+from repro.obs.store import WholeRun
 from repro.simnet.rng import Streams
 from repro.workload.generator import ClientSpec, LoadGenerator, WorkloadConfig
 from tests.helpers import run_process, tiny_system
@@ -63,7 +64,7 @@ def test_client_fails_over_to_main_entry_point():
     system.warm_replicas()
     system.servers["edge1"].fail()
     client = _one_browser(env, system, 31, 30_000.0)
-    monitor = client.monitor
+    monitor = WholeRun(client.store.to_state()["whole_run"])
     # Every request was served despite the dead edge.
     assert client.requests_sent == monitor.page_stats("remote-browser", "Notes").count
     assert client.requests_sent > 0

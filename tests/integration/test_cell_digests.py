@@ -2,15 +2,16 @@
 
 ``cell_digests.json`` holds, for 76 short cells, the kernel's event
 ``sequence``, the network's ``total_transfers`` and sha256 digests of
-``monitor.to_state()``, the span table and the metrics registry —
+the measurement store's whole-run and metrics sections and of the span
+table —
 {petstore, rubis} x levels 1-6 x {closed, open} with spans off / on /
 sampled, plus one ``edge-crash`` fault cell.  The golden
 Tables 6/7 cover levels 1-5, closed loop, untraced; this is the net
 under level 6, faults, the open loop and tracing.
 
 Three more ``edge-crash`` cells run with the telemetry sampler on
-(``obs_interval_ms=1000``) and add digests of the time series and of the
-resilience snapshot: the only pin on the sampler's ``cache.query_*`` /
+(``obs_interval_ms=1000``) and add digests of the store's series section
+and of the resilience snapshot: the only pin on the sampler's ``cache.query_*`` /
 ``replica.*`` / ``methodcache.*`` deltas and on the availability
 report's ``method_cache`` fold.
 
@@ -67,13 +68,12 @@ def _cells():
                     cells[f"{app}-L{level}-{loop}-spans-{spans}"] = (
                         app,
                         level,
-                        RunSpec(with_metrics=True, **loop_options, **span_options),
+                        RunSpec(**loop_options, **span_options),
                     )
     cells["rubis-L6-closed-spans-on-edge-crash"] = (
         "rubis",
         6,
         RunSpec(
-            with_metrics=True,
             with_spans=True,
             workload=default_workload(duration_ms=FAULT_DURATION_MS, warmup_ms=WARMUP_MS),
             faults=scenario("edge-crash", FAULT_DURATION_MS, WARMUP_MS),
@@ -94,7 +94,6 @@ def _cells():
             app,
             level,
             RunSpec(
-                with_metrics=True,
                 obs_interval_ms=1000.0,
                 faults=scenario("edge-crash", FAULT_DURATION_MS, WARMUP_MS),
                 **fault_loops[loop],
@@ -112,16 +111,17 @@ def _sha256(value) -> str:
 
 def digest(app: str, level: int, spec: RunSpec) -> dict:
     result = run_configuration(app, level, spec)
+    measurements = result.measurements
     entry = {
         "sequence": result.system.env.stats()["sequence"],
         "transfers": result.system.testbed.network.total_transfers,
         "requests": result.total_requests,
-        "monitor": _sha256(result.monitor_state),
+        "monitor": _sha256(measurements["whole_run"]),
         "spans": _sha256(result.spans_state),
-        "metrics": _sha256(result.metrics_state),
+        "metrics": _sha256(measurements["metrics"]),
     }
     if spec.obs_interval_ms:
-        entry["series"] = _sha256(result.series_state)
+        entry["series"] = _sha256(measurements["series"])
         entry["resilience"] = _sha256(result.resilience)
     return entry
 

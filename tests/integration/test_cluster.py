@@ -195,7 +195,7 @@ def test_cluster_run_identical_serial_vs_four_workers(sharded_policy, crash_run)
         faults=_crash_schedule(),
     )
     level = sharded_policy.effective_level()
-    assert crash_run.monitor.to_state() == parallel[level].monitor_state
+    assert crash_run.monitor.to_state() == parallel[level].measurements["whole_run"]
     assert crash_run.resilience == parallel[level].resilience
     # The cluster counters themselves — elections, staleness and all —
     # are part of the byte-identity bar.

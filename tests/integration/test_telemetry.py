@@ -11,10 +11,8 @@ the paper-relevant transients are *visible and assertable*:
 * the post-partition recovery churn shows as a p95 spike against the
   pre-flash baseline.
 
-And the distribution contract: series / SLO / flamegraph artifacts are
-byte-identical for ``--jobs 1`` and ``--jobs 4``, with the merge algebra
-(counters add, gauges max, histogram counts add) holding across
-serial-vs-parallel merges of the same cells.
+And the distribution contract: series / SLO / flamegraph / metrics
+artifacts are byte-identical for ``--jobs 1`` and ``--jobs 4``.
 """
 
 import json
@@ -27,9 +25,8 @@ from repro.experiments.runner import run_configuration, run_series
 from repro.faults.scenarios import load_schedule
 from repro.obs.export import export_metrics, export_series, validate_series
 from repro.obs.flame import collapse_spans, merge_folded, render_folded, validate_flamegraph
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.slo import evaluate_slo, export_slo, load_slo, validate_slo
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.workload.openloop import OpenLoopConfig
 
 DURATION = 36_000.0
@@ -59,15 +56,33 @@ def flash_cell():
         PatternLevel.REMOTE_FACADE,
         openloop=FLASH,
         faults=_partition(),
-        with_metrics=True,
         obs_interval_ms=1000.0,
     )
 
 
+def _windows(series, section, name):
+    """{window start ms: entry} for the windows whose ``section`` has ``name``."""
+    interval = series["interval_ms"]
+    return {
+        int(key) * interval: window[section][name]
+        for key, window in series["windows"].items()
+        if name in window.get(section, {})
+    }
+
+
+def _p95(series):
+    """{window start ms: p95 of every response served in it}."""
+    p95 = {}
+    for start, data in _windows(series, "quantiles", "_all").items():
+        histogram = Histogram(series["bounds"])
+        histogram.counts = list(data["counts"])
+        histogram.count = data["count"]
+        p95[start] = histogram.percentile(0.95)
+    return p95
+
+
 def test_fault_window_rides_on_the_series(flash_cell):
-    series = flash_cell.series
-    assert series is not None
-    assert series.fault_windows == (
+    assert flash_cell.store.fault_windows == (
         {
             "kind": "partition",
             "label": "router<->edge1",
@@ -75,27 +90,27 @@ def test_fault_window_rides_on_the_series(flash_cell):
             "end": 24_000.0,
         },
     )
-    state = series.to_state()
+    state = flash_cell.measurements["series"]
     assert state["fault_windows"][0]["end"] == 24_000.0
     assert validate_series({"series": {"rubis/L2": state}}) == []
 
 
 def test_sampler_streams_every_layer(flash_cell):
-    series = flash_cell.series
+    series = flash_cell.measurements["series"]
     # Open-loop session lifecycle counters per window.
     for name in ("sessions.arrivals", "sessions.admitted", "requests.sent"):
-        assert sum(v for _, v in series.counter_series(name)) > 0, name
+        assert sum(_windows(series, "counters", name).values()) > 0, name
     # Database and kernel activity differentiated into windows.
-    assert sum(v for _, v in series.counter_series("db.statements")) > 0
-    assert sum(v for _, v in series.counter_series("kernel.events")) > 0
-    assert len(series.gauge_series("kernel.ready")) > 20
-    assert len(series.gauge_series("sessions.active")) > 20
-    # Windowed quantiles exist for the aggregate and for real pages.
-    assert len(series.quantile_series("_all", 0.95)) > 20
+    assert sum(_windows(series, "counters", "db.statements").values()) > 0
+    assert sum(_windows(series, "counters", "kernel.events").values()) > 0
+    assert len(_windows(series, "gauges", "kernel.ready")) > 20
+    assert len(_windows(series, "gauges", "sessions.active")) > 20
+    # Windowed quantiles exist for the aggregate.
+    assert len(_p95(series)) > 20
 
 
 def test_admission_drops_concentrate_in_the_flash(flash_cell):
-    drops = dict(flash_cell.series.counter_series("sessions.dropped"))
+    drops = _windows(flash_cell.measurements["series"], "counters", "sessions.dropped")
     total = sum(drops.values())
     assert total > 50
     # Nothing is dropped before the surge arrives...
@@ -110,8 +125,8 @@ def test_admission_drops_concentrate_in_the_flash(flash_cell):
 
 
 def test_availability_dips_in_partition_and_recovery_is_measured(flash_cell):
-    series = flash_cell.series
-    report = evaluate_slo(series.to_state(), load_slo("policies/slo-default.json"))
+    series = flash_cell.measurements["series"]
+    report = evaluate_slo(series, load_slo("policies/slo-default.json"))
     availability = report["objectives"]["availability"]
     assert availability["violated"] > 0
     bad = [row for row in availability["windows"] if not row["ok"]]
@@ -129,7 +144,7 @@ def test_availability_dips_in_partition_and_recovery_is_measured(flash_cell):
 
 
 def test_p95_spikes_on_post_partition_recovery(flash_cell):
-    p95 = dict(flash_cell.series.quantile_series("_all", 0.95))
+    p95 = _p95(flash_cell.measurements["series"])
     baseline = statistics.median(
         p95[start] for start in p95 if 8_000.0 <= start <= 14_000.0
     )
@@ -148,6 +163,7 @@ def test_telemetry_leaves_the_monitor_untouched(flash_cell):
         openloop=FLASH,
         faults=_partition(),
     )
+    assert bare.measurements["series"] is None
     assert bare.monitor.to_state() == flash_cell.monitor.to_state()
     assert bare.resilience == flash_cell.resilience
 
@@ -174,7 +190,6 @@ def _sweep(jobs):
         openloop=STEADY,
         faults=load_schedule("edge-partition", 20_000.0, 5_000.0, edges=("edge1", "edge2")),
         seed=21,
-        with_metrics=True,
         with_spans=True,
         jobs=jobs,
         obs_interval_ms=1000.0,
@@ -199,14 +214,14 @@ def _artifacts(results, directory):
     ]
     series_path = directory / "series.json"
     export_series(
-        [(label, cell.series_state) for label, cell in labelled],
+        [(label, cell.measurements["series"]) for label, cell in labelled],
         str(series_path),
     )
     objectives = load_slo("policies/slo-default.json")
     slo_path = directory / "slo.json"
     export_slo(
         {
-            label: evaluate_slo(cell.series_state, objectives)
+            label: evaluate_slo(cell.measurements["series"], objectives)
             for label, cell in labelled
         },
         str(slo_path),
@@ -247,36 +262,10 @@ def test_metrics_identical_when_telemetry_is_on_everywhere(
     byte-stable across --jobs as long as telemetry is on (or off) in both."""
     for suffix, results in (("s", serial_sweep), ("p", parallel_sweep)):
         export_metrics(
-            [(f"rubis/L{int(lvl)}", results[lvl].metrics_state) for lvl in LEVELS],
+            [(f"rubis/L{int(lvl)}", results[lvl].measurements["metrics"]) for lvl in LEVELS],
             str(tmp_path / f"{suffix}.json"),
         )
     assert (tmp_path / "s.json").read_bytes() == (tmp_path / "p.json").read_bytes()
-
-
-def test_merge_state_round_trip_serial_vs_parallel(serial_sweep, parallel_sweep):
-    """Satellite: folding N cells into one recorder/registry commutes
-    with where the cells ran."""
-
-    def merged_series(results):
-        recorder = TimeSeriesRecorder(interval_ms=1000.0)
-        for level in LEVELS:
-            recorder.merge_state(results[level].series_state)
-        return json.dumps(recorder.to_state(), sort_keys=True)
-
-    def merged_metrics(results):
-        registry = MetricsRegistry()
-        for level in LEVELS:
-            registry.merge_state(results[level].metrics_state)
-        return json.dumps(registry.to_state(), sort_keys=True)
-
-    assert merged_series(serial_sweep) == merged_series(parallel_sweep)
-    assert merged_metrics(serial_sweep) == merged_metrics(parallel_sweep)
-    # Round trip: a merged recorder reconstructs from its own state.
-    recorder = TimeSeriesRecorder(interval_ms=1000.0)
-    for level in LEVELS:
-        recorder.merge_state(serial_sweep[level].series_state)
-    state = recorder.to_state()
-    assert TimeSeriesRecorder.from_state(state).to_state() == state
 
 
 def test_span_sampling_is_identical_across_processes(serial_sweep, parallel_sweep):

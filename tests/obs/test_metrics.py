@@ -1,4 +1,4 @@
-"""MetricsRegistry instruments, merge semantics, and export determinism.
+"""MetricsRegistry instruments, end-of-run collection, export determinism.
 
 The load-bearing property mirrors the tables/figures contract: the
 ``--metrics-out`` artifact is byte-identical whether the sweep ran
@@ -55,24 +55,7 @@ def test_registry_rejects_type_conflicts_and_snapshots_sorted():
     assert list(state["counters"]) == sorted(state["counters"])
     assert registry.value("b.total") == 2
     assert registry.value("a.level") == 7
-    restored = MetricsRegistry.from_state(state)
-    assert restored.to_state() == state
-
-
-def test_merge_state_adds_counters_and_maxes_gauges():
-    first = MetricsRegistry()
-    first.counter("n").inc(2)
-    first.gauge("u").set(0.3)
-    first.histogram("h", bounds=(1.0,)).observe(0.5)
-    second = MetricsRegistry()
-    second.counter("n").inc(5)
-    second.gauge("u").set(0.9)
-    second.histogram("h", bounds=(1.0,)).observe(2.0)
-    first.merge_state(second.to_state())
-    assert first.value("n") == 7
-    assert first.value("u") == 0.9
-    merged_h = first.to_state()["histograms"]["h"]
-    assert merged_h["count"] == 2 and merged_h["counts"] == [1, 1]
+    assert json.loads(json.dumps(state)) == state
 
 
 # -- collection from a real run ----------------------------------------------
@@ -85,12 +68,12 @@ def metric_result():
         PatternLevel.QUERY_CACHING,
         workload=FAST,
         seed=7,
-        with_metrics=True,
     )
 
 
 def test_collect_system_metrics_covers_every_layer(metric_result):
-    names = metric_result.metrics.names()
+    registry = metric_result.store.registry
+    names = registry.names()
     assert "app_server.main.http_requests" in names
     assert "db.statements" in names
     assert "db.executor.index_scans" in names
@@ -98,8 +81,8 @@ def test_collect_system_metrics_covers_every_layer(metric_result):
     assert "workload.requests" in names
     assert any(name.startswith("querycache.") for name in names)
     assert any(name.startswith("replica.") for name in names)
-    assert metric_result.metrics.value("workload.requests") > 0
-    assert metric_result.metrics.value("db.executor.index_scans") > 0
+    assert registry.value("workload.requests") > 0
+    assert registry.value("db.executor.index_scans") > 0
 
 
 def test_cache_stats_survive_the_run(metric_result):
@@ -123,7 +106,7 @@ def test_cache_stats_match_metrics_registry(metric_result):
         for query_id, counters in per_query.items():
             for counter_name, value in counters.items():
                 name = f"querycache.{server}.{query_id}.{counter_name}"
-                assert metric_result.metrics.value(name) == value
+                assert metric_result.store.registry.value(name) == value
 
 
 # -- serial/parallel byte identity -------------------------------------------
@@ -131,17 +114,15 @@ def test_cache_stats_match_metrics_registry(metric_result):
 
 def test_metrics_export_byte_identical_serial_vs_parallel(tmp_path):
     serial = run_series(
-        "petstore", levels=LEVELS, workload=FAST, seed=21,
-        with_metrics=True, jobs=1,
+        "petstore", levels=LEVELS, workload=FAST, seed=21, jobs=1,
     )
     parallel = run_series(
-        "petstore", levels=LEVELS, workload=FAST, seed=21,
-        with_metrics=True, jobs=2,
+        "petstore", levels=LEVELS, workload=FAST, seed=21, jobs=2,
     )
 
     def cells(results):
         return [
-            (f"petstore/L{int(level)}", results[level].metrics_state)
+            (f"petstore/L{int(level)}", results[level].measurements["metrics"])
             for level in LEVELS
         ]
 
@@ -156,12 +137,13 @@ def test_metrics_export_byte_identical_serial_vs_parallel(tmp_path):
 def test_cell_results_carry_observability_snapshots():
     results = run_series(
         "petstore", levels=[PatternLevel.QUERY_CACHING], workload=FAST,
-        seed=21, with_metrics=True, jobs=2,
+        seed=21, jobs=2,
     )
     cell = results[PatternLevel.QUERY_CACHING]
-    assert cell.metrics_state is not None
     assert cell.cache_stats is not None
     assert cell.spans_state is None  # spans were not requested
+    assert cell.measurements["series"] is None  # no window interval
     assert any(
-        name.startswith("querycache.") for name in cell.metrics_state["counters"]
+        name.startswith("querycache.")
+        for name in cell.measurements["metrics"]["counters"]
     )

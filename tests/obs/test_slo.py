@@ -19,7 +19,7 @@ from repro.obs.slo import (
     render_slo_report,
     validate_slo,
 )
-from repro.obs.timeseries import TimeSeriesRecorder
+from repro.obs.store import MeasurementStore
 
 P95 = {"name": "p95", "metric": "p95", "page": None, "max_ms": 100}
 AVAIL = {"name": "avail", "metric": "availability", "target": 0.9}
@@ -69,22 +69,28 @@ def test_default_policy_file_parses():
 # -- evaluation ---------------------------------------------------------------
 
 
-def _series_state() -> dict:
-    """Two windows: one compliant, one with a latency spike and errors."""
-    recorder = TimeSeriesRecorder(interval_ms=1000.0, bounds=(50.0, 200.0, 400.0))
-    for _ in range(19):
-        recorder.observe_response(100.0, "home", 40.0)
-    recorder.observe_response(100.0, "home", 40.0)
+def _series_state(*extra) -> dict:
+    """Two windows: one compliant, one with a latency spike and errors.
+
+    ``extra`` is more ``(now, response_time)`` visits to serve.
+    """
+    store = MeasurementStore(interval_ms=1000.0, bounds=(50.0, 200.0, 400.0))
+    for _ in range(20):
+        store.observe(100.0, "g", "home", 40.0)
     # Window 1: half the responses are slow, plus three errors.
     for _ in range(5):
-        recorder.observe_response(1100.0, "home", 40.0)
+        store.observe(1100.0, "g", "home", 40.0)
     for _ in range(5):
-        recorder.observe_response(1100.0, "home", 300.0)
-    recorder.count(1100.0, "requests.errors", 3)
-    recorder.fault_windows = (
+        store.observe(1100.0, "g", "home", 300.0)
+    for now, response_time in extra:
+        store.observe(now, "g", "home", response_time)
+    store.fault_windows = (
         {"kind": "partition", "label": "router<->edge1", "start": 1050.0, "end": 1800.0},
     )
-    return recorder.to_state()
+    state = store.to_state()["series"]
+    # The sampler's counter delta for the window.
+    state["windows"]["1"]["counters"]["requests.errors"] = 3
+    return state
 
 
 def test_latency_burn_is_bad_fraction_over_budget():
@@ -112,12 +118,9 @@ def test_availability_burn_and_windows_without_traffic_skipped():
 
 
 def test_recovery_time_measured_from_fault_end():
-    state = _series_state()
     # Window 2 is compliant again: recovery at 2000 ms, fault ends 1800.
-    recorder = TimeSeriesRecorder.from_state(state)
-    recorder.observe_response(2100.0, "home", 40.0)
     report = evaluate_slo(
-        recorder.to_state(), parse_objectives({"objectives": [P95]})
+        _series_state((2100.0, 40.0)), parse_objectives({"objectives": [P95]})
     )
     recovery = report["objectives"]["p95"]["recovery"][0]
     assert recovery["fault"] == "partition:router<->edge1"

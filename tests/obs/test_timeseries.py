@@ -1,11 +1,9 @@
-"""Windowed telemetry: histogram quantiles, recorder state, merge identity.
+"""Windowed telemetry: histogram quantiles and the store's series section.
 
-Satellite properties: ``Histogram.percentile`` interpolates inside the
-bucket holding the q-th observation and is exact (to within one bucket
-width) on known distributions; ``TimeSeriesRecorder`` state survives a
-serialize/merge round trip with counters adding, gauges maxing and
-histogram counts adding — the algebra the ``--jobs N`` byte-identity
-rests on.
+``Histogram.percentile`` interpolates inside the bucket holding the q-th
+observation and is exact (to within one bucket width) on known
+distributions; the measurement store bins every served visit into the
+window of its simulated time, and its series state is canonical JSON.
 """
 
 import json
@@ -14,7 +12,7 @@ import pytest
 
 from repro.obs.export import export_series, validate_series
 from repro.obs.metrics import Histogram
-from repro.obs.timeseries import HDR_BOUNDS, TimeSeriesRecorder, _hdr_bounds
+from repro.obs.store import HDR_BOUNDS, MeasurementStore, _hdr_bounds
 
 
 # -- percentile / cdf against exact answers ----------------------------------
@@ -82,103 +80,70 @@ def test_hdr_bounds_grid_shape():
     assert _hdr_bounds(1.0, 10.0, per_decade=1) == (1.0, 10.0)
 
 
-# -- recorder windows ---------------------------------------------------------
+# -- store windows ------------------------------------------------------------
 
 
-def test_observe_response_bins_by_simulated_time():
-    recorder = TimeSeriesRecorder(interval_ms=1000.0, bounds=(50.0, 500.0))
-    recorder.observe_response(100.0, "home", 40.0)
-    recorder.observe_response(999.0, "home", 60.0)
-    recorder.observe_response(1500.0, "item", 400.0)
-    assert recorder.indices() == [0, 1]
-    assert recorder.window_start(1) == 1000.0
-    assert recorder.counter_series("responses") == [(0.0, 2), (1000.0, 1)]
-    # Window 0 holds both the page and the _all aggregate.
-    quantiles = recorder.window_quantiles(0)
-    assert set(quantiles) == {"_all", "home"}
-    assert quantiles["_all"].count == 2
-    series = recorder.quantile_series("_all", 0.5)
-    assert [start for start, _ in series] == [0.0, 1000.0]
-
-
-def test_count_and_gauge_accessors():
-    recorder = TimeSeriesRecorder(interval_ms=500.0)
-    recorder.count(100.0, "drops", 3)
-    recorder.count(100.0, "drops", 0)  # zero deltas are not stored
-    recorder.record_gauge(600.0, "active", 17)
-    assert recorder.counter_series("drops") == [(0.0, 3)]
-    assert recorder.gauge_series("active") == [(500.0, 17)]
+def test_observe_bins_by_simulated_time():
+    store = MeasurementStore(warmup=500.0, interval_ms=1000.0, bounds=(50.0, 500.0))
+    store.observe(100.0, "g", "home", 40.0)
+    store.observe(999.0, "g", "home", 60.0)
+    store.observe(1500.0, "g", "item", 400.0)
+    state = store.to_state()
+    windows = state["series"]["windows"]
+    assert list(windows) == ["0", "1"]
+    assert [windows[key]["counters"]["responses"] for key in windows] == [2, 1]
+    # Window 0 holds both the page and the _all aggregate, warm-up included.
+    assert set(windows["0"]["quantiles"]) == {"_all", "home"}
+    assert windows["0"]["quantiles"]["_all"]["count"] == 2
+    assert windows["0"]["quantiles"]["_all"]["counts"] == [1, 1, 0]
+    # The whole-run section discards the visit served before the warm-up.
+    assert state["whole_run"]["discarded_warmup"] == 1
+    assert state["whole_run"]["session_stats"] == [["g", {"count": 2, "total": 460.0}]]
 
 
 def test_recorder_rejects_bad_interval_and_bounds():
     with pytest.raises(ValueError):
-        TimeSeriesRecorder(interval_ms=0.0)
+        MeasurementStore(interval_ms=0.0)
     with pytest.raises(ValueError):
-        TimeSeriesRecorder(bounds=(10.0, 5.0))
+        MeasurementStore(bounds=(10.0, 5.0))
 
 
-# -- state round trip and merge algebra ---------------------------------------
+@pytest.mark.parametrize("interval_ms", [float("nan"), float("inf"), 0.0, -1.0])
+def test_store_rejects_an_interval_that_is_not_positive_and_finite(interval_ms):
+    # A NaN interval used to pass the old `<= 0` check and fail at the
+    # first served visit; an infinite one put every visit in window 0.
+    with pytest.raises(ValueError, match="positive and finite"):
+        MeasurementStore(interval_ms=interval_ms)
 
 
-def _sample_recorder() -> TimeSeriesRecorder:
-    recorder = TimeSeriesRecorder(interval_ms=1000.0, bounds=(50.0, 500.0))
-    recorder.observe_response(100.0, "home", 40.0)
-    recorder.observe_response(1200.0, "item", 300.0)
-    recorder.count(150.0, "sessions.dropped", 2)
-    recorder.record_gauge(150.0, "sessions.active", 5)
-    return recorder
+# -- state --------------------------------------------------------------------
+
+
+def _sample_store() -> MeasurementStore:
+    store = MeasurementStore(interval_ms=1000.0, bounds=(50.0, 500.0))
+    store.observe(100.0, "g", "home", 40.0)
+    store.observe(1200.0, "g", "item", 300.0)
+    # What the window-boundary sampler writes: a counter delta and a gauge.
+    store._window(0)["counters"]["sessions.dropped"] = 2
+    store._window(0)["gauges"]["sessions.active"] = 5
+    return store
 
 
 def test_state_round_trip_is_exact():
-    recorder = _sample_recorder()
-    state = recorder.to_state()
-    assert TimeSeriesRecorder.from_state(state).to_state() == state
+    state = _sample_store().to_state()
+    assert json.loads(json.dumps(state)) == state
     # Canonical form: window keys are strings, sections sorted.
-    assert all(isinstance(key, str) for key in state["windows"])
-    for entry in state["windows"].values():
+    series = state["series"]
+    assert all(isinstance(key, str) for key in series["windows"])
+    for entry in series["windows"].values():
         for section in ("counters", "gauges", "quantiles"):
             if section in entry:
                 assert list(entry[section]) == sorted(entry[section])
 
 
-def test_merge_adds_counters_maxes_gauges_adds_quantiles():
-    first = _sample_recorder()
-    second = TimeSeriesRecorder(interval_ms=1000.0, bounds=(50.0, 500.0))
-    second.observe_response(400.0, "home", 450.0)
-    second.count(100.0, "sessions.dropped", 7)
-    second.record_gauge(100.0, "sessions.active", 3)
-    first.merge_state(second.to_state())
-    assert first.counter_series("sessions.dropped") == [(0.0, 9)]
-    assert first.gauge_series("sessions.active") == [(0.0, 5)]  # max wins
-    merged = first.window_quantiles(0)["home"]
-    assert merged.count == 2
-    assert merged.total == pytest.approx(490.0)
-
-
-def test_merge_rejects_mismatched_grids():
-    recorder = TimeSeriesRecorder(interval_ms=1000.0)
-    with pytest.raises(ValueError):
-        recorder.merge_state({"interval_ms": 500.0, "bounds": list(HDR_BOUNDS)})
-    with pytest.raises(ValueError):
-        recorder.merge_state({"interval_ms": 1000.0, "bounds": [1.0, 2.0]})
-
-
-def test_merge_unions_fault_windows_without_duplicates():
-    row = {"kind": "partition", "label": "router<->edge1", "start": 5000.0, "end": 9000.0}
-    first = TimeSeriesRecorder(interval_ms=1000.0)
-    first.fault_windows = (dict(row),)
-    other = TimeSeriesRecorder(interval_ms=1000.0)
-    other.fault_windows = (
-        dict(row),
-        {"kind": "crash", "label": "edge2", "start": 2000.0, "end": 4000.0},
-    )
-    first.merge_state(other.to_state())
-    assert [w["kind"] for w in first.fault_windows] == ["crash", "partition"]
-
-
 def test_series_export_validates_clean(tmp_path):
     path = tmp_path / "series.json"
-    export_series([("app/L2", _sample_recorder().to_state())], str(path))
+    export_series([("app/L2", _sample_store().to_state()["series"])], str(path))
     data = json.loads(path.read_text())
     assert validate_series(data) == []
     # Canonical writer: compact separators, sorted keys, trailing newline.
@@ -187,7 +152,7 @@ def test_series_export_validates_clean(tmp_path):
 
 
 def test_validate_series_flags_corrupt_quantiles(tmp_path):
-    state = _sample_recorder().to_state()
+    state = _sample_store().to_state()["series"]
     state["windows"]["0"]["quantiles"]["home"]["count"] = 99
     problems = validate_series({"series": {"app/L2": state}})
     assert problems and any("count" in problem for problem in problems)

@@ -5,7 +5,9 @@
 the open-loop generator's ``_arrivals`` / ``_session`` as they stood
 before the one session driver (:mod:`repro.workload.driver`) replaced them, copied
 literally — only the imports and the class statements around them
-changed.  ``test_driver_oracle.py`` runs them beside the driver on the
+changed, and the response-time sink, which is the one
+:meth:`~repro.obs.store.MeasurementStore.observe` per served visit the
+program makes.  ``test_driver_oracle.py`` runs them beside the driver on the
 same seed and demands identical simulations.  Do not "tidy" this file:
 its value is that it is the old code.
 
@@ -29,8 +31,8 @@ from repro.core.distribution import DeployedSystem
 from repro.core.usage import UsagePattern
 from repro.middleware.resilience import RETRYABLE_ERRORS, RmiTimeout
 from repro.middleware.web import ServerUnavailable, WebRequest, http_get
+from repro.obs.store import MeasurementStore
 from repro.simnet.kernel import Environment, Event
-from repro.simnet.monitor import ResponseTimeMonitor
 from repro.simnet.rng import Streams
 from repro.workload.generator import WorkloadConfig
 from repro.workload.openloop import OpenLoopConfig
@@ -79,6 +81,7 @@ class ReferenceLoadGenerator:
         writer_pattern: UsagePattern,
         config: Optional[WorkloadConfig] = None,
         writer_group_name: str = "buyer",
+        store: Optional[MeasurementStore] = None,
     ):
         self.system = system
         self.streams = streams
@@ -86,8 +89,7 @@ class ReferenceLoadGenerator:
         self.writer_pattern = writer_pattern
         self.config = config or WorkloadConfig()
         self.writer_group_name = writer_group_name
-        self.monitor = ResponseTimeMonitor(warmup=self.config.warmup_ms)
-        self.timeseries = None
+        self.store = store or MeasurementStore(warmup=self.config.warmup_ms)
         self.clients: List[ReferenceClient] = []
         # The clients' counters, as running totals.
         self.requests_sent = 0
@@ -134,7 +136,7 @@ class ReferenceLoadGenerator:
                         ReferenceClient(
                             self,
                             system=self.system,
-                            monitor=self.monitor,
+                            store=self.store,
                             streams=self.streams,
                             client_node=machine,
                             group=group,
@@ -151,13 +153,12 @@ class ReferenceLoadGenerator:
 
     def start(self, env: Environment) -> None:
         for client in self.build():
-            client.timeseries = self.timeseries
             env.process(client.run(env), name=f"client-{client.id}")
 
-    def run(self, env: Environment) -> ResponseTimeMonitor:
+    def run(self, env: Environment) -> MeasurementStore:
         self.start(env)
         env.run()
-        return self.monitor
+        return self.store
 
     def total_requests(self) -> int:
         return self.requests_sent
@@ -174,7 +175,7 @@ class ReferenceClient:
         self,
         generator: ReferenceLoadGenerator,
         system: DeployedSystem,
-        monitor: ResponseTimeMonitor,
+        store: MeasurementStore,
         streams: Streams,
         client_node: str,
         group: str,
@@ -187,7 +188,7 @@ class ReferenceClient:
         self.generator = generator
         self.id = client_id
         self.system = system
-        self.monitor = monitor
+        self.store = store
         self.streams = streams
         self.client_node = client_node
         self.group = group
@@ -200,7 +201,6 @@ class ReferenceClient:
         self.errors = 0
         self.failovers = 0
         self.think_ms = 0.0
-        self.timeseries = None
 
     def run(self, env: Environment) -> Generator[Event, None, None]:
         """The client process: sessions back-to-back until ``end_time``."""
@@ -272,12 +272,9 @@ class ReferenceClient:
                     response_time = env.now - started
                 else:
                     self.requests_sent += 1
-                    self.monitor.observe(
+                    self.store.observe(
                         env.now, self.group, visit.page, response_time
                     )
-                    ts = self.timeseries
-                    if ts is not None:
-                        ts.observe_response(env.now, visit.page, response_time)
                 # Soft delay: the think time absorbs the response time.
                 remaining = self.think_time - response_time
                 if remaining > 0:
@@ -301,6 +298,7 @@ class ReferenceOpenLoop:
         writer_pattern: UsagePattern,
         config: Optional[OpenLoopConfig] = None,
         writer_group_name: str = "buyer",
+        store: Optional[MeasurementStore] = None,
     ):
         self.system = system
         self.streams = streams
@@ -308,7 +306,7 @@ class ReferenceOpenLoop:
         self.writer_pattern = writer_pattern
         self.config = config or OpenLoopConfig()
         self.writer_group_name = writer_group_name
-        self.monitor = ResponseTimeMonitor(warmup=self.config.warmup_ms)
+        self.store = store or MeasurementStore(warmup=self.config.warmup_ms)
         self.arrivals = 0
         self.admitted = 0
         self.dropped_sessions = 0
@@ -319,7 +317,6 @@ class ReferenceOpenLoop:
         self.errors = 0
         self.failovers = 0
         self.think_ms = 0.0
-        self.timeseries = None
         self._targets: List[Tuple[str, str]] = []
 
     def _build_targets(self) -> List[Tuple[str, str]]:
@@ -358,10 +355,10 @@ class ReferenceOpenLoop:
         self._build_targets()
         env.process(self._arrivals(env), name="open-loop-arrivals")
 
-    def run(self, env: Environment) -> ResponseTimeMonitor:
+    def run(self, env: Environment) -> MeasurementStore:
         self.start(env)
         env.run()
-        return self.monitor
+        return self.store
 
     def total_requests(self) -> int:
         return self.requests_sent
@@ -462,10 +459,7 @@ class ReferenceOpenLoop:
                     self.errors += 1
                 else:
                     self.requests_sent += 1
-                    self.monitor.observe(env.now, group, visit.page, response_time)
-                    ts = self.timeseries
-                    if ts is not None:
-                        ts.observe_response(env.now, visit.page, response_time)
+                    self.store.observe(env.now, group, visit.page, response_time)
                 if session_broken:
                     break
                 if position != last:

@@ -9,6 +9,7 @@ from repro.core.patterns import PatternLevel
 from repro.core.usage import ScriptedPattern
 from repro.experiments.calibration import default_workload
 from repro.experiments.runner import run_configuration
+from repro.obs.store import WholeRun
 from repro.simnet.rng import Streams
 from repro.workload.generator import LoadGenerator, WorkloadConfig
 from repro.workload.openloop import OpenLoopConfig
@@ -156,7 +157,7 @@ def test_soft_delay_keeps_rate_under_slow_responses():
 
 def test_monitor_receives_observations_after_warmup():
     env, system, generator = _generator()
-    monitor = generator.run(env)
+    monitor = WholeRun(generator.run(env).to_state()["whole_run"])
     assert monitor.groups()
     for group in monitor.groups():
         assert monitor.session_mean(group) > 0

@@ -190,9 +190,8 @@ def test_openloop_dropped_sessions_reach_the_availability_report():
 def test_openloop_metrics_expose_session_health():
     result = _run_openloop(
         _small_config(session_rate_per_s=20.0, max_sessions=5),
-        with_metrics=True,
     )
-    metrics = result.metrics
+    metrics = result.store.registry
     generator = result.generator
     assert metrics.value("workload.sessions_arrived") == generator.arrivals
     assert metrics.value("workload.sessions_completed") == generator.completions
@@ -230,6 +229,6 @@ def test_openloop_cell_is_picklable_and_parallel_consistent():
     serial = run_cells([("rubis", 5)], jobs=1, openloop=config, seed=2003)
     parallel = run_cells([("rubis", 5)], jobs=2, openloop=config, seed=2003)
     key = ("rubis", 5)
-    assert serial[key].monitor_state == parallel[key].monitor_state
+    assert serial[key].measurements == parallel[key].measurements
     assert serial[key].total_requests == parallel[key].total_requests
     assert serial[key].resilience == parallel[key].resilience
