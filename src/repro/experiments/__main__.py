@@ -9,32 +9,32 @@ Usage::
     python -m repro.experiments all               # everything
     python -m repro.experiments table6 --duration 120 --warmup 30
     python -m repro.experiments all --jobs 4      # four worker processes
-    python -m repro.experiments table6 --trace-out trace.json \
-        --metrics-out metrics.json                # observability artifacts
+    python -m repro.experiments table6 --out run/ # plus an artifact bundle
 
 Every (application, configuration) cell is independent, so the sweep
 fans out across ``--jobs`` worker processes (default: one per CPU).
 Table/figure output on stdout is byte-identical for any ``--jobs``
-value; progress reporting goes to stderr.  ``--trace-out`` writes a
-Chrome trace-event JSON (load it in Perfetto or ``chrome://tracing``)
-with one span tree per client page request; ``--metrics-out`` writes
-per-cell metrics-registry snapshots.  Both artifacts are byte-identical
-for any ``--jobs`` value too.
+value; progress reporting goes to stderr.
 
-Streaming telemetry rides on the same sweep::
+``--out DIR`` records spans and the telemetry series (``--obs-interval``
+seconds per window, spans for the ``--obs-sample`` share of sessions)
+and writes the run's artifact bundle into ``DIR`` (see
+:data:`repro.obs.export.BUNDLE`): ``trace.json`` (Chrome trace events,
+one span tree per client page request; load it in Perfetto or
+``chrome://tracing``), ``metrics.json``, ``series.json``, ``flame.txt``
+(collapsed stacks for speedscope / flamegraph.pl), ``flame.html``,
+``attribution.txt`` (per-layer latency attribution), plus ``slo.json``
+with ``--slo`` and ``availability.json`` with ``--faults``.  The bundle
+is byte-identical for any ``--jobs`` value, stdout does not depend on
+``--out``, and ``python -m repro.obs.validate DIR`` checks it::
 
     python -m repro.experiments table7 --workload open --scenario flash-crowd \
-        --series-out series.json --obs-interval 1 \
-        --slo policies/slo-default.json --slo-out slo.json \
-        --flame-out flame.txt --flame-html flame.html --obs-sample 0.1
+        --obs-interval 1 --obs-sample 0.1 --slo policies/slo-default.json \
+        --out run/
 
-``--series-out`` writes per-window counters/gauges/quantiles sampled on
-the simulated clock (``--obs-interval`` seconds per window);  ``--slo``
-evaluates declarative objectives per window, with burn rates and
-fault-window recovery times printed after the tables; ``--flame-out``
-folds the span trees into collapsed-stack flamegraph text (speedscope /
-flamegraph.pl), with a per-layer latency attribution table on stdout.
-All of these are byte-identical for any ``--jobs`` value.
+``--slo`` evaluates declarative objectives per window, with burn rates
+and fault-window recovery times printed after the tables; ``--faults``
+prints an availability table per app.
 
 Beyond the paper's grid::
 
@@ -58,15 +58,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from ..core.patterns import PatternLevel
 from ..core.policy import PolicyError, load_policy
-from ..faults.report import (
-    availability_to_json,
-    build_availability_table,
-    render_availability_table,
-)
+from ..faults.report import build_availability_table, render_availability_table
 from ..faults.scenarios import SCENARIOS, default_edges, load_schedule
 from ..simnet.topology import TestbedConfig, TopologyOverrides
 from ..workload.openloop import ARRIVALS, SCENARIOS as OPENLOOP_SCENARIOS, OpenLoopConfig
@@ -106,60 +103,6 @@ def _span_digest(state: dict) -> str:
         rate = state["sample_rate"]
         line += f", spans sampled {sampled}/{total} requests (rate {rate:g})"
     return line
-
-
-def _export_observability(args, labelled) -> None:
-    """Write --trace-out / --metrics-out artifacts and stderr digests.
-
-    ``labelled`` is the sweep's ``(app/L<level>, CellResult)`` pairs in
-    sorted order, so the files are byte-identical for any ``--jobs``
-    value.
-    """
-    from ..obs.export import export_chrome_trace, export_metrics
-
-    if args.trace_out is not None:
-        cells = [
-            (label, result.spans_state)
-            for label, result in labelled
-            if result.spans_state is not None
-        ]
-        export_chrome_trace(cells, args.trace_out)
-        for label, state in cells:
-            print(f"[trace] {label}: {_span_digest(state)}", file=sys.stderr)
-        print(f"[trace] wrote {args.trace_out}", file=sys.stderr)
-    if args.metrics_out is not None:
-        cells = [(label, result.measurements["metrics"]) for label, result in labelled]
-        export_metrics(cells, args.metrics_out)
-        print(f"[metrics] wrote {args.metrics_out}", file=sys.stderr)
-    if args.series_out is not None:
-        from ..obs.export import export_series
-
-        cells = [(label, result.measurements["series"]) for label, result in labelled]
-        export_series(cells, args.series_out)
-        print(f"[series] wrote {args.series_out}", file=sys.stderr)
-    if args.flame_out is not None or args.flame_html is not None:
-        from ..obs.flame import (
-            collapse_spans,
-            merge_folded,
-            render_flame_html,
-            render_folded,
-        )
-
-        folded = merge_folded(
-            *(
-                collapse_spans(result.spans_state["spans"], root_prefix=label)
-                for label, result in labelled
-                if result.spans_state is not None
-            )
-        )
-        if args.flame_out is not None:
-            with open(args.flame_out, "w") as handle:
-                handle.write(render_folded(folded))
-            print(f"[flame] wrote {args.flame_out}", file=sys.stderr)
-        if args.flame_html is not None:
-            with open(args.flame_html, "w") as handle:
-                handle.write(render_flame_html(folded))
-            print(f"[flame] wrote {args.flame_html}", file=sys.stderr)
 
 
 def _run_plan(args, policy, topology, levels) -> int:
@@ -270,30 +213,12 @@ def main(argv=None) -> int:
         "1 runs serially in-process; output is identical either way)",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run each cell under cProfile and dump the top-25 cumulative "
-        "entries plus per-subsystem attribution to stderr (forces --jobs 1)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="FILE",
+        "--out",
+        metavar="DIR",
         default=None,
-        help="write per-request span trees as Chrome trace-event JSON "
-        "(open in Perfetto / chrome://tracing)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write per-cell metrics-registry snapshots as sorted-key JSON",
-    )
-    parser.add_argument(
-        "--series-out",
-        metavar="FILE",
-        default=None,
-        help="write per-window telemetry series (counters, gauges, "
-        "p50/p95/p99 per page class) as sorted-key JSON",
+        help="record spans and the telemetry series and write the run's "
+        "artifact bundle into DIR (created if absent; check it with "
+        "python -m repro.obs.validate DIR)",
     )
     parser.add_argument(
         "--obs-interval",
@@ -301,15 +226,16 @@ def main(argv=None) -> int:
         default=1.0,
         metavar="S",
         help="telemetry window width in simulated seconds "
-        "(default %(default)s; used by --series-out/--slo)",
+        "(default %(default)s; used by --out/--slo)",
     )
     parser.add_argument(
         "--obs-sample",
         type=float,
         default=1.0,
         metavar="RATE",
-        help="fraction of sessions whose spans are recorded, decided by a "
-        "deterministic hash of the session id (default %(default)s: all)",
+        help="(with --out) fraction of sessions whose spans are recorded, "
+        "decided by a deterministic hash of the session id "
+        "(default %(default)s: all)",
     )
     parser.add_argument(
         "--slo",
@@ -319,38 +245,12 @@ def main(argv=None) -> int:
         "per telemetry window; prints burn rates and fault recovery times",
     )
     parser.add_argument(
-        "--slo-out",
-        metavar="FILE",
-        default=None,
-        help="with --slo: also write the evaluation report as sorted-key JSON",
-    )
-    parser.add_argument(
-        "--flame-out",
-        metavar="FILE",
-        default=None,
-        help="write latency attribution as collapsed-stack flamegraph text "
-        "(load in speedscope or flamegraph.pl)",
-    )
-    parser.add_argument(
-        "--flame-html",
-        metavar="FILE",
-        default=None,
-        help="write a self-contained HTML flamegraph (no external tools)",
-    )
-    parser.add_argument(
         "--faults",
         metavar="SCENARIO",
         default=None,
         help="inject a fault scenario: a canned name "
         f"({', '.join(sorted(SCENARIOS))}) or a path to a schedule JSON; "
         "prints an availability table per app after the sweep",
-    )
-    parser.add_argument(
-        "--availability-out",
-        metavar="FILE",
-        default=None,
-        help="with --faults: also write the availability report as "
-        "sorted-key JSON",
     )
     parser.add_argument(
         "--policy",
@@ -490,21 +390,7 @@ def main(argv=None) -> int:
     if args.target == PLAN_TARGET:
         return _run_plan(args, policy, topology, levels)
     jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
-    with_flame = args.flame_out is not None or args.flame_html is not None
-    with_spans = args.trace_out is not None or with_flame
-    with_series = (
-        args.series_out is not None
-        or args.slo is not None
-        or args.slo_out is not None
-    )
-    observing = with_spans or with_series or args.metrics_out is not None
-
-    if args.availability_out is not None and args.faults is None:
-        print("[faults] --availability-out requires --faults", file=sys.stderr)
-        return 2
-    if args.slo_out is not None and args.slo is None:
-        print("[slo] --slo-out requires --slo", file=sys.stderr)
-        return 2
+    with_series = args.out is not None or args.slo is not None
     if not 0 < args.obs_interval < math.inf:
         print("[obs] --obs-interval must be positive and finite", file=sys.stderr)
         return 2
@@ -529,13 +415,9 @@ def main(argv=None) -> int:
         )
 
     if args.target == ABLATION_TARGET:
-        if args.profile:
-            print("[profile] --profile is not supported for ablations", file=sys.stderr)
-            return 2
-        if observing:
+        if with_series:
             print(
-                "[obs] --trace-out/--metrics-out/--series-out/--slo/"
-                "--flame-out are not supported for ablations",
+                "[obs] --out/--slo are not supported for ablations",
                 file=sys.stderr,
             )
             return 2
@@ -605,10 +487,18 @@ def main(argv=None) -> int:
         )
         print(f"[faults] scenario '{faults.name}' active", file=sys.stderr)
 
+    if args.out is not None:
+        # Before any cell runs: an unusable DIR must not cost a sweep.
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"[out] {exc}", file=sys.stderr)
+            return 2
+
     spec = RunSpec(
         workload=workload,
         seed=args.seed,
-        with_spans=with_spans,
+        with_spans=args.out is not None,
         faults=faults,
         policy=policy,
         topology=topology,
@@ -630,7 +520,6 @@ def main(argv=None) -> int:
         spec,
         jobs=jobs,
         progress=ProgressReporter(len(cells), label="cells"),
-        profile=args.profile,
     )
     series_cache = {
         app: {level: results[(app, level)] for level in levels}
@@ -639,9 +528,6 @@ def main(argv=None) -> int:
     labelled = [
         (f"{app}/L{int(level)}", result) for (app, level), result in results.items()
     ]
-
-    if observing:
-        _export_observability(args, labelled)
 
     for target in targets:
         app, kind = TARGETS[target]
@@ -654,45 +540,18 @@ def main(argv=None) -> int:
             figure = build_figure(series)
             print(figure_to_csv(figure) if args.csv else render_figure(figure))
 
-    if with_flame:
-        from ..obs.flame import layer_self_times, render_attribution
-
-        for label, result in labelled:
-            spans_state = result.spans_state
-            if spans_state is None:
-                continue
-            # Think time accumulates in the telemetry series when it is
-            # on; without it the attribution covers server-side work only.
-            think = 0.0
-            series_state = result.measurements["series"]
-            if series_state is not None:
-                think = sum(
-                    entry.get("counters", {}).get("think_ms", 0)
-                    for entry in series_state["windows"].values()
-                )
-            print()
-            print(
-                render_attribution(
-                    label, layer_self_times(spans_state["spans"]), think_ms=think
-                )
-            )
-
+    slo_reports = None
     if objectives is not None:
-        from ..obs.slo import evaluate_slo, export_slo, render_slo_report
+        from ..obs.slo import evaluate_slo, render_slo_report
 
         slo_reports = {}
         for label, result in labelled:
-            state = result.measurements["series"]
-            if state is None:
-                continue
-            report = evaluate_slo(state, objectives)
+            report = evaluate_slo(result.measurements["series"], objectives)
             slo_reports[label] = report
             print()
             print(render_slo_report(label, report))
-        if args.slo_out is not None:
-            export_slo(slo_reports, args.slo_out)
-            print(f"[slo] wrote {args.slo_out}", file=sys.stderr)
 
+    availability_tables = None
     if faults is not None:
         availability_tables = [
             build_availability_table(
@@ -703,12 +562,16 @@ def main(argv=None) -> int:
         for table in availability_tables:
             print()
             print(render_availability_table(table))
-        if args.availability_out is not None:
-            with open(args.availability_out, "w") as handle:
-                handle.write(availability_to_json(availability_tables))
-            print(
-                f"[faults] wrote {args.availability_out}", file=sys.stderr
-            )
+
+    if args.out is not None:
+        from ..obs.export import Sweep, write_bundle
+
+        for label, result in labelled:
+            print(f"[trace] {label}: {_span_digest(result.spans_state)}", file=sys.stderr)
+        written = write_bundle(
+            args.out, Sweep(labelled, slo=slo_reports, availability=availability_tables)
+        )
+        print(f"[out] wrote {', '.join(written)} to {args.out}", file=sys.stderr)
     return 0
 
 

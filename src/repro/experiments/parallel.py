@@ -26,7 +26,6 @@ on arrival order).
 from __future__ import annotations
 
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from typing import Dict, Iterable, Optional, Tuple
@@ -49,7 +48,6 @@ def run_cells(
     *,
     jobs: Optional[int] = None,
     progress: Optional[ProgressReporter] = None,
-    profile: bool = False,
     **options,
 ) -> Dict[Tuple[str, PatternLevel], CellResult]:
     """Run every (app, level) cell, fanning out across ``jobs`` processes.
@@ -58,21 +56,14 @@ def run_cells(
     cell; the pool ships ``(app, level, spec)``.  ``jobs=None`` uses one
     worker per CPU; ``jobs=1`` runs the cells in the current process (no
     pool, no pickling) and drops each result's in-process fields all the
-    same, so the outcome is identical.  ``profile=True`` profiles each
-    cell (see :func:`~repro.experiments.runner.run_cell`) and forces one
-    worker, with a stderr warning.  The returned dict is keyed in sorted
-    (app, level) order regardless of completion order.
+    same, so the outcome is identical.  The returned dict is keyed in
+    sorted (app, level) order regardless of completion order.
     """
     spec = replace(spec or RunSpec(), **options)
     keys = [(app, PatternLevel(level)) for app, level in cells]
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate cells in {keys!r}")
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    if profile and jobs != 1:
-        from .profile import warn_forced_serial
-
-        warn_forced_serial(jobs, sys.stderr)
-        jobs = 1
     results: Dict[Tuple[str, PatternLevel], CellResult] = {}
 
     def done(key, result):
@@ -82,7 +73,7 @@ def run_cells(
 
     if jobs == 1 or len(keys) <= 1:
         for key in keys:
-            done(key, run_cell(*key, spec, profile))
+            done(key, run_cell(*key, spec))
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
             futures = {pool.submit(run_cell, *key, spec): key for key in keys}

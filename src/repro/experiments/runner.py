@@ -12,7 +12,6 @@ declaration of how a cell is run, :class:`CellResult` the one result.
 from __future__ import annotations
 
 import gc
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
@@ -365,24 +364,9 @@ def run_configuration(
     )
 
 
-def run_cell(
-    app: str, level: PatternLevel, spec: RunSpec, profile: bool = False
-) -> CellResult:
-    """One cell of a sweep, optionally under cProfile (the worker entry).
-
-    Returns the result without its in-process fields.  ``profile=True``
-    dumps the top-25 cumulative entries plus a per-subsystem attribution
-    to stderr (see :mod:`repro.experiments.profile`).  Results are
-    unchanged — the profiler only costs wall-clock time.
-    """
-    if profile:
-        from .profile import dump_cell_profile, profile_call
-
-        result, stats = profile_call(run_configuration, app, level, spec)
-        dump_cell_profile(f"{app} L{int(level)}", stats, sys.stderr)
-    else:
-        result = run_configuration(app, level, spec)
-    return CellResult.from_experiment(result)
+def run_cell(app: str, level: PatternLevel, spec: RunSpec) -> CellResult:
+    """One cell of a sweep (the worker entry), without its in-process fields."""
+    return CellResult.from_experiment(run_configuration(app, level, spec))
 
 
 def run_series(
@@ -392,13 +376,12 @@ def run_series(
     *,
     jobs: Optional[int] = None,
     progress=None,
-    profile: bool = False,
     **options,
 ) -> Dict[PatternLevel, CellResult]:
     """All five configurations of one application (Tables 6/7).
 
     :func:`~repro.experiments.parallel.run_cells` over ``app``'s levels,
-    re-keyed by level — same ``jobs`` / ``progress`` / ``profile``
+    re-keyed by level — same ``jobs`` / ``progress``
     meaning, same results for any worker count.  The results carry no
     live deployment; call :func:`run_configuration` for one.
     """
@@ -411,6 +394,5 @@ def run_series(
         spec,
         jobs=jobs,
         progress=progress,
-        profile=profile,
     )
     return {level: cells[(app, level)] for level in levels}

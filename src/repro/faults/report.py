@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.patterns import PatternLevel, level_name
 from ..obs.metrics import collect_cache_stats
@@ -23,6 +23,7 @@ __all__ = [
     "build_availability_table",
     "render_availability_table",
     "availability_to_json",
+    "validate_availability",
 ]
 
 
@@ -177,3 +178,21 @@ def availability_to_json(tables) -> str:
             entry["topology"] = table.topology
         payload[table.app] = entry
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def validate_availability(data: dict) -> List[str]:
+    """Structural checks for :func:`availability_to_json` output; returns problems."""
+    if not data:
+        return ["no application in the availability report"]
+    problems: List[str] = []
+    for app, entry in data.items():
+        rows = entry.get("configurations") if isinstance(entry, dict) else None
+        if not isinstance(rows, dict) or not rows:
+            problems.append(f"{app}: no configurations")
+            continue
+        for level, row in rows.items():
+            for key in ("requests", "errors"):
+                value = row.get(key) if isinstance(row, dict) else None
+                if not isinstance(value, int) or value < 0:
+                    problems.append(f"{app}/{level}: {key} is {value!r}")
+    return problems

@@ -12,20 +12,20 @@ needs first-class causal instrumentation, not just a flat call log:
   driver feeds once per served visit: the whole-run response cells
   behind Tables 6/7 and Figures 7/8, the metrics registry, and the
   per-window series (a kernel sampler process + windowed HDR-style
-  quantiles) behind ``--series-out``.
+  quantiles).
 * :mod:`repro.obs.metrics` — the registry of counters, gauges and
   histograms, snapshot in canonical order (byte-identical output for
   any ``--jobs N``).
-* :mod:`repro.obs.export` — Chrome trace-event JSON (``--trace-out``,
-  loadable in Perfetto / ``chrome://tracing``) and sorted-key metrics
-  JSON (``--metrics-out``).
 * :mod:`repro.obs.slo` — declarative objectives evaluated per window
   with burn rates and fault-overlay recovery times (``--slo``).
 * :mod:`repro.obs.flame` — span trees folded into collapsed-stack
-  flamegraphs and per-layer latency attribution (``--flame-out``).
-* :mod:`repro.obs.validate` — ``python -m repro.obs.validate`` checks
-  exported artifacts parse and contain at least one complete span tree
-  (used by CI on the uploaded artifacts).
+  flamegraphs and per-layer latency attribution.
+* :mod:`repro.obs.export` — the artifact bundle ``--out DIR`` writes:
+  one table of file names, each with its writer and its validator
+  (Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``,
+  metrics, series, flamegraphs, attribution, SLO and availability).
+* :mod:`repro.obs.validate` — ``python -m repro.obs.validate DIR`` checks
+  every file of a bundle by name (used by CI on the uploaded bundles).
 """
 
 from .flame import collapse_spans, layer_self_times, merge_folded, render_folded

@@ -1,32 +1,60 @@
-"""Exportable observability artifacts.
+"""The artifact bundle a sweep writes with ``--out DIR``.
 
-* :func:`export_chrome_trace` — Chrome trace-event JSON (the format
+:data:`BUNDLE` is the one list of the bundle's files: each name maps to
+the function that renders the file's text from a :class:`Sweep` and the
+function that checks that text.  The experiments CLI writes the bundle
+from it (:func:`write_bundle`) and ``python -m repro.obs.validate DIR``
+checks it from it, so a file cannot be written without a check or
+checked under another name.
+
+* ``trace.json`` — Chrome trace-event JSON (the format
   ``chrome://tracing`` and Perfetto load): one process row per
   (application, level) cell, one thread row per simulated node, one
   complete ("ph": "X") event per span with the span/parent ids in
   ``args`` so the causal tree survives the export.
-* :func:`export_metrics` — sorted-key JSON dump of per-cell
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshots.
+* ``metrics.json`` / ``series.json`` — each cell's metrics-registry
+  snapshot and per-window series.
+* ``flame.txt`` / ``flame.html`` / ``attribution.txt`` — the span trees
+  folded into collapsed stacks, an HTML flamegraph and the per-layer
+  latency attribution (:mod:`repro.obs.flame`).
+* ``slo.json`` (with ``--slo``) and ``availability.json`` (with
+  ``--faults``) — the reports the CLI also prints.
 
-Both writers emit canonical JSON (sorted keys, fixed separators) over
-canonically ordered inputs, so serial and parallel sweeps produce
-byte-identical files — the same contract the tables and figures already
+Every file is rendered from canonically ordered inputs (the JSON ones
+with sorted keys and fixed separators), so serial and parallel sweeps
+write byte-identical bundles — the same contract the tables and figures
 honour.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+import os
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+
+from ..faults.report import availability_to_json, validate_availability
+from .flame import (
+    collapse_spans,
+    layer_self_times,
+    merge_folded,
+    render_attribution,
+    render_flame_html,
+    render_folded,
+    validate_attribution,
+    validate_flame_html,
+    validate_flamegraph,
+)
+from .slo import validate_slo
 
 __all__ = [
+    "BUNDLE",
+    "Sweep",
+    "canonical_json",
     "chrome_trace_events",
-    "export_chrome_trace",
-    "export_metrics",
-    "export_series",
     "validate_chrome_trace",
     "validate_metrics",
     "validate_series",
+    "write_bundle",
 ]
 
 # Simulation timestamps are milliseconds; trace-event ts/dur are
@@ -107,36 +135,9 @@ def chrome_trace_events(cells: List[Tuple[str, dict]]) -> dict:
     }
 
 
-def export_chrome_trace(cells: List[Tuple[str, dict]], path: str) -> dict:
-    """Write the Chrome trace for ``cells`` to ``path``; returns the object."""
-    data = chrome_trace_events(cells)
-    with open(path, "w") as handle:
-        json.dump(data, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-    return data
-
-
-def export_metrics(cells: List[Tuple[str, dict]], path: str) -> dict:
-    """Write per-cell metrics snapshots as sorted-key JSON."""
-    data = {"cells": {label: state for label, state in cells}}
-    with open(path, "w") as handle:
-        json.dump(data, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-    return data
-
-
-def export_series(cells: List[Tuple[str, dict]], path: str) -> dict:
-    """Write per-cell time-series states as sorted-key JSON.
-
-    ``cells`` is ``[(label, series section of MeasurementStore.to_state()),
-    ...]``; the window keys inside each state are already canonical, so
-    the file is byte-identical for any --jobs N.
-    """
-    data = {"series": {label: state for label, state in cells}}
-    with open(path, "w") as handle:
-        json.dump(data, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
-    return data
+def canonical_json(data: object) -> str:
+    """Sorted keys, compact separators, one final newline."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +294,125 @@ def validate_series(data: object) -> List[str]:
     return problems
 
 
+
+
+# ---------------------------------------------------------------------------
+# The bundle (written by the experiments CLI, checked by
+# `python -m repro.obs.validate DIR`)
+# ---------------------------------------------------------------------------
+
+
+class Sweep(NamedTuple):
+    """What a bundle is rendered from.
+
+    ``cells`` is the sweep's ``(label, CellResult)`` pairs in canonical
+    order, run with spans and the series sampler on.  ``slo`` maps each
+    label to its SLO report (``--slo``) and ``availability`` lists the
+    per-app availability tables (``--faults``); ``None`` when not run.
+    """
+
+    cells: List[Tuple[str, object]]
+    slo: Optional[dict] = None
+    availability: Optional[list] = None
+
+
+class BundleFile(NamedTuple):
+    #: The file's text, or ``None`` when the sweep has no such report.
+    render: Callable[[Sweep], Optional[str]]
+    #: Problems in the file's text; an empty list means valid.
+    validate: Callable[[str], List[str]]
+    #: Written only for some sweeps, so a bundle may lack it.
+    optional: bool = False
+
+
+def _json(validate: Callable[[dict], List[str]]) -> Callable[[str], List[str]]:
+    def check(text: str) -> List[str]:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as error:
+            return [f"not JSON: {error}"]
+        if not isinstance(data, dict):
+            return ["top level is not an object"]
+        return validate(data)
+
+    return check
+
+
+def _by_label(sweep: Sweep, read: Callable[[object], object]) -> dict:
+    return {label: read(result) for label, result in sweep.cells}
+
+
+def _folded(sweep: Sweep) -> Dict[str, int]:
+    return merge_folded(
+        *(
+            collapse_spans(result.spans_state["spans"], root_prefix=label)
+            for label, result in sweep.cells
+        )
+    )
+
+
+def _attribution(sweep: Sweep) -> str:
+    """One latency-attribution block per cell, think time included."""
+    blocks = []
+    for label, result in sweep.cells:
+        windows = result.measurements["series"]["windows"].values()
+        think = sum(entry.get("counters", {}).get("think_ms", 0) for entry in windows)
+        layers = layer_self_times(result.spans_state["spans"])
+        blocks.append(render_attribution(label, layers, think_ms=think))
+    return "\n\n".join(blocks) + "\n"
+
+
+BUNDLE: Dict[str, BundleFile] = {
+    "trace.json": BundleFile(
+        lambda sweep: canonical_json(
+            chrome_trace_events(
+                [(label, result.spans_state) for label, result in sweep.cells]
+            )
+        ),
+        _json(validate_chrome_trace),
+    ),
+    "metrics.json": BundleFile(
+        lambda sweep: canonical_json(
+            {"cells": _by_label(sweep, lambda result: result.measurements["metrics"])}
+        ),
+        _json(validate_metrics),
+    ),
+    "series.json": BundleFile(
+        lambda sweep: canonical_json(
+            {"series": _by_label(sweep, lambda result: result.measurements["series"])}
+        ),
+        _json(validate_series),
+    ),
+    "flame.txt": BundleFile(
+        lambda sweep: render_folded(_folded(sweep)), validate_flamegraph
+    ),
+    "flame.html": BundleFile(
+        lambda sweep: render_flame_html(_folded(sweep)), validate_flame_html
+    ),
+    "attribution.txt": BundleFile(_attribution, validate_attribution),
+    "slo.json": BundleFile(
+        lambda sweep: None if sweep.slo is None else canonical_json({"slo": sweep.slo}),
+        _json(validate_slo),
+        optional=True,
+    ),
+    "availability.json": BundleFile(
+        lambda sweep: None
+        if sweep.availability is None
+        else availability_to_json(sweep.availability),
+        _json(validate_availability),
+        optional=True,
+    ),
+}
+
+
+def write_bundle(directory: str, sweep: Sweep) -> List[str]:
+    """Write ``sweep``'s files into the existing ``directory``; returns their names."""
+    written = []
+    for name, entry in BUNDLE.items():
+        text = entry.render(sweep)
+        if text is None:
+            continue
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+        written.append(name)
+    return written

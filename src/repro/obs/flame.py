@@ -16,10 +16,10 @@ for one page request, but the per-request trees are too fine-grained for
 
 * :func:`layer_self_times` — the same fold but projected onto coarse
   layers (web / ejb / rmi / jdbc / jms / propagate, each with a ``@wan``
-  variant), producing the per-layer attribution table rendered next to
-  Tables 6/7.  The workload's accumulated think time can be appended by
-  the caller as a ``think`` layer so the attribution accounts for the
-  whole session timeline, not just server-side work.
+  variant), producing the per-layer attribution table of a bundle's
+  ``attribution.txt``.  The workload's accumulated think time can be
+  appended by the caller as a ``think`` layer so the attribution
+  accounts for the whole session timeline, not just server-side work.
 
 Everything operates on the raw span-state dicts (``SpanRecorder.
 to_state()["spans"]``), so per-cell folds work on worker-shipped state
@@ -39,6 +39,8 @@ __all__ = [
     "layer_self_times",
     "render_attribution",
     "render_flame_html",
+    "validate_attribution",
+    "validate_flame_html",
     "validate_flamegraph",
 ]
 
@@ -175,6 +177,18 @@ def render_attribution(
     return "\n".join(lines)
 
 
+def validate_attribution(text: str) -> List[str]:
+    """Blank-line-separated :func:`render_attribution` blocks; returns problems."""
+    blocks = [block for block in text.split("\n\n") if block.strip()]
+    if not blocks:
+        return ["attribution is empty"]
+    return [
+        f"block {number} does not start with 'Latency attribution'"
+        for number, block in enumerate(blocks, 1)
+        if not block.startswith("Latency attribution — ")
+    ]
+
+
 _HTML_PAGE = """<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>Latency flamegraph</title>
 <style>
@@ -239,6 +253,13 @@ def render_flame_html(folded: Dict[str, int]) -> str:
     return _HTML_PAGE.format(
         summary=summary, height=depth_max * 19 + 4, frames="\n".join(divs)
     )
+
+
+def validate_flame_html(text: str) -> List[str]:
+    """A :func:`render_flame_html` page; returns problems."""
+    if not text.startswith("<!DOCTYPE html>") or '<div id="chart"' not in text:
+        return ["not a flamegraph HTML page"]
+    return []
 
 
 def validate_flamegraph(text: str) -> List[str]:

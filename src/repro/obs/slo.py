@@ -45,7 +45,6 @@ __all__ = [
     "parse_objectives",
     "evaluate_slo",
     "render_slo_report",
-    "export_slo",
     "validate_slo",
 ]
 
@@ -246,13 +245,6 @@ def render_slo_report(label: str, report: dict) -> str:
                 f"(ends {recovery['end_ms'] / 1000.0:.0f}s): {took}"
             )
     return "\n".join(lines)
-
-
-def export_slo(reports: dict, path: str) -> None:
-    """Write ``{"slo": {label: report}}`` canonically (sorted, compact)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"slo": reports}, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
 
 
 def validate_slo(data: dict) -> List[str]:

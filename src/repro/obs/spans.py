@@ -10,7 +10,7 @@ table is the simulator's only call record.
 Span ids are assigned from a per-recorder counter in simulation-event
 order, so a seeded run produces identical span tables in any process —
 the property the parallel experiment runner's byte-identical
-``--trace-out`` output rests on.
+``trace.json`` (``--out``) rests on.
 """
 
 from __future__ import annotations

@@ -1,72 +1,58 @@
-"""Validate exported observability artifacts.
+"""Validate an artifact bundle written with ``--out DIR``.
 
 Usage::
 
-    python -m repro.obs.validate trace.json metrics.json series.json flame.txt
+    python -m repro.obs.validate DIR
 
-Each file is sniffed by shape — a ``traceEvents`` array is validated as
-a Chrome trace, a ``cells`` object as a metrics dump, a ``series``
-object as a time-series dump, an ``slo`` object as an SLO report, and a
-file that is not JSON at all as collapsed-stack flamegraph text — and
-the process exits non-zero if any file fails, which is how CI gates the
-artifacts it uploads from the benchmark smoke job.
+Every file named in :data:`~repro.obs.export.BUNDLE` is read by its name
+and checked by the validator listed beside its writer.  A missing file
+is a problem unless the bundle lists it as optional (``slo.json``,
+``availability.json``).  The process exits non-zero if any file fails,
+which is how CI gates the bundles it uploads.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from typing import List
+from typing import Dict, List
 
-from .export import validate_chrome_trace, validate_metrics, validate_series
-from .flame import validate_flamegraph
-from .slo import validate_slo
+from .export import BUNDLE
 
-__all__ = ["validate_file", "main"]
+__all__ = ["validate_bundle", "main"]
 
 
-def validate_file(path: str) -> List[str]:
-    """Problems found in one artifact file (empty list: valid)."""
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except OSError as error:
-        return [f"cannot load {path}: {error}"]
-    except json.JSONDecodeError:
-        # Not JSON: collapsed-stack flamegraph text is the only non-JSON
-        # artifact this tool knows.
+def validate_bundle(directory: str) -> Dict[str, List[str]]:
+    """Problems per bundle file present or required (empty list: valid)."""
+    found: Dict[str, List[str]] = {}
+    for name, entry in BUNDLE.items():
         try:
-            with open(path) as handle:
-                return validate_flamegraph(handle.read())
-        except OSError as error:
-            return [f"cannot load {path}: {error}"]
-    if isinstance(data, dict) and "traceEvents" in data:
-        return validate_chrome_trace(data)
-    if isinstance(data, dict) and "cells" in data:
-        return validate_metrics(data)
-    if isinstance(data, dict) and "series" in data:
-        return validate_series(data)
-    if isinstance(data, dict) and "slo" in data:
-        return validate_slo(data)
-    return [
-        f"{path}: unrecognized artifact shape "
-        "(no traceEvents/cells/series/slo key)"
-    ]
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                text = handle.read()
+        except FileNotFoundError:
+            if not entry.optional:
+                found[name] = ["missing"]
+            continue
+        except (OSError, UnicodeDecodeError) as error:
+            found[name] = [f"cannot read: {error}"]
+            continue
+        found[name] = entry.validate(text)
+    return found
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.validate",
-        description="Validate exported trace/metrics JSON artifacts.",
+        description="Validate the artifact bundle a sweep wrote with --out DIR.",
     )
-    parser.add_argument("files", nargs="+", help="artifact files to validate")
+    parser.add_argument("directory", help="the bundle directory")
     args = parser.parse_args(argv)
-    failed = 0
-    for path in args.files:
-        problems = validate_file(path)
+    failed = False
+    for name, problems in validate_bundle(args.directory).items():
+        path = os.path.join(args.directory, name)
         if problems:
-            failed += 1
+            failed = True
             print(f"{path}: INVALID", file=sys.stderr)
             for problem in problems:
                 print(f"  - {problem}", file=sys.stderr)

@@ -165,3 +165,44 @@ def test_cli_rejects_an_obs_interval_that_is_not_positive_and_finite(
     captured = capsys.readouterr()
     assert captured.err == "[obs] --obs-interval must be positive and finite\n"
     assert captured.out == ""
+
+
+def test_cli_rejects_an_out_dir_it_cannot_create_before_any_cell_runs(
+    capsys, monkeypatch, tmp_path
+):
+    """Used to simulate the sweep, then crash writing the first artifact."""
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("repro.experiments.__main__.run_cells", no_simulation)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert main(["table6", "--level", "1", "--jobs", "1", "--out", str(not_a_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("[out] ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--out", "unused-bundle"],
+        ["--slo", "policies/slo-default.json"],
+        ["--faults", "edge-partition"],
+        ["--workload", "open"],
+        ["--policy", str(POLICY_FILE)],
+        ["--edges", "3"],
+    ],
+)
+def test_cli_rejects_what_ablations_cannot_honour(capsys, monkeypatch, flags):
+    def no_ablations(*args, **kwargs):
+        raise AssertionError("the ablations ran")
+
+    monkeypatch.setattr("repro.experiments.ablations.run_all_ablations", no_ablations)
+    assert main(["ablations", "--jobs", "1"] + flags) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("[") for line in lines)
+    assert lines[-1].endswith("not supported for ablations")
+    assert captured.out == ""

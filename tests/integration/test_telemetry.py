@@ -15,7 +15,6 @@ And the distribution contract: series / SLO / flamegraph / metrics
 artifacts are byte-identical for ``--jobs 1`` and ``--jobs 4``.
 """
 
-import json
 import statistics
 
 import pytest
@@ -23,10 +22,10 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.experiments.runner import run_configuration, run_series
 from repro.faults.scenarios import load_schedule
-from repro.obs.export import export_metrics, export_series, validate_series
-from repro.obs.flame import collapse_spans, merge_folded, render_folded, validate_flamegraph
+from repro.obs.export import Sweep, canonical_json, validate_series, write_bundle
 from repro.obs.metrics import Histogram
-from repro.obs.slo import evaluate_slo, export_slo, load_slo, validate_slo
+from repro.obs.slo import evaluate_slo, load_slo
+from repro.obs.validate import main as validate_main, validate_bundle
 from repro.workload.openloop import OpenLoopConfig
 
 DURATION = 36_000.0
@@ -207,65 +206,53 @@ def parallel_sweep():
     return _sweep(4)
 
 
-def _artifacts(results, directory):
-    """Write series/SLO/flame artifacts exactly as the CLI exporter does."""
-    labelled = [
-        (f"rubis/L{int(level)}", results[level]) for level in LEVELS
-    ]
-    series_path = directory / "series.json"
-    export_series(
-        [(label, cell.measurements["series"]) for label, cell in labelled],
-        str(series_path),
-    )
+def _bundle(results, directory):
+    """Write the bundle exactly as the CLI does with ``--slo``."""
+    labelled = [(f"rubis/L{int(level)}", results[level]) for level in LEVELS]
     objectives = load_slo("policies/slo-default.json")
-    slo_path = directory / "slo.json"
-    export_slo(
-        {
-            label: evaluate_slo(cell.measurements["series"], objectives)
-            for label, cell in labelled
-        },
-        str(slo_path),
-    )
-    flame_path = directory / "flame.txt"
-    folded = merge_folded(
-        *(
-            collapse_spans(cell.spans_state["spans"], root_prefix=label)
-            for label, cell in labelled
-        )
-    )
-    flame_path.write_text(render_folded(folded))
-    return series_path, slo_path, flame_path
+    slo = {
+        label: evaluate_slo(cell.measurements["series"], objectives)
+        for label, cell in labelled
+    }
+    directory.mkdir()
+    return write_bundle(str(directory), Sweep(labelled, slo=slo))
 
 
 def test_artifacts_byte_identical_for_any_jobs(
     serial_sweep, parallel_sweep, tmp_path
 ):
-    serial_dir = tmp_path / "serial"
-    parallel_dir = tmp_path / "parallel"
-    serial_dir.mkdir()
-    parallel_dir.mkdir()
-    for one, two in zip(
-        _artifacts(serial_sweep, serial_dir),
-        _artifacts(parallel_sweep, parallel_dir),
-    ):
-        assert one.read_bytes() == two.read_bytes(), one.name
-    assert validate_series(json.loads((serial_dir / "series.json").read_text())) == []
-    assert validate_slo(json.loads((serial_dir / "slo.json").read_text())) == []
-    assert validate_flamegraph((serial_dir / "flame.txt").read_text()) == []
+    names = _bundle(serial_sweep, tmp_path / "serial")
+    assert _bundle(parallel_sweep, tmp_path / "parallel") == names
+    assert "slo.json" in names and "availability.json" not in names
+    for name in names:
+        one = (tmp_path / "serial" / name).read_bytes()
+        assert one == (tmp_path / "parallel" / name).read_bytes(), name
+    assert all(
+        problems == [] for problems in validate_bundle(str(tmp_path / "serial")).values()
+    )
 
 
-def test_metrics_identical_when_telemetry_is_on_everywhere(
-    serial_sweep, parallel_sweep, tmp_path
+def test_validate_fails_on_a_bundle_missing_an_always_written_file(
+    serial_sweep, tmp_path, capsys
 ):
+    directory = tmp_path / "bundle"
+    _bundle(serial_sweep, directory)
+    (directory / "slo.json").unlink()  # only written with --slo
+    assert validate_main([str(directory)]) == 0
+    (directory / "metrics.json").unlink()
+    assert validate_main([str(directory)]) == 1
+    assert "metrics.json: INVALID\n  - missing" in capsys.readouterr().err
+
+
+def test_metrics_identical_when_telemetry_is_on_everywhere(serial_sweep, parallel_sweep):
     """cpu gauges divide by end-of-run env.now, which the sampler's final
     wake extends — but identically in every process, so metrics stay
     byte-stable across --jobs as long as telemetry is on (or off) in both."""
-    for suffix, results in (("s", serial_sweep), ("p", parallel_sweep)):
-        export_metrics(
-            [(f"rubis/L{int(lvl)}", results[lvl].measurements["metrics"]) for lvl in LEVELS],
-            str(tmp_path / f"{suffix}.json"),
-        )
-    assert (tmp_path / "s.json").read_bytes() == (tmp_path / "p.json").read_bytes()
+    serial, parallel = (
+        canonical_json([results[level].measurements["metrics"] for level in LEVELS])
+        for results in (serial_sweep, parallel_sweep)
+    )
+    assert serial == parallel
 
 
 def test_span_sampling_is_identical_across_processes(serial_sweep, parallel_sweep):
@@ -284,44 +271,30 @@ def test_span_sampling_is_identical_across_processes(serial_sweep, parallel_swee
 
 def test_cli_exports_and_validates_all_artifacts(tmp_path, capsys):
     from repro.experiments.__main__ import main
-    from repro.obs.validate import validate_file
 
-    series = tmp_path / "series.json"
-    slo = tmp_path / "slo.json"
-    flame = tmp_path / "flame.txt"
-    html = tmp_path / "flame.html"
-    trace = tmp_path / "trace.json"
-    code = main(
-        [
-            "table7",
-            "--workload", "open",
-            "--scenario", "steady",
-            "--session-rate", "3",
-            "--think-time", "1",
-            "--duration", "15",
-            "--warmup", "4",
-            "--jobs", "1",
-            "--obs-sample", "0.5",
-            "--trace-out", str(trace),
-            "--series-out", str(series),
-            "--slo", "policies/slo-default.json",
-            "--slo-out", str(slo),
-            "--flame-out", str(flame),
-            "--flame-html", str(html),
-        ]
-    )
-    assert code == 0
-    for path in (trace, series, slo, flame):
-        assert validate_file(str(path)) == [], path.name
-    assert html.read_text().startswith("<!DOCTYPE html>")
+    argv = [
+        "table7",
+        "--workload", "open",
+        "--scenario", "steady",
+        "--session-rate", "3",
+        "--think-time", "1",
+        "--duration", "15",
+        "--warmup", "4",
+        "--jobs", "1",
+        "--obs-sample", "0.5",
+        "--slo", "policies/slo-default.json",
+    ]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    out = tmp_path / "run" / "bundle"  # parents are created too
+    assert main(argv + ["--out", str(out)]) == 0
     captured = capsys.readouterr()
+    assert captured.out == plain
     assert "SLO report" in captured.out
-    assert "Latency attribution" in captured.out
+    assert "Latency attribution" not in captured.out
+    assert validate_main([str(out)]) == 0
+    assert "slo.json: ok" in capsys.readouterr().out
+    assert (out / "attribution.txt").read_text().startswith("Latency attribution — rubis/L1")
+    assert not (out / "availability.json").exists()  # no --faults
     # The per-cell trace digest (stderr) reports the sampled fraction.
     assert "spans sampled" in captured.err
-
-
-def test_cli_rejects_slo_out_without_slo(tmp_path):
-    from repro.experiments.__main__ import main
-
-    assert main(["table7", "--slo-out", str(tmp_path / "x.json")]) == 2

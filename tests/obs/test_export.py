@@ -1,4 +1,4 @@
-"""Chrome trace export: schema validity, determinism, and the CLI gate."""
+"""Chrome trace export: schema validity, determinism, and the bundle gate."""
 
 import json
 import os
@@ -12,24 +12,33 @@ from repro.core.patterns import PatternLevel
 from repro.experiments import calibration
 from repro.experiments.runner import run_configuration, run_series
 from repro.obs.export import (
+    BUNDLE,
+    Sweep,
+    canonical_json,
     chrome_trace_events,
-    export_chrome_trace,
     validate_chrome_trace,
+    write_bundle,
 )
 
 FAST = calibration.default_workload(duration_ms=20_000.0, warmup_ms=5_000.0)
 
 
 @pytest.fixture(scope="module")
-def facade_spans_state():
-    result = run_configuration(
+def facade_cell():
+    """Recorded as ``--out`` records: spans and the series sampler on."""
+    return run_configuration(
         "petstore",
         PatternLevel.REMOTE_FACADE,
         workload=FAST,
         seed=7,
         with_spans=True,
+        obs_interval_ms=1000.0,
     )
-    return result.spans_state
+
+
+@pytest.fixture(scope="module")
+def facade_spans_state(facade_cell):
+    return facade_cell.spans_state
 
 
 def test_chrome_trace_schema(facade_spans_state):
@@ -72,10 +81,8 @@ def test_chrome_trace_has_complete_span_trees(facade_spans_state):
     assert any(r["args"]["span_id"] in children for r in roots)
 
 
-def test_export_writes_canonical_json(tmp_path, facade_spans_state):
-    path = tmp_path / "trace.json"
-    export_chrome_trace([("cell", facade_spans_state)], str(path))
-    text = path.read_text()
+def test_export_writes_canonical_json(facade_spans_state):
+    text = canonical_json(chrome_trace_events([("cell", facade_spans_state)]))
     data = json.loads(text)
     assert validate_chrome_trace(data) == []
     # Canonical form: compact separators, sorted keys, trailing newline.
@@ -97,29 +104,37 @@ def test_validate_rejects_broken_traces():
     assert any("no complete span tree" in p for p in problems)
 
 
-def test_validate_cli_gates_artifacts(tmp_path, facade_spans_state):
-    good = tmp_path / "good.json"
-    bad = tmp_path / "bad.json"
-    export_chrome_trace([("cell", facade_spans_state)], str(good))
-    bad.write_text('{"traceEvents": []}')
+def test_validate_cli_gates_artifacts(tmp_path, facade_cell):
+    good = tmp_path / "good"
+    bad = tmp_path / "bad"
+    for directory in (good, bad):
+        directory.mkdir()
+        write_bundle(str(directory), Sweep([("petstore/L2", facade_cell)]))
+    (bad / "trace.json").write_text('{"traceEvents": []}')
 
-    def run_validate(*files):
+    def run_validate(directory):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
-            [sys.executable, "-m", "repro.obs.validate", *map(str, files)],
+            [sys.executable, "-m", "repro.obs.validate", str(directory)],
             capture_output=True, text=True, env=env,
         )
 
     ok = run_validate(good)
-    assert ok.returncode == 0 and "ok" in ok.stdout
-    fail = run_validate(good, bad)
+    assert ok.returncode == 0 and "trace.json: ok" in ok.stdout
+    fail = run_validate(bad)
     assert fail.returncode == 1
-    assert "INVALID" in fail.stderr
+    assert "trace.json: INVALID" in fail.stderr
+    assert "metrics.json: ok" in fail.stdout
 
 
-def test_trace_export_byte_identical_serial_vs_parallel(tmp_path):
+@pytest.mark.parametrize("name", sorted(BUNDLE))
+def test_every_bundle_validator_rejects_an_empty_file(name):
+    assert BUNDLE[name].validate("")
+
+
+def test_trace_export_byte_identical_serial_vs_parallel():
     levels = [PatternLevel.CENTRALIZED, PatternLevel.REMOTE_FACADE]
     serial = run_series(
         "petstore", levels=levels, workload=FAST, seed=21,
@@ -136,11 +151,11 @@ def test_trace_export_byte_identical_serial_vs_parallel(tmp_path):
             for level in levels
         ]
 
-    serial_path = tmp_path / "serial.json"
-    parallel_path = tmp_path / "parallel.json"
-    export_chrome_trace(cells(serial), str(serial_path))
-    export_chrome_trace(cells(parallel), str(parallel_path))
-    assert serial_path.read_bytes() == parallel_path.read_bytes()
+    serial_text, parallel_text = (
+        canonical_json(chrome_trace_events(cells(results)))
+        for results in (serial, parallel)
+    )
+    assert serial_text == parallel_text
 
 
 def test_trace_summary_render_reports_dropped():

@@ -1,7 +1,7 @@
 """MetricsRegistry instruments, end-of-run collection, export determinism.
 
 The load-bearing property mirrors the tables/figures contract: the
-``--metrics-out`` artifact is byte-identical whether the sweep ran
+``metrics.json`` of an ``--out`` bundle is byte-identical whether the sweep ran
 serially or across a worker pool.
 """
 
@@ -12,7 +12,7 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.experiments import calibration
 from repro.experiments.runner import run_configuration, run_series
-from repro.obs.export import export_metrics, validate_metrics
+from repro.obs.export import canonical_json, validate_metrics
 from repro.obs.metrics import (
     Counter,
     Histogram,
@@ -112,7 +112,7 @@ def test_cache_stats_match_metrics_registry(metric_result):
 # -- serial/parallel byte identity -------------------------------------------
 
 
-def test_metrics_export_byte_identical_serial_vs_parallel(tmp_path):
+def test_metrics_export_byte_identical_serial_vs_parallel():
     serial = run_series(
         "petstore", levels=LEVELS, workload=FAST, seed=21, jobs=1,
     )
@@ -126,12 +126,11 @@ def test_metrics_export_byte_identical_serial_vs_parallel(tmp_path):
             for level in LEVELS
         ]
 
-    serial_path = tmp_path / "serial.json"
-    parallel_path = tmp_path / "parallel.json"
-    export_metrics(cells(serial), str(serial_path))
-    export_metrics(cells(parallel), str(parallel_path))
-    assert serial_path.read_bytes() == parallel_path.read_bytes()
-    assert validate_metrics(json.loads(serial_path.read_text())) == []
+    serial_text, parallel_text = (
+        canonical_json({"cells": dict(cells(results))}) for results in (serial, parallel)
+    )
+    assert serial_text == parallel_text
+    assert validate_metrics(json.loads(serial_text)) == []
 
 
 def test_cell_results_carry_observability_snapshots():

@@ -10,10 +10,10 @@ import json
 
 import pytest
 
+from repro.obs.export import canonical_json
 from repro.obs.slo import (
     SloError,
     evaluate_slo,
-    export_slo,
     load_slo,
     parse_objectives,
     render_slo_report,
@@ -154,11 +154,9 @@ def test_render_report_shows_verdict_worst_window_and_recovery():
     assert "never recovered" in text
 
 
-def test_export_validate_round_trip(tmp_path):
+def test_export_validate_round_trip():
     report = evaluate_slo(_series_state(), parse_objectives({"objectives": [P95]}))
-    path = tmp_path / "slo.json"
-    export_slo({"rubis/L2": report}, str(path))
-    data = json.loads(path.read_text())
+    data = json.loads(canonical_json({"slo": {"rubis/L2": report}}))
     assert validate_slo(data) == []
     data["slo"]["rubis/L2"]["objectives"]["p95"]["violated"] = 99
     assert any("violated" in problem for problem in validate_slo(data))

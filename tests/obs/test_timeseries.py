@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.obs.export import export_series, validate_series
+from repro.obs.export import canonical_json, validate_series
 from repro.obs.metrics import Histogram
 from repro.obs.store import HDR_BOUNDS, MeasurementStore, _hdr_bounds
 
@@ -141,13 +141,10 @@ def test_state_round_trip_is_exact():
                 assert list(entry[section]) == sorted(entry[section])
 
 
-def test_series_export_validates_clean(tmp_path):
-    path = tmp_path / "series.json"
-    export_series([("app/L2", _sample_store().to_state()["series"])], str(path))
-    data = json.loads(path.read_text())
-    assert validate_series(data) == []
+def test_series_export_validates_clean():
+    text = canonical_json({"series": {"app/L2": _sample_store().to_state()["series"]}})
+    assert validate_series(json.loads(text)) == []
     # Canonical writer: compact separators, sorted keys, trailing newline.
-    text = path.read_text()
     assert text.endswith("\n") and '": ' not in text
 
 
