@@ -131,7 +131,7 @@ class DeployedSystem:
                 continue
             for params in params_list:
                 params = tuple(params)
-                rows = [dict(r) for r in database.execute(sql, params).rows]
+                rows = database.execute(sql, params).rows
                 for cache in caches:
                     cache.apply_refresh(query_id, params, rows)
                 installed += len(caches)

@@ -26,7 +26,6 @@ on arrival order).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -75,6 +74,10 @@ def run_cells(
         for key in keys:
             done(key, run_cell(*key, spec))
     else:
+        # Imported here: the pool pulls in multiprocessing, socket, logging
+        # and subprocess, which a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
             futures = {pool.submit(run_cell, *key, spec): key for key in keys}
             for future in as_completed(futures):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..simnet.kernel import Environment, Event
 from .context import InvocationContext
@@ -36,9 +36,14 @@ class Message:
     body: Any
     published_at: float = 0.0
     id: int = field(default_factory=lambda: next(_message_ids))
+    _wire_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def wire_size(self) -> int:
-        return 64 + sizeof(self.body)
+        """Headers plus body, sized on first use: the publish hop, every
+        delivery and every redelivery send the same bytes."""
+        if self._wire_size is None:
+            self._wire_size = 64 + sizeof(self.body)
+        return self._wire_size
 
 
 class Topic:

@@ -114,12 +114,12 @@ class QueryCacheManager(ConsistencyInterceptor):
             if rows is not None:
                 stats.hits += 1
                 yield from ctx.cpu(0.02)  # local cache lookup
-                return [dict(row) for row in rows]
+                return list(rows)
         stats.misses += 1
         facade = yield from ctx.lookup(UPDATER_FACADE + "@central")
         rows = yield from facade.call(ctx, "fetch_query", query_id, params)
-        self._install(query_id, params, [dict(row) for row in rows])
-        return [dict(row) for row in rows]
+        self._install(query_id, params, rows)
+        return list(rows)
 
     def _install(self, query_id: str, params: Tuple, rows: List[dict]) -> None:
         evicted = self._entries[query_id].put(params, rows)
@@ -166,7 +166,7 @@ class QueryCacheManager(ConsistencyInterceptor):
         """Push path: install fresh rows computed at the main server."""
         if query_id not in self._descriptors:
             return
-        self._install(query_id, tuple(params), [dict(row) for row in rows])
+        self._install(query_id, tuple(params), rows)
         self.stats[query_id].push_refreshes += 1
 
     def is_fresh(self, query_id: str, params: Tuple) -> bool:

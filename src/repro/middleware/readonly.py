@@ -87,10 +87,12 @@ class ReadOnlyEntityContainer(BaseContainer, ConsistencyInterceptor):
             if cached is None or event.primary_key in self._stale:
                 self.invalidate(event.primary_key)
                 return
-            cached.update(event.state)
+            # Copy-on-write: the cached dict may be a pushed event's
+            # state, which every edge's replica shares.
+            self._cache[event.primary_key] = {**cached, **event.state}
             return
         if event.state:
-            self._cache[event.primary_key] = dict(event.state)
+            self._cache[event.primary_key] = event.state
             self._stale.discard(event.primary_key)
         else:
             self.invalidate(event.primary_key)
@@ -122,7 +124,7 @@ class ReadOnlyEntityContainer(BaseContainer, ConsistencyInterceptor):
         count = 0
         pk_column = self.schema.primary_key
         for row in rows:
-            self._cache[row[pk_column]] = dict(row)
+            self._cache[row[pk_column]] = row
             self._stale.discard(row[pk_column])
             count += 1
         return count
@@ -143,7 +145,7 @@ class ReadOnlyEntityContainer(BaseContainer, ConsistencyInterceptor):
         state = yield from facade.call(ctx, "fetch_state", self.name, primary_key)
         if state is None:
             raise BeanError(f"{self.name}: no entity with key {primary_key!r}")
-        self._cache[primary_key] = dict(state)
+        self._cache[primary_key] = state
         self._stale.discard(primary_key)
         self.refreshes += 1
         return self._cache[primary_key]

@@ -436,7 +436,7 @@ class AppServer:
             rows = yield from facade.call(ctx, "fetch_query", query_id, tuple(params))
             return rows
         result = yield from self.db_execute(ctx, sql, tuple(params))
-        return [dict(row) for row in result.rows]
+        return result.rows
 
     # -- web tier ------------------------------------------------------------
     def serve(

@@ -20,7 +20,7 @@ and query caches are made in one bulk RMI call" (§4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..simnet.kernel import Event
 from .context import InvocationContext, UpdateEvent
@@ -65,14 +65,18 @@ class UpdatePayload:
     lets a strict-mode cache detect a lost push.  They are populated
     only when a deployment activates method caching, so levels 1–5
     ship byte-identical payloads.
+
+    A payload is complete before it is first sized: :meth:`wire_size`
+    seals its lists into tuples, so an append after sizing raises.
     """
 
-    events: List[UpdateEvent] = field(default_factory=list)
-    invalidations: List[Tuple[str, Optional[tuple]]] = field(default_factory=list)
-    query_refreshes: List[Tuple[str, tuple, List[dict]]] = field(default_factory=list)
-    tables: List[str] = field(default_factory=list)
+    events: Sequence[UpdateEvent] = field(default_factory=list)
+    invalidations: Sequence[Tuple[str, Optional[tuple]]] = field(default_factory=list)
+    query_refreshes: Sequence[Tuple[str, tuple, List[dict]]] = field(default_factory=list)
+    tables: Sequence[str] = field(default_factory=list)
     sent_at: Optional[float] = None
     seq: Optional[int] = None
+    _wire_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def empty(self) -> bool:
@@ -82,21 +86,31 @@ class UpdatePayload:
 
     def wire_size(self) -> int:
         """Serialized size; identical to the pre-level-6 payload layout
-        whenever the consistency-bus fields are unset."""
-        from .marshalling import sizeof
+        whenever the consistency-bus fields are unset.
 
-        body = {
-            "events": self.events,
-            "invalidations": self.invalidations,
-            "query_refreshes": self.query_refreshes,
-        }
-        if self.tables:
-            body["tables"] = self.tables
-        if self.sent_at is not None:
-            body["sent_at"] = self.sent_at
-        if self.seq is not None:
-            body["seq"] = self.seq
-        return 32 + sizeof(body)
+        The payload is walked once, on the first call, which also seals
+        it; every sync push and JMS delivery of it reuses the size.
+        """
+        if self._wire_size is None:
+            from .marshalling import sizeof
+
+            self.events = tuple(self.events)
+            self.invalidations = tuple(self.invalidations)
+            self.query_refreshes = tuple(self.query_refreshes)
+            self.tables = tuple(self.tables)
+            body = {
+                "events": self.events,
+                "invalidations": self.invalidations,
+                "query_refreshes": self.query_refreshes,
+            }
+            if self.tables:
+                body["tables"] = self.tables
+            if self.sent_at is not None:
+                body["sent_at"] = self.sent_at
+            if self.seq is not None:
+                body["seq"] = self.seq
+            self._wire_size = 32 + sizeof(body)
+        return self._wire_size
 
 
 class UpdaterFacadeBean(StatelessSessionBean):
@@ -124,7 +138,7 @@ class UpdaterFacadeBean(StatelessSessionBean):
         """Execute a registered aggregate query at the data centre."""
         sql = ctx.server.application.queries[query_id]
         result = yield from ctx.server.db_execute(ctx, sql, tuple(params))
-        return [dict(row) for row in result.rows]
+        return result.rows
 
     # -- push endpoint (edge servers) ----------------------------------------
     def apply_updates(self, ctx, payload: UpdatePayload):
@@ -279,7 +293,7 @@ class UpdatePropagator:
                     ctx, descriptor.sql, tuple(params)
                 )
                 target.query_refreshes.append(
-                    (descriptor.query_id, tuple(params), [dict(r) for r in result.rows])
+                    (descriptor.query_id, tuple(params), result.rows)
                 )
             else:
                 target.invalidations.append((descriptor.query_id, params))

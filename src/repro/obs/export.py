@@ -18,7 +18,9 @@ checked under another name.
   folded into collapsed stacks, an HTML flamegraph and the per-layer
   latency attribution (:mod:`repro.obs.flame`).
 * ``slo.json`` (with ``--slo``) and ``availability.json`` (with
-  ``--faults``) — the reports the CLI also prints.
+  ``--faults``) — the reports the CLI also prints.  A run without the
+  flag removes the file, so ``--out`` into an earlier run's directory
+  leaves no stale report behind.
 
 Every file is rendered from canonically ordered inputs (the JSON ones
 with sorted keys and fixed separators), so serial and parallel sweeps
@@ -28,6 +30,7 @@ honour.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -406,13 +409,20 @@ BUNDLE: Dict[str, BundleFile] = {
 
 
 def write_bundle(directory: str, sweep: Sweep) -> List[str]:
-    """Write ``sweep``'s files into the existing ``directory``; returns their names."""
+    """Write ``sweep``'s files into the existing ``directory``; returns their names.
+
+    An optional file this sweep does not render is removed, so a bundle
+    never mixes this run's files with an earlier run's.
+    """
     written = []
     for name, entry in BUNDLE.items():
         text = entry.render(sweep)
+        path = os.path.join(directory, name)
         if text is None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
             continue
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         written.append(name)
     return written

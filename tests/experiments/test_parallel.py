@@ -8,7 +8,10 @@ order.
 
 import dataclasses
 import io
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -202,6 +205,22 @@ def test_with_spans_ships_the_span_table_not_the_recorder():
     assert spans and result.spans_state["dropped"] == 0
     # Edge-to-main RMI crosses the WAN at the façade level.
     assert any(span["kind"] == "rmi" and span["wide_area"] for span in spans)
+
+
+def test_a_serial_run_does_not_import_the_process_pool():
+    """``import repro`` (and the parallel module itself) leaves the pool's
+    stack unloaded; only ``run_cells`` with ``jobs > 1`` imports it."""
+    probe = (
+        "import sys, repro, repro.experiments.parallel; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    source = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(source)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_default_jobs_positive():

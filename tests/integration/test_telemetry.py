@@ -298,3 +298,18 @@ def test_cli_exports_and_validates_all_artifacts(tmp_path, capsys):
     assert not (out / "availability.json").exists()  # no --faults
     # The per-cell trace digest (stderr) reports the sampled fraction.
     assert "spans sampled" in captured.err
+
+
+def test_cli_out_removes_an_earlier_runs_optional_file(tmp_path, capsys):
+    """A run without ``--slo`` into a directory that holds an earlier
+    run's ``slo.json`` removes it: the bundle is this run's alone."""
+    from repro.experiments.__main__ import main
+
+    out = tmp_path / "bundle"
+    argv = ["table6", "--duration", "15", "--warmup", "4", "--jobs", "1", "--out", str(out)]
+    assert main(argv + ["--level", "1", "--slo", "policies/slo-default.json"]) == 0
+    assert (out / "slo.json").exists()
+    assert main(argv + ["--level", "2"]) == 0
+    assert not (out / "slo.json").exists()
+    capsys.readouterr()
+    assert validate_main([str(out)]) == 0
