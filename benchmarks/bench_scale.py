@@ -5,11 +5,17 @@ The RUBiS open-loop scenario runs through the entire simulated testbed
 the number of simultaneously active sessions sustains >= 10^5: short
 transition-matrix sessions with long think times, Little's law doing
 the rest.  Reported in ``BENCH_scale.json``: peak concurrent sessions,
-total page fetches, errors and wall clock.
+total page fetches, errors, wall clock, peak RSS and bytes per peak
+session.
 
 Measurement regime, documented because it is part of the number: wall
 clock covers ``run_configuration`` end to end (set-up included), one
-run, garbage collector as shipped.
+run, garbage collector as shipped.  ``peak_rss_mb`` is the process's
+high-water resident set; ``bytes_per_peak_session`` is what the run
+added to it (the high-water mark before ``run_configuration`` against
+the one after), divided by the peak concurrent sessions.  Set-up is in
+that growth, so it bounds the memory a concurrent session costs from
+above.
 
 Usage::
 
@@ -28,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -77,12 +84,14 @@ def fullstack_openloop(target_sessions: int, seed: int) -> dict:
         # concurrency target without an absurd fetch volume.
         return TransitionMatrixPattern(rubis_browser(catalog), mean_length=2.0)
 
+    rss_before = _peak_rss_bytes()
     started = time.perf_counter()
     result = run_configuration(
         "rubis", 5, seed=seed, openloop=config,
         browser_pattern=short_browser,
     )
     wall = time.perf_counter() - started
+    rss_peak = _peak_rss_bytes()
     generator = result.generator
     return {
         "scenario": "rubis-openloop",
@@ -99,7 +108,17 @@ def fullstack_openloop(target_sessions: int, seed: int) -> dict:
         "errors": generator.errors,
         "wall_seconds": round(wall, 2),
         "fetches_per_wall_sec": round(generator.requests_sent / wall) if wall else None,
+        "peak_rss_mb": round(rss_peak / 2**20, 1),
+        "bytes_per_peak_session": (
+            round((rss_peak - rss_before) / generator.peak_active)
+            if generator.peak_active else None
+        ),
     }
+
+
+def _peak_rss_bytes() -> int:
+    """The process's high-water resident set so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
 def accounting_errors(stack: dict) -> list:
@@ -141,6 +160,9 @@ def main() -> int:
     print(f"[scale]   peak {fullstack['peak_concurrent_sessions']:,} "
           f"concurrent sessions, {fullstack['page_fetches']:,} fetches "
           f"in {fullstack['wall_seconds']}s wall", file=sys.stderr)
+    print(f"[scale]   peak RSS {fullstack['peak_rss_mb']} MB, "
+          f"{fullstack['bytes_per_peak_session']:,} B per peak session",
+          file=sys.stderr)
 
     report = {
         "benchmark": "open-loop scale (full-stack RUBiS, level 5)",

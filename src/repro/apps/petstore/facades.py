@@ -83,7 +83,7 @@ class CatalogBean(StatelessSessionBean):
             "OR description LIKE ?",
             (f"%{keyword}%", f"%{keyword}%"),
         )
-        return [dict(row) for row in result.rows]
+        return result.rows  # shared read-only rows: the servlet only counts them
 
 
 class SignOnFacadeBean(StatelessSessionBean):

@@ -17,9 +17,8 @@ turns them into timed HTTP requests.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..simnet.rng import Streams
 
@@ -36,12 +35,41 @@ class PatternError(Exception):
     """Raised for malformed pattern definitions."""
 
 
-@dataclass
 class PageVisit:
-    """One page request within a session."""
+    """One page request within a session.
 
-    page: str
-    params: Dict[str, object] = field(default_factory=dict)
+    A session draws all its visits when it starts and holds them until
+    it ends, so the visits of parked sessions are most of what an
+    open-loop run adds to memory.  A visit therefore has no per-instance
+    dict and keeps its parameters as one flat ``(key, value, key, value,
+    ...)`` tuple, ``kv``; a page without parameters shares the empty
+    tuple.  :attr:`params` rebuilds the mapping the visit was drawn with.
+    """
+
+    __slots__ = ("page", "kv")
+
+    def __init__(self, page: str, params: Mapping[str, object] = {}):
+        self.page = page
+        # A loop, not tuple(chain.from_iterable(params.items())): a
+        # session draws a visit per page fetch, and the loop makes no
+        # function call.
+        kv = ()
+        for key in params:
+            kv += (key, params[key])
+        self.kv = kv
+
+    @property
+    def params(self) -> Dict[str, object]:
+        kv = self.kv
+        return dict(zip(kv[::2], kv[1::2]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PageVisit):
+            return NotImplemented
+        return self.page == other.page and self.params == other.params
+
+    def __repr__(self) -> str:
+        return f"PageVisit(page={self.page!r}, params={self.params!r})"
 
 
 class UsagePattern:
@@ -111,27 +139,28 @@ class WeightedPattern(UsagePattern):
         if total <= 0.0 and self.length > 1:
             # Same failure random.choices would raise on the first draw.
             raise ValueError("Total of weights must be greater than zero")
-        visits: List[PageVisit] = []
-        previous: Optional[PageVisit] = None
-
-        def visit(page: str) -> PageVisit:
-            nonlocal previous
-            params = self.params_for(streams, page, previous)
-            page_visit = PageVisit(page, params)
-            visits.append(page_visit)
-            previous = page_visit
-            return page_visit
-
-        visit(self.first_page)
-        while len(visits) < self.length:
+        # One PageVisit(page, params_for(...)) per page, inline: a helper
+        # would add a call to every drawn visit.
+        params_for = self.params_for
+        length = self.length
+        follows = self.follows
+        page = self.first_page
+        previous = PageVisit(page, params_for(streams, page, None))
+        visits = [previous]
+        count = 1
+        while count < length:
             page = pages[bisect(cum_weights, rng_random() * total, 0, hi)]
-            required = self.follows.get(page)
-            if required is not None and (previous is None or previous.page != required):
-                visit(required)
-                if len(visits) >= self.length:
+            required = follows.get(page)
+            if required is not None and previous.page != required:
+                previous = PageVisit(required, params_for(streams, required, previous))
+                visits.append(previous)
+                count += 1
+                if count >= length:
                     break
-            visit(page)
-        return visits[: self.length]
+            previous = PageVisit(page, params_for(streams, page, previous))
+            visits.append(previous)
+            count += 1
+        return visits
 
 
 class ScriptedPattern(UsagePattern):
@@ -158,8 +187,8 @@ class ScriptedPattern(UsagePattern):
         return len(self.script)
 
     def session(self, streams: Streams, session_index: int) -> List[PageVisit]:
-        visits = []
-        for index, page in enumerate(self.script):
-            params = self.params_for(streams, page, index)
-            visits.append(PageVisit(page, params))
-        return visits
+        params_for = self.params_for
+        return [
+            PageVisit(page, params_for(streams, page, index))
+            for index, page in enumerate(self.script)
+        ]

@@ -205,7 +205,6 @@ class Process(Event):
         "_send",
         "generator",
         "name",
-        "_throw",
     )
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
@@ -218,7 +217,6 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._send = generator.send
-        self._throw = generator.throw
         # Bootstrap: start the generator at the current simulation time.
         # A brand-new process is indistinguishable from one sleeping for
         # zero delay — the run loop's fast lane primes the generator
@@ -269,7 +267,9 @@ class Process(Event):
             return
         try:
             if exc is not None:
-                target = self._throw(exc)
+                # Cold path: a bound throw per process would cost ~80 B
+                # at every live process for a call few of them make.
+                target = self.generator.throw(exc)
             else:
                 target = self._send(value)
         except BaseException as error:

@@ -70,9 +70,11 @@ def drive_sessions(
         for position, visit in enumerate(visits):
             if env.now >= deadline:
                 return
+            # The visit keeps its params as a flat (key, value, ...) tuple.
+            params = dict(zip(visit.kv[::2], visit.kv[1::2]))
             request = WebRequest(
                 page=visit.page,
-                params=dict(visit.params),
+                params=params,
                 session_id=session_id,
                 client_node=machine,
             )
@@ -119,6 +121,8 @@ def drive_sessions(
                 lost = type(error).__name__
                 broken = True
             elapsed = env.now - started
+            # Parked across the think, the frame keeps no request.
+            request = params = None
             if lost is None:
                 owner.requests_sent += 1
                 observe(env.now, group, visit.page, elapsed)

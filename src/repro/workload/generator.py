@@ -127,7 +127,7 @@ class LoadGenerator:
         self.active = 0
         self.peak_active = 0
         self.clients: List[ClientSpec] = []
-        self._targets: List[Tuple[str, str]] = []
+        self._targets: List[Tuple[str, str, str]] = []
 
     # -- closed loop: the population ------------------------------------------
     def _group_rate(self) -> float:
@@ -202,21 +202,28 @@ class LoadGenerator:
         return self.config.think_time_ms - elapsed
 
     # -- open loop: the arrival process ---------------------------------------
-    def _build_targets(self) -> List[Tuple[str, str]]:
-        """(client machine, locality) in round-robin order across groups.
+    def _build_targets(self) -> List[Tuple[str, str, str]]:
+        """(client machine, browser group, writer group) in round-robin
+        order across groups.
 
         Transposed — first machine of every group, then second of every
         group, ... — so consecutive arrivals spread across entry points
-        instead of piling onto one edge.
+        instead of piling onto one edge.  The group labels are built
+        here, once per entry point, and shared by its sessions.
         """
         if self._targets:
             return self._targets
         testbed = self.system.testbed
-        columns: List[List[Tuple[str, str]]] = []
+        columns: List[List[Tuple[str, str, str]]] = []
         for server_name in testbed.app_servers:
             locality = "local" if server_name == testbed.main_server else "remote"
+            browsers = f"{locality}-browser"
+            writers = f"{locality}-{self.writer_group_name}"
             columns.append(
-                [(machine, locality) for machine in testbed.clients_of(server_name)]
+                [
+                    (machine, browsers, writers)
+                    for machine in testbed.clients_of(server_name)
+                ]
             )
         depth = max(len(column) for column in columns)
         for index in range(depth):
@@ -253,13 +260,12 @@ class LoadGenerator:
                 # away, never queued — the defining drop mode.
                 self.dropped_sessions += 1
                 continue
-            machine, locality = targets[index % n_targets]
+            machine, browsers, writers = targets[index % n_targets]
             index += 1
             if mix_random() < config.browser_fraction:
-                kind, pattern = "browser", self.browser_pattern
+                group, pattern = browsers, self.browser_pattern
             else:
-                kind, pattern = self.writer_group_name, self.writer_pattern
-            group = f"{locality}-{kind}"
+                group, pattern = writers, self.writer_pattern
             self.admitted += 1
             env.process(
                 drive_sessions(

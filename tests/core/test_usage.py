@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.usage import PatternError, ScriptedPattern, WeightedPattern
+from repro.core.usage import PageVisit, PatternError, ScriptedPattern, WeightedPattern
 from repro.simnet.rng import Streams
 
 
@@ -97,3 +97,22 @@ def test_scripted_pattern_params_by_index():
 def test_scripted_rejects_empty_script():
     with pytest.raises(PatternError):
         ScriptedPattern("x", [])
+
+
+def test_page_visit_keeps_params_as_one_flat_tuple():
+    visit = PageVisit("Category & Region", {"category_id": 3, "region_id": 7})
+    assert visit.kv == ("category_id", 3, "region_id", 7)
+    assert visit.params == {"category_id": 3, "region_id": 7}
+    assert not hasattr(visit, "__dict__")
+    # A page without parameters shares the one empty tuple.
+    assert PageVisit("Main").kv is PageVisit("Browse", {}).kv is ()
+    assert PageVisit("Main").params == {}
+
+
+def test_page_visits_compare_by_page_and_params():
+    assert PageVisit("Item", {"item_id": 1}) == PageVisit("Item", {"item_id": 1})
+    assert PageVisit("Item", {"item_id": 1}) != PageVisit("Item", {"item_id": 2})
+    assert PageVisit("Item", {"item_id": 1}) != PageVisit("Bids", {"item_id": 1})
+    assert repr(PageVisit("Item", {"item_id": 1})) == (
+        "PageVisit(page='Item', params={'item_id': 1})"
+    )

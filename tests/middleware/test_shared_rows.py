@@ -15,12 +15,15 @@ body.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.middleware.entity as entity_module
 import repro.rdbms.executor as executor_module
+from repro.apps.petstore.facades import CatalogBean
 from repro.core.patterns import PAPER_LEVELS, PatternLevel
 from repro.experiments.calibration import default_workload
 from repro.experiments.runner import RunSpec, run_configuration
@@ -119,6 +122,27 @@ def test_cells_run_unchanged_on_read_only_rows(monkeypatch):
     monkeypatch.setattr(Table, "scan", _guarded_scan)
     for cell, expected in zip(GUARDED_CELLS, plain):
         assert _observed(*cell) == expected, cell[:2]
+
+
+def test_the_catalog_search_hands_on_the_executors_rows():
+    """The Pet Store search façade returns the result's own rows, so the
+    guard above covers the search servlet too."""
+    result = executor_module.ResultSet(
+        ["id", "name", "list_price"], [ReadOnlyRow(id=1, name="Dog", list_price=9.5)]
+    )
+
+    class MainServer:
+        is_main = True
+
+        def db_execute(self, ctx, statement, params):
+            assert params == ("%dog%", "%dog%")
+            return result
+            yield  # a generator, as the server's is
+
+    search = CatalogBean().search(SimpleNamespace(server=MainServer()), "dog")
+    with pytest.raises(StopIteration) as done:
+        next(search)
+    assert done.value.value is result.rows
 
 
 def test_a_delta_merge_copies_the_shared_entry_on_write():
