@@ -34,7 +34,7 @@ from .policy import (
 __all__ = ["DeploymentPlan", "plan_deployment", "PlanError"]
 
 
-class PlanError(Exception):
+class PlanError(ValueError):
     """Raised when a placement cannot be satisfied."""
 
 

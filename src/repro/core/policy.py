@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-class PolicyError(Exception):
+class PolicyError(ValueError):
     """Raised when a policy is malformed or contradicts the application."""
 
 

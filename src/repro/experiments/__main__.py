@@ -16,42 +16,22 @@ fans out across ``--jobs`` worker processes (default: one per CPU).
 Table/figure output on stdout is byte-identical for any ``--jobs``
 value; progress reporting goes to stderr.
 
-``--out DIR`` records spans and the telemetry series (``--obs-interval``
-seconds per window, spans for the ``--obs-sample`` share of sessions)
-and writes the run's artifact bundle into ``DIR`` (see
-:data:`repro.obs.export.BUNDLE`): ``trace.json`` (Chrome trace events,
-one span tree per client page request; load it in Perfetto or
-``chrome://tracing``), ``metrics.json``, ``series.json``, ``flame.txt``
-(collapsed stacks for speedscope / flamegraph.pl), ``flame.html``,
-``attribution.txt`` (per-layer latency attribution), plus ``slo.json``
-with ``--slo`` and ``availability.json`` with ``--faults``.  The bundle
-is byte-identical for any ``--jobs`` value, stdout does not depend on
-``--out``, and ``python -m repro.obs.validate DIR`` checks it::
+``--out DIR`` writes the run's artifact bundle (:data:`repro.obs.export.BUNDLE`),
+``--slo`` evaluates objectives per telemetry window, ``--faults`` injects
+a fault scenario, ``--policy FILE`` runs a declarative placement policy
+instead of the canned levels, and ``plan`` prints a policy's deployment
+plan and design-rule precheck without simulating::
 
-    python -m repro.experiments table7 --workload open --scenario flash-crowd \
-        --obs-interval 1 --obs-sample 0.1 --slo policies/slo-default.json \
-        --out run/
-
-``--slo`` evaluates declarative objectives per window, with burn rates
-and fault-window recovery times printed after the tables; ``--faults``
-prints an availability table per app.
-
-Beyond the paper's grid::
-
-    python -m repro.experiments table7 --workload open --arrival pareto \
+    python -m repro.experiments table7 --workload open --arrival pareto \\
         --scenario flash-crowd --session-rate 20 --max-sessions 5000
     python -m repro.experiments table6 --edges 4 --wan-latency 50
-    python -m repro.experiments table7 --policy policies/replicas-one-edge.json
-    python -m repro.experiments plan --app petstore --level 3
-    python -m repro.experiments plan --policy my-policy.json --edges 3
+    python -m repro.experiments plan --app petstore --policy my-policy.json
 
-``--policy FILE`` swaps the canned pattern-level configurations for a
-declarative placement policy (see ``repro.core.policy``); the run then
-covers that single configuration per app.  ``--edges`` / ``--wan-latency``
-/ ``--clients-per-group`` override the calibrated testbed.  The ``plan``
-target resolves a policy onto the testbed and prints the deployment plan,
-the resolved policy JSON, and the static design-rule precheck — without
-running any simulation.
+The flags are one table, :data:`OPTIONS`: each row names the
+:class:`~repro.experiments.runner.RunSpec` field (or the field of a
+config the spec holds) it sets and the ``[section]`` its errors print
+under.  Every input is checked before any cell runs; a bad one prints
+``[section] message`` and exits 2.
 """
 
 from __future__ import annotations
@@ -60,18 +40,27 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Tuple
 
+from ..apps.dataset import load_dataset
+from ..core.automation import apply_policy
 from ..core.patterns import PatternLevel
-from ..core.policy import PolicyError, load_policy
+from ..core.planner import plan_deployment
+from ..core.policy import level_policy, load_policy
+from ..core.rules import precheck
 from ..faults.report import build_availability_table, render_availability_table
 from ..faults.scenarios import SCENARIOS, default_edges, load_schedule
-from ..simnet.topology import TestbedConfig, TopologyOverrides
+from ..obs.slo import evaluate_slo, load_slo, render_slo_report
+from ..simnet.kernel import Environment
+from ..simnet.rng import Streams
+from ..simnet.topology import TestbedConfig, TopologyOverrides, build_testbed
 from ..workload.openloop import ARRIVALS, SCENARIOS as OPENLOOP_SCENARIOS, OpenLoopConfig
-from .calibration import SIM_DURATION_MS, SIM_WARMUP_MS, default_workload
+from .calibration import MASTER_SEED, SIM_DURATION_MS, SIM_WARMUP_MS, default_workload
 from .figures import build_figure, figure_to_csv, render_figure
 from .parallel import default_jobs, run_cells
 from .progress import ProgressReporter
-from .runner import RunSpec, sweep_levels
+from .runner import APPS, RunSpec, sweep_levels
 from .tables import build_table, render_table, table_to_csv
 
 TARGETS = {
@@ -80,8 +69,201 @@ TARGETS = {
     "figure7": ("petstore", "figure"),
     "figure8": ("rubis", "figure"),
 }
+# A target's kind -> (build, CSV form, text layout).
+RENDERINGS = {
+    "table": (build_table, table_to_csv, render_table),
+    "figure": (build_figure, figure_to_csv, render_figure),
+}
 ABLATION_TARGET = "ablations"
 PLAN_TARGET = "plan"
+
+
+def seconds(text: str) -> float:
+    """A flag given in seconds, parsed to the milliseconds a run takes."""
+    return float(text) * 1000.0
+
+
+class Option(NamedTuple):
+    """One CLI flag: what it sets, where its errors go, how it parses
+    (``parse``: the ``add_argument`` keywords).
+
+    ``sets`` is ``Type.field``: a :class:`RunSpec` field, a field of a
+    config the spec holds (``OpenLoopConfig``, ``TopologyOverrides``), or
+    ``loop.field`` for one both loops' configs share; empty for a flag
+    the CLI itself reads.  ``check`` is ``(test, rule)`` for a value no
+    type checks.
+    """
+
+    flag: str
+    sets: str
+    section: str
+    parse: dict
+    check: Optional[Tuple[Callable[[float], bool], str]] = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def field(self) -> str:
+        return self.sets.partition(".")[2]
+
+
+OPTIONS = (
+    Option("--duration", "loop.duration_ms", "workload", dict(
+        type=seconds, default=SIM_DURATION_MS, metavar="S",
+        help=f"simulated seconds per configuration (default {SIM_DURATION_MS / 1000:g})")),
+    Option("--warmup", "loop.warmup_ms", "workload", dict(
+        type=seconds, default=SIM_WARMUP_MS, metavar="S",
+        help="simulated warm-up seconds excluded from statistics")),
+    Option("--seed", "RunSpec.seed", "sweep", dict(type=int, default=MASTER_SEED)),
+    Option("--csv", "", "sweep", dict(action="store_true", help="emit CSV, not the text layout")),
+    Option("--jobs", "", "sweep", dict(type=int, metavar="N", help=(
+        "worker processes (default: one per CPU; 1 runs in-process; the output "
+        "is the same for any N)"))),
+    Option("--out", "RunSpec.with_spans", "out", dict(metavar="DIR", help=(
+        "record spans and the telemetry series and write the artifact bundle "
+        "into DIR (check it with python -m repro.obs.validate DIR)"))),
+    Option("--obs-interval", "RunSpec.obs_interval_ms", "obs", dict(
+        type=seconds, default=1000.0, metavar="S",
+        help="telemetry window in simulated seconds (default 1; with --out/--slo)"),
+        check=(lambda ms: 0 < ms < math.inf, "must be positive and finite")),
+    Option("--obs-sample", "RunSpec.obs_sample", "obs", dict(
+        type=float, default=1.0, metavar="RATE",
+        help="(with --out) share of sessions whose spans are kept, by a hash "
+        "of the session id (default %(default)s: all)"),
+        check=(lambda rate: 0.0 < rate <= 1.0, "must be in (0, 1]")),
+    # --slo turns the series on, as --out does, and reports on it.
+    Option("--slo", "RunSpec.obs_interval_ms", "slo", dict(metavar="FILE", help=(
+        "evaluate SLO objectives (JSON, see repro.obs.slo) per telemetry "
+        "window: burn rates and fault recovery times"))),
+    Option("--faults", "RunSpec.faults", "faults", dict(metavar="SCENARIO", help=(
+        f"inject a fault scenario ({', '.join(sorted(SCENARIOS))}) or a schedule "
+        "JSON file; prints an availability table per app"))),
+    Option("--policy", "RunSpec.policy", "policy", dict(metavar="FILE", help=(
+        "run a placement policy (JSON, see repro.core.policy) instead of the "
+        "canned configurations"))),
+    Option("--edges", "TopologyOverrides.edges", "topology", dict(
+        type=int, metavar="N", help="edge servers (default: the paper's 2)")),
+    Option("--wan-latency", "TopologyOverrides.wan_latency", "topology", dict(
+        type=float, metavar="MS", help="one-way WAN latency in ms (default: the paper's 100)")),
+    Option("--clients-per-group", "TopologyOverrides.clients_per_group", "topology", dict(
+        type=int, metavar="N", help="client machines per server (default: the paper's 3)")),
+    # closed: RunSpec.workload, the paper's population; open: RunSpec.openloop.
+    Option("--workload", "RunSpec.openloop", "workload", dict(
+        choices=("closed", "open"), default="closed", help=(
+            "closed: the paper's fixed population; open: sessions from an "
+            "arrival process (see repro.workload.openloop)"))),
+    Option("--arrival", "OpenLoopConfig.arrival", "workload", dict(
+        choices=ARRIVALS, default="poisson", help="(open loop) inter-arrival law")),
+    Option("--scenario", "OpenLoopConfig.scenario", "workload", dict(
+        choices=OPENLOOP_SCENARIOS, default="steady", help="(open loop) rate modulation")),
+    Option("--session-rate", "OpenLoopConfig.session_rate_per_s", "workload", dict(
+        type=float, default=10.0, metavar="PER_S",
+        help="(open loop) mean session arrivals per second (default %(default)s)")),
+    Option("--max-sessions", "OpenLoopConfig.max_sessions", "workload", dict(
+        type=int, default=0, metavar="N",
+        help="(open loop) cap on concurrent sessions; arrivals beyond it drop")),
+    Option("--think-time", "OpenLoopConfig.think_time_ms", "workload", dict(
+        type=seconds, default=7000.0, metavar="S",
+        help="(open loop) mean think time between pages (default 7)")),
+    Option("--app", "", "plan", dict(
+        choices=("petstore", "rubis"), help="(plan) the application (default: both)")),
+    Option("--level", "", "sweep", dict(
+        type=int, choices=tuple(int(level) for level in PatternLevel), help=(
+            "run (or plan) one pattern level instead of the 1-5 sweep (the only "
+            "way to level 6 without --policy; ignored with --policy)"))),
+)
+
+
+def _values(args, owner: str) -> dict:
+    """The flags' values for ``owner``'s fields, by field name."""
+    rows = (row for row in OPTIONS if row.sets.startswith(owner + "."))
+    return {row.field: getattr(args, row.dest) for row in rows}
+
+
+def _loop(args, built):
+    """The one generator's config: the closed population or open arrivals."""
+    if args.workload == "closed":
+        return default_workload(**_values(args, "loop"))
+    return OpenLoopConfig(**_values(args, "loop"), **_values(args, "OpenLoopConfig"))
+
+
+def _topology(args, built):
+    overrides = TopologyOverrides(**_values(args, "TopologyOverrides"))
+    return None if overrides.empty else overrides
+
+
+def _faults(args, built):
+    if args.faults is None:
+        return None
+    # Canned scenarios target the edges of the effective topology.
+    config = TestbedConfig()
+    if built["topology"] is not None:
+        config = built["topology"].apply(config)
+    loop = built["workload"]
+    return load_schedule(args.faults, loop.duration_ms, loop.warmup_ms, default_edges(config))
+
+
+def _plan(args, built):
+    if args.target == PLAN_TARGET and built["policy"] is not None and args.app is None:
+        raise ValueError("a policy file names one application's components; pick it with --app")
+
+
+# Each section's inputs, in the order they are checked: a step returns
+# the section's value or raises ValueError / OSError.  The rows' own
+# checks run first.
+STEPS = {
+    "workload": _loop,
+    "topology": _topology,
+    "obs": lambda args, built: None if args.out is None and args.slo is None else args.obs_interval,
+    "policy": lambda args, built: None if args.policy is None else load_policy(args.policy),
+    "slo": lambda args, built: None if args.slo is None else load_slo(args.slo),
+    "faults": _faults,
+    # Before any cell runs: an unusable DIR must not cost a sweep.
+    "out": lambda args, built: None if args.out is None else os.makedirs(args.out, exist_ok=True),
+    "plan": _plan,
+}
+
+
+def _checked(args, section: str) -> None:
+    """The table's own checks of ``section``'s flags."""
+    for row in OPTIONS:
+        if row.section == section and row.check is not None:
+            test, rule = row.check
+            if not test(getattr(args, row.dest)):
+                raise ValueError(f"{row.flag} {rule}")
+
+
+def _message(section: str, exc: Exception) -> str:
+    """``exc``'s text, a leading field name given as the flag that sets it."""
+    text = str(exc)
+    for row in OPTIONS:
+        if row.section == section and row.field and text.startswith(row.field + " "):
+            return row.flag + text[len(row.field):]
+    return text
+
+
+def _echo(args, spec: RunSpec, objectives) -> None:
+    """One stderr line for each input that changes the run."""
+    say = partial(print, file=sys.stderr)
+    if spec.policy is not None:
+        level = int(spec.policy.effective_level())
+        say(f"[policy] '{spec.policy.name}' from {args.policy} (metadata level {level})")
+    if spec.topology is not None:
+        knobs = (
+            f"{row.flag[2:]}={getattr(args, row.dest)}"
+            for row in OPTIONS
+            if row.section == "topology" and getattr(args, row.dest) is not None
+        )
+        say(f"[topology] overrides: {', '.join(knobs)}")
+    if objectives is not None:
+        say(f"[slo] {len(objectives)} objective(s) from {args.slo}")
+    if spec.openloop is not None:
+        say(f"[workload] open loop: {args.arrival} arrivals at "
+            f"{args.session_rate:g}/s, {args.scenario} scenario")
+    if spec.faults is not None:
+        say(f"[faults] scenario '{spec.faults.name}' active")
 
 
 def _span_digest(state: dict) -> str:
@@ -105,62 +287,34 @@ def _span_digest(state: dict) -> str:
     return line
 
 
-def _run_plan(args, policy, topology, levels) -> int:
-    """The ``plan`` target: resolve and print, no simulation.
-
-    For each requested application, builds the app, applies the policy
-    (the ``--policy`` file, or the canned policy for ``--level``),
-    resolves it onto the (possibly overridden) testbed, and prints the
-    deployment plan, the resolved policy JSON, and the static design-rule
-    precheck.  Returns non-zero when the precheck finds violations.
-    """
-    from ..apps.dataset import load_dataset
-    from ..core.automation import apply_policy
-    from ..core.planner import PlanError, plan_deployment
-    from ..core.policy import level_policy
-    from ..core.rules import precheck
-    from ..simnet.kernel import Environment
-    from ..simnet.rng import Streams
-    from .runner import APPS
-
-    if policy is not None and args.app is None:
-        print(
-            "[plan] a policy file names one application's components; "
-            "pick it with --app",
-            file=sys.stderr,
-        )
-        return 2
-    apps = [args.app] if args.app else sorted(APPS)
+def _run_plan(spec: RunSpec, app: Optional[str], levels) -> int:
+    """The ``plan`` target: for each app and level, resolve the spec's
+    policy (or the level's) onto its testbed and print the plan, the
+    policy JSON and the design-rule precheck, simulating nothing.  Returns
+    1 when the precheck finds violations; an unresolvable policy raises
+    ``ValueError``."""
     exit_code = 0
-    for app in apps:
-        spec = APPS[app]
-        config = spec.testbed_config()
-        if topology is not None:
-            config = topology.apply(config)
+    for name in [app] if app else sorted(APPS):
+        app_spec = APPS[name]
+        config = app_spec.testbed_config()
+        if spec.topology is not None:
+            config = spec.topology.apply(config)
         for level in levels:
-            from ..simnet.topology import build_testbed
-
-            streams = Streams(args.seed)
-            _database, catalog = load_dataset(spec.populate, streams)
-            env = Environment()
-            testbed = build_testbed(env, config)
-            application = spec.build_application(catalog=catalog)
-            resolved = policy
+            _database, catalog = load_dataset(app_spec.populate, Streams(spec.seed))
+            testbed = build_testbed(Environment(), config)
+            application = app_spec.build_application(catalog=catalog)
+            resolved = spec.policy
             if resolved is None:
                 resolved = level_policy(level, application)
             try:
                 apply_policy(application, resolved)
                 plan = plan_deployment(
-                    application,
-                    testbed.main_server,
-                    list(testbed.edge_servers),
-                    resolved,
+                    application, testbed.main_server, list(testbed.edge_servers), resolved
                 )
-            except (PolicyError, PlanError) as exc:
-                print(f"[plan] {app}: {exc}", file=sys.stderr)
-                return 2
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
             report = precheck(application, plan, policy=resolved)
-            print(f"== {app} · policy '{resolved.name}' ==")
+            print(f"== {name} · policy '{resolved.name}' ==")
             print(plan.describe())
             print()
             print("resolved policy:")
@@ -179,264 +333,52 @@ def _run_plan(args, policy, topology, levels) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate the paper's tables and figures.",
+        prog="python -m repro.experiments", description="Regenerate the paper's tables and figures."
     )
     parser.add_argument(
-        "target",
-        choices=sorted(TARGETS) + ["all", ABLATION_TARGET, PLAN_TARGET],
-        help="artifact to regenerate (or 'plan' to print a deployment "
-        "plan without simulating)",
+        "target", choices=sorted(TARGETS) + ["all", ABLATION_TARGET, PLAN_TARGET],
+        help="artifact to regenerate (or 'plan': print a deployment plan, no simulation)",
     )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=SIM_DURATION_MS / 1000.0,
-        help="simulated seconds per configuration (default %(default)s)",
-    )
-    parser.add_argument(
-        "--warmup",
-        type=float,
-        default=SIM_WARMUP_MS / 1000.0,
-        help="simulated warm-up seconds excluded from statistics",
-    )
-    parser.add_argument("--seed", type=int, default=2003)
-    parser.add_argument(
-        "--csv", action="store_true", help="emit CSV instead of the text layout"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the sweep (default: one per CPU; "
-        "1 runs serially in-process; output is identical either way)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help="record spans and the telemetry series and write the run's "
-        "artifact bundle into DIR (created if absent; check it with "
-        "python -m repro.obs.validate DIR)",
-    )
-    parser.add_argument(
-        "--obs-interval",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="telemetry window width in simulated seconds "
-        "(default %(default)s; used by --out/--slo)",
-    )
-    parser.add_argument(
-        "--obs-sample",
-        type=float,
-        default=1.0,
-        metavar="RATE",
-        help="(with --out) fraction of sessions whose spans are recorded, "
-        "decided by a deterministic hash of the session id "
-        "(default %(default)s: all)",
-    )
-    parser.add_argument(
-        "--slo",
-        metavar="FILE",
-        default=None,
-        help="evaluate declarative SLO objectives (JSON, see repro.obs.slo) "
-        "per telemetry window; prints burn rates and fault recovery times",
-    )
-    parser.add_argument(
-        "--faults",
-        metavar="SCENARIO",
-        default=None,
-        help="inject a fault scenario: a canned name "
-        f"({', '.join(sorted(SCENARIOS))}) or a path to a schedule JSON; "
-        "prints an availability table per app after the sweep",
-    )
-    parser.add_argument(
-        "--policy",
-        metavar="FILE",
-        default=None,
-        help="run a declarative placement policy (JSON file, see "
-        "repro.core.policy) instead of the five canned configurations",
-    )
-    parser.add_argument(
-        "--edges",
-        type=int,
-        default=None,
-        metavar="N",
-        help="number of edge servers (default: the app's calibrated "
-        "testbed — the paper's 2)",
-    )
-    parser.add_argument(
-        "--wan-latency",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="one-way WAN latency in ms (default: the paper's 100)",
-    )
-    parser.add_argument(
-        "--clients-per-group",
-        type=int,
-        default=None,
-        metavar="N",
-        help="client machines per application server (default: the "
-        "paper's 3)",
-    )
-    parser.add_argument(
-        "--workload",
-        choices=("closed", "open"),
-        default="closed",
-        help="client model: 'closed' is the paper's fixed population with "
-        "soft think times; 'open' spawns independent sessions from an "
-        "arrival process (see repro.workload.openloop)",
-    )
-    parser.add_argument(
-        "--arrival",
-        choices=ARRIVALS,
-        default="poisson",
-        help="(open loop) inter-arrival law (default %(default)s)",
-    )
-    parser.add_argument(
-        "--scenario",
-        choices=OPENLOOP_SCENARIOS,
-        default="steady",
-        help="(open loop) rate-modulation scenario (default %(default)s)",
-    )
-    parser.add_argument(
-        "--session-rate",
-        type=float,
-        default=10.0,
-        metavar="PER_S",
-        help="(open loop) mean session arrivals per second "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--max-sessions",
-        type=int,
-        default=0,
-        metavar="N",
-        help="(open loop) admission cap on concurrent sessions; arrivals "
-        "beyond it are dropped (default: unbounded)",
-    )
-    parser.add_argument(
-        "--think-time",
-        type=float,
-        default=7.0,
-        metavar="S",
-        help="(open loop) mean think time between a session's pages in "
-        "seconds (default %(default)s)",
-    )
-    parser.add_argument(
-        "--app",
-        choices=("petstore", "rubis"),
-        default=None,
-        help="(plan target) application to plan for (default: both)",
-    )
-    parser.add_argument(
-        "--level",
-        type=int,
-        choices=tuple(int(level) for level in PatternLevel),
-        default=None,
-        help="run (or plan) a single pattern level instead of the default "
-        "1-5 sweep, for any --jobs value (the only way to reach level 6 "
-        "without a --policy file; ignored with --policy)",
-    )
+    for row in OPTIONS:
+        parser.add_argument(row.flag, **row.parse)
     args = parser.parse_args(argv)
 
-    if args.edges is not None and args.edges < 1:
-        print("[topology] --edges must be >= 1", file=sys.stderr)
+    built, section = {}, "sweep"
+    try:
+        if args.target == ABLATION_TARGET:
+            # The ablations run no RunSpec: a flag that sets one is an error.
+            for row in OPTIONS:
+                section = row.section
+                if row.sets and getattr(args, row.dest) != row.parse.get("default"):
+                    raise ValueError(f"{row.flag} is not supported for ablations")
+        else:
+            for section, step in STEPS.items():
+                _checked(args, section)
+                built[section] = step(args, built)
+            loop = built["workload"]
+            open_loop = isinstance(loop, OpenLoopConfig)
+            spec = RunSpec(
+                workload=None if open_loop else loop,
+                seed=args.seed,
+                with_spans=args.out is not None,
+                faults=built["faults"],
+                policy=built["policy"],
+                topology=built["topology"],
+                openloop=loop if open_loop else None,
+                obs_interval_ms=built["obs"],
+                obs_sample=args.obs_sample,
+            )
+            _echo(args, spec, built["slo"])
+            levels = sweep_levels(spec.policy, [args.level] if args.level else None)
+            if args.target == PLAN_TARGET:
+                section = "plan"
+                return _run_plan(spec, args.app, levels)
+    except (ValueError, OSError) as exc:
+        print(f"[{section}] {_message(section, exc)}", file=sys.stderr)
         return 2
-    if args.clients_per_group is not None and args.clients_per_group < 1:
-        print("[topology] --clients-per-group must be >= 1", file=sys.stderr)
-        return 2
-    if args.wan_latency is not None and not 0 <= args.wan_latency < math.inf:
-        print("[topology] --wan-latency must be finite and >= 0", file=sys.stderr)
-        return 2
-    overrides = TopologyOverrides(
-        edges=args.edges,
-        wan_latency=args.wan_latency,
-        clients_per_group=args.clients_per_group,
-    )
-    topology = None if overrides.empty else overrides
-
-    policy = None
-    if args.policy is not None:
-        try:
-            policy = load_policy(args.policy)
-        except (OSError, PolicyError) as exc:
-            print(f"[policy] {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"[policy] '{policy.name}' from {args.policy} "
-            f"(metadata level {int(policy.effective_level())})",
-            file=sys.stderr,
-        )
-    if topology is not None:
-        print(
-            "[topology] overrides: "
-            + ", ".join(
-                f"{knob}={value}"
-                for knob, value in (
-                    ("edges", args.edges),
-                    ("wan-latency", args.wan_latency),
-                    ("clients-per-group", args.clients_per_group),
-                )
-                if value is not None
-            ),
-            file=sys.stderr,
-        )
-
-    levels = sweep_levels(policy, [args.level] if args.level else None)
-    if args.target == PLAN_TARGET:
-        return _run_plan(args, policy, topology, levels)
     jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
-    with_series = args.out is not None or args.slo is not None
-    if not 0 < args.obs_interval < math.inf:
-        print("[obs] --obs-interval must be positive and finite", file=sys.stderr)
-        return 2
-    if not 0.0 < args.obs_sample <= 1.0:
-        print("[obs] --obs-sample must be in (0, 1]", file=sys.stderr)
-        return 2
-
-    objectives = None
-    if args.slo is not None:
-        from ..obs.slo import SloError, load_slo
-
-        try:
-            objectives = load_slo(args.slo)
-        except (OSError, ValueError) as exc:
-            # SloError subclasses ValueError; bad JSON raises ValueError too.
-            kind = "slo" if isinstance(exc, SloError) else "slo file"
-            print(f"[{kind}] {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"[slo] {len(objectives)} objective(s) from {args.slo}",
-            file=sys.stderr,
-        )
 
     if args.target == ABLATION_TARGET:
-        if with_series:
-            print(
-                "[obs] --out/--slo are not supported for ablations",
-                file=sys.stderr,
-            )
-            return 2
-        if args.faults is not None:
-            print("[faults] --faults is not supported for ablations", file=sys.stderr)
-            return 2
-        if args.workload == "open":
-            print(
-                "[workload] --workload open is not supported for ablations",
-                file=sys.stderr,
-            )
-            return 2
-        if policy is not None or topology is not None:
-            print(
-                "[policy] --policy/--edges/--wan-latency/--clients-per-group "
-                "are not supported for ablations",
-                file=sys.stderr,
-            )
-            return 2
         from . import ablations
 
         progress = ProgressReporter(len(ablations.ABLATIONS), label="ablations")
@@ -448,115 +390,36 @@ def main(argv=None) -> int:
         return 0
 
     targets = sorted(TARGETS) if args.target == "all" else [args.target]
-    duration_ms, warmup_ms = args.duration * 1000.0, args.warmup * 1000.0
-    workload = openloop = None
-    try:
-        if args.workload == "closed":
-            workload = default_workload(duration_ms, warmup_ms)
-        else:
-            openloop = OpenLoopConfig(
-                arrival=args.arrival,
-                scenario=args.scenario,
-                session_rate_per_s=args.session_rate,
-                duration_ms=duration_ms,
-                warmup_ms=warmup_ms,
-                think_time_ms=args.think_time * 1000.0,
-                max_sessions=args.max_sessions,
-            )
-    except ValueError as exc:
-        print(f"[workload] {exc}", file=sys.stderr)
-        return 2
-    if openloop is not None:
-        print(
-            f"[workload] open loop: {args.arrival} arrivals at "
-            f"{args.session_rate:g}/s, {args.scenario} scenario",
-            file=sys.stderr,
-        )
     apps_needed = sorted({TARGETS[target][0] for target in targets})
-
-    faults = None
-    if args.faults is not None:
-        # Canned scenarios target the actual edges of the effective
-        # (possibly overridden) topology — derived from TestbedConfig, so
-        # a changed calibration default propagates here automatically.
-        effective = TestbedConfig()
-        if topology is not None:
-            effective = topology.apply(effective)
-        faults = load_schedule(
-            args.faults, duration_ms, warmup_ms, edges=default_edges(effective)
-        )
-        print(f"[faults] scenario '{faults.name}' active", file=sys.stderr)
-
-    if args.out is not None:
-        # Before any cell runs: an unusable DIR must not cost a sweep.
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            print(f"[out] {exc}", file=sys.stderr)
-            return 2
-
-    spec = RunSpec(
-        workload=workload,
-        seed=args.seed,
-        with_spans=args.out is not None,
-        faults=faults,
-        policy=policy,
-        topology=topology,
-        openloop=openloop,
-        obs_interval_ms=args.obs_interval * 1000.0 if with_series else None,
-        obs_sample=args.obs_sample,
-    )
     cells = [(app, level) for app in apps_needed for level in levels]
-    print(
-        f"[sweep] {len(cells)} cells x {args.duration:.0f}s simulated, "
-        f"{jobs} worker(s) ...",
-        file=sys.stderr,
-    )
+    print(f"[sweep] {len(cells)} cells x {args.duration / 1000:.0f}s simulated, "
+          f"{jobs} worker(s) ...", file=sys.stderr)
     # One sweep over every app's cells, whatever the worker count: a
     # ten-cell `all` keeps all workers busy instead of draining one app
     # at a time, and only picklable CellResults outlive their cell.
-    results = run_cells(
-        cells,
-        spec,
-        jobs=jobs,
-        progress=ProgressReporter(len(cells), label="cells"),
-    )
-    series_cache = {
-        app: {level: results[(app, level)] for level in levels}
-        for app in apps_needed
-    }
-    labelled = [
-        (f"{app}/L{int(level)}", result) for (app, level), result in results.items()
-    ]
+    results = run_cells(cells, spec, jobs=jobs, progress=ProgressReporter(len(cells)))
+    series_cache = {app: {level: results[(app, level)] for level in levels} for app in apps_needed}
+    labelled = [(f"{app}/L{int(level)}", result) for (app, level), result in results.items()]
 
     for target in targets:
         app, kind = TARGETS[target]
-        series = series_cache[app]
+        build, to_csv, render = RENDERINGS[kind]
+        data = build(series_cache[app])
         print()
-        if kind == "table":
-            table = build_table(series)
-            print(table_to_csv(table) if args.csv else render_table(table))
-        else:
-            figure = build_figure(series)
-            print(figure_to_csv(figure) if args.csv else render_figure(figure))
+        print(to_csv(data) if args.csv else render(data))
 
     slo_reports = None
-    if objectives is not None:
-        from ..obs.slo import evaluate_slo, render_slo_report
-
+    if built["slo"] is not None:
         slo_reports = {}
         for label, result in labelled:
-            report = evaluate_slo(result.measurements["series"], objectives)
-            slo_reports[label] = report
+            slo_reports[label] = evaluate_slo(result.measurements["series"], built["slo"])
             print()
-            print(render_slo_report(label, report))
+            print(render_slo_report(label, slo_reports[label]))
 
     availability_tables = None
-    if faults is not None:
+    if spec.faults is not None:
         availability_tables = [
-            build_availability_table(
-                app, series_cache[app], scenario=faults.name
-            )
+            build_availability_table(app, series_cache[app], scenario=spec.faults.name)
             for app in apps_needed
         ]
         for table in availability_tables:

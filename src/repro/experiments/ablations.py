@@ -26,7 +26,6 @@ direction and rough magnitude of the effect:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
@@ -39,6 +38,7 @@ from ..simnet.kernel import Environment
 from ..simnet.rng import Streams
 from ..simnet.topology import build_testbed
 from . import calibration
+from .parallel import fan_out
 from .probes import PageProbe, measure_pages
 from .progress import ProgressReporter
 
@@ -223,39 +223,31 @@ def ablate_commit_batch(cart_sizes=(1, 2, 4, 8)) -> Dict[str, Dict[int, float]]:
     return results
 
 
-def _run_ablation(name: str) -> Tuple[str, Dict, float]:
-    """Worker entry point: run one ablation, return (name, outcome, wall)."""
+def _run_ablation(name: str) -> Tuple[Dict, float]:
+    """Worker entry point: run one ablation, return (outcome, wall)."""
     started = time.perf_counter()
     outcome = globals()[name]()
-    return name, outcome, time.perf_counter() - started
+    return outcome, time.perf_counter() - started
 
 
 def run_all_ablations(
     jobs: Optional[int] = None,
     progress: Optional[ProgressReporter] = None,
 ) -> Dict[str, Dict]:
-    """Run every ablation, optionally fanned out across worker processes.
+    """Run every ablation, fanned out like the sweep's cells (``jobs`` as
+    in :func:`~repro.experiments.parallel.fan_out`).
 
     Each ablation stands up its own seeded environments, so they are as
     independent as the main sweep's cells.  Results come back keyed in
     :data:`ABLATIONS` order regardless of completion order.
     """
-    from .parallel import default_jobs
-
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
     outcomes: Dict[str, Dict] = {}
-    if jobs == 1:
-        for name in ABLATIONS:
-            name, outcome, wall = _run_ablation(name)
-            outcomes[name] = outcome
-            if progress is not None:
-                progress.done(name, wall)
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ABLATIONS))) as pool:
-            futures = [pool.submit(_run_ablation, name) for name in ABLATIONS]
-            for future in as_completed(futures):
-                name, outcome, wall = future.result()
-                outcomes[name] = outcome
-                if progress is not None:
-                    progress.done(name, wall)
+
+    def done(task, result):
+        (name,), (outcome, wall) = task, result
+        outcomes[name] = outcome
+        if progress is not None:
+            progress.done(name, wall)
+
+    fan_out(_run_ablation, [(name,) for name in ABLATIONS], jobs, done)
     return {name: outcomes[name] for name in ABLATIONS}

@@ -30,12 +30,10 @@ class ProgressReporter:
         total: int,
         stream: Optional[TextIO] = None,
         label: str = "cells",
-        enabled: bool = True,
     ):
         self.total = total
         self.completed = 0
         self.label = label
-        self.enabled = enabled
         self.stream = stream if stream is not None else sys.stderr
         self._lock = threading.Lock()
         self._started = time.perf_counter()
@@ -45,8 +43,6 @@ class ProgressReporter:
         with self._lock:
             self.completed += 1
             completed, total = self.completed, self.total
-        if not self.enabled:
-            return
         elapsed = time.perf_counter() - self._started
         print(
             f"[{completed}/{total} {self.label}] {what} "

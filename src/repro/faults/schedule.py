@@ -107,6 +107,15 @@ class ServerCrash:
         _check_window(f"crash of {self.server}", self.start, self.end)
 
 
+# The schedule's JSON keys and the entry each one lists.
+_ENTRY_TYPES = {
+    "partitions": LinkPartition,
+    "latency_spikes": LatencySpike,
+    "loss_windows": LossWindow,
+    "crashes": ServerCrash,
+}
+
+
 @dataclass(frozen=True)
 class FaultSchedule:
     """The full fault plan for one run; empty by default."""
@@ -178,25 +187,17 @@ class FaultSchedule:
 
     @classmethod
     def from_json(cls, data: dict) -> "FaultSchedule":
-        unknown = set(data) - {
-            "name",
-            "partitions",
-            "latency_spikes",
-            "loss_windows",
-            "crashes",
-        }
+        """Read :meth:`to_json`'s form; any malformed input is a ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("a fault schedule must be a JSON object")
+        unknown = set(data) - {"name", *_ENTRY_TYPES}
         if unknown:
             raise ValueError(f"unknown fault-schedule keys: {sorted(unknown)}")
-        return cls(
-            name=data.get("name", "custom"),
-            partitions=tuple(
-                LinkPartition(**entry) for entry in data.get("partitions", ())
-            ),
-            latency_spikes=tuple(
-                LatencySpike(**entry) for entry in data.get("latency_spikes", ())
-            ),
-            loss_windows=tuple(
-                LossWindow(**entry) for entry in data.get("loss_windows", ())
-            ),
-            crashes=tuple(ServerCrash(**entry) for entry in data.get("crashes", ())),
-        ).validate()
+        try:
+            entries = {
+                key: tuple(kind(**entry) for entry in data.get(key, ()))
+                for key, kind in _ENTRY_TYPES.items()
+            }
+        except TypeError as exc:
+            raise ValueError(f"bad fault-schedule entry: {exc}") from None
+        return cls(name=data.get("name", "custom"), **entries).validate()

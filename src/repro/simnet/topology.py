@@ -10,6 +10,7 @@ link enforces the combined bandwidth cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -50,12 +51,21 @@ class TopologyOverrides:
     """CLI-supplied deviations from an experiment's canned testbed config.
 
     ``None`` means "keep the experiment's calibrated value"; a set field
-    replaces it.  Picklable, so it rides inside parallel cell tasks.
+    replaces it.  Picklable, so it rides inside parallel cell tasks.  A
+    value no testbed can be built from is a ``ValueError`` naming its
+    field.
     """
 
     edges: Optional[int] = None
     wan_latency: Optional[float] = None
     clients_per_group: Optional[int] = None
+
+    def __post_init__(self):
+        for name in ("edges", "clients_per_group"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.wan_latency is not None and not 0 <= self.wan_latency < math.inf:
+            raise ValueError("wan_latency must be finite and >= 0")
 
     @property
     def empty(self) -> bool:

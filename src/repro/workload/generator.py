@@ -276,8 +276,7 @@ class LoadGenerator:
                     self._one_session("o", self.arrivals, pattern),
                     think,
                     math.inf,
-                ),
-                name=f"open-session-{self.arrivals}",
+                )
             )
 
     def _full_think(self, elapsed: float, last: bool, broken: bool) -> float:

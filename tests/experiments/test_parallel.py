@@ -18,7 +18,7 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.experiments import calibration
 from repro.experiments.figures import build_figure, figure_to_csv, render_figure
-from repro.experiments.parallel import CellResult, default_jobs, run_cells
+from repro.experiments.parallel import CellResult, default_jobs, fan_out, run_cells
 from repro.experiments.progress import ProgressReporter
 from repro.experiments.runner import IN_PROCESS_FIELDS, RunSpec, run_configuration, run_series
 from repro.experiments.tables import build_table, render_table, table_to_csv
@@ -263,3 +263,11 @@ def test_run_series_reports_progress_in_both_modes():
         sweep(progress)
         assert progress.completed == len(LEVELS)
         assert stream.getvalue().count("done in") == len(LEVELS)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fan_out_reports_every_task_once_serially_or_pooled(jobs):
+    """The one fan-out the sweep and the ablations share."""
+    seen = []
+    fan_out(pow, [(2, 3), (3, 2), (5, 0)], jobs, lambda task, result: seen.append((task, result)))
+    assert sorted(seen) == [((2, 3), 8), ((3, 2), 9), ((5, 0), 1)]

@@ -18,7 +18,7 @@ from repro.experiments.__main__ import main
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import RunSpec, run_configuration, run_series
 from repro.faults import scenarios
-from repro.simnet.topology import TopologyOverrides
+from repro.simnet.topology import TestbedConfig, TopologyOverrides
 from repro.workload.openloop import OpenLoopConfig
 
 POLICY_FILE = Path(__file__).resolve().parents[2] / "policies" / "replicas-one-edge.json"
@@ -206,3 +206,81 @@ def test_cli_rejects_what_ablations_cannot_honour(capsys, monkeypatch, flags):
     assert lines and all(line.startswith("[") for line in lines)
     assert lines[-1].endswith("not supported for ablations")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("schedule", ["no-such-scenario", "missing", "bad-keys"])
+def test_cli_rejects_a_fault_schedule_it_cannot_load(capsys, monkeypatch, tmp_path, schedule):
+    """Used to print a traceback and exit 1."""
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("repro.experiments.__main__.run_cells", no_simulation)
+    bad_keys = tmp_path / "bad.json"
+    bad_keys.write_text('{"bogus": 1}')
+    argument = {
+        "no-such-scenario": "no-such-scenario",
+        "missing": str(tmp_path / "missing.json"),
+        "bad-keys": str(bad_keys),
+    }[schedule]
+    argv = ["table6", "--level", "1", "--jobs", "1", "--duration", "5", "--warmup", "1"]
+    assert main(argv + ["--faults", argument]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("[faults] ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+class _SpecSeen(Exception):
+    pass
+
+
+def _spec_from_cli(monkeypatch, argv) -> RunSpec:
+    """The spec ``main(argv)`` hands to ``run_cells``; no cell runs."""
+
+    def capture(cells, spec, **kwargs):
+        raise _SpecSeen(spec)
+
+    monkeypatch.setattr("repro.experiments.__main__.run_cells", capture)
+    with pytest.raises(_SpecSeen) as seen:
+        main(argv)
+    return seen.value.args[0]
+
+
+def test_the_cli_sets_every_run_spec_field_but_warm_replicas(monkeypatch, tmp_path):
+    """Each flag lands in the field its table row names; a new RunSpec
+    field the CLI cannot reach fails here unless it is library-only."""
+    short = ["--jobs", "1", "--duration", "6", "--warmup", "1"]
+    topology = TopologyOverrides(edges=3, wan_latency=80.0, clients_per_group=2)
+    closed = _spec_from_cli(monkeypatch, ["table6"] + short + [
+        "--seed", "5", "--out", str(tmp_path / "bundle"), "--obs-interval", "2",
+        "--obs-sample", "0.5", "--faults", "latency-spike", "--policy", str(POLICY_FILE),
+        "--edges", "3", "--wan-latency", "80", "--clients-per-group", "2",
+    ])
+    assert closed == RunSpec(
+        workload=calibration.default_workload(duration_ms=6_000.0, warmup_ms=1_000.0),
+        seed=5,
+        with_spans=True,
+        faults=scenarios.scenario(
+            "latency-spike", 6_000.0, 1_000.0,
+            edges=scenarios.default_edges(topology.apply(TestbedConfig())),
+        ),
+        policy=load_policy(str(POLICY_FILE)),
+        topology=topology,
+        obs_interval_ms=2_000.0,
+        obs_sample=0.5,
+    )
+    opened = _spec_from_cli(monkeypatch, ["table7"] + short + [
+        "--workload", "open", "--arrival", "pareto", "--scenario", "diurnal",
+        "--session-rate", "3", "--max-sessions", "9", "--think-time", "2",
+    ])
+    assert opened == RunSpec(openloop=OpenLoopConfig(
+        arrival="pareto", scenario="diurnal", session_rate_per_s=3.0, duration_ms=6_000.0,
+        warmup_ms=1_000.0, think_time_ms=2_000.0, max_sessions=9,
+    ))
+    defaults = RunSpec()
+    set_by_cli = {
+        name for spec in (closed, opened) for name in FIELDS
+        if getattr(spec, name) != getattr(defaults, name)
+    }
+    assert set(FIELDS) - set_by_cli == {"warm_replicas"}

@@ -57,6 +57,23 @@ def test_topology_overrides_empty_and_apply():
     assert patched.clients_per_group == config.clients_per_group
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"edges": 0},
+        {"clients_per_group": -1},
+        {"wan_latency": -5.0},
+        {"wan_latency": float("inf")},
+        {"wan_latency": float("nan")},
+    ],
+)
+def test_topology_overrides_reject_a_testbed_that_cannot_be_built(fields):
+    """The library and the plan target get the CLI's checks."""
+    (name,) = fields
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        TopologyOverrides(**fields)
+
+
 @pytest.mark.parametrize("edges", [1, 4])
 def test_smoke_run_at_nondefault_edge_count(edges):
     result = run_configuration(

@@ -59,6 +59,20 @@ def test_from_json_rejects_unknown_keys():
         FaultSchedule.from_json({"name": "x", "earthquakes": []})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        ["not", "an", "object"],
+        {"partitions": [{"a": "edge1", "start": 1.0}]},  # no b/end
+        {"crashes": [{"server": "edge1", "start": 1.0, "end": 2.0, "when": 0}]},
+        {"loss_windows": ["edge1"]},
+    ],
+)
+def test_from_json_rejects_a_malformed_schedule_with_a_value_error(data):
+    with pytest.raises(ValueError):
+        FaultSchedule.from_json(data)
+
+
 def test_from_json_defaults_name_to_custom():
     assert FaultSchedule.from_json({}).name == "custom"
 
