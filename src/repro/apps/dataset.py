@@ -5,19 +5,21 @@ seed every cell of a sweep populates the same one: RUBiS issues 6,617
 SQL statements for it, Pet Store 1,176.  :func:`load_dataset` runs a
 generator once per (generator, seed) in a process and keeps what it
 returned as an *image*: the database's
-:class:`~repro.rdbms.engine.DatabaseImage` (schemas, row values and
-counters as tuples) and the pickled catalog.  Every later call rebuilds
+:class:`~repro.rdbms.engine.DatabaseImage` (schemas, the stored row
+dicts and counters) and the pickled catalog.  Every later call rebuilds
 a database from the image without parsing or executing any SQL, and
-unpickles a catalog of its own.  The copies share only immutable objects
-(schemas, row values) with the image and with each other, so a cell may
-write to its database freely.
+unpickles a catalog of its own.  The copies share the schemas and every
+row dict with the image and with each other, and build only their own
+indexes: storage never changes a stored row in place (an update stores
+a new dict, see :mod:`~repro.rdbms.storage`), so a cell may write to its
+database freely and no other copy sees it.
 
 A restored dataset is the generator's output exactly:
 
 * the database has the same rows in the same heap order, the same index
-  contents in the same layout (the generators only insert, so re-inserting
-  in heap order rebuilds every hash bucket as it was and the key order
-  sorts to the same list, see
+  contents in the same layout (the generators only insert, so indexing
+  in heap order rebuilds every hash index as it was, and its buckets and
+  the key order sort to the same lists, see
   :meth:`~repro.rdbms.storage.Table.load_image`), and the same
   counters: ``statements_executed`` and the executor's scan counters
   count the generator's statements as if they had just run.  Only its
@@ -42,8 +44,9 @@ __all__ = ["load_dataset"]
 Populate = Callable[[Streams], Tuple[Database, Any]]
 
 # (generator, seed) -> (database image, pickled catalog).  A sweep loads
-# both apps at one seed; four images (about 0.3 MB each for RUBiS) leave
-# room for a second seed.
+# both apps at one seed; four images leave room for a second seed.  An
+# image holds references to rows its databases share, so it costs little
+# beyond them.
 _IMAGES = LruCache(4)
 
 

@@ -97,6 +97,8 @@ class DeployedSystem:
         Equivalent to the paper's measurement-excluded warm-up phase
         ("several minutes of system warm-up, if needed", §3.3) having
         touched every entity; returns the number of entries loaded.
+        The entries are the stored rows themselves, shared by every edge
+        (storage replaces a row on update, never mutates it).
         """
         loaded = 0
         database = self.db_server.database

@@ -10,8 +10,8 @@ and compiled once per database: the
 one bounded LRU here, and executing is lookup + bind + run.
 
 A database's data and counters can be taken as a :class:`DatabaseImage`
-(tuples only) and rebuilt from it without SQL: that is how a process
-populates each application dataset once (:mod:`repro.apps.dataset`).
+and rebuilt from it without SQL: that is how a process populates each
+application dataset once (:mod:`repro.apps.dataset`).
 """
 
 from __future__ import annotations
@@ -41,13 +41,14 @@ class DatabaseError(Exception):
 class DatabaseImage(NamedTuple):
     """A database as immutable data: what :meth:`Database.from_image` rebuilds.
 
-    The schemas and the row values are shared with every database
-    rebuilt from the image; both are immutable once stored.
+    The schemas and the row dicts are shared with the imaged database
+    and with every database rebuilt from the image; no write changes
+    either (a stored row is replaced, never mutated).
     """
 
     name: str
     # (schema, rows) per table, in creation order; see Table.image.
-    tables: Tuple[Tuple[TableSchema, Tuple[Tuple[Any, ...], ...]], ...]
+    tables: Tuple[Tuple[TableSchema, Tuple[Dict[str, Any], ...]], ...]
     statements_executed: int
     rows_scanned_total: int
     next_transaction_id: int
@@ -121,7 +122,8 @@ class Database:
         """A new database equal to the one ``image`` was taken of.
 
         Rows, indexes, the executor's scan counters and the statement
-        counters are equal; no SQL runs.  The prepared statements are not
+        counters are equal; no SQL runs.  The rows are the image's own
+        dicts, shared until one side writes.  The prepared statements are not
         part of an image (they bind the tables they were prepared
         against), so each text is prepared again, to the same access path,
         on its first execution.

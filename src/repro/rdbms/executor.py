@@ -122,7 +122,7 @@ class _Scan:
         self.executor = executor
         self.table = table
         self.name = table.name
-        self.rows = table.scan(copy=False)  # live, sized view of the heap
+        self.rows = table.scan()  # live, sized view of the heap
         columns = table.schema.column_map
 
         def resolve(name: str) -> Optional[str]:
@@ -160,11 +160,12 @@ class _Scan:
     def matches(
         self, params: Tuple[Any, ...]
     ) -> Tuple[List[Dict[str, Any]], int, Optional[str]]:
-        """Live storage rows the access path yields and the predicate keeps.
+        """Stored rows the access path yields and the predicate keeps.
 
         Returns ``(rows, scanned, index_name)``.  The index narrows the
-        candidates; the whole predicate still runs over them.  Callers
-        copy what they hand out and mutate only through the table.
+        candidates; the whole predicate still runs over them.  Stored
+        rows are values (see :mod:`~repro.rdbms.storage`), so callers
+        hand them out as they are.
         """
         executor, table = self.executor, self.table
         column = candidates = None
@@ -172,13 +173,13 @@ class _Scan:
             if self.eq is not None:
                 column, (index, constant) = self.eq
                 value = constant if index is None else params[index]
-                candidates = table.index_lookup(column, value, copy=False)
+                candidates = table.index_lookup(column, value)
             elif self.between is not None:
                 low = _value(self.between[0], params)
                 high = _value(self.between[1], params)
                 if low is not None or high is not None:
                     column = table.schema.primary_key
-                    candidates = table.range_lookup(low, high, copy=False)
+                    candidates = table.range_lookup(low, high)
                     executor.range_scans += 1
         if column is None:
             candidates = self.rows
@@ -202,7 +203,7 @@ class _JoinStep:
 
     def __init__(self, join, table: Table, base: _Scan):
         self.table = table
-        self.rows = table.scan(copy=False)
+        self.rows = table.scan()
         self.binding = binding = join.table.binding
         left_owner, dot, left_bare = join.left_column.partition(".")
         if not dot:
@@ -351,8 +352,8 @@ class PreparedStatement:
         rows, scanned, used_index = self.scan.matches(params)
         if self.join is not None:
             rows, scanned = self._join(rows, scanned, params)
-        # Rows are live storage dicts (single table) or fresh combined
-        # dicts (joins); everything below only reads them.
+        # Rows are stored rows (single table) or fresh combined dicts
+        # (joins); both are handed out as they are.
         if self.statement.count:
             return ResultSet(self.columns, [{self.columns[0]: len(rows)}], scanned, used_index)
         if self.items:
@@ -361,8 +362,6 @@ class PreparedStatement:
             rows = [{name: get(row) for name, get in items} for row in rows]
         else:
             columns = self.star_sorted if rows else self.star_declared
-            if self.join is None:
-                rows = [dict(row) for row in rows]
         return ResultSet(columns, rows, scanned, used_index)
 
     def _join(
@@ -390,7 +389,7 @@ class PreparedStatement:
         for outer in rows:
             value = outer[key] if key is not None else lookup(outer)
             if step.use_index:
-                matches = table.index_lookup(column, value, copy=False)
+                matches = table.index_lookup(column, value)
                 scanned += max(1, len(matches))
             else:
                 matches = [r for r in step.rows if r.get(column) == value]

@@ -1,11 +1,21 @@
 """Row storage: tables with a primary key, hash indexes and a key order.
 
 Rows live in a dict keyed by primary key, which answers equality on the
-primary key.  Every column named in ``schema.indexes`` gets a hash index
-(``{value: set-of-primary-keys}``) answering equality probes in O(1).
-A table whose primary key is not TEXT also keeps its primary keys in a
-sorted list, maintained with :mod:`bisect`, which answers the one range
-probe the dialect has: ``pk BETWEEN low AND high``, in key order.
+primary key.  Every column named in ``schema.indexes`` gets a hash index,
+``{value: bucket}``, whose bucket is the ascending list of the primary
+keys holding that value, kept sorted with :mod:`bisect`: an equality
+probe is one dict lookup and hands out its rows in key order without
+sorting.  A table whose primary key is not TEXT also keeps its primary
+keys in a sorted list, which answers the one range probe the dialect
+has: ``pk BETWEEN low AND high``, in key order.
+
+Stored rows are values.  No row is changed in place: an update builds a
+new dict and swaps it in, and the old one is the undo image that
+:meth:`Table.restore` swaps back.  So every read hands out the stored
+dicts themselves, never copies — a scan, a lookup, a ``SELECT *``
+result, an edge replica entry and a dataset image may all hold one row
+object, and each keeps the value it had when it was handed out.  A
+caller that needs a snapshot of a scan takes ``list(...)`` of it.
 
 Empty index buckets are pruned on every mutation path (delete, update,
 restore): a bucket that loses its last row key is removed from the hash
@@ -16,36 +26,32 @@ matters for churny workloads (bids, comments).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .schema import TableSchema
 from .types import TEXT
 
 __all__ = ["Table", "StorageError"]
 
+Row = Dict[str, Any]
+
 
 class StorageError(Exception):
     """Raised on constraint violations (duplicate key, missing row, ...)."""
 
 
-def _stable_sorted(keys: Iterable[Any]) -> List[Any]:
-    try:
-        return sorted(keys)
-    except TypeError:  # mixed key types: fall back to a stable order
-        return sorted(keys, key=repr)
-
-
 class Table:
     """In-memory heap of rows keyed by primary key, with hash indexes.
 
-    Rows are stored as plain dicts.  Mutating operations return enough
-    information for the transaction layer to undo them.
+    Rows are stored as plain dicts and never mutated once stored.
+    Mutating operations return enough information for the transaction
+    layer to undo them.
     """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        self._rows: Dict[Any, Dict[str, Any]] = {}
-        self._indexes: Dict[str, Dict[Any, Set[Any]]] = {
+        self._rows: Dict[Any, Row] = {}
+        self._indexes: Dict[str, Dict[Any, List[Any]]] = {
             column: {} for column in schema.indexes
         }
         # The primary keys in ascending order; None for a TEXT key, which
@@ -61,56 +67,39 @@ class Table:
     def name(self) -> str:
         return self.schema.name
 
-    def get(self, key: Any) -> Optional[Dict[str, Any]]:
-        """The row with primary key ``key`` (a copy), or None."""
-        row = self._rows.get(key)
-        return dict(row) if row is not None else None
+    def get(self, key: Any) -> Optional[Row]:
+        """The row with primary key ``key``, or None."""
+        return self._rows.get(key)
 
-    def scan(self, copy: bool = True) -> Iterable[Dict[str, Any]]:
-        """Every row (heap order = insertion order).
+    def scan(self) -> Iterable[Row]:
+        """Every row (heap order = insertion order), as a sized live view.
 
-        ``copy=False`` is a sized *live view* of the storage dicts: it
-        follows later inserts and deletes, so a prepared statement binds
-        it once and reads ``len()`` and the rows from it on every
-        execution, and rows a predicate rejects are never copied.  Live
-        rows must only be mutated through the undo-logged mutation API
-        (:meth:`update` / :meth:`delete`).
+        The view follows later inserts and deletes, so a prepared
+        statement binds it once and reads ``len()`` and the rows from it
+        on every execution.
         """
-        if copy:
-            return (dict(row) for row in self._rows.values())
         return self._rows.values()
 
-    def index_lookup(
-        self, column: str, value: Any, copy: bool = True
-    ) -> List[Dict[str, Any]]:
-        """Rows whose indexed ``column`` equals ``value``.
+    def index_lookup(self, column: str, value: Any) -> List[Row]:
+        """Rows whose indexed ``column`` equals ``value``, in key order.
 
-        Returns copies by default; ``copy=False`` returns the live
-        storage dicts (see :meth:`scan`).  Lookups never mutate the
-        index: probing a value with no entries must not insert one.
+        Lookups never mutate the index: probing a value with no entries
+        must not insert one.
         """
         if column == self.schema.primary_key:
             row = self._rows.get(value)
-            if row is None:
-                return []
-            return [dict(row)] if copy else [row]
+            return [] if row is None else [row]
         if column not in self._indexes:
             raise StorageError(f"no index on {self.name}.{column}")
         keys = self._indexes[column].get(value)
         if not keys:
             return []
-        ordered = _stable_sorted(keys)
-        rows = self._rows
-        if copy:
-            return [dict(rows[key]) for key in ordered]
-        return [rows[key] for key in ordered]
+        return list(map(self._rows.__getitem__, keys))
 
     def has_index(self, column: str) -> bool:
         return column == self.schema.primary_key or column in self._indexes
 
-    def range_lookup(
-        self, low: Any = None, high: Any = None, copy: bool = True
-    ) -> List[Dict[str, Any]]:
+    def range_lookup(self, low: Any = None, high: Any = None) -> List[Row]:
         """Rows with ``low <= pk <= high``, in primary-key order.
 
         A bound of ``None`` is unbounded.  Raises :class:`StorageError`
@@ -121,13 +110,10 @@ class Table:
             raise StorageError(f"no key order on {self.name}")
         start = 0 if low is None else bisect_left(keys, low)
         stop = len(keys) if high is None else bisect_right(keys, high)
-        rows = self._rows
-        if copy:
-            return [dict(rows[key]) for key in keys[start:stop]]
-        return [rows[key] for key in keys[start:stop]]
+        return list(map(self._rows.__getitem__, keys[start:stop]))
 
     # -- mutation -----------------------------------------------------------
-    def insert(self, values: Dict[str, Any]) -> Dict[str, Any]:
+    def insert(self, values: Dict[str, Any]) -> Row:
         """Insert; returns the stored row.  Raises on duplicate key."""
         row = self.schema.normalize_row(values)
         key = row[self.schema.primary_key]
@@ -136,105 +122,111 @@ class Table:
         if key in self._rows:
             raise StorageError(f"duplicate primary key {key!r} in {self.name}")
         self._rows[key] = row
-        self._index_add(row, key)
+        for column, index in self._indexes.items():
+            bucket = index.get(row[column])
+            if bucket is None:
+                index[row[column]] = [key]
+            elif key > bucket[-1]:  # keys mostly arrive ascending
+                bucket.append(key)
+            else:
+                insort(bucket, key)
         if self.key_order is not None:
             insort(self.key_order, key)
-        return dict(row)
+        return row
 
-    def _index_add(self, row: Dict[str, Any], key: Any) -> None:
-        for column, index in self._indexes.items():
-            value = row[column]
-            bucket = index.get(value)
-            if bucket is None:
-                bucket = index[value] = set()
-            bucket.add(key)
+    def update(self, key: Any, changes: Dict[str, Any]) -> Row:
+        """Store a new row for ``key`` with ``changes`` applied.
 
-    def update(self, key: Any, changes: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply ``changes`` to the row at ``key``; returns the prior image."""
-        if key not in self._rows:
+        Returns the prior row, which is the undo image: it is no longer
+        stored, and nothing changes it.  Every change is checked before
+        the row or any index moves.
+        """
+        row = self._rows.get(key)
+        if row is None:
             raise StorageError(f"no row {key!r} in {self.name}")
-        row = self._rows[key]
-        before = dict(row)
+        new = dict(row)
         for column_name, value in changes.items():
-            column = self.schema.column(column_name)
-            if column_name == self.schema.primary_key and column.coerce(value) != key:
+            new_value = self.schema.column(column_name).coerce(value)
+            if column_name == self.schema.primary_key and new_value != key:
                 raise StorageError("primary key update is not supported")
-            new_value = column.coerce(value)
-            if new_value != row[column_name]:
-                self._index_move(column_name, row[column_name], new_value, key)
-            row[column_name] = new_value
-        return before
+            new[column_name] = new_value
+        self._swap(key, row, new)
+        return row
 
-    def _index_move(self, column: str, old_value: Any, new_value: Any, key: Any) -> None:
-        """Re-home ``key`` after a value change on one (possibly indexed) column."""
-        index = self._indexes.get(column)
-        if index is None:
-            return
-        bucket = index.get(old_value)
-        if bucket is not None:
-            bucket.discard(key)
-            if not bucket:
+    def restore(self, row: Row) -> None:
+        """Store an earlier row for its key again (the undo of an UPDATE)."""
+        key = row[self.schema.primary_key]
+        self._swap(key, self._rows[key], row)
+
+    def _swap(self, key: Any, old: Row, new: Row) -> None:
+        """Store ``new`` in ``old``'s place, re-homing ``key`` in every
+        index whose column the two rows disagree on."""
+        for column, index in self._indexes.items():
+            old_value, new_value = old[column], new[column]
+            if old_value == new_value:
+                continue
+            bucket = index[old_value]
+            if len(bucket) == 1:
                 del index[old_value]
-        new_bucket = index.get(new_value)
-        if new_bucket is None:
-            new_bucket = index[new_value] = set()
-        new_bucket.add(key)
+            else:
+                del bucket[bisect_left(bucket, key)]
+            bucket = index.get(new_value)
+            if bucket is None:
+                index[new_value] = [key]
+            else:
+                insort(bucket, key)
+        self._rows[key] = new
 
-    def delete(self, key: Any) -> Dict[str, Any]:
-        """Remove the row at ``key`` (the undo of an INSERT); returns its image."""
-        if key not in self._rows:
+    def delete(self, key: Any) -> Row:
+        """Remove the row at ``key`` (the undo of an INSERT); returns it."""
+        row = self._rows.pop(key, None)
+        if row is None:
             raise StorageError(f"no row {key!r} in {self.name}")
-        row = self._rows.pop(key)
         for column, index in self._indexes.items():
             bucket = index[row[column]]
-            bucket.discard(key)
-            if not bucket:
+            if len(bucket) == 1:
                 del index[row[column]]
+            else:
+                del bucket[bisect_left(bucket, key)]
         if self.key_order is not None:
             del self.key_order[bisect_left(self.key_order, key)]
-        return dict(row)
-
-    def restore(self, row: Dict[str, Any]) -> None:
-        """Overwrite a row with an earlier image of it (the undo of an UPDATE)."""
-        key = row[self.schema.primary_key]
-        current = self._rows[key]
-        for column in self._indexes:
-            if current[column] != row[column]:
-                self._index_move(column, current[column], row[column], key)
-        current.clear()
-        current.update(row)
+        return row
 
     # -- images -----------------------------------------------------------
-    def image(self) -> Tuple[Tuple[Any, ...], ...]:
-        """Every row's values in column order, in heap order.
+    def image(self) -> Tuple[Row, ...]:
+        """Every stored row, in heap order.
 
-        Rows are stored in column order (:meth:`TableSchema.normalize_row`
-        builds them so, and updates keep the key order), so a row's
-        values are its ``values()``.  Mapped in C: no Python call per row.
+        The rows are the stored dicts themselves: no write changes them,
+        so the image keeps this moment's table while the table moves on.
         """
-        return tuple(map(tuple, map(dict.values, self._rows.values())))
+        return tuple(self._rows.values())
 
-    def load_image(self, rows: Iterable[Tuple[Any, ...]]) -> None:
+    def load_image(self, rows: Iterable[Row]) -> None:
         """Fill an empty table with the rows of an :meth:`image`.
 
-        The values were validated when they were first stored, so they
-        are not coerced again; each row is indexed as :meth:`insert`
-        indexes it, and the key order is sorted once at the end.  Rows go
-        in in heap order, which is insertion order for a table whose
-        indexed columns were never updated: the hash buckets are then
-        rebuilt key for key.  Otherwise they hold the same entries in
-        another layout, which no lookup can observe (buckets are read
-        sorted).
+        The rows are shared, not copied, and were validated when they
+        were first stored, so they are not coerced again.  Each is
+        indexed in heap order and every bucket and the key order are
+        sorted once at the end, so the indexes equal those of the
+        imaged table, layout included when its indexed columns were
+        never updated (the dict of an index then meets its values in
+        the same order).
         """
         if self._rows:
             raise StorageError(f"load_image needs an empty table, {self.name} has rows")
-        names = self.schema.column_names()
-        key_at = names.index(self.schema.primary_key)
+        primary_key = self.schema.primary_key
         stored = self._rows
-        for values in rows:
-            key = values[key_at]
-            row = stored[key] = dict(zip(names, values))
-            self._index_add(row, key)
+        for row in rows:
+            stored[row[primary_key]] = row
+        for column, index in self._indexes.items():
+            for key, row in stored.items():
+                bucket = index.get(row[column])
+                if bucket is None:
+                    index[row[column]] = [key]
+                else:
+                    bucket.append(key)
+            for bucket in index.values():
+                bucket.sort()
         if self.key_order is not None:
             self.key_order = sorted(stored)
 

@@ -60,7 +60,7 @@ class WorkloadConfig:
     def __post_init__(self):
         check_shared_fields(self)
         if not 0 < self.total_rate_per_s < math.inf:  # NaN fails too
-            raise ValueError("rate must be positive and finite")
+            raise ValueError("total_rate_per_s must be positive and finite")
         if self.warmup_ms >= self.duration_ms:
             # Clients stop sending at duration_ms, so nothing would be
             # observed.  (The open loop differs: its sessions drain past

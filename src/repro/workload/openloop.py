@@ -66,14 +66,19 @@ SCENARIOS = ("steady", "flash-crowd", "diurnal")
 
 def check_shared_fields(config) -> None:
     """The rules both loops' configs share: think time, duration and
-    warm-up finite and in range, and a browser fraction in [0, 1]."""
-    for value in (config.think_time_ms, config.duration_ms, config.warmup_ms):
-        if not -math.inf < value < math.inf:  # NaN fails both
-            raise ValueError("think time, duration and warmup must be finite")
+    warm-up finite and in range, and a browser fraction in [0, 1].
+
+    Every message starts with the field's name, which the CLI shows as
+    the flag that sets it."""
+    for name in ("think_time_ms", "duration_ms", "warmup_ms"):
+        if not -math.inf < getattr(config, name) < math.inf:  # NaN fails both
+            raise ValueError(f"{name} must be finite")
     if config.think_time_ms <= 0:
-        raise ValueError("think time must be positive")
-    if config.duration_ms <= 0 or config.warmup_ms < 0:
-        raise ValueError("duration must be positive and warmup non-negative")
+        raise ValueError("think_time_ms must be positive")
+    if config.duration_ms <= 0:
+        raise ValueError("duration_ms must be positive")
+    if config.warmup_ms < 0:
+        raise ValueError("warmup_ms must be non-negative")
     if not 0.0 <= config.browser_fraction <= 1.0:  # NaN fails too
         raise ValueError("browser_fraction must be in [0, 1]")
 
@@ -115,16 +120,11 @@ class OpenLoopConfig:
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
         check_shared_fields(self)
-        for value in (
-            self.session_rate_per_s,
-            self.pareto_alpha,
-            self.lognormal_sigma,
-            self.flash_multiplier,
-        ):
-            if not -math.inf < value < math.inf:  # NaN fails both
-                raise ValueError("session rate and arrival shape must be finite")
+        for name in ("session_rate_per_s", "pareto_alpha", "lognormal_sigma", "flash_multiplier"):
+            if not -math.inf < getattr(self, name) < math.inf:  # NaN fails both
+                raise ValueError(f"{name} must be finite")
         if self.session_rate_per_s <= 0:
-            raise ValueError("session rate must be positive")
+            raise ValueError("session_rate_per_s must be positive")
         if self.max_sessions < 0:
             raise ValueError("max_sessions must be non-negative")
         if self.pareto_alpha <= 1.0:

@@ -142,6 +142,33 @@ def test_cli_rejects_an_invalid_workload(capsys, monkeypatch, flags):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--workload", "open", "--session-rate", "0"], "--session-rate must be positive"),
+        (["--workload", "open", "--think-time", "0"], "--think-time must be positive"),
+        (["--duration", "0"], "--duration must be positive"),
+        (["--workload", "open", "--duration", "0"], "--duration must be positive"),
+        (["--warmup", "-1"], "--warmup must be non-negative"),
+        (["--workload", "open", "--session-rate", "nan"], "--session-rate must be finite"),
+    ],
+)
+def test_cli_names_the_flag_of_a_workload_value_out_of_range(
+    capsys, monkeypatch, flags, message
+):
+    """These used to say "session rate must be positive" and the like,
+    naming no flag."""
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("repro.experiments.__main__.run_cells", no_simulation)
+    assert main(["table7", "--jobs", "1"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"[workload] {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_rejects_a_closed_loop_warmup_that_swallows_the_run(capsys):
     """Used to print a header-only table and exit 0."""
     argv = ["table7", "--jobs", "1", "--level", "1", "--duration", "10", "--warmup", "20"]

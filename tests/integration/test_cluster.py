@@ -95,7 +95,7 @@ def test_sharding_actually_partitions_the_rows(crash_run):
         per_shard = []
         for group in cluster.groups:
             counts = {
-                sum(1 for _ in member.database.table(table).scan(copy=False))
+                sum(1 for _ in member.database.table(table).scan())
                 for member in group.members
                 if member.applied_index >= group.commit_index
             }

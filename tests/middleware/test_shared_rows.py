@@ -1,12 +1,12 @@
 """Shared read-only rows and size-once update messages.
 
-Storage owns the only mutable rows.  Every row past the executor — a
-query result, a cached result set, a pushed refresh, a replica entry,
-an update event's state — is a shared read-only value: one edge's query
-cache and another's may hold the same dicts.  The guard test below
-makes those rows refuse mutation and runs whole cells on them; a reader
-that still writes into a shared row raises instead of corrupting a
-cache.
+Every row is a shared read-only value, stored rows included: storage
+replaces a row on update and never changes one in place, so a stored
+row, a query result, a cached result set, a pushed refresh, a replica
+entry and an update event's state may all be one dict.  The guard test
+below makes those rows refuse mutation and runs whole cells on them; a
+writer that still changes a shared row in place raises instead of
+corrupting a cache, an image or another database.
 
 An update payload is walked once however many pushes and deliveries
 carry it, and the size it reports is the one ``sizeof`` gives the same
@@ -75,12 +75,23 @@ def _guarded_event(**fields):
     return UpdateEvent(**{**fields, "state": ReadOnlyRow(fields["state"])})
 
 
-_scan = Table.scan
+_insert, _update, _load_image = Table.insert, Table.update, Table.load_image
 
 
-def _guarded_scan(self, copy=True):
-    rows = _scan(self, copy)
-    return (ReadOnlyRow(row) for row in rows) if copy else rows
+def _guarded_insert(self, values):
+    row = _insert(self, values)
+    frozen = self._rows[row[self.schema.primary_key]] = ReadOnlyRow(row)
+    return frozen
+
+
+def _guarded_update(self, key, changes):
+    before = _update(self, key, changes)
+    self._rows[key] = ReadOnlyRow(self._rows[key])
+    return before
+
+
+def _guarded_load_image(self, rows):
+    _load_image(self, map(ReadOnlyRow, rows))
 
 
 D20 = {"workload": default_workload(duration_ms=20_000.0, warmup_ms=5_000.0)}
@@ -113,13 +124,16 @@ def _observed(app, level, options):
 
 
 def test_cells_run_unchanged_on_read_only_rows(monkeypatch):
-    """Rows are frozen where they are born: executor results, update
-    event snapshots and storage scan copies.  Every cell completes, and
-    observes exactly what it observes on plain dicts."""
+    """Rows are frozen where they are born: the rows storage stores (by
+    insert, update or image load), executor results and update event
+    snapshots.  Every cell completes, and observes exactly what it
+    observes on plain dicts."""
     plain = [_observed(*cell) for cell in GUARDED_CELLS]
     monkeypatch.setattr(executor_module, "ResultSet", _GuardedResultSet)
     monkeypatch.setattr(entity_module, "UpdateEvent", _guarded_event)
-    monkeypatch.setattr(Table, "scan", _guarded_scan)
+    monkeypatch.setattr(Table, "insert", _guarded_insert)
+    monkeypatch.setattr(Table, "update", _guarded_update)
+    monkeypatch.setattr(Table, "load_image", _guarded_load_image)
     for cell, expected in zip(GUARDED_CELLS, plain):
         assert _observed(*cell) == expected, cell[:2]
 

@@ -126,7 +126,7 @@ class Executor:
                 if isinstance(conjunct, Equals):
                     column = _on_table(conjunct.column.name, table, binding)
                     if column is not None and table.has_index(column):
-                        rows = table.index_lookup(column, _value(conjunct.value, params), copy=False)
+                        rows = table.index_lookup(column, _value(conjunct.value, params))
                         self.index_scans += 1
                         return rows, max(1, len(rows)), f"{table.name}.{column}"
             primary_key = table.schema.primary_key
@@ -140,15 +140,15 @@ class Executor:
                     if low is None and high is None:
                         break
                     keys = sorted(
-                        key for key in (row[primary_key] for row in table.scan(copy=False))
+                        key for key in (row[primary_key] for row in table.scan())
                         if (low is None or low <= key) and (high is None or key <= high)
                     )
-                    rows = [table.index_lookup(primary_key, key, copy=False)[0] for key in keys]
+                    rows = [table.index_lookup(primary_key, key)[0] for key in keys]
                     self.index_scans += 1
                     self.range_scans += 1
                     return rows, max(1, len(rows)), f"{table.name}.{primary_key}"
         self.full_scans += 1
-        return list(table.scan(copy=False)), len(table), None
+        return list(table.scan()), len(table), None
 
     def _update(self, statement: Update, params) -> ResultSet:
         table = self._table(statement.table)
@@ -237,10 +237,10 @@ class Executor:
             else:
                 value = outer[outer_key]
             if use_index:
-                matches = inner.index_lookup(inner_column, value, copy=False)
+                matches = inner.index_lookup(inner_column, value)
                 scanned += max(1, len(matches))
             else:
-                matches = [r for r in inner.scan(copy=False) if r.get(inner_column) == value]
+                matches = [r for r in inner.scan() if r.get(inner_column) == value]
                 scanned += len(inner)
             for match in matches:
                 if all(evaluate(c, match) for c in on_inner):

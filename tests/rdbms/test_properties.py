@@ -127,13 +127,16 @@ def test_like_agrees_with_substring(needle, rows):
 
 
 def _index_families_consistent(table):
-    """Assert the hash indexes and the key order exactly mirror the rows."""
+    """Assert the hash indexes and the key order exactly mirror the rows:
+    every bucket is the ascending list of the keys holding its value."""
     rows = table._rows
     for column, index in table._indexes.items():
         expected = {}
         for key, row in rows.items():
-            expected.setdefault(row[column], set()).add(key)
-        assert index == expected, f"hash index on {column} diverged"
+            expected.setdefault(row[column], []).append(key)
+        assert index == {value: sorted(keys) for value, keys in expected.items()}, (
+            f"hash index on {column} diverged"
+        )
         assert all(bucket for bucket in index.values()), "empty hash bucket"
     assert table.key_order == sorted(rows), "key order diverged"
 

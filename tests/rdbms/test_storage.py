@@ -25,10 +25,14 @@ def test_insert_and_get(table):
 
 
 def test_get_returns_copy(table):
+    """``get`` hands out the stored row, which acts as a copy taken at the
+    read: a later update stores a new row and leaves it as it was."""
     table.insert({"id": 1, "name": "ann", "city": "nyc"})
     row = table.get(1)
-    row["name"] = "mutated"
-    assert table.get(1)["name"] == "ann"
+    assert row is table._rows[1]
+    table.update(1, {"name": "bob"})
+    assert row == {"id": 1, "name": "ann", "city": "nyc"}
+    assert table.get(1)["name"] == "bob" and table.get(1) is not row
 
 
 def test_duplicate_primary_key_rejected(table):
@@ -104,17 +108,28 @@ def test_delete_missing_rejected(table):
 
 def test_restore_after_update_reverts_in_place(table):
     table.insert({"id": 1, "name": "ann", "city": "nyc"})
+    stored = table.get(1)
     before = table.update(1, {"city": "sf", "name": "ann2"})
+    assert before is stored
     table.restore(before)
-    assert table.get(1) == before
+    assert table.get(1) is before
+    assert before == {"id": 1, "name": "ann", "city": "nyc"}
     assert table.index_lookup("city", "sf") == []
 
 
 def test_scan_iterates_copies(table):
+    """Scanned rows act as copies taken at the scan: an update or delete
+    afterwards stores a new row or drops the old one, never edits it."""
     table.insert({"id": 1, "name": "ann", "city": "nyc"})
-    for row in table.scan():
-        row["name"] = "mutated"
-    assert table.get(1)["name"] == "ann"
+    table.insert({"id": 2, "name": "bob", "city": "sf"})
+    scanned = list(table.scan())
+    table.update(1, {"name": "mutated", "city": "la"})
+    table.delete(2)
+    assert scanned == [
+        {"id": 1, "name": "ann", "city": "nyc"},
+        {"id": 2, "name": "bob", "city": "sf"},
+    ]
+    assert table.get(1)["name"] == "mutated"
 
 
 def test_index_lookup_miss_never_grows_index(table):
@@ -136,25 +151,28 @@ def test_index_lookup_miss_never_grows_index(table):
 
 
 def test_index_lookup_copy_false_returns_live_rows(table):
+    """Lookups hand out the stored rows, not copies; an update stores a
+    new row and the looked-up one keeps its value."""
     table.insert({"id": 1, "name": "ann", "city": "nyc"})
-    live = table.index_lookup("city", "nyc", copy=False)[0]
+    live = table.index_lookup("city", "nyc")[0]
     assert live is table._rows[1]
-    copied = table.index_lookup("city", "nyc")[0]
-    assert copied is not live
-    copied["name"] = "mutated"
-    assert table.get(1)["name"] == "ann"
-    live_pk = table.index_lookup("id", 1, copy=False)[0]
-    assert live_pk is table._rows[1]
+    assert table.index_lookup("id", 1)[0] is live
+    assert table.range_lookup(1, 1)[0] is live
+    table.update(1, {"name": "mutated"})
+    assert live["name"] == "ann"
+    assert table.index_lookup("city", "nyc")[0] is table._rows[1] is not live
 
 
 def test_scan_copy_false_yields_live_rows(table):
+    """A scan is a sized live view of the stored rows: it follows later
+    inserts and deletes, and yields the stored dicts themselves."""
     table.insert({"id": 1, "name": "ann", "city": "nyc"})
+    view = table.scan()
     table.insert({"id": 2, "name": "bob", "city": "sf"})
-    live = list(table.scan(copy=False))
-    assert [row is table._rows[row["id"]] for row in live] == [True, True]
-    # Default scan still hands out independent copies.
-    for row in table.scan():
-        assert row is not table._rows[row["id"]]
+    assert len(view) == 2
+    assert [row is table._rows[row["id"]] for row in view] == [True, True]
+    table.delete(1)
+    assert [row["id"] for row in view] == [2]
 
 
 def test_index_lookup_mixed_key_types_stable_order(table):
@@ -199,7 +217,7 @@ def test_update_prunes_empty_hash_buckets(table):
     table.insert({"id": 1, "name": "ann", "city": "nyc"})
     table.update(1, {"city": "sf"})
     assert "nyc" not in table._indexes["city"]
-    assert table._indexes["city"] == {"sf": {1}}
+    assert table._indexes["city"] == {"sf": [1]}
 
 
 def test_key_order_range_lookup(table):
@@ -211,8 +229,7 @@ def test_key_order_range_lookup(table):
     assert [r["id"] for r in table.range_lookup(2, None)] == [2, 3]
     assert [r["id"] for r in table.range_lookup(1.5, 9)] == [2, 3]
     assert table.range_lookup(4, 9) == []
-    live = table.range_lookup(0, 0, copy=False)[0]
-    assert live is table._rows[0]
+    assert table.range_lookup(0, 0)[0] is table._rows[0]
 
 
 def test_key_order_tracks_inserts_and_deletes(table):
@@ -255,11 +272,12 @@ def test_an_image_rebuilds_an_insert_only_table_node_for_node(table):
     assert list(copy._rows.items()) == list(table._rows.items())
     assert list(copy._indexes["city"].items()) == list(table._indexes["city"].items())
     assert copy.key_order == table.key_order == list(range(300))
-    # Nothing mutable is shared: the copy moves on alone.
+    # The rows are shared, the indexes are not: the copy moves on alone.
+    assert all(copy._rows[key] is row for key, row in table._rows.items())
     copy.update(5, {"city": "moved"})
     copy.delete(6)
     assert table.get(5)["city"] != "moved" and table.get(6) is not None
-    assert 6 in table.key_order
+    assert 6 in table.key_order and 5 in table._indexes["city"][table.get(5)["city"]]
 
 
 def test_an_image_of_a_churned_table_answers_every_lookup_alike(table):

@@ -56,9 +56,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WorkloadConfig(total_rate_per_s=0.0)
     # Same rule (and message) as OpenLoopConfig.
-    with pytest.raises(ValueError, match="duration must be positive"):
+    with pytest.raises(ValueError, match="duration_ms must be positive"):
         WorkloadConfig(duration_ms=0.0)
-    with pytest.raises(ValueError, match="warmup non-negative"):
+    with pytest.raises(ValueError, match="warmup_ms must be non-negative"):
         WorkloadConfig(warmup_ms=-1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         WorkloadConfig().duration_ms = 1.0
