@@ -79,9 +79,6 @@ class ReadMostlyDescriptor:
     updater: str
     update_mode: UpdateMode = UpdateMode.SYNC
     refresh_mode: RefreshMode = RefreshMode.PUSH
-    # Optional relaxed-consistency bound (TACT-style, §5); None = propagate
-    # immediately.  Only meaningful for ASYNC updates.
-    staleness_bound_ms: Optional[float] = None
 
 
 @dataclass(frozen=True)

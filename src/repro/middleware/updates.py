@@ -8,7 +8,8 @@ Implements both halves of the paper's consistency spectrum:
   read operation that arrives after a previous write has committed will
   always read the correct value");
 * §4.5 **asynchronous updates** — the same payload is published once to
-  a JMS topic; ``UpdateSubscriber`` MDBs on the edge servers apply it,
+  a JMS topic at commit, one message per transaction (nothing batches or
+  delays it); ``UpdateSubscriber`` MDBs on the edge servers apply it,
   and the writer returns immediately.
 
 The ``UpdaterFacade`` stateless session bean is the single remote entry
@@ -201,27 +202,12 @@ class UpdatePropagator:
         self.sync_pushes = 0
         self.async_publishes = 0
         self.blocking_time_total = 0.0
-        # Pushes abandoned after the RMI layer exhausted its retries.
-        # The write already committed locally, so the edge replica is
-        # simply stale until a later push succeeds.
-        self.failed_pushes = 0
-        # Relaxed-consistency batching (§5, TACT-style staleness bounds):
-        # events whose descriptor declares staleness_bound_ms accumulate
-        # here and flush in one coalesced publish within the bound.
-        self._bounded_buffer: dict = {}  # (component, pk) -> UpdateEvent
-        self._buffer_started = 0.0
-        self._flush_scheduled = False
-        self._flush_deadline = float("inf")
-        self.coalesced_events = 0
-        self.bounded_flushes = 0
 
     def counters(self) -> Dict[str, int]:
         """Cumulative propagation counters, by metric name."""
         return {
             "propagator.sync_pushes": self.sync_pushes,
             "propagator.async_publishes": self.async_publishes,
-            "propagator.coalesced_events": self.coalesced_events,
-            "propagator.bounded_flushes": self.bounded_flushes,
         }
 
     # -- payload assembly ---------------------------------------------------
@@ -325,14 +311,10 @@ class UpdatePropagator:
                     if table not in carrier.tables:
                         carrier.tables.append(table)
             if not asynchronous.empty:
-                immediate, bound = self._split_by_staleness_bound(asynchronous)
-                if not immediate.empty:
-                    if self.tracks_table_writes:
-                        immediate.sent_at = ctx.env.now
-                    yield from self.server.jms.publish(ctx, UPDATE_TOPIC, immediate)
-                    self.async_publishes += 1
-                if bound is not None:
-                    self._buffer_bounded(ctx, *bound)
+                if self.tracks_table_writes:
+                    asynchronous.sent_at = ctx.env.now
+                yield from self.server.jms.publish(ctx, UPDATE_TOPIC, asynchronous)
+                self.async_publishes += 1
             if not sync.empty:
                 start = ctx.env.now
                 pushes = [
@@ -373,7 +355,6 @@ class UpdatePropagator:
         except (RmiTimeout,) + RETRYABLE_ERRORS:
             # The transaction already committed locally; a push that the
             # RMI layer could not land just leaves this replica stale.
-            self.failed_pushes += 1
             if stats is not None:
                 stats.sync_push_failures += 1
                 stats.dropped_updates += 1
@@ -387,87 +368,3 @@ class UpdatePropagator:
             return
         if stats is not None:
             stats.mark_fresh(target.name, ctx.env.now)
-
-    # -- relaxed-consistency batching (§5) --------------------------------------
-    def _staleness_bound_of(self, event: UpdateEvent) -> Optional[float]:
-        descriptor = self.server.application.components.get(event.component)
-        if descriptor is None or descriptor.read_mostly is None:
-            return None
-        return descriptor.read_mostly.staleness_bound_ms
-
-    def _split_by_staleness_bound(self, payload: UpdatePayload):
-        """Partition an async payload into (immediate, (bounded, min_bound))."""
-        immediate = UpdatePayload(
-            invalidations=list(payload.invalidations),
-            query_refreshes=list(payload.query_refreshes),
-            tables=list(payload.tables),
-        )
-        bounded_events: List[UpdateEvent] = []
-        min_bound: Optional[float] = None
-        for event in payload.events:
-            bound = self._staleness_bound_of(event)
-            if bound is None:
-                immediate.events.append(event)
-            else:
-                bounded_events.append(event)
-                min_bound = bound if min_bound is None else min(min_bound, bound)
-        if not bounded_events:
-            return immediate, None
-        return immediate, (bounded_events, min_bound)
-
-    def _buffer_bounded(
-        self, ctx: InvocationContext, events: List[UpdateEvent], bound: float
-    ) -> None:
-        """Coalesce bounded events by key; flush within the bound window.
-
-        Repeated writes to the same entity within one window ship once,
-        with the latest state — the bandwidth saving that motivates
-        relaxed consistency bounds (§5, citing TACT).
-        """
-        if not self._bounded_buffer:
-            # Staleness is measured from the oldest buffered commit.
-            self._buffer_started = ctx.env.now
-        for event in events:
-            key = (event.component, event.primary_key)
-            if key in self._bounded_buffer:
-                self.coalesced_events += 1
-            self._bounded_buffer[key] = event
-        deadline = ctx.env.now + bound
-        # Schedule (or pull forward) the flush so that no buffered event
-        # waits past its own staleness bound.
-        if not self._flush_scheduled or deadline < self._flush_deadline:
-            self._flush_scheduled = True
-            self._flush_deadline = deadline
-            ctx.env.process(
-                self._flush_after(ctx, bound), name="bounded-update-flush"
-            )
-
-    def _flush_after(
-        self, ctx: InvocationContext, delay: float
-    ) -> Generator[Event, Any, None]:
-        yield ctx.env.sleep(delay)
-        if not self._bounded_buffer:
-            return  # an earlier flush already drained the buffer
-        self._flush_scheduled = False
-        payload = UpdatePayload(events=list(self._bounded_buffer.values()))
-        if self.tracks_table_writes:
-            for event in payload.events:
-                if event.table not in payload.tables:
-                    payload.tables.append(event.table)
-            payload.sent_at = self._buffer_started
-        self._bounded_buffer.clear()
-        flush_ctx = InvocationContext(
-            env=ctx.env,
-            server=self.server,
-            request=None,
-            costs=self.server.costs,
-            trace=self.server.trace,
-        )
-        span = flush_ctx.start_span("propagate", "bounded-flush")
-        flush_ctx = flush_ctx.in_span(span)
-        try:
-            yield from self.server.jms.publish(flush_ctx, UPDATE_TOPIC, payload)
-        finally:
-            flush_ctx.finish_span(span)
-        self.async_publishes += 1
-        self.bounded_flushes += 1

@@ -33,8 +33,8 @@ from ..server import DatabaseServer, DbCostModel
 from ...simnet.kernel import Environment
 from ...simnet.network import Network, Node
 from ...simnet.rng import Streams
-from .config import DataTierError, DataTierPolicy, READ_MODES, SHARD_STRATEGIES
-from .raft import RaftGroup, RaftMember
+from .config import DataTierError, DataTierPolicy, READ_MODES
+from .raft import HEARTBEAT_MS, RaftGroup, RaftMember
 from .router import ClusterConnection, ClusterDataSource
 from .sharding import ClusterRoutingError, Partitioner, merge_results, route_statement
 from .stats import ClusterStats
@@ -51,7 +51,6 @@ __all__ = [
     "RaftGroup",
     "RaftMember",
     "READ_MODES",
-    "SHARD_STRATEGIES",
     "build_cluster",
     "merge_results",
     "route_statement",
@@ -146,9 +145,8 @@ class DataTierCluster:
         self.env.process(self._drive(horizon_ms), name="raft-driver")
 
     def _drive(self, horizon_ms: float):
-        tick = self.tier.heartbeat_ms
-        while self.env.now + tick <= horizon_ms:
-            yield self.env.sleep(tick)
+        while self.env.now + HEARTBEAT_MS <= horizon_ms:
+            yield self.env.sleep(HEARTBEAT_MS)
             for group in self.groups:
                 group.tick()
 
@@ -183,7 +181,7 @@ def build_cluster(
     partitioner = cluster.partitioner
     cost_model = cost_model or DbCostModel()
     for index in range(tier.shard_count):
-        group = RaftGroup(env, network, tier, f"shard{index}", cluster.stats)
+        group = RaftGroup(env, network, f"shard{index}", cluster.stats)
         for offset in range(tier.replication_factor):
             seat, node = seats[(index + offset) % len(seats)]
             copy = Database(f"{database.name}-shard{index}@{seat}")

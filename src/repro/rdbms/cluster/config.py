@@ -5,11 +5,13 @@ database stays a single main-site process.  :class:`DataTierPolicy`
 extends a :class:`~repro.core.policy.PlacementPolicy` with a declarative
 description of how the *data tier itself* is distributed:
 
-* **sharding** — which entity tables are hash/range partitioned, by
-  which column, across how many shards;
+* **sharding** — which entity tables are hash partitioned, by which
+  column, across how many shards;
 * **replication** — how many copies each shard keeps (a raft group of
-  that size), and how reads trade latency against staleness
-  (``read_mode``: ``leader`` / ``quorum`` / ``stale-local``).
+  that size), and whether reads go to the shard's leader or trade
+  freshness for latency at a local replica (``read_mode``: ``leader`` /
+  ``stale-local``).  The raft timing (heartbeat, election timeout) is
+  fixed in :mod:`.raft`, not declared here.
 
 Like the rest of the policy layer it is frozen, picklable and
 JSON-round-trippable, and it is *absent by default*: a policy without a
@@ -20,17 +22,16 @@ to every earlier release.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-__all__ = ["DataTierError", "DataTierPolicy", "READ_MODES", "SHARD_STRATEGIES"]
+__all__ = ["DataTierError", "DataTierPolicy", "READ_MODES"]
 
 
 class DataTierError(Exception):
     """Raised when a data-tier block is malformed."""
 
 
-READ_MODES = ("leader", "quorum", "stale-local")
-SHARD_STRATEGIES = ("hash", "range")
+READ_MODES = ("leader", "stale-local")
 
 
 @dataclass(frozen=True)
@@ -47,30 +48,13 @@ class DataTierPolicy:
     shard_count: int = 1
     shard_tables: Tuple[Tuple[str, str], ...] = ()
     global_tables: Tuple[str, ...] = ()
-    strategy: str = "hash"
-    # Ascending upper bounds for the range strategy (len == shard_count-1).
-    range_splits: Tuple[Any, ...] = ()
     replication_factor: int = 1
     read_mode: str = "leader"
-    heartbeat_ms: float = 75.0
-    # Must comfortably exceed the heartbeat round trip *under load* (WAN
-    # one-way latency is 100 ms and heartbeats queue behind page traffic),
-    # or followers election-storm in steady state.
-    election_timeout_ms: Tuple[float, float] = (1000.0, 2000.0)
 
     # -- derived -------------------------------------------------------------
     @property
-    def quorum(self) -> int:
-        """Majority of a replica group (2 of 3, 3 of 5, ...)."""
-        return self.replication_factor // 2 + 1
-
-    @property
     def replicated(self) -> bool:
         return self.replication_factor > 1
-
-    @property
-    def sharded(self) -> bool:
-        return self.shard_count > 1
 
     def shard_key(self, table: str) -> Optional[str]:
         """The shard-key column of ``table`` (None when not sharded)."""
@@ -98,37 +82,12 @@ class DataTierPolicy:
             errors.append(
                 f"read_mode must be one of {list(READ_MODES)}, got {self.read_mode!r}"
             )
-        if self.strategy not in SHARD_STRATEGIES:
-            errors.append(
-                f"strategy must be one of {list(SHARD_STRATEGIES)}, "
-                f"got {self.strategy!r}"
-            )
-        if self.strategy == "range":
-            expected = max(0, self.shard_count - 1)
-            if len(self.range_splits) != expected:
-                errors.append(
-                    f"range strategy with {self.shard_count} shards needs "
-                    f"{expected} split point(s), got {len(self.range_splits)}"
-                )
         if self.shard_count > 1 and not self.shard_tables:
             errors.append("shard count > 1 but no tables declare a shard key")
         overlap = {name for name, _ in self.shard_tables} & set(self.global_tables)
         if overlap:
             errors.append(
                 f"tables cannot be both sharded and global: {sorted(overlap)}"
-            )
-        if self.heartbeat_ms <= 0:
-            errors.append(f"heartbeat_ms must be positive, got {self.heartbeat_ms}")
-        lo, hi = self.election_timeout_ms
-        if not (0 < lo <= hi):
-            errors.append(
-                f"election_timeout_ms must be an increasing positive pair, "
-                f"got {self.election_timeout_ms}"
-            )
-        if lo <= self.heartbeat_ms:
-            errors.append(
-                "election timeout must exceed the heartbeat interval "
-                f"({lo} <= {self.heartbeat_ms})"
             )
         if seat_count is not None and self.replication_factor > seat_count:
             errors.append(
@@ -153,18 +112,7 @@ class DataTierPolicy:
             shards["tables"] = {name: key for name, key in self.shard_tables}
         if self.global_tables:
             shards["global_tables"] = list(self.global_tables)
-        if self.strategy != "hash":
-            shards["strategy"] = self.strategy
-        if self.range_splits:
-            shards["range_splits"] = list(self.range_splits)
-        replication: dict = {
-            "factor": int(self.replication_factor),
-            "read_mode": self.read_mode,
-        }
-        if self.heartbeat_ms != 75.0:
-            replication["heartbeat_ms"] = self.heartbeat_ms
-        if self.election_timeout_ms != (1000.0, 2000.0):
-            replication["election_timeout_ms"] = list(self.election_timeout_ms)
+        replication = {"factor": int(self.replication_factor), "read_mode": self.read_mode}
         return {"shards": shards, "replication": replication}
 
     @classmethod
@@ -177,9 +125,7 @@ class DataTierPolicy:
         shards = payload.get("shards", {})
         if not isinstance(shards, dict):
             raise DataTierError(f"data_tier.shards must be an object, got {shards!r}")
-        unknown = set(shards) - {
-            "count", "tables", "global_tables", "strategy", "range_splits"
-        }
+        unknown = set(shards) - {"count", "tables", "global_tables"}
         if unknown:
             raise DataTierError(f"unknown data_tier.shards keys: {sorted(unknown)}")
         tables_raw = shards.get("tables", {})
@@ -192,31 +138,18 @@ class DataTierPolicy:
             raise DataTierError(
                 f"data_tier.replication must be an object, got {replication!r}"
             )
-        unknown = set(replication) - {
-            "factor", "read_mode", "heartbeat_ms", "election_timeout_ms"
-        }
+        unknown = set(replication) - {"factor", "read_mode"}
         if unknown:
             raise DataTierError(
                 f"unknown data_tier.replication keys: {sorted(unknown)}"
             )
-        timeout_raw = replication.get("election_timeout_ms", (1000.0, 2000.0))
-        try:
-            lo, hi = timeout_raw
-        except (TypeError, ValueError):
-            raise DataTierError(
-                f"election_timeout_ms must be a [lo, hi] pair, got {timeout_raw!r}"
-            ) from None
         tier = cls(
             shard_count=int(shards.get("count", 1)),
             shard_tables=tuple(
                 sorted((str(name), str(key)) for name, key in tables_raw.items())
             ),
             global_tables=tuple(shards.get("global_tables", ())),
-            strategy=str(shards.get("strategy", "hash")),
-            range_splits=tuple(shards.get("range_splits", ())),
             replication_factor=int(replication.get("factor", 1)),
             read_mode=str(replication.get("read_mode", "leader")),
-            heartbeat_ms=float(replication.get("heartbeat_ms", 75.0)),
-            election_timeout_ms=(float(lo), float(hi)),
         )
         return tier.validate()

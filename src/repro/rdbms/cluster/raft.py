@@ -9,11 +9,16 @@ replicates committed write batches through a leader:
   followers in parallel; the client's commit resumes when a **quorum**
   (majority) has acknowledged — or fails with ``NodeUnavailable`` after
   the replication deadline, exactly like any other unavailable resource;
-* a periodic heartbeat/election driver keeps the group live: followers
-  that miss heartbeats past a randomized-but-seeded timeout campaign for
-  the leadership (terms, votes, log-completeness check), and heartbeats
-  carry *catch-up* — entries a crashed or partitioned follower missed —
-  plus the commit index that lets followers apply entries to their copy.
+* a heartbeat/election driver, ticking every ``HEARTBEAT_MS``, keeps the
+  group live: followers that miss heartbeats past a randomized-but-seeded
+  timeout drawn from ``ELECTION_TIMEOUT_MS`` campaign for the leadership
+  (terms, votes, log-completeness check), and heartbeats carry
+  *catch-up* — entries a crashed or partitioned follower missed — plus
+  the commit index that lets followers apply entries to their copy.
+
+Only writes wait for a quorum: a read goes to the member the group
+records as its leader (or a local replica, see :mod:`.router`) with no
+read-index round.
 
 Determinism: election timeouts are the only randomness, drawn from one
 named :class:`~repro.simnet.rng.Streams` stream per member
@@ -46,7 +51,6 @@ from ...simnet.kernel import Environment, Event
 from ...simnet.network import Network, NetworkError, Node
 from ...simnet.router import PacketLoss
 from ...simnet.transport import NodeUnavailable
-from .config import DataTierPolicy
 from .stats import ClusterStats
 
 __all__ = ["LogEntry", "RaftMember", "RaftGroup"]
@@ -73,6 +77,14 @@ PER_PARAM_SIZE = 8
 
 # A quorum commit that takes longer than this counts as unavailable.
 REPLICATION_TIMEOUT_MS = 4_000.0
+
+# The driver's tick: leaders heartbeat, followers check their timers.
+HEARTBEAT_MS = 75.0
+# The range a follower's election timeout is drawn from.  It must
+# comfortably exceed the heartbeat round trip *under load* (WAN one-way
+# latency is 100 ms and heartbeats queue behind page traffic), or
+# followers election-storm in steady state.
+ELECTION_TIMEOUT_MS = (1000.0, 2000.0)
 
 
 def batch_wire_size(batch: List[Tuple[Any, Tuple[Any, ...]]]) -> int:
@@ -126,8 +138,7 @@ class RaftMember:
         self.timeout_ms = self._draw_timeout()
 
     def _draw_timeout(self) -> float:
-        lo, hi = self.group.tier.election_timeout_ms
-        return self.rng.uniform(lo, hi)
+        return self.rng.uniform(*ELECTION_TIMEOUT_MS)
 
     @property
     def name(self) -> str:
@@ -154,13 +165,11 @@ class RaftGroup:
         self,
         env: Environment,
         network: Network,
-        tier: DataTierPolicy,
         name: str,
         stats: ClusterStats,
     ):
         self.env = env
         self.network = network
-        self.tier = tier
         self.name = name
         self.stats = stats
         self.members: List[RaftMember] = []
@@ -293,66 +302,6 @@ class RaftGroup:
                 member.node.name, leader.node.name, ACK_SIZE, "raft-ack"
             )
             if not leader.alive or not self._entry_live(entry, entry_index):
-                return
-            self.stats.quorum_rtts += 1
-            acks[0] += 1
-            if acks[0] == needed:
-                done.succeed()
-        except (NetworkError, PacketLoss):
-            return
-
-    # -- quorum reads ----------------------------------------------------------
-    def confirm_quorum(
-        self, leader: RaftMember
-    ) -> Generator[Event, Any, None]:
-        """Read-index confirmation: the leader proves it still leads.
-
-        A parallel round trip to the followers; the read is linearizable
-        once a majority (including the leader) has answered.  Fails with
-        ``NodeUnavailable`` when the quorum cannot be reached in time.
-        """
-        needed = self.quorum - 1
-        if needed <= 0:
-            return
-        done = self.env.event()
-        acks = [0]
-        for member in self.members:
-            if member is leader:
-                continue
-            self.env.process(
-                self._confirm_one(leader, member, acks, needed, done),
-                name=f"raft-readindex:{self.name}:{member.seat}",
-            )
-        outcome = yield self.env.any_of(
-            [done, self.env.timeout(REPLICATION_TIMEOUT_MS)]
-        )
-        if 0 not in outcome:
-            self.stats.replication_timeouts += 1
-            raise NodeUnavailable(
-                f"raft group {self.name}: read-index quorum not reached "
-                f"(term {leader.term})"
-            )
-
-    def _confirm_one(
-        self,
-        leader: RaftMember,
-        member: RaftMember,
-        acks: List[int],
-        needed: int,
-        done: Event,
-    ) -> Generator[Event, Any, None]:
-        try:
-            if not member.alive:
-                return
-            yield from self.network.transfer(
-                leader.node.name, member.node.name, ACK_SIZE, "raft-readindex"
-            )
-            if not member.alive or member.term > leader.term:
-                return
-            yield from self.network.transfer(
-                member.node.name, leader.node.name, ACK_SIZE, "raft-ack"
-            )
-            if not leader.alive:
                 return
             self.stats.quorum_rtts += 1
             acks[0] += 1

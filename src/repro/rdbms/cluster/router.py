@@ -21,12 +21,12 @@ Under the hood every statement is classified by
   prepare round before the per-group commits, and every committed write
   batch is handed to the group's raft log for quorum replication.
 
-Reads honour the policy's ``read_mode``: ``leader`` (default),
-``quorum`` (leader read + parallel read-index confirmation round —
-linearizable, slower), or ``stale-local`` (nearest replica on the
-calling node, with the staleness of missed commits *measured* and
-exported).  Leader resolution retries with a fixed deterministic backoff
-while an election is in progress, counting ``router_failovers``.
+Reads honour the policy's ``read_mode``: ``leader`` (default; the
+group's leader, no confirmation round) or ``stale-local`` (nearest
+replica on the calling node, with the staleness of missed commits
+*measured* and exported).  Leader resolution retries with a fixed
+deterministic backoff while an election is in progress, counting
+``router_failovers``.
 """
 
 from __future__ import annotations
@@ -284,8 +284,7 @@ class ClusterConnection:
                 stats.reads_leader += 1
                 result = yield from connection.execute(statement, params, trace_page)
                 return result
-        mode = self._tier.read_mode
-        if mode == "stale-local" and self._tier.replicated:
+        if self._tier.read_mode == "stale-local" and self._tier.replicated:
             member = group.member_on(self.source.client_node)
             if member is not None and member.alive:
                 stats.reads_stale_local += 1
@@ -303,18 +302,12 @@ class ClusterConnection:
                     connection.close()
                 return result
             # No live local replica for this group: fall back to the leader.
-        connection, leader, group = yield from self.source.leader_connection(group_index)
+        connection, _leader, _group = yield from self.source.leader_connection(group_index)
         try:
             result = yield from connection.execute(statement, params, trace_page)
         finally:
             connection.close()
-        if mode == "quorum" and self._tier.replicated:
-            # Read-index confirmation: the leader proves it still leads
-            # before the result counts, making the read linearizable.
-            stats.reads_quorum += 1
-            yield from group.confirm_quorum(leader)
-        else:
-            stats.reads_leader += 1
+        stats.reads_leader += 1
         return result
 
     # -- transactions -----------------------------------------------------------

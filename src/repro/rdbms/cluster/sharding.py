@@ -16,7 +16,6 @@ to them broadcast.
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple, Union
 
@@ -34,19 +33,14 @@ class ClusterRoutingError(Exception):
 
 
 class Partitioner:
-    """Maps shard-key values to shard indexes (hash or range)."""
+    """Maps shard-key values to shard indexes by hash."""
 
     def __init__(self, tier: DataTierPolicy):
-        self.tier = tier
         self.count = tier.shard_count
 
     def shard_of(self, value: Any) -> int:
         if self.count == 1:
             return 0
-        if self.tier.strategy == "range":
-            # range_splits are ascending upper bounds; values above the
-            # last split land in the final shard.
-            return bisect_left(list(self.tier.range_splits), value)
         # Hash partitioning: crc32 of the canonical string form, which is
         # stable across processes and Python versions (unlike hash()).
         return zlib.crc32(str(value).encode("utf-8")) % self.count

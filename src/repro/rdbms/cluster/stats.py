@@ -39,7 +39,6 @@ class ClusterStats:
         self.router_failovers = 0  # statements retried onto a new leader
         # Reads by mode, and the measured staleness of stale-local reads.
         self.reads_leader = 0
-        self.reads_quorum = 0
         self.reads_stale_local = 0
         self.stale_reads_served = 0  # stale-local reads that missed >= 1 commit
         self.staleness_ms = 0.0  # summed age of the oldest missed commit
@@ -58,7 +57,6 @@ class ClusterStats:
             "quorum_commits": self.quorum_commits,
             "quorum_rtts": self.quorum_rtts,
             "reads_leader": self.reads_leader,
-            "reads_quorum": self.reads_quorum,
             "reads_stale_local": self.reads_stale_local,
             "replication_timeouts": self.replication_timeouts,
             "router_failovers": self.router_failovers,

@@ -40,6 +40,18 @@ class StorageError(Exception):
     """Raised on constraint violations (duplicate key, missing row, ...)."""
 
 
+def _add_key(keys: List[Any], key: Any) -> None:
+    """Put ``key`` in its place in the ascending list ``keys``.
+
+    Keys mostly arrive ascending (generators and apps number rows from
+    counters), so a key that sorts last is appended without a bisection.
+    """
+    if not keys or keys[-1] < key:
+        keys.append(key)
+    else:
+        insort(keys, key)
+
+
 class Table:
     """In-memory heap of rows keyed by primary key, with hash indexes.
 
@@ -126,12 +138,10 @@ class Table:
             bucket = index.get(row[column])
             if bucket is None:
                 index[row[column]] = [key]
-            elif key > bucket[-1]:  # keys mostly arrive ascending
-                bucket.append(key)
             else:
-                insort(bucket, key)
+                _add_key(bucket, key)
         if self.key_order is not None:
-            insort(self.key_order, key)
+            _add_key(self.key_order, key)
         return row
 
     def update(self, key: Any, changes: Dict[str, Any]) -> Row:
@@ -174,7 +184,7 @@ class Table:
             if bucket is None:
                 index[new_value] = [key]
             else:
-                insort(bucket, key)
+                _add_key(bucket, key)
         self._rows[key] = new
 
     def delete(self, key: Any) -> Row:

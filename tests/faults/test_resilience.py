@@ -188,8 +188,7 @@ def test_sync_push_failure_counts_dropped_update():
 
     run_process(env, write())
     stats = system.resilience
-    assert main.update_propagator.failed_pushes >= 1
-    assert stats.sync_push_failures == main.update_propagator.failed_pushes
+    assert stats.sync_push_failures >= 1
     assert stats.dropped_updates >= 1
     stats.finalize(env.now)
     assert stats.staleness_ms.get("edge1", 0.0) > 0.0

@@ -2,12 +2,11 @@
 
 Scaled-down versions of the acceptance runs: a 3-shard / 3-replica RUBiS
 cell under ``db-leader-crash`` must re-elect and catch up; a partition
-must make stale-local reads measurably stale while quorum reads stay
-fresh; and all of it must be byte-identical between ``--jobs 1`` and
-``--jobs 4`` and invisible to policies without a ``data_tier`` block.
+must make stale-local reads measurably stale; and all of it must be
+byte-identical between ``--jobs 1`` and ``--jobs 4`` and invisible to
+policies without a ``data_tier`` block.
 """
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -146,7 +145,7 @@ def test_cluster_counters_reach_metrics_and_tables(crash_run):
 
 
 # ---------------------------------------------------------------------------
-# Read modes: stale-local staleness is real, quorum reads never stale
+# Read modes: stale-local staleness is real
 # ---------------------------------------------------------------------------
 
 
@@ -155,28 +154,6 @@ def test_partition_makes_stale_local_reads_stale(partition_run):
     assert stats.reads_stale_local > 0
     assert stats.stale_reads_served > 0
     assert stats.staleness_ms > 0.0
-    assert stats.reads_quorum == 0
-
-
-def test_quorum_reads_report_zero_staleness(sharded_policy):
-    quorum_policy = dataclasses.replace(
-        sharded_policy,
-        data_tier=dataclasses.replace(sharded_policy.data_tier, read_mode="quorum"),
-    )
-    result = run_configuration(
-        "rubis",
-        PatternLevel.STATEFUL_CACHING,
-        workload=WORKLOAD,
-        seed=31,
-        policy=quorum_policy,
-        topology=EDGES,
-        faults=_partition_schedule(),
-    )
-    stats = result.system.cluster.stats
-    assert stats.reads_quorum > 0
-    assert stats.reads_stale_local == 0
-    assert stats.stale_reads_served == 0
-    assert stats.staleness_ms == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,5 @@
-"""Tests for the §4.3/§5 propagation optimizations: delta pushes and
-relaxed-consistency (staleness-bound) batching."""
-
-from dataclasses import replace
-
-import pytest
+"""Tests for the §4.3 propagation optimization: delta pushes, which ship
+only the fields a write changed."""
 
 from repro.core.patterns import PatternLevel
 from repro.middleware.context import InvocationContext, RequestInfo, UpdateEvent
@@ -29,13 +25,6 @@ def _write(env, system, note_id, text):
         yield from facade.call(ctx, "write_note", note_id, text)
 
     return proc()
-
-
-def _set_staleness_bound(system, bound_ms):
-    descriptor = system.application.components["Note"]
-    descriptor.read_mostly = replace(
-        descriptor.read_mostly, staleness_bound_ms=bound_ms
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -102,107 +91,3 @@ def test_delta_to_cold_replica_falls_back_to_invalidation():
         return text
 
     assert run_process(env, read()) == "note text 1"  # pulled authoritative state
-
-
-# ---------------------------------------------------------------------------
-# Staleness-bound batching (TACT-style relaxed consistency, §5)
-# ---------------------------------------------------------------------------
-
-
-def test_bounded_updates_coalesce_into_one_publish():
-    env, system = tiny_system(PatternLevel.ASYNC_UPDATES)
-    _set_staleness_bound(system, 1_000.0)
-    system.warm_replicas()
-    propagator = system.main.update_propagator
-
-    def burst():
-        for version in range(4):
-            yield from _write(env, system, 1, f"burst-{version}")
-
-    run_process(env, burst())
-    # Four writes within one window: three coalesced, one flush carries
-    # the entity state.  (Query-cache refreshes are not bounded and still
-    # publish per write: 4 immediate + 1 flush.)
-    assert propagator.coalesced_events == 3
-    assert propagator.bounded_flushes == 1
-    assert propagator.async_publishes == 5
-
-
-def test_bounded_updates_converge_to_latest_value():
-    env, system = tiny_system(PatternLevel.ASYNC_UPDATES)
-    _set_staleness_bound(system, 500.0)
-    system.warm_replicas()
-
-    def burst():
-        for version in range(3):
-            yield from _write(env, system, 2, f"b-{version}")
-
-    run_process(env, burst())  # drains the flush and its deliveries
-    for server_name in ("edge1", "edge2"):
-        replica = system.servers[server_name].readonly_container("Note")
-        assert replica._cache[2]["text"] == "b-2"
-
-
-def test_staleness_never_exceeds_bound_plus_propagation():
-    env, system = tiny_system(PatternLevel.ASYNC_UPDATES)
-    bound = 800.0
-    _set_staleness_bound(system, bound)
-    system.warm_replicas()
-    converged_at = {}
-
-    def writer():
-        yield from _write(env, system, 3, "bounded")
-        committed_at = env.now
-
-        def watcher():
-            replica = system.servers["edge1"].readonly_container("Note")
-            while replica._cache[3]["text"] != "bounded":
-                yield env.timeout(5.0)
-            converged_at["delay"] = env.now - committed_at
-
-        env.process(watcher())
-
-    env.process(writer())
-    env.run()
-    # Bound + one-way WAN (~103 ms) + processing slack.
-    assert converged_at["delay"] <= bound + 150.0
-
-
-def test_unbounded_components_still_publish_immediately():
-    env, system = tiny_system(PatternLevel.ASYNC_UPDATES)
-    system.warm_replicas()  # staleness_bound_ms is None by default
-    propagator = system.main.update_propagator
-    run_process(env, _write(env, system, 4, "now"))
-    assert propagator.async_publishes == 1
-    assert propagator.bounded_flushes == 0
-
-
-def test_tighter_bound_pulls_flush_forward():
-    """A later event with a smaller staleness bound must not wait for an
-    earlier event's longer flush window."""
-    env, system = tiny_system(PatternLevel.ASYNC_UPDATES)
-    _set_staleness_bound(system, 2_000.0)
-    system.warm_replicas()
-    converged_at = {}
-
-    def scenario():
-        yield from _write(env, system, 1, "slow-bound")
-        # Tighten the bound mid-window, then write again.
-        _set_staleness_bound(system, 100.0)
-        system.main.home_cache.invalidate()
-        yield env.timeout(50.0)
-        committed = env.now
-        yield from _write(env, system, 2, "fast-bound")
-
-        def watcher():
-            replica = system.servers["edge1"].readonly_container("Note")
-            while replica._cache[2]["text"] != "fast-bound":
-                yield env.timeout(5.0)
-            converged_at["delay"] = env.now - committed
-
-        env.process(watcher())
-
-    env.process(scenario())
-    env.run()
-    # Bound 100 + one-way WAN (~103 ms) + slack — NOT the 2 s window.
-    assert converged_at["delay"] <= 100.0 + 180.0

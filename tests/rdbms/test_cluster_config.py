@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.policy import PlacementPolicy, load_policy
+from repro.experiments.__main__ import main
 from repro.rdbms.cluster import DataTierError, DataTierPolicy
 
 POLICY_DIR = Path(__file__).resolve().parents[2] / "policies"
@@ -32,16 +33,9 @@ def _tier(**overrides):
 
 def test_defaults_are_the_degenerate_single_instance():
     tier = DataTierPolicy()
-    assert not tier.sharded
+    assert tier.shard_count == 1
     assert not tier.replicated
-    assert tier.quorum == 1
     assert tier.validation_errors() == []
-
-
-def test_quorum_is_a_majority():
-    assert _tier(replication_factor=3).quorum == 2
-    assert _tier(replication_factor=5).quorum == 3
-    assert _tier(replication_factor=4).quorum == 3
 
 
 def test_shard_key_lookup():
@@ -58,13 +52,8 @@ def test_shard_key_lookup():
         (dict(shard_count=0), "shard count"),
         (dict(replication_factor=0), "replication factor"),
         (dict(read_mode="eventual"), "read_mode"),
-        (dict(strategy="round-robin"), "strategy"),
-        (dict(strategy="range"), "split point"),
         (dict(shard_tables=(), shard_count=2), "no tables declare"),
         (dict(global_tables=("items",)), "both sharded and global"),
-        (dict(heartbeat_ms=0.0), "heartbeat_ms"),
-        (dict(election_timeout_ms=(2000.0, 1000.0)), "increasing"),
-        (dict(election_timeout_ms=(50.0, 60.0)), "exceed the heartbeat"),
     ],
 )
 def test_contradictions_are_reported(overrides, fragment):
@@ -81,26 +70,24 @@ def test_replication_factor_bounded_by_seat_count():
         tier.validate(seat_count=3)
 
 
-def test_range_strategy_needs_ascending_splits():
-    tier = _tier(strategy="range", range_splits=(100, 200))
-    assert tier.validation_errors() == []
-
-
 # ---------------------------------------------------------------------------
 # JSON round trips
 # ---------------------------------------------------------------------------
 
 
 def test_tier_json_round_trip():
-    tier = _tier(heartbeat_ms=50.0, election_timeout_ms=(500.0, 900.0))
+    tier = _tier()
     assert DataTierPolicy.from_json(tier.to_json()) == tier
+    single = DataTierPolicy()
+    assert DataTierPolicy.from_json(single.to_json()) == single
 
 
 def test_tier_json_omits_defaults():
-    payload = _tier().to_json()
-    assert "heartbeat_ms" not in payload["replication"]
-    assert "election_timeout_ms" not in payload["replication"]
-    assert "strategy" not in payload["shards"]
+    payload = DataTierPolicy().to_json()
+    assert payload == {
+        "shards": {"count": 1},
+        "replication": {"factor": 1, "read_mode": "leader"},
+    }
 
 
 def test_tier_json_rejects_unknown_keys():
@@ -127,10 +114,38 @@ def test_shipped_sharded_policy_loads_and_validates():
     policy = load_policy(str(POLICY_DIR / "sharded-replicated.json"))
     tier = policy.data_tier
     assert tier is not None
-    assert tier.sharded and tier.replicated
+    assert tier.shard_count > 1 and tier.replicated
     assert tier.shard_count == 3
     assert tier.replication_factor == 3
     assert tier.read_mode == "stale-local"
     assert tier.shard_key("items") == "id"
     # 3 replicas fit the paper's testbed (main seat + two edges).
     assert tier.validation_errors(seat_count=3) == []
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("shards", "strategy", "hash", "'strategy'"),
+        ("shards", "range_splits", [100, 200], "'range_splits'"),
+        ("replication", "heartbeat_ms", 50.0, "'heartbeat_ms'"),
+        ("replication", "election_timeout_ms", [500.0, 900.0], "'election_timeout_ms'"),
+        ("replication", "read_mode", "quorum", "'quorum'"),
+    ],
+    ids=["strategy", "range_splits", "heartbeat_ms", "election_timeout_ms", "quorum"],
+)
+def test_cli_rejects_a_policy_naming_a_removed_setting(
+    section, key, value, named, tmp_path, capsys
+):
+    """Range sharding, the raft timing keys and quorum reads are gone: a
+    policy file that still names one fails before anything is planned."""
+    policy = json.loads((POLICY_DIR / "sharded-replicated.json").read_text())
+    policy["data_tier"][section][key] = value
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(policy))
+    code = main(["plan", "--app", "rubis", "--policy", str(path), "--edges", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("[policy] ")
+    assert named in captured.err

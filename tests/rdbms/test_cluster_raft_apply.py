@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.rdbms.cluster import ClusterStats, DataTierPolicy, RaftGroup, RaftMember
+from repro.rdbms.cluster import ClusterStats, RaftGroup, RaftMember
 from repro.rdbms.cluster.raft import LogEntry
 from repro.rdbms.engine import Database
 from repro.rdbms.schema import Column, TableSchema
@@ -20,7 +20,7 @@ from repro.simnet.kernel import Environment
 
 def _group_with_one_member():
     env = Environment()
-    group = RaftGroup(env, None, DataTierPolicy(), "shard0", ClusterStats())
+    group = RaftGroup(env, None, "shard0", ClusterStats())
     database = Database("replica")
     database.create_table(
         TableSchema("items", [Column("id", INTEGER)], primary_key="id")

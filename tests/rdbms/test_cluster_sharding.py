@@ -50,20 +50,6 @@ def test_single_shard_partitioner_always_zero():
     assert single.shard_of(99) == 0
 
 
-def test_range_partitioner_uses_ascending_splits():
-    tier = DataTierPolicy(
-        shard_count=3,
-        shard_tables=(("items", "id"),),
-        strategy="range",
-        range_splits=(100, 200),
-    )
-    part = Partitioner(tier)
-    assert part.shard_of(5) == 0
-    assert part.shard_of(150) == 1
-    assert part.shard_of(200) == 1  # splits are upper bounds (bisect_left)
-    assert part.shard_of(999) == 2
-
-
 # ---------------------------------------------------------------------------
 # Routing
 # ---------------------------------------------------------------------------
