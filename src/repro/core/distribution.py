@@ -48,9 +48,9 @@ class DeployedSystem:
     db_server: DatabaseServer
     plan: DeploymentPlan
     automation: AutomationReport
+    resilience: ResilienceStats
     # The deployment-wide span table; None when the run records no spans.
     trace: Optional[SpanRecorder] = None
-    resilience: Optional[ResilienceStats] = None
     policy: Optional[PlacementPolicy] = None
     # Sharded/replicated data tier; None under a single-instance policy.
     cluster: Optional[DataTierCluster] = None

@@ -22,7 +22,6 @@ from ..core.distribution import DeployedSystem, distribute
 from ..core.patterns import PAPER_LEVELS, PatternLevel
 from ..core.policy import PlacementPolicy
 from ..faults.injector import FaultInjector
-from ..faults.report import collect_resilience
 from ..faults.schedule import FaultSchedule
 from ..obs.metrics import collect_cache_stats, collect_system_metrics
 from ..obs.spans import SpanRecorder
@@ -143,8 +142,6 @@ class CellResult:
     # span table and the query-cache/replica counters.
     spans_state: Optional[dict] = None
     cache_stats: Optional[dict] = None
-    # Canonical resilience snapshot (all-zero in fault-free runs).
-    resilience: Optional[dict] = None
     # Row label for tables/figures (a custom policy's name; None for the
     # canned configurations, which label themselves by level).
     label: Optional[str] = None
@@ -341,8 +338,6 @@ def run_configuration(
     generator.run(env)
     cpu = time.process_time() - cpu_started
     wall = time.perf_counter() - started
-    # Close staleness windows before the metrics snapshot reads them.
-    resilience = collect_resilience(system, generator=generator)
     collect_system_metrics(store.registry, system, generator=generator)
     return CellResult(
         app=app,
@@ -353,7 +348,6 @@ def run_configuration(
         cpu_seconds=cpu,
         spans_state=spans.to_state() if spans is not None else None,
         cache_stats=collect_cache_stats(system),
-        resilience=resilience,
         label=policy.name if policy is not None else None,
         topology=topology_dict(config),
         system=system,

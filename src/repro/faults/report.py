@@ -1,11 +1,11 @@
 """The per-configuration availability/degradation report.
 
-``collect_resilience`` condenses one finished run into a canonical plain
-dict (picklable, sorted keys) carried on ``CellResult`` next to the
-measurement store's state; ``build_availability_table`` /
-``render_availability_table`` turn a five-configuration series of those
-dicts into the availability table printed alongside Tables 6–7 when a
-fault scenario is active.
+``availability_row`` projects one finished cell's metrics snapshot — the
+``workload.*``, ``resilience.*``, ``cluster.*`` and ``methodcache.*``
+entries the one statistics walk registered — onto a canonical plain dict;
+``build_availability_table`` / ``render_availability_table`` turn a
+five-configuration series of those rows into the availability table
+printed alongside Tables 6–7 when a fault scenario is active.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.patterns import PatternLevel, level_name
-from ..obs.metrics import collect_cache_stats
+from .stats import ResilienceStats
 
 __all__ = [
-    "collect_resilience",
+    "availability_row",
     "AvailabilityTable",
     "build_availability_table",
     "render_availability_table",
@@ -27,45 +27,52 @@ __all__ = [
 ]
 
 
-def collect_resilience(system, generator=None) -> dict:
-    """Snapshot the deployment's resilience counters (canonical dict).
-
-    Always cheap and always collected — in a fault-free run every value
-    is zero, which is itself evidence the run was clean.  Closes any
-    still-open staleness windows at the current sim time first.
-    """
-    stats = system.resilience
-    data: dict = {
-        "requests": 0,
-        "errors": 0,
-        "failovers": 0,
+def _section(values: dict, prefix: str) -> dict:
+    """The entries of ``values`` named ``prefix<key>``, by ``key``."""
+    return {
+        name[len(prefix):]: value for name, value in values.items() if name.startswith(prefix)
     }
-    if generator is not None:
-        data["requests"] = generator.total_requests()
-        data["errors"] = generator.errors
-        data["failovers"] = generator.failovers
+
+
+def availability_row(metrics: dict) -> dict:
+    """One cell's availability row, read from its metrics snapshot.
+
+    ``metrics`` is ``MeasurementStore.to_state()["metrics"]``.  Every
+    resilience counter is present — zero in a fault-free run, which is
+    itself evidence the run was clean — and ``staleness_ms`` holds each
+    server's non-zero staleness.  ``cluster`` appears only under a data
+    tier and ``method_cache`` (the counters summed over servers, the
+    worst staleness taken as the max) only under level 6, so every
+    artifact of a run without them keeps its key set.
+    """
+    counters = metrics["counters"]
+    gauges = metrics["gauges"]
+    row: dict = {
+        "requests": counters["workload.requests"],
+        "errors": counters["workload.errors"],
+        "failovers": counters["workload.failovers"],
         # Dropped arrivals are a resilience fact of their own (always 0
         # on the closed loop, whose clients never drop).
-        data["dropped_sessions"] = generator.dropped_sessions
-    if stats is not None:
-        stats.finalize(system.env.now)
-        data.update(stats.to_dict())
-    cluster = system.cluster
-    if cluster is not None:
-        # Only present for data-tier policies, so every artifact of a
-        # single-instance run stays byte-identical to pre-cluster output.
-        data["cluster"] = cluster.stats.to_dict()
+        "dropped_sessions": counters["workload.sessions_dropped"],
+    }
+    for name in ResilienceStats.COUNTERS:
+        row[name] = counters.get(f"resilience.{name}", 0)
+    row["staleness_ms"] = _section(gauges, "resilience.staleness_ms.")
+    if "cluster.staleness_ms" in gauges:
+        row["cluster"] = {
+            **_section(counters, "cluster."),
+            "staleness_ms": gauges["cluster.staleness_ms"],
+        }
     method_cache: dict = {}
-    for counters in collect_cache_stats(system).get("method_cache", {}).values():
-        for key, value in counters.items():
-            if key == "staleness_max_ms":
-                method_cache[key] = max(method_cache.get(key, 0.0), value)
-            else:
-                method_cache[key] = method_cache.get(key, 0) + value
+    for name, value in _section(counters, "methodcache.").items():
+        key = name.rpartition(".")[2]
+        if key == "staleness_max_ms":
+            method_cache[key] = max(method_cache.get(key, 0.0), value)
+        else:
+            method_cache[key] = method_cache.get(key, 0) + value
     if method_cache:
-        # Only present under level 6, same byte-identity discipline.
-        data["method_cache"] = method_cache
-    return data
+        row["method_cache"] = method_cache
+    return row
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class AvailabilityTable:
 
     app: str
     scenario: str
-    # ((level, resilience dict), ...) in ascending level order.
+    # ((level, availability row), ...) in ascending level order.
     rows: Tuple[Tuple[PatternLevel, dict], ...]
     # Custom row labels (custom-policy runs); absent levels use level_name.
     labels: Dict[PatternLevel, str] = field(default_factory=dict)
@@ -86,14 +93,13 @@ class AvailabilityTable:
 
 
 def build_availability_table(app: str, series: Dict, scenario: str = "") -> AvailabilityTable:
-    """Assemble the table from a run series (results carry ``resilience``)."""
+    """Assemble the table from a run series, one row per cell's metrics."""
     rows = []
     labels: Dict[PatternLevel, str] = {}
     topology = None
     for level in sorted(series, key=int):
         result = series[level]
-        resilience = result.resilience or {}
-        rows.append((PatternLevel(level), resilience))
+        rows.append((PatternLevel(level), availability_row(result.measurements["metrics"])))
         if result.label:
             labels[PatternLevel(level)] = result.label
         if topology is None:

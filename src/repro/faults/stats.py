@@ -2,10 +2,12 @@
 
 One :class:`ResilienceStats` instance is shared by every server, the JMS
 provider and the update propagator of a deployment (wired by
-``distribute()``), so the availability report reads a single canonical
-object instead of walking ad-hoc per-component attributes.  The class
-lives at the bottom of the dependency graph — it imports nothing — so
-both ``simnet``-adjacent and middleware code can use it freely.
+``distribute()``), and :meth:`~ResilienceStats.counters` publishes it
+through the one statistics walk (``obs.metrics.system_counters``) like
+every other subsystem; the availability report reads the cell's metrics
+snapshot.  The class lives at the bottom of the dependency graph — it
+imports nothing — so both ``simnet``-adjacent and middleware code can
+use it freely.
 
 Staleness accounting: a replica host is *stale* from the moment an
 update destined for it is first dropped (failed sync push, failed JMS
@@ -23,6 +25,18 @@ __all__ = ["ResilienceStats"]
 
 class ResilienceStats:
     """Counters for the fault/resilience layer; all zero in fault-free runs."""
+
+    # The counted facts, by attribute (and ``resilience.<name>`` metric) name.
+    COUNTERS = (
+        "rmi_retries",
+        "rmi_timeouts",
+        "jms_redeliveries",
+        "jms_dead_lettered",
+        "sync_push_failures",
+        "dropped_updates",
+        "pool_refusals",
+        "server_crashes",
+    )
 
     def __init__(self):
         self.rmi_retries = 0
@@ -55,23 +69,12 @@ class ResilienceStats:
             self.mark_fresh(server, now)
 
     # -- reporting ----------------------------------------------------------
-    @property
-    def total_staleness_ms(self) -> float:
-        return sum(self.staleness_ms.values())
-
-    def to_dict(self) -> dict:
-        """Canonical picklable snapshot (sorted keys, plain types)."""
+    def counters(self) -> Dict[str, int]:
+        """The non-zero counters, by metric name: a fault-free run names
+        none, so its metrics snapshot is the one it had before the fault
+        subsystem existed."""
         return {
-            "rmi_retries": self.rmi_retries,
-            "rmi_timeouts": self.rmi_timeouts,
-            "jms_redeliveries": self.jms_redeliveries,
-            "jms_dead_lettered": self.jms_dead_lettered,
-            "sync_push_failures": self.sync_push_failures,
-            "dropped_updates": self.dropped_updates,
-            "pool_refusals": self.pool_refusals,
-            "server_crashes": self.server_crashes,
-            "staleness_ms": {
-                name: round(self.staleness_ms[name], 6)
-                for name in sorted(self.staleness_ms)
-            },
+            f"resilience.{name}": getattr(self, name)
+            for name in self.COUNTERS
+            if getattr(self, name)
         }

@@ -78,7 +78,6 @@ class JmsProvider:
         # profile's budget, then parked here as (topic, message id,
         # subscriber) — the update is *dropped* and the subscriber's
         # replicas go stale until a later update lands.
-        self.redeliveries = 0
         self.dead_letters: List[Tuple[str, int, str]] = []
 
     def topic(self, name: str) -> Topic:
@@ -173,21 +172,17 @@ class JmsProvider:
                     yield from container.invoke(delivery_ctx, "on_message", (message,))
                     break
                 except RETRYABLE_ERRORS + (RmiTimeout,):
-                    if stats is not None:
-                        # The subscriber missed an update: stale from the
-                        # first failed attempt until something lands.
-                        stats.mark_stale(subscriber_server.name, self.env.now)
+                    # The subscriber missed an update: stale from the
+                    # first failed attempt until something lands.
+                    stats.mark_stale(subscriber_server.name, self.env.now)
                     if attempt > costs.jms_max_redeliveries:
                         self.dead_letters.append(
                             (topic.name, message.id, subscriber_server.name)
                         )
-                        if stats is not None:
-                            stats.jms_dead_lettered += 1
-                            stats.dropped_updates += 1
+                        stats.jms_dead_lettered += 1
+                        stats.dropped_updates += 1
                         return
-                    self.redeliveries += 1
-                    if stats is not None:
-                        stats.jms_redeliveries += 1
+                    stats.jms_redeliveries += 1
                     yield self.env.sleep(
                         backoff_delay(
                             costs.jms_redelivery_backoff_ms,
@@ -197,9 +192,8 @@ class JmsProvider:
                     )
             topic.delivered += 1
             self.deliveries += 1
-            if stats is not None:
-                # A successful delivery ends any open staleness window.
-                stats.mark_fresh(subscriber_server.name, self.env.now)
+            # A successful delivery ends any open staleness window.
+            stats.mark_fresh(subscriber_server.name, self.env.now)
             lag = self.env.now - message.published_at
             self.delivery_latency_total += lag
             if self.metrics is not None:

@@ -211,11 +211,9 @@ class RemoteRef(ComponentRef):
                 except RETRYABLE_ERRORS as error:
                     stats = self.source_server.resilience
                     if attempt > costs.rmi_max_retries or env.now >= deadline:
-                        if stats is not None:
-                            stats.rmi_timeouts += 1
+                        stats.rmi_timeouts += 1
                         raise RmiTimeout(self.descriptor.name, method, src, dst, attempt) from error
-                    if stats is not None:
-                        stats.rmi_retries += 1
+                    stats.rmi_retries += 1
                     yield env.sleep(
                         backoff_delay(
                             costs.rmi_backoff_base_ms, costs.rmi_backoff_cap_ms, attempt

@@ -95,7 +95,6 @@ class AppServer:
         # Availability: clients probing a failed server time out and may
         # fail over to another entry point (§1's availability argument).
         self.available = True
-        self.crashes = 0
         # Deployment-wide resilience counters; distribute() replaces this
         # per-server default with one instance shared by every server.
         self.resilience = ResilienceStats()
@@ -149,9 +148,7 @@ class AppServer:
         over to another entry point while we are down.
         """
         self.available = False
-        self.crashes += 1
-        if self.resilience is not None:
-            self.resilience.server_crashes += 1
+        self.resilience.server_crashes += 1
         self.web_sessions.clear()
         for container in self.containers.values():
             drain = getattr(container, "drain", None)
@@ -253,8 +250,7 @@ class AppServer:
         peer = self.peers.get(node_name)
         if peer is None or peer.available:
             return True
-        if self.resilience is not None:
-            self.resilience.pool_refusals += 1
+        self.resilience.pool_refusals += 1
         return False
 
     def rmi_pool(self, dst_node: str) -> ConnectionPool:

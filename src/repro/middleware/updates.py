@@ -355,16 +355,14 @@ class UpdatePropagator:
         except (RmiTimeout,) + RETRYABLE_ERRORS:
             # The transaction already committed locally; a push that the
             # RMI layer could not land just leaves this replica stale.
-            if stats is not None:
-                stats.sync_push_failures += 1
-                stats.dropped_updates += 1
-                stats.mark_stale(target.name, ctx.env.now)
-            cache = getattr(target, "method_cache", None)
+            stats.sync_push_failures += 1
+            stats.dropped_updates += 1
+            stats.mark_stale(target.name, ctx.env.now)
+            cache = target.method_cache
             if cache is not None:
                 # Ground truth for the staleness audit: this target never
                 # saw the payload (the seq gap it leaves is what the
                 # cache's own guards must catch).
                 cache.mark_missed(shipped, ctx.env.now)
             return
-        if stats is not None:
-            stats.mark_fresh(target.name, ctx.env.now)
+        stats.mark_fresh(target.name, ctx.env.now)

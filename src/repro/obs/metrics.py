@@ -231,8 +231,8 @@ def collect_cache_stats(system) -> dict:
     section per mechanism ``kind``, then the server, then the member's
     ``name`` where a server holds several of a kind; keys sorted, so the
     dict is deterministic and directly comparable across runs.  This is
-    the one walk of edge state: metrics, the time series, the
-    availability report and rule R7 all read its result.
+    the one walk of edge state: metrics (and through them the
+    availability report), the time series and rule R7 all read its result.
     """
     # The paper's two sections always exist; any other (``method_cache``,
     # level 6) only with a member, so levels 1-5 emit byte-identical dicts.
@@ -283,11 +283,19 @@ def system_counters(system, generator=None) -> Dict[str, Number]:
     its own through ``counters()``, and the edge-state members through
     :func:`collect_cache_stats`.  A subsystem the deployment lacks (JMS,
     the propagator, a data tier, the generator) contributes no names;
+    ``resilience.*`` names only the non-zero fault counters and
     ``methodcache.*`` exists only under level 6.  End-of-run metrics
     register every entry; the time-series sampler reads deltas of some.
     """
+    cluster = system.cluster
     counters: Dict[str, Number] = dict(system.db_server.counters())
-    for source in (system.main.jms, system.main.update_propagator, system.cluster, generator):
+    for source in (
+        system.resilience,
+        system.main.jms,
+        system.main.update_propagator,
+        None if cluster is None else cluster.stats,
+        generator,
+    ):
         if source is not None:
             counters.update(source.counters())
     for kind, section in collect_cache_stats(system).items():
@@ -328,26 +336,18 @@ def collect_system_metrics(registry: MetricsRegistry, system, generator=None) ->
         registry.gauge("workload.sessions_active").set(float(generator.active))
         registry.gauge("workload.sessions_peak").set(float(generator.peak_active))
 
-    # Resilience counters are emitted only when nonzero: a fault-free run
-    # produces a metrics snapshot byte-identical to one taken before the
-    # fault subsystem existed.
+    # Staleness is a reading, not a count: a gauge per server with a
+    # non-zero window, closed at the end of the run first.
     resilience = system.resilience
-    if resilience is not None:
-        resilience.finalize(system.env.now)
-        snapshot = resilience.to_dict()
-        staleness = snapshot.pop("staleness_ms")
-        for name in sorted(snapshot):
-            if snapshot[name]:
-                registry.counter(f"resilience.{name}").inc(snapshot[name])
-        for server_name in sorted(staleness):
-            if staleness[server_name]:
-                registry.gauge(f"resilience.staleness_ms.{server_name}").set(
-                    staleness[server_name]
-                )
+    resilience.finalize(system.env.now)
+    for server_name in sorted(resilience.staleness_ms):
+        staleness = round(resilience.staleness_ms[server_name], 6)
+        if staleness:
+            registry.gauge(f"resilience.staleness_ms.{server_name}").set(staleness)
 
     cluster = system.cluster
     if cluster is not None:
-        registry.gauge("cluster.staleness_ms").set(cluster.stats.to_dict()["staleness_ms"])
+        registry.gauge("cluster.staleness_ms").set(round(cluster.stats.staleness_ms, 6))
         registry.gauge("cluster.shards").set(float(cluster.tier.shard_count))
         registry.gauge("cluster.replication_factor").set(
             float(cluster.tier.replication_factor)

@@ -150,15 +150,6 @@ class DataTierCluster:
             for group in self.groups:
                 group.tick()
 
-    def counters(self) -> Dict[str, int]:
-        """Cumulative data-tier counters, by metric name (``staleness_ms``
-        is a reading, not a count, and is left out)."""
-        return {
-            f"cluster.{name}": value
-            for name, value in self.stats.to_dict().items()
-            if name != "staleness_ms"
-        }
-
 
 def build_cluster(
     env: Environment,

@@ -87,14 +87,6 @@ class ClusterDataSource:
         return ClusterConnection(self)
         yield  # pragma: no cover - acquisition is lazy, per-statement
 
-    @property
-    def statements(self) -> int:
-        return sum(source.statements for source in self._sources.values())
-
-    @property
-    def connections_opened(self) -> int:
-        return sum(source.connections_opened for source in self._sources.values())
-
     # -- member plumbing -------------------------------------------------------
     def source_for(self, member: RaftMember) -> DataSource:
         source = self._sources.get(member.name)

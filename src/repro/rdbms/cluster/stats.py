@@ -3,19 +3,22 @@
 Everything the experiments surface about the replicated/sharded tier —
 elections, term changes, quorum round trips, cross-shard transactions,
 stale reads and their measured staleness — accumulates here, then flows
-into ``collect_resilience`` (availability tables), ``repro.obs`` metrics
-and the time-series sampler.  All zero under a policy without a
+through :meth:`ClusterStats.counters` and the ``cluster.staleness_ms``
+gauge into the cell's metrics snapshot, which the availability table and
+the time-series sampler read.  All zero under a policy without a
 ``data_tier`` block, in which case nothing is ever emitted (the
 byte-identity contract for canned policies).
 """
 
 from __future__ import annotations
 
+from typing import Dict
+
 __all__ = ["ClusterStats"]
 
 
 class ClusterStats:
-    """Counters for one data-tier cluster (canonical, picklable snapshot)."""
+    """Counters for one data-tier cluster."""
 
     def __init__(self):
         # Raft: elections and leadership.
@@ -43,27 +46,11 @@ class ClusterStats:
         self.stale_reads_served = 0  # stale-local reads that missed >= 1 commit
         self.staleness_ms = 0.0  # summed age of the oldest missed commit
 
-    def to_dict(self) -> dict:
-        """Canonical snapshot: sorted keys, plain types."""
+    def counters(self) -> Dict[str, int]:
+        """Cumulative counters, by metric name (``staleness_ms`` is a
+        reading, not a count, and is left out)."""
         return {
-            "apply_errors": self.apply_errors,
-            "broadcast_writes": self.broadcast_writes,
-            "catchup_entries": self.catchup_entries,
-            "cross_shard_txns": self.cross_shard_txns,
-            "elections_started": self.elections_started,
-            "elections_won": self.elections_won,
-            "heartbeats_sent": self.heartbeats_sent,
-            "leader_failovers": self.leader_failovers,
-            "quorum_commits": self.quorum_commits,
-            "quorum_rtts": self.quorum_rtts,
-            "reads_leader": self.reads_leader,
-            "reads_stale_local": self.reads_stale_local,
-            "replication_timeouts": self.replication_timeouts,
-            "router_failovers": self.router_failovers,
-            "scatter_gather_queries": self.scatter_gather_queries,
-            "single_shard_statements": self.single_shard_statements,
-            "stale_reads_served": self.stale_reads_served,
-            "staleness_ms": round(self.staleness_ms, 6),
-            "term_changes": self.term_changes,
-            "two_phase_commits": self.two_phase_commits,
+            f"cluster.{name}": value
+            for name, value in vars(self).items()
+            if name != "staleness_ms"
         }

@@ -104,7 +104,6 @@ class JdbcConnection:
                 kind="jdbc",
             )
             remaining -= batch
-        self.source.statements += 1
         return result
 
     # -- transactions -----------------------------------------------------------
@@ -161,7 +160,6 @@ class DataSource:
         self._pool = ConnectionPool(network, kind="jdbc", max_per_pair=self.config.max_pool_size)
         self._idle_sessions: list = []
         self.connections_opened = 0
-        self.statements = 0
 
     def connect(self) -> Generator[Event, Any, JdbcConnection]:
         """Obtain a connection; pays handshake+auth only for new physical ones."""

@@ -15,6 +15,7 @@ from repro.experiments import calibration
 from repro.experiments.figures import build_figure, figure_to_csv, render_figure
 from repro.experiments.runner import run_configuration, run_series
 from repro.experiments.tables import build_table, render_table, table_to_csv
+from repro.faults.report import availability_row
 
 FAST = calibration.default_workload(duration_ms=20_000.0, warmup_ms=5_000.0)
 QUICK = calibration.default_workload(duration_ms=6_000.0, warmup_ms=1_000.0)
@@ -44,8 +45,8 @@ def test_paper_levels_emit_no_method_cache_artifacts(level):
     assert not any(
         name.startswith("methodcache.") for name in result.store.registry.names()
     )
-    # ...and the resilience snapshot keeps its pre-refactor key set.
-    assert "method_cache" not in result.resilience
+    # ...and the availability row keeps its pre-refactor key set.
+    assert "method_cache" not in availability_row(result.measurements["metrics"])
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ ones — same results for any worker count and for repeated seeds."""
 from repro.core.patterns import PatternLevel
 from repro.experiments.calibration import default_workload
 from repro.experiments.runner import run_configuration, run_series
+from repro.faults.report import availability_row
 from repro.faults.scenarios import scenario
 from repro.faults.schedule import FaultSchedule
 
@@ -19,6 +20,10 @@ def _workload():
 
 def _scenario():
     return scenario("edge-partition", DURATION_MS, WARMUP_MS)
+
+
+def _row(result):
+    return availability_row(result.measurements["metrics"])
 
 
 def test_empty_schedule_reproduces_the_fault_free_run_exactly():
@@ -36,14 +41,14 @@ def test_empty_schedule_reproduces_the_fault_free_run_exactly():
     )
     assert with_empty.fault_injector is None
     assert with_empty.monitor.to_state() == baseline.monitor.to_state()
-    assert with_empty.resilience == baseline.resilience
+    assert _row(with_empty) == _row(baseline)
 
 
 def test_fault_free_resilience_snapshot_is_all_zero():
     result = run_configuration(
         "petstore", PatternLevel.STATEFUL_CACHING, workload=_workload(), seed=7
     )
-    snapshot = dict(result.resilience)
+    snapshot = _row(result)
     assert snapshot.pop("requests") > 0
     assert snapshot.pop("staleness_ms") == {}
     assert all(value == 0 for value in snapshot.values())
@@ -63,7 +68,7 @@ def test_fault_run_is_identical_serial_vs_parallel():
     )
     for level in LEVELS:
         assert serial[level].monitor.to_state() == parallel[level].measurements["whole_run"]
-        assert serial[level].resilience == parallel[level].resilience
+        assert _row(serial[level]) == _row(parallel[level])
 
 
 def test_fault_run_is_repeatable_for_the_same_seed():
@@ -75,9 +80,9 @@ def test_fault_run_is_repeatable_for_the_same_seed():
     )
     for level in LEVELS:
         assert first[level].monitor.to_state() == second[level].monitor.to_state()
-        assert first[level].resilience == second[level].resilience
+        assert _row(first[level]) == _row(second[level])
     # The scenario must actually bite, or the regression proves nothing.
-    disturbed = first[PatternLevel.STATEFUL_CACHING].resilience
+    disturbed = _row(first[PatternLevel.STATEFUL_CACHING])
     assert (
         disturbed["errors"] > 0
         or disturbed["rmi_retries"] > 0

@@ -113,13 +113,12 @@ def test_crash_window_takes_server_down_and_restarts_it():
         env,
         lambda: (
             edge.available,
-            edge.crashes,
             system.resilience.server_crashes,
             injector.crashes_applied,
         ),
     )
     env.run()
-    assert readings[0] == (False, 1, 1, 1)
+    assert readings[0] == (False, 1, 1)
     assert readings[1][0]
 
 

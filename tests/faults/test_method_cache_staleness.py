@@ -18,7 +18,11 @@ from pathlib import Path
 from repro.core.patterns import PatternLevel
 from repro.core.policy import level_policy, load_policy
 from repro.experiments.runner import run_configuration
-from repro.faults.report import build_availability_table, render_availability_table
+from repro.faults.report import (
+    availability_row,
+    build_availability_table,
+    render_availability_table,
+)
 from repro.faults.scenarios import scenario
 from repro.middleware.descriptors import UpdateMode
 from repro.middleware.updates import UPDATE_SUBSCRIBER
@@ -76,7 +80,7 @@ def test_strict_mode_serves_zero_stale_results_under_partition():
             faults=_scenario(),
             policy=policy,
         )
-        audit = result.resilience["method_cache"]
+        audit = availability_row(result.measurements["metrics"])["method_cache"]
         # The scenario must actually bite, or the zero proves nothing.
         assert audit["missed_payloads"] > 0, (policy.name, audit)
         assert audit["hits"] > 0, (policy.name, audit)
@@ -97,7 +101,7 @@ def test_bounded_mode_measures_its_staleness_window_under_partition():
         seed=13,
         faults=_scenario(),
     )
-    audit = result.resilience["method_cache"]
+    audit = availability_row(result.measurements["metrics"])["method_cache"]
     assert audit["hits"] > 0
     assert audit["staleness_events"] > 0
     assert audit["staleness_total_ms"] > 0.0
@@ -123,4 +127,4 @@ def test_fault_free_resilience_has_no_method_cache_key_below_level_6():
     result = run_configuration(
         "rubis", PatternLevel.ASYNC_UPDATES, workload=_workload(), seed=13
     )
-    assert "method_cache" not in result.resilience
+    assert "method_cache" not in availability_row(result.measurements["metrics"])

@@ -1,55 +1,60 @@
-"""The availability report: snapshotting, table assembly, rendering."""
+"""The availability report: the row read from metrics, table assembly,
+rendering."""
 
 import json
 from types import SimpleNamespace
 
 from repro.core.patterns import PatternLevel
 from repro.faults.report import (
+    availability_row,
     availability_to_json,
     build_availability_table,
-    collect_resilience,
     render_availability_table,
 )
+from repro.faults.stats import ResilienceStats
+from repro.obs.metrics import MetricsRegistry, collect_system_metrics
 from tests.helpers import tiny_system
 
 
-def _row(requests=100, errors=0, **extra):
-    row = {
-        "requests": requests,
-        "errors": errors,
-        "failovers": 0,
-        "rmi_retries": 0,
-        "rmi_timeouts": 0,
-        "jms_redeliveries": 0,
-        "jms_dead_lettered": 0,
-        "sync_push_failures": 0,
-        "dropped_updates": 0,
-        "pool_refusals": 0,
-        "server_crashes": 0,
-        "staleness_ms": {},
-    }
-    row.update(extra)
-    return row
-
-
-def _series(rows):
+def _metrics(requests=100, errors=0, staleness_ms=None):
+    """A cell's metrics snapshot holding just what the row reads."""
     return {
-        level: SimpleNamespace(resilience=row, label=None, topology=None)
-        for level, row in zip(PatternLevel, rows)
+        "counters": {
+            "workload.requests": requests,
+            "workload.errors": errors,
+            "workload.failovers": 0,
+            "workload.sessions_dropped": 0,
+        },
+        "gauges": {
+            f"resilience.staleness_ms.{server}": value
+            for server, value in (staleness_ms or {}).items()
+        },
     }
 
 
-def test_collect_resilience_on_a_clean_system_is_all_zero():
+def _series(snapshots):
+    return {
+        level: SimpleNamespace(measurements={"metrics": metrics}, label=None, topology=None)
+        for level, metrics in zip(PatternLevel, snapshots)
+    }
+
+
+def test_availability_row_of_a_clean_system_is_all_zero():
     env, system = tiny_system()
-    data = collect_resilience(system)
-    assert data["requests"] == 0
-    assert data["errors"] == 0
-    assert data["rmi_retries"] == 0
-    assert data["staleness_ms"] == {}
+    state = collect_system_metrics(MetricsRegistry(), system).to_state()
+    # A tiny system has no load generator: its workload counters are 0.
+    state["counters"].update(_metrics(requests=0)["counters"])
+    row = availability_row(state)
+    assert row["requests"] == 0
+    assert row["errors"] == 0
+    for name in ResilienceStats.COUNTERS:
+        assert row[name] == 0
+    assert row["staleness_ms"] == {}
+    assert "cluster" not in row and "method_cache" not in row
 
 
 def test_build_table_orders_rows_by_level():
-    rows = [_row(requests=10 * (index + 1)) for index in range(len(PatternLevel))]
+    rows = [_metrics(requests=10 * (index + 1)) for index in range(len(PatternLevel))]
     table = build_availability_table("petstore", _series(rows), scenario="edge-partition")
     assert table.app == "petstore"
     assert table.scenario == "edge-partition"
@@ -59,8 +64,8 @@ def test_build_table_orders_rows_by_level():
 
 
 def test_render_reports_availability_percentage():
-    rows = [_row() for _ in PatternLevel]
-    rows[0] = _row(requests=75, errors=25)  # 75% available
+    rows = [_metrics() for _ in PatternLevel]
+    rows[0] = _metrics(requests=75, errors=25)  # 75% available
     text = render_availability_table(
         build_availability_table("petstore", _series(rows), scenario="edge-partition")
     )
@@ -71,8 +76,8 @@ def test_render_reports_availability_percentage():
 
 
 def test_render_sums_staleness_in_seconds():
-    rows = [_row() for _ in PatternLevel]
-    rows[-1] = _row(staleness_ms={"edge1": 1500.0, "edge2": 750.0})
+    rows = [_metrics() for _ in PatternLevel]
+    rows[-1] = _metrics(staleness_ms={"edge1": 1500.0, "edge2": 750.0})
     text = render_availability_table(
         build_availability_table("petstore", _series(rows))
     )
@@ -80,7 +85,7 @@ def test_render_sums_staleness_in_seconds():
 
 
 def test_availability_json_is_canonical():
-    rows = [_row(requests=5) for _ in PatternLevel]
+    rows = [_metrics(requests=5) for _ in PatternLevel]
     table = build_availability_table("rubis", _series(rows), scenario="flaky-wan")
     payload = json.loads(availability_to_json([table]))
     assert payload["rubis"]["scenario"] == "flaky-wan"

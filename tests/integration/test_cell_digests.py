@@ -11,7 +11,8 @@ under level 6, faults, the open loop and tracing.
 
 Three more ``edge-crash`` cells run with the telemetry sampler on
 (``obs_interval_ms=1000``) and add digests of the store's series section
-and of the resilience snapshot: the only pin on the sampler's ``cache.query_*`` /
+and of the availability row (``faults.report.availability_row`` of the
+metrics section): the only pin on the sampler's ``cache.query_*`` /
 ``replica.*`` / ``methodcache.*`` deltas and on the availability
 report's ``method_cache`` fold.
 
@@ -35,6 +36,7 @@ import pytest
 
 from repro.experiments.calibration import default_workload
 from repro.experiments.runner import RunSpec, run_configuration
+from repro.faults.report import availability_row
 from repro.faults.scenarios import scenario
 from repro.workload.openloop import OpenLoopConfig
 
@@ -122,7 +124,7 @@ def digest(app: str, level: int, spec: RunSpec) -> dict:
     }
     if spec.obs_interval_ms:
         entry["series"] = _sha256(measurements["series"])
-        entry["resilience"] = _sha256(result.resilience)
+        entry["resilience"] = _sha256(availability_row(measurements["metrics"]))
     return entry
 
 

@@ -15,7 +15,11 @@ from repro.core.patterns import PatternLevel
 from repro.core.policy import load_policy
 from repro.experiments.calibration import default_workload
 from repro.experiments.runner import run_configuration, run_series
-from repro.faults.report import render_availability_table, build_availability_table
+from repro.faults.report import (
+    availability_row,
+    build_availability_table,
+    render_availability_table,
+)
 from repro.faults.scenarios import scenario
 from repro.obs.metrics import MetricsRegistry, collect_system_metrics
 from repro.simnet.topology import TopologyOverrides
@@ -36,6 +40,15 @@ def _crash_schedule():
 
 def _partition_schedule():
     return scenario("db-shard-partition", DURATION_MS, WARMUP_MS, edges=EDGE_NAMES)
+
+
+def _row(result):
+    return availability_row(result.measurements["metrics"])
+
+
+def _cluster_counts(stats):
+    """Every ClusterStats counter by name, staleness rounded as published."""
+    return {**vars(stats), "staleness_ms": round(stats.staleness_ms, 6)}
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +134,9 @@ def test_leader_crash_forces_reelection_and_catchup(crash_run):
 
 
 def test_cluster_counters_reach_the_resilience_snapshot(crash_run):
-    snapshot = crash_run.resilience
+    snapshot = _row(crash_run)
     assert "cluster" in snapshot
-    assert snapshot["cluster"] == crash_run.system.cluster.stats.to_dict()
+    assert snapshot["cluster"] == _cluster_counts(crash_run.system.cluster.stats)
 
 
 def test_cluster_counters_reach_metrics_and_tables(crash_run):
@@ -173,12 +186,12 @@ def test_cluster_run_identical_serial_vs_four_workers(sharded_policy, crash_run)
     )
     level = sharded_policy.effective_level()
     assert crash_run.monitor.to_state() == parallel[level].measurements["whole_run"]
-    assert crash_run.resilience == parallel[level].resilience
+    assert _row(crash_run) == _row(parallel[level])
     # The cluster counters themselves — elections, staleness and all —
     # are part of the byte-identity bar.
     assert (
-        crash_run.system.cluster.stats.to_dict()
-        == parallel[level].resilience["cluster"]
+        _cluster_counts(crash_run.system.cluster.stats)
+        == _row(parallel[level])["cluster"]
     )
 
 
@@ -190,7 +203,7 @@ def test_policy_without_data_tier_builds_no_cluster():
         seed=31,
     )
     assert result.system.cluster is None
-    assert "cluster" not in result.resilience
+    assert "cluster" not in _row(result)
     registry = MetricsRegistry()
     collect_system_metrics(registry, result.system, generator=result.generator)
     assert not any(

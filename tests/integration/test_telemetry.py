@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.patterns import PatternLevel
 from repro.experiments.runner import run_configuration, run_series
+from repro.faults.report import availability_row
 from repro.faults.scenarios import load_schedule
 from repro.obs.export import Sweep, canonical_json, validate_series, write_bundle
 from repro.obs.metrics import Histogram
@@ -164,7 +165,9 @@ def test_telemetry_leaves_the_monitor_untouched(flash_cell):
     )
     assert bare.measurements["series"] is None
     assert bare.monitor.to_state() == flash_cell.monitor.to_state()
-    assert bare.resilience == flash_cell.resilience
+    assert availability_row(bare.measurements["metrics"]) == availability_row(
+        flash_cell.measurements["metrics"]
+    )
 
 
 # ---------------------------------------------------------------------------

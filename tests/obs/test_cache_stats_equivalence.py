@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments.calibration import default_workload
 from repro.experiments.runner import RunSpec, run_configuration
+from repro.faults.report import availability_row
 from repro.faults.scenarios import scenario
 from repro.obs.metrics import collect_cache_stats
 from tests.obs.reference_cache_stats import reference_cache_stats
@@ -48,5 +49,5 @@ def test_chain_walk_equals_reference_reader_after_an_edge_crash():
     )
     result = run_configuration("rubis", 6, spec)
     stats = _assert_same_stats(result)
-    assert result.resilience["server_crashes"] == 1
+    assert availability_row(result.measurements["metrics"])["server_crashes"] == 1
     assert stats["method_cache"]["edge1"]["drops"] == 1

@@ -55,6 +55,13 @@ def test_shard_key_lookup():
         (dict(shard_tables=(), shard_count=2), "no tables declare"),
         (dict(global_tables=("items",)), "both sharded and global"),
     ],
+    ids=[
+        "shard-count",
+        "replication-factor",
+        "read-mode",
+        "no-sharded-tables",
+        "sharded-and-global",
+    ],
 )
 def test_contradictions_are_reported(overrides, fragment):
     errors = _tier(**overrides).validation_errors()

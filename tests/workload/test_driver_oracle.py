@@ -92,6 +92,19 @@ def _run_reference(monkeypatch, generator_class, loop, app, level, fault):
     return _run(loop, app, level, fault)
 
 
+def _resilience(result):
+    """The fault counters and staleness windows, closed at the end of the
+    run as the (skipped) end-of-run metrics walk would, and the dropped
+    arrivals the availability report reads beside them."""
+    stats = result.system.resilience
+    stats.finalize(result.system.env.now)
+    return {
+        "counters": stats.counters(),
+        "staleness_ms": stats.staleness_ms,
+        "dropped_sessions": result.generator.dropped_sessions,
+    }
+
+
 def _observed(result, counters):
     """Everything a run exposes that does not depend on the host."""
     return {
@@ -99,7 +112,7 @@ def _observed(result, counters):
         "counters": counters,
         "kernel_events": result.system.env.stats()["sequence"],
         "spans": result.spans_state,
-        "resilience": result.resilience,
+        "resilience": _resilience(result),
         "cache_stats": result.cache_stats,
     }
 

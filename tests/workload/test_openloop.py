@@ -176,12 +176,16 @@ def test_openloop_admission_cap_drops_sessions():
 
 
 def test_openloop_dropped_sessions_reach_the_availability_report():
-    from repro.faults.report import availability_to_json, build_availability_table
+    from repro.faults.report import (
+        availability_row,
+        availability_to_json,
+        build_availability_table,
+    )
 
     result = _run_openloop(_small_config(session_rate_per_s=20.0, max_sessions=5))
     dropped = result.generator.dropped_sessions
     assert dropped > 0
-    assert result.resilience["dropped_sessions"] == dropped
+    assert availability_row(result.measurements["metrics"])["dropped_sessions"] == dropped
     table = build_availability_table("rubis", {result.level: result})
     payload = json.loads(availability_to_json([table]))
     assert payload["rubis"]["configurations"]["L5"]["dropped_sessions"] == dropped
@@ -231,4 +235,3 @@ def test_openloop_cell_is_picklable_and_parallel_consistent():
     key = ("rubis", 5)
     assert serial[key].measurements == parallel[key].measurements
     assert serial[key].total_requests == parallel[key].total_requests
-    assert serial[key].resilience == parallel[key].resilience
