@@ -10,9 +10,10 @@ run (:mod:`repro.obs.spans`), producing a structured report:
   :class:`~repro.middleware.rmi.RemoteRef`; the checker catches
   descriptor-level risk even before running.)
 * **R2 — one wide-area call per page**: serving any page incurs at most
-  ``max_wan_calls_per_request`` wide-area RMI/JDBC calls on its span
-  tree's client path (the paper's stated exception: Verify Signin makes
-  two).  Checked only from a complete span table.
+  :data:`WAN_CALLS_PER_PAGE` (one) wide-area RMI/JDBC call on its span
+  tree's client path; a page named in ``page_exceptions`` gets its own
+  budget (the paper's stated exception: Verify Signin makes two).
+  Checked only from a complete span table.
 * **R3 — session state at the edge**: session-oriented state is created
   on the server the client connects to (every *entry server*), never
   fetched across the WAN.
@@ -59,6 +60,9 @@ from .policy import PlacementPolicy
 
 __all__ = ["RuleViolation", "RuleReport", "DesignRuleChecker", "precheck"]
 
+#: R2's budget: wide-area client-path calls allowed per page.
+WAN_CALLS_PER_PAGE = 1
+
 
 @dataclass
 class RuleViolation:
@@ -99,12 +103,10 @@ class DesignRuleChecker:
     def __init__(
         self,
         system: DeployedSystem,
-        max_wan_calls_per_request: int = 1,
         page_exceptions: Optional[Dict[str, int]] = None,
         min_replica_hit_rate: float = 0.5,
     ):
         self.system = system
-        self.max_wan_calls_per_request = max_wan_calls_per_request
         # Pages allowed a higher budget, e.g. {"Verify Signin": 2} (§4.2).
         self.page_exceptions = dict(page_exceptions or {})
         self.min_replica_hit_rate = min_replica_hit_rate
@@ -170,7 +172,7 @@ class DesignRuleChecker:
             worst[page] = max(worst.get(page, 0), count)
         report.metrics["max_wan_calls_seen"] = float(max(worst.values()) if worst else 0)
         for page, count in sorted(worst.items()):
-            budget = self.page_exceptions.get(page, self.max_wan_calls_per_request)
+            budget = self.page_exceptions.get(page, WAN_CALLS_PER_PAGE)
             if count > budget:
                 report.violations.append(
                     RuleViolation(

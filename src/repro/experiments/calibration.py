@@ -59,8 +59,6 @@ PETSTORE_COSTS = MiddlewareCosts(
     instance_creation=2.5,
     rmi_cpu=0.9,
     rmi_dgc_fraction=0.5,       # JBoss 2.4.4-era RMI: heavy DGC/ping traffic
-    rmi_stub_creation_rtt=True,
-    jndi_remote_lookup=True,
     jms_publish_cpu=0.6,
     mdb_dispatch_cpu=0.5,
     ejb_load_cpu=0.35,
@@ -79,8 +77,6 @@ RUBIS_COSTS = MiddlewareCosts(
     instance_creation=1.0,
     rmi_cpu=0.4,
     rmi_dgc_fraction=0.2,       # JBoss 3.0.3: leaner RMI stack
-    rmi_stub_creation_rtt=True,
-    jndi_remote_lookup=True,
     jms_publish_cpu=0.3,
     mdb_dispatch_cpu=0.25,
     ejb_load_cpu=0.12,

@@ -59,7 +59,7 @@ class AppSpec:
     browser_pages: tuple
     writer_pages: tuple
     # catalog -> {query_id: [param tuples]} used to pre-warm query caches.
-    warm_queries: Optional[Callable] = None
+    warm_queries: Callable
 
 
 APPS: Dict[str, AppSpec] = {
@@ -227,9 +227,6 @@ class RunSpec:
     # Deterministic fraction of sessions kept in the span table (hash of
     # the session id, not RNG), so tracing stays bounded at 10^6 sessions.
     obs_sample: float = 1.0
-    # Stand-in for the paper's measurement-excluded warm-up hour:
-    # read-only replicas and query caches start hot.
-    warm_replicas: bool = True
 
 
 def sweep_levels(policy: Optional[PlacementPolicy], levels=None) -> List[PatternLevel]:
@@ -307,10 +304,10 @@ def run_configuration(
         # generators run the kernel to exhaustion, so an open-ended
         # driver would never let the simulation drain.
         system.cluster.start(loop.duration_ms)
-    if spec.warm_replicas:
-        system.warm_replicas()
-        if app_spec.warm_queries is not None:
-            system.warm_query_caches(app_spec.warm_queries(catalog))
+    # Stand-in for the paper's measurement-excluded warm-up hour:
+    # read-only replicas and query caches start hot.
+    system.warm_replicas()
+    system.warm_query_caches(app_spec.warm_queries(catalog))
     injector = None
     if spec.faults is not None and not spec.faults.empty:
         injector = FaultInjector(spec.faults, streams).install(env, system)

@@ -180,12 +180,11 @@ class MethodCacheStats:
 
 
 class _Entry:
-    __slots__ = ("result", "tables_read", "stored_at")
+    __slots__ = ("result", "tables_read")
 
-    def __init__(self, result: Any, tables_read: Tuple[str, ...], stored_at: float):
+    def __init__(self, result: Any, tables_read: Tuple[str, ...]):
         self.result = result
         self.tables_read = tables_read
-        self.stored_at = stored_at
 
 
 def _copy_result(value: Any) -> Any:
@@ -316,12 +315,10 @@ class TransactionalMethodCache(ConsistencyInterceptor):
             self.write_violations.setdefault(method, tuple(collector.tables_written))
             self.stats.rejected_stores += 1
             return
-        self._store(key, result, tuple(collector.tables_read), ctx.env.now)
+        self._store(key, result, tuple(collector.tables_read))
 
-    def _store(
-        self, key: tuple, result: Any, tables_read: Tuple[str, ...], now: float
-    ) -> None:
-        evicted = self._entries.put(key, _Entry(_copy_result(result), tables_read, now))
+    def _store(self, key: tuple, result: Any, tables_read: Tuple[str, ...]) -> None:
+        evicted = self._entries.put(key, _Entry(_copy_result(result), tables_read))
         self.stats.stores += 1
         for table in tables_read:
             self._by_table.setdefault(table, set()).add(key)

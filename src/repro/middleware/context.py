@@ -126,10 +126,9 @@ class TransactionContext:
     # whoever stores the first entry creates the dict.
     resources: Optional[Dict[Any, Any]] = None
 
-    def __init__(self, ctx: "InvocationContext", read_only_hint: bool = False):
+    def __init__(self):
         self.id = next(_transaction_ids)
         self.read_only = True  # flips on first write
-        self.read_only_hint = read_only_hint
         self.state = "active"
 
     # -- enlistment -----------------------------------------------------------
@@ -151,8 +150,6 @@ class TransactionContext:
             self._connections.append(connection)
 
     def mark_write(self) -> None:
-        if self.read_only_hint:
-            raise ContainerTransactionError("write inside a transaction hinted read-only")
         self.read_only = False
 
     def add_update_event(self, event: UpdateEvent) -> None:

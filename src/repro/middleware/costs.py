@@ -40,8 +40,8 @@ class MiddlewareCosts:
     rmi_result_base: int = 260
     rmi_cpu: float = 0.35              # marshalling/unmarshalling CPU per side
     rmi_dgc_fraction: float = 0.5      # extra fractional RTT per call (DGC/pings)
-    rmi_stub_creation_rtt: bool = True # first use of a remote stub costs a RTT
-    jndi_remote_lookup: bool = True    # un-cached remote lookup costs an RMI
+    # The first call through a remote stub (rmi.RemoteRef) and each
+    # un-cached remote JNDI lookup (AppServer.lookup) cost a round trip.
 
     # -- replica update propagation --------------------------------------------
     # §4.3 optimization: "transferring only the changes instead of the

@@ -94,7 +94,6 @@ class EntityBean(Bean):
         self.state: Dict[str, Any] = {}
         self.primary_key: Any = None
         self._dirty_fields: Set[str] = set()
-        self._loaded = False
 
     # -- state access ---------------------------------------------------------
     def get_field(self, name: str) -> Any:

@@ -66,7 +66,6 @@ class EntityContainer(BaseContainer):
         self.loads = 0
         self.stores = 0
         self.skipped_stores = 0
-        self.finder_calls = 0
 
     # -- transaction-scoped instance cache -------------------------------------
     def _cache(self, transaction: TransactionContext) -> Dict[Any, EntityBean]:
@@ -143,7 +142,6 @@ class EntityContainer(BaseContainer):
         spec = getattr(self.descriptor.impl, "FINDERS", {}).get(method)
         if spec is None:
             raise BeanError(f"entity {self.name!r} has no finder {method!r}")
-        self.finder_calls += 1
         result = yield from self.server.db_execute(ctx, spec.sql, args)
         primary_keys: List[Any] = []
         pk_column = self.schema.primary_key
@@ -166,7 +164,6 @@ class EntityContainer(BaseContainer):
         instance = self.descriptor.impl()
         instance.primary_key = primary_key
         instance.state = dict(row)
-        instance._loaded = True
         self._cache(ctx.transaction)[primary_key] = instance
         ctx.transaction.enlist_entity(self, instance)
         return instance
@@ -246,4 +243,3 @@ class EntityContainer(BaseContainer):
 
     def discard_instance(self, instance: EntityBean) -> None:
         instance.clear_dirty()
-        instance._loaded = False

@@ -159,7 +159,7 @@ class ReadOnlyEntityContainer(BaseContainer, ConsistencyInterceptor):
         self.invocations += 1
         work = ctx.costs.bean_method_base
         if work:
-            yield from self._cpu_use(work / self._cpu_speed)
+            yield from self._cpu_use(work)
         if ctx.footprint is not None:
             # Replica reads never reach the JDBC layer; the mapped table
             # is this container's whole read footprint.
@@ -184,7 +184,6 @@ class ReadOnlyEntityContainer(BaseContainer, ConsistencyInterceptor):
         instance = self.descriptor.impl()
         instance.primary_key = identity
         instance.state = dict(state)
-        instance._loaded = True
         try:
             plan = self._plans[method]
         except KeyError:

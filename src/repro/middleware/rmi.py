@@ -78,7 +78,6 @@ class LocalRef(ComponentRef):
         self.container = container
         self.descriptor = container.descriptor
         self._cpu_use = container._cpu_use
-        self._cpu_speed = container._cpu_speed
 
     def call(
         self, ctx: InvocationContext, method: str, *args: Any, identity: Any = None
@@ -92,7 +91,7 @@ class LocalRef(ComponentRef):
         try:
             work = ctx.costs.local_call
             if work:
-                yield from self._cpu_use(work / self._cpu_speed)
+                yield from self._cpu_use(work)
             result = yield from self.container.invoke(callee_ctx, method, args, identity)
             return result
         finally:
@@ -117,7 +116,7 @@ class RemoteRef(ComponentRef):
         self.target_server = target_server
         self.container = container
         self.descriptor = container.descriptor
-        self._stub_created = not source_server.costs.rmi_stub_creation_rtt
+        self._stub_created = False
         self._network = source_server.network
         self._src = source_server.node.name
         self._dst = target_server.node.name

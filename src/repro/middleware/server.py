@@ -293,13 +293,12 @@ class AppServer:
             if not central.has_component(name):
                 raise NamingError(f"{name!r} is not deployed on central server {central.name}")
             # Remote JNDI lookup against the central tree (unless cached).
-            if self.costs.jndi_remote_lookup:
-                yield from self._network.transfer(
-                    self.node.name, central.node.name, JNDI_LOOKUP_REQUEST, kind="lookup"
-                )
-                yield from self._network.transfer(
-                    central.node.name, self.node.name, JNDI_LOOKUP_RESPONSE, kind="lookup"
-                )
+            yield from self._network.transfer(
+                self.node.name, central.node.name, JNDI_LOOKUP_REQUEST, kind="lookup"
+            )
+            yield from self._network.transfer(
+                central.node.name, self.node.name, JNDI_LOOKUP_RESPONSE, kind="lookup"
+            )
             target_container = central.containers.get(name) or central._readonly.get(name)
             ref = RemoteRef(self, central, target_container)
 
@@ -377,7 +376,6 @@ class AppServer:
             method="execute",
         )
         try:
-            transaction = ctx.transaction
             if transaction is not None:
                 key = ("jdbc", id(source))
                 resources = transaction.resources
@@ -465,8 +463,6 @@ def _table_of(sql: str) -> str:
     for marker in ("FROM", "INTO", "UPDATE"):
         if marker in uppers:
             index = uppers.index(marker)
-            if marker == "UPDATE" and index + 1 < len(tokens):
-                return tokens[index + 1]
             if index + 1 < len(tokens):
                 return tokens[index + 1]
     return "?"

@@ -47,7 +47,6 @@ class BaseContainer:
         self.transactions_started = 0
         # Charges go straight to this server's CPUs (``ctx.cpu``, inlined).
         self._cpu_use = server.node.cpu.use
-        self._cpu_speed = server.node.cpu_speed
         # method -> call plan, filled on first use; the server drops them.
         self._plans: Dict[str, tuple] = server.plan_table()
 
@@ -111,9 +110,9 @@ class BaseContainer:
             transaction = None
             if ctx.transaction is None:
                 if begins:
-                    transaction = TransactionContext(ctx)
+                    transaction = TransactionContext()
             elif nests:
-                transaction = TransactionContext(ctx)
+                transaction = TransactionContext()
             elif suspends:
                 ctx = ctx.in_transaction(None)
             if transaction is not None:
@@ -122,7 +121,7 @@ class BaseContainer:
             try:
                 work = ctx.costs.bean_method_base
                 if work:
-                    yield from self._cpu_use(work / self._cpu_speed)
+                    yield from self._cpu_use(work)
                 if transactional:
                     instance = self._instance(ctx, identity)
                     if instance is None:
@@ -152,12 +151,14 @@ class BaseContainer:
 class StatelessSessionContainer(BaseContainer):
     """Pools interchangeable instances; any free one serves any call."""
 
-    def __init__(self, server: Any, descriptor: ComponentDescriptor, pool_size: int = 16):
+    #: Idle instances kept for reuse; one released beyond it is dropped.
+    POOL_SIZE = 16
+
+    def __init__(self, server: Any, descriptor: ComponentDescriptor):
         if descriptor.kind != ComponentKind.STATELESS_SESSION:
             raise BeanError(f"{descriptor.name!r} is not a stateless session bean")
         super().__init__(server, descriptor)
         self._pool: List[Any] = []
-        self.pool_size = pool_size
         self.instances_created = 0
 
     def drain(self) -> None:
@@ -177,7 +178,7 @@ class StatelessSessionContainer(BaseContainer):
         return instance
 
     def _release(self, instance: Any) -> None:
-        if len(self._pool) < self.pool_size:
+        if len(self._pool) < self.POOL_SIZE:
             self._pool.append(instance)
 
 

@@ -117,14 +117,13 @@ class ServletContainer:
         )
         # Charges go straight to this server's CPUs (see BaseContainer).
         self._cpu_use = server.node.cpu.use
-        self._cpu_speed = server.node.cpu_speed
 
     def handle(
         self, ctx: InvocationContext, request: WebRequest
     ) -> Generator[Event, Any, Response]:
         costs = ctx.costs
         if costs.servlet_base:
-            yield from self._cpu_use(costs.servlet_base / self._cpu_speed)
+            yield from self._cpu_use(costs.servlet_base)
         if costs.servlet_io_wait > 0:
             # Stack latency that does not occupy a CPU (see MiddlewareCosts).
             yield ctx.env.sleep(costs.servlet_io_wait)
@@ -139,7 +138,7 @@ class ServletContainer:
         # Rendering cost scales with the generated page size.
         work = costs.page_render_per_kb * response.html_size / 1024.0
         if work:
-            yield from self._cpu_use(work / self._cpu_speed)
+            yield from self._cpu_use(work)
         return response
 
 

@@ -132,7 +132,6 @@ class RaftMember:
         self.role = "follower"  # follower | candidate | leader
         self.replicated_index = 0  # entries present in this member's log
         self.applied_index = 0  # entries executed on this member's database
-        self.applied_time = 0.0  # sim time the last entry was applied
         self.applying = False  # an _apply pass is running (no concurrent ones)
         self.last_heartbeat = 0.0
         self.timeout_ms = self._draw_timeout()
@@ -224,7 +223,6 @@ class RaftGroup:
         # genuinely holds every entry appended during its reign.
         if leader.applied_index < entry_index:
             leader.applied_index = entry_index
-            leader.applied_time = self.env.now
         needed = self.quorum - 1  # leader's own copy counts
         if needed <= 0:
             self._mark_committed(entry, entry_index)
@@ -424,7 +422,6 @@ class RaftGroup:
                         member.server.cost_model.execution_time(result, is_write=True)
                     )
                 member.applied_index += 1
-                member.applied_time = self.env.now
         finally:
             member.applying = False
 

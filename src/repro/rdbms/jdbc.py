@@ -48,7 +48,6 @@ class JdbcConfig:
 
     fetch_size: int = 20
     pooled: bool = True
-    max_pool_size: int = 32
 
 
 class JdbcConnection:
@@ -157,7 +156,7 @@ class DataSource:
         self.client_node = client_node
         self.server = server
         self.config = config or JdbcConfig()
-        self._pool = ConnectionPool(network, kind="jdbc", max_per_pair=self.config.max_pool_size)
+        self._pool = ConnectionPool(network, kind="jdbc")
         self._idle_sessions: list = []
         self.connections_opened = 0
 

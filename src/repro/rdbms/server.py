@@ -84,13 +84,12 @@ class DatabaseServer:
         node: Node,
         database: Database,
         cost_model: Optional[DbCostModel] = None,
-        lock_timeout_ms: float = 10_000.0,
     ):
         self.env = env
         self.node = node
         self.database = database
         self.cost_model = cost_model or DbCostModel()
-        self.locks = LockManager(env, timeout_ms=lock_timeout_ms)
+        self.locks = LockManager(env)
         self.statements = 0
         self.commits = 0
         self.rollbacks = 0

@@ -68,19 +68,17 @@ class Node:
 
     ``cpus`` models the testbed's dual-processor Pentium III workstations;
     compute work on the node serializes through the :attr:`cpu` resource.
+    The testbed's machines are identical, so every node runs at the speed
+    the calibrated costs were measured at: ``work_ms`` is CPU time here.
     """
 
-    def __init__(self, env: Environment, name: str, cpus: int = 2, cpu_speed: float = 1.0):
-        if cpu_speed <= 0:
-            raise ValueError("cpu_speed must be positive")
+    def __init__(self, env: Environment, name: str, cpus: int = 2):
         self.env = env
         self.name = name
-        self.cpu_speed = cpu_speed
         self.cpu = Resource(env, capacity=cpus)
-        self.tags: set = set()
 
     def compute(self, work_ms: float) -> Iterable[Event]:
-        """Occupy one CPU for ``work_ms`` (scaled by the node's speed).
+        """Occupy one CPU for ``work_ms``.
 
         A plain function handing back :meth:`Resource.use`'s generator
         (``()`` for zero work) for the caller to ``yield from``, so a CPU
@@ -90,7 +88,7 @@ class Node:
             raise ValueError("work_ms must be non-negative")
         if work_ms == 0:
             return ()
-        return self.cpu.use(work_ms / self.cpu_speed)
+        return self.cpu.use(work_ms)
 
     def cpu_utilization(self) -> float:
         """Mean CPU utilization since simulation start (0..1)."""
@@ -208,10 +206,10 @@ class Network:
         self.http_pool = None
 
     # -- construction ------------------------------------------------------
-    def add_node(self, name: str, cpus: int = 2, cpu_speed: float = 1.0) -> Node:
+    def add_node(self, name: str, cpus: int = 2) -> Node:
         if name in self.nodes:
             raise NetworkError(f"duplicate node name {name!r}")
-        node = Node(self.env, name, cpus=cpus, cpu_speed=cpu_speed)
+        node = Node(self.env, name, cpus=cpus)
         self.nodes[name] = node
         self._adjacency[name] = []
         return node

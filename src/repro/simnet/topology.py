@@ -123,8 +123,7 @@ def build_testbed(env: Environment, config: TestbedConfig = None) -> Testbed:
     config = config or TestbedConfig()
     network = Network(env)
 
-    main = network.add_node("main", cpus=config.server_cpus)
-    main.tags.add("app-server")
+    network.add_node("main", cpus=config.server_cpus)
     router = network.add_node("router", cpus=1)
 
     if config.db_colocated:
@@ -132,8 +131,7 @@ def build_testbed(env: Environment, config: TestbedConfig = None) -> Testbed:
         # is the same machine, so JDBC round trips are loopback-free.
         db_name = "main"
     else:
-        db = network.add_node("db", cpus=config.db_cpus)
-        db.tags.add("db-server")
+        network.add_node("db", cpus=config.db_cpus)
         db_name = "db"
         network.add_link("main", "db", config.lan_latency, config.lan_bandwidth, name="lan-main-db")
 
@@ -145,8 +143,7 @@ def build_testbed(env: Environment, config: TestbedConfig = None) -> Testbed:
 
     for index in range(config.edge_servers):
         edge_name = f"edge{index + 1}"
-        edge = network.add_node(edge_name, cpus=config.server_cpus)
-        edge.tags.add("app-server")
+        network.add_node(edge_name, cpus=config.server_cpus)
         network.add_link(
             edge_name,
             "router",
@@ -161,8 +158,7 @@ def build_testbed(env: Environment, config: TestbedConfig = None) -> Testbed:
         group = []
         for index in range(config.clients_per_group):
             client_name = f"client-{server}-{index}"
-            client = network.add_node(client_name, cpus=2)
-            client.tags.add("client")
+            network.add_node(client_name, cpus=2)
             network.add_link(
                 client_name,
                 server,

@@ -64,7 +64,6 @@ class Connection:
         self.kind = kind
         self.is_open = False
         self.requests_sent = 0
-        self.opened_at: Optional[float] = None
 
     def _describe(self) -> str:
         return f"{self.kind} connection {self.client}->{self.server}"
@@ -77,7 +76,6 @@ class Connection:
         yield from self.network.transfer(self.server, self.client, ACK_SIZE, kind=self.kind)
         # The final ACK piggybacks on the first data segment; no extra wait.
         self.is_open = True
-        self.opened_at = self.env.now
         return self
 
     def close(self) -> None:

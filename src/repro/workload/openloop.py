@@ -12,10 +12,13 @@ An :class:`OpenLoopConfig` handed to the one
 complement instead: an *arrival process* spawns independent, finite
 sessions at a configured rate regardless of how the service is doing.
 Three inter-arrival laws are supported — Poisson (memoryless), Pareto
-(heavy-tailed bursts) and lognormal — and three canned scenarios
-modulate the instantaneous rate over the run: ``steady``,
-``flash-crowd`` (a rate spike in a configurable window) and ``diurnal``
-(a one-cycle sinusoidal ramp).
+(heavy-tailed bursts, shape :data:`PARETO_ALPHA`) and lognormal (shape
+:data:`LOGNORMAL_SIGMA`) — and three canned scenarios modulate the
+instantaneous rate over the run: ``steady``, ``flash-crowd`` (the rate
+times :data:`FLASH_MULTIPLIER` from :data:`FLASH_START` to
+:data:`FLASH_END` of the run) and ``diurnal`` (a one-cycle sinusoidal
+ramp of amplitude :data:`DIURNAL_AMPLITUDE`).  The law and the scenario
+are the run's choices; their shapes are constants.
 
 Sessions draw their page sequences from a first-order Markov walk
 (:class:`TransitionMatrixPattern`) with geometric session lengths, so
@@ -54,6 +57,12 @@ from ..simnet.rng import Streams
 
 __all__ = [
     "ARRIVALS",
+    "DIURNAL_AMPLITUDE",
+    "FLASH_END",
+    "FLASH_MULTIPLIER",
+    "FLASH_START",
+    "LOGNORMAL_SIGMA",
+    "PARETO_ALPHA",
     "SCENARIOS",
     "OpenLoopConfig",
     "TransitionMatrixPattern",
@@ -62,6 +71,17 @@ __all__ = [
 
 ARRIVALS = ("poisson", "pareto", "lognormal")
 SCENARIOS = ("steady", "flash-crowd", "diurnal")
+
+#: Pareto shape; above 1 so the inter-arrival mean is finite.
+PARETO_ALPHA = 1.5
+LOGNORMAL_SIGMA = 1.0
+#: flash-crowd: rate multiplier inside the window, the window expressed
+#: as fractions of the run duration.
+FLASH_MULTIPLIER = 8.0
+FLASH_START = 0.4
+FLASH_END = 0.6
+#: diurnal: the rate swings between (1-a) and (1+a) over one full cycle.
+DIURNAL_AMPLITUDE = 0.5
 
 
 def check_shared_fields(config) -> None:
@@ -101,16 +121,6 @@ class OpenLoopConfig:
     #: Admission cap on concurrently active sessions; 0 means unbounded.
     #: Arrivals beyond the cap are counted as dropped, not queued.
     max_sessions: int = 0
-    #: Pareto shape; must exceed 1 so the inter-arrival mean is finite.
-    pareto_alpha: float = 1.5
-    lognormal_sigma: float = 1.0
-    #: flash-crowd: rate multiplier inside the window, window expressed
-    #: as fractions of the run duration.
-    flash_multiplier: float = 8.0
-    flash_start: float = 0.4
-    flash_end: float = 0.6
-    #: diurnal: rate swings between (1-a) and (1+a) over one full cycle.
-    diurnal_amplitude: float = 0.5
 
     def __post_init__(self):
         if self.arrival not in ARRIVALS:
@@ -120,23 +130,12 @@ class OpenLoopConfig:
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
         check_shared_fields(self)
-        for name in ("session_rate_per_s", "pareto_alpha", "lognormal_sigma", "flash_multiplier"):
-            if not -math.inf < getattr(self, name) < math.inf:  # NaN fails both
-                raise ValueError(f"{name} must be finite")
+        if not -math.inf < self.session_rate_per_s < math.inf:  # NaN fails both
+            raise ValueError("session_rate_per_s must be finite")
         if self.session_rate_per_s <= 0:
             raise ValueError("session_rate_per_s must be positive")
         if self.max_sessions < 0:
             raise ValueError("max_sessions must be non-negative")
-        if self.pareto_alpha <= 1.0:
-            raise ValueError("pareto_alpha must exceed 1 (finite mean)")
-        if self.lognormal_sigma <= 0.0:
-            raise ValueError("lognormal_sigma must be positive")
-        if self.flash_multiplier <= 0.0:
-            raise ValueError("flash_multiplier must be positive")
-        if not 0.0 <= self.flash_start < self.flash_end <= 1.0:
-            raise ValueError("flash window must satisfy 0 <= start < end <= 1")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
 
     @property
     def mean_gap_ms(self) -> float:
@@ -150,22 +149,20 @@ class OpenLoopConfig:
             # paretovariate(a) - 1 has mean 1/(a-1) on [0, inf), so this
             # gap has mean ``mean`` with a heavy right tail and mass near
             # zero: bursty arrivals.
-            alpha = self.pareto_alpha
-            return mean * (alpha - 1.0) * (rng.paretovariate(alpha) - 1.0)
+            return mean * (PARETO_ALPHA - 1.0) * (rng.paretovariate(PARETO_ALPHA) - 1.0)
         # lognormal: choose mu so the mean is exactly ``mean``.
-        sigma = self.lognormal_sigma
-        mu = math.log(mean) - 0.5 * sigma * sigma
-        return rng.lognormvariate(mu, sigma)
+        mu = math.log(mean) - 0.5 * LOGNORMAL_SIGMA * LOGNORMAL_SIGMA
+        return rng.lognormvariate(mu, LOGNORMAL_SIGMA)
 
     def rate_factor(self, now: float) -> float:
         """Instantaneous rate multiplier of the scenario at time ``now``."""
         if self.scenario == "flash-crowd":
-            start = self.flash_start * self.duration_ms
-            end = self.flash_end * self.duration_ms
-            return self.flash_multiplier if start <= now < end else 1.0
+            start = FLASH_START * self.duration_ms
+            end = FLASH_END * self.duration_ms
+            return FLASH_MULTIPLIER if start <= now < end else 1.0
         if self.scenario == "diurnal":
             phase = 2.0 * math.pi * (now / self.duration_ms)
-            return 1.0 + self.diurnal_amplitude * math.sin(phase)
+            return 1.0 + DIURNAL_AMPLITUDE * math.sin(phase)
         return 1.0
 
 
@@ -174,8 +171,8 @@ class TransitionMatrixPattern(UsagePattern):
 
     Built from a :class:`WeightedPattern`: every row of the transition
     matrix starts from the base page mix, with the self-transition weight
-    damped by ``self_loop`` (users rarely re-request the page they are
-    looking at) and renormalized.  ``follows`` constraints are honoured
+    zeroed (users do not re-request the page they are looking at) and
+    renormalized.  ``follows`` constraints are honoured
     exactly as in the base pattern — drawing P with ``follows[P] = Q``
     when the previous page was not Q inserts a Q visit first.
 
@@ -183,27 +180,19 @@ class TransitionMatrixPattern(UsagePattern):
     with probability ``1 - 1/mean_length``, so the *mean* matches the
     base pattern's fixed length while individual sessions vary — the
     per-session page-mix variability the open-loop engine wants.  A hard
-    cap bounds the tail so one unlucky draw cannot pin a session (and
-    its memory) forever.
+    cap, ``max_length`` (eight times the mean, at least 4), bounds the
+    tail so one unlucky draw cannot pin a session (and its memory)
+    forever.
     """
 
-    def __init__(
-        self,
-        base: WeightedPattern,
-        mean_length: Optional[float] = None,
-        self_loop: float = 0.0,
-        max_length: Optional[int] = None,
-    ):
-        if not 0.0 <= self_loop <= 1.0:
-            raise PatternError("self_loop must be in [0, 1]")
+    def __init__(self, base: WeightedPattern, mean_length: Optional[float] = None):
         mean = float(mean_length if mean_length is not None else base.length)
         if mean <= 1.0:
             raise PatternError("mean_length must exceed 1")
         self.base = base
         self.name = f"markov:{base.name}"
         self.mean_length = mean
-        self.self_loop = self_loop
-        self.max_length = int(max_length) if max_length else max(4, int(8 * mean))
+        self.max_length = max(4, int(8 * mean))
         self._continue_p = 1.0 - 1.0 / mean
         self._stream_name = f"pattern:{self.name}"
         self._pages = pages = tuple(base.weights.keys())
@@ -213,13 +202,13 @@ class TransitionMatrixPattern(UsagePattern):
         if base_total <= 0.0:
             raise PatternError("base pattern weights must have a positive total")
         self._default_row = (base_cum, base_total)
-        # One damped row per source page; rows for pages outside the
-        # weight table (e.g. a zero-weight first page) fall back to the
-        # base mix.
+        # One row per source page, its own weight zeroed; rows for pages
+        # outside the weight table (e.g. a zero-weight first page) fall
+        # back to the base mix.
         self._rows: Dict[str, Tuple[List[float], float]] = {}
         for source in pages:
             weights = dict(base.weights)
-            weights[source] = weights[source] * self_loop
+            weights[source] = 0.0
             cum = list(accumulate(weights.values()))
             total = cum[-1] + 0.0
             if total <= 0.0:

@@ -33,7 +33,6 @@ def test_app_specs_complete():
     assert set(APPS) == {"petstore", "rubis"}
     for spec in APPS.values():
         assert spec.browser_pages and spec.writer_pages
-        assert spec.warm_queries is not None
 
 
 def test_petstore_profile_is_heavier_than_rubis():
@@ -109,17 +108,6 @@ def test_runner_seed_changes_results():
     assert any(
         first.session_mean(g) != second.session_mean(g) for g in first.groups()
     )
-
-
-def test_cold_start_without_warm_replicas_is_slower():
-    warm = run_configuration(
-        "rubis", PatternLevel.STATEFUL_CACHING, workload=FAST, seed=88
-    )
-    cold = run_configuration(
-        "rubis", PatternLevel.STATEFUL_CACHING, workload=FAST, seed=88,
-        warm_replicas=False,
-    )
-    assert cold.mean("remote-browser", "Item") > warm.mean("remote-browser", "Item")
 
 
 # ---------------------------------------------------------------------------

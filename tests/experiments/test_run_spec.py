@@ -7,6 +7,8 @@ the CLI builds one spec and makes one ``run_cells`` call whatever
 """
 
 import dataclasses
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.core.policy import load_policy
 from repro.experiments import calibration
-from repro.experiments.__main__ import main
+from repro.experiments.__main__ import OPTIONS, main
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import RunSpec, run_configuration, run_series
 from repro.faults import scenarios
@@ -38,7 +40,6 @@ NON_DEFAULT = {
     ),
     "obs_interval_ms": 1_000.0,
     "obs_sample": 0.5,
-    "warm_replicas": False,
 }
 FIELDS = [field.name for field in dataclasses.fields(RunSpec)]
 LEVEL = NON_DEFAULT["policy"].effective_level()
@@ -274,9 +275,9 @@ def _spec_from_cli(monkeypatch, argv) -> RunSpec:
     return seen.value.args[0]
 
 
-def test_the_cli_sets_every_run_spec_field_but_warm_replicas(monkeypatch, tmp_path):
+def test_the_cli_sets_every_run_spec_field(monkeypatch, tmp_path):
     """Each flag lands in the field its table row names; a new RunSpec
-    field the CLI cannot reach fails here unless it is library-only."""
+    field the CLI cannot reach fails here."""
     short = ["--jobs", "1", "--duration", "6", "--warmup", "1"]
     topology = TopologyOverrides(edges=3, wan_latency=80.0, clients_per_group=2)
     closed = _spec_from_cli(monkeypatch, ["table6"] + short + [
@@ -310,4 +311,27 @@ def test_the_cli_sets_every_run_spec_field_but_warm_replicas(monkeypatch, tmp_pa
         name for spec in (closed, opened) for name in FIELDS
         if getattr(spec, name) != getattr(defaults, name)
     }
-    assert set(FIELDS) - set_by_cli == {"warm_replicas"}
+    assert set(FIELDS) == set_by_cli
+
+
+def test_every_open_loop_field_is_set_by_a_flag_or_a_suite_workload():
+    """A field of ``OpenLoopConfig`` that no ``OPTIONS`` row and no
+    benchmark workload sets has one value in use: a constant."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "suite" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("suite_workloads", path)
+    suite = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = suite  # dataclasses look their module up by name
+    try:
+        module_spec.loader.exec_module(suite)
+    finally:
+        del sys.modules[module_spec.name]
+    by_flag = {
+        row.field for row in OPTIONS
+        if row.sets.startswith(("OpenLoopConfig.", "loop."))
+    }
+    by_suite = {
+        key for workload in suite.WORKLOADS if workload.loop == "open"
+        for key in workload.params(1.0)
+    }
+    fields = {field.name for field in dataclasses.fields(OpenLoopConfig)}
+    assert fields <= by_flag | by_suite, fields - by_flag - by_suite

@@ -185,7 +185,7 @@ def tiny_system(
 def in_transaction(ctx, body):
     """Run ``body(inner_ctx)`` as a REQUIRED method's container would: in
     a fresh transaction, committed on success and rolled back on failure."""
-    transaction = TransactionContext(ctx)
+    transaction = TransactionContext()
     inner = ctx.in_transaction(transaction)
     try:
         result = yield from body(inner)

@@ -32,7 +32,7 @@ def test_at_server_drops_transaction_and_switches_costs():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     main, edge = system.main, system.servers["edge1"]
     ctx = _ctx(env, main)
-    tx = TransactionContext(ctx)
+    tx = TransactionContext()
     inner = ctx.in_transaction(tx)
     assert inner.transaction is tx
     remote = inner.at_server(edge)
@@ -45,7 +45,7 @@ def test_at_server_drops_transaction_and_switches_costs():
 def test_commit_twice_rejected():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     ctx = _ctx(env, system.main)
-    tx = TransactionContext(ctx)
+    tx = TransactionContext()
 
     def proc():
         yield from tx.commit(ctx.in_transaction(tx))
@@ -58,7 +58,7 @@ def test_commit_twice_rejected():
 def test_rollback_after_commit_rejected():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     ctx = _ctx(env, system.main)
-    tx = TransactionContext(ctx)
+    tx = TransactionContext()
 
     def proc():
         yield from tx.commit(ctx.in_transaction(tx))
@@ -68,18 +68,10 @@ def test_rollback_after_commit_rejected():
         run_process(env, proc())
 
 
-def test_read_only_hint_rejects_writes():
-    env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
-    ctx = _ctx(env, system.main)
-    tx = TransactionContext(ctx, read_only_hint=True)
-    with pytest.raises(ContainerTransactionError):
-        tx.mark_write()
-
-
 def test_rollback_discards_update_events():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     ctx = _ctx(env, system.main)
-    tx = TransactionContext(ctx)
+    tx = TransactionContext()
     tx.add_update_event(UpdateEvent("Note", "notes", 1, {"text": "x"}))
 
     def proc():
@@ -93,7 +85,7 @@ def test_rollback_discards_update_events():
 def test_enlist_entity_deduplicates_by_identity():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     ctx = _ctx(env, system.main)
-    tx = TransactionContext(ctx)
+    tx = TransactionContext()
 
     class FakeInstance:
         primary_key = 7

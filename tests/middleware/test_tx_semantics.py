@@ -73,7 +73,7 @@ def test_required_joins_existing_transaction():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     container = _container(system, TxAttribute.REQUIRED)
     base_ctx = _ctx(env, system.main)
-    existing = TransactionContext(base_ctx)
+    existing = TransactionContext()
     ctx = base_ctx.in_transaction(existing)
 
     def proc():
@@ -88,7 +88,7 @@ def test_requires_new_always_starts_fresh():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     container = _container(system, TxAttribute.REQUIRES_NEW)
     base_ctx = _ctx(env, system.main)
-    existing = TransactionContext(base_ctx)
+    existing = TransactionContext()
     ctx = base_ctx.in_transaction(existing)
 
     def proc():
@@ -103,7 +103,7 @@ def test_not_supported_suspends_transaction():
     env, system = tiny_system(PatternLevel.STATEFUL_CACHING)
     container = _container(system, TxAttribute.NOT_SUPPORTED)
     base_ctx = _ctx(env, system.main)
-    existing = TransactionContext(base_ctx)
+    existing = TransactionContext()
     ctx = base_ctx.in_transaction(existing)
 
     def proc():
@@ -124,7 +124,7 @@ def test_supports_runs_with_or_without():
 
     assert run_process(env, proc_without()) is None
     base_ctx = _ctx(env, system.main)
-    existing = TransactionContext(base_ctx)
+    existing = TransactionContext()
     ctx_with = base_ctx.in_transaction(existing)
 
     def proc_with():

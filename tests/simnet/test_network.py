@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.simnet.network import Network, NetworkError
+from repro.simnet.network import NetworkError
 from repro.simnet.router import PacketLoss
 from tests.helpers import run_process
 
@@ -187,17 +187,6 @@ def test_node_compute_charges_cpu(env, network):
         return env.now
 
     assert run_process(env, proc()) == 10.0
-
-
-def test_node_compute_scales_with_speed(env):
-    net = Network(env)
-    fast = net.add_node("fast", cpus=1, cpu_speed=2.0)
-
-    def proc():
-        yield from fast.compute(10.0)
-        return env.now
-
-    assert run_process(env, proc()) == 5.0
 
 
 def test_node_compute_rejects_negative(env, network):

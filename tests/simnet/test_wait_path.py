@@ -198,7 +198,7 @@ def _reference_compute(node, work_ms):
         raise ValueError("work_ms must be non-negative")
     if work_ms == 0:
         return
-    yield from _reference_use(node.cpu, work_ms / node.cpu_speed)
+    yield from _reference_use(node.cpu, work_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ The classes those bodies lived in are gone from the program (one
 ``LoadGenerator`` now runs both loops), so their scaffolding is copied
 here from the last commit that had them: ``Client.__init__``, the old
 ``LoadGenerator``'s population and start-up, and the open-loop
-generator's skeleton (including its ``_draw_gap``).  Two things are added, both
+generator's skeleton (including its ``_draw_gap``, which now reads the
+Pareto and lognormal shapes from the module constants that replaced the
+config's fields).  Two things are added, both
 bookkeeping the old bodies cannot see: a client forwards each increment
 of its counters to its generator's running total, in event order, as the
 one generator counts; and each session drawn from a client's pattern is
@@ -35,7 +37,7 @@ from repro.obs.store import MeasurementStore
 from repro.simnet.kernel import Environment, Event
 from repro.simnet.rng import Streams
 from repro.workload.generator import WorkloadConfig
-from repro.workload.openloop import OpenLoopConfig
+from repro.workload.openloop import LOGNORMAL_SIGMA, PARETO_ALPHA, OpenLoopConfig
 
 _REQUEST_FAULTS = (ServerUnavailable, RmiTimeout) + RETRYABLE_ERRORS
 
@@ -344,10 +346,10 @@ class ReferenceOpenLoop:
             # paretovariate(a) - 1 has mean 1/(a-1) on [0, inf), so this
             # gap has mean ``mean`` with a heavy right tail and mass near
             # zero: bursty arrivals.
-            alpha = self.config.pareto_alpha
+            alpha = PARETO_ALPHA
             return mean * (alpha - 1.0) * (rng.paretovariate(alpha) - 1.0)
         # lognormal: choose mu so the mean is exactly ``mean``.
-        sigma = self.config.lognormal_sigma
+        sigma = LOGNORMAL_SIGMA
         mu = math.log(mean) - 0.5 * sigma * sigma
         return rng.lognormvariate(mu, sigma)
 
