@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ...rdbms.schema import Column, ForeignKey, TableSchema
+from ...rdbms.schema import Column, TableSchema
 from ...rdbms.types import FLOAT, INTEGER, TEXT
 
 __all__ = ["petstore_schemas"]
@@ -37,7 +37,6 @@ def petstore_schemas() -> List[TableSchema]:
             ],
             primary_key="id",
             indexes=["category_id"],
-            foreign_keys=[ForeignKey("category_id", "category", "id")],
         ),
         TableSchema(
             "item",
@@ -51,7 +50,6 @@ def petstore_schemas() -> List[TableSchema]:
             ],
             primary_key="id",
             indexes=["product_id"],
-            foreign_keys=[ForeignKey("product_id", "product", "id")],
         ),
         TableSchema(
             "inventory",
@@ -60,7 +58,6 @@ def petstore_schemas() -> List[TableSchema]:
                 Column("quantity", INTEGER),
             ],
             primary_key="item_id",
-            foreign_keys=[ForeignKey("item_id", "item", "id")],
         ),
         TableSchema(
             "account",
@@ -98,7 +95,6 @@ def petstore_schemas() -> List[TableSchema]:
             ],
             primary_key="id",
             indexes=["user_id"],
-            foreign_keys=[ForeignKey("user_id", "account", "user_id")],
         ),
         TableSchema(
             "lineitem",
@@ -111,9 +107,5 @@ def petstore_schemas() -> List[TableSchema]:
             ],
             primary_key="id",
             indexes=["order_id"],
-            foreign_keys=[
-                ForeignKey("order_id", "orders", "id"),
-                ForeignKey("item_id", "item", "id"),
-            ],
         ),
     ]

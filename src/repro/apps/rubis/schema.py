@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ...rdbms.schema import Column, ForeignKey, TableSchema
+from ...rdbms.schema import Column, TableSchema
 from ...rdbms.types import FLOAT, INTEGER, TEXT
 
 __all__ = ["rubis_schemas"]
@@ -43,7 +43,6 @@ def rubis_schemas() -> List[TableSchema]:
             ],
             primary_key="id",
             indexes=["region_id", "nickname"],
-            foreign_keys=[ForeignKey("region_id", "regions", "id")],
         ),
         TableSchema(
             "items",
@@ -64,10 +63,6 @@ def rubis_schemas() -> List[TableSchema]:
             ],
             primary_key="id",
             indexes=["category", "seller"],
-            foreign_keys=[
-                ForeignKey("seller", "users", "id"),
-                ForeignKey("category", "categories", "id"),
-            ],
         ),
         TableSchema(
             "bids",
@@ -82,10 +77,6 @@ def rubis_schemas() -> List[TableSchema]:
             ],
             primary_key="id",
             indexes=["item_id", "user_id"],
-            foreign_keys=[
-                ForeignKey("user_id", "users", "id"),
-                ForeignKey("item_id", "items", "id"),
-            ],
         ),
         TableSchema(
             "comments",
@@ -100,10 +91,5 @@ def rubis_schemas() -> List[TableSchema]:
             ],
             primary_key="id",
             indexes=["to_user", "item_id"],
-            foreign_keys=[
-                ForeignKey("from_user", "users", "id"),
-                ForeignKey("to_user", "users", "id"),
-                ForeignKey("item_id", "items", "id"),
-            ],
         ),
     ]

@@ -1,15 +1,16 @@
-"""Canned fault scenarios, parameterized by run duration and topology.
+"""Canned fault scenarios: a window and the faults placed in it.
 
-A scenario is a function ``(duration_ms, warmup_ms, edges) -> FaultSchedule``:
-windows are placed relative to the measured (post-warm-up) portion of
-the run so the same scenario name works for a 40-second smoke cell and a
-full 20-minute sweep, and faults target the *actual* edge servers of the
-testbed — the first edge for single-target scenarios, every edge for
-WAN-wide ones — so ``--edges 1`` and ``--edges 10`` both work.  When no
-edge list is given, the builders derive one from the effective testbed
-topology (``TestbedConfig().edge_servers``) rather than assuming the
-paper's two edges.  ``load_schedule`` is the CLI entry point: it accepts
-either a canned scenario name or a path to a JSON file matching
+:data:`SCENARIOS` is a table, ``name -> (lo, hi, faults)``.  ``lo`` and
+``hi`` place the window as fractions of the measured (post-warm-up)
+portion of the run, so the same scenario name works for a 40-second
+smoke cell and a full 20-minute sweep.  ``faults(edges, start, end)``
+returns the :class:`FaultSchedule` entries for that window, aimed at the
+*actual* edge servers of the testbed — the first (or last) edge for
+single-target rows, every edge for WAN-wide ones — so ``--edges 1`` and
+``--edges 10`` both work.  :func:`scenario` resolves the edges (the
+effective topology's when none are given), computes the window and
+validates the schedule.  ``load_schedule`` is the CLI entry point: it
+accepts either a canned scenario name or a path to a JSON file matching
 :meth:`FaultSchedule.to_json`.
 """
 
@@ -30,50 +31,25 @@ from .schedule import (
 
 __all__ = [
     "SCENARIOS",
-    "DEFAULT_EDGES",
     "default_edges",
     "scenario",
     "load_schedule",
 ]
 
-# The paper's testbed: two edge servers behind the WAN router.  Kept for
-# callers that want the paper's topology explicitly; the builders now
-# default to the effective topology via :func:`default_edges`.
-DEFAULT_EDGES: Tuple[str, ...] = ("edge1", "edge2")
-
 
 def default_edges(config: Optional[TestbedConfig] = None) -> Tuple[str, ...]:
-    """Edge names of the effective topology (``edge1`` .. ``edgeN``).
-
-    Mirrors the naming loop in :func:`repro.simnet.topology.build_testbed`
-    so canned scenarios compose with ``--edges N`` for any N.
-    """
-    config = config or TestbedConfig()
-    return tuple(f"edge{i + 1}" for i in range(config.edge_servers))
+    """Edge names of the effective topology (``edge1`` .. ``edgeN``)."""
+    return (config or TestbedConfig()).edge_names()
 
 
-def _resolve_edges(edges: Optional[Sequence[str]]) -> Tuple[str, ...]:
-    return default_edges() if edges is None else tuple(edges)
-
-
-def _window(duration_ms: float, warmup_ms: float, lo: float, hi: float):
-    """[lo, hi) as fractions of the measured portion, in absolute ms."""
-    active = max(0.0, duration_ms - warmup_ms)
-    return warmup_ms + lo * active, warmup_ms + hi * active
-
-
-def _target(edges: Sequence[str]) -> str:
-    """The edge a single-server scenario hits (the first one)."""
+def _edge(edges: Sequence[str], index: int) -> str:
+    """The edge a single-target row hits."""
     if not edges:
         raise ValueError("fault scenarios need at least one edge server")
-    return edges[0]
+    return edges[index]
 
 
-def edge_partition(
-    duration_ms: float,
-    warmup_ms: float = 0.0,
-    edges: Optional[Sequence[str]] = None,
-) -> FaultSchedule:
+def edge_partition(edges, start, end):
     """The paper's nightmare: the WAN link to one edge goes dark mid-run.
 
     Every request from that edge's clients that needs the main server —
@@ -81,96 +57,53 @@ def edge_partition(
     pushes — fails for the window; edge-heavy patterns keep serving
     local reads from replicas and caches while staleness accrues.
     """
-    edges = _resolve_edges(edges)
-    start, end = _window(duration_ms, warmup_ms, 0.30, 0.60)
-    return FaultSchedule(
-        name="edge-partition",
-        partitions=(LinkPartition("router", _target(edges), start, end),),
-    ).validate()
+    return {"partitions": (LinkPartition("router", _edge(edges, 0), start, end),)}
 
 
-def edge_crash(
-    duration_ms: float,
-    warmup_ms: float = 0.0,
-    edges: Optional[Sequence[str]] = None,
-) -> FaultSchedule:
+def edge_crash(edges, start, end):
     """One edge's app-server process dies and restarts cold.
 
     Routing survives, so that edge's clients fail over to the main
     server over the WAN for the window; after restart the edge serves
     again with empty session stores, replicas and caches.
     """
-    edges = _resolve_edges(edges)
-    start, end = _window(duration_ms, warmup_ms, 0.30, 0.60)
-    return FaultSchedule(
-        name="edge-crash", crashes=(ServerCrash(_target(edges), start, end),)
-    ).validate()
+    return {"crashes": (ServerCrash(_edge(edges, 0), start, end),)}
 
 
-def flaky_wan(
-    duration_ms: float,
-    warmup_ms: float = 0.0,
-    edges: Optional[Sequence[str]] = None,
-) -> FaultSchedule:
+def flaky_wan(edges, start, end):
     """Lossy, jittery WAN: 2% loss on every edge link plus jitter on one."""
-    edges = _resolve_edges(edges)
-    start, end = _window(duration_ms, warmup_ms, 0.25, 0.75)
-    target = _target(edges)
-    return FaultSchedule(
-        name="flaky-wan",
-        loss_windows=tuple(
-            LossWindow("router", edge, start, end, probability=0.02)
-            for edge in edges
+    return {
+        "latency_spikes": (
+            LatencySpike("router", _edge(edges, 0), start, end, extra_ms=30.0, jitter_ms=40.0),
         ),
-        latency_spikes=(
-            LatencySpike("router", target, start, end, extra_ms=30.0, jitter_ms=40.0),
+        "loss_windows": tuple(
+            LossWindow("router", edge, start, end, probability=0.02) for edge in edges
         ),
-    ).validate()
+    }
 
 
-def latency_spike(
-    duration_ms: float,
-    warmup_ms: float = 0.0,
-    edges: Optional[Sequence[str]] = None,
-) -> FaultSchedule:
+def latency_spike(edges, start, end):
     """A routing flap quadruples one edge's one-way WAN latency for a while."""
-    edges = _resolve_edges(edges)
-    start, end = _window(duration_ms, warmup_ms, 0.35, 0.65)
-    return FaultSchedule(
-        name="latency-spike",
-        latency_spikes=(
-            LatencySpike(
-                "router", _target(edges), start, end, extra_ms=300.0, jitter_ms=100.0
-            ),
-        ),
-    ).validate()
+    return {
+        "latency_spikes": (
+            LatencySpike("router", _edge(edges, 0), start, end, extra_ms=300.0, jitter_ms=100.0),
+        )
+    }
 
 
-def db_leader_crash(
-    duration_ms: float,
-    warmup_ms: float = 0.0,
-    edges: Optional[Sequence[str]] = None,
-) -> FaultSchedule:
+def db_leader_crash(edges, start, end):
     """The data tier's main-seat replicas crash mid-run.
 
     Under a single-instance policy the ``db`` target simply skips (the
     paper's database never fails); under a replicated ``data_tier`` the
     fault injector resolves ``db`` to the cluster's main seat, killing
     every raft member seated there — the anchor leaders — and forcing
-    re-elections and, on restart, log catch-up.
+    re-elections and, on restart, log catch-up.  It needs no edge.
     """
-    edges = _resolve_edges(edges)
-    start, end = _window(duration_ms, warmup_ms, 0.30, 0.60)
-    return FaultSchedule(
-        name="db-leader-crash", crashes=(ServerCrash("db", start, end),)
-    ).validate()
+    return {"crashes": (ServerCrash("db", start, end),)}
 
 
-def db_shard_partition(
-    duration_ms: float,
-    warmup_ms: float = 0.0,
-    edges: Optional[Sequence[str]] = None,
-) -> FaultSchedule:
+def db_shard_partition(edges, start, end):
     """The WAN link to the *last* edge's shard replicas goes dark.
 
     Complements ``edge-partition`` (which isolates the first edge): the
@@ -178,22 +111,17 @@ def db_shard_partition(
     stale-local reads served there accrue measurable staleness until the
     heal triggers catch-up.
     """
-    edges = _resolve_edges(edges)
-    _target(edges)  # same "at least one edge" contract as the others
-    start, end = _window(duration_ms, warmup_ms, 0.35, 0.55)
-    return FaultSchedule(
-        name="db-shard-partition",
-        partitions=(LinkPartition("router", edges[-1], start, end),),
-    ).validate()
+    return {"partitions": (LinkPartition("router", _edge(edges, -1), start, end),)}
 
 
-SCENARIOS: Dict[str, Callable[..., FaultSchedule]] = {
-    "edge-partition": edge_partition,
-    "edge-crash": edge_crash,
-    "flaky-wan": flaky_wan,
-    "latency-spike": latency_spike,
-    "db-leader-crash": db_leader_crash,
-    "db-shard-partition": db_shard_partition,
+# name -> (window start, window end as fractions of the measured run, faults)
+SCENARIOS: Dict[str, Tuple[float, float, Callable[..., dict]]] = {
+    "edge-partition": (0.30, 0.60, edge_partition),
+    "edge-crash": (0.30, 0.60, edge_crash),
+    "flaky-wan": (0.25, 0.75, flaky_wan),
+    "latency-spike": (0.35, 0.65, latency_spike),
+    "db-leader-crash": (0.30, 0.60, db_leader_crash),
+    "db-shard-partition": (0.35, 0.55, db_shard_partition),
 }
 
 
@@ -205,13 +133,16 @@ def scenario(
 ) -> FaultSchedule:
     """Build the canned scenario ``name`` for a run of the given length."""
     try:
-        build = SCENARIOS[name]
+        lo, hi, faults = SCENARIOS[name]
     except KeyError:
         raise ValueError(
             f"unknown fault scenario {name!r}; canned scenarios: "
             f"{', '.join(sorted(SCENARIOS))}"
         ) from None
-    return build(duration_ms, warmup_ms, edges)
+    edges = default_edges() if edges is None else tuple(edges)
+    active = max(0.0, duration_ms - warmup_ms)
+    start, end = warmup_ms + lo * active, warmup_ms + hi * active
+    return FaultSchedule(name=name, **faults(edges, start, end)).validate()
 
 
 def load_schedule(

@@ -18,8 +18,8 @@ server crashes name the application-server node (e.g. ``edge1``).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Tuple
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Tuple
 
 __all__ = [
     "LinkPartition",
@@ -30,31 +30,49 @@ __all__ = [
 ]
 
 
-def _check_window(what: str, start: float, end: float) -> None:
-    if not (math.isfinite(start) and math.isfinite(end)):
-        raise ValueError(f"{what}: start and end must be finite, got {start}, {end}")
-    if start < 0:
-        raise ValueError(f"{what}: start must be non-negative, got {start}")
-    if end <= start:
-        raise ValueError(f"{what}: end ({end}) must be after start ({start})")
+class Fault:
+    """What every entry type shares: a [start, end) window on one target.
+
+    ``KIND`` names the entry in :meth:`FaultSchedule.windows`, ``NOUN``
+    in error messages; ``label`` is the target, ``a<->b`` for a link.
+    """
+
+    KIND: ClassVar[str]
+    NOUN: ClassVar[str]
+
+    @property
+    def label(self) -> str:
+        return f"{self.a}<->{self.b}"
+
+    def validate(self) -> None:
+        what, start, end = f"{self.NOUN} {self.label}", self.start, self.end
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(f"{what}: start and end must be finite, got {start}, {end}")
+        if start < 0:
+            raise ValueError(f"{what}: start must be non-negative, got {start}")
+        if end <= start:
+            raise ValueError(f"{what}: end ({end}) must be after start ({start})")
 
 
 @dataclass(frozen=True)
-class LinkPartition:
+class LinkPartition(Fault):
     """The link between ``a`` and ``b`` is down during [start, end)."""
+
+    KIND: ClassVar[str] = "partition"
+    NOUN: ClassVar[str] = "partition"
 
     a: str
     b: str
     start: float
     end: float
 
-    def validate(self) -> None:
-        _check_window(f"partition {self.a}<->{self.b}", self.start, self.end)
-
 
 @dataclass(frozen=True)
-class LatencySpike:
+class LatencySpike(Fault):
     """Extra one-way latency (+- uniform jitter) on a link during [start, end)."""
+
+    KIND: ClassVar[str] = "latency"
+    NOUN: ClassVar[str] = "latency spike"
 
     a: str
     b: str
@@ -64,7 +82,7 @@ class LatencySpike:
     jitter_ms: float = 0.0
 
     def validate(self) -> None:
-        _check_window(f"latency spike {self.a}<->{self.b}", self.start, self.end)
+        super().validate()
         if not (0 <= self.extra_ms < math.inf and 0 <= self.jitter_ms < math.inf):
             raise ValueError("latency spike: extra_ms/jitter_ms must be finite and non-negative")
         if self.extra_ms == 0 and self.jitter_ms == 0:
@@ -72,8 +90,11 @@ class LatencySpike:
 
 
 @dataclass(frozen=True)
-class LossWindow:
+class LossWindow(Fault):
     """Each packet crossing the link is dropped with ``probability``."""
+
+    KIND: ClassVar[str] = "loss"
+    NOUN: ClassVar[str] = "loss window"
 
     a: str
     b: str
@@ -82,7 +103,7 @@ class LossWindow:
     probability: float
 
     def validate(self) -> None:
-        _check_window(f"loss window {self.a}<->{self.b}", self.start, self.end)
+        super().validate()
         if not 0.0 < self.probability <= 1.0:
             raise ValueError(
                 f"loss window: probability must be in (0, 1], got {self.probability}"
@@ -90,7 +111,7 @@ class LossWindow:
 
 
 @dataclass(frozen=True)
-class ServerCrash:
+class ServerCrash(Fault):
     """The app-server process on ``server`` is down during [start, end).
 
     A crash drains volatile server state (HTTP sessions, stateful bean
@@ -99,15 +120,19 @@ class ServerCrash:
     process dies — so clients can fail over to another entry point.
     """
 
+    KIND: ClassVar[str] = "crash"
+    NOUN: ClassVar[str] = "crash of"
+
     server: str
     start: float
     end: float
 
-    def validate(self) -> None:
-        _check_window(f"crash of {self.server}", self.start, self.end)
+    @property
+    def label(self) -> str:
+        return self.server
 
 
-# The schedule's JSON keys and the entry each one lists.
+# The schedule's JSON keys and the entry each one lists, in install order.
 _ENTRY_TYPES = {
     "partitions": LinkPartition,
     "latency_spikes": LatencySpike,
@@ -124,21 +149,18 @@ class FaultSchedule:
     partitions: Tuple[LinkPartition, ...] = ()
     latency_spikes: Tuple[LatencySpike, ...] = ()
     loss_windows: Tuple[LossWindow, ...] = ()
-    crashes: Tuple[ServerCrash, ...] = field(default=())
+    crashes: Tuple[ServerCrash, ...] = ()
+
+    def faults(self) -> Tuple[Fault, ...]:
+        """Every fault, entry type by entry type in ``_ENTRY_TYPES`` order."""
+        return tuple(fault for key in _ENTRY_TYPES for fault in getattr(self, key))
 
     @property
     def empty(self) -> bool:
-        return not (
-            self.partitions or self.latency_spikes or self.loss_windows or self.crashes
-        )
+        return not self.faults()
 
     def validate(self) -> "FaultSchedule":
-        for fault in (
-            *self.partitions,
-            *self.latency_spikes,
-            *self.loss_windows,
-            *self.crashes,
-        ):
+        for fault in self.faults():
             fault.validate()
         return self
 
@@ -150,40 +172,18 @@ class FaultSchedule:
         time-series layer stamps onto its artifacts so SLO evaluation
         can flag in-fault windows and report recovery time per fault.
         """
-        rows = []
-        for p in self.partitions:
-            rows.append(
-                {"kind": "partition", "label": f"{p.a}<->{p.b}",
-                 "start": p.start, "end": p.end}
-            )
-        for s in self.latency_spikes:
-            rows.append(
-                {"kind": "latency", "label": f"{s.a}<->{s.b}",
-                 "start": s.start, "end": s.end}
-            )
-        for w in self.loss_windows:
-            rows.append(
-                {"kind": "loss", "label": f"{w.a}<->{w.b}",
-                 "start": w.start, "end": w.end}
-            )
-        for c in self.crashes:
-            rows.append(
-                {"kind": "crash", "label": c.server,
-                 "start": c.start, "end": c.end}
-            )
+        rows = [
+            {"kind": f.KIND, "label": f.label, "start": f.start, "end": f.end}
+            for f in self.faults()
+        ]
         rows.sort(key=lambda r: (r["start"], r["end"], r["kind"], r["label"]))
         return tuple(rows)
 
     # -- JSON round trip ----------------------------------------------------
     def to_json(self) -> dict:
         """Plain-dict form (sorted-key friendly) for scenario files."""
-        return {
-            "name": self.name,
-            "partitions": [asdict(p) for p in self.partitions],
-            "latency_spikes": [asdict(s) for s in self.latency_spikes],
-            "loss_windows": [asdict(w) for w in self.loss_windows],
-            "crashes": [asdict(c) for c in self.crashes],
-        }
+        entries = {key: [asdict(f) for f in getattr(self, key)] for key in _ENTRY_TYPES}
+        return {"name": self.name, **entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "FaultSchedule":

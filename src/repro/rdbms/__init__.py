@@ -16,7 +16,7 @@ from .expressions import (
     like_matcher,
 )
 from .jdbc import DataSource, JdbcConfig, JdbcConnection, JdbcError
-from .schema import Column, ForeignKey, SchemaError, TableSchema
+from .schema import Column, SchemaError, TableSchema
 from .server import DatabaseServer, DbCostModel, DbSession, result_wire_size
 from .sql import (
     Insert,
@@ -56,7 +56,6 @@ __all__ = [
     "JdbcConnection",
     "JdbcError",
     "Column",
-    "ForeignKey",
     "SchemaError",
     "TableSchema",
     "DatabaseServer",

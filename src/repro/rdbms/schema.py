@@ -1,4 +1,4 @@
-"""Table schemas: columns, primary keys, secondary indexes, foreign keys."""
+"""Table schemas: columns, primary keys, secondary indexes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Any, Dict, List, Sequence
 
 from .types import ColumnType, TypeError_, coerce
 
-__all__ = ["Column", "ForeignKey", "TableSchema", "SchemaError"]
+__all__ = ["Column", "TableSchema", "SchemaError"]
 
 
 class SchemaError(Exception):
@@ -30,15 +30,6 @@ class Column:
             raise SchemaError(f"column {self.name!r}: {error}") from None
 
 
-@dataclass(frozen=True)
-class ForeignKey:
-    """Declarative reference used by data generators and integrity checks."""
-
-    column: str
-    references_table: str
-    references_column: str
-
-
 class TableSchema:
     """Schema for one table.
 
@@ -52,7 +43,6 @@ class TableSchema:
         columns: Sequence[Column],
         primary_key: str,
         indexes: Sequence[str] = (),
-        foreign_keys: Sequence[ForeignKey] = (),
     ):
         if not columns:
             raise SchemaError(f"table {name!r} has no columns")
@@ -70,10 +60,6 @@ class TableSchema:
             if index not in self.column_map:
                 raise SchemaError(f"indexed column {index!r} is not a column of {name!r}")
         self.indexes: List[str] = [c for c in indexes if c != primary_key]
-        for fk in foreign_keys:
-            if fk.column not in self.column_map:
-                raise SchemaError(f"foreign key column {fk.column!r} missing in {name!r}")
-        self.foreign_keys: List[ForeignKey] = list(foreign_keys)
 
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .kernel import Environment
 from .network import Network
@@ -44,6 +44,10 @@ class TestbedConfig:
     db_cpus: int = 2
     db_colocated: bool = False  # RUBiS tests ran MySQL on the main server
     edge_servers: int = 2
+
+    def edge_names(self) -> Tuple[str, ...]:
+        """The edge servers' node names, ``edge1`` .. ``edgeN``."""
+        return tuple(f"edge{index + 1}" for index in range(self.edge_servers))
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,7 @@ def build_testbed(env: Environment, config: TestbedConfig = None) -> Testbed:
 
     testbed = Testbed(env=env, network=network, config=config, db_server=db_name)
 
-    for index in range(config.edge_servers):
-        edge_name = f"edge{index + 1}"
+    for edge_name in config.edge_names():
         network.add_node(edge_name, cpus=config.server_cpus)
         network.add_link(
             edge_name,

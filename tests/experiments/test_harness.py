@@ -8,8 +8,8 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.experiments import calibration
 from repro.experiments.figures import build_figure, render_figure
-from repro.experiments.probes import PageProbe, ProbeResult, measure_pages
-from repro.experiments.runner import APPS, run_configuration, run_series
+from repro.experiments.probes import ProbeResult, measure_pages
+from repro.experiments.runner import APPS, run_configuration
 from repro.experiments.tables import build_table, render_table
 
 FAST = calibration.default_workload(duration_ms=30_000.0, warmup_ms=8_000.0)

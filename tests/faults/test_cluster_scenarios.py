@@ -5,8 +5,9 @@ registered and shaped as documented."""
 import pytest
 
 from repro.faults import scenarios
-from repro.faults.scenarios import DEFAULT_EDGES, default_edges, scenario
-from repro.simnet.topology import TestbedConfig
+from repro.faults.scenarios import default_edges, scenario
+from repro.simnet.kernel import Environment
+from repro.simnet.topology import TestbedConfig, build_testbed
 
 DURATION, WARMUP = 60_000.0, 10_000.0
 
@@ -20,9 +21,7 @@ def test_default_edges_matches_the_paper_testbed():
     config = TestbedConfig()
     derived = default_edges()
     assert derived == tuple(f"edge{i + 1}" for i in range(config.edge_servers))
-    # The legacy constant and the derived default agree on the default
-    # topology — the constant is no longer load-bearing, just historical.
-    assert derived == DEFAULT_EDGES
+    assert derived == ("edge1", "edge2")
 
 
 def test_default_edges_follows_an_overridden_topology():
@@ -30,8 +29,15 @@ def test_default_edges_follows_an_overridden_topology():
     assert default_edges(config) == ("edge1", "edge2", "edge3", "edge4", "edge5")
 
 
+@pytest.mark.parametrize("edges", [1, 2, 5])
+def test_default_edges_are_the_built_testbeds_edges(edges):
+    config = TestbedConfig(edge_servers=edges)
+    built = build_testbed(Environment(), config)
+    assert default_edges(config) == tuple(built.edge_servers)
+
+
 def test_builders_accept_edges_none():
-    schedule = scenarios.flaky_wan(DURATION, WARMUP, edges=None)
+    schedule = scenario("flaky-wan", DURATION, WARMUP, edges=None)
     assert {w.b for w in schedule.loss_windows} == set(default_edges())
 
 

@@ -36,7 +36,7 @@ def test_empty_schedule_installs_nothing():
     injector = _install(env, system, FaultSchedule())
     env.run()
     assert env.now == 0.0
-    assert injector.partitions_applied == 0
+    assert injector.applied.get("partition", 0) == 0
     assert injector.skipped == 0
 
 
@@ -50,7 +50,7 @@ def test_partition_window_takes_link_down_and_heals_it():
     )
     assert link.up and not link.faulted
     readings = _readings(
-        env, lambda: (link.up, link.faulted, injector.partitions_applied)
+        env, lambda: (link.up, link.faulted, injector.applied.get("partition", 0))
     )
     env.run()
     assert readings == [(False, True, 1), (True, False, 1)]
@@ -76,7 +76,7 @@ def test_latency_spike_window_sets_and_clears_extra_latency():
             link.extra_latency,
             link.latency_jitter,
             link.faulted,
-            injector.latency_spikes_applied,
+            injector.applied.get("latency", 0),
         ),
     )
     env.run()
@@ -97,7 +97,7 @@ def test_loss_window_sets_and_clears_probability():
     )
     readings = _readings(
         env,
-        lambda: (link.loss_probability, link.faulted, injector.loss_windows_applied),
+        lambda: (link.loss_probability, link.faulted, injector.applied.get("loss", 0)),
     )
     env.run()
     assert readings == [(0.5, True, 1), (0.0, False, 1)]
@@ -114,7 +114,7 @@ def test_crash_window_takes_server_down_and_restarts_it():
         lambda: (
             edge.available,
             system.resilience.server_crashes,
-            injector.crashes_applied,
+            injector.applied.get("crash", 0),
         ),
     )
     env.run()
@@ -133,7 +133,7 @@ def test_crash_of_undeployed_server_is_skipped_not_an_error():
     )
     env.run()
     assert injector.skipped == 1
-    assert injector.crashes_applied == 0
+    assert injector.applied.get("crash", 0) == 0
 
 
 def test_injector_counts_every_window_once():
@@ -149,6 +149,6 @@ def test_injector_counts_every_window_once():
     )
     injector = _install(env, system, schedule)
     env.run()
-    assert injector.partitions_applied == 2
-    assert injector.latency_spikes_applied == 1
-    assert injector.loss_windows_applied == 0
+    assert injector.applied.get("partition", 0) == 2
+    assert injector.applied.get("latency", 0) == 1
+    assert injector.applied.get("loss", 0) == 0

@@ -161,6 +161,58 @@ def test_canned_scenarios_fit_the_measured_window(name):
         assert warmup <= fault.start < fault.end <= duration
 
 
+# Each scenario's schedule for a 600 s run with 60 s warm-up on three
+# edges, recorded before the scenarios became a table: the windows and
+# targets of every canned scenario, in the schedule-file format.
+_PINNED = {
+    "edge-partition": {
+        "partitions": [{"a": "router", "b": "edge1", "start": 222000.0, "end": 384000.0}],
+    },
+    "edge-crash": {
+        "crashes": [{"server": "edge1", "start": 222000.0, "end": 384000.0}],
+    },
+    "flaky-wan": {
+        "latency_spikes": [
+            {"a": "router", "b": "edge1", "start": 195000.0, "end": 465000.0,
+             "extra_ms": 30.0, "jitter_ms": 40.0},
+        ],
+        "loss_windows": [
+            {"a": "router", "b": edge, "start": 195000.0, "end": 465000.0,
+             "probability": 0.02}
+            for edge in ("edge1", "edge2", "edge3")
+        ],
+    },
+    "latency-spike": {
+        "latency_spikes": [
+            {"a": "router", "b": "edge1", "start": 249000.0, "end": 411000.0,
+             "extra_ms": 300.0, "jitter_ms": 100.0},
+        ],
+    },
+    "db-leader-crash": {
+        "crashes": [{"server": "db", "start": 222000.0, "end": 384000.0}],
+    },
+    "db-shard-partition": {
+        "partitions": [{"a": "router", "b": "edge3", "start": 249000.0, "end": 357000.0}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_canned_scenario_windows_are_pinned(name):
+    expected = {
+        "name": name,
+        "partitions": [],
+        "latency_spikes": [],
+        "loss_windows": [],
+        "crashes": [],
+        **_PINNED[name],
+    }
+    schedule = scenario(name, 600_000, 60_000, edges=("edge1", "edge2", "edge3"))
+    assert schedule.to_json() == expected
+    assert list(schedule.to_json()) == list(expected)
+    assert FaultSchedule.from_json(expected) == schedule
+
+
 def test_scenarios_scale_with_duration():
     short = scenario("edge-partition", 40_000.0, 10_000.0).partitions[0]
     long = scenario("edge-partition", 1_200_000.0, 120_000.0).partitions[0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdbms.schema import Column, ForeignKey, SchemaError, TableSchema
+from repro.rdbms.schema import Column, SchemaError, TableSchema
 from repro.rdbms.types import BOOLEAN, FLOAT, INTEGER, TEXT, TypeError_, coerce
 
 
@@ -106,11 +106,6 @@ def test_schema_rejects_empty_columns():
 def test_primary_key_not_duplicated_in_indexes():
     schema = _schema(indexes=["id", "name"])
     assert schema.indexes == ["name"]
-
-
-def test_foreign_key_column_must_exist():
-    with pytest.raises(SchemaError):
-        _schema(foreign_keys=[ForeignKey("nope", "other", "id")])
 
 
 def test_normalize_row_applies_defaults_and_validation():
