@@ -12,8 +12,8 @@ The package layers, bottom-up:
   containers (stateless/stateful session, entity, message-driven), RMI,
   JNDI, JMS, servlets, read-only replication, and query caching;
 * :mod:`repro.core` — the paper's contribution: pattern levels,
-  deployment planning, extended-descriptor automation and design-rule
-  checking;
+  placement policies, deployment planning (which tailors the extended
+  descriptors to the policy) and design-rule checking;
 * :mod:`repro.apps` — Java Pet Store and RUBiS built on the middleware;
 * :mod:`repro.workload` — usage-pattern-driven client simulation;
 * :mod:`repro.experiments` — the harness regenerating Tables 6/7 and

@@ -1,7 +1,7 @@
 """Assembly of the Java Pet Store application descriptor.
 
 ``build_application()`` returns the application with every extended
-descriptor declared; :func:`repro.core.automation.apply_policy` activates
+descriptor declared; :func:`repro.core.planner.plan_deployment` activates
 them per placement policy.  The catalog servlets are V2 (one façade call
 per page) with V1 (direct JDBC) as their central implementation, so a
 policy that keeps the web tier on the main server — the centralized

@@ -12,7 +12,6 @@ or, with an explicit placement policy::
     system = distribute(env, testbed, application, policy, db)
 """
 
-from .automation import AutomationReport, apply_policy
 from .distribution import DeployedSystem, distribute
 from .patterns import PatternLevel, level_name
 from .planner import DeploymentPlan, PlanError, plan_deployment
@@ -33,8 +32,6 @@ from .usage import (
 )
 
 __all__ = [
-    "AutomationReport",
-    "apply_policy",
     "DeployedSystem",
     "distribute",
     "ComponentPolicy",

@@ -28,7 +28,6 @@ from ..rdbms.server import DatabaseServer, DbCostModel
 from ..simnet.kernel import Environment
 from ..simnet.rng import Streams
 from ..simnet.topology import Testbed
-from .automation import AutomationReport, apply_policy
 from .patterns import PatternLevel
 from .planner import DeploymentPlan, plan_deployment
 from .policy import PlacementPolicy, level_policy
@@ -43,15 +42,12 @@ class DeployedSystem:
     env: Environment
     testbed: Testbed
     application: ApplicationDescriptor
-    level: PatternLevel
     servers: Dict[str, AppServer]
     db_server: DatabaseServer
     plan: DeploymentPlan
-    automation: AutomationReport
     resilience: ResilienceStats
     # The deployment-wide span table; None when the run records no spans.
     trace: Optional[SpanRecorder] = None
-    policy: Optional[PlacementPolicy] = None
     # Sharded/replicated data tier; None under a single-instance policy.
     cluster: Optional[DataTierCluster] = None
     _entry_servers: Dict[str, AppServer] = field(default_factory=dict, init=False, repr=False)
@@ -173,23 +169,20 @@ def distribute(
     """
     if not isinstance(policy, PlacementPolicy):
         policy = level_policy(PatternLevel(policy), application)
-    level = policy.effective_level()
     costs = costs or MiddlewareCosts()
 
-    # 1. Extended-descriptor automation (§5) tailors the app to the policy.
-    automation = apply_policy(application, policy)
-
-    # 2. Placement.
+    # 1. Placement; planning also tailors the app's extended descriptors
+    # to the policy (§5's automation).
     plan = plan_deployment(
         application, testbed.main_server, list(testbed.edge_servers), policy
     )
 
-    # 3. Database server on its node.
+    # 2. Database server on its node.
     db_server = DatabaseServer(
         env, testbed.network.node(testbed.db_server), database, cost_model=db_cost_model
     )
 
-    # 3b. Sharded/replicated data tier, only when the policy declares one.
+    # 2b. Sharded/replicated data tier, only when the policy declares one.
     # Seats are the main site plus one per edge; each raft member gets
     # its own seeded Database copy, so the original single-instance
     # database (still used for replica/cache warm-up at t=0) is untouched.
@@ -208,7 +201,7 @@ def distribute(
             cost_model=db_cost_model,
         )
 
-    # 4. Application servers.
+    # 3. Application servers.
     servers: Dict[str, AppServer] = {}
     for server_name in plan.all_servers:
         server = AppServer(
@@ -239,19 +232,19 @@ def distribute(
             name: other for name, other in servers.items() if other is not server
         }
 
-    # 5. Messaging provider lives on the main server.
+    # 4. Messaging provider lives on the main server.
     jms = JmsProvider(env, main)
     jms.metrics = metrics
     for server in servers.values():
         server.jms = jms
 
-    # 6. Containers per the plan.
+    # 5. Containers per the plan.
     for name, placement in plan.placements.items():
         descriptor = application.components[name]
         for server_name in placement:
             servers[server_name].deploy(descriptor)
 
-    # 7. Read-only replicas.
+    # 6. Read-only replicas.
     replica_servers: List[str] = []
     for name, placement in plan.replicas.items():
         descriptor = application.components[name]
@@ -260,7 +253,7 @@ def distribute(
             if server_name not in replica_servers:
                 replica_servers.append(server_name)
 
-    # 8. Query caches.
+    # 7. Query caches.
     for server_name in plan.query_cache_servers:
         manager = servers[server_name].enable_query_cache()
         for cache in application.query_caches.values():
@@ -268,7 +261,7 @@ def distribute(
         if server_name not in replica_servers:
             replica_servers.append(server_name)
 
-    # 8b. Transactional method caches (level 6): one cache per server,
+    # 7b. Transactional method caches (level 6): one cache per server,
     # fed by the same invalidation bus as replicas and query caches.
     method_cache_servers: List[str] = []
     for name in sorted(plan.method_caches):
@@ -281,19 +274,18 @@ def distribute(
             if server_name not in replica_servers:
                 replica_servers.append(server_name)
 
-    # 9. Update propagation from the main server to every replica host.
+    # 8. Update propagation from the main server to every replica host.
     if replica_servers:
         propagator = UpdatePropagator(
-            main, targets=[servers[name] for name in replica_servers]
+            main, [servers[name] for name in replica_servers], policy.update_mode
         )
         if method_cache_servers:
             # Method caches invalidate by table footprint, so every
             # commit's write set must ride the bus from now on.
             propagator.tracks_table_writes = True
-            propagator.table_update_mode = policy.update_mode
         main.update_propagator = propagator
 
-    # 10. Subscribe message-driven beans to their topics.
+    # 9. Subscribe message-driven beans to their topics.
     for name, placement in plan.placements.items():
         descriptor = application.components[name]
         if descriptor.kind != ComponentKind.MESSAGE_DRIVEN:
@@ -308,13 +300,10 @@ def distribute(
         env=env,
         testbed=testbed,
         application=application,
-        level=level,
         servers=servers,
         db_server=db_server,
         plan=plan,
-        automation=automation,
         trace=trace,
         resilience=resilience,
-        policy=policy,
         cluster=cluster,
     )

@@ -1,12 +1,26 @@
-"""Deployment planning: resolve a placement policy onto a testbed.
+"""Deployment planning: tailor an application to a placement policy and
+resolve the policy onto a testbed.
 
-``plan_deployment`` is a pure function from a
+``plan_deployment`` is the one call from a
 :class:`~repro.core.policy.PlacementPolicy` plus a concrete topology
 (main server, edge list) to a :class:`DeploymentPlan`.  The paper's five
 configurations arrive here as canned policies compiled by
 :func:`~repro.core.policy.level_policy`; a hand-written policy file
 arrives exactly the same way, so the planner has no notion of "levels"
-beyond the metadata it copies into the plan for table labels.
+beyond the metadata the plan's policy carries for table labels.
+
+Before resolving placements it plays the container provider of §5:
+applications declare read-mostly beans and cacheable queries in their
+*extended deployment descriptors*, and the planner fits those
+declarations to the policy — it strips read-mostly descriptors the
+policy gives no replicas and query caches it activates nowhere, gives a
+component its ``central_impl`` where the policy keeps it on the main
+server only, and registers the auxiliary system components
+(``UpdaterFacade`` wherever maintenance traffic flows,
+``UpdateSubscriber`` MDBs under asynchronous propagation), so that
+"developers are freed from implementing tricky update mechanisms that
+require the deployment of additional auxiliary components".
+:func:`component_policy` is the one rule that places those auxiliaries.
 
 A façade plus its co-located domain entities is the paper's "unit of
 distribution"; the plan realizes exactly that granularity.  The plan
@@ -20,9 +34,15 @@ whereas the edge servers were not used at all", §4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..middleware.descriptors import ApplicationDescriptor, ComponentKind
+from ..middleware.updates import (
+    UPDATE_SUBSCRIBER,
+    UPDATER_FACADE,
+    update_subscriber_descriptor,
+    updater_facade_descriptor,
+)
 from .patterns import PatternLevel
 from .policy import (
     ComponentPolicy,
@@ -42,7 +62,8 @@ class PlanError(ValueError):
 class DeploymentPlan:
     """Component-to-server placement for one configuration."""
 
-    level: PatternLevel
+    # The policy this plan realizes.
+    policy: PlacementPolicy
     main: str
     edges: List[str]
     placements: Dict[str, List[str]] = field(default_factory=dict)
@@ -53,8 +74,11 @@ class DeploymentPlan:
     method_caches: Dict[str, List[str]] = field(default_factory=dict)
     # Servers hosting the complete web tier; clients elsewhere use main.
     entry_servers: List[str] = field(default_factory=list)
-    # The policy this plan realizes (None only for hand-built plans).
-    policy: Optional[PlacementPolicy] = None
+
+    @property
+    def level(self) -> PatternLevel:
+        """The policy's label level (table rows, rule reports)."""
+        return self.policy.effective_level()
 
     @property
     def all_servers(self) -> List[str]:
@@ -69,9 +93,8 @@ class DeploymentPlan:
         )
 
     def describe(self) -> str:
-        policy_name = self.policy.name if self.policy is not None else "?"
         lines = [
-            f"deployment plan (policy {policy_name!r}, "
+            f"deployment plan (policy {self.policy.name!r}, "
             f"level {int(self.level)}: {self.level.name})"
         ]
         for server in self.all_servers:
@@ -101,8 +124,6 @@ def component_policy(descriptor, policy: PlacementPolicy) -> ComponentPolicy:
     ``UpdateSubscriber``) follow the replica/cache placements they
     serve; anything else stays on the main server.
     """
-    from ..middleware.updates import UPDATE_SUBSCRIBER, UPDATER_FACADE
-
     named = policy.components.get(descriptor.name)
     if named is not None:
         return named
@@ -113,25 +134,58 @@ def component_policy(descriptor, policy: PlacementPolicy) -> ComponentPolicy:
     return ComponentPolicy(deploy=("main",))
 
 
+def _tailor(application: ApplicationDescriptor, policy: PlacementPolicy) -> None:
+    """Fit ``application``'s extended descriptors to ``policy``, in place."""
+    components = application.components
+    for descriptor in components.values():
+        placed = component_policy(descriptor, policy)
+        if descriptor.read_mostly is not None and not placed.replicas:
+            descriptor.read_mostly = None
+        # Decided from the placement, so a component the policy leaves
+        # out (and the planner keeps on main) counts as main-only.
+        if descriptor.central_impl is not None and tuple(placed.deploy) == ("main",):
+            descriptor.impl = descriptor.central_impl
+    if not policy.query_caches:
+        application.query_caches = {}
+
+    # Method caches ride the same maintenance bus as replicas and query
+    # caches, so they too need the updater façade at their servers.
+    method_caching = any(
+        placed.method_cache and name in components and components[name].cached_methods
+        for name, placed in policy.components.items()
+    )
+    needs_maintenance = (
+        any(descriptor.read_mostly is not None for descriptor in components.values())
+        or bool(application.query_caches)
+        or method_caching
+    )
+    if needs_maintenance and UPDATER_FACADE not in components:
+        application.add(updater_facade_descriptor())
+    if policy.async_updates and UPDATE_SUBSCRIBER not in components:
+        application.add(update_subscriber_descriptor())
+    application.validate()
+
+
 def plan_deployment(
     application: ApplicationDescriptor,
     main: str,
     edges: List[str],
     policy: PlacementPolicy,
 ) -> DeploymentPlan:
-    """Resolve ``policy`` onto the (main, edges) topology.
+    """Tailor ``application`` (in place) to ``policy`` and resolve the
+    policy onto the (main, edges) topology.
 
-    Call *after* :func:`repro.core.automation.apply_policy`, so extended
-    descriptors already reflect the policy.
+    Tailoring comes first, so a policy may name the auxiliary components
+    it causes to be added.  Planning the same application twice adds
+    each auxiliary once.
     """
+    _tailor(application, policy)
     try:
         policy.validate_against(application)
     except PolicyError as exc:
         raise PlanError(str(exc)) from None
 
-    plan = DeploymentPlan(
-        level=policy.effective_level(), main=main, edges=list(edges), policy=policy
-    )
+    plan = DeploymentPlan(policy=policy, main=main, edges=list(edges))
 
     for name, descriptor in application.components.items():
         placed = component_policy(descriptor, policy)
@@ -166,7 +220,8 @@ def plan_deployment(
         except PolicyError as exc:
             raise PlanError(f"query caches: {exc}") from None
 
-    # Entry servers: every server hosting the complete web tier.
+    # Entry servers: every server hosting the complete web tier.  The
+    # policy's validation keeps every servlet on main, so main is one.
     servlet_components = set(application.servlets.values())
     plan.entry_servers = [
         server
@@ -176,17 +231,4 @@ def plan_deployment(
             for component in servlet_components
         )
     ]
-
-    # Sanity: every page's servlet must exist wherever clients connect.
-    for page, servlet in application.servlets.items():
-        if main not in plan.placements.get(servlet, []):
-            raise PlanError(f"servlet {servlet!r} for page {page!r} missing on main")
-    # Sanity: read-write entity state is single-master on the main server.
-    for name, descriptor in application.components.items():
-        if descriptor.kind == ComponentKind.ENTITY:
-            if plan.placements.get(name) != [main]:
-                raise PlanError(
-                    f"entity {name!r} must live exactly on the main server"
-                )
-
     return plan

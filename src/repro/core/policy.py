@@ -17,8 +17,12 @@ so one policy file works on two edge servers or ten.
 The paper's five configurations are not special-cased anywhere
 downstream: :func:`level_policy` is a small compiler from a
 :class:`~repro.core.patterns.PatternLevel` plus an application descriptor
-to a canned policy, and the planner, automation, design-rule checker and
-distribution orchestrator consume only the policy.
+to a canned policy, and the planner, design-rule checker and
+distribution orchestrator consume only the policy.  A policy places the
+application's own components; the planner derives everything else from
+it — which extended descriptors stay active and where the auxiliary
+maintenance components go — and the update mode reaches the deployment
+once, as the mode of its update propagator (and of its method caches).
 """
 
 from __future__ import annotations
@@ -145,37 +149,18 @@ class PlacementPolicy:
             return PatternLevel(self.level)
         return PatternLevel.REMOTE_FACADE
 
-    def replica_selectors(self) -> Tuple[str, ...]:
-        """Union of every component's replica selectors (stable order)."""
-        seen: List[str] = []
-        for name in self.components:
-            for selector in self.components[name].replicas:
-                if selector not in seen:
-                    seen.append(selector)
-        return tuple(seen)
-
-    def method_cache_selectors(self) -> Tuple[str, ...]:
-        """Union of every component's method-cache selectors (stable order)."""
-        seen: List[str] = []
-        for name in self.components:
-            for selector in self.components[name].method_cache:
-                if selector not in seen:
-                    seen.append(selector)
-        return tuple(seen)
-
     def maintenance_selectors(self) -> Tuple[str, ...]:
         """Servers that need the replica-maintenance machinery: main plus
-        everywhere replicas, query caches or method caches live."""
-        seen: List[str] = ["main"]
+        everywhere replicas, query caches or method caches live (stable
+        order)."""
+        placed = self.components.values()
         selectors = (
-            self.replica_selectors()
+            ("main",)
+            + tuple(selector for cp in placed for selector in cp.replicas)
             + self.query_caches
-            + self.method_cache_selectors()
+            + tuple(selector for cp in placed for selector in cp.method_cache)
         )
-        for selector in selectors:
-            if selector not in seen:
-                seen.append(selector)
-        return tuple(seen)
+        return tuple(dict.fromkeys(selectors))
 
     # -- serialization --------------------------------------------------------
     def to_json(self) -> dict:
@@ -320,8 +305,6 @@ def level_policy(
     The compiled policy is topology-independent ("all" selectors), so
     the same five configurations run unchanged on any edge count.
     """
-    from ..middleware.updates import UPDATE_SUBSCRIBER, UPDATER_FACADE
-
     level = PatternLevel(level)
     components: Dict[str, ComponentPolicy] = {}
     for name, descriptor in application.components.items():
@@ -355,19 +338,8 @@ def level_policy(
         else:  # pragma: no cover - enum is closed
             raise PolicyError(f"unplaceable component kind {descriptor.kind}")
 
-    replicating = level >= PatternLevel.STATEFUL_CACHING and any(
-        d.read_mostly is not None for d in application.components.values()
-    )
     caching = level >= PatternLevel.QUERY_CACHING and bool(application.query_caches)
     asynchronous = level >= PatternLevel.ASYNC_UPDATES
-
-    # Auxiliary system components the automation pass will add: the
-    # policy pre-places them so the planner never falls back to kind
-    # heuristics for the canned configurations.
-    if (replicating or caching) and UPDATER_FACADE not in components:
-        components[UPDATER_FACADE] = ComponentPolicy(deploy=("all",))
-    if asynchronous and UPDATE_SUBSCRIBER not in components:
-        components[UPDATE_SUBSCRIBER] = ComponentPolicy(deploy=("all",))
 
     return PlacementPolicy(
         name=f"level-{int(level)}",

@@ -56,7 +56,6 @@ from ..obs.spans import SpanRecorder, build_trees, client_path_wan_calls
 from .distribution import DeployedSystem
 from .patterns import PatternLevel
 from .planner import DeploymentPlan
-from .policy import PlacementPolicy
 
 __all__ = ["RuleViolation", "RuleReport", "DesignRuleChecker", "precheck"]
 
@@ -114,15 +113,15 @@ class DesignRuleChecker:
     def check(self, spans: Optional[SpanRecorder] = None) -> RuleReport:
         """Check ``spans``, by default the deployment's own span table."""
         spans = spans if spans is not None else self.system.trace
-        report = RuleReport(level=self.system.level)
         plan = self.system.plan
+        report = RuleReport(level=plan.level)
         self._check_r1(report, spans)
         if _web_tier_distributed(plan):
             self._check_r2(report, spans)
             self._check_r3(report)
         if plan.replicas:
             self._check_r4(report)
-        if self.system.policy.async_updates:
+        if plan.policy.async_updates:
             self._check_r5(report)
         if self.system.cluster is not None:
             self._check_r6(report)
@@ -333,18 +332,14 @@ def _static_r3(
                 )
 
 
-def precheck(
-    application: ApplicationDescriptor,
-    plan: DeploymentPlan,
-    policy: Optional[PlacementPolicy] = None,
-) -> RuleReport:
+def precheck(application: ApplicationDescriptor, plan: DeploymentPlan) -> RuleReport:
     """Static design-rule check of a plan, before any simulation.
 
     Covers the rules decidable from descriptors and placements alone:
     R1 (entity beans must not expose remote interfaces), — when the
     plan distributes the web tier — R3 (session-oriented components
-    present on every entry server), and — when ``policy`` declares a
-    ``data_tier`` block — the static half of R6 (replica quorums
+    present on every entry server), and — when the plan's policy
+    declares a ``data_tier`` block — the static half of R6 (replica quorums
     achievable with this topology's database seats, shard keys against
     known entity tables), and — when the plan places method caches —
     the static half of R7 (annotated methods exist on the bean class).
@@ -357,9 +352,9 @@ def precheck(
     if _web_tier_distributed(plan):
         report.checked_rules.append("R3")
         _static_r3(report, application, plan)
-    if policy is not None and policy.data_tier is not None:
+    if plan.policy.data_tier is not None:
         report.checked_rules.append("R6")
-        _static_r6(report, application, plan, policy.data_tier)
+        _static_r6(report, application, plan, plan.policy.data_tier)
     if plan.method_caches:
         report.checked_rules.append("R7")
         _static_r7(report, application, plan)

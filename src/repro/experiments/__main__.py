@@ -44,7 +44,6 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from ..apps.dataset import load_dataset
-from ..core.automation import apply_policy
 from ..core.patterns import PatternLevel
 from ..core.planner import plan_deployment
 from ..core.policy import level_policy, load_policy
@@ -307,13 +306,12 @@ def _run_plan(spec: RunSpec, app: Optional[str], levels) -> int:
             if resolved is None:
                 resolved = level_policy(level, application)
             try:
-                apply_policy(application, resolved)
                 plan = plan_deployment(
                     application, testbed.main_server, list(testbed.edge_servers), resolved
                 )
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
-            report = precheck(application, plan, policy=resolved)
+            report = precheck(application, plan)
             print(f"== {name} · policy '{resolved.name}' ==")
             print(plan.describe())
             print()

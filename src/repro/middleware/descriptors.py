@@ -55,7 +55,8 @@ class Persistence(Enum):
 
 
 class UpdateMode(Enum):
-    """How updates reach read-only replicas (extended descriptor, §5)."""
+    """How updates reach edge replicas and caches (a placement policy's
+    ``update_mode``; the deployment's update propagator holds it)."""
 
     SYNC = "synchronous"    # blocking push: zero staleness (§4.3)
     ASYNC = "asynchronous"  # JMS topic + MDB façade (§4.5)
@@ -77,7 +78,6 @@ class ReadMostlyDescriptor:
     """
 
     updater: str
-    update_mode: UpdateMode = UpdateMode.SYNC
     refresh_mode: RefreshMode = RefreshMode.PUSH
 
 
@@ -97,7 +97,6 @@ class QueryCacheDescriptor:
     sql: str
     invalidated_by: Tuple[str, ...] = ()
     refresh_mode: RefreshMode = RefreshMode.PULL
-    update_mode: UpdateMode = UpdateMode.SYNC
     # maps an update event to the cache key(s) it invalidates; None = all.
     key_of_update: Optional[Callable] = None
 
@@ -151,15 +150,6 @@ class ComponentDescriptor:
     def is_entity(self) -> bool:
         return self.kind == ComponentKind.ENTITY
 
-    @property
-    def is_facade(self) -> bool:
-        """Façades are the components that may be invoked remotely (§5)."""
-        return self.remote_interface and self.kind in (
-            ComponentKind.STATELESS_SESSION,
-            ComponentKind.STATEFUL_SESSION,
-            ComponentKind.MESSAGE_DRIVEN,
-        )
-
 
 @dataclass
 class ApplicationDescriptor:
@@ -185,11 +175,6 @@ class ApplicationDescriptor:
             raise DescriptorError(f"duplicate schema {schema.name!r}")
         self.schemas[schema.name] = schema
 
-    def add_query(self, query_id: str, sql: str) -> None:
-        if query_id in self.queries:
-            raise DescriptorError(f"duplicate query {query_id!r}")
-        self.queries[query_id] = sql
-
     def add_query_cache(self, descriptor: QueryCacheDescriptor) -> None:
         if descriptor.query_id in self.query_caches:
             raise DescriptorError(f"duplicate query cache {descriptor.query_id!r}")
@@ -202,12 +187,6 @@ class ApplicationDescriptor:
         if self.components[servlet_component].kind != ComponentKind.SERVLET:
             raise DescriptorError(f"page {page!r} must map to a servlet")
         self.servlets[page] = servlet_component
-
-    def component(self, name: str) -> ComponentDescriptor:
-        try:
-            return self.components[name]
-        except KeyError:
-            raise DescriptorError(f"unknown component {name!r}") from None
 
     def entities(self) -> List[ComponentDescriptor]:
         return [c for c in self.components.values() if c.is_entity]

@@ -12,6 +12,10 @@ Implements both halves of the paper's consistency spectrum:
   delays it); ``UpdateSubscriber`` MDBs on the edge servers apply it,
   and the writer returns immediately.
 
+Which half a deployment runs is the policy's ``update_mode``, held by
+the one :class:`UpdatePropagator` on the main server: each commit builds
+one payload, which the propagator either pushes or publishes.
+
 The ``UpdaterFacade`` stateless session bean is the single remote entry
 point for replica maintenance: edges *pull* state and query results from
 it, and the propagator *pushes* through it — "updates to read-only beans
@@ -188,16 +192,18 @@ def update_subscriber_descriptor() -> ComponentDescriptor:
 class UpdatePropagator:
     """Commit-time propagation engine on the main server."""
 
-    def __init__(self, server: "AppServer", targets: List["AppServer"]):
+    def __init__(
+        self, server: "AppServer", targets: List["AppServer"], mode: UpdateMode
+    ):
         self.server = server
         self.targets = list(targets)
+        self.mode = mode
         # Level 6: when any target runs a transactional method cache,
         # every commit's write-table set rides the bus (even commits
         # producing no replica events), payloads are stamped, and sync
         # pushes carry per-target sequence numbers.  Off by default so
         # levels 1–5 propagate exactly as before.
         self.tracks_table_writes = False
-        self.table_update_mode = UpdateMode.SYNC
         self._seq: dict = {}  # target server name -> last sequence sent
         self.sync_pushes = 0
         self.async_publishes = 0
@@ -223,14 +229,13 @@ class UpdatePropagator:
                 derived.append((cache, key))
         return derived
 
-    def build_payloads(
+    def build_payload(
         self,
         ctx: InvocationContext,
         events: List[UpdateEvent],
-    ) -> Generator[Event, Any, Tuple[UpdatePayload, UpdatePayload]]:
-        """Partition work into (synchronous, asynchronous) payloads."""
-        sync = UpdatePayload()
-        asynchronous = UpdatePayload()
+    ) -> Generator[Event, Any, UpdatePayload]:
+        """The replica events and query-cache work of one commit."""
+        payload = UpdatePayload()
         for event in events:
             descriptor = self.server.application.components.get(event.component)
             if descriptor is None or descriptor.read_mostly is None:
@@ -263,8 +268,7 @@ class UpdatePropagator:
                     changed_fields=event.changed_fields,
                     partial=True,
                 )
-            target = sync if read_mostly.update_mode == UpdateMode.SYNC else asynchronous
-            target.events.append(shipped)
+            payload.events.append(shipped)
 
         seen = set()
         for descriptor, params in self._derived_invalidations(events):
@@ -272,18 +276,17 @@ class UpdatePropagator:
             if marker in seen:
                 continue
             seen.add(marker)
-            target = sync if descriptor.update_mode == UpdateMode.SYNC else asynchronous
             if descriptor.refresh_mode == RefreshMode.PUSH and params is not None:
                 # Compute fresh rows now so readers are never penalized.
                 result = yield from self.server.db_execute(
                     ctx, descriptor.sql, tuple(params)
                 )
-                target.query_refreshes.append(
+                payload.query_refreshes.append(
                     (descriptor.query_id, tuple(params), result.rows)
                 )
             else:
-                target.invalidations.append((descriptor.query_id, params))
-        return sync, asynchronous
+                payload.invalidations.append((descriptor.query_id, params))
+        return payload
 
     # -- propagation -----------------------------------------------------------
     def propagate(
@@ -300,26 +303,23 @@ class UpdatePropagator:
         span = ctx.start_span("propagate", "replica-updates")
         ctx = ctx.in_span(span)
         try:
-            sync, asynchronous = yield from self.build_payloads(ctx, events)
-            if self.tracks_table_writes and written_tables:
-                carrier = (
-                    sync
-                    if self.table_update_mode == UpdateMode.SYNC
-                    else asynchronous
-                )
+            payload = yield from self.build_payload(ctx, events)
+            if self.tracks_table_writes:
                 for table in written_tables:
-                    if table not in carrier.tables:
-                        carrier.tables.append(table)
-            if not asynchronous.empty:
+                    if table not in payload.tables:
+                        payload.tables.append(table)
+            if payload.empty:
+                return
+            if self.mode == UpdateMode.ASYNC:
                 if self.tracks_table_writes:
-                    asynchronous.sent_at = ctx.env.now
-                yield from self.server.jms.publish(ctx, UPDATE_TOPIC, asynchronous)
+                    payload.sent_at = ctx.env.now
+                yield from self.server.jms.publish(ctx, UPDATE_TOPIC, payload)
                 self.async_publishes += 1
-            if not sync.empty:
+            else:
                 start = ctx.env.now
                 pushes = [
                     ctx.env.process(
-                        self._push_one(ctx, target, sync),
+                        self._push_one(ctx, target, payload),
                         name=f"sync-push-{target.name}",
                     )
                     for target in self.targets

@@ -115,13 +115,13 @@ def test_read_mostly_beans_match_paper():
 def test_centralized_uses_direct_jdbc_servlets():
     from repro.apps.petstore.web import CategoryServletV1, CategoryServletV2
 
-    from repro.core.automation import apply_policy
+    from repro.core.planner import plan_deployment
     from repro.core.policy import level_policy
 
     apps = {}
     for level in (PatternLevel.CENTRALIZED, PatternLevel.REMOTE_FACADE):
         apps[level] = build_application()
-        apply_policy(apps[level], level_policy(level, apps[level]))
+        plan_deployment(apps[level], "main", ["edge1"], level_policy(level, apps[level]))
     assert apps[PatternLevel.CENTRALIZED].components["servlet.Category"].impl is CategoryServletV1
     assert apps[PatternLevel.REMOTE_FACADE].components["servlet.Category"].impl is CategoryServletV2
 
@@ -129,7 +129,6 @@ def test_centralized_uses_direct_jdbc_servlets():
 def test_a_servlet_the_policy_leaves_out_runs_on_main_with_direct_jdbc():
     from repro.apps.petstore.web import CategoryServletV1, ProductServletV2
 
-    from repro.core.automation import apply_policy
     from repro.core.planner import plan_deployment
     from repro.core.policy import level_policy
 
@@ -138,7 +137,6 @@ def test_a_servlet_the_policy_leaves_out_runs_on_main_with_direct_jdbc():
     components = dict(facade.components)
     del components["servlet.Category"]
     policy = dataclasses.replace(facade, components=components)
-    apply_policy(app, policy)
     plan = plan_deployment(app, "main", ["edge1", "edge2"], policy)
     assert plan.servers_of("servlet.Category") == ["main"]
     assert app.components["servlet.Category"].impl is CategoryServletV1

@@ -1,9 +1,6 @@
 """Placement tests: the deployment plans match the paper's §4 narrative."""
 
-import pytest
-
 from repro.apps import petstore, rubis
-from repro.core.automation import apply_policy
 from repro.core.patterns import PatternLevel
 from repro.core.planner import plan_deployment
 from repro.core.policy import level_policy
@@ -11,11 +8,9 @@ from repro.core.policy import level_policy
 ALL = ["main", "edge1", "edge2"]
 
 
-def _plan(build, level, **kwargs):
-    app = build(PatternLevel(level), **kwargs)
-    policy = level_policy(PatternLevel(level), app)
-    apply_policy(app, policy)
-    return plan_deployment(app, "main", ["edge1", "edge2"], policy)
+def _plan(build, level):
+    app = build()
+    return plan_deployment(app, "main", ["edge1", "edge2"], level_policy(level, app))
 
 
 # ---------------------------------------------------------------------------

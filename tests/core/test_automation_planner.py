@@ -1,14 +1,20 @@
 """Unit tests for extended-descriptor automation and deployment planning."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.automation import apply_policy
+from repro.apps import petstore, rubis
+from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel, level_name
-from repro.core.planner import PlanError, plan_deployment
+from repro.core.planner import plan_deployment
 from repro.core.policy import level_policy
 from repro.middleware.descriptors import UpdateMode
 from repro.middleware.updates import UPDATE_SUBSCRIBER, UPDATER_FACADE
-from tests.helpers import tiny_application
+from repro.rdbms.engine import Database
+from repro.simnet.kernel import Environment
+from repro.simnet.topology import TestbedConfig, build_testbed
+from tests.helpers import tiny_application, tiny_system
 
 
 # ---------------------------------------------------------------------------
@@ -31,48 +37,44 @@ def test_levels_are_ordered():
 
 
 # ---------------------------------------------------------------------------
-# Automation (§5)
+# Automation (§5): planning tailors the extended descriptors to the policy
 # ---------------------------------------------------------------------------
 
 
 def configure(app, level):
-    """Apply the canned policy of ``level``, as ``distribute`` does."""
-    return apply_policy(app, level_policy(level, app))
+    """Plan ``app`` under the canned policy of ``level``, as ``distribute`` does."""
+    return plan_deployment(app, "main", ["edge1", "edge2"], level_policy(level, app))
 
 
 def test_level1_strips_read_mostly_and_caches():
     app = tiny_application()
-    report = configure(app, PatternLevel.CENTRALIZED)
+    configure(app, PatternLevel.CENTRALIZED)
     assert app.components["Note"].read_mostly is None
     assert app.query_caches == {}
     assert "tiny.notes_of" in app.queries  # definitions survive
-    assert report.read_mostly_stripped == ["Note"]
     assert UPDATER_FACADE not in app.components
 
 
 def test_level3_activates_replicas_sync():
     app = tiny_application()
-    report = configure(app, PatternLevel.STATEFUL_CACHING)
-    assert app.components["Note"].read_mostly.update_mode == UpdateMode.SYNC
+    plan = configure(app, PatternLevel.STATEFUL_CACHING)
+    assert app.components["Note"].read_mostly is not None
     assert app.query_caches == {}  # caches only from level 4
     assert UPDATER_FACADE in app.components
-    assert report.mode == UpdateMode.SYNC
+    assert UPDATE_SUBSCRIBER not in app.components
+    assert plan.policy.update_mode == UpdateMode.SYNC
 
 
 def test_level4_activates_query_caches():
     app = tiny_application()
     configure(app, PatternLevel.QUERY_CACHING)
     assert "tiny.notes_of" in app.query_caches
-    assert app.query_caches["tiny.notes_of"].update_mode == UpdateMode.SYNC
 
 
 def test_level5_switches_everything_async():
-    app = tiny_application()
-    report = configure(app, PatternLevel.ASYNC_UPDATES)
-    assert app.components["Note"].read_mostly.update_mode == UpdateMode.ASYNC
-    assert app.query_caches["tiny.notes_of"].update_mode == UpdateMode.ASYNC
-    assert UPDATE_SUBSCRIBER in app.components
-    assert report.mode == UpdateMode.ASYNC
+    env, system = tiny_system(PatternLevel.ASYNC_UPDATES)
+    assert UPDATE_SUBSCRIBER in system.application.components
+    assert system.main.update_propagator.mode == UpdateMode.ASYNC
 
 
 def test_automation_is_idempotent_about_auxiliaries():
@@ -80,14 +82,21 @@ def test_automation_is_idempotent_about_auxiliaries():
     configure(app, PatternLevel.ASYNC_UPDATES)
     configure(app, PatternLevel.ASYNC_UPDATES)
     assert list(app.components).count(UPDATER_FACADE) == 1
+    assert list(app.components).count(UPDATE_SUBSCRIBER) == 1
 
 
-def test_automation_report_summary_text():
-    app = tiny_application()
-    report = configure(app, PatternLevel.ASYNC_UPDATES)
-    summary = report.summary()
-    assert "asynchronous" in summary
-    assert "UpdaterFacade" in summary
+@pytest.mark.parametrize("build", [petstore.build_application, rubis.build_application])
+@pytest.mark.parametrize("level", [PatternLevel.ASYNC_UPDATES, PatternLevel.METHOD_CACHING])
+def test_a_canned_async_level_switched_to_sync_deploys(build, level):
+    """The update mode is a free choice of the policy: the canned async
+    levels run under blocking push, and no subscriber MDB is placed."""
+    app = build()
+    policy = replace(level_policy(level, app), update_mode=UpdateMode.SYNC)
+    env = Environment()
+    testbed = build_testbed(env, TestbedConfig())
+    system = distribute(env, testbed, app, policy, Database(app.name))
+    assert UPDATE_SUBSCRIBER not in system.plan.placements
+    assert system.main.update_propagator.mode == UpdateMode.SYNC
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +106,7 @@ def test_automation_report_summary_text():
 
 def _plan(level):
     app = tiny_application()
-    policy = level_policy(level, app)
-    apply_policy(app, policy)
-    return app, plan_deployment(app, "main", ["edge1", "edge2"], policy)
+    return app, configure(app, level)
 
 
 def test_level1_everything_on_main():
@@ -131,8 +138,6 @@ def test_level4_query_caches_everywhere():
 
 def test_level5_subscribers_everywhere():
     app, plan = _plan(PatternLevel.ASYNC_UPDATES)
-    from repro.middleware.updates import UPDATE_SUBSCRIBER
-
     assert plan.servers_of(UPDATE_SUBSCRIBER) == ["main", "edge1", "edge2"]
 
 

@@ -8,12 +8,10 @@ applications, on the paper's topology and on others.
 """
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
 from repro.apps import petstore, rubis
-from repro.core.automation import apply_policy
 from repro.core.patterns import PAPER_LEVELS, PatternLevel
 from repro.core.planner import PlanError, plan_deployment
 from repro.core.policy import (
@@ -32,7 +30,7 @@ from repro.middleware.updates import (
     update_subscriber_descriptor,
     updater_facade_descriptor,
 )
-from tests.helpers import tiny_application
+from tests.helpers import tiny_application, tiny_system
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,7 @@ def test_policy_json_defaults():
     assert policy.update_mode == UpdateMode.SYNC
     assert policy.level is None
     assert policy.effective_level() == PatternLevel.REMOTE_FACADE
-    assert not policy.replica_selectors() and not policy.query_caches
+    assert policy.maintenance_selectors() == ("main",)
 
 
 @pytest.mark.parametrize(
@@ -201,22 +199,14 @@ def test_planner_raises_on_invalid_policy():
 
 
 def _legacy_configure(application, level):
-    """Verbatim behavior of the pre-policy ``configure_for_level``."""
+    """The pre-policy ``configure_for_level``'s rules; returns the update
+    mode it gave the surviving extended descriptors (ASYNC iff level >= 5)."""
     mode = UpdateMode.ASYNC if level >= PatternLevel.ASYNC_UPDATES else UpdateMode.SYNC
-    for name, descriptor in list(application.components.items()):
-        if descriptor.read_mostly is None:
-            continue
-        if level < PatternLevel.STATEFUL_CACHING:
+    if level < PatternLevel.STATEFUL_CACHING:
+        for descriptor in application.components.values():
             descriptor.read_mostly = None
-        else:
-            descriptor.read_mostly = replace(descriptor.read_mostly, update_mode=mode)
     if level < PatternLevel.QUERY_CACHING:
         application.query_caches = {}
-    else:
-        application.query_caches = {
-            query_id: replace(cache, update_mode=mode)
-            for query_id, cache in application.query_caches.items()
-        }
     if (
         level >= PatternLevel.STATEFUL_CACHING
         and UPDATER_FACADE not in application.components
@@ -228,6 +218,7 @@ def _legacy_configure(application, level):
     ):
         application.add(update_subscriber_descriptor())
     application.validate()
+    return mode
 
 
 def _legacy_plan(application, main, edges, level):
@@ -269,14 +260,12 @@ EDGE_SETS = (
 @pytest.mark.parametrize("level", list(PAPER_LEVELS))
 def test_level_policy_matches_legacy_planner(build, level):
     for edges in EDGE_SETS:
-        legacy_app = build(level)
+        legacy_app = build()
         _legacy_configure(legacy_app, level)
         placements, replicas, caches = _legacy_plan(legacy_app, "main", edges, level)
 
-        new_app = build(level)
-        policy = level_policy(level, new_app)
-        apply_policy(new_app, policy)
-        plan = plan_deployment(new_app, "main", edges, policy)
+        new_app = build()
+        plan = plan_deployment(new_app, "main", edges, level_policy(level, new_app))
 
         assert plan.placements == placements, (level, edges)
         assert plan.replicas == replicas, (level, edges)
@@ -285,19 +274,22 @@ def test_level_policy_matches_legacy_planner(build, level):
 
 @pytest.mark.parametrize("level", list(PAPER_LEVELS))
 def test_configure_for_level_still_compiles_policies(level):
-    """Applying a level's canned policy behaves like the old automation
-    pass (``configure_for_level``, which this pipeline replaced)."""
+    """Deploying a level's canned policy behaves like the old automation
+    pass (``configure_for_level``, which this pipeline replaced); the mode
+    it gave the descriptors is the deployed propagator's."""
     legacy_app = tiny_application()
-    _legacy_configure(legacy_app, level)
-    new_app = tiny_application()
-    apply_policy(new_app, level_policy(level, new_app))
+    mode = _legacy_configure(legacy_app, level)
+    env, system = tiny_system(level)
+    new_app = system.application
     assert set(new_app.components) == set(legacy_app.components)
     assert set(new_app.query_caches) == set(legacy_app.query_caches)
     for name, descriptor in new_app.components.items():
         legacy = legacy_app.components[name]
         assert (descriptor.read_mostly is None) == (legacy.read_mostly is None), name
-        if descriptor.read_mostly is not None:
-            assert descriptor.read_mostly.update_mode == legacy.read_mostly.update_mode
+    propagator = system.main.update_propagator
+    assert (propagator is None) == (level < PatternLevel.STATEFUL_CACHING)
+    if propagator is not None:
+        assert propagator.mode == mode
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +320,6 @@ def test_entry_servers_partial_web_tier():
             "NotesFacade": ComponentPolicy(deploy=("main", "edge1")),
         },
     )
-    apply_policy(app, policy)
     plan = plan_deployment(app, "main", ["edge1", "edge2"], policy)
     assert plan.entry_servers == ["main", "edge1"]
     report = precheck(app, plan)
@@ -368,7 +359,6 @@ def test_precheck_catches_session_state_gap():
             "NoteSession": ComponentPolicy(deploy=("main",)),
         },
     )
-    apply_policy(app, policy)
     plan = plan_deployment(app, "main", ["edge1", "edge2"], policy)
     report = precheck(app, plan)
     assert not report.ok

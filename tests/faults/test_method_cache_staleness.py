@@ -25,7 +25,6 @@ from repro.faults.report import (
 )
 from repro.faults.scenarios import scenario
 from repro.middleware.descriptors import UpdateMode
-from repro.middleware.updates import UPDATE_SUBSCRIBER
 from repro.workload.generator import WorkloadConfig
 
 import repro.apps.rubis as rubis
@@ -55,17 +54,7 @@ def _scenario():
 def _strict_policy():
     application = rubis.build_application()
     policy = level_policy(PatternLevel.METHOD_CACHING, application)
-    components = {
-        name: cp
-        for name, cp in policy.components.items()
-        if name != UPDATE_SUBSCRIBER
-    }
-    return replace(
-        policy,
-        name="method-cache-strict",
-        update_mode=UpdateMode.SYNC,
-        components=components,
-    )
+    return replace(policy, name="method-cache-strict", update_mode=UpdateMode.SYNC)
 
 
 def test_strict_mode_serves_zero_stale_results_under_partition():

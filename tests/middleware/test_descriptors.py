@@ -10,7 +10,6 @@ from repro.middleware.descriptors import (
     QueryCacheDescriptor,
     ReadMostlyDescriptor,
     TxAttribute,
-    UpdateMode,
 )
 from repro.middleware.ejb import EntityBean, Servlet, StatelessSessionBean
 from repro.rdbms.schema import Column, TableSchema
@@ -79,16 +78,6 @@ def test_component_needs_some_interface():
         )
 
 
-def test_is_facade_semantics():
-    facade = ComponentDescriptor(
-        name="F", kind=ComponentKind.STATELESS_SESSION, impl=_Bean
-    )
-    assert facade.is_facade
-    entity = _entity_descriptor()
-    assert not entity.is_facade
-    assert entity.is_entity
-
-
 def test_application_duplicate_component_rejected():
     app = ApplicationDescriptor(name="a")
     app.add(ComponentDescriptor("F", ComponentKind.STATELESS_SESSION, _Bean))
@@ -126,9 +115,6 @@ def test_application_validate_checks_updater_reference():
 
 def test_query_registration_and_cache():
     app = ApplicationDescriptor(name="a")
-    app.add_query("q1", "SELECT * FROM t")
-    with pytest.raises(DescriptorError):
-        app.add_query("q1", "SELECT * FROM t")
     app.add_query_cache(QueryCacheDescriptor(query_id="q2", sql="SELECT * FROM t"))
     assert "q2" in app.queries  # cache registration also registers the query
     with pytest.raises(DescriptorError):
@@ -141,14 +127,3 @@ def test_entities_listing():
     app.add(_entity_descriptor())
     app.add(ComponentDescriptor("F", ComponentKind.STATELESS_SESSION, _Bean))
     assert [d.name for d in app.entities()] == ["E"]
-
-
-def test_unknown_component_lookup():
-    app = ApplicationDescriptor(name="a")
-    with pytest.raises(DescriptorError):
-        app.component("nope")
-
-
-def test_default_update_mode_is_sync():
-    descriptor = ReadMostlyDescriptor(updater="E")
-    assert descriptor.update_mode == UpdateMode.SYNC

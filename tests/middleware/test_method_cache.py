@@ -53,20 +53,9 @@ def _level6_system():
 
 
 def _strict_policy(app):
-    """The canned level-6 policy flipped to synchronous (strict) pushes.
-
-    Dropping the ``UpdateSubscriber`` placement mirrors automation: the
-    MDB only exists under asynchronous propagation.
-    """
-    from repro.middleware.updates import UPDATE_SUBSCRIBER
-
+    """The canned level-6 policy flipped to synchronous (strict) pushes."""
     policy = level_policy(PatternLevel.METHOD_CACHING, app)
-    components = {
-        name: cp
-        for name, cp in policy.components.items()
-        if name != UPDATE_SUBSCRIBER
-    }
-    return replace(policy, update_mode=UpdateMode.SYNC, components=components)
+    return replace(policy, update_mode=UpdateMode.SYNC)
 
 
 def _strict_system():
@@ -93,7 +82,6 @@ def test_level6_deploys_method_caches_on_edges_only():
         assert cache.intercepts("NotesFacade", "read_note")
         assert not cache.intercepts("NotesFacade", "write_note")
     assert system.plan.method_caches == {"NotesFacade": ["edge1", "edge2"]}
-    assert system.automation.method_caches_active == ["NotesFacade"]
 
 
 def test_level6_propagator_tracks_table_writes():
@@ -101,7 +89,7 @@ def test_level6_propagator_tracks_table_writes():
     propagator = system.main.update_propagator
     assert propagator is not None
     assert propagator.tracks_table_writes
-    assert propagator.table_update_mode == UpdateMode.ASYNC
+    assert propagator.mode == UpdateMode.ASYNC
 
 
 def test_levels_below_six_have_no_method_cache():
