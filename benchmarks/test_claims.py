@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.patterns import PAPER_LEVELS, PatternLevel
-from repro.core.rules import DesignRuleChecker
+from repro.core.rules import check_rules
 from repro.experiments.calibration import default_workload
 from repro.experiments.runner import run_configuration
 from repro.middleware.context import InvocationContext, RequestInfo
@@ -148,12 +148,12 @@ def test_design_rules_hold_at_every_level():
             result = run_configuration(
                 app, level, workload=workload, seed=2003, with_spans=True
             )
-            report = DesignRuleChecker(result.system, page_exceptions=exceptions).check()
+            report = check_rules(result.system, page_exceptions=exceptions)
             assert report.checked_rules == EXPECTED_RULES[int(level)], cell
             assert report.ok, f"{cell}: {report.summary()}"
             if exceptions and level >= PatternLevel.REMOTE_FACADE:
                 # Without the exception, R2 flags exactly that page.
-                strict = DesignRuleChecker(result.system).check()
+                strict = check_rules(result.system)
                 flagged = {v.subject for v in strict.violations_of("R2")}
                 assert flagged == {"Verify Signin"}, cell
                 assert strict.metrics["max_wan_calls_seen"] == 2, cell

@@ -15,7 +15,7 @@ Run:  python examples/design_rule_audit.py
 """
 
 from repro.apps.rubis import build_application, populate_rubis
-from repro.core import DesignRuleChecker, PatternLevel, distribute
+from repro.core import PatternLevel, check_rules, distribute
 from repro.core.rules import RuleReport
 from repro.experiments import run_configuration
 from repro.experiments.calibration import default_workload
@@ -34,9 +34,7 @@ def audit_good_deployment() -> RuleReport:
         workload=default_workload(duration_ms=60_000.0, warmup_ms=15_000.0),
         with_spans=True,
     )
-    report = DesignRuleChecker(result.system, min_replica_hit_rate=0.3).check(
-        result.spans
-    )
+    report = check_rules(result.system, result.spans, min_replica_hit_rate=0.3)
     print(report.summary())
     print(f"  rules checked: {', '.join(report.checked_rules)}")
     for key, value in sorted(report.metrics.items()):
@@ -81,12 +79,12 @@ def audit_bad_deployment() -> RuleReport:
     env.process(chatty_page())
     env.run()
 
-    report = DesignRuleChecker(system).check(spans)
+    report = check_rules(system, spans)
     print(report.summary())
 
     # Had the entity kept its local-only interface, the runtime itself
     # would have refused (the enforcement §5 recommends):
-    application.components["RubisItem"].remote_interface = False
+    system.application.components["RubisItem"].remote_interface = False
     edge.home_cache.invalidate()
 
     def rejected_page():

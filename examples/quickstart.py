@@ -8,7 +8,7 @@ response times plus a design-rule report.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import DesignRuleChecker, PatternLevel
+from repro.core import PatternLevel, check_rules
 from repro.experiments import run_configuration
 from repro.experiments.calibration import default_workload
 
@@ -41,9 +41,7 @@ def main() -> None:
         print(f"  {name:12s} {utilization:.0%}")
 
     print("\ndesign-rule check (§5):")
-    report = DesignRuleChecker(result.system, min_replica_hit_rate=0.3).check(
-        result.spans
-    )
+    report = check_rules(result.system, result.spans, min_replica_hit_rate=0.3)
     print(" ", report.summary().replace("\n", "\n  "))
 
     print("\ndeployment plan:")

@@ -28,8 +28,8 @@ Quick start::
 
 from .core import (
     DeployedSystem,
-    DesignRuleChecker,
     PatternLevel,
+    check_rules,
     distribute,
 )
 from .experiments import run_configuration, run_series
@@ -39,7 +39,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DeployedSystem",
-    "DesignRuleChecker",
+    "check_rules",
     "PatternLevel",
     "distribute",
     "run_configuration",

@@ -52,9 +52,7 @@ def _entity(name, impl, table, read_mostly=False):
         persistence=Persistence.BMP,
         remote_interface=False,  # entities are local-only (design rule R1)
         read_mostly=(
-            ReadMostlyDescriptor(updater=name, refresh_mode=RefreshMode.PUSH)
-            if read_mostly
-            else None
+            ReadMostlyDescriptor(refresh_mode=RefreshMode.PUSH) if read_mostly else None
         ),
     )
 

@@ -66,9 +66,7 @@ def _entity(name, impl, table, read_mostly=False):
         persistence=Persistence.CMP,
         remote_interface=False,
         read_mostly=(
-            ReadMostlyDescriptor(updater=name, refresh_mode=RefreshMode.PUSH)
-            if read_mostly
-            else None
+            ReadMostlyDescriptor(refresh_mode=RefreshMode.PUSH) if read_mostly else None
         ),
     )
 

@@ -22,7 +22,7 @@ from .policy import (
     level_policy,
     load_policy,
 )
-from .rules import DesignRuleChecker, RuleReport, RuleViolation, precheck
+from .rules import RuleReport, RuleViolation, check_rules, precheck
 from .usage import (
     PageVisit,
     PatternError,
@@ -45,7 +45,7 @@ __all__ = [
     "DeploymentPlan",
     "PlanError",
     "plan_deployment",
-    "DesignRuleChecker",
+    "check_rules",
     "RuleReport",
     "RuleViolation",
     "PageVisit",

@@ -41,7 +41,6 @@ class DeployedSystem:
 
     env: Environment
     testbed: Testbed
-    application: ApplicationDescriptor
     servers: Dict[str, AppServer]
     db_server: DatabaseServer
     plan: DeploymentPlan
@@ -51,6 +50,11 @@ class DeployedSystem:
     # Sharded/replicated data tier; None under a single-instance policy.
     cluster: Optional[DataTierCluster] = None
     _entry_servers: Dict[str, AppServer] = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def application(self) -> ApplicationDescriptor:
+        """The deployed application: the plan's copy, tailored to its policy."""
+        return self.plan.application
 
     @property
     def main(self) -> AppServer:
@@ -156,7 +160,7 @@ def distribute(
     metrics: Optional[MetricsRegistry] = None,
     streams: Optional[Streams] = None,
 ) -> DeployedSystem:
-    """Deploy ``application`` across the testbed under ``policy``.
+    """Deploy ``application``, tailored to ``policy``, across the testbed.
 
     ``policy`` is a :class:`PlacementPolicy`; a bare
     :class:`PatternLevel` (or int) selects the matching canned policy,
@@ -171,11 +175,12 @@ def distribute(
         policy = level_policy(PatternLevel(policy), application)
     costs = costs or MiddlewareCosts()
 
-    # 1. Placement; planning also tailors the app's extended descriptors
-    # to the policy (§5's automation).
+    # 1. Placement; planning also tailors a copy of the app's extended
+    # descriptors to the policy (§5's automation), which is deployed.
     plan = plan_deployment(
         application, testbed.main_server, list(testbed.edge_servers), policy
     )
+    application = plan.application
 
     # 2. Database server on its node.
     db_server = DatabaseServer(
@@ -299,7 +304,6 @@ def distribute(
     return DeployedSystem(
         env=env,
         testbed=testbed,
-        application=application,
         servers=servers,
         db_server=db_server,
         plan=plan,

@@ -12,10 +12,12 @@ beyond the metadata the plan's policy carries for table labels.
 Before resolving placements it plays the container provider of §5:
 applications declare read-mostly beans and cacheable queries in their
 *extended deployment descriptors*, and the planner fits those
-declarations to the policy — it strips read-mostly descriptors the
-policy gives no replicas and query caches it activates nowhere, gives a
-component its ``central_impl`` where the policy keeps it on the main
-server only, and registers the auxiliary system components
+declarations to the policy on a copy of the application, which the plan
+carries and :func:`~repro.core.distribution.distribute` deploys: it
+strips read-mostly descriptors the policy gives no replicas and query
+caches it activates nowhere, gives a component its ``central_impl``
+where the policy keeps it on the main server only, and registers the
+auxiliary system components
 (``UpdaterFacade`` wherever maintenance traffic flows,
 ``UpdateSubscriber`` MDBs under asynchronous propagation), so that
 "developers are freed from implementing tricky update mechanisms that
@@ -33,7 +35,8 @@ whereas the edge servers were not used at all", §4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 from ..middleware.descriptors import ApplicationDescriptor, ComponentKind
@@ -64,6 +67,8 @@ class DeploymentPlan:
 
     # The policy this plan realizes.
     policy: PlacementPolicy
+    # The application tailored to the policy: what gets deployed.
+    application: ApplicationDescriptor = field(repr=False)
     main: str
     edges: List[str]
     placements: Dict[str, List[str]] = field(default_factory=dict)
@@ -134,9 +139,22 @@ def component_policy(descriptor, policy: PlacementPolicy) -> ComponentPolicy:
     return ComponentPolicy(deploy=("main",))
 
 
-def _tailor(application: ApplicationDescriptor, policy: PlacementPolicy) -> None:
-    """Fit ``application``'s extended descriptors to ``policy``, in place."""
-    components = application.components
+def _tailor(
+    application: ApplicationDescriptor, policy: PlacementPolicy
+) -> ApplicationDescriptor:
+    """A copy of ``application`` with its extended descriptors fitted to
+    ``policy``; ``application`` itself is left untouched."""
+    tailored = replace(
+        application,
+        components={
+            name: copy(descriptor) for name, descriptor in application.components.items()
+        },
+        schemas=dict(application.schemas),
+        queries=dict(application.queries),
+        query_caches=dict(application.query_caches) if policy.query_caches else {},
+        servlets=dict(application.servlets),
+    )
+    components = tailored.components
     for descriptor in components.values():
         placed = component_policy(descriptor, policy)
         if descriptor.read_mostly is not None and not placed.replicas:
@@ -145,8 +163,6 @@ def _tailor(application: ApplicationDescriptor, policy: PlacementPolicy) -> None
         # out (and the planner keeps on main) counts as main-only.
         if descriptor.central_impl is not None and tuple(placed.deploy) == ("main",):
             descriptor.impl = descriptor.central_impl
-    if not policy.query_caches:
-        application.query_caches = {}
 
     # Method caches ride the same maintenance bus as replicas and query
     # caches, so they too need the updater façade at their servers.
@@ -156,14 +172,15 @@ def _tailor(application: ApplicationDescriptor, policy: PlacementPolicy) -> None
     )
     needs_maintenance = (
         any(descriptor.read_mostly is not None for descriptor in components.values())
-        or bool(application.query_caches)
+        or bool(tailored.query_caches)
         or method_caching
     )
     if needs_maintenance and UPDATER_FACADE not in components:
-        application.add(updater_facade_descriptor())
+        tailored.add(updater_facade_descriptor())
     if policy.async_updates and UPDATE_SUBSCRIBER not in components:
-        application.add(update_subscriber_descriptor())
-    application.validate()
+        tailored.add(update_subscriber_descriptor())
+    tailored.validate()
+    return tailored
 
 
 def plan_deployment(
@@ -172,20 +189,22 @@ def plan_deployment(
     edges: List[str],
     policy: PlacementPolicy,
 ) -> DeploymentPlan:
-    """Tailor ``application`` (in place) to ``policy`` and resolve the
-    policy onto the (main, edges) topology.
+    """Tailor a copy of ``application`` to ``policy`` and resolve the
+    policy onto the (main, edges) topology; the plan carries the copy.
 
     Tailoring comes first, so a policy may name the auxiliary components
-    it causes to be added.  Planning the same application twice adds
-    each auxiliary once.
+    it causes to be added.  Planning an already tailored application
+    (a plan's own) adds each auxiliary once.
     """
-    _tailor(application, policy)
+    application = _tailor(application, policy)
     try:
         policy.validate_against(application)
     except PolicyError as exc:
         raise PlanError(str(exc)) from None
 
-    plan = DeploymentPlan(policy=policy, main=main, edges=list(edges))
+    plan = DeploymentPlan(
+        policy=policy, application=application, main=main, edges=list(edges)
+    )
 
     for name, descriptor in application.components.items():
         placed = component_policy(descriptor, policy)

@@ -311,7 +311,7 @@ def _run_plan(spec: RunSpec, app: Optional[str], levels) -> int:
                 )
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
-            report = precheck(application, plan)
+            report = precheck(plan)
             print(f"== {name} · policy '{resolved.name}' ==")
             print(plan.describe())
             print()

@@ -73,11 +73,9 @@ class RefreshMode(Enum):
 class ReadMostlyDescriptor:
     """Extended descriptor: deploy read-only replicas of an entity bean.
 
-    ``updater`` names the read-write bean whose committed writes are
-    propagated.  Consistency knobs mirror the paper's configurations.
+    Consistency knobs mirror the paper's configurations.
     """
 
-    updater: str
     refresh_mode: RefreshMode = RefreshMode.PUSH
 
 
@@ -198,13 +196,6 @@ class ApplicationDescriptor:
                 raise DescriptorError(
                     f"entity {descriptor.name!r} maps missing table {descriptor.table!r}"
                 )
-            if descriptor.read_mostly is not None:
-                updater = descriptor.read_mostly.updater
-                if updater != descriptor.name and updater not in self.components:
-                    raise DescriptorError(
-                        f"read-mostly bean {descriptor.name!r} names unknown "
-                        f"updater {updater!r}"
-                    )
         for page, servlet in self.servlets.items():
             if servlet not in self.components:
                 raise DescriptorError(f"page {page!r} maps to unknown {servlet!r}")

@@ -30,7 +30,6 @@ __all__ = [
     "collect_system_metrics",
     "collect_cache_stats",
     "system_counters",
-    "sum_counter",
 ]
 
 Number = Union[int, float]
@@ -246,17 +245,6 @@ def collect_cache_stats(system) -> dict:
             else:
                 section.setdefault(server_name, {})[member.name] = member.counters()
     return stats
-
-
-def sum_counter(section: dict, name: str) -> Number:
-    """Total of the counter ``name`` over one ``cache_stats`` section."""
-    total = 0
-    for key, value in section.items():
-        if isinstance(value, dict):
-            total += sum_counter(value, name)
-        elif key == name:
-            total += value
-    return total
 
 
 # Metric-name prefix of a cache_stats section where it is not the kind.

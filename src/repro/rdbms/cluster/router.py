@@ -165,7 +165,6 @@ class ClusterConnection:
         self,
         statement: Union[str, Statement],
         params: Tuple[Any, ...] = (),
-        trace_page: Optional[str] = None,
     ) -> Generator[Event, Any, ResultSet]:
         if self.closed:
             raise JdbcError("execute on a closed connection")
@@ -173,9 +172,9 @@ class ClusterConnection:
             statement, params, self._tier, self.source.cluster.partitioner
         )
         if route.is_write:
-            result = yield from self._execute_write(route, statement, params, trace_page)
+            result = yield from self._execute_write(route, statement, params)
         else:
-            result = yield from self._execute_read(route, statement, params, trace_page)
+            result = yield from self._execute_read(route, statement, params)
         return result
 
     # -- writes ---------------------------------------------------------------
@@ -184,7 +183,6 @@ class ClusterConnection:
         route: Route,
         statement: Union[str, Statement],
         params: Tuple[Any, ...],
-        trace_page: Optional[str],
     ) -> Generator[Event, Any, ResultSet]:
         if route.kind == "single":
             self._stats.single_shard_statements += 1
@@ -196,7 +194,7 @@ class ClusterConnection:
         if self._explicit:
             for index in targets:
                 connection = yield from self._txn_connection(index)
-                result = yield from connection.execute(statement, params, trace_page)
+                result = yield from connection.execute(statement, params)
                 self._txn_batches[index].append((statement, params))
                 results.append(result)
         else:
@@ -205,7 +203,7 @@ class ClusterConnection:
                 try:
                     # Auto-commit: the server commits implicitly inside
                     # execute, so the session is never left open.
-                    result = yield from connection.execute(statement, params, trace_page)
+                    result = yield from connection.execute(statement, params)
                 finally:
                     connection.close()
                 if self._tier.replicated:
@@ -235,11 +233,10 @@ class ClusterConnection:
         route: Route,
         statement: Union[str, Statement],
         params: Tuple[Any, ...],
-        trace_page: Optional[str],
     ) -> Generator[Event, Any, ResultSet]:
         if route.kind == "single":
             self._stats.single_shard_statements += 1
-            result = yield from self._read_one(route.shard, statement, params, trace_page)
+            result = yield from self._read_one(route.shard, statement, params)
             return result
         # Scatter-gather: one child per shard, in parallel; a child
         # failure fails the whole query (the waiter sees the exception).
@@ -247,7 +244,7 @@ class ClusterConnection:
         env = self.source.env
         children = [
             env.process(
-                self._read_one(index, statement, params, trace_page),
+                self._read_one(index, statement, params),
                 name=f"scatter:{self.source.client_node}:{index}",
             )
             for index in range(len(self.source.cluster.groups))
@@ -261,7 +258,6 @@ class ClusterConnection:
         group_index: int,
         statement: Union[str, Statement],
         params: Tuple[Any, ...],
-        trace_page: Optional[str],
     ) -> Generator[Event, Any, ResultSet]:
         """One group's share of a read, honouring the policy read mode."""
         group = self.source.cluster.groups[group_index]
@@ -274,7 +270,7 @@ class ClusterConnection:
             connection = self._txn_conns.get(group_index)
             if connection is not None:
                 stats.reads_leader += 1
-                result = yield from connection.execute(statement, params, trace_page)
+                result = yield from connection.execute(statement, params)
                 return result
         if self._tier.read_mode == "stale-local" and self._tier.replicated:
             member = group.member_on(self.source.client_node)
@@ -289,14 +285,14 @@ class ClusterConnection:
                         stats.staleness_ms += self.source.env.now - missed.commit_time
                 connection = yield from self.source.member_connection(member)
                 try:
-                    result = yield from connection.execute(statement, params, trace_page)
+                    result = yield from connection.execute(statement, params)
                 finally:
                     connection.close()
                 return result
             # No live local replica for this group: fall back to the leader.
         connection, _leader, _group = yield from self.source.leader_connection(group_index)
         try:
-            result = yield from connection.execute(statement, params, trace_page)
+            result = yield from connection.execute(statement, params)
         finally:
             connection.close()
         stats.reads_leader += 1

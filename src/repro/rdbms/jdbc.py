@@ -20,7 +20,7 @@ from typing import Any, Generator, Optional, Tuple, Union
 
 from ..simnet.kernel import Event
 from ..simnet.network import Network
-from ..simnet.transport import Connection, ConnectionPool
+from ..simnet.transport import Connection
 from .executor import ResultSet
 from .server import DatabaseServer, DbSession, result_wire_size
 from .sql import Statement
@@ -64,7 +64,6 @@ class JdbcConnection:
         self,
         statement: Union[str, Statement],
         params: Tuple[Any, ...] = (),
-        trace_page: Optional[str] = None,
     ) -> Generator[Event, Any, ResultSet]:
         """One statement: a round trip plus per-batch fetch round trips."""
         if self.closed:
@@ -156,7 +155,6 @@ class DataSource:
         self.client_node = client_node
         self.server = server
         self.config = config or JdbcConfig()
-        self._pool = ConnectionPool(network, kind="jdbc")
         self._idle_sessions: list = []
         self.connections_opened = 0
 

@@ -26,7 +26,6 @@ __all__ = [
     "ConnectionPool",
     "TransportError",
     "NodeUnavailable",
-    "RequestTimeout",
     "SYN_SIZE",
     "ACK_SIZE",
 ]
@@ -41,10 +40,6 @@ class TransportError(Exception):
 
 class NodeUnavailable(TransportError):
     """Raised when a pool refuses to connect to a crashed node."""
-
-
-class RequestTimeout(TransportError):
-    """Raised when an exchange misses its client-side deadline."""
 
 
 class Connection:
@@ -63,7 +58,6 @@ class Connection:
         self.server = server
         self.kind = kind
         self.is_open = False
-        self.requests_sent = 0
 
     def _describe(self) -> str:
         return f"{self.kind} connection {self.client}->{self.server}"
@@ -82,51 +76,24 @@ class Connection:
         """Tear down (FIN exchange is not awaited by the application)."""
         self.is_open = False
 
-    def send(self, size: int, deadline: Optional[float] = None):
-        """The request half of an exchange; ``yield from`` the result.
-
-        A plain function: the checks and the count run at the call, and
-        the caller drives the transfer generator in its own frame, so no
-        transport frame sits between a caller and the server-side work
-        it runs between :meth:`send` and :meth:`reply`.
-        """
-        if not self.is_open:
-            raise TransportError(f"request on a closed {self._describe()}")
-        if deadline is not None and self.env.now >= deadline:
-            raise RequestTimeout(
-                f"{self._describe()} deadline passed before the request was sent"
-            )
-        self.requests_sent += 1
-        return self.network.transfer(self.client, self.server, size, kind=self.kind)
-
-    def reply(self, size: int):
-        """The response half of an exchange; ``yield from`` the result."""
-        return self.network.transfer(self.server, self.client, size, kind=self.kind)
-
     def request(
         self,
         request_size: int,
         handler: Callable[[], Generator[Event, Any, Any]],
         response_size: Optional[int] = None,
         response_size_of: Optional[Callable[[Any], int]] = None,
-        deadline: Optional[float] = None,
     ) -> Generator[Event, Any, Any]:
-        """One request/response exchange: :meth:`send`, handler, :meth:`reply`.
+        """One request/response exchange: request transfer, handler, response.
 
         ``handler`` is a zero-argument callable returning a generator that
         performs the server-side work (CPU, nested calls, ...).  Its return
         value becomes this generator's return value.  The response size is
         either fixed (``response_size``) or derived from the handler result
         (``response_size_of``).
-
-        ``deadline`` (absolute sim time) models a client-side request
-        timeout: checked on entry and again when the response lands — the
-        kernel has no event cancellation, so a late response is paid for
-        in full and then discarded, exactly like a socket timeout firing
-        after the bytes arrived.  ``None`` (the default) never times out
-        and adds no events, keeping fault-free runs byte-identical.
         """
-        yield from self.send(request_size, deadline)
+        if not self.is_open:
+            raise TransportError(f"request on a closed {self._describe()}")
+        yield from self.network.transfer(self.client, self.server, request_size, kind=self.kind)
         result = yield from handler()
         if response_size_of is not None:
             size = response_size_of(result)
@@ -134,11 +101,7 @@ class Connection:
             size = response_size
         else:
             raise TransportError(f"response size unspecified on {self._describe()}")
-        yield from self.reply(size)
-        if deadline is not None and self.env.now > deadline:
-            raise RequestTimeout(
-                f"{self._describe()} response arrived after the deadline"
-            )
+        yield from self.network.transfer(self.server, self.client, size, kind=self.kind)
         return result
 
 

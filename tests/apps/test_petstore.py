@@ -118,10 +118,11 @@ def test_centralized_uses_direct_jdbc_servlets():
     from repro.core.planner import plan_deployment
     from repro.core.policy import level_policy
 
-    apps = {}
-    for level in (PatternLevel.CENTRALIZED, PatternLevel.REMOTE_FACADE):
-        apps[level] = build_application()
-        plan_deployment(apps[level], "main", ["edge1"], level_policy(level, apps[level]))
+    app = build_application()
+    apps = {
+        level: plan_deployment(app, "main", ["edge1"], level_policy(level, app)).application
+        for level in (PatternLevel.CENTRALIZED, PatternLevel.REMOTE_FACADE)
+    }
     assert apps[PatternLevel.CENTRALIZED].components["servlet.Category"].impl is CategoryServletV1
     assert apps[PatternLevel.REMOTE_FACADE].components["servlet.Category"].impl is CategoryServletV2
 
@@ -139,8 +140,9 @@ def test_a_servlet_the_policy_leaves_out_runs_on_main_with_direct_jdbc():
     policy = dataclasses.replace(facade, components=components)
     plan = plan_deployment(app, "main", ["edge1", "edge2"], policy)
     assert plan.servers_of("servlet.Category") == ["main"]
-    assert app.components["servlet.Category"].impl is CategoryServletV1
-    assert app.components["servlet.Product"].impl is ProductServletV2
+    components = plan.application.components
+    assert components["servlet.Category"].impl is CategoryServletV1
+    assert components["servlet.Product"].impl is ProductServletV2
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ def configure(app, level):
 
 
 def test_level1_strips_read_mostly_and_caches():
-    app = tiny_application()
-    configure(app, PatternLevel.CENTRALIZED)
+    app = configure(tiny_application(), PatternLevel.CENTRALIZED).application
     assert app.components["Note"].read_mostly is None
     assert app.query_caches == {}
     assert "tiny.notes_of" in app.queries  # definitions survive
@@ -56,8 +55,8 @@ def test_level1_strips_read_mostly_and_caches():
 
 
 def test_level3_activates_replicas_sync():
-    app = tiny_application()
-    plan = configure(app, PatternLevel.STATEFUL_CACHING)
+    plan = configure(tiny_application(), PatternLevel.STATEFUL_CACHING)
+    app = plan.application
     assert app.components["Note"].read_mostly is not None
     assert app.query_caches == {}  # caches only from level 4
     assert UPDATER_FACADE in app.components
@@ -66,8 +65,7 @@ def test_level3_activates_replicas_sync():
 
 
 def test_level4_activates_query_caches():
-    app = tiny_application()
-    configure(app, PatternLevel.QUERY_CACHING)
+    app = configure(tiny_application(), PatternLevel.QUERY_CACHING).application
     assert "tiny.notes_of" in app.query_caches
 
 
@@ -78,11 +76,25 @@ def test_level5_switches_everything_async():
 
 
 def test_automation_is_idempotent_about_auxiliaries():
-    app = tiny_application()
-    configure(app, PatternLevel.ASYNC_UPDATES)
-    configure(app, PatternLevel.ASYNC_UPDATES)
+    tailored = configure(tiny_application(), PatternLevel.ASYNC_UPDATES).application
+    app = configure(tailored, PatternLevel.ASYNC_UPDATES).application
     assert list(app.components).count(UPDATER_FACADE) == 1
     assert list(app.components).count(UPDATE_SUBSCRIBER) == 1
+
+
+def test_planning_leaves_its_argument_untouched():
+    """Planning tailors a copy: an application planned at level 1 still
+    has its read-mostly beans when planned again at level 3."""
+    app = petstore.build_application()
+    declared = {name: vars(d).copy() for name, d in app.components.items()}
+    centralized = configure(app, PatternLevel.CENTRALIZED)
+    assert centralized.replicas == {}
+    assert {name: vars(d) for name, d in app.components.items()} == declared
+    assert app.query_caches and UPDATER_FACADE not in app.components
+    caching = configure(app, PatternLevel.STATEFUL_CACHING)
+    assert sorted(caching.replicas) == ["Category", "Inventory", "Item", "Product"]
+    for name, descriptor in caching.application.components.items():
+        assert descriptor is not app.components.get(name), name
 
 
 @pytest.mark.parametrize("build", [petstore.build_application, rubis.build_application])
@@ -105,8 +117,8 @@ def test_a_canned_async_level_switched_to_sync_deploys(build, level):
 
 
 def _plan(level):
-    app = tiny_application()
-    return app, configure(app, level)
+    plan = configure(tiny_application(), level)
+    return plan.application, plan
 
 
 def test_level1_everything_on_main():

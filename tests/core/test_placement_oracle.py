@@ -64,9 +64,8 @@ def plan_of(app, source, edges):
     """The tailored application and the plan for one case."""
     application = BUILDERS[app]()
     names = [f"edge{i}" for i in range(1, edges + 1)]
-    return application, plan_deployment(
-        application, "main", names, policy_of(source, application)
-    )
+    plan = plan_deployment(application, "main", names, policy_of(source, application))
+    return plan.application, plan
 
 
 def snapshot(application, plan) -> dict:

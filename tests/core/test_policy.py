@@ -322,7 +322,7 @@ def test_entry_servers_partial_web_tier():
     )
     plan = plan_deployment(app, "main", ["edge1", "edge2"], policy)
     assert plan.entry_servers == ["main", "edge1"]
-    report = precheck(app, plan)
+    report = precheck(plan)
     assert report.ok
     assert report.checked_rules == ["R1", "R3"]
 
@@ -360,7 +360,7 @@ def test_precheck_catches_session_state_gap():
         },
     )
     plan = plan_deployment(app, "main", ["edge1", "edge2"], policy)
-    report = precheck(app, plan)
+    report = precheck(plan)
     assert not report.ok
     assert [violation.rule for violation in report.violations] == ["R3"]
     assert "NoteSession" in str(report.violations[0])
@@ -371,5 +371,5 @@ def test_precheck_centralized_skips_r3():
     plan = plan_deployment(
         app, "main", ["edge1"], level_policy(PatternLevel.CENTRALIZED, app)
     )
-    report = precheck(app, plan)
+    report = precheck(plan)
     assert report.checked_rules == ["R1"]

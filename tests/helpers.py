@@ -102,9 +102,7 @@ def tiny_application(read_mostly: bool = True) -> ApplicationDescriptor:
             persistence=Persistence.CMP,
             remote_interface=False,
             read_mostly=(
-                ReadMostlyDescriptor(updater="Note", refresh_mode=RefreshMode.PUSH)
-                if read_mostly
-                else None
+                ReadMostlyDescriptor(refresh_mode=RefreshMode.PUSH) if read_mostly else None
             ),
         )
     )

@@ -201,7 +201,7 @@ def test_servers_not_overstressed(petstore_series):
 
 
 def test_design_rules_hold_on_final_configuration():
-    from repro.core.rules import DesignRuleChecker
+    from repro.core.rules import check_rules
 
     result = run_configuration(
         "rubis",
@@ -210,15 +210,14 @@ def test_design_rules_hold_on_final_configuration():
         seed=103,
         with_spans=True,
     )
-    checker = DesignRuleChecker(result.system, min_replica_hit_rate=0.3)
-    report = checker.check()
+    report = check_rules(result.system, min_replica_hit_rate=0.3)
     assert report.ok, report.summary()
 
 
 def test_design_rules_hold_for_petstore_with_stated_exception():
     """Pet Store passes R1-R5 given the paper's own exception: "The only
     exception is the Verify Signin page, which makes two RMI calls"."""
-    from repro.core.rules import DesignRuleChecker
+    from repro.core.rules import check_rules
 
     result = run_configuration(
         "petstore",
@@ -227,14 +226,13 @@ def test_design_rules_hold_for_petstore_with_stated_exception():
         seed=104,
         with_spans=True,
     )
-    checker = DesignRuleChecker(
+    report = check_rules(
         result.system,
         page_exceptions={"Verify Signin": 2},
         min_replica_hit_rate=0.3,
     )
-    report = checker.check()
     assert report.ok, report.summary()
     # Without the exception, R2 must flag exactly that page.
-    strict = DesignRuleChecker(result.system, min_replica_hit_rate=0.3).check()
+    strict = check_rules(result.system, min_replica_hit_rate=0.3)
     flagged_pages = {v.subject for v in strict.violations_of("R2")}
     assert flagged_pages == {"Verify Signin"}

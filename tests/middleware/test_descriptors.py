@@ -63,7 +63,7 @@ def test_read_mostly_only_on_entities():
             name="S",
             kind=ComponentKind.STATELESS_SESSION,
             impl=_Bean,
-            read_mostly=ReadMostlyDescriptor(updater="S"),
+            read_mostly=ReadMostlyDescriptor(),
         )
 
 
@@ -101,16 +101,6 @@ def test_application_validate_checks_entity_tables():
         app.validate()  # schema "t" never registered
     app.add_schema(TableSchema("t", [Column("id", INTEGER)], primary_key="id"))
     app.validate()
-
-
-def test_application_validate_checks_updater_reference():
-    app = ApplicationDescriptor(name="a")
-    app.add_schema(TableSchema("t", [Column("id", INTEGER)], primary_key="id"))
-    app.add(
-        _entity_descriptor(read_mostly=ReadMostlyDescriptor(updater="Ghost"))
-    )
-    with pytest.raises(DescriptorError):
-        app.validate()
 
 
 def test_query_registration_and_cache():

@@ -13,7 +13,7 @@ import pytest
 from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel
 from repro.core.policy import level_policy
-from repro.core.rules import DesignRuleChecker
+from repro.core.rules import check_rules
 from repro.middleware.context import InvocationContext, RequestInfo
 from repro.middleware.descriptors import ComponentDescriptor, ComponentKind, UpdateMode
 from repro.middleware.ejb import StatelessSessionBean
@@ -245,7 +245,7 @@ def test_writing_method_is_never_cached_and_recorded_as_r7():
     assert run_process(env, scenario()) == "v2"
     assert cache.stats.rejected_stores == 1  # second call bypassed the cache
     assert cache.write_violations[("NotesFacade", "write_note")] == ("notes",)
-    report = DesignRuleChecker(system).check()
+    report = check_rules(system)
     violations = report.violations_of("R7")
     assert violations and "write_note" in violations[0].subject
 

@@ -10,7 +10,7 @@ replica maintenance is excluded from the client path structurally.
 import pytest
 
 from repro.core.patterns import PatternLevel
-from repro.core.rules import DesignRuleChecker
+from repro.core.rules import check_rules
 from repro.experiments import calibration
 from repro.experiments.runner import run_configuration
 from repro.middleware.updates import UPDATER_FACADE
@@ -163,10 +163,9 @@ def test_jdbc_spans_nest_under_the_facade_rmi(facade_result):
 
 
 def test_design_rule_checker_uses_span_trees(facade_result):
-    checker = DesignRuleChecker(
-        facade_result.system, page_exceptions={"Verify Signin": 2}
+    report = check_rules(
+        facade_result.system, facade_result.spans, page_exceptions={"Verify Signin": 2}
     )
-    report = checker.check(spans=facade_result.spans)
     assert report.ok, report.summary()
     assert "R2" in report.checked_rules
     assert report.metrics["max_wan_calls_seen"] >= 1.0
@@ -201,12 +200,12 @@ def test_async_updates_keep_client_path_clean(async_result):
 
 def test_r2_is_not_checked_on_a_truncated_span_table(facade_result):
     """A truncated recorder must not pass R2: it is reported unchecked."""
-    checker = DesignRuleChecker(facade_result.system)
+    system = facade_result.system
     # The complete table flags Verify Signin's two calls (no exception).
-    assert [v.subject for v in checker.check().violations_of("R2")] == ["Verify Signin"]
+    assert [v.subject for v in check_rules(system).violations_of("R2")] == ["Verify Signin"]
     truncated = SpanRecorder.from_state(facade_result.spans.to_state())
     truncated.dropped = 5
-    report = checker.check(truncated)
+    report = check_rules(system, truncated)
     assert report.checked_rules == ["R1", "R3"]
     assert "max_wan_calls_seen" not in report.metrics
     assert report.ok, report.summary()

@@ -170,42 +170,6 @@ def test_transport_errors_name_the_pair_and_kind(env, network):
         run_process(env, request_closed())
 
 
-def test_request_deadline_checked_on_entry(env, network):
-    from repro.simnet.transport import RequestTimeout
-
-    connection = Connection(network, "a", "b")
-
-    def proc():
-        yield from connection.open()
-        yield env.timeout(50.0)
-        yield from connection.request(
-            100, _noop_handler(env), response_size=100, deadline=10.0
-        )
-
-    with pytest.raises(RequestTimeout, match="before the request was sent"):
-        run_process(env, proc())
-
-
-def test_request_deadline_checked_on_response(env, network):
-    from repro.simnet.transport import RequestTimeout
-
-    connection = Connection(network, "a", "b")
-
-    def proc():
-        yield from connection.open()
-        # The a<->b round trip alone is ~10 ms, so a 1 ms budget is
-        # guaranteed to be missed; the response is paid for, then discarded.
-        yield from connection.request(
-            100,
-            _noop_handler(env, work=5.0),
-            response_size=100,
-            deadline=env.now + 1.0,
-        )
-
-    with pytest.raises(RequestTimeout, match="after the deadline"):
-        run_process(env, proc())
-
-
 def test_no_deadline_never_times_out(env, network):
     connection = Connection(network, "a", "b")
 
