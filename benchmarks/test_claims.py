@@ -14,8 +14,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.patterns import PAPER_LEVELS, PatternLevel
 from repro.core.rules import check_rules
 from repro.experiments.calibration import default_workload

@@ -1,17 +1,25 @@
 """Deployment orchestration: build a running distributed system.
 
-``distribute()`` is the library's top-level entry point: given a testbed,
-an application descriptor, a placement policy (or a pattern level, which
-compiles to its canned policy), and a populated database, it returns a
-:class:`DeployedSystem` with application servers stood up on their
-nodes, containers instantiated and wired, replicas and caches
-registered, the JMS provider and update propagator configured — ready
-for clients to issue page requests against.
+``distribute()`` is the library's top-level entry point.  Given a
+testbed, an application descriptor, a placement policy (or a pattern
+level, which compiles to its canned policy) and a populated database, it
+
+1. plans the placement, tailoring a copy of the descriptors to the policy;
+2. stands up the database server, and the data-tier cluster when the
+   policy declares one;
+3. builds the :class:`DeployedSystem`, which builds each application
+   server whole and the JMS provider on the main server;
+4. deploys the containers, 5. the read-only replicas and 6. the query
+   and method caches;
+7. configures the update propagator;
+8. subscribes message-driven beans to their topics;
+
+and returns the system, ready for clients to issue page requests against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..faults.stats import ResilienceStats
@@ -37,19 +45,34 @@ __all__ = ["DeployedSystem", "distribute"]
 
 @dataclass
 class DeployedSystem:
-    """A running deployment: servers, database, plan, and wiring evidence."""
+    """A running deployment: servers, database, plan, and wiring evidence.
+
+    The one owner of every deployment-wide object: the servers, the
+    resilience counters, the span table, the data tier and the JMS
+    provider.  Constructing it builds each :class:`AppServer` whole, then
+    the provider on the main server.
+    """
 
     env: Environment
     testbed: Testbed
-    servers: Dict[str, AppServer]
     db_server: DatabaseServer
     plan: DeploymentPlan
-    resilience: ResilienceStats
+    costs: InitVar[MiddlewareCosts]
+    # The registry JMS observes its live histograms into; None observes nothing.
+    metrics: InitVar[Optional[MetricsRegistry]]
     # The deployment-wide span table; None when the run records no spans.
     trace: Optional[SpanRecorder] = None
     # Sharded/replicated data tier; None under a single-instance policy.
     cluster: Optional[DataTierCluster] = None
+    resilience: ResilienceStats = field(default_factory=ResilienceStats, init=False)
+    servers: Dict[str, AppServer] = field(default_factory=dict, init=False)
+    jms: JmsProvider = field(init=False)
     _entry_servers: Dict[str, AppServer] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self, costs: MiddlewareCosts, metrics: Optional[MetricsRegistry]):
+        for name in self.plan.all_servers:
+            self.servers[name] = AppServer(self, name, costs)
+        self.jms = JmsProvider(self.main, metrics)
 
     @property
     def application(self) -> ApplicationDescriptor:
@@ -206,50 +229,28 @@ def distribute(
             cost_model=db_cost_model,
         )
 
-    # 3. Application servers.
-    servers: Dict[str, AppServer] = {}
-    for server_name in plan.all_servers:
-        server = AppServer(
-            env=env,
-            node=testbed.network.node(server_name),
-            application=application,
-            costs=costs,
-            db_server=db_server,
-            trace=trace,
-            is_main=(server_name == plan.main),
-            wide_area_of=testbed.is_wide_area,
-        )
-        server.attach_network(testbed.network)
-        server.cluster = cluster
-        servers[server_name] = server
-    main = servers[plan.main]
-    for server in servers.values():
-        if server is not main:
-            server.central = main
+    # 3. Application servers, each built whole, and the messaging
+    # provider on the main server.
+    system = DeployedSystem(
+        env=env,
+        testbed=testbed,
+        db_server=db_server,
+        plan=plan,
+        costs=costs,
+        metrics=metrics,
+        trace=trace,
+        cluster=cluster,
+    )
+    servers = system.servers
+    main = system.main
 
-    # One ResilienceStats shared by every server: retries, timeouts and
-    # staleness are system-wide observations, and crash handling needs
-    # each server to know its peers so their idle sockets can be dropped.
-    resilience = ResilienceStats()
-    for server in servers.values():
-        server.resilience = resilience
-        server.peers = {
-            name: other for name, other in servers.items() if other is not server
-        }
-
-    # 4. Messaging provider lives on the main server.
-    jms = JmsProvider(env, main)
-    jms.metrics = metrics
-    for server in servers.values():
-        server.jms = jms
-
-    # 5. Containers per the plan.
+    # 4. Containers per the plan.
     for name, placement in plan.placements.items():
         descriptor = application.components[name]
         for server_name in placement:
             servers[server_name].deploy(descriptor)
 
-    # 6. Read-only replicas.
+    # 5. Read-only replicas.
     replica_servers: List[str] = []
     for name, placement in plan.replicas.items():
         descriptor = application.components[name]
@@ -258,7 +259,7 @@ def distribute(
             if server_name not in replica_servers:
                 replica_servers.append(server_name)
 
-    # 7. Query caches.
+    # 6. Query caches.
     for server_name in plan.query_cache_servers:
         manager = servers[server_name].enable_query_cache()
         for cache in application.query_caches.values():
@@ -266,7 +267,7 @@ def distribute(
         if server_name not in replica_servers:
             replica_servers.append(server_name)
 
-    # 7b. Transactional method caches (level 6): one cache per server,
+    # 6b. Transactional method caches (level 6): one cache per server,
     # fed by the same invalidation bus as replicas and query caches.
     method_cache_servers: List[str] = []
     for name in sorted(plan.method_caches):
@@ -279,7 +280,7 @@ def distribute(
             if server_name not in replica_servers:
                 replica_servers.append(server_name)
 
-    # 8. Update propagation from the main server to every replica host.
+    # 7. Update propagation from the main server to every replica host.
     if replica_servers:
         propagator = UpdatePropagator(
             main, [servers[name] for name in replica_servers], policy.update_mode
@@ -290,7 +291,7 @@ def distribute(
             propagator.tracks_table_writes = True
         main.update_propagator = propagator
 
-    # 9. Subscribe message-driven beans to their topics.
+    # 8. Subscribe message-driven beans to their topics.
     for name, placement in plan.placements.items():
         descriptor = application.components[name]
         if descriptor.kind != ComponentKind.MESSAGE_DRIVEN:
@@ -298,16 +299,7 @@ def distribute(
         if not policy.async_updates and descriptor.topic == UPDATE_TOPIC:
             continue  # the subscriber exists but is idle under sync push
         for server_name in placement:
-            topic = jms.topic(descriptor.topic)
+            topic = system.jms.topic(descriptor.topic)
             topic.subscribe(servers[server_name], servers[server_name].container(name))
 
-    return DeployedSystem(
-        env=env,
-        testbed=testbed,
-        servers=servers,
-        db_server=db_server,
-        plan=plan,
-        trace=trace,
-        resilience=resilience,
-        cluster=cluster,
-    )
+    return system

@@ -1,10 +1,11 @@
 """Deployment-wide resilience counters.
 
 One :class:`ResilienceStats` instance is shared by every server, the JMS
-provider and the update propagator of a deployment (wired by
-``distribute()``), and :meth:`~ResilienceStats.counters` publishes it
-through the one statistics walk (``obs.metrics.system_counters``) like
-every other subsystem; the availability report reads the cell's metrics
+provider and the update propagator of a deployment (the
+``DeployedSystem`` owns it; each server takes its handle when it is
+built), and :meth:`~ResilienceStats.counters` publishes it through the
+one statistics walk (``obs.metrics.system_counters``) like every other
+subsystem; the availability report reads the cell's metrics
 snapshot.  The class lives at the bottom of the dependency graph — it
 imports nothing — so both ``simnet``-adjacent and middleware code can
 use it freely.

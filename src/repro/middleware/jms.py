@@ -15,12 +15,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from ..simnet.kernel import Environment, Event
+from ..simnet.kernel import Event
 from .context import InvocationContext
 from .marshalling import sizeof
 from .resilience import RETRYABLE_ERRORS, RmiTimeout, backoff_delay
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.metrics import MetricsRegistry
     from .server import AppServer
 
 __all__ = ["Message", "Topic", "JmsProvider"]
@@ -63,16 +64,16 @@ class Topic:
 class JmsProvider:
     """The messaging broker bound to a host node."""
 
-    def __init__(self, env: Environment, host_server: "AppServer"):
-        self.env = env
+    def __init__(self, host_server: "AppServer", metrics: Optional["MetricsRegistry"]):
+        self.env = host_server.env
         self.host_server = host_server
         self.topics: Dict[str, Topic] = {}
         self.in_flight = 0
         self.delivery_latency_total = 0.0
         self.deliveries = 0
-        # The cell's MetricsRegistry (set by distribute()); JMS is the
-        # one live instrument, the rest is collected at the end of a run.
-        self.metrics = None
+        # The cell's MetricsRegistry, or None: JMS is the one live
+        # instrument, the rest is collected at the end of a run.
+        self.metrics = metrics
         # Redelivery + dead-letter queue: a delivery that keeps hitting
         # transport faults is retried with backoff up to the cost
         # profile's budget, then parked here as (topic, message id,

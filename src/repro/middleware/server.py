@@ -13,27 +13,29 @@ Reference resolution implements the paper's placement semantics:
 * write access skips read-only replicas;
 * ``name@central`` forces resolution at the main server (used by replicas
   to reach their updater façade).
+
+A server is built whole, from the :class:`~repro.core.distribution.DeployedSystem`
+it joins.  What is deployment-wide has one owner, the system: the network,
+the database server, the span table and the resilience counters (handles
+taken at construction), the other servers (``system.servers``, which the
+crash and pool-liveness paths walk), the data tier and the JMS provider.
+What a server hosts is its own: containers, caches, connection pools and
+HTTP sessions — what a crash loses.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING, Union
 
-from ..faults.stats import ResilienceStats
 from ..rdbms.jdbc import DataSource, JdbcConfig
-from ..rdbms.server import DatabaseServer, result_wire_size
-from ..rdbms.sql import parse_cached, statement_footprint
-from ..simnet.kernel import Environment, Event
+from ..rdbms.server import result_wire_size
+from ..rdbms.sql import Select, parse_cached, statement_footprint
+from ..simnet.kernel import Event
 from ..simnet.transport import ConnectionPool
 from .consistency import EdgeConsistencyManager, TransactionalMethodCache
 from .context import InvocationContext
 from .costs import MiddlewareCosts
-from .descriptors import (
-    ApplicationDescriptor,
-    ComponentDescriptor,
-    ComponentKind,
-    UpdateMode,
-)
+from .descriptors import ComponentDescriptor, ComponentKind, UpdateMode
 from .ejb import BeanError
 from .entity import EntityContainer
 from .jms import JmsProvider
@@ -47,7 +49,8 @@ from .updates import UPDATER_FACADE
 from .web import HttpSessionStore, Response, ServletContainer, WebRequest
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.spans import SpanRecorder
+    from ..core.distribution import DeployedSystem
+    from ..rdbms.cluster import ClusterDataSource
     from .updates import UpdatePropagator
 
 __all__ = ["AppServer", "result_wire_size"]  # result_wire_size re-exported
@@ -56,25 +59,19 @@ __all__ = ["AppServer", "result_wire_size"]  # result_wire_size re-exported
 class AppServer:
     """One application-server process bound to a testbed node."""
 
-    def __init__(
-        self,
-        env: Environment,
-        node: Any,
-        application: ApplicationDescriptor,
-        costs: MiddlewareCosts,
-        db_server: Optional[DatabaseServer] = None,
-        trace: Optional["SpanRecorder"] = None,
-        is_main: bool = False,
-        wide_area_of=None,
-    ):
-        self.env = env
-        self.node = node
-        self.application = application
+    def __init__(self, system: "DeployedSystem", name: str, costs: MiddlewareCosts):
+        # Everything deployment-wide is the system's: this server keeps a
+        # handle to each, taken here, and assigns none of them later.
+        self.system = system
+        self.env = system.env
+        self.network = system.testbed.network
+        self.node = self.network.node(name)
+        self.application = system.application
         self.costs = costs
-        self.db_server = db_server
-        self.trace = trace  # SpanRecorder shared across the deployment
-        self.is_main = is_main
-        self._wide_area_of = wide_area_of  # callable(node_a, node_b) -> bool
+        self.db_server = system.db_server
+        self.trace = system.trace  # SpanRecorder shared across the deployment
+        self.resilience = system.resilience
+        self.is_main = name == system.plan.main
 
         self.home_cache = HomeCache(enabled=True)
         self.web_sessions = HttpSessionStore()
@@ -90,28 +87,17 @@ class AppServer:
         self.query_cache: Optional[QueryCacheManager] = None
         self.method_cache: Optional[TransactionalMethodCache] = None
         self.update_propagator: Optional["UpdatePropagator"] = None
-        self.jms: Optional[JmsProvider] = None
-        self.central: Optional["AppServer"] = None
         # Availability: clients probing a failed server time out and may
         # fail over to another entry point (§1's availability argument).
         self.available = True
-        # Deployment-wide resilience counters; distribute() replaces this
-        # per-server default with one instance shared by every server.
-        self.resilience = ResilienceStats()
-        # Peer servers by node name (set by distribute()): lets RMI pools
-        # refuse connections to crashed peers instead of failing
-        # mid-exchange, and lets crash() flush peers' pooled sockets.
-        self.peers: Dict[str, "AppServer"] = {}
 
         self._rmi_pools: Dict[str, ConnectionPool] = {}
-        self._datasource: Optional[DataSource] = None
-        # Sharded/replicated data tier (set by distribute() when the
-        # policy declares one); db access then routes through its router.
-        self.cluster = None
+        # The only cache of this server's data source: a crash drops it,
+        # and with it every pooled JDBC connection.
+        self._datasource: Optional[Union[DataSource, "ClusterDataSource"]] = None
         # Overridable before first use: the original Pet Store web tier
         # opened un-pooled connections per request (JdbcConfig(pooled=False)).
         self.jdbc_config = JdbcConfig()
-        self._network = None
         self.http_requests = 0
 
     # -- identity ------------------------------------------------------------
@@ -120,13 +106,9 @@ class AppServer:
         return self.node.name
 
     @property
-    def network(self):
-        if self._network is None:
-            raise BeanError(f"server {self.name} is not attached to a network")
-        return self._network
-
-    def attach_network(self, network) -> None:
-        self._network = network
+    def jms(self) -> JmsProvider:
+        """The deployment's one messaging provider."""
+        return self.system.jms
 
     def fail(self) -> None:
         """Take this server down (new connections time out)."""
@@ -143,9 +125,10 @@ class AppServer:
         everything held in process memory — HTTP sessions, stateful bean
         instances, stateless instance pools, whatever the members of the
         consistency chain hold, the home-stub cache, and open connections
-        (ours and the idle sockets peers pooled towards us).  The *node* keeps
-        routing; only the application server is gone, so clients can fail
-        over to another entry point while we are down.
+        (ours, JDBC included, and the idle sockets other servers pooled
+        towards us).  The *node* keeps routing; only the application server
+        is gone, so clients can fail over to another entry point while we
+        are down.
         """
         self.available = False
         self.resilience.server_crashes += 1
@@ -159,8 +142,8 @@ class AppServer:
         self.drop_call_plans()
         self._rmi_pools.clear()
         self._datasource = None
-        for peer in self.peers.values():
-            for pool in peer._rmi_pools.values():
+        for server in self.system.servers.values():
+            for pool in server._rmi_pools.values():
                 pool.drop_connections_to(self.node.name)
 
     def restart(self) -> None:
@@ -168,9 +151,7 @@ class AppServer:
         self.available = True
 
     def is_wide_area(self, other_node: str) -> bool:
-        if self._wide_area_of is None:
-            return False
-        return self._wide_area_of(self.node.name, other_node)
+        return self.system.testbed.is_wide_area(self.node.name, other_node)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "main" if self.is_main else "edge"
@@ -247,7 +228,7 @@ class AppServer:
     # -- reference resolution ---------------------------------------------------
     def _peer_available(self, node_name: str) -> bool:
         """Liveness oracle for connection pools (counts refusals)."""
-        peer = self.peers.get(node_name)
+        peer = self.system.servers.get(node_name)
         if peer is None or peer.available:
             return True
         self.resilience.pool_refusals += 1
@@ -257,7 +238,7 @@ class AppServer:
         pool = self._rmi_pools.get(dst_node)
         if pool is None:
             pool = ConnectionPool(
-                self._network, kind="rmi", availability=self._peer_available
+                self.network, kind="rmi", availability=self._peer_available
             )
             self._rmi_pools[dst_node] = pool
         return pool
@@ -277,7 +258,7 @@ class AppServer:
         if force_central:
             name = name[: -len("@central")]
         ref: Optional[ComponentRef] = None
-        if force_central and self.central is None:
+        if force_central and self.is_main:
             # This server *is* the central server: resolve locally.
             force_central = False
         if not force_central:
@@ -287,16 +268,16 @@ class AppServer:
                 ref = LocalRef(self.containers[name])
 
         if ref is None:
-            central = self.central
-            if central is None:
+            if self.is_main:
                 raise NamingError(f"{name!r} is not deployed anywhere reachable from {self.name}")
+            central = self.system.main
             if not central.has_component(name):
                 raise NamingError(f"{name!r} is not deployed on central server {central.name}")
             # Remote JNDI lookup against the central tree (unless cached).
-            yield from self._network.transfer(
+            yield from self.network.transfer(
                 self.node.name, central.node.name, JNDI_LOOKUP_REQUEST, kind="lookup"
             )
-            yield from self._network.transfer(
+            yield from self.network.transfer(
                 central.node.name, self.node.name, JNDI_LOOKUP_RESPONSE, kind="lookup"
             )
             target_container = central.containers.get(name) or central._readonly.get(name)
@@ -324,17 +305,18 @@ class AppServer:
         yield  # pragma: no cover - resolution is currently synchronous
 
     # -- database access -----------------------------------------------------
-    def datasource(self) -> DataSource:
+    def datasource(self) -> Union[DataSource, "ClusterDataSource"]:
+        """This server's JDBC data source: into the data-tier cluster when
+        the deployment has one, else to the single database server."""
         if self._datasource is None:
-            if self.cluster is not None:
-                self._datasource = self.cluster.datasource_for(
+            cluster = self.system.cluster
+            if cluster is not None:
+                self._datasource = cluster.datasource_for(
                     self.node.name, self.jdbc_config
                 )
-            elif self.db_server is None:
-                raise BeanError(f"server {self.name} has no database configured")
             else:
                 self._datasource = DataSource(
-                    self._network, self.node.name, self.db_server, self.jdbc_config
+                    self.network, self.node.name, self.db_server, self.jdbc_config
                 )
         return self._datasource
 
@@ -352,7 +334,7 @@ class AppServer:
         # statement's read/write tables to any active collector, and
         # record writes on the transaction for the consistency bus.
         # ``parse_cached`` memoizes, so levels 1–5 (no collector, no
-        # table tracking) never pay for a parse here.
+        # table tracking) parse here only to label a span.
         collector = ctx.footprint
         transaction = ctx.transaction
         propagator = self.update_propagator
@@ -368,13 +350,17 @@ class AppServer:
             if tracking:
                 for table in writes:
                     transaction.record_table_write(table)
-        span = None if ctx.trace is None else ctx.start_span(
-            "jdbc",
-            sql.split(None, 3)[0].lower() + ":" + _table_of(sql),
-            wide_area=self.is_wide_area(self.db_server.node.name),
-            target=self.db_server.node.name,
-            method="execute",
-        )
+        span = None
+        if ctx.trace is not None:
+            statement = parse_cached(sql)
+            table = statement.table.name if isinstance(statement, Select) else statement.table
+            span = ctx.start_span(
+                "jdbc",
+                sql.split(None, 3)[0].lower() + ":" + table,
+                wide_area=self.is_wide_area(self.db_server.node.name),
+                target=self.db_server.node.name,
+                method="execute",
+            )
         try:
             if transaction is not None:
                 key = ("jdbc", id(source))
@@ -424,7 +410,7 @@ class AppServer:
         sql = self.application.queries.get(query_id)
         if sql is None:
             raise BeanError(f"unknown query id {query_id!r}")
-        if not self.is_main and self.central is not None:
+        if not self.is_main:
             # No local cache: fetch through the central façade (one RMI).
             facade = yield from self.lookup(ctx, UPDATER_FACADE + "@central")
             rows = yield from facade.call(ctx, "fetch_query", query_id, tuple(params))
@@ -455,14 +441,3 @@ class AppServer:
             self._pages[page] = container
         return container.handle(ctx, request)
 
-
-def _table_of(sql: str) -> str:
-    """Best-effort table name extraction for trace labels."""
-    tokens = sql.replace(",", " ").split()
-    uppers = [t.upper() for t in tokens]
-    for marker in ("FROM", "INTO", "UPDATE"):
-        if marker in uppers:
-            index = uppers.index(marker)
-            if index + 1 < len(tokens):
-                return tokens[index + 1]
-    return "?"

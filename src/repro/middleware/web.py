@@ -163,7 +163,7 @@ def http_get(
         # The connection attempt hangs until the client-side timeout.
         yield env.sleep(CONNECT_TIMEOUT_MS)
         raise ServerUnavailable(server.name)
-    network = server._network or server.network  # the property raises when unattached
+    network = server.network
     costs = server.costs
     client = request.client_node
     node = server.node.name

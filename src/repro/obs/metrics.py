@@ -279,7 +279,7 @@ def system_counters(system, generator=None) -> Dict[str, Number]:
     counters: Dict[str, Number] = dict(system.db_server.counters())
     for source in (
         system.resilience,
-        system.main.jms,
+        system.jms,
         system.main.update_propagator,
         None if cluster is None else cluster.stats,
         generator,
@@ -313,10 +313,9 @@ def collect_system_metrics(registry: MetricsRegistry, system, generator=None) ->
         registry.counter(name).inc(value)
 
     registry.gauge("db.cpu_utilization").set(system.db_server.node.cpu_utilization())
-    jms = system.main.jms
-    if jms is not None:
-        registry.gauge("jms.in_flight_at_end").set(jms.in_flight)
-        registry.gauge("jms.mean_delivery_latency_ms").set(jms.mean_delivery_latency())
+    jms = system.jms
+    registry.gauge("jms.in_flight_at_end").set(jms.in_flight)
+    registry.gauge("jms.mean_delivery_latency_ms").set(jms.mean_delivery_latency())
     propagator = system.main.update_propagator
     if propagator is not None:
         registry.gauge("propagator.blocking_time_ms").set(propagator.blocking_time_total)

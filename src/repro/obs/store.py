@@ -359,9 +359,7 @@ class _Sampler:
 
         gauges = window["gauges"]
         gauges["sessions.active"] = self.generator.active
-        jms = self.system.main.jms
-        if jms is not None:
-            gauges["jms.in_flight"] = jms.in_flight
+        gauges["jms.in_flight"] = self.system.jms.in_flight
         kernel = env.stats()
         gauges["kernel.ready"] = kernel["ready"]
         gauges["kernel.scheduled"] = kernel["scheduled"]

@@ -25,7 +25,7 @@ which is the byte-identity contract for the canned policies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..engine import Database
 from ..jdbc import JdbcConfig
@@ -102,18 +102,16 @@ class DataTierCluster:
         self.partitioner = Partitioner(tier)
         self.stats = ClusterStats()
         self.groups: List[RaftGroup] = []
-        self._datasources: Dict[str, ClusterDataSource] = {}
         self._driver_started = False
 
     # -- client surface --------------------------------------------------------
     def datasource_for(
         self, client_node: str, config: Optional[JdbcConfig] = None
     ) -> ClusterDataSource:
-        source = self._datasources.get(client_node)
-        if source is None:
-            source = ClusterDataSource(self, client_node, config)
-            self._datasources[client_node] = source
-        return source
+        """A new data source routing ``client_node``'s statements into the
+        tier.  The caller keeps it: an application server holds its own
+        and drops it, pooled connections and all, when it crashes."""
+        return ClusterDataSource(self, client_node, config)
 
     # -- fault surface ---------------------------------------------------------
     def seat_members(self, seat: str) -> List[RaftMember]:

@@ -15,7 +15,6 @@ from repro.apps.petstore import (
 from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel
 from repro.middleware.context import InvocationContext, RequestInfo
-from repro.middleware.descriptors import ComponentKind
 from repro.middleware.web import WebRequest, http_get
 from repro.simnet.kernel import Environment
 from repro.simnet.router import PacketLoss

@@ -1,15 +1,26 @@
 """Middleware resilience under injected faults: RMI retries/timeouts, JMS
 redelivery and dead-lettering, staleness accounting, and crash recovery."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.apps import rubis
+from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel
+from repro.core.policy import load_policy
 from repro.faults.stats import ResilienceStats
 from repro.middleware.context import InvocationContext, RequestInfo
 from repro.middleware.resilience import RETRYABLE_ERRORS, RmiTimeout, backoff_delay
 from repro.middleware.web import WebRequest, http_get
+from repro.rdbms.cluster import ClusterDataSource
+from repro.simnet.kernel import Environment
 from repro.simnet.network import LinkDown
+from repro.simnet.rng import Streams
+from repro.simnet.topology import build_testbed
 from tests.helpers import run_process, tiny_system
+
+POLICIES = Path(__file__).resolve().parents[2] / "policies"
 
 
 def _ctx(env, server, session="s1", client="client-main-0"):
@@ -242,3 +253,46 @@ def test_http_get_refuses_a_crashed_server():
         raise AssertionError("expected ServerUnavailable")
 
     assert run_process(env, probe()) == "refused"
+
+
+def _connections_opened(source):
+    """Physical JDBC connections a data source opened (a cluster source
+    holds one plain source per raft member it talks to)."""
+    if isinstance(source, ClusterDataSource):
+        return sum(member.connections_opened for member in source._sources.values())
+    return source.connections_opened
+
+
+@pytest.mark.parametrize("policy_file", ["sharded-replicated.json", None])
+def test_crash_drops_the_jdbc_pool_with_or_without_a_data_tier(policy_file):
+    """A crash loses the server's data source and its pooled connections,
+    whether the statements go to one database or into the data tier."""
+    streams = Streams(7)
+    database, catalog = rubis.populate_rubis(
+        streams, {"users": 20, "items": 20, "bids_per_item_max": 1, "comments_per_user_max": 1}
+    )
+    policy = PatternLevel.STATEFUL_CACHING  # level 3: one database, no data tier
+    if policy_file is not None:
+        policy = load_policy(str(POLICIES / policy_file))
+    env = Environment()
+    application = rubis.build_application(PatternLevel.STATEFUL_CACHING, catalog=catalog)
+    system = distribute(
+        env, build_testbed(env), application, policy, database, streams=streams
+    )
+    main = system.main
+
+    def statements(count):
+        source = main.datasource()
+        for _ in range(count):
+            connection = yield from source.connect()
+            yield from connection.execute("SELECT * FROM users WHERE id = ?", (1,))
+            connection.close()
+        return source
+
+    before = run_process(env, statements(2))
+    assert _connections_opened(before) == 1  # the second statement reuses the pool
+    main.crash()
+    main.restart()
+    after = run_process(env, statements(1))
+    assert after is not before
+    assert _connections_opened(after) == 1

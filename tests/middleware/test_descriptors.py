@@ -9,7 +9,6 @@ from repro.middleware.descriptors import (
     DescriptorError,
     QueryCacheDescriptor,
     ReadMostlyDescriptor,
-    TxAttribute,
 )
 from repro.middleware.ejb import EntityBean, Servlet, StatelessSessionBean
 from repro.rdbms.schema import Column, TableSchema

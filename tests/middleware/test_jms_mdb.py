@@ -6,7 +6,7 @@ from repro.core.patterns import PatternLevel
 from repro.middleware.context import InvocationContext, RequestInfo
 from repro.middleware.ejb import BeanError, MessageDrivenBean
 from repro.middleware.descriptors import ComponentDescriptor, ComponentKind, TxAttribute
-from repro.middleware.jms import JmsProvider, Message
+from repro.middleware.jms import Message
 from repro.middleware.mdb import MessageDrivenContainer
 from tests.helpers import run_process, tiny_system
 

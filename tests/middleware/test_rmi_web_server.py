@@ -197,7 +197,7 @@ def test_http_get_serves_mapped_page():
 
 def test_untraced_request_computes_no_trace_arguments(monkeypatch):
     """With no span recorder attached, a page that crosses HTTP, RMI and
-    JDBC builds no statement label and asks no route for its latency."""
+    JDBC parses no statement for a label and asks no route for its latency."""
     from repro.middleware import server as server_module
 
     env, system = tiny_system(PatternLevel.REMOTE_FACADE)
@@ -206,7 +206,7 @@ def test_untraced_request_computes_no_trace_arguments(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("trace argument computed on an untraced request")
 
-    monkeypatch.setattr(server_module, "_table_of", forbidden)
+    monkeypatch.setattr(server_module, "parse_cached", forbidden)
     monkeypatch.setattr(server_module.AppServer, "is_wide_area", forbidden)
 
     def proc():
