@@ -16,7 +16,7 @@ pytestmark = pytest.mark.slow
 from repro.core.patterns import PatternLevel
 from repro.experiments.tables import build_table, render_table
 
-from conftest import bench_workload, series_for
+from conftest import series_for
 
 
 def test_table6_petstore(benchmark):

@@ -26,26 +26,55 @@ Quick start::
     print(result.session_mean("remote-browser"))
 """
 
-from .core import (
-    DeployedSystem,
-    PatternLevel,
-    check_rules,
-    distribute,
-)
-from .experiments import run_configuration, run_series
-from .simnet import Environment, Streams, build_testbed
+import importlib
+import sys
+from typing import Callable, Dict, List, Tuple
+
+
+def lazy_exports(
+    package: str, table: Dict[str, str]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """A package's public names, each imported on first use (PEP 562).
+
+    ``table`` maps every name to the submodule, relative to ``package``,
+    that defines it; a name equal to its submodule's path is that
+    submodule.  Returns the package's ``__getattr__``, ``__dir__`` and
+    ``__all__``, so importing a package runs none of its submodules and
+    a run loads only the code it selects.  A resolved name is stored in
+    the package's namespace, so each is looked up once.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> object:
+        try:
+            module = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = importlib.import_module(f"{package}.{module}")
+        if name != module:
+            value = getattr(value, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*namespace, *table})
+
+    return __getattr__, __dir__, list(table)
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DeployedSystem",
-    "check_rules",
-    "PatternLevel",
-    "distribute",
-    "run_configuration",
-    "run_series",
-    "Environment",
-    "Streams",
-    "build_testbed",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DeployedSystem": "core.distribution",
+    "distribute": "core.distribution",
+    "PatternLevel": "core.patterns",
+    "check_rules": "core.rules",
+    "run_configuration": "experiments.runner",
+    "run_series": "experiments.runner",
+    "Environment": "simnet.kernel",
+    "Streams": "simnet.rng",
+    "build_testbed": "simnet.topology",
+})
+__all__.append("__version__")

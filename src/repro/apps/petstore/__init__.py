@@ -1,17 +1,15 @@
 """The Java Pet Store sample application (version 1.1.2 analogue)."""
 
-from .app import ALL_PAGES, BROWSER_PAGES, BUYER_PAGES, build_application
-from .data import DEFAULT_SIZES, PetStoreCatalog, populate_petstore
-from .workload import browser_pattern, buyer_pattern
+from ... import lazy_exports
 
-__all__ = [
-    "ALL_PAGES",
-    "BROWSER_PAGES",
-    "BUYER_PAGES",
-    "build_application",
-    "DEFAULT_SIZES",
-    "PetStoreCatalog",
-    "populate_petstore",
-    "browser_pattern",
-    "buyer_pattern",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ALL_PAGES": "app",
+    "BROWSER_PAGES": "app",
+    "BUYER_PAGES": "app",
+    "build_application": "app",
+    "DEFAULT_SIZES": "data",
+    "PetStoreCatalog": "data",
+    "populate_petstore": "data",
+    "browser_pattern": "workload",
+    "buyer_pattern": "workload",
+})

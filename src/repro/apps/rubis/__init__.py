@@ -1,17 +1,15 @@
 """RUBiS — the Rice University Bidding System (Session Façade version)."""
 
-from .app import ALL_PAGES, BIDDER_PAGES, BROWSER_PAGES, build_application
-from .data import DEFAULT_SIZES, RubisCatalog, populate_rubis
-from .workload import bidder_pattern, browser_pattern
+from ... import lazy_exports
 
-__all__ = [
-    "ALL_PAGES",
-    "BIDDER_PAGES",
-    "BROWSER_PAGES",
-    "build_application",
-    "DEFAULT_SIZES",
-    "RubisCatalog",
-    "populate_rubis",
-    "bidder_pattern",
-    "browser_pattern",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ALL_PAGES": "app",
+    "BIDDER_PAGES": "app",
+    "BROWSER_PAGES": "app",
+    "build_application": "app",
+    "DEFAULT_SIZES": "data",
+    "RubisCatalog": "data",
+    "populate_rubis": "data",
+    "bidder_pattern": "workload",
+    "browser_pattern": "workload",
+})

@@ -12,45 +12,28 @@ or, with an explicit placement policy::
     system = distribute(env, testbed, application, policy, db)
 """
 
-from .distribution import DeployedSystem, distribute
-from .patterns import PatternLevel, level_name
-from .planner import DeploymentPlan, PlanError, plan_deployment
-from .policy import (
-    ComponentPolicy,
-    PlacementPolicy,
-    PolicyError,
-    level_policy,
-    load_policy,
-)
-from .rules import RuleReport, RuleViolation, check_rules, precheck
-from .usage import (
-    PageVisit,
-    PatternError,
-    ScriptedPattern,
-    UsagePattern,
-    WeightedPattern,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "DeployedSystem",
-    "distribute",
-    "ComponentPolicy",
-    "PlacementPolicy",
-    "PolicyError",
-    "level_policy",
-    "load_policy",
-    "precheck",
-    "PatternLevel",
-    "level_name",
-    "DeploymentPlan",
-    "PlanError",
-    "plan_deployment",
-    "check_rules",
-    "RuleReport",
-    "RuleViolation",
-    "PageVisit",
-    "PatternError",
-    "ScriptedPattern",
-    "UsagePattern",
-    "WeightedPattern",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DeployedSystem": "distribution",
+    "distribute": "distribution",
+    "ComponentPolicy": "policy",
+    "PlacementPolicy": "policy",
+    "PolicyError": "policy",
+    "level_policy": "policy",
+    "load_policy": "policy",
+    "precheck": "rules",
+    "PatternLevel": "patterns",
+    "level_name": "patterns",
+    "DeploymentPlan": "planner",
+    "PlanError": "planner",
+    "plan_deployment": "planner",
+    "check_rules": "rules",
+    "RuleReport": "rules",
+    "RuleViolation": "rules",
+    "PageVisit": "usage",
+    "PatternError": "usage",
+    "ScriptedPattern": "usage",
+    "UsagePattern": "usage",
+    "WeightedPattern": "usage",
+})

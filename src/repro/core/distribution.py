@@ -20,7 +20,7 @@ and returns the system, ready for clients to issue page requests against.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..faults.stats import ResilienceStats
 from ..middleware.costs import MiddlewareCosts
@@ -29,8 +29,6 @@ from ..middleware.jms import JmsProvider
 from ..middleware.server import AppServer
 from ..middleware.updates import UPDATE_TOPIC, UpdatePropagator
 from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanRecorder
-from ..rdbms.cluster import DataTierCluster, MAIN_SEAT, build_cluster
 from ..rdbms.engine import Database
 from ..rdbms.server import DatabaseServer, DbCostModel
 from ..simnet.kernel import Environment
@@ -39,6 +37,10 @@ from ..simnet.topology import Testbed
 from .patterns import PatternLevel
 from .planner import DeploymentPlan, plan_deployment
 from .policy import PlacementPolicy, level_policy
+
+if TYPE_CHECKING:  # pragma: no cover - the run imports these only when it selects them
+    from ..obs.spans import SpanRecorder
+    from ..rdbms.cluster.tier import DataTierCluster
 
 __all__ = ["DeployedSystem", "distribute"]
 
@@ -216,6 +218,8 @@ def distribute(
     # database (still used for replica/cache warm-up at t=0) is untouched.
     cluster = None
     if policy.data_tier is not None:
+        from ..rdbms.cluster.tier import MAIN_SEAT, build_cluster
+
         seats = [(MAIN_SEAT, testbed.network.node(testbed.db_server))] + [
             (name, testbed.network.node(name)) for name in testbed.edge_servers
         ]

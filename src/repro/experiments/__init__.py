@@ -1,37 +1,25 @@
 """The paper's evaluation: configurations, runner, tables, figures."""
 
-from . import calibration
-from .figures import FigureData, build_figure, figure_to_csv, render_figure
-from .parallel import default_jobs, run_cells
-from .progress import ProgressReporter
-from .runner import (
-    APPS,
-    AppSpec,
-    CellResult,
-    RunSpec,
-    run_configuration,
-    run_series,
-)
-from .tables import ResponseTimeTable, TableCell, build_table, render_table, table_to_csv
+from .. import lazy_exports
 
-__all__ = [
-    "calibration",
-    "FigureData",
-    "build_figure",
-    "render_figure",
-    "figure_to_csv",
-    "APPS",
-    "AppSpec",
-    "RunSpec",
-    "run_configuration",
-    "run_series",
-    "CellResult",
-    "default_jobs",
-    "run_cells",
-    "ProgressReporter",
-    "ResponseTimeTable",
-    "TableCell",
-    "build_table",
-    "render_table",
-    "table_to_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "calibration": "calibration",
+    "FigureData": "figures",
+    "build_figure": "figures",
+    "render_figure": "figures",
+    "figure_to_csv": "figures",
+    "APPS": "runner",
+    "AppSpec": "runner",
+    "RunSpec": "runner",
+    "run_configuration": "runner",
+    "run_series": "runner",
+    "CellResult": "runner",
+    "default_jobs": "parallel",
+    "run_cells": "parallel",
+    "ProgressReporter": "progress",
+    "ResponseTimeTable": "tables",
+    "TableCell": "tables",
+    "build_table": "tables",
+    "render_table": "tables",
+    "table_to_csv": "tables",
+})

@@ -47,10 +47,7 @@ from ..apps.dataset import load_dataset
 from ..core.patterns import PatternLevel
 from ..core.planner import plan_deployment
 from ..core.policy import level_policy, load_policy
-from ..core.rules import precheck
-from ..faults.report import build_availability_table, render_availability_table
 from ..faults.scenarios import SCENARIOS, default_edges, load_schedule
-from ..obs.slo import evaluate_slo, load_slo, render_slo_report
 from ..simnet.kernel import Environment
 from ..simnet.rng import Streams
 from ..simnet.topology import TestbedConfig, TopologyOverrides, build_testbed
@@ -204,6 +201,14 @@ def _faults(args, built):
     return load_schedule(args.faults, loop.duration_ms, loop.warmup_ms, default_edges(config))
 
 
+def _slo(args, built):
+    if args.slo is None:
+        return None
+    from ..obs.slo import load_slo
+
+    return load_slo(args.slo)
+
+
 def _plan(args, built):
     if args.target == PLAN_TARGET and built["policy"] is not None and args.app is None:
         raise ValueError("a policy file names one application's components; pick it with --app")
@@ -217,7 +222,7 @@ STEPS = {
     "topology": _topology,
     "obs": lambda args, built: None if args.out is None and args.slo is None else args.obs_interval,
     "policy": lambda args, built: None if args.policy is None else load_policy(args.policy),
-    "slo": lambda args, built: None if args.slo is None else load_slo(args.slo),
+    "slo": _slo,
     "faults": _faults,
     # Before any cell runs: an unusable DIR must not cost a sweep.
     "out": lambda args, built: None if args.out is None else os.makedirs(args.out, exist_ok=True),
@@ -292,6 +297,8 @@ def _run_plan(spec: RunSpec, app: Optional[str], levels) -> int:
     policy JSON and the design-rule precheck, simulating nothing.  Returns
     1 when the precheck finds violations; an unresolvable policy raises
     ``ValueError``."""
+    from ..core.rules import precheck
+
     exit_code = 0
     for name in [app] if app else sorted(APPS):
         app_spec = APPS[name]
@@ -408,6 +415,8 @@ def main(argv=None) -> int:
 
     slo_reports = None
     if built["slo"] is not None:
+        from ..obs.slo import evaluate_slo, render_slo_report
+
         slo_reports = {}
         for label, result in labelled:
             slo_reports[label] = evaluate_slo(result.measurements["series"], built["slo"])
@@ -416,6 +425,8 @@ def main(argv=None) -> int:
 
     availability_tables = None
     if spec.faults is not None:
+        from ..faults.report import build_availability_table, render_availability_table
+
         availability_tables = [
             build_availability_table(app, series_cache[app], scenario=spec.faults.name)
             for app in apps_needed

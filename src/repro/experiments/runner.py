@@ -13,18 +13,15 @@ from __future__ import annotations
 
 import gc
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
-from ..apps import petstore, rubis
 from ..apps.dataset import load_dataset
 from ..core.distribution import DeployedSystem, distribute
 from ..core.patterns import PAPER_LEVELS, PatternLevel
 from ..core.policy import PlacementPolicy
-from ..faults.injector import FaultInjector
-from ..faults.schedule import FaultSchedule
 from ..obs.metrics import collect_cache_stats, collect_system_metrics
-from ..obs.spans import SpanRecorder
 from ..obs.store import MeasurementStore, WholeRun
 from ..simnet.kernel import Environment
 from ..simnet.topology import TestbedConfig, TopologyOverrides, build_testbed
@@ -32,6 +29,11 @@ from ..core.usage import WeightedPattern
 from ..workload.generator import LoadGenerator, WorkloadConfig
 from ..workload.openloop import OpenLoopConfig, TransitionMatrixPattern
 from . import calibration
+
+if TYPE_CHECKING:  # pragma: no cover - a run imports these only when it selects them
+    from ..faults.injector import FaultInjector
+    from ..faults.schedule import FaultSchedule
+    from ..obs.spans import SpanRecorder
 
 __all__ = [
     "AppSpec",
@@ -62,8 +64,10 @@ class AppSpec:
     warm_queries: Callable
 
 
-APPS: Dict[str, AppSpec] = {
-    "petstore": AppSpec(
+def _petstore() -> AppSpec:
+    from ..apps import petstore
+
+    return AppSpec(
         name="petstore",
         build_application=petstore.build_application,
         populate=petstore.populate_petstore,
@@ -79,8 +83,13 @@ APPS: Dict[str, AppSpec] = {
             "petstore.products_of_category": [(c,) for c in catalog.category_ids],
             "petstore.items_of_product": [(p,) for p in catalog.product_ids],
         },
-    ),
-    "rubis": AppSpec(
+    )
+
+
+def _rubis() -> AppSpec:
+    from ..apps import rubis
+
+    return AppSpec(
         name="rubis",
         build_application=rubis.build_application,
         populate=rubis.populate_rubis,
@@ -102,8 +111,37 @@ APPS: Dict[str, AppSpec] = {
             "rubis.bid_history": [(i,) for i in catalog.item_ids],
             "rubis.user_comments": [(u,) for u in catalog.user_ids],
         },
-    ),
-}
+    )
+
+
+class _AppTable(Mapping):
+    """``{name: AppSpec}`` that imports an application on its first lookup.
+
+    A cell of one app never loads the other's code; iteration, ``len``
+    and ``in`` read only the names.
+    """
+
+    def __init__(self, builders: Dict[str, Callable[[], AppSpec]]):
+        self._builders = builders
+        self._specs: Dict[str, AppSpec] = {}
+
+    def __getitem__(self, name: str) -> AppSpec:
+        spec = self._specs.get(name)
+        if spec is None:
+            spec = self._specs[name] = self._builders[name]()
+        return spec
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._builders
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+
+APPS: Mapping[str, AppSpec] = _AppTable({"petstore": _petstore, "rubis": _rubis})
 
 
 # What a result holds only in the process that ran the cell: the live
@@ -280,11 +318,11 @@ def run_configuration(
     if spec.topology is not None:
         config = spec.topology.apply(config)
     testbed = build_testbed(env, config)
-    spans = (
-        SpanRecorder(max_spans=2_000_000, sample_rate=spec.obs_sample)
-        if spec.with_spans
-        else None
-    )
+    spans = None
+    if spec.with_spans:
+        from ..obs.spans import SpanRecorder
+
+        spans = SpanRecorder(max_spans=2_000_000, sample_rate=spec.obs_sample)
     store = MeasurementStore(warmup=loop.warmup_ms, interval_ms=spec.obs_interval_ms)
     application = app_spec.build_application(catalog=catalog)
     system = distribute(
@@ -310,6 +348,8 @@ def run_configuration(
     system.warm_query_caches(app_spec.warm_queries(catalog))
     injector = None
     if spec.faults is not None and not spec.faults.empty:
+        from ..faults.injector import FaultInjector
+
         injector = FaultInjector(spec.faults, streams).install(env, system)
     # One generator; the config picks the arrival policy.  The open loop
     # walks the browse mix as a Markov chain.

@@ -15,38 +15,22 @@ schedule draws only from named streams derived from the cell's master
 seed, so results are byte-identical under any ``--jobs N``.
 """
 
-from .injector import FaultInjector
-from .report import (
-    AvailabilityTable,
-    availability_row,
-    availability_to_json,
-    build_availability_table,
-    render_availability_table,
-)
-from .scenarios import SCENARIOS, load_schedule, scenario
-from .schedule import (
-    FaultSchedule,
-    LatencySpike,
-    LinkPartition,
-    LossWindow,
-    ServerCrash,
-)
-from .stats import ResilienceStats
+from .. import lazy_exports
 
-__all__ = [
-    "FaultSchedule",
-    "LinkPartition",
-    "LatencySpike",
-    "LossWindow",
-    "ServerCrash",
-    "FaultInjector",
-    "ResilienceStats",
-    "SCENARIOS",
-    "scenario",
-    "load_schedule",
-    "availability_row",
-    "AvailabilityTable",
-    "build_availability_table",
-    "render_availability_table",
-    "availability_to_json",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "FaultSchedule": "schedule",
+    "LinkPartition": "schedule",
+    "LatencySpike": "schedule",
+    "LossWindow": "schedule",
+    "ServerCrash": "schedule",
+    "FaultInjector": "injector",
+    "ResilienceStats": "stats",
+    "SCENARIOS": "scenarios",
+    "scenario": "scenarios",
+    "load_schedule": "scenarios",
+    "availability_row": "report",
+    "AvailabilityTable": "report",
+    "build_availability_table": "report",
+    "render_availability_table": "report",
+    "availability_to_json": "report",
+})

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from ..rdbms.jdbc import DataSource, JdbcConfig
-from ..rdbms.server import result_wire_size
 from ..rdbms.sql import Select, parse_cached, statement_footprint
 from ..simnet.kernel import Event
 from ..simnet.transport import ConnectionPool
@@ -53,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..rdbms.cluster import ClusterDataSource
     from .updates import UpdatePropagator
 
-__all__ = ["AppServer", "result_wire_size"]  # result_wire_size re-exported
+__all__ = ["AppServer"]
 
 
 class AppServer:

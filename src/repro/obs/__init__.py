@@ -28,29 +28,25 @@ needs first-class causal instrumentation, not just a flat call log:
   every file of a bundle by name (used by CI on the uploaded bundles).
 """
 
-from .flame import collapse_spans, layer_self_times, merge_folded, render_folded
-from .metrics import MetricsRegistry, collect_cache_stats, collect_system_metrics
-from .slo import evaluate_slo, load_slo, parse_objectives, render_slo_report
-from .spans import Span, SpanRecorder, SpanTree, client_path_wan_calls
-from .store import HDR_BOUNDS, MeasurementStore, WholeRun
+from .. import lazy_exports
 
-__all__ = [
-    "Span",
-    "SpanRecorder",
-    "SpanTree",
-    "client_path_wan_calls",
-    "MetricsRegistry",
-    "collect_system_metrics",
-    "collect_cache_stats",
-    "HDR_BOUNDS",
-    "MeasurementStore",
-    "WholeRun",
-    "evaluate_slo",
-    "load_slo",
-    "parse_objectives",
-    "render_slo_report",
-    "collapse_spans",
-    "layer_self_times",
-    "merge_folded",
-    "render_folded",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Span": "spans",
+    "SpanRecorder": "spans",
+    "SpanTree": "spans",
+    "client_path_wan_calls": "spans",
+    "MetricsRegistry": "metrics",
+    "collect_system_metrics": "metrics",
+    "collect_cache_stats": "metrics",
+    "HDR_BOUNDS": "store",
+    "MeasurementStore": "store",
+    "WholeRun": "store",
+    "evaluate_slo": "slo",
+    "load_slo": "slo",
+    "parse_objectives": "slo",
+    "render_slo_report": "slo",
+    "collapse_spans": "flame",
+    "layer_self_times": "flame",
+    "merge_folded": "flame",
+    "render_folded": "flame",
+})

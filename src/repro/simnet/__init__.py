@@ -6,52 +6,32 @@ timed waits, CPU holds and joins on events in the kernel, and links with
 latency and shared bandwidth between the workstations of the testbed.
 """
 
-from .kernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from .network import Link, Network, NetworkError, Node
-from .primitives import Resource
-from .rng import Streams
-from .router import Hop, PacketLoss
-from .topology import (
-    MBIT_PER_S,
-    Testbed,
-    TestbedConfig,
-    TopologyOverrides,
-    build_testbed,
-)
-from .transport import ACK_SIZE, SYN_SIZE, Connection, ConnectionPool, TransportError
+from .. import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "Process",
-    "SimulationError",
-    "Timeout",
-    "Link",
-    "Network",
-    "NetworkError",
-    "Node",
-    "Resource",
-    "Streams",
-    "Hop",
-    "PacketLoss",
-    "MBIT_PER_S",
-    "Testbed",
-    "TestbedConfig",
-    "TopologyOverrides",
-    "build_testbed",
-    "ACK_SIZE",
-    "SYN_SIZE",
-    "Connection",
-    "ConnectionPool",
-    "TransportError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AllOf": "kernel",
+    "AnyOf": "kernel",
+    "Environment": "kernel",
+    "Event": "kernel",
+    "Process": "kernel",
+    "SimulationError": "kernel",
+    "Timeout": "kernel",
+    "Link": "network",
+    "Network": "network",
+    "NetworkError": "network",
+    "Node": "network",
+    "Resource": "primitives",
+    "Streams": "rng",
+    "Hop": "router",
+    "PacketLoss": "router",
+    "MBIT_PER_S": "topology",
+    "Testbed": "topology",
+    "TestbedConfig": "topology",
+    "TopologyOverrides": "topology",
+    "build_testbed": "topology",
+    "ACK_SIZE": "transport",
+    "SYN_SIZE": "transport",
+    "Connection": "transport",
+    "ConnectionPool": "transport",
+    "TransportError": "transport",
+})

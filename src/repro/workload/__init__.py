@@ -8,14 +8,12 @@ the open-loop arrival process
 (:class:`~repro.workload.openloop.OpenLoopConfig`).
 """
 
-from .driver import drive_sessions
-from .generator import LoadGenerator, WorkloadConfig
-from .openloop import OpenLoopConfig, TransitionMatrixPattern
+from .. import lazy_exports
 
-__all__ = [
-    "drive_sessions",
-    "LoadGenerator",
-    "WorkloadConfig",
-    "OpenLoopConfig",
-    "TransitionMatrixPattern",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "drive_sessions": "driver",
+    "LoadGenerator": "generator",
+    "WorkloadConfig": "generator",
+    "OpenLoopConfig": "openloop",
+    "TransitionMatrixPattern": "openloop",
+})

@@ -1,7 +1,5 @@
 """Data generators are deterministic and parameterizable."""
 
-import pytest
-
 from repro.apps.petstore import populate_petstore
 from repro.apps.rubis import populate_rubis
 from repro.simnet.rng import Streams

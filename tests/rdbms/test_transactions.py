@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdbms.engine import Database, DatabaseError
 from repro.rdbms.schema import Column, TableSchema
-from repro.rdbms.transactions import LockManager, Transaction, TransactionError
+from repro.rdbms.transactions import LockManager, TransactionError
 from repro.rdbms.types import INTEGER, TEXT
 
 

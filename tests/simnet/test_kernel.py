@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.simnet.kernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    SimulationError,
-)
+from repro.simnet.kernel import Environment, SimulationError
 
 
 def test_clock_starts_at_zero(env):

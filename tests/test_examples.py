@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
