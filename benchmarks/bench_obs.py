@@ -145,7 +145,7 @@ def measure(openloop: OpenLoopConfig, seed: int, repeat: int) -> dict:
     # land on the same side (see module docstring).
     overhead = statistics.median(ratios) if ratios else 0.0
     series = tele.measurements["series"]
-    spans_state = tele.spans_state
+    spans_state = tele.measurements["spans"]
     return {
         "scenario": "rubis-L2-openloop-steady",
         "session_rate_per_s": openloop.session_rate_per_s,

@@ -34,7 +34,7 @@ def audit_good_deployment() -> RuleReport:
         workload=default_workload(duration_ms=60_000.0, warmup_ms=15_000.0),
         with_spans=True,
     )
-    report = check_rules(result.system, result.spans, min_replica_hit_rate=0.3)
+    report = check_rules(result.system, min_replica_hit_rate=0.3)
     print(report.summary())
     print(f"  rules checked: {', '.join(report.checked_rules)}")
     for key, value in sorted(report.metrics.items()):

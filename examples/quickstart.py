@@ -41,7 +41,7 @@ def main() -> None:
         print(f"  {name:12s} {utilization:.0%}")
 
     print("\ndesign-rule check (§5):")
-    report = check_rules(result.system, result.spans, min_replica_hit_rate=0.3)
+    report = check_rules(result.system, min_replica_hit_rate=0.3)
     print(" ", report.summary().replace("\n", "\n  "))
 
     print("\ndeployment plan:")

@@ -54,15 +54,23 @@ from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..middleware.updates import UPDATER_FACADE
-from ..obs.spans import SpanRecorder, build_trees, client_path_wan_calls
+from ..obs.spans import SpanRecorder, fold_paths
 from .distribution import DeployedSystem
 from .patterns import PatternLevel
 from .planner import DeploymentPlan
 
-__all__ = ["RuleViolation", "RuleReport", "check_rules", "precheck"]
+__all__ = [
+    "RuleViolation", "RuleReport", "check_rules", "client_path_wan_calls", "precheck",
+]
 
 #: R2's budget: wide-area client-path calls allowed per page.
 WAN_CALLS_PER_PAGE = 1
+
+# Span kinds whose subtrees are *not* client-path work: replica
+# maintenance rides on the committing request but is not a call the
+# client waits on a WAN round trip for (asynchronous deliveries never
+# block it at all).
+MAINTENANCE_KINDS = frozenset({"propagate", "jms", "jms-delivery"})
 
 # One violation found by a rule half: (subject, detail).
 Finding = Tuple[str, str]
@@ -149,30 +157,54 @@ def _run_r1(run: _Run) -> Iterator[Finding]:
         return
     components = run.system.application.components
     for span in run.spans.spans:
-        if span.kind != "rmi" or not span.wide_area:
+        if span["kind"] != "rmi" or not span["wide_area"]:
             continue
-        descriptor = components.get(span.target)
+        target = span.get("target")
+        descriptor = components.get(target)
         if descriptor is not None and not descriptor.remote_interface:
             yield (
-                span.target,
-                f"invoked across the WAN from {span.node} without a remote interface",
+                target,
+                f"invoked across the WAN from {span['node']} without a remote interface",
             )
 
 
 # -- R2 ---------------------------------------------------------------------
 
-def _run_r2(run: _Run) -> Iterator[Finding]:
-    # The span trees carry the causal structure that lets the check
-    # prune replica-maintenance subtrees ("propagate"/"jms"/
-    # "jms-delivery").
-    exclude = frozenset({UPDATER_FACADE})
+def client_path_wan_calls(spans: List[dict]) -> Dict[str, int]:
+    """Per page, the most wide-area RMI/JDBC calls one request waited on.
+
+    Each HTTP-rooted tree of the span table is one request (other roots
+    are detached maintenance work, e.g. bounded flushes).  A span counts
+    when every span on its path below the root is client-path work: the
+    walk prunes maintenance subtrees (update propagation, JMS publishes
+    and asynchronous deliveries) and spans against the updater façade.
+    The filter is structural, not heuristic: a JDBC refresh executed
+    *inside* propagation is excluded because of where it sits in the
+    tree, not because of what it is named.
+    """
+
+    def extend(path: Tuple[dict, bool], span: dict) -> Tuple[dict, bool]:
+        root, clean = path
+        return root, clean and not (
+            span["kind"] in MAINTENANCE_KINDS or span.get("target") == UPDATER_FACADE
+        )
+
+    paths = fold_paths(spans, lambda span: (span, True), extend)
+    calls: Dict[int, int] = {}  # root span id -> counted calls
+    for span in spans:
+        root, clean = paths[span["id"]]
+        if clean and span["wide_area"] and span["kind"] in ("rmi", "jdbc"):
+            calls[root["id"]] = calls.get(root["id"], 0) + 1
     worst: Dict[str, int] = {}
-    for tree in build_trees(run.spans.spans):
-        if tree.root.kind != "http":
-            continue  # detached maintenance roots (bounded flushes, ...)
-        count = client_path_wan_calls(tree, exclude_targets=exclude)
-        page = tree.root.page or "?"
-        worst[page] = max(worst.get(page, 0), count)
+    for span in spans:
+        if span["kind"] == "http" and paths[span["id"]][0] is span:
+            page = span.get("page") or "?"
+            worst[page] = max(worst.get(page, 0), calls.get(span["id"], 0))
+    return worst
+
+
+def _run_r2(run: _Run) -> Iterator[Finding]:
+    worst = client_path_wan_calls(run.spans.spans)
     run.metrics["max_wan_calls_seen"] = float(max(worst.values()) if worst else 0)
     for page, count in sorted(worst.items()):
         budget = run.page_exceptions.get(page, WAN_CALLS_PER_PAGE)

@@ -439,7 +439,7 @@ def main(argv=None) -> int:
         from ..obs.export import Sweep, write_bundle
 
         for label, result in labelled:
-            print(f"[trace] {label}: {_span_digest(result.spans_state)}", file=sys.stderr)
+            print(f"[trace] {label}: {_span_digest(result.measurements['spans'])}", file=sys.stderr)
         written = write_bundle(
             args.out, Sweep(labelled, slo=slo_reports, availability=availability_tables)
         )

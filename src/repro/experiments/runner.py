@@ -33,7 +33,6 @@ from . import calibration
 if TYPE_CHECKING:  # pragma: no cover - a run imports these only when it selects them
     from ..faults.injector import FaultInjector
     from ..faults.schedule import FaultSchedule
-    from ..obs.spans import SpanRecorder
 
 __all__ = [
     "AppSpec",
@@ -146,7 +145,7 @@ APPS: Mapping[str, AppSpec] = _AppTable({"petstore": _petstore, "rubis": _rubis}
 
 # What a result holds only in the process that ran the cell: the live
 # simulation objects.  Pickling (and ``from_experiment``) drops them.
-IN_PROCESS_FIELDS = ("system", "generator", "spans", "store", "fault_injector")
+IN_PROCESS_FIELDS = ("system", "generator", "store", "fault_injector")
 
 
 def _in_process():
@@ -168,7 +167,8 @@ class CellResult:
     app: str
     level: PatternLevel
     # MeasurementStore.to_state(): the whole-run response cells, the
-    # metrics registry and the windowed series (None without windows).
+    # metrics registry, the windowed series (None without windows) and
+    # the span table (None without spans).
     measurements: dict
     total_requests: int
     # Host seconds around ``generator.run(env)``.  Benchmarks gate on the
@@ -176,9 +176,7 @@ class CellResult:
     # busy hosts (a big effect on 1-CPU CI runners).
     wall_seconds: float = field(default=0.0, compare=False)
     cpu_seconds: float = field(default=0.0, compare=False)
-    # Observability snapshots (plain dicts, canonical key order): the
-    # span table and the query-cache/replica counters.
-    spans_state: Optional[dict] = None
+    # The query-cache/replica counters (plain dicts, canonical key order).
     cache_stats: Optional[dict] = None
     # Row label for tables/figures (a custom policy's name; None for the
     # canned configurations, which label themselves by level).
@@ -188,7 +186,6 @@ class CellResult:
     topology: Optional[dict] = None
     system: Optional[DeployedSystem] = _in_process()
     generator: Optional[LoadGenerator] = _in_process()
-    spans: Optional[SpanRecorder] = _in_process()
     store: Optional[MeasurementStore] = _in_process()
     # None when no fault schedule was installed.
     fault_injector: Optional[FaultInjector] = _in_process()
@@ -323,7 +320,9 @@ def run_configuration(
         from ..obs.spans import SpanRecorder
 
         spans = SpanRecorder(max_spans=2_000_000, sample_rate=spec.obs_sample)
-    store = MeasurementStore(warmup=loop.warmup_ms, interval_ms=spec.obs_interval_ms)
+    store = MeasurementStore(
+        warmup=loop.warmup_ms, interval_ms=spec.obs_interval_ms, spans=spans
+    )
     application = app_spec.build_application(catalog=catalog)
     system = distribute(
         env,
@@ -383,13 +382,11 @@ def run_configuration(
         total_requests=generator.total_requests(),
         wall_seconds=wall,
         cpu_seconds=cpu,
-        spans_state=spans.to_state() if spans is not None else None,
         cache_stats=collect_cache_stats(system),
         label=policy.name if policy is not None else None,
         topology=topology_dict(config),
         system=system,
         generator=generator,
-        spans=spans,
         store=store,
         fault_injector=injector,
     )

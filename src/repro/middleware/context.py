@@ -20,7 +20,7 @@ from ..simnet.kernel import Environment, Event
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .costs import MiddlewareCosts
     from .server import AppServer
-    from ..obs.spans import Span, SpanRecorder
+    from ..obs.spans import SpanRecorder
 
 __all__ = [
     "RequestInfo",
@@ -276,7 +276,7 @@ class InvocationContext:
             self.depth, self.span_id, footprint,
         )
 
-    def in_span(self, span: Optional["Span"]) -> "InvocationContext":
+    def in_span(self, span: Optional[dict]) -> "InvocationContext":
         """The context seen by work nested under ``span``.
 
         Returns ``self`` unchanged when tracing is off (``span`` None),
@@ -287,7 +287,7 @@ class InvocationContext:
             return self
         return InvocationContext(
             self.env, self.server, self.request, self.costs, self.trace, self.transaction,
-            self.depth, span.id, self.footprint,
+            self.depth, span["id"], self.footprint,
         )
 
     # -- effects -----------------------------------------------------------
@@ -309,7 +309,8 @@ class InvocationContext:
         method: Optional[str] = None,
         parent_id: Optional[int] = None,
     ):
-        """Open a child span of the current one; None when tracing is off.
+        """Open a child span of the current one; None when tracing is off
+        or the span table is full.
 
         ``node`` defaults to the executing server's node; ``parent_id``
         defaults to this context's span (pass one explicitly to attach

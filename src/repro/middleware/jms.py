@@ -127,7 +127,7 @@ class JmsProvider:
                     topic,
                     subscriber_server,
                     container,
-                    parent_span_id=span.id if span is not None else None,
+                    parent_span_id=span["id"] if span is not None else None,
                 ),
                 name=f"jms-delivery-{message.id}-{subscriber_server.name}",
             )
@@ -168,7 +168,7 @@ class JmsProvider:
                         )
                     delivery_ctx = ctx.at_server(subscriber_server)
                     if span is not None:
-                        delivery_ctx.span_id = span.id  # fresh context; bind in place
+                        delivery_ctx.span_id = span["id"]  # fresh context; bind in place
                     yield from delivery_ctx.cpu(delivery_ctx.costs.mdb_dispatch_cpu)
                     yield from container.invoke(delivery_ctx, "on_message", (message,))
                     break

@@ -177,7 +177,7 @@ class RemoteRef(ComponentRef):
                         yield from network.transfer(src, dst, request_bytes, kind="rmi")
                         callee_ctx = ctx.at_server(self.target_server)
                         if span is not None:
-                            callee_ctx.span_id = span.id  # fresh context; bind in place
+                            callee_ctx.span_id = span["id"]  # fresh context; bind in place
                         yield from callee_ctx.cpu(costs.rmi_cpu)  # server-side unmarshalling
                         result = yield from self.container.invoke(
                             callee_ctx, method, args, identity

@@ -193,7 +193,8 @@ def http_get(
             node=client or node,
             wide_area=server.is_wide_area(client),
         )
-        ctx.span_id = root_span.id  # ctx is fresh; safe to bind in place
+        if root_span is not None:  # None once the span table is full
+            ctx.span_id = root_span["id"]  # ctx is fresh; safe to bind in place
 
     try:
         if costs.http_keep_alive:

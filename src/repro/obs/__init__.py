@@ -10,9 +10,9 @@ needs first-class causal instrumentation, not just a flat call log:
   and container invocations, so one request reconstructs as one tree.
 * :mod:`repro.obs.store` — the per-cell measurement store the session
   driver feeds once per served visit: the whole-run response cells
-  behind Tables 6/7 and Figures 7/8, the metrics registry, and the
+  behind Tables 6/7 and Figures 7/8, the metrics registry, the
   per-window series (a kernel sampler process + windowed HDR-style
-  quantiles).
+  quantiles) and the span rows.
 * :mod:`repro.obs.metrics` — the registry of counters, gauges and
   histograms, snapshot in canonical order (byte-identical output for
   any ``--jobs N``).
@@ -31,10 +31,7 @@ needs first-class causal instrumentation, not just a flat call log:
 from .. import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "Span": "spans",
     "SpanRecorder": "spans",
-    "SpanTree": "spans",
-    "client_path_wan_calls": "spans",
     "MetricsRegistry": "metrics",
     "collect_system_metrics": "metrics",
     "collect_cache_stats": "metrics",

@@ -66,7 +66,7 @@ _US_PER_MS = 1000.0
 
 
 def _cell_events(pid: int, label: str, spans_state: dict) -> List[dict]:
-    spans = spans_state.get("spans", ())
+    spans = spans_state["spans"]
     nodes = sorted({span["node"] for span in spans})
     tids = {node: index + 1 for index, node in enumerate(nodes)}
     events: List[dict] = [
@@ -89,16 +89,16 @@ def _cell_events(pid: int, label: str, spans_state: dict) -> List[dict]:
             }
         )
     for span in spans:
-        end = span.get("end")
+        end = span["end"]
         start = span["start"]
         args = {
             "span_id": span["id"],
-            "parent_id": span.get("parent_id"),
-            "request_id": span.get("request_id"),
-            "wide_area": span.get("wide_area", False),
+            "parent_id": span["parent_id"],
+            "request_id": span["request_id"],
+            "wide_area": span["wide_area"],
         }
         for key in ("page", "group", "target", "method"):
-            if span.get(key) is not None:
+            if key in span:
                 args[key] = span[key]
         if end is None:
             args["unfinished"] = True
@@ -120,14 +120,14 @@ def _cell_events(pid: int, label: str, spans_state: dict) -> List[dict]:
 def chrome_trace_events(cells: List[Tuple[str, dict]]) -> dict:
     """Trace-event JSON object for labelled cell span states.
 
-    ``cells`` is ``[(label, spans_state), ...]``; labels become process
+    ``cells`` is ``[(label, measurements["spans"]), ...]``; labels become process
     rows in the order given (callers pass canonical cell order).
     """
     events: List[dict] = []
     dropped = 0
     for index, (label, spans_state) in enumerate(cells):
         events.extend(_cell_events(index + 1, label, spans_state))
-        dropped += spans_state.get("dropped", 0)
+        dropped += spans_state["dropped"]
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -348,7 +348,7 @@ def _by_label(sweep: Sweep, read: Callable[[object], object]) -> dict:
 def _folded(sweep: Sweep) -> Dict[str, int]:
     return merge_folded(
         *(
-            collapse_spans(result.spans_state["spans"], root_prefix=label)
+            collapse_spans(result.measurements["spans"]["spans"], root_prefix=label)
             for label, result in sweep.cells
         )
     )
@@ -360,7 +360,7 @@ def _attribution(sweep: Sweep) -> str:
     for label, result in sweep.cells:
         windows = result.measurements["series"]["windows"].values()
         think = sum(entry.get("counters", {}).get("think_ms", 0) for entry in windows)
-        layers = layer_self_times(result.spans_state["spans"])
+        layers = layer_self_times(result.measurements["spans"]["spans"])
         blocks.append(render_attribution(label, layers, think_ms=think))
     return "\n\n".join(blocks) + "\n"
 
@@ -369,7 +369,7 @@ BUNDLE: Dict[str, BundleFile] = {
     "trace.json": BundleFile(
         lambda sweep: canonical_json(
             chrome_trace_events(
-                [(label, result.spans_state) for label, result in sweep.cells]
+                [(label, result.measurements["spans"]) for label, result in sweep.cells]
             )
         ),
         _json(validate_chrome_trace),

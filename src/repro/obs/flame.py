@@ -1,8 +1,9 @@
-"""Latency attribution: fold span trees into flamegraph-ready stacks.
+"""Latency attribution: fold span tables into flamegraph-ready stacks.
 
-A :class:`~repro.obs.spans.SpanTree` records *where simulated time went*
-for one page request, but the per-request trees are too fine-grained for
-"why is p95 high" questions.  This module folds them two ways:
+The span table (:mod:`repro.obs.spans`) records *where simulated time
+went* for every page request, but the per-request trees are too
+fine-grained for "why is p95 high" questions.  This module folds them
+two ways:
 
 * :func:`collapse_spans` — the classic collapsed-stack format
   (``frame;frame;frame count`` lines) that Brendan Gregg's
@@ -21,15 +22,17 @@ for one page request, but the per-request trees are too fine-grained for
   appended by the caller as a ``think`` layer so the attribution
   accounts for the whole session timeline, not just server-side work.
 
-Everything operates on the raw span-state dicts (``SpanRecorder.
-to_state()["spans"]``), so per-cell folds work on worker-shipped state
-without rehydrating Span objects, and merged output is deterministic:
+Everything operates on the span rows (``SpanRecorder.to_state()
+["spans"]``, a cell's ``measurements["spans"]["spans"]``), so per-cell
+folds work on worker-shipped state, and merged output is deterministic:
 lines are emitted in sorted order, weights are integers.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+from .spans import fold_paths
 
 __all__ = [
     "LAYER_OF",
@@ -58,7 +61,7 @@ LAYER_OF = {
 
 def _frame(span: dict) -> str:
     frame = f"{span['kind']}:{span['name']}"
-    if span.get("wide_area"):
+    if span["wide_area"]:
         frame += " [wan]"
     return frame
 
@@ -67,15 +70,15 @@ def _self_times_ms(spans: List[dict]) -> Dict[int, float]:
     """Span id -> self time (duration minus finished children), in ms."""
     child_ms: Dict[int, float] = {}
     for span in spans:
-        parent_id = span.get("parent_id")
-        end = span.get("end")
+        parent_id = span["parent_id"]
+        end = span["end"]
         if parent_id is not None and end is not None:
             child_ms[parent_id] = child_ms.get(parent_id, 0.0) + (
                 end - span["start"]
             )
     self_ms: Dict[int, float] = {}
     for span in spans:
-        end = span.get("end")
+        end = span["end"]
         if end is None:
             continue
         self_ms[span["id"]] = (end - span["start"]) - child_ms.get(span["id"], 0.0)
@@ -83,7 +86,7 @@ def _self_times_ms(spans: List[dict]) -> Dict[int, float]:
 
 
 def collapse_spans(spans: List[dict], root_prefix: Optional[str] = None) -> Dict[str, int]:
-    """Fold raw span dicts into ``{stack: weight_us}``.
+    """Fold span rows into ``{stack: weight_us}``.
 
     Weights are each span's self time in integer microseconds (simulated
     1 ms granularity folds without loss; rounding keeps merged artifacts
@@ -91,32 +94,17 @@ def collapse_spans(spans: List[dict], root_prefix: Optional[str] = None) -> Dict
     parent chains, optionally under ``root_prefix`` — the experiment
     exporter passes the cell label so a multi-cell flamegraph separates
     into one trunk per cell.  Spans whose parent was truncated away root
-    their own stack, mirroring :func:`~repro.obs.spans.build_trees`.
+    their own stack, as in every walk of :func:`~repro.obs.spans.fold_paths`.
     """
-    by_id = {span["id"]: span for span in spans}
+    top = (lambda span: f"{root_prefix};{_frame(span)}") if root_prefix else _frame
+    stacks = fold_paths(spans, top, lambda stack, span: f"{stack};{_frame(span)}")
     self_ms = _self_times_ms(spans)
-    stack_cache: Dict[int, str] = {}
-
-    def stack_of(span: dict) -> str:
-        cached = stack_cache.get(span["id"])
-        if cached is not None:
-            return cached
-        parent = by_id.get(span.get("parent_id"))
-        if parent is None:
-            stack = _frame(span)
-            if root_prefix:
-                stack = f"{root_prefix};{stack}"
-        else:
-            stack = f"{stack_of(parent)};{_frame(span)}"
-        stack_cache[span["id"]] = stack
-        return stack
-
     folded: Dict[str, int] = {}
     for span in spans:
         weight = int(round(self_ms.get(span["id"], 0.0) * 1000.0))
         if weight <= 0:
             continue
-        stack = stack_of(span)
+        stack = stacks[span["id"]]
         folded[stack] = folded.get(stack, 0) + weight
     return folded
 
@@ -151,7 +139,7 @@ def layer_self_times(spans: List[dict]) -> Dict[str, float]:
         if value <= 0.0:
             continue
         layer = LAYER_OF.get(span["kind"], span["kind"])
-        if span.get("wide_area"):
+        if span["wide_area"]:
             layer += "@wan"
         layers[layer] = layers.get(layer, 0.0) + value
     return layers

@@ -1,11 +1,19 @@
-"""Span trees: causal tracing of one page request across every tier.
+"""The span table: causal tracing of one page request across every tier.
 
-A :class:`Span` is one timed operation (an HTTP request, an RMI call, a
-JDBC statement, a JMS publish or delivery, a container invocation) with
-a parent pointer.  The spans of one client page request form a tree
-rooted at the HTTP span, which is what the design-rule checker walks to
-verify the paper's "at most one wide-area call per page".  The span
-table is the simulator's only call record.
+A span is one timed operation (an HTTP request, an RMI call, a JDBC
+statement, a JMS publish or delivery, a container invocation), kept as
+one plain dict row with a parent pointer:
+
+``id``, ``parent_id``, ``request_id``, ``kind``, ``name``, ``node``,
+``start``, ``end`` (None while the operation is in flight) and
+``wide_area``, plus ``page``, ``group``, ``target`` and ``method`` when
+they are set.
+
+The spans of one client page request form a tree rooted at the HTTP
+span, which is what the design-rule checker walks to verify the paper's
+"at most one wide-area call per page".  The table is the simulator's
+only call record, and the same rows are what a cell's measurements and
+every export read: nothing converts them.
 
 Span ids are assigned from a per-recorder counter in simulation-event
 order, so a seeded run produces identical span tables in any process —
@@ -17,86 +25,15 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional, TypeVar
 
-__all__ = [
-    "Span",
-    "SpanRecorder",
-    "SpanTree",
-    "build_trees",
-    "client_path_wan_calls",
-]
-
-# Span kinds whose subtrees are *not* client-path work: replica
-# maintenance rides on the committing request but is not a call the
-# client waits on a WAN round trip for (asynchronous deliveries never
-# block it at all).
-MAINTENANCE_KINDS = frozenset({"propagate", "jms", "jms-delivery"})
+__all__ = ["SpanRecorder", "fold_paths"]
 
 #: Cap on the memoized per-session sampling verdicts (pure hashes —
 #: evicting them wholesale is free and changes nothing).
 _DECISION_CACHE_LIMIT = 65_536
 
-
-@dataclass
-class Span:
-    """One timed operation in the causal tree of a request."""
-
-    id: int
-    parent_id: Optional[int]
-    request_id: Optional[int]
-    kind: str  # "http" | "invoke" | "rmi" | "jdbc" | "jms" | "jms-delivery" | "propagate"
-    name: str
-    node: str
-    start: float
-    end: Optional[float] = None  # None while the operation is in flight
-    wide_area: bool = False
-    page: Optional[str] = None
-    group: Optional[str] = None
-    target: Optional[str] = None
-    method: Optional[str] = None
-
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    def to_dict(self) -> dict:
-        """JSON-safe snapshot; omits unset optionals to keep exports lean."""
-        data = {
-            "id": self.id,
-            "parent_id": self.parent_id,
-            "request_id": self.request_id,
-            "kind": self.kind,
-            "name": self.name,
-            "node": self.node,
-            "start": self.start,
-            "end": self.end,
-            "wide_area": self.wide_area,
-        }
-        for key in ("page", "group", "target", "method"):
-            value = getattr(self, key)
-            if value is not None:
-                data[key] = value
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        return cls(
-            id=data["id"],
-            parent_id=data.get("parent_id"),
-            request_id=data.get("request_id"),
-            kind=data["kind"],
-            name=data["name"],
-            node=data["node"],
-            start=data["start"],
-            end=data.get("end"),
-            wide_area=data.get("wide_area", False),
-            page=data.get("page"),
-            group=data.get("group"),
-            target=data.get("target"),
-            method=data.get("method"),
-        )
+T = TypeVar("T")
 
 
 class SpanRecorder:
@@ -114,13 +51,10 @@ class SpanRecorder:
         self.sample_rate = sample_rate
         self.sampled_requests = 0
         self.skipped_requests = 0
-        self.spans: List[Span] = []
+        self.spans: List[dict] = []
         self.dropped = 0
         self._ids = itertools.count(1)
         self._decisions: Dict[str, bool] = {}
-
-    def __len__(self) -> int:
-        return len(self.spans)
 
     def sample(self, session_id: str) -> bool:
         """Deterministic per-session sampling decision.
@@ -168,8 +102,8 @@ class SpanRecorder:
         group: Optional[str] = None,
         target: Optional[str] = None,
         method: Optional[str] = None,
-    ) -> Optional[Span]:
-        """Open a span; returns None when over ``max_spans``.
+    ) -> Optional[dict]:
+        """Append a span row and return it; None when over ``max_spans``.
 
         Dropped spans still consume an id so the surviving table keeps
         its deterministic numbering.
@@ -178,133 +112,71 @@ class SpanRecorder:
             self.dropped += 1
             next(self._ids)
             return None
-        span = Span(
-            id=next(self._ids),
-            parent_id=parent_id,
-            request_id=request_id,
-            kind=kind,
-            name=name,
-            node=node,
-            start=time,
-            wide_area=wide_area,
-            page=page,
-            group=group,
-            target=target,
-            method=method,
-        )
+        span = {
+            "id": next(self._ids),
+            "parent_id": parent_id,
+            "request_id": request_id,
+            "kind": kind,
+            "name": name,
+            "node": node,
+            "start": time,
+            "end": None,
+            "wide_area": wide_area,
+        }
+        # Unset optionals are left out, which keeps exports lean.
+        if page is not None:
+            span["page"] = page
+        if group is not None:
+            span["group"] = group
+        if target is not None:
+            span["target"] = target
+        if method is not None:
+            span["method"] = method
         self.spans.append(span)
         return span
 
-    def finish_span(self, span: Optional[Span], time: float) -> None:
+    def finish_span(self, span: Optional[dict], time: float) -> None:
         if span is not None:
-            span.end = time
+            span["end"] = time
 
-    # -- queries -------------------------------------------------------------
-    def by_kind(self, kind: str) -> List[Span]:
-        return [span for span in self.spans if span.kind == kind]
-
-    def unfinished(self) -> List[Span]:
-        return [span for span in self.spans if not span.finished]
-
-    def trees(self) -> List["SpanTree"]:
-        return build_trees(self.spans)
-
-    # -- serialization -------------------------------------------------------
     def to_state(self) -> dict:
-        """Picklable, JSON-safe snapshot in span-id order.
+        """Picklable, JSON-safe snapshot: the rows themselves, in id order.
 
         Sampling fields appear only when a rate below 1.0 is in force,
         so unsampled exports stay byte-identical with earlier releases.
         """
-        state = {
-            "dropped": self.dropped,
-            "spans": [span.to_dict() for span in self.spans],
-        }
+        state = {"dropped": self.dropped, "spans": self.spans}
         if self.sample_rate < 1.0:
             state["sample_rate"] = self.sample_rate
             state["sampled_requests"] = self.sampled_requests
             state["skipped_requests"] = self.skipped_requests
         return state
 
-    @classmethod
-    def from_state(cls, state: dict) -> "SpanRecorder":
-        recorder = cls(sample_rate=state.get("sample_rate", 1.0))
-        recorder.sampled_requests = state.get("sampled_requests", 0)
-        recorder.skipped_requests = state.get("skipped_requests", 0)
-        recorder.dropped = state.get("dropped", 0)
-        recorder.spans = [Span.from_dict(item) for item in state.get("spans", ())]
-        if recorder.spans:
-            recorder._ids = itertools.count(
-                max(span.id for span in recorder.spans) + 1
-            )
-        return recorder
 
+def fold_paths(
+    spans: List[dict],
+    at_root: Callable[[dict], T],
+    extend: Callable[[T, dict], T],
+) -> Dict[int, T]:
+    """Fold every span's path from its tree's root down to it.
 
-class SpanTree:
-    """One root span plus an index of its descendants."""
-
-    def __init__(self, root: Span, children: Dict[int, List[Span]]):
-        self.root = root
-        self._children = children
-
-    def children_of(self, span: Span) -> List[Span]:
-        return self._children.get(span.id, [])
-
-    def walk(self, skip_kinds: frozenset = frozenset()) -> Iterator[Span]:
-        """Depth-first traversal from the root (root included).
-
-        ``skip_kinds`` prunes whole subtrees: a span of a skipped kind is
-        neither yielded nor descended into.
-        """
-        stack = [self.root]
-        while stack:
-            span = stack.pop()
-            if span.kind in skip_kinds and span is not self.root:
-                continue
-            yield span
-            stack.extend(reversed(self.children_of(span)))
-
-    def size(self) -> int:
-        return sum(1 for _ in self.walk())
-
-
-def build_trees(spans: List[Span]) -> List[SpanTree]:
-    """Group a span table into trees, in root-span-id order.
-
-    A span whose parent id is unknown (e.g. truncated away) becomes a
-    root of its own tree, so partial tables still render.
+    Returns ``{span id: value}``: ``at_root(span)`` for a root, and
+    ``extend(value of the parent, span)`` for any other span.  A span
+    whose parent is not in the table (truncated away) roots its own
+    tree, so partial tables still fold.  Each span is folded once, and
+    the walk up to a folded ancestor is a loop, not a recursion.
     """
-    known = {span.id for span in spans}
-    children: Dict[int, List[Span]] = {}
-    roots: List[Span] = []
+    by_id = {span["id"]: span for span in spans}
+    values: Dict[int, T] = {}
     for span in spans:
-        if span.parent_id is None or span.parent_id not in known:
-            roots.append(span)
-        else:
-            children.setdefault(span.parent_id, []).append(span)
-    return [SpanTree(root, children) for root in roots]
-
-
-def client_path_wan_calls(tree: SpanTree, exclude_targets: frozenset = frozenset()) -> int:
-    """Wide-area RMI/JDBC spans the client actually waited on.
-
-    Prunes maintenance subtrees (update propagation, JMS publishes and
-    asynchronous deliveries) and spans against excluded targets (the
-    updater façade).  The filter is structural, not heuristic: a JDBC
-    refresh executed *inside* propagation is excluded because of where
-    it sits in the tree, not because of what it is named.
-    """
-    count = 0
-    stack = [tree.root]
-    while stack:
-        span = stack.pop()
-        if span is not tree.root:
-            if span.kind in MAINTENANCE_KINDS:
-                continue
-            if span.target is not None and span.target in exclude_targets:
-                continue
-        if span.wide_area and span.kind in ("rmi", "jdbc"):
-            count += 1
-        stack.extend(tree.children_of(span))
-    return count
-
+        path = []
+        while span["id"] not in values:
+            parent = by_id.get(span["parent_id"])
+            if parent is None:
+                values[span["id"]] = at_root(span)
+                break
+            path.append(span)
+            span = parent
+        for span in reversed(path):
+            values[span["id"]] = extend(values[span["parent_id"]], span)
+    return values

@@ -2,7 +2,7 @@
 
 The runner creates one :class:`MeasurementStore` per cell and the
 session driver calls :meth:`MeasurementStore.observe` exactly once per
-served visit.  The store holds three sections, and
+served visit.  The store holds four sections, and
 :meth:`MeasurementStore.to_state` emits them as one picklable, JSON-safe
 dict with sorted keys at every level:
 
@@ -42,6 +42,11 @@ dict with sorted keys at every level:
     deployment's cumulative counters.  It adds one timer per window and
     draws nothing, so the simulation and the whole-run section are the
     same with windows on or off.
+``spans``
+    ``None`` unless the cell records spans.  Then it is the deployment's
+    :class:`~repro.obs.spans.SpanRecorder` state: the span rows
+    themselves, the ``dropped`` count and, under sampling, the sampled
+    and skipped request counts.
 
 A cell's state is exported under the cell's own label (``--jobs N``
 ships each cell's state back whole), so nothing merges states.
@@ -51,10 +56,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..simnet.kernel import Environment
 from .metrics import Histogram, MetricsRegistry, system_counters
+
+if TYPE_CHECKING:
+    from .spans import SpanRecorder
 
 __all__ = ["HDR_BOUNDS", "Cell", "MeasurementStore", "WholeRun"]
 
@@ -86,13 +94,14 @@ def _new_cell() -> list:
 
 class MeasurementStore:
     """Whole-run response cells, the metrics registry and, optionally,
-    the per-window series of one cell."""
+    the per-window series and the span table of one cell."""
 
     def __init__(
         self,
         warmup: float = 0.0,
         interval_ms: Optional[float] = None,
         bounds: Sequence[float] = HDR_BOUNDS,
+        spans: Optional["SpanRecorder"] = None,
     ):
         if interval_ms is not None and not 0 < interval_ms < math.inf:  # NaN fails too
             raise ValueError(
@@ -104,6 +113,7 @@ class MeasurementStore:
         if list(self.bounds) != sorted(self.bounds):
             raise ValueError("quantile bounds must be sorted")
         self.registry = MetricsRegistry()
+        self.spans = spans
         self.discarded_warmup = 0
         # [count, total] per (group, page) and per group.  A defaultdict:
         # its hit path is one C-level lookup, no call, on every visit.
@@ -162,10 +172,11 @@ class MeasurementStore:
 
     # -- serialization ------------------------------------------------------
     def to_state(self) -> dict:
-        """The three sections as one JSON-safe dict, keys sorted."""
+        """The four sections as one JSON-safe dict, keys sorted."""
         return {
             "metrics": self.registry.to_state(),
             "series": None if self.interval_ms is None else self._series_state(),
+            "spans": None if self.spans is None else self.spans.to_state(),
             "whole_run": {
                 "discarded_warmup": self.discarded_warmup,
                 "session_stats": [

@@ -33,7 +33,10 @@ from typing import Callable, Dict, Generator, Iterable, List, Tuple
 
 from ..core.usage import PageVisit
 from ..middleware.resilience import RETRYABLE_ERRORS, RmiTimeout
+from ..middleware.rmi import AccessError
 from ..middleware.web import ServerUnavailable, WebRequest, http_get
+from ..rdbms.jdbc import JdbcError
+from ..rdbms.transactions import TransactionError
 from ..simnet.kernel import Environment, Event
 
 __all__ = ["drive_sessions", "workload_counters"]
@@ -42,6 +45,17 @@ __all__ = ["drive_sessions", "workload_counters"]
 # server refusing connections, an RMI call beneath the page timing out,
 # or the transport layer itself faulting mid-request.
 _REQUEST_FAULTS = (ServerUnavailable, RmiTimeout) + RETRYABLE_ERRORS
+
+# Application errors (a 500) that break the session.  The list is the
+# kinds that reached the driver over every canned fault scenario, both
+# apps and levels 1-6, the shipped policies and the test suite: R1's
+# runtime refusal of a local-only component invoked across the WAN
+# (AccessError, the replicas-one-edge policy), a row-lock wait timeout
+# (TransactionError), a rollback on a JDBC connection that closed with
+# its server (JdbcError), and Pet Store's beans refusing a session whose
+# earlier visits were lost (ValueError: no signed-in customer, an empty
+# order).  Anything else is a simulator bug and escapes the run.
+_SESSION_FAULTS = (AccessError, TransactionError, JdbcError, ValueError)
 
 
 def drive_sessions(
@@ -104,14 +118,14 @@ def drive_sessions(
                         )
                     except _REQUEST_FAULTS as second_fault:
                         lost = type(second_fault).__name__
-                    except Exception as error:
+                    except _SESSION_FAULTS as error:
                         # The fallback answered with an application
                         # error: conversational state (cart, bid drafts)
                         # lived on the faulted edge, so the replayed
                         # request is inconsistent there.
                         lost = type(error).__name__
                         broken = True
-            except Exception as error:
+            except _SESSION_FAULTS as error:
                 # The server itself answered with an application error (a
                 # 500): under faults, earlier lost visits leave the
                 # session's state inconsistent (e.g. committing a cart

@@ -73,7 +73,7 @@ def _record_page(recorder, page, wan_calls, target="NotesFacade"):
     root = recorder.start_span("http", f"GET {page}", "client-edge1-0", 1.0, page=page)
     for _ in range(wan_calls):
         call = recorder.start_span(
-            "rmi", f"{target}.m", "edge1", 1.0, parent_id=root.id,
+            "rmi", f"{target}.m", "edge1", 1.0, parent_id=root["id"],
             wide_area=True, page=page, target=target, method="m",
         )
         recorder.finish_span(call, 2.0)

@@ -68,7 +68,7 @@ def test_serial_and_parallel_results_are_equal(serial_series, parallel_series):
         with_spans=True, obs_interval_ms=5_000.0,
     )
     assert observed[LEVELS[0]] == pooled[("rubis", LEVELS[0])]
-    assert observed[LEVELS[0]].spans_state["spans"]
+    assert observed[LEVELS[0]].measurements["spans"]["spans"]
     assert observed[LEVELS[0]] != serial_series[LEVELS[0]]
 
 
@@ -113,9 +113,7 @@ def test_pickling_loses_exactly_the_in_process_fields():
         with_spans=True, obs_interval_ms=5_000.0,
         faults=scenario("edge-crash", FAST.duration_ms, FAST.warmup_ms),
     )
-    assert IN_PROCESS_FIELDS == (
-        "system", "generator", "spans", "store", "fault_injector",
-    )
+    assert IN_PROCESS_FIELDS == ("system", "generator", "store", "fault_injector")
     for name in IN_PROCESS_FIELDS:
         assert getattr(result, name) is not None, name
     assert result.store is result.generator.store
@@ -200,9 +198,10 @@ def test_with_spans_ships_the_span_table_not_the_recorder():
         jobs=1,
     )
     result = results[("rubis", PatternLevel.REMOTE_FACADE)]
-    assert result.spans is None
-    spans = result.spans_state["spans"]
-    assert spans and result.spans_state["dropped"] == 0
+    assert result.system is None
+    state = result.measurements["spans"]
+    spans = state["spans"]
+    assert spans and state["dropped"] == 0
     # Edge-to-main RMI crosses the WAN at the façade level.
     assert any(span["kind"] == "rmi" and span["wide_area"] for span in spans)
 

@@ -68,7 +68,7 @@ def test_every_field_is_an_option_of_every_entry_point(entry):
     # Each option visibly took effect.
     assert result.label == "replicas-one-edge"
     assert result.topology["edge_servers"] == 3
-    assert result.spans_state["sample_rate"] == 0.5
+    assert result.measurements["spans"]["sample_rate"] == 0.5
     assert result.measurements["series"] is not None
 
 

@@ -119,7 +119,7 @@ def digest(app: str, level: int, spec: RunSpec) -> dict:
         "transfers": result.system.testbed.network.total_transfers,
         "requests": result.total_requests,
         "monitor": _sha256(measurements["whole_run"]),
-        "spans": _sha256(result.spans_state),
+        "spans": _sha256(measurements["spans"]),
         "metrics": _sha256(measurements["metrics"]),
     }
     if spec.obs_interval_ms:

@@ -260,8 +260,8 @@ def test_metrics_identical_when_telemetry_is_on_everywhere(serial_sweep, paralle
 
 def test_span_sampling_is_identical_across_processes(serial_sweep, parallel_sweep):
     for level in LEVELS:
-        serial_spans = serial_sweep[level].spans_state
-        parallel_spans = parallel_sweep[level].spans_state
+        serial_spans = serial_sweep[level].measurements["spans"]
+        parallel_spans = parallel_sweep[level].measurements["spans"]
         assert serial_spans == parallel_spans
         assert serial_spans["sample_rate"] == 0.25
         assert serial_spans["skipped_requests"] > serial_spans["sampled_requests"]

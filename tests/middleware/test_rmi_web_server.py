@@ -167,10 +167,12 @@ def test_rmi_calls_recorded_in_trace():
         yield from ref.call(ctx, "read_note", 1)
 
     run_process(env, proc())
-    rmi_calls = [span for span in system.trace.by_kind("rmi") if span.wide_area]
+    rmi_calls = [
+        span for span in system.trace.spans if span["kind"] == "rmi" and span["wide_area"]
+    ]
     assert len(rmi_calls) == 1
-    assert rmi_calls[0].target == "NotesFacade"
-    assert rmi_calls[0].page == "Notes"
+    assert rmi_calls[0]["target"] == "NotesFacade"
+    assert rmi_calls[0]["page"] == "Notes"
 
 
 # ---------------------------------------------------------------------------

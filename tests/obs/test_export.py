@@ -38,7 +38,7 @@ def facade_cell():
 
 @pytest.fixture(scope="module")
 def facade_spans_state(facade_cell):
-    return facade_cell.spans_state
+    return facade_cell.measurements["spans"]
 
 
 def test_chrome_trace_schema(facade_spans_state):
@@ -147,7 +147,7 @@ def test_trace_export_byte_identical_serial_vs_parallel():
 
     def cells(results):
         return [
-            (f"petstore/L{int(level)}", results[level].spans_state)
+            (f"petstore/L{int(level)}", results[level].measurements["spans"])
             for level in levels
         ]
 

@@ -140,7 +140,7 @@ def test_cell_results_carry_observability_snapshots():
     )
     cell = results[PatternLevel.QUERY_CACHING]
     assert cell.cache_stats is not None
-    assert cell.spans_state is None  # spans were not requested
+    assert cell.measurements["spans"] is None  # spans were not requested
     assert cell.measurements["series"] is None  # no window interval
     assert any(
         name.startswith("querycache.")

@@ -111,7 +111,7 @@ def _observed(result, counters):
         "monitor": result.monitor.to_state(),
         "counters": counters,
         "kernel_events": result.system.env.stats()["sequence"],
-        "spans": result.spans_state,
+        "spans": result.measurements["spans"],
         "resilience": _resilience(result),
         "cache_stats": result.cache_stats,
     }
@@ -225,3 +225,22 @@ def test_metrics_say_why_visits_were_lost(loop):
     assert total > 0 and sum(kinds.values()) == total
     assert kinds == _driven(loop, "petstore", L3, "edge-crash").generator.error_kinds
     assert kinds_and_total(None) == ({}, 0)
+
+
+def test_a_bug_in_a_servlet_escapes_the_run(monkeypatch):
+    """Only the named application errors become lost visits: an
+    ``AttributeError`` raised in a servlet is a simulator bug, and the
+    run stops on it instead of counting a broken session."""
+    from repro.apps.rubis import web
+    from repro.middleware.ejb import Servlet
+
+    def broken(self, ctx, request):
+        raise AttributeError("a servlet bug")
+
+    for servlet in vars(web).values():
+        if isinstance(servlet, type) and issubclass(servlet, Servlet):
+            monkeypatch.setattr(servlet, "handle", broken)
+    with pytest.raises(AttributeError, match="a servlet bug"):
+        runner.run_configuration(
+            "rubis", L5, seed=41, workload=default_workload(20_000.0, WARMUP_MS)
+        )

@@ -197,5 +197,5 @@ def test_back_to_back_runs_sample_the_same_sessions():
         )
 
     first, second = run(), run()
-    assert 0 < first.spans.sampled_requests == second.spans.sampled_requests
-    assert first.spans_state == second.spans_state
+    assert 0 < first.system.trace.sampled_requests == second.system.trace.sampled_requests
+    assert first.measurements["spans"] == second.measurements["spans"]
